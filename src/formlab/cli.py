@@ -21,6 +21,7 @@ import importlib.resources
 import json
 import math
 import sys
+import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from . import __version__
 from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
                         dominance_map, envelope_ratio_rows, fit_hk,
                         tail_probability_check)
-from .form import (JumpKernel, assemble, gap_check, heat_kernel,
+from .form import (SPECTRAL_CAP, JumpKernel, assemble, gap_check, heat_kernel,
                    kernel_certificates, meyer_check, subordinate,
                    subordinate_intensity_quadrature)
 from .functionals import (ConditionReport, ball_family, check_cs, check_exit,
@@ -123,9 +124,10 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown checks: {bad}; known: {sorted(CHECKS)}")
     # resource guard: refuse oversized requests at validation time
     kind = cfg.space.get("kind")
-    if kind == "lattice_box":
-        n = int(cfg.space.get("side", 0)) ** int(cfg.space.get("dim", 1))
-        if n > 4096:
+    if kind in ("lattice_box", "halfspace_lattice"):
+        dim = 2 if kind == "halfspace_lattice" else int(cfg.space.get("dim", 1))
+        n = int(cfg.space.get("side", 0)) ** dim
+        if n > SPECTRAL_CAP:
             raise ConfigError(f"space of {n} points exceeds the spectral cap")
     if kind == "gasket" and int(cfg.space.get("level", 0)) > 7:
         raise ConfigError("gasket level capped at 7")
@@ -180,6 +182,7 @@ class SuiteContext:
         t_hi = self.scales.phi(max(self.space.interior_margin, 2.0))
         self.times = list(np.geomspace(t_lo, max(t_hi, 2.0 * t_lo), n_times))
         self._table = None
+        self._table_lock = threading.Lock()
         radii = g.get("radii")
         if radii is None:
             top = max(self.space.interior_margin, 4.0)
@@ -189,8 +192,11 @@ class SuiteContext:
 
     @property
     def table(self):
-        if self._table is None:
-            self._table = heat_kernel(self.form, self.times)
+        """Global kernel table at ``times``, computed once; safe to read
+        from several threads."""
+        with self._table_lock:
+            if self._table is None:
+                self._table = heat_kernel(self.form, self.times)
         return self._table
 
 
@@ -400,10 +406,11 @@ def _chk_regularity(ctx, **kw):
 
 def _chk_meyer(ctx, rho_grid=None, **kw):
     rhos = rho_grid or [r for r in ctx.radii]
+    kernels = ctx.table.kernels[:3]
     fits = {}
     for rho in rhos:
         fits[f"c1(rho={rho:g})"] = meyer_check(
-            ctx.form, ctx.scales, rho, ctx.times[:3], **kw
+            ctx.form, ctx.scales, rho, ctx.times[:3], kernels=kernels, **kw
         )["c1"]
     vals = [v for v in fits.values()]
     ok = all(np.isfinite(v) for v in vals)
@@ -441,8 +448,7 @@ def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01, **kw):
     rel = float(np.max(np.abs(quadv - specv) / np.maximum(specv, 1e-300)))
     ident = subordinate(ctx.form, b=0.0, gamma=1.0 - 1e-12,
                         times=[ctx.times[0]])
-    base = heat_kernel(ctx.form, [ctx.times[0]])
-    id_err = float(np.abs(ident.table.kernels[0] - base.kernels[0]).max())
+    id_err = float(np.abs(ident.table.kernels[0] - ctx.table.kernels[0]).max())
     ok = rel <= tol and id_err <= 1e-8
     rep = ConditionReport(
         "subordination", "certified" if ok else "failed",
@@ -685,7 +691,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run a single check")
     p_check.add_argument("check_name")
     sub.add_parser("suite", help="run the configured checks and emit reports")
-    p_rep = sub.add_parser("report", help="re-render an existing report.json")
+    p_rep = sub.add_parser("report", help="rewrite an existing report.json "
+                                          "key-sorted (no CSV or SVG)")
     p_rep.add_argument("report_path")
     args = parser.parse_args(argv)
 

@@ -399,31 +399,34 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     c_ndl = math.inf
     mono_defect = 0.0
     ndl_rows = []
-    for x0, r in [(int(x), float(r)) for r in ndl_radii
-                  for x in space.usable_centers(r + 1e-9)[:3]]:
-        B = space.ball(x0, r)
+    for r in map(float, ndl_radii):
+        centers = space.usable_centers(r + 1e-9)[:3]
+        if len(centers) == 0:
+            continue
         t_top = scales.phi(eps * r)
         # sample from the lattice time scale up; below phi(1) the kernel is
         # within its diagonal limit and the bound trivialises
         t_floor = min(scales.phi(1.0), t_top)
         ts = list(np.geomspace(t_floor, t_top, 4))
-        tabB = heat_kernel(form, ts, domain=B)
         full = heat_kernel(form, ts)
-        posB = {int(p): k for k, p in enumerate(B)}
-        for t, KB, KF in zip(ts, tabB.kernels, full.kernels):
-            rad = eps * scales.phi.inverse(t)
-            core = [p for p in B if space.metric[x0, p] < max(rad, 1e-12)]
-            if not core:
-                core = [x0]
-            ci = [posB[p] for p in core]
-            Vx0 = space.volume(x0, scales.phi.inverse(t))
-            sub = KB[np.ix_(ci, ci)]
-            c_ndl = min(c_ndl, float(sub.min()) * Vx0)
-            mono_defect = max(mono_defect, float(
-                (KB - KF[np.ix_(B, B)]).max()
-            ))
-            ndl_rows.append({"x0": x0, "r": r, "t": t,
-                             "c1": float(sub.min()) * Vx0})
+        for x0 in map(int, centers):
+            B = space.ball(x0, r)
+            tabB = heat_kernel(form, ts, domain=B)
+            posB = {int(p): k for k, p in enumerate(B)}
+            for t, KB, KF in zip(ts, tabB.kernels, full.kernels):
+                rad = eps * scales.phi.inverse(t)
+                core = [p for p in B if space.metric[x0, p] < max(rad, 1e-12)]
+                if not core:
+                    core = [x0]
+                ci = [posB[p] for p in core]
+                Vx0 = space.volume(x0, scales.phi.inverse(t))
+                sub = KB[np.ix_(ci, ci)]
+                c_ndl = min(c_ndl, float(sub.min()) * Vx0)
+                mono_defect = max(mono_defect, float(
+                    (KB - KF[np.ix_(B, B)]).max()
+                ))
+                ndl_rows.append({"x0": x0, "r": r, "t": t,
+                                 "c1": float(sub.min()) * Vx0})
     nl_ok = np.isfinite(c_nl) and c_nl > 0.0
     ndl_ok = np.isfinite(c_ndl) and c_ndl > 0.0
     # NDL forces NL through domain monotonicity p >= p^B, checked above
@@ -455,11 +458,6 @@ class DominanceMap:
     c3: float | None
     c4: float | None
     log_ratio: float
-
-    def in_bracket(self):
-        if self.c3 is None:
-            return None
-        return bool(self.c3 <= self.c4 * (1.0 + 1e-12)) or True
 
 
 def dominance_map(table: HeatKernelTable, scales: ScaleTriple, space,

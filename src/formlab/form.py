@@ -20,6 +20,7 @@ n <= 4096 and an exponential-action fallback covers the rest.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,7 @@ class JumpKernel:
         if space.n > SPECTRAL_CAP:
             raise FormError(
                 f"dense jump matrices capped at n = {SPECTRAL_CAP}; "
-                "supply a banded custom kernel beyond that"
+                f"got a space of {space.n} points"
             )
 
     @classmethod
@@ -195,6 +196,7 @@ class DirichletForm:
         self.mu = space.mu
         self._sqmu = np.sqrt(space.mu)
         self._spec = None
+        self._spec_lock = threading.Lock()
         sym_err = float(np.abs(A - A.T).max())
         if sym_err > 1e-12 * max(float(np.abs(A).max()), 1e-300):
             raise FormError(f"generator lost mu-symmetry: {sym_err}")
@@ -220,13 +222,16 @@ class DirichletForm:
         return self.A / np.outer(self._sqmu, self._sqmu)
 
     def spectral(self):
-        if self._spec is None:
-            if self.n > SPECTRAL_CAP:
-                raise FormError(
-                    f"spectral mode capped at n = {SPECTRAL_CAP}; got {self.n}"
-                )
-            lam, Q = eigh(self.sym_generator())
-            self._spec = (np.maximum(lam, 0.0), Q)
+        """(clamped eigenvalues, eigenvectors) of S, computed once; safe to
+        call from several threads."""
+        with self._spec_lock:
+            if self._spec is None:
+                if self.n > SPECTRAL_CAP:
+                    raise FormError(
+                        f"spectral mode capped at n = {SPECTRAL_CAP}; got {self.n}"
+                    )
+                lam, Q = eigh(self.sym_generator())
+                self._spec = (np.maximum(lam, 0.0), Q)
         return self._spec
 
     # restricted energies used by the condition checks
@@ -303,21 +308,32 @@ class HeatKernelTable:
                 fh.write(np.ascontiguousarray(K, dtype="<f8").tobytes())
 
 
-def _spectral_kernel(form, times, idx=None):
+def _spectral_basis(form, idx=None):
+    """(lam, B) with B = Q / sqrt(mu), so that a function psi of -L has the
+    kernel B diag(psi(lam)) B^T against mu; ``idx`` restricts to a
+    Dirichlet domain."""
     if idx is None:
         lam, Q = form.spectral()
         sqmu = form._sqmu
     else:
-        S = form.sym_generator()[np.ix_(idx, idx)]
-        lam, Q = eigh(S)
+        lam, Q = eigh(form.sym_generator()[np.ix_(idx, idx)])
         lam = np.maximum(lam, 0.0)
         sqmu = form._sqmu[idx]
+    return lam, Q / sqmu[:, None]
+
+
+def _semigroup_kernels(B, rates, times):
+    """Symmetrised kernels B exp(-rates t) B^T, one per time."""
     kernels = []
-    B = Q / sqmu[:, None]
     for t in times:
-        K = (B * np.exp(-lam * t)) @ B.T
+        K = (B * np.exp(-rates * t)) @ B.T
         kernels.append(0.5 * (K + K.T))
     return kernels
+
+
+def _spectral_kernel(form, times, idx=None):
+    lam, B = _spectral_basis(form, idx)
+    return _semigroup_kernels(B, lam, times)
 
 
 def _expm_kernel(form, times, idx=None):
@@ -424,24 +440,28 @@ def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
 
 
 def meyer_check(form: DirichletForm, scales, rho: float, times,
-                margin=None) -> dict:
+                margin=None, kernels=None) -> dict:
     """Smallest c1 with
     p(t,x,y) <= q^(rho)(t,x,y) + c1 t / (V(x,rho) phi_j(rho)) exp(c1 t / phi(rho))
     over interior (t, x, y), found by bisection (the right side is monotone
-    increasing in c1)."""
+    increasing in c1).  ``kernels`` are the untruncated p(t) at ``times``
+    when the caller holds them already."""
     space = form.space
     margin = space.interior_margin if margin is None else margin
     interior = space.interior(margin)
-    table_p = heat_kernel(form, times)
-    table_q = heat_kernel(truncate(form, rho), times)
+    if kernels is None:
+        kernels = heat_kernel(form, times).kernels
+    truncated = heat_kernel(truncate(form, rho), times).kernels
+    block = np.ix_(interior, interior)
+    diffs = [(P - Qk)[block] for P, Qk in zip(kernels, truncated)]
+    del truncated
     phi_rho = scales.phi(rho)
     phij_rho = scales.phi_j(rho)
     Vrho = np.array([space.volume(x, rho) for x in interior])
 
     def excess(c1):
         worst = -np.inf
-        for t, P, Qk in zip(times, table_p.kernels, table_q.kernels):
-            diff = (P - Qk)[np.ix_(interior, interior)]
+        for t, diff in zip(times, diffs):
             bound = c1 * t / (Vrho[:, None] * phij_rho) * math.exp(
                 c1 * t / phi_rho
             )
@@ -490,15 +510,10 @@ def subordinate(form: DirichletForm, b: float, gamma: float, times
         raise FormError("gamma must lie in (0, 1]")
     if b < 0.0:
         raise FormError("drift must be nonnegative")
-    lam, Q = form.spectral()
-    sqmu = form._sqmu
-    psi = b * lam + lam ** gamma
-    B = Q / sqmu[:, None]
-    kernels = []
-    for t in times:
-        K = (B * np.exp(-psi * float(t))) @ B.T
-        kernels.append(0.5 * (K + K.T))
-    table = HeatKernelTable(tuple(map(float, times)), kernels, "spectral")
+    lam, B = _spectral_basis(form)
+    times = tuple(map(float, times))
+    kernels = _semigroup_kernels(B, b * lam + lam ** gamma, times)
+    table = HeatKernelTable(times, kernels, "spectral")
     # symmetrised (-L)^gamma, expressed as kernel against mu x mu
     G = (B * lam ** gamma) @ B.T
     intensity = -G
@@ -517,11 +532,9 @@ def subordinate_intensity_quadrature(form: DirichletForm, gamma: float,
     Independent of the Bernstein identity: the integrand uses only the base
     heat kernel, and the integral is done numerically (u = v^2 substitution
     below u = 1 to tame the endpoint)."""
-    lam, Q = form.spectral()
-    sqmu = form._sqmu
+    lam, B = _spectral_basis(form)
     cnu = gamma / gamma_fn(1.0 - gamma)
     out = np.empty(len(pairs))
-    B = Q / sqmu[:, None]
     for k, (x, y) in enumerate(pairs):
         cxy = B[x] * B[y]
 

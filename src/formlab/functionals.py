@@ -581,6 +581,8 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
                 break
             c_ujs = max(c_ujs, J[x, y] / avg)
             tested += 1
+        if math.isinf(c_ujs):
+            break   # J vanishes on a ball: UJS fails, the sweep ends here
     c1j, c2j, per_d = fit_jpsi(form, scales.phi_j)
     verdict = "certified" if np.isfinite(c_ujs) and np.isfinite(c_tail) else "failed"
     return ConditionReport(

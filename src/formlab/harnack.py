@@ -124,37 +124,45 @@ def _window_times(lo, hi, k=5):
     return list(np.linspace(lo, hi, k + 2)[1:-1])
 
 
+def _flow_times(scales, cyl: CylinderSpec, n_window_times: int):
+    """Q- and Q+ sample times of a cylinder, measured from t0."""
+    (qm_lo, qm_hi), (qp_lo, qp_hi) = cyl.windows(scales)
+    return ([t - cyl.t0 for t in _window_times(qm_lo, qm_hi, n_window_times)],
+            [t - cyl.t0 for t in _window_times(qp_lo, qp_hi, n_window_times)])
+
+
 def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
                     mode: str = "necessary", n_atom_intervals: int = 8,
                     n_window_times: int = 5, thin: int = 1,
-                    keep_samples: bool = False) -> CaloricFamily:
+                    keep_samples: bool = False, kernels=None) -> CaloricFamily:
     """Produce the caloric family for a cylinder and record its Q-/Q+ extrema.
 
     FULL mode solves the backward parabolic problem per exterior space-time
     atom with exact spectral stepping (capped at ball size 256 and 2000
     atoms); NECESSARY mode uses the global heat flows from point masses.
+    ``kernels`` are the global p at the Q- then Q+ sample times when the
+    caller holds them already (NECESSARY mode only).
     """
     space = form.space
     ball_R = space.ball(cyl.x0, cyl.R)
-    (qm_lo, qm_hi), (qp_lo, qp_hi) = cyl.windows(scales)
-    t_minus = _window_times(qm_lo, qm_hi, n_window_times)
-    t_plus = _window_times(qp_lo, qp_hi, n_window_times)
+    t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
 
     if mode == "necessary":
-        times = [t - cyl.t0 for t in t_minus + t_plus]
-        table = heat_kernel(form, times)
+        if kernels is None:
+            kernels = heat_kernel(form, t_minus + t_plus).kernels
         atoms = np.arange(0, form.n, thin)
+        block = np.ix_(ball_R, atoms)
+        # u_z(t, x) = p(t, x, z) mu(z) on B(x0, R) x atoms, one slab per time
+        flows = np.stack([K[block] * form.mu[atoms] for K in kernels])
         nm = len(t_minus)
-        stack_m = np.stack([table.kernels[i] for i in range(nm)])
-        stack_p = np.stack([table.kernels[nm + i] for i in range(len(t_plus))])
-        sup_m = (stack_m[:, :, atoms][:, ball_R, :] * form.mu[atoms]).max(axis=(0, 1))
-        inf_p = (stack_p[:, :, atoms][:, ball_R, :] * form.mu[atoms]).min(axis=(0, 1))
+        sup_m = flows[:nm].max(axis=(0, 1))
+        inf_p = flows[nm:].min(axis=(0, 1))
         fam = CaloricFamily("necessary", len(atoms), sup_m, inf_p, 0)
         k = int(np.nanargmax(np.where(inf_p > FLOOR, sup_m / np.maximum(inf_p, FLOOR), -np.inf)))
         fam.worst = {
             "atom": int(atoms[k]),
-            "trace_minus": (stack_m[:, ball_R, atoms[k]] * form.mu[atoms[k]]).tolist(),
-            "trace_plus": (stack_p[:, ball_R, atoms[k]] * form.mu[atoms[k]]).tolist(),
+            "trace_minus": flows[:nm, :, k].tolist(),
+            "trace_plus": flows[nm:, :, k].tolist(),
         }
         return fam
 
@@ -194,8 +202,8 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     src = np.zeros((nb, n_atoms))
     bounds = np.linspace(0.0, horizon, n_atom_intervals + 1)
 
-    rec_m = {round(t - cyl.t0, 12): [] for t in t_minus}
-    rec_p = {round(t - cyl.t0, 12): [] for t in t_plus}
+    rec_m = {round(t, 12): [] for t in t_minus}
+    rec_p = {round(t, 12): [] for t in t_plus}
     sample_steps = {}
     for t in list(rec_m) + list(rec_p):
         sample_steps.setdefault(int(round(t / h)), []).append(t)
@@ -234,7 +242,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
 
 
 def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
-              **kw) -> ConditionReport:
+              n_window_times: int = 5, **kw) -> ConditionReport:
     """Fit C6 = sup over the caloric family of sup_{Q-} u / inf_{Q+} u.
 
     In FULL mode on small cylinders this bounds every nonnegative caloric
@@ -244,8 +252,19 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
     rows = []
     C6 = 0.0
     witness = {}
+    # consecutive cylinders with equal sample times (same R, t0 and
+    # constants) share one table of global heat flows; one table is alive
+    # at a time
+    times, kernels = None, None
     for cyl in cylinders:
-        fam = caloric_poisson(form, scales, cyl, mode=mode, **kw)
+        if mode == "necessary":
+            t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
+            if tuple(t_minus + t_plus) != times:
+                times, kernels = tuple(t_minus + t_plus), None
+                kernels = heat_kernel(form, times).kernels
+        fam = caloric_poisson(form, scales, cyl, mode=mode,
+                              n_window_times=n_window_times, kernels=kernels,
+                              **kw)
         ratios = fam.ratios()
         alive = ratios[np.isfinite(ratios)]
         if alive.size == 0:
@@ -316,6 +335,10 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
         centers = space.usable_centers(r + 1e-9)
         if len(centers) == 0:
             continue
+        # caloric family: global heat flows sampled in the last window
+        phi_r = scales.phi(r)
+        ts = _window_times(phi_r - scales.phi(eps * r), phi_r, n_window_times)
+        table = heat_kernel(form, ts)
         for x0 in centers[np.linspace(0, len(centers) - 1, max_centers)
                           .round().astype(int)]:
             x0 = int(x0)
@@ -340,11 +363,6 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
                         prs.append((abs(u[p] - u[q]),
                                     space.metric[p, q] / r, supu))
                 ehr_pairs_by_fn.append(prs)
-            # caloric family: global heat flows sampled in the last window
-            phi_r = scales.phi(r)
-            window = (phi_r - scales.phi(eps * r), phi_r)
-            ts = _window_times(window[0], window[1], n_window_times)
-            table = heat_kernel(form, ts)
             zs = np.arange(form.n)[rng.choice(form.n, size=min(8, form.n),
                                               replace=False)]
             for z in zs:

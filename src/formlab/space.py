@@ -147,13 +147,6 @@ def _lattice_box(dim, side, metric="l1", margin=None):
         dist = np.sqrt((diff.astype(float) ** 2).sum(axis=2))
     else:
         raise SpaceError("lattice metric must be 'l1' or 'l2'")
-    edges = []
-    strides = [side ** k for k in range(dim)]
-    for i in range(n):
-        for ax in range(dim):
-            if coords[i, ax] + 1 < side:
-                edges.append((i, i + strides[dim - 1 - ax]))
-    # recompute neighbour indices robustly from coordinates
     index = {tuple(c): i for i, c in enumerate(coords)}
     edges = []
     for i, c in enumerate(coords):

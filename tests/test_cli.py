@@ -1,8 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import formlab.cli as cli
+import formlab.form as form_mod
 from formlab.cli import (ConfigError, load_config, main, render_report,
                          run_suite, validate_config)
 
@@ -117,11 +120,35 @@ class TestSuite:
         b2 = json.dumps(s2.report, sort_keys=True)
         assert b1 == b2
 
-    def test_threads_match_serial(self):
-        cfg = validate_config(mini_cfg(checks=["kernel", "volume", "fk"]))
-        s1 = run_suite(cfg)
-        cfg2 = validate_config(mini_cfg(checks=["kernel", "volume", "fk"]))
-        s2 = run_suite(cfg2, threads=3)
+    def test_threads_match_serial(self, monkeypatch):
+        # kernel, meyer and subordination all read the shared table and the
+        # global spectrum; under threads each must still be computed once
+        checks = ["kernel", "meyer", "subordination", "volume", "fk"]
+        s1 = run_suite(validate_config(mini_cfg(checks=checks)))
+        cfg = validate_config(mini_cfg(checks=checks))
+        S_ref = cli.SuiteContext(cfg).form.sym_generator()
+        real_kernel, real_eigh = cli.heat_kernel, form_mod.eigh
+        tables, spectra = [], []
+
+        def counting_kernel(form, times, *args, **kwargs):
+            tables.append(times)
+            return real_kernel(form, times, *args, **kwargs)
+
+        def counting_eigh(S, *args, **kwargs):
+            if S.shape == S_ref.shape and np.array_equal(S, S_ref):
+                spectra.append(S.shape)
+            return real_eigh(S, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "heat_kernel", counting_kernel)
+        monkeypatch.setattr(form_mod, "eigh", counting_eigh)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads' bytecode
+        try:
+            s2 = run_suite(cfg, threads=3)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(tables) == 1
+        assert len(spectra) == 1
         for rep in (s1, s2):
             rep.report["provenance"].pop("timestamp")
             rep.report["provenance"].pop("wall_time_s")
@@ -162,6 +189,18 @@ class TestMain:
 
     def test_unknown_check_exit_code(self, capsys):
         assert main(["--config", "z1_mini", "check", "nope"]) == 3
+
+    def test_oversized_halfspace_rejected_at_validate(self, tmp_path, capsys):
+        # side 80 is 6400 points: refused by validate, not midway through a run
+        cfg = json.loads(__import__("importlib.resources", fromlist=["files"])
+                         .files("formlab.configs").joinpath("halfspace.json")
+                         .read_text())
+        cfg["space"]["side"] = 80
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["--config", str(p), "validate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "6400" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -168,6 +168,17 @@ class TestMeyer:
         assert all(np.isfinite(c) and c > 0.0 for c in fits)
         assert max(fits) / min(fits) <= 3.0
 
+    def test_passed_kernels_match_recomputed(self):
+        sp, form = z1(side=65, margin=8)
+        tr = alpha1_triple()
+        times = [0.5, 1.0, 2.0]
+        kernels = heat_kernel(form, [0.25] + times).kernels[1:]
+        for rho in (4.0, 8.0):
+            own = meyer_check(form, tr, rho=rho, times=times)
+            given = meyer_check(form, tr, rho=rho, times=times, kernels=kernels)
+            assert own["c1"] > 0.0
+            assert given["c1"] == own["c1"]
+
     def test_small_time_linearised_bound(self):
         sp, form = z1(side=65, margin=8)
         tr = alpha1_triple()

@@ -287,6 +287,22 @@ class TestTailUJS:
                 for r in (4.0, 8.0, 16.0)]
         assert all(np.isfinite(v) and v < 5.0 for v in vals)
 
+    def test_ujs_sweep_ends_where_jumps_vanish_on_a_ball(self):
+        # jumps of range <= 2 only: far pairs see J(., y) == 0 on B(x, r),
+        # UJS fails there and no later pair is tested
+        sp = build_space("lattice_box", dim=1, side=65, margin=8)
+        d = sp.metric
+        J = np.where((d > 0) & (d <= 2), 1.0 / np.maximum(d, 1.0) ** 2, 0.0)
+        form = assemble(sp, 1.0, JumpKernel(J))
+        reps = [tail_and_ujs(form, alpha1_triple(), [4.0], n_pairs=n)
+                for n in (60, 600)]
+        for rep in reps:
+            assert rep.verdict == "failed"
+            assert rep.constants["c_UJS"] == math.inf
+        # the 600-pair sweep draws the same first 60 pairs, and stops
+        # at the same failing pair
+        assert reps[0].ranges["ujs_instances"] == reps[1].ranges["ujs_instances"]
+
     def test_no_jump_form(self):
         sp, form = z1(side=33, with_jump=False)
         rep = tail_and_ujs(form, alpha1_triple(), [4.0])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import formlab.harnack as harnack
+from formlab.cli import SuiteContext, load_config
 from formlab.form import JumpKernel, assemble, heat_kernel
 from formlab.harnack import (CylinderSpec, HarnackError, caloric_poisson,
                              check_phi, check_regularity, harmonic_solve)
@@ -126,6 +128,83 @@ class TestCaloric:
         cyl = CylinderSpec(x0=16, R=8.0)   # C5 R = 40 exceeds the box
         with pytest.raises(HarnackError):
             caloric_poisson(form, alpha1_triple(), cyl, mode="full")
+
+
+def necessary_oracle(form, scales, cyl, n_window_times=5):
+    """The NECESSARY family computed the direct way: stack every window
+    kernel, then fancy-index the ball rows and atom columns."""
+    (qm_lo, qm_hi), (qp_lo, qp_hi) = cyl.windows(scales)
+    t_minus = list(np.linspace(qm_lo, qm_hi, n_window_times + 2)[1:-1])
+    t_plus = list(np.linspace(qp_lo, qp_hi, n_window_times + 2)[1:-1])
+    table = heat_kernel(form, [t - cyl.t0 for t in t_minus + t_plus])
+    ball_R = form.space.ball(cyl.x0, cyl.R)
+    atoms = np.arange(form.n)
+    nm = len(t_minus)
+    stack_m = np.stack(table.kernels[:nm])
+    stack_p = np.stack(table.kernels[nm:])
+    sup_m = (stack_m[:, :, atoms][:, ball_R, :] * form.mu[atoms]).max(axis=(0, 1))
+    inf_p = (stack_p[:, :, atoms][:, ball_R, :] * form.mu[atoms]).min(axis=(0, 1))
+    ratio = np.where(inf_p > 1e-300, sup_m / np.maximum(inf_p, 1e-300), -np.inf)
+    k = int(np.nanargmax(ratio))
+    traces = (stack_m[:, ball_R, k] * form.mu[k], stack_p[:, ball_R, k] * form.mu[k])
+    return sup_m, inf_p, k, traces
+
+
+@pytest.fixture(scope="module")
+def mini():
+    ctx = SuiteContext(load_config("z1_mini"))
+    centers = ctx.space.usable_centers(5.0 * 4.0 + 1e-9)
+    cyls = [CylinderSpec(x0=int(centers[i]), R=4.0)
+            for i in (0, len(centers) // 2, len(centers) - 1)]
+    cyls.append(CylinderSpec(x0=int(centers[1]), R=4.0, t0=0.75))
+    cyls.append(CylinderSpec(x0=int(centers[2]), R=3.0))
+    return ctx.form, ctx.scales, cyls
+
+
+class TestSharedFlows:
+    def test_necessary_family_bit_equal_to_stacked_oracle(self, mini):
+        form, scales, cyls = mini
+        for cyl in cyls:
+            fam = caloric_poisson(form, scales, cyl, mode="necessary")
+            sup_m, inf_p, k, (tm, tp) = necessary_oracle(form, scales, cyl)
+            assert np.array_equal(fam.sup_minus, sup_m)
+            assert np.array_equal(fam.inf_plus, inf_p)
+            assert fam.worst["atom"] == k
+            assert np.array_equal(fam.worst["trace_minus"], tm)
+            assert np.array_equal(fam.worst["trace_plus"], tp)
+
+    def test_check_phi_bit_equal_to_stacked_oracle(self, mini):
+        form, scales, cyls = mini
+        rep = check_phi(form, scales, cyls, mode="necessary")
+        for cyl, row in zip(cyls, rep.rows):
+            sup_m, inf_p, _, _ = necessary_oracle(form, scales, cyl)
+            ok = (inf_p > 1e-300) & (sup_m > 1e-300)
+            assert row["C6"] == float((sup_m[ok] / inf_p[ok]).max())
+        worst = next(c for c, row in zip(cyls, rep.rows)
+                     if row["C6"] == rep.constants["C6"])
+        _, _, k, (tm, tp) = necessary_oracle(form, scales, worst)
+        assert rep.witness["worst"]["atom"] == k
+        assert np.array_equal(rep.witness["worst"]["trace_minus"], tm)
+        assert np.array_equal(rep.witness["worst"]["trace_plus"], tp)
+
+    def test_one_kernel_table_per_window_times(self, mini, monkeypatch):
+        form, scales, cyls = mini
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return heat_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(harnack, "heat_kernel", counting)
+        check_phi(form, scales, cyls[:3], mode="necessary")
+        assert len(calls) == 1
+        calls.clear()
+        # a later t0 and a smaller R each bring their own sample times
+        check_phi(form, scales, cyls, mode="necessary")
+        assert len(calls) == 3
+        calls.clear()
+        check_phi(form, scales, cyls[:1], mode="full")
+        assert calls == []
 
 
 class TestCheckPhi:
