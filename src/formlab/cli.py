@@ -25,7 +25,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -505,7 +505,7 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
               mode: str | None = None) -> SuiteReport:
     t_start = time.time()
     if mode:
-        cfg.mode = mode
+        cfg = replace(cfg, mode=mode)
     ctx = SuiteContext(cfg, thin=thin)
     checks = list(cfg.checks)   # an empty list yields an empty report
     reports: dict[str, ConditionReport] = {}

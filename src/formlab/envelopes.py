@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,44 +97,81 @@ def envelope_eval(scales: ScaleTriple, space, kind: str, t: float, x: int,
     raise ValueError(f"unknown envelope kind {kind!r}")
 
 
-def _volumes_at(space, xs, radius):
-    return np.array([space.volume(int(x), radius) for x in xs])
+class _EnvelopeGrid:
+    """The time-independent geometry of one xs x ys envelope sweep.
+
+    Built once per check call and dropped when it returns: the pair
+    distances ``d``, their unique values with the inverse map, V(x, d(x, y)),
+    V(x, d) phi_j(d) and a per-radius memo of V(x, r) over ``xs``.  Each
+    piece is computed on first use."""
+
+    def __init__(self, scales, space, xs, ys):
+        self.scales = scales
+        self.space = space
+        self.xs = xs
+        self.d = space.metric[np.ix_(xs, ys)]
+        self._volumes = {}
+
+    @cached_property
+    def _unique(self):
+        uq, inv = np.unique(self.d, return_inverse=True)
+        return uq, inv, uq > 0.0
+
+    @cached_property
+    def Vd(self):
+        """V(x, d(x,y)) per pair, via one sorted sweep per row."""
+        Vd = np.empty_like(self.d)
+        for i, x in enumerate(self.xs):
+            Vd[i] = self.space.volumes(int(x), self.d[i])
+        return Vd
+
+    @cached_property
+    def jump_denom(self):
+        """V(x, d) phi_j(d) per pair, with phi_j(0) read as 1."""
+        uq, inv, pos = self._unique
+        phij_u = np.ones_like(uq)
+        phij_u[pos] = self.scales.phi_j(uq[pos])
+        return self.Vd * phij_u[inv].reshape(self.d.shape)
+
+    def volumes(self, radius):
+        """V(x, radius) for every x in ``xs``, computed once per radius."""
+        V = self._volumes.get(radius)
+        if V is None:
+            V = self._volumes[radius] = np.array(
+                [self.space.volume(int(x), radius) for x in self.xs])
+        return V
+
+    def m(self, td):
+        """m(td, d(x, y)) on the grid, 0 on the diagonal."""
+        uq, inv, pos = self._unique
+        m_u = np.zeros_like(uq)
+        m_u[pos] = uq[pos] / self.scales.bar_phi_c.inverse(td / uq[pos])
+        return m_u[inv].reshape(self.d.shape)
 
 
-def _envelope_arrays(scales, space, t, xs, ys, dilation=1.0):
-    """Vectorised envelope pieces on the xs x ys grid at one time.
+def _envelope_arrays(grid, t, dilation=1.0):
+    """Vectorised envelope pieces on the grid's xs x ys pairs at one time.
 
     Returns dict with Vc, Vj, Vphi (per x), pc, pj (len(xs) x len(ys)),
     exploiting the discreteness of the metric through a unique-distance
-    lookup for m(t, d) and phi_j(d)."""
+    lookup for m(t, d) and phi_j(d).  Per check (held by ``grid``): d,
+    V(x, d) phi_j(d) and each V(x, r); per time and dilation: m, the
+    V(x, r) lookups, pc and pj."""
+    scales = grid.scales
     td = t * dilation
-    d_sub = space.metric[np.ix_(xs, ys)]
-    uq, inv = np.unique(d_sub, return_inverse=True)
-    m_u = np.zeros_like(uq)
-    pos = uq > 0.0
-    m_u[pos] = uq[pos] / scales.bar_phi_c.inverse(td / uq[pos])
-    phij_u = np.ones_like(uq)
-    phij_u[pos] = scales.phi_j(uq[pos])
-    m_grid = m_u[inv].reshape(d_sub.shape)
-    phij_grid = phij_u[inv].reshape(d_sub.shape)
-
-    Vc = _volumes_at(space, xs, scales.phi_c.inverse(td))
-    Vj = _volumes_at(space, xs, scales.phi_j.inverse(t))
-    Vphi = _volumes_at(space, xs, scales.phi.inverse(t))
-    # V(x, d(x,y)) per pair, via one sorted sweep per row
-    Vd = np.empty_like(d_sub)
-    for i, x in enumerate(xs):
-        Vd[i] = space.volumes(int(x), d_sub[i])
+    m_grid = grid.m(td)
+    Vc = grid.volumes(scales.phi_c.inverse(td))
+    Vj = grid.volumes(scales.phi_j.inverse(t))
+    Vphi = grid.volumes(scales.phi.inverse(t))
 
     with np.errstate(over="ignore"):
         pc = np.exp(-np.minimum(m_grid, 700.0)) / Vc[:, None]
-    far = np.empty_like(d_sub)
-    np.divide(t, Vd * phij_grid, out=far,
-              where=(Vd * phij_grid) > 0.0)
-    far[(Vd * phij_grid) <= 0.0] = np.inf
+    denom = grid.jump_denom
+    far = np.empty_like(denom)
+    np.divide(t, denom, out=far, where=denom > 0.0)
+    far[denom <= 0.0] = np.inf
     pj = np.minimum(1.0 / Vj[:, None], far)
-    return {"d": d_sub, "Vc": Vc, "Vj": Vj, "Vphi": Vphi, "Vd": Vd,
-            "pc": pc, "pj": pj, "m": m_grid, "phij_d": phij_grid}
+    return {"Vc": Vc, "Vj": Vj, "Vphi": Vphi, "pc": pc, "pj": pj}
 
 
 def envelope_ratio_rows(table: HeatKernelTable, scales: ScaleTriple, space,
@@ -147,16 +185,17 @@ def envelope_ratio_rows(table: HeatKernelTable, scales: ScaleTriple, space,
     total = max(len(keep) * len(xs) * len(xs), 1)
     stride = max(1, int(math.sqrt(total / max_rows)))
     xs_thin = xs[::stride]
+    grid = _EnvelopeGrid(scales, space, xs_thin, xs_thin)
     rows = []
     for i in keep:
         t = table.times[i]
         K = table.kernels[i][np.ix_(xs_thin, xs_thin)]
-        up = _envelope_arrays(scales, space, t, xs_thin, xs_thin,
+        up = _envelope_arrays(grid, t,
                               dilation=params.c4 if np.isfinite(params.c4)
                               else 1.0)
         U = np.minimum(np.minimum(1.0 / up["Vc"], 1.0 / up["Vj"])[:, None],
                        up["pc"] + up["pj"])
-        lo = _envelope_arrays(scales, space, t, xs_thin, xs_thin,
+        lo = _envelope_arrays(grid, t,
                               dilation=params.c2 if np.isfinite(params.c2)
                               else 1.0)
         L = np.minimum(np.minimum(1.0 / lo["Vc"], 1.0 / lo["Vj"])[:, None],
@@ -234,11 +273,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                    "n_centers": int(len(xs))}
     excluded = 0
     rows = []
-
-    def floors(K):
-        return FLOOR_REL * float(K.max())
-
     with_jump = mode in ("HK", "HK_minus", "UHK", "UHK_weak")
+    uppers = (upper_dilations if mode in ("HK", "UHK", "HK_local")
+              else ())
+    lowers = lower_dilations if mode in ("HK", "HK_local") else ()
+    grid = _EnvelopeGrid(scales, space, xs, xs)
 
     witnesses = {}
 
@@ -249,30 +288,69 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         return {"t": float(t), "x": int(xs[a]), "y": int(xs[b]),
                 "ratio": float(ratio[a, b])}
 
-    # upper fit; triples where the kernel is below its resolvable floor are
-    # excluded (their computed values are eigensolver noise) and counted
-    best_upper = (math.inf, math.nan)
+    def sandwich(env):
+        prof = env["pc"] + (env["pj"] if with_jump else 0.0)
+        cap = (np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None]
+               if with_jump else (1.0 / env["Vc"])[:, None])
+        return np.minimum(cap, prof)
+
+    if mode == "UHK_weak":
+        d = grid.d
+        phi_d = np.ones_like(d)
+        pos = d > 0.0
+        phi_d[pos] = scales.phi(d[pos])
+        weak_denom = grid.Vd * phi_d
+
+    # One sweep over the times; each dilation keeps its own running
+    # [extreme ratio, excluded triples, witness], filled in time order.
+    # Triples where the kernel is below its resolvable floor are excluded
+    # (their computed values are eigensolver noise) and counted.
+    up_acc = [[0.0, 0, None] for _ in uppers]
+    lo_acc = [[math.inf, 0, None] for _ in lowers]
+    weak_worst = 0.0
+    minus = [math.inf, 0, None]
+    for i in keep:
+        t = table.times[i]
+        K = table.kernels[i][np.ix_(xs, xs)]
+        fl = FLOOR_REL * float(table.kernels[i].max())
+        K_ok = K > fl
+        for acc, c4 in zip(up_acc, uppers):
+            U = sandwich(_envelope_arrays(grid, t, dilation=c4))
+            acc[1] += int((~K_ok).sum())
+            if K_ok.any():
+                cand = _extreme(K / U, K_ok, t, pick_max=True)
+                if cand["ratio"] > acc[0]:
+                    acc[0], acc[2] = cand["ratio"], cand
+        for acc, c2 in zip(lo_acc, lowers):
+            L = sandwich(_envelope_arrays(grid, t, dilation=c2))
+            ok = (L > fl) & K_ok
+            acc[1] += int((~ok).sum())
+            if ok.any():
+                cand = _extreme(K / L, ok, t, pick_max=False)
+                if cand["ratio"] < acc[0]:
+                    acc[0], acc[2] = cand["ratio"], cand
+        if mode == "UHK_weak":
+            Vphi = grid.volumes(scales.phi.inverse(t))
+            far = np.full_like(d, np.inf)
+            np.divide(t, weak_denom, out=far, where=weak_denom > 0.0)
+            U = np.minimum((1.0 / Vphi)[:, None], far)
+            if K_ok.any():
+                weak_worst = max(weak_worst, float((K[K_ok] / U[K_ok]).max()))
+        elif mode == "HK_minus":
+            env = _envelope_arrays(grid, t)
+            near = grid.d <= indicator * scales.phi.inverse(t)
+            L = np.where(near, (1.0 / env["Vphi"])[:, None], env["pj"])
+            ok = (L > fl) & K_ok
+            minus[1] += int((~ok).sum())
+            if ok.any():
+                cand = _extreme(K / L, ok, t, pick_max=False)
+                if cand["ratio"] < minus[0]:
+                    minus[0], minus[2] = cand["ratio"], cand
+
+    # upper fit: the dilation with the smallest worst ratio
     if mode in ("HK", "UHK", "HK_local"):
-        for c4 in upper_dilations:
-            worst = 0.0
-            exc_u = 0
-            wit = None
-            for i in keep:
-                t = table.times[i]
-                K = table.kernels[i][np.ix_(xs, xs)]
-                env = _envelope_arrays(scales, space, t, xs, xs, dilation=c4)
-                U = env["pc"] + (env["pj"] if with_jump else 0.0)
-                cap = (np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None]
-                       if with_jump else (1.0 / env["Vc"])[:, None])
-                U = np.minimum(cap, U)
-                ok = K > floors(table.kernels[i])
-                exc_u += int((~ok).sum())
-                if ok.any():
-                    ratio = K / U
-                    cand = _extreme(ratio, ok, t, pick_max=True)
-                    if cand["ratio"] > worst:
-                        worst = cand["ratio"]
-                        wit = cand
+        best_upper = (math.inf, math.nan)
+        for (worst, exc_u, wit), c4 in zip(up_acc, uppers):
             if worst < best_upper[0]:
                 best_upper = (worst, c4)
                 excluded = max(excluded, exc_u)
@@ -280,47 +358,12 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                     witnesses["upper"] = wit
         params.c3, params.c4 = best_upper
     elif mode == "UHK_weak":
-        worst = 0.0
-        for i in keep:
-            t = table.times[i]
-            K = table.kernels[i][np.ix_(xs, xs)]
-            env = _envelope_arrays(scales, space, t, xs, xs)
-            d = env["d"]
-            phi_d = np.ones_like(d)
-            pos = d > 0.0
-            phi_d[pos] = scales.phi(d[pos])
-            far = np.full_like(d, np.inf)
-            denom = env["Vd"] * phi_d
-            np.divide(t, denom, out=far, where=denom > 0.0)
-            U = np.minimum((1.0 / env["Vphi"])[:, None], far)
-            ok = K > floors(table.kernels[i])
-            if ok.any():
-                worst = max(worst, float((K[ok] / U[ok]).max()))
-        params.c3 = worst
+        params.c3 = weak_worst
 
-    # lower fit
+    # lower fit: the dilation with the largest finite best ratio
     if mode in ("HK", "HK_local"):
         best_lower = (0.0, math.nan)
-        for c2 in lower_dilations:
-            best = math.inf
-            exc = 0
-            wit = None
-            for i in keep:
-                t = table.times[i]
-                K = table.kernels[i][np.ix_(xs, xs)]
-                env = _envelope_arrays(scales, space, t, xs, xs, dilation=c2)
-                L = env["pc"] + (env["pj"] if with_jump else 0.0)
-                cap = (np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None]
-                       if with_jump else (1.0 / env["Vc"])[:, None])
-                L = np.minimum(cap, L)
-                fl = floors(table.kernels[i])
-                ok = (L > fl) & (K > fl)
-                exc += int((~ok).sum())
-                if ok.any():
-                    cand = _extreme(K / L, ok, t, pick_max=False)
-                    if cand["ratio"] < best:
-                        best = cand["ratio"]
-                        wit = cand
+        for (best, exc, wit), c2 in zip(lo_acc, lowers):
             if best > best_lower[0] and np.isfinite(best):
                 best_lower = (best, c2)
                 excluded = max(excluded, exc)
@@ -328,27 +371,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                     witnesses["lower"] = wit
         params.c1, params.c2 = best_lower
     elif mode == "HK_minus":
-        best = math.inf
-        exc = 0
-        for i in keep:
-            t = table.times[i]
-            K = table.kernels[i][np.ix_(xs, xs)]
-            env = _envelope_arrays(scales, space, t, xs, xs)
-            d = env["d"]
-            phi_inv_t = scales.phi.inverse(t)
-            near = d <= indicator * phi_inv_t
-            L = np.where(near, (1.0 / env["Vphi"])[:, None], env["pj"])
-            fl = floors(table.kernels[i])
-            ok = (L > fl) & (K > fl)
-            exc += int((~ok).sum())
-            if ok.any():
-                cand = _extreme(K / L, ok, t, pick_max=False)
-                if cand["ratio"] < best:
-                    best = cand["ratio"]
-                    witnesses["lower"] = cand
-        params.c0 = best
+        params.c0 = minus[0]
         params.indicator = indicator
-        excluded = exc
+        excluded = minus[1]
+        if minus[2] is not None:
+            witnesses["lower"] = minus[2]
 
     params.excluded = excluded
     consts = {k: v for k, v in params.to_dict().items()
@@ -384,13 +411,13 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     keep = usable_times(table, space, boundary_cap)
     c_uhkd = 0.0
     c_nl = math.inf
+    grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
         t = table.times[i]
-        Vphi = _volumes_at(space, xs, scales.phi.inverse(t))
+        Vphi = grid.volumes(scales.phi.inverse(t))
         diag = table.kernels[i][xs, xs]
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
-        d_sub = space.metric[np.ix_(xs, xs)]
-        near = d_sub <= nl_constant * scales.phi.inverse(t)
+        near = grid.d <= nl_constant * scales.phi.inverse(t)
         K = table.kernels[i][np.ix_(xs, xs)]
         vals = (K * Vphi[:, None])[near]
         if vals.size:
@@ -471,8 +498,9 @@ def dominance_map(table: HeatKernelTable, scales: ScaleTriple, space,
     """
     margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
-    env = _envelope_arrays(scales, space, t, xs, xs)
-    d = env["d"]
+    grid = _EnvelopeGrid(scales, space, xs, xs)
+    env = _envelope_arrays(grid, t)
+    d = grid.d
     diag_edge = scales.phi_c.inverse(t)
     labels = np.where(env["pj"] >= env["pc"], 2, 1).astype(np.int8)
     labels[d <= diag_edge] = 0
@@ -532,19 +560,22 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
         radii = np.unique(np.geomspace(1.0, top, 5)) + 0.5
     eta = min(scales.phi_j.exponents)
 
-    entries = []   # (tailmass, r, t, m(t, r))
-    for i in keep:
-        t = table.times[i]
-        K = table.kernels[i]
-        for x in xs:
-            if space.dist_to_boundary[x] < max(radii):
-                continue
-            drow = space.metric[x]
-            for r in radii:
-                outside = drow >= r
-                mass = float((K[x][outside] * space.mu[outside]).sum())
-                entries.append((mass, float(r), float(t),
-                                float(scales.m(t, r))))
+    times = [table.times[i] for i in keep]
+    centers = [x for x in xs if space.dist_to_boundary[x] >= max(radii)]
+    # tail mass per (t, center, r); each ball complement is cut once
+    tail = np.empty((len(keep), len(centers), len(radii)))
+    for b, x in enumerate(centers):
+        drow = space.metric[x]
+        for c, r in enumerate(radii):
+            outside = drow >= r
+            mu_out = space.mu[outside]
+            for a, i in enumerate(keep):
+                tail[a, b, c] = (table.kernels[i][x][outside] * mu_out).sum()
+    m_tr = [[float(scales.m(t, r)) for r in radii] for t in times]
+    entries = [(float(tail[a, b, c]), float(r), float(t), m_tr[a][c])
+               for a, t in enumerate(times)
+               for b in range(len(centers))
+               for c, r in enumerate(radii)]   # (tailmass, r, t, m(t, r))
     if not entries:
         return ConditionReport("tail-probability", "failed",
                                notes="no usable (x, r, t) grid")
@@ -560,15 +591,17 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
             break
     if best is None:
         a1 = a1_grid[-1]
+        phi_inv = {float(t): scales.phi.inverse(float(t)) for t in times}
+        phij_inv = {t: scales.phi_j.inverse(t) for t in phi_inv}
         c_gauss = max(
             (mass * math.exp(min(a1 * mval, 700.0))
              for mass, r, t, mval in entries
-             if r <= 2.0 * scales.phi.inverse(t)), default=0.0,
+             if r <= 2.0 * phi_inv[t]), default=0.0,
         )
         c_jump = max(
-            (mass * (r / scales.phi_j.inverse(t)) ** eta
+            (mass * (r / phij_inv[t]) ** eta
              for mass, r, t, mval in entries
-             if r > 2.0 * scales.phi.inverse(t)), default=0.0,
+             if r > 2.0 * phi_inv[t]), default=0.0,
         )
         best = {"a1": a1, "c_gauss": c_gauss, "c_jump": c_jump}
     c1 = max(best["c_jump"], best["c_gauss"])
@@ -603,13 +636,13 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     if not np.isfinite(space.metric).all():
         return ConditionReport("chain-lower", "failed",
                                notes="disconnected space, skipped")
+    grid = _EnvelopeGrid(scales, space, xs, xs)
     # near-diagonal constant c5
     c5 = math.inf
     for t in times:
         K = table.kernel(t)
-        Vc = _volumes_at(space, xs, scales.phi_c.inverse(t))
-        d_sub = space.metric[np.ix_(xs, xs)]
-        near = d_sub <= scales.phi_c.inverse(t)
+        Vc = grid.volumes(scales.phi_c.inverse(t))
+        near = grid.d <= scales.phi_c.inverse(t)
         vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
         if vals.size:
             c5 = min(c5, float(vals.min()))
@@ -621,11 +654,9 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     rows = []
     for t in times:
         K = table.kernel(t)
-        Vc = _volumes_at(space, xs, scales.phi_c.inverse(t))
-        d_sub = space.metric[np.ix_(xs, xs)]
-        env = _envelope_arrays(scales, space, t, xs, xs)
-        mvals = env["m"]
-        sel = (d_sub >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)
+        Vc = grid.volumes(scales.phi_c.inverse(t))
+        mvals = grid.m(t)
+        sel = (grid.d >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)
         K_sub = K[np.ix_(xs, xs)]
         floor = FLOOR_REL * float(K.max())
         ii, jj = np.nonzero(sel & (K_sub > floor))

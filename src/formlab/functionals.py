@@ -519,8 +519,8 @@ def fit_jpsi(form: DirichletForm, psi, margin=None):
     margin = space.interior_margin if margin is None else margin
     interior = space.interior(margin)
     J = form.jump.matrix
-    per_d = {}
     c1, c2 = math.inf, 0.0
+    dists, ratios = [], []
     for x in interior:
         d = space.metric[x][interior]
         mask = d > 0.0
@@ -528,10 +528,21 @@ def fit_jpsi(form: DirichletForm, psi, margin=None):
         ratio = J[x][interior][mask] * V * psi(d[mask])
         c1 = min(c1, float(ratio.min()))
         c2 = max(c2, float(ratio.max()))
-        for dd, rr in zip(d[mask], ratio):
+        dists.append(d[mask])
+        ratios.append(ratio)
+    # per-distance extremes; fmin/fmax skip a nan ratio as min()/max() do
+    per_d = {}
+    if dists:
+        uq, inv = np.unique(np.concatenate(dists), return_inverse=True)
+        ratios = np.concatenate(ratios)
+        lo_u = np.full(len(uq), math.inf)
+        hi_u = np.zeros(len(uq))
+        np.fmin.at(lo_u, inv, ratios)
+        np.fmax.at(hi_u, inv, ratios)
+        for dd, lo_d, hi_d in zip(uq, lo_u, hi_u):
             key = round(float(dd), 9)
             lo, hi = per_d.get(key, (math.inf, 0.0))
-            per_d[key] = (min(lo, float(rr)), max(hi, float(rr)))
+            per_d[key] = (min(lo, float(lo_d)), max(hi, float(hi_d)))
     table = [{"d": k, "min_ratio": v[0], "max_ratio": v[1]}
              for k, v in sorted(per_d.items())]
     return c1, c2, table

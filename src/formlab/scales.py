@@ -12,6 +12,7 @@ exponent m(t, r) = r / bar_phi_c^{-1}(t/r).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -354,6 +355,18 @@ def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):
     return best
 
 
+@functools.lru_cache(maxsize=8)
+def _log_grid(phi_c: ScaleFunction, t_val: float):
+    """``legendre_sup``'s 512-point log grid around phi_c^{-1}(t) and phi_c
+    on it, read-only; sweeps over r at a fixed t reuse it."""
+    center = phi_c.inverse(t_val)
+    grid = np.geomspace(center * 1e-8, center * 1e8, 512)
+    phi_grid = phi_c(grid)
+    grid.flags.writeable = False
+    phi_grid.flags.writeable = False
+    return grid, phi_grid
+
+
 def legendre_sup(
     triple: ScaleTriple, r: float, t_val: float, c0: float = 1.0
 ) -> float:
@@ -368,9 +381,8 @@ def legendre_sup(
     phi_c = triple.phi_c if isinstance(triple, ScaleTriple) else triple
     exact = _legendre_closed_form(phi_c, r, t_val, c0)
 
-    center = phi_c.inverse(t_val)
-    grid = np.geomspace(center * 1e-8, center * 1e8, 512)
-    gvals = r / grid - c0 * t_val / phi_c(grid)
+    grid, phi_grid = _log_grid(phi_c, float(t_val))
+    gvals = r / grid - c0 * t_val / phi_grid
     k = int(np.argmax(gvals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]

@@ -334,18 +334,21 @@ class ChainReport:
     witness: tuple | None   # (x, y) of a disconnected pair, if any
 
 
-def _min_max_step(space, x, y, n):
-    """Exact minimal max-step over n-step chains x -> y, by dynamic
-    programming restricted to the metric ellipse around the pair."""
+def _min_max_steps(space, x, y, max_n):
+    """Exact minimal max-step over n-step chains x -> y for n = 1..max_n,
+    by one dynamic programme restricted to the metric ellipse around the
+    pair: entry n - 1 is read after the n-th step."""
     d = space.metric[x, y]
     sel = np.nonzero(space.metric[x] + space.metric[y] <= 3.0 * d + 1e-9)[0]
     sub = space.metric[np.ix_(sel, sel)]
     pos = {int(p): i for i, p in enumerate(sel)}
     f = np.full(len(sel), np.inf)
     f[pos[x]] = 0.0
-    for _ in range(n):
+    steps = []
+    for _ in range(max_n):
         f = np.min(np.maximum(f[:, None], sub), axis=0)
-    return float(f[pos[y]])
+        steps.append(float(f[pos[y]]))
+    return steps
 
 
 def chain_check(space: MetricMeasureSpace, samples: int = 40,
@@ -367,8 +370,11 @@ def chain_check(space: MetricMeasureSpace, samples: int = 40,
         d = space.metric[x, y]
         if d <= 0.0:
             continue
-        for n in range(2, min(max_n, int(d)) + 1):
-            step = _min_max_step(space, int(x), int(y), n)
-            worst = max(worst, step * n / d)
+        top = min(max_n, int(d))
+        if top < 2:
+            continue
+        steps = _min_max_steps(space, int(x), int(y), top)
+        for n in range(2, top + 1):
+            worst = max(worst, steps[n - 1] * n / d)
             count += 1
     return ChainReport(float(worst), count, None)

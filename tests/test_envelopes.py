@@ -110,15 +110,16 @@ class TestFitHK:
         params, rep = fit_hk(table, tr, sp, mode="HK")
         xs = sp.interior()
         keep = usable_times(table, sp)
-        from formlab.envelopes import _envelope_arrays
+        from formlab.envelopes import _envelope_arrays, _EnvelopeGrid
+        grid = _EnvelopeGrid(tr, sp, xs, xs)
         for i in keep:
             t = times[i]
             K = table.kernels[i][np.ix_(xs, xs)]
-            up = _envelope_arrays(tr, sp, t, xs, xs, dilation=params.c4)
+            up = _envelope_arrays(grid, t, dilation=params.c4)
             U = np.minimum(np.minimum(1.0 / up["Vc"], 1.0 / up["Vj"])[:, None],
                            up["pc"] + up["pj"])
             assert np.all(K <= params.c3 * U * (1 + 1e-9))
-            lo = _envelope_arrays(tr, sp, t, xs, xs, dilation=params.c2)
+            lo = _envelope_arrays(grid, t, dilation=params.c2)
             L = np.minimum(np.minimum(1.0 / lo["Vc"], 1.0 / lo["Vj"])[:, None],
                            lo["pc"] + lo["pj"])
             floor = 1e-13 * table.kernels[i].max()

@@ -367,7 +367,11 @@ def test_mediant_bound(data):
     numers = np.array([d[0] for d in data])
     denoms = np.array([d[1] for d in data])
     weights = np.array([d[2] for d in data])
-    if weights @ denoms <= 0.0:
+    if weights.max() <= 0.0:
         return
+    # the mixture is invariant under scaling the weights; scaling the
+    # largest to 1 keeps a subnormal weight from rounding the mixture
+    # itself (w = 5e-324 gives 1.5 w / w = 2.0)
+    weights = weights / weights.max()
     mix = (weights @ numers) / (weights @ denoms)
     assert mix <= mediant_max_ratio(numers, denoms) + 1e-12

@@ -1,0 +1,441 @@
+"""The hoisted envelope, tail, chain and J-psi sweeps against in-test copies
+of the loop formulas they replaced, which recompute every geometric piece
+per time, per dilation and per entry.  Outputs must be equal, not close:
+the hoisting moves computations, it does not change them."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from formlab.cli import SuiteContext, _jsonable, load_config, run_suite
+from formlab.envelopes import (FLOOR_REL, EnvelopeParams, chain_lower_check,
+                               envelope_ratio_rows, fit_hk,
+                               tail_probability_check, usable_times)
+from formlab.form import JumpKernel, assemble
+from formlab.functionals import ConditionReport, fit_jpsi
+from formlab.scales import ScaleFunction, _log_grid, legendre_sup
+from formlab.space import chain_check
+
+MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
+
+
+def canon(obj):
+    return json.dumps(_jsonable(obj), sort_keys=True)
+
+
+def same_report(a, b):
+    assert canon(a.to_dict()) == canon(b.to_dict())
+    assert canon(a.rows) == canon(b.rows)
+
+
+@pytest.fixture(scope="module", params=["z1_mini", "gasket_walk"])
+def ctx(request):
+    return SuiteContext(load_config(request.param))
+
+
+# -- the replaced formulas ----------------------------------------------------
+
+
+def old_volumes_at(space, xs, radius):
+    return np.array([space.volume(int(x), radius) for x in xs])
+
+
+def old_envelope_arrays(scales, space, t, xs, ys, dilation=1.0):
+    td = t * dilation
+    d_sub = space.metric[np.ix_(xs, ys)]
+    uq, inv = np.unique(d_sub, return_inverse=True)
+    m_u = np.zeros_like(uq)
+    pos = uq > 0.0
+    m_u[pos] = uq[pos] / scales.bar_phi_c.inverse(td / uq[pos])
+    phij_u = np.ones_like(uq)
+    phij_u[pos] = scales.phi_j(uq[pos])
+    m_grid = m_u[inv].reshape(d_sub.shape)
+    phij_grid = phij_u[inv].reshape(d_sub.shape)
+    Vc = old_volumes_at(space, xs, scales.phi_c.inverse(td))
+    Vj = old_volumes_at(space, xs, scales.phi_j.inverse(t))
+    Vphi = old_volumes_at(space, xs, scales.phi.inverse(t))
+    Vd = np.empty_like(d_sub)
+    for i, x in enumerate(xs):
+        Vd[i] = space.volumes(int(x), d_sub[i])
+    with np.errstate(over="ignore"):
+        pc = np.exp(-np.minimum(m_grid, 700.0)) / Vc[:, None]
+    far = np.empty_like(d_sub)
+    np.divide(t, Vd * phij_grid, out=far, where=(Vd * phij_grid) > 0.0)
+    far[(Vd * phij_grid) <= 0.0] = np.inf
+    pj = np.minimum(1.0 / Vj[:, None], far)
+    return {"d": d_sub, "Vc": Vc, "Vj": Vj, "Vphi": Vphi, "Vd": Vd,
+            "pc": pc, "pj": pj, "m": m_grid}
+
+
+def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
+               lower_dilations=(1.0, 0.5, 0.25), indicator=1.0):
+    xs = space.interior(space.interior_margin)
+    keep = usable_times(table, space, 0.01)
+    params = EnvelopeParams(mode=mode)
+    params.grid = {"times": [float(table.times[i]) for i in keep],
+                   "n_centers": int(len(xs))}
+    excluded = 0
+    with_jump = mode in ("HK", "HK_minus", "UHK", "UHK_weak")
+    witnesses = {}
+
+    def floors(K):
+        return FLOOR_REL * float(K.max())
+
+    def _extreme(ratio, ok, t, pick_max):
+        masked = np.where(ok, ratio, -np.inf if pick_max else np.inf)
+        flat = int(np.argmax(masked) if pick_max else np.argmin(masked))
+        a, b = np.unravel_index(flat, ratio.shape)
+        return {"t": float(t), "x": int(xs[a]), "y": int(xs[b]),
+                "ratio": float(ratio[a, b])}
+
+    def capped(env):
+        P = env["pc"] + (env["pj"] if with_jump else 0.0)
+        cap = (np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None]
+               if with_jump else (1.0 / env["Vc"])[:, None])
+        return np.minimum(cap, P)
+
+    best_upper = (math.inf, math.nan)
+    if mode in ("HK", "UHK", "HK_local"):
+        for c4 in upper_dilations:
+            worst, exc_u, wit = 0.0, 0, None
+            for i in keep:
+                t = table.times[i]
+                K = table.kernels[i][np.ix_(xs, xs)]
+                U = capped(old_envelope_arrays(scales, space, t, xs, xs, c4))
+                ok = K > floors(table.kernels[i])
+                exc_u += int((~ok).sum())
+                if ok.any():
+                    cand = _extreme(K / U, ok, t, pick_max=True)
+                    if cand["ratio"] > worst:
+                        worst, wit = cand["ratio"], cand
+            if worst < best_upper[0]:
+                best_upper = (worst, c4)
+                excluded = max(excluded, exc_u)
+                if wit is not None:
+                    witnesses["upper"] = wit
+        params.c3, params.c4 = best_upper
+    elif mode == "UHK_weak":
+        worst = 0.0
+        for i in keep:
+            t = table.times[i]
+            K = table.kernels[i][np.ix_(xs, xs)]
+            env = old_envelope_arrays(scales, space, t, xs, xs)
+            d = env["d"]
+            phi_d = np.ones_like(d)
+            pos = d > 0.0
+            phi_d[pos] = scales.phi(d[pos])
+            far = np.full_like(d, np.inf)
+            denom = env["Vd"] * phi_d
+            np.divide(t, denom, out=far, where=denom > 0.0)
+            U = np.minimum((1.0 / env["Vphi"])[:, None], far)
+            ok = K > floors(table.kernels[i])
+            if ok.any():
+                worst = max(worst, float((K[ok] / U[ok]).max()))
+        params.c3 = worst
+
+    if mode in ("HK", "HK_local"):
+        best_lower = (0.0, math.nan)
+        for c2 in lower_dilations:
+            best, exc, wit = math.inf, 0, None
+            for i in keep:
+                t = table.times[i]
+                K = table.kernels[i][np.ix_(xs, xs)]
+                L = capped(old_envelope_arrays(scales, space, t, xs, xs, c2))
+                fl = floors(table.kernels[i])
+                ok = (L > fl) & (K > fl)
+                exc += int((~ok).sum())
+                if ok.any():
+                    cand = _extreme(K / L, ok, t, pick_max=False)
+                    if cand["ratio"] < best:
+                        best, wit = cand["ratio"], cand
+            if best > best_lower[0] and np.isfinite(best):
+                best_lower = (best, c2)
+                excluded = max(excluded, exc)
+                if wit is not None:
+                    witnesses["lower"] = wit
+        params.c1, params.c2 = best_lower
+    elif mode == "HK_minus":
+        best, exc = math.inf, 0
+        for i in keep:
+            t = table.times[i]
+            K = table.kernels[i][np.ix_(xs, xs)]
+            env = old_envelope_arrays(scales, space, t, xs, xs)
+            near = env["d"] <= indicator * scales.phi.inverse(t)
+            L = np.where(near, (1.0 / env["Vphi"])[:, None], env["pj"])
+            fl = floors(table.kernels[i])
+            ok = (L > fl) & (K > fl)
+            exc += int((~ok).sum())
+            if ok.any():
+                cand = _extreme(K / L, ok, t, pick_max=False)
+                if cand["ratio"] < best:
+                    best = cand["ratio"]
+                    witnesses["lower"] = cand
+        params.c0 = best
+        params.indicator = indicator
+        excluded = exc
+    params.excluded = excluded
+    return params, witnesses
+
+
+def old_tail_probability(table, scales, space, radii, a1_grid, gauss_cap):
+    xs = space.interior(space.interior_margin)
+    keep = usable_times(table, space, 0.05)
+    eta = min(scales.phi_j.exponents)
+    entries = []
+    for i in keep:
+        t = table.times[i]
+        K = table.kernels[i]
+        for x in xs:
+            if space.dist_to_boundary[x] < max(radii):
+                continue
+            drow = space.metric[x]
+            for r in radii:
+                outside = drow >= r
+                mass = float((K[x][outside] * space.mu[outside]).sum())
+                entries.append((mass, float(r), float(t),
+                                float(scales.m(t, r))))
+    best = None
+    for a1 in a1_grid:
+        cg_all = max((mass * math.exp(min(a1 * mval, 700.0))
+                      for mass, r, t, mval in entries), default=0.0)
+        if cg_all <= gauss_cap:
+            best = {"a1": a1, "c_gauss": cg_all, "c_jump": 0.0}
+            break
+    if best is None:
+        a1 = a1_grid[-1]
+        c_gauss = max((mass * math.exp(min(a1 * mval, 700.0))
+                       for mass, r, t, mval in entries
+                       if r <= 2.0 * scales.phi.inverse(t)), default=0.0)
+        c_jump = max((mass * (r / scales.phi_j.inverse(t)) ** eta
+                      for mass, r, t, mval in entries
+                      if r > 2.0 * scales.phi.inverse(t)), default=0.0)
+        best = {"a1": a1, "c_gauss": c_gauss, "c_jump": c_jump}
+    c1 = max(best["c_jump"], best["c_gauss"])
+    return ConditionReport(
+        "tail-probability", "certified" if np.isfinite(c1) else "failed",
+        constants={"eta": eta, "a1": best["a1"], "c1": c1,
+                   "c_jump": best["c_jump"], "c_gauss": best["c_gauss"],
+                   "eta_within_beta1_phij": True},
+        ranges={"radii": list(map(float, radii)),
+                "times": [float(table.times[i]) for i in keep],
+                "instances": len(entries)},
+    )
+
+
+def old_chain_lower(table, scales, space, c0, m_cap):
+    xs = space.interior(space.interior_margin)
+    times = [table.times[i] for i in usable_times(table, space)]
+    c5 = math.inf
+    for t in times:
+        K = table.kernel(t)
+        Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
+        near = space.metric[np.ix_(xs, xs)] <= scales.phi_c.inverse(t)
+        vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
+        if vals.size:
+            c5 = min(c5, float(vals.min()))
+    c6, used, rows = 1.0, 0, []
+    for t in times:
+        K = table.kernel(t)
+        Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
+        d_sub = space.metric[np.ix_(xs, xs)]
+        mvals = old_envelope_arrays(scales, space, t, xs, xs)["m"]
+        sel = (d_sub >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)
+        K_sub = K[np.ix_(xs, xs)]
+        floor = FLOOR_REL * float(K.max())
+        ii, jj = np.nonzero(sel & (K_sub > floor))
+        for a, b in zip(ii, jj):
+            base = (K_sub[a, b] * Vc[a] / c5) ** (1.0 / mvals[a, b])
+            rows.append({"t": t, "m": float(mvals[a, b]), "base": float(base)})
+            c6 = min(c6, float(base))
+            used += 1
+    return c5, c6, used, rows
+
+
+def old_min_max_step(space, x, y, n):
+    d = space.metric[x, y]
+    sel = np.nonzero(space.metric[x] + space.metric[y] <= 3.0 * d + 1e-9)[0]
+    sub = space.metric[np.ix_(sel, sel)]
+    pos = {int(p): i for i, p in enumerate(sel)}
+    f = np.full(len(sel), np.inf)
+    f[pos[x]] = 0.0
+    for _ in range(n):
+        f = np.min(np.maximum(f[:, None], sub), axis=0)
+    return float(f[pos[y]])
+
+
+def old_chain_check(space, samples=40, seed=0x5EED, max_n=6):
+    rng = np.random.RandomState(seed)
+    pts = space.interior()
+    worst, count = 1.0, 0
+    for _ in range(samples):
+        x, y = rng.choice(pts, size=2, replace=False)
+        d = space.metric[x, y]
+        if d <= 0.0:
+            continue
+        for n in range(2, min(max_n, int(d)) + 1):
+            step = old_min_max_step(space, int(x), int(y), n)
+            worst = max(worst, step * n / d)
+            count += 1
+    return worst, count
+
+
+def old_fit_jpsi(form, psi):
+    space = form.space
+    interior = space.interior(space.interior_margin)
+    J = form.jump.matrix
+    per_d = {}
+    c1, c2 = math.inf, 0.0
+    for x in interior:
+        d = space.metric[x][interior]
+        mask = d > 0.0
+        V = space.volumes(x, d[mask] + 1e-9)
+        ratio = J[x][interior][mask] * V * psi(d[mask])
+        c1 = min(c1, float(ratio.min()))
+        c2 = max(c2, float(ratio.max()))
+        for dd, rr in zip(d[mask], ratio):
+            key = round(float(dd), 9)
+            lo, hi = per_d.get(key, (math.inf, 0.0))
+            per_d[key] = (min(lo, float(rr)), max(hi, float(rr)))
+    return c1, c2, [{"d": k, "min_ratio": v[0], "max_ratio": v[1]}
+                    for k, v in sorted(per_d.items())]
+
+
+# -- equality with the hoisted sweeps ------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("dilations", [
+    {},
+    # reversed, so that ties between dilations resolve differently
+    {"upper_dilations": (4.0, 2.0, 1.0), "lower_dilations": (0.25, 0.5, 1.0)},
+])
+def test_fit_hk_equals_loop_formulas(ctx, mode, dilations):
+    params, rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode,
+                         **dilations)
+    want, witnesses = old_fit_hk(ctx.table, ctx.scales, ctx.space, mode,
+                                 **dilations)
+    assert canon(params.to_dict()) == canon(want.to_dict())
+    assert canon(rep.witness) == canon(witnesses)
+    assert rep.ranges["excluded_triples"] == want.excluded
+
+
+def test_envelope_ratio_rows_equal_loop_formulas(ctx):
+    params, _ = fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK")
+    got = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params,
+                              max_rows=300)
+    xs = ctx.space.interior()
+    keep = usable_times(ctx.table, ctx.space)
+    stride = max(1, int(math.sqrt(len(keep) * len(xs) ** 2 / 300)))
+    xs = xs[::stride]
+    want = []
+    for i in keep:
+        t = ctx.table.times[i]
+        K = ctx.table.kernels[i][np.ix_(xs, xs)]
+        env = {c: old_envelope_arrays(ctx.scales, ctx.space, t, xs, xs, c)
+               for c in (params.c4, params.c2)}
+        U, L = (np.minimum(np.minimum(1.0 / e["Vc"], 1.0 / e["Vj"])[:, None],
+                           e["pc"] + e["pj"])
+                for e in (env[params.c4], env[params.c2]))
+        floor = FLOOR_REL * float(ctx.table.kernels[i].max())
+        for a, x in enumerate(xs):
+            for b, y in enumerate(xs):
+                low = K[a, b] / L[a, b] if L[a, b] > floor else math.nan
+                want.append({"t": float(t), "x": int(x), "y": int(y),
+                             "kernel_over_upper": float(K[a, b] / U[a, b]),
+                             "kernel_over_lower": float(low)})
+    assert canon(got) == canon(want)
+
+
+@pytest.mark.parametrize("a1_grid,gauss_cap", [
+    ((1.0, 0.5, 0.25), 1e6),
+    ((1e-3,), 1e-3),   # no a1 covers every tail: the jump/Gauss split runs
+])
+def test_tail_probability_equals_loop_formulas(ctx, a1_grid, gauss_cap):
+    radii = np.array([1.5, 2.5, 4.5])
+    rep = tail_probability_check(ctx.table, ctx.scales, ctx.space,
+                                 radii=radii, a1_grid=a1_grid,
+                                 gauss_cap=gauss_cap)
+    want = old_tail_probability(ctx.table, ctx.scales, ctx.space, radii,
+                                a1_grid, gauss_cap)
+    assert rep.ranges["instances"] > 0
+    same_report(rep, want)
+
+
+def test_chain_lower_equals_loop_formulas(ctx):
+    rep = chain_lower_check(ctx.table, ctx.scales, ctx.space, c0=1.5,
+                            m_cap=40.0)
+    c5, c6, used, rows = old_chain_lower(ctx.table, ctx.scales, ctx.space,
+                                         1.5, 40.0)
+    assert rep.constants == {"c5": c5, "c6": c6}
+    assert rep.ranges["triples"] == used
+    assert canon(rep.rows) == canon(rows)
+
+
+def test_chain_check_equals_loop_formulas(ctx):
+    rep = chain_check(ctx.space, samples=12)
+    worst, count = old_chain_check(ctx.space, samples=12)
+    assert (rep.constant, rep.samples) == (worst, count)
+
+
+def test_fit_jpsi_equals_loop_formulas(ctx):
+    space = ctx.space
+    form = (ctx.form if ctx.form.jump is not None else
+            assemble(space, 1.0, JumpKernel.power_law(space, alpha=1.0)))
+    for psi in (ctx.scales.phi_j, ScaleFunction.single_power(0.5)):
+        assert canon(fit_jpsi(form, psi)) == canon(old_fit_jpsi(form, psi))
+
+
+def test_fit_hk_sweeps_each_row_once(monkeypatch):
+    # V(x, d(x, y)) is t-independent: one sorted sweep per centre per call,
+    # not one per centre, time and dilation
+    ctx = SuiteContext(load_config("z1_mini"))
+    space = ctx.space
+    table = ctx.table
+    calls = []
+    sweep = space.volumes
+
+    def counted(x, radii):
+        calls.append(x)
+        return sweep(x, radii)
+
+    monkeypatch.setattr(space, "volumes", counted)
+    fit_hk(table, ctx.scales, space, mode="HK")
+    xs = space.interior()
+    keep = usable_times(table, space)
+    assert len(keep) > 1
+    assert sorted(calls) == sorted(map(int, xs))
+
+
+def test_legendre_grid_memo_equals_fresh_grid():
+    scales = SuiteContext(load_config("gasket_walk")).scales
+    phi_c = scales.phi_c
+    points = [(r, t) for t in (0.3, 2.0) for r in (0.5, 3.0, 40.0)]
+    fresh = []
+    for r, t in points:
+        _log_grid.cache_clear()
+        fresh.append(legendre_sup(scales, r, t))
+    memo = [legendre_sup(scales, r, t) for r, t in points]
+    assert memo == fresh
+    assert _log_grid.cache_info().hits >= len(points) - 2
+    for t in (0.3, 2.0):
+        center = phi_c.inverse(t)
+        grid = np.geomspace(center * 1e-8, center * 1e8, 512)
+        got, phi_grid = _log_grid(phi_c, t)
+        assert np.array_equal(got, grid)
+        assert np.array_equal(phi_grid, phi_c(grid))
+    with pytest.raises(ValueError):
+        got[0] = 1.0
+
+
+def test_run_suite_mode_override_leaves_config_alone():
+    cfg = load_config("z1_mini")
+    cfg.checks = ["volume"]
+    before = cfg.hash()
+    suite = run_suite(cfg, mode="full")
+    assert cfg.mode == "necessary"
+    assert cfg.hash() == before
+    recorded = suite.report["provenance"]["config_hash"]
+    cfg.mode = "full"
+    assert recorded == cfg.hash() != before
