@@ -254,18 +254,9 @@ def _chk_pi(ctx, **kw):
 
 
 def _gcap_families(ctx):
-    fams = []
-    for r in ctx.radii:
-        R = 2.0 * r
-        centers = ctx.space.usable_centers(R + 2.0 * r + 1e-9)
-        if len(centers) == 0:
-            continue
-        take = np.unique(
-            np.linspace(0, len(centers) - 1, min(ctx.max_centers, len(centers)))
-            .round().astype(int)
-        )
-        fams.extend((int(centers[i]), R, r) for i in take)
-    return fams
+    """(x0, R, r) with R = 2r and B(x0, R + 2r) clear of the truncation set."""
+    return [(int(x), 2.0 * r, r) for r in ctx.radii
+            for x in ctx.space.spread_centers(4.0 * r, ctx.max_centers)]
 
 
 def _chk_gcap(ctx, **kw):
@@ -380,17 +371,8 @@ def _chk_phi(ctx, R=None, mode=None, **kw):
     radii = R if R is not None else ctx.cfg.grids.get("phi_R", [ctx.radii[0]])
     mode = ctx.cfg.mode if mode is None else mode
     n_centers = 1 if mode == "full" else min(3, ctx.max_centers)
-    cyls = []
-    for r in radii:
-        reach = 5.0 * float(r)
-        centers = ctx.space.usable_centers(reach + 1e-9)
-        if len(centers) == 0:
-            continue
-        take = np.unique(
-            np.linspace(0, len(centers) - 1, n_centers).round().astype(int)
-        )
-        cyls.extend(CylinderSpec(x0=int(centers[i]), R=float(r))
-                    for i in take)
+    cyls = [CylinderSpec(x0=int(x), R=float(r)) for r in radii
+            for x in ctx.space.spread_centers(5.0 * float(r), n_centers)]
     if not cyls:
         return ConditionReport("PHI(phi)", "failed",
                                notes="no cylinder fits the space"), None

@@ -180,16 +180,13 @@ class DirichletForm:
         self.w_edges = w_edges
         self.jump = jump
 
-        W = np.zeros((n, n))
-        if len(edges):
-            W[edges[:, 0], edges[:, 1]] = w_edges
-            W[edges[:, 1], edges[:, 0]] = w_edges
-        self.W = W
         K = np.zeros((n, n))
         if jump is not None:
             K = jump.matrix * np.outer(space.mu, space.mu)
         # energy matrix: E(f, g) = f @ A @ g
-        A = -(W + 2.0 * K)
+        A = -(2.0 * K)
+        i, j = edges[:, 0], edges[:, 1]
+        A[i, j] = A[j, i] = -(w_edges + 2.0 * K[i, j])
         np.fill_diagonal(A, 0.0)
         A[np.diag_indices(n)] = -A.sum(axis=1)
         self.A = A
@@ -217,9 +214,14 @@ class DirichletForm:
     def apply_generator(self, f):
         return -(self.A @ np.asarray(f)) / self.mu
 
-    def sym_generator(self):
-        """S = Mu^{-1/2} A Mu^{-1/2}; spec(S) >= 0 and p(t) is built from it."""
-        return self.A / np.outer(self._sqmu, self._sqmu)
+    def sym_generator(self, idx=None):
+        """S = Mu^{-1/2} A Mu^{-1/2}; spec(S) >= 0 and p(t) is built from it.
+        ``idx`` gives only the block S[idx, idx], the generator of the
+        Dirichlet restriction to idx."""
+        if idx is None:
+            return self.A / np.outer(self._sqmu, self._sqmu)
+        sq = self._sqmu[idx]
+        return self.A[np.ix_(idx, idx)] / np.outer(sq, sq)
 
     def spectral(self):
         """(clamped eigenvalues, eigenvectors) of S, computed once; safe to
@@ -234,28 +236,46 @@ class DirichletForm:
                 self._spec = (np.maximum(lam, 0.0), Q)
         return self._spec
 
-    # restricted energies used by the condition checks
+    # energy-measure primitives used by the condition checks
 
-    def local_energy_within(self, f, idx):
-        """Conductance energy over edges with both endpoints in idx."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[idx] = True
+    def local_champ(self, f):
+        """Energy measure Gamma_c(f, f) of the conductance part as per-point
+        masses: half of each edge's w (f(x) - f(y))^2 goes to either end."""
+        f = np.asarray(f, dtype=float)
+        gamma_c = np.zeros(self.n)
         e = self.space.edges
-        if not len(e):
-            return 0.0
-        sel = mask[e[:, 0]] & mask[e[:, 1]]
-        df = np.asarray(f)[e[sel, 0]] - np.asarray(f)[e[sel, 1]]
-        return float(np.sum(self.w_edges[sel] * df ** 2))
+        df2 = (f[e[:, 0]] - f[e[:, 1]]) ** 2 * self.w_edges
+        np.add.at(gamma_c, e[:, 0], 0.5 * df2)
+        np.add.at(gamma_c, e[:, 1], 0.5 * df2)
+        return gamma_c
 
-    def jump_energy_between(self, f, idx_x, idx_y):
-        """Ordered-pair jump energy over idx_x x idx_y."""
+    def local_laplacian(self, idx=None):
+        """Conductance Laplacian over the edges with both ends in ``idx``,
+        indexed by position in ``idx`` (all points when None): f @ L @ f is
+        the conductance energy of f inside idx.  Diagonal entries add the
+        edge weights in edge order."""
+        idx = np.arange(self.n) if idx is None else np.asarray(idx, dtype=int)
+        m = len(idx)
+        pos = np.full(self.n, -1)
+        pos[idx] = np.arange(m)
+        pe = pos[self.space.edges]
+        inside = (pe >= 0).all(axis=1)
+        pe, w = pe[inside], self.w_edges[inside]
+        L = np.zeros((m, m))
+        ends = pe.ravel()                # a0, b0, a1, b1, ...
+        np.add.at(L, (ends, ends), np.repeat(w, 2))
+        np.subtract.at(L, (pe[:, 0], pe[:, 1]), w)
+        np.subtract.at(L, (pe[:, 1], pe[:, 0]), w)
+        return L
+
+    def truncated_jump(self, rho):
+        """J with the jumps of range > rho removed, the jump kernel of the
+        rho-truncated form E^(rho); None without a jump part."""
         if self.jump is None:
-            return 0.0
-        f = np.asarray(f)
-        J = self.jump.matrix[np.ix_(idx_x, idx_y)]
-        df = f[idx_x][:, None] - f[idx_y][None, :]
-        muxy = np.outer(self.mu[idx_x], self.mu[idx_y])
-        return float(np.sum(df ** 2 * J * muxy))
+            return None
+        J = self.jump.matrix.copy()
+        J[self.space.metric > rho] = 0.0
+        return J
 
 
 def assemble(space: MetricMeasureSpace, local_weights, jump: JumpKernel | None
@@ -316,7 +336,7 @@ def _spectral_basis(form, idx=None):
         lam, Q = form.spectral()
         sqmu = form._sqmu
     else:
-        lam, Q = eigh(form.sym_generator()[np.ix_(idx, idx)])
+        lam, Q = eigh(form.sym_generator(idx))
         lam = np.maximum(lam, 0.0)
         sqmu = form._sqmu[idx]
     return lam, Q / sqmu[:, None]
@@ -410,9 +430,8 @@ class TruncatedForm(DirichletForm):
             raise FormError("truncation radius must be positive")
         jump = None
         if parent.jump is not None:
-            Jm = parent.jump.matrix.copy()
-            Jm[parent.space.metric > rho] = 0.0
-            jump = JumpKernel(Jm, kind=parent.jump.kind + f"|rho={rho:g}",
+            jump = JumpKernel(parent.truncated_jump(rho),
+                              kind=parent.jump.kind + f"|rho={rho:g}",
                               params=dict(parent.jump.params))
         super().__init__(parent.space, parent.w_edges, jump)
         self.parent = parent
@@ -601,22 +620,15 @@ def energy_and_champ(form: DirichletForm, f, rho: float | None = None):
     sum_x gamma_c(x) + sum_x gamma_j(x) mu(x) = E(f, f).
     """
     f = np.asarray(f, dtype=float)
-    n = form.n
-    gamma_c = np.zeros(n)
-    e = form.space.edges
-    if len(e):
-        df2 = (f[e[:, 0]] - f[e[:, 1]]) ** 2 * form.w_edges
-        np.add.at(gamma_c, e[:, 0], 0.5 * df2)
-        np.add.at(gamma_c, e[:, 1], 0.5 * df2)
-    gamma_j = np.zeros(n)
+    gamma_c = form.local_champ(f)
+    gamma_j = np.zeros(form.n)
     gamma_j_rho = None
     if form.jump is not None:
         diff2 = (f[:, None] - f[None, :]) ** 2
         gamma_j = (diff2 * form.jump.matrix * form.mu[None, :]).sum(axis=1)
         if rho is not None:
-            Jr = form.jump.matrix.copy()
-            Jr[form.space.metric > rho] = 0.0
-            gamma_j_rho = (diff2 * Jr * form.mu[None, :]).sum(axis=1)
+            gamma_j_rho = (diff2 * form.truncated_jump(rho)
+                           * form.mu[None, :]).sum(axis=1)
     energy = form.energy(f)
     return energy, gamma_c, gamma_j, gamma_j_rho
 

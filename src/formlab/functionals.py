@@ -72,17 +72,8 @@ def ball_family(space: MetricMeasureSpace, radii, reach_factor=1.0,
                 max_centers=6, seed=SEED):
     """(center, radius) pairs whose reach_factor-enlarged ball avoids the
     truncation boundary; centers thinned deterministically."""
-    fam = []
-    for r in radii:
-        centers = space.usable_centers(reach_factor * r + 1e-9)
-        if len(centers) == 0:
-            continue
-        take = np.unique(
-            np.linspace(0, len(centers) - 1, min(max_centers, len(centers)))
-            .round().astype(int)
-        )
-        fam.extend((int(centers[i]), float(r)) for i in take)
-    return fam
+    return [(int(x), float(r)) for r in radii
+            for x in space.spread_centers(reach_factor * r, max_centers)]
 
 
 def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
@@ -103,11 +94,8 @@ def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
     r_tent = max(space.interior_margin, 2.0)
     for x in picks:
         fns.append(np.maximum(0.0, 1.0 - space.metric[x] / r_tent))
-    W_lap = -form.W.copy()
-    np.fill_diagonal(W_lap, 0.0)
-    W_lap[np.diag_indices(n)] = -W_lap.sum(axis=1)
     sq = np.sqrt(space.mu)
-    S_loc = W_lap / np.outer(sq, sq)
+    S_loc = form.local_laplacian() / np.outer(sq, sq)
     k = min(n_eigs + 1, n)
     _, vecs = eigh(S_loc, subset_by_index=[0, k - 1])
     for j in range(1, k):
@@ -125,8 +113,7 @@ def lambda1(form: DirichletForm, D) -> float:
     idx = np.asarray(D, dtype=int)
     if len(idx) == 0:
         raise ValueError("lambda1 needs a nonempty domain")
-    S = form.sym_generator()[np.ix_(idx, idx)]
-    return float(eigvalsh(S, subset_by_index=[0, 0])[0])
+    return float(eigvalsh(form.sym_generator(idx), subset_by_index=[0, 0])[0])
 
 
 def _subsets_of_ball(space, x0, r, seed=SEED):
@@ -190,28 +177,20 @@ def poincare(form: DirichletForm, scales, x0: int, r: float, kappa: float = 1.0)
     kappa-dilated ball), computed as the top generalized eigenvalue of the
     centered mass form against the restricted energy form.
     """
+    if kappa < 1.0:
+        raise ValueError("poincare needs a dilation kappa >= 1")
     space = form.space
     B = space.ball(x0, r)
     Bk = space.ball(x0, kappa * r)
     m = len(Bk)
     if m < 2:
         return 0.0, None
-    pos = {int(p): i for i, p in enumerate(Bk)}
-    sel = np.array([pos[int(p)] for p in B])
+    sel = np.searchsorted(Bk, B)        # positions of B inside Bk
     muB = space.mu[B]
     N = np.zeros((m, m))
     N[np.ix_(sel, sel)] = np.diag(muB) - np.outer(muB, muB) / muB.sum()
 
-    D = np.zeros((m, m))
-    e = space.edges
-    if len(e):
-        inBk = np.isin(e, Bk).all(axis=1)
-        for (a, b), w in zip(e[inBk], form.w_edges[inBk]):
-            ia, ib = pos[int(a)], pos[int(b)]
-            D[ia, ia] += w
-            D[ib, ib] += w
-            D[ia, ib] -= w
-            D[ib, ia] -= w
+    D = form.local_laplacian(Bk)
     if form.jump is not None:
         K = form.jump.matrix[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
         Kl = -2.0 * K
@@ -364,52 +343,37 @@ def check_gcap(form: DirichletForm, scales, families, test_fns,
 # -- cut-off Sobolev -------------------------------------------------------------
 
 
-def _cs_terms(form, scales, x0, R, r, C0, f, rho=None):
+def _cs_terms(form, x0, R, r, C0, fns, Jm):
+    """(LHS, RT1, mass) of the cut-off Sobolev inequality for each test
+    function, with the radial ramp cut-off of B(x0, R) in B(x0, R + r) and
+    the jump kernel ``Jm`` (the form's own or a truncated one, or None)."""
     space = form.space
+    mu = space.mu
     d0 = space.metric[x0]
     B2 = space.ball(x0, R + r)
     B3 = space.ball(x0, R + (1.0 + C0) * r)
     ramp = np.clip((R + r - d0) / r, 0.0, 1.0)
     ramp[d0 >= R + r] = 0.0
-    f = np.asarray(f, dtype=float)
-
-    Jm = None
-    if form.jump is not None:
-        Jm = form.jump.matrix
-        if rho is not None:
-            Jm = Jm.copy()
-            Jm[space.metric > rho] = 0.0
-
-    # left side: int_{B3} f^2 dGamma(ramp, ramp)
-    gamma_c = np.zeros(form.n)
-    e = space.edges
-    if len(e):
-        df2 = (ramp[e[:, 0]] - ramp[e[:, 1]]) ** 2 * form.w_edges
-        np.add.at(gamma_c, e[:, 0], 0.5 * df2)
-        np.add.at(gamma_c, e[:, 1], 0.5 * df2)
-    lhs = float(np.sum(f[B3] ** 2 * gamma_c[B3]))
+    gamma_ramp = form.local_champ(ramp)[B3]
+    ramp2 = ramp[B2] ** 2
     if Jm is not None:
         dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
-        lhs += float(np.sum(
-            f[B3][:, None] ** 2 * dphi2 * Jm[B3]
-            * np.outer(space.mu[B3], space.mu)
-        ))
-
-    # right side term 1
-    gcf = np.zeros(form.n)
-    if len(e):
-        dff2 = (f[e[:, 0]] - f[e[:, 1]]) ** 2 * form.w_edges
-        np.add.at(gcf, e[:, 0], 0.5 * dff2)
-        np.add.at(gcf, e[:, 1], 0.5 * dff2)
-    rt1 = float(np.sum(ramp[B2] ** 2 * gcf[B2]))
-    if Jm is not None:
-        dfb = (f[B2][:, None] - f[B3][None, :]) ** 2
-        rt1 += float(np.sum(
-            ramp[B2][:, None] ** 2 * dfb * Jm[np.ix_(B2, B3)]
-            * np.outer(space.mu[B2], space.mu[B3])
-        ))
-    mass = float(np.sum(f[B3] ** 2 * space.mu[B3]))
-    return lhs, rt1, mass
+        J3, mu3 = Jm[B3], np.outer(mu[B3], mu)
+        J23, mu23 = Jm[np.ix_(B2, B3)], np.outer(mu[B2], mu[B3])
+    out = []
+    for f in fns:
+        f = np.asarray(f, dtype=float)
+        fsq = f[B3] ** 2
+        # left side: int_{B3} f^2 dGamma(ramp, ramp)
+        lhs = float(np.sum(fsq * gamma_ramp))
+        # right side term 1: int_{B2} ramp^2 dGamma(f, f)
+        rt1 = float(np.sum(ramp2 * form.local_champ(f)[B2]))
+        if Jm is not None:
+            lhs += float(np.sum(fsq[:, None] * dphi2 * J3 * mu3))
+            dfb = (f[B2][:, None] - f[B3][None, :]) ** 2
+            rt1 += float(np.sum(ramp2[:, None] * dfb * J23 * mu23))
+        out.append((lhs, rt1, float(np.sum(fsq * mu[B3]))))
+    return out
 
 
 def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
@@ -423,10 +387,11 @@ def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
     rows = []
     fitted = {0.0: 0.0, 1.0: 0.0}
     witness = {}
+    Jm = None if form.jump is None else form.jump.matrix
     for x0, R, r in families:
         phi_r = scales.phi(r)
-        for fi, f in enumerate(test_fns):
-            lhs, rt1, mass = _cs_terms(form, scales, x0, R, r, C0, f)
+        terms = _cs_terms(form, x0, R, r, C0, test_fns, Jm)
+        for fi, (lhs, rt1, mass) in enumerate(terms):
             if mass <= 0.0:
                 continue
             for c1 in (0.0, 1.0):
@@ -438,18 +403,15 @@ def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
                     if c1 == 1.0:
                         witness = {"x0": x0, "R": R, "r": r, "fn": fi}
     trunc = {}
-    if rho_grid:
-        for rho in rho_grid:
-            worst = 0.0
-            for x0, R, r in families:
-                phi_rr = scales.phi(min(r, rho))
-                for f in test_fns:
-                    lhs, rt1, mass = _cs_terms(
-                        form, scales, x0, R, r, C0, f, rho=rho
-                    )
-                    if mass > 0.0:
-                        worst = max(worst, (lhs - rt1) * phi_rr / mass)
-            trunc[f"C2(rho={rho:g})"] = max(0.0, worst)
+    for rho in rho_grid or ():
+        Jr = form.truncated_jump(rho)
+        worst = 0.0
+        for x0, R, r in families:
+            phi_rr = scales.phi(min(r, rho))
+            for lhs, rt1, mass in _cs_terms(form, x0, R, r, C0, test_fns, Jr):
+                if mass > 0.0:
+                    worst = max(worst, (lhs - rt1) * phi_rr / mass)
+        trunc[f"C2(rho={rho:g})"] = max(0.0, worst)
     return ConditionReport(
         "CS(phi)", "one-sided-certificate",
         constants={"C0": C0, "C1": 1.0, "C2": fitted[1.0],

@@ -185,8 +185,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     horizon = cyl.horizon(scales) - cyl.t0
     n_sub = 256
     h = horizon / n_sub
-    S_BB = form.sym_generator()[np.ix_(B_cyl, B_cyl)]
-    lam, Q = eigh(S_BB)
+    lam, Q = eigh(form.sym_generator(B_cyl))
     lam = np.maximum(lam, 1e-14)
     sq = form._sqmu[B_cyl]
     Bq = Q / sq[:, None]
@@ -332,16 +331,14 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
     phr_pairs_by_fn = []
     rows = []
     for r in radii:
-        centers = space.usable_centers(r + 1e-9)
+        centers = space.spread_centers(r, max_centers)
         if len(centers) == 0:
             continue
         # caloric family: global heat flows sampled in the last window
         phi_r = scales.phi(r)
         ts = _window_times(phi_r - scales.phi(eps * r), phi_r, n_window_times)
         table = heat_kernel(form, ts)
-        for x0 in centers[np.linspace(0, len(centers) - 1, max_centers)
-                          .round().astype(int)]:
-            x0 = int(x0)
+        for x0 in map(int, centers):
             B = space.ball(x0, r)
             ext = np.setdiff1d(np.arange(form.n), B)
             if len(ext) == 0:

@@ -23,7 +23,6 @@ __all__ = [
     "VolumeReport",
     "ChainReport",
     "build_space",
-    "ball",
     "volume_report",
     "chain_check",
 ]
@@ -96,13 +95,18 @@ class MetricMeasureSpace:
         """Centers whose ball of radius ``reach`` avoids the truncation set."""
         return np.nonzero(self.dist_to_boundary >= reach)[0]
 
+    def spread_centers(self, reach: float, count: int) -> np.ndarray:
+        """At most ``count`` centers whose closed ball of radius ``reach``
+        avoids the truncation set, spread evenly over the usable ones by a
+        rounded linspace of their positions (each taken once)."""
+        centers = self.usable_centers(reach + 1e-9)
+        take = np.linspace(0, len(centers) - 1, min(count, len(centers)))
+        return centers[np.unique(take.round().astype(int))]
+
     @property
     def diameter(self) -> float:
         finite = self.metric[np.isfinite(self.metric)]
         return float(finite.max()) if finite.size else 0.0
-
-    def total_mass(self) -> float:
-        return float(self.mu.sum())
 
     def export_points_csv(self, path):
         """Write id, coords, mu rows for external plotting."""
@@ -245,10 +249,6 @@ def build_space(kind: str, **params) -> MetricMeasureSpace:
             margin=params.get("margin"),
         )
     raise SpaceError(f"unknown space kind {kind!r}")
-
-
-def ball(space: MetricMeasureSpace, x: int, r: float) -> np.ndarray:
-    return space.ball(x, r)
 
 
 # -- volume regularity ------------------------------------------------------

@@ -1,0 +1,344 @@
+"""The form's energy primitives (``local_champ``, ``local_laplacian``,
+``truncated_jump``, ``sym_generator(idx)``) against in-test copies of the
+hand-written code they replaced: the dense conductance matrix W, the
+``poincare`` edge loop, the per-call truncations and Gamma_c copies, and the
+full-then-sliced symmetrised generator.  On the bundled configs outputs must
+be equal, not close; on random small spaces the energy identities must hold
+to rounding."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh, eigvalsh
+
+from formlab.cli import SuiteContext, _gcap_families, load_config
+from formlab.form import JumpKernel, assemble, energy_and_champ, truncate
+from formlab.functionals import (ball_family, check_cs, function_family,
+                                 poincare)
+from formlab.space import MetricMeasureSpace
+
+
+@pytest.fixture(scope="module", params=["z1_mini", "gasket_walk"])
+def ctx(request):
+    return SuiteContext(load_config(request.param))
+
+
+# -- the replaced code ----------------------------------------------------------
+
+
+def old_W(form):
+    n, e = form.n, form.space.edges
+    W = np.zeros((n, n))
+    if len(e):
+        W[e[:, 0], e[:, 1]] = form.w_edges
+        W[e[:, 1], e[:, 0]] = form.w_edges
+    return W
+
+
+def old_A(form):
+    n = form.n
+    K = np.zeros((n, n))
+    if form.jump is not None:
+        K = form.jump.matrix * np.outer(form.mu, form.mu)
+    A = -(old_W(form) + 2.0 * K)
+    np.fill_diagonal(A, 0.0)
+    A[np.diag_indices(n)] = -A.sum(axis=1)
+    return A
+
+
+def old_loop_laplacian(form, Bk):
+    m = len(Bk)
+    pos = {int(p): i for i, p in enumerate(Bk)}
+    D = np.zeros((m, m))
+    e = form.space.edges
+    if len(e):
+        inBk = np.isin(e, Bk).all(axis=1)
+        for (a, b), w in zip(e[inBk], form.w_edges[inBk]):
+            ia, ib = pos[int(a)], pos[int(b)]
+            D[ia, ia] += w
+            D[ib, ib] += w
+            D[ia, ib] -= w
+            D[ib, ia] -= w
+    return D
+
+
+def old_poincare(form, scales, x0, r, kappa=1.0):
+    space = form.space
+    B = space.ball(x0, r)
+    Bk = space.ball(x0, kappa * r)
+    m = len(Bk)
+    if m < 2:
+        return 0.0, None
+    pos = {int(p): i for i, p in enumerate(Bk)}
+    sel = np.array([pos[int(p)] for p in B])
+    muB = space.mu[B]
+    N = np.zeros((m, m))
+    N[np.ix_(sel, sel)] = np.diag(muB) - np.outer(muB, muB) / muB.sum()
+    D = old_loop_laplacian(form, Bk)
+    if form.jump is not None:
+        K = form.jump.matrix[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
+        Kl = -2.0 * K
+        Kl[np.diag_indices(m)] = 2.0 * K.sum(axis=1)
+        D += Kl
+    ones = np.ones((m, 1)) / math.sqrt(m)
+    Wb = np.linalg.qr(np.eye(m) - ones @ ones.T)[0][:, : m - 1]
+    Nr = Wb.T @ N @ Wb
+    Dr = Wb.T @ D @ Wb
+    ridge = 1e-12 * max(np.trace(Dr) / (m - 1), 1.0)
+    ev_d = eigvalsh(Dr)
+    if ev_d[0] <= ridge:
+        return math.inf, {"x0": x0, "r": r, "reason": "disconnected dilated ball"}
+    lam = eigvalsh(Nr, Dr + ridge * np.eye(m - 1))[-1]
+    return float(lam) / scales.phi(r), None
+
+
+def old_function_family(form, count_random=4, n_eigs=8, seed=0x5EED):
+    space = form.space
+    n = space.n
+    rng = np.random.RandomState(seed)
+    fns = []
+    interior = space.interior()
+    if len(interior) == 0:
+        interior = np.arange(n)
+    picks = interior[np.linspace(0, len(interior) - 1, 3).round().astype(int)]
+    for x in picks:
+        e = np.zeros(n)
+        e[x] = 1.0
+        fns.append(e)
+    r_tent = max(space.interior_margin, 2.0)
+    for x in picks:
+        fns.append(np.maximum(0.0, 1.0 - space.metric[x] / r_tent))
+    W_lap = -old_W(form)
+    np.fill_diagonal(W_lap, 0.0)
+    W_lap[np.diag_indices(n)] = -W_lap.sum(axis=1)
+    sq = np.sqrt(space.mu)
+    S_loc = W_lap / np.outer(sq, sq)
+    k = min(n_eigs + 1, n)
+    _, vecs = eigh(S_loc, subset_by_index=[0, k - 1])
+    for j in range(1, k):
+        fns.append(vecs[:, j] / sq)
+    for _ in range(count_random):
+        fns.append(rng.standard_normal(n))
+    return fns
+
+
+def old_gamma_c(form, f):
+    gamma_c = np.zeros(form.n)
+    e = form.space.edges
+    if len(e):
+        df2 = (f[e[:, 0]] - f[e[:, 1]]) ** 2 * form.w_edges
+        np.add.at(gamma_c, e[:, 0], 0.5 * df2)
+        np.add.at(gamma_c, e[:, 1], 0.5 * df2)
+    return gamma_c
+
+
+def old_energy_and_champ(form, f, rho=None):
+    f = np.asarray(f, dtype=float)
+    gamma_c = old_gamma_c(form, f)
+    gamma_j = np.zeros(form.n)
+    gamma_j_rho = None
+    if form.jump is not None:
+        diff2 = (f[:, None] - f[None, :]) ** 2
+        gamma_j = (diff2 * form.jump.matrix * form.mu[None, :]).sum(axis=1)
+        if rho is not None:
+            Jr = form.jump.matrix.copy()
+            Jr[form.space.metric > rho] = 0.0
+            gamma_j_rho = (diff2 * Jr * form.mu[None, :]).sum(axis=1)
+    return form.energy(f), gamma_c, gamma_j, gamma_j_rho
+
+
+def old_cs_terms(form, x0, R, r, C0, f, rho=None):
+    space = form.space
+    d0 = space.metric[x0]
+    B2 = space.ball(x0, R + r)
+    B3 = space.ball(x0, R + (1.0 + C0) * r)
+    ramp = np.clip((R + r - d0) / r, 0.0, 1.0)
+    ramp[d0 >= R + r] = 0.0
+    f = np.asarray(f, dtype=float)
+    Jm = None
+    if form.jump is not None:
+        Jm = form.jump.matrix
+        if rho is not None:
+            Jm = Jm.copy()
+            Jm[space.metric > rho] = 0.0
+    gamma_c = old_gamma_c(form, ramp)
+    lhs = float(np.sum(f[B3] ** 2 * gamma_c[B3]))
+    if Jm is not None:
+        dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
+        lhs += float(np.sum(
+            f[B3][:, None] ** 2 * dphi2 * Jm[B3]
+            * np.outer(space.mu[B3], space.mu)
+        ))
+    gcf = old_gamma_c(form, f)
+    rt1 = float(np.sum(ramp[B2] ** 2 * gcf[B2]))
+    if Jm is not None:
+        dfb = (f[B2][:, None] - f[B3][None, :]) ** 2
+        rt1 += float(np.sum(
+            ramp[B2][:, None] ** 2 * dfb * Jm[np.ix_(B2, B3)]
+            * np.outer(space.mu[B2], space.mu[B3])
+        ))
+    mass = float(np.sum(f[B3] ** 2 * space.mu[B3]))
+    return lhs, rt1, mass
+
+
+def old_cs_constants(form, scales, families, test_fns, rho_grid, C0=1.0):
+    fitted = {0.0: 0.0, 1.0: 0.0}
+    for x0, R, r in families:
+        phi_r = scales.phi(r)
+        for f in test_fns:
+            lhs, rt1, mass = old_cs_terms(form, x0, R, r, C0, f)
+            if mass <= 0.0:
+                continue
+            for c1 in (0.0, 1.0):
+                fitted[c1] = max(fitted[c1],
+                                 max(0.0, (lhs - c1 * rt1) * phi_r / mass))
+    out = {"C0": C0, "C1": 1.0, "C2": fitted[1.0], "C2(C1=0)": fitted[0.0]}
+    for rho in rho_grid:
+        worst = 0.0
+        for x0, R, r in families:
+            phi_rr = scales.phi(min(r, rho))
+            for f in test_fns:
+                lhs, rt1, mass = old_cs_terms(form, x0, R, r, C0, f, rho=rho)
+                if mass > 0.0:
+                    worst = max(worst, (lhs - rt1) * phi_rr / mass)
+        out[f"C2(rho={rho:g})"] = max(0.0, worst)
+    return out
+
+
+def old_local_energy_within(form, f, idx):
+    mask = np.zeros(form.n, dtype=bool)
+    mask[idx] = True
+    e = form.space.edges
+    if not len(e):
+        return 0.0
+    sel = mask[e[:, 0]] & mask[e[:, 1]]
+    df = np.asarray(f)[e[sel, 0]] - np.asarray(f)[e[sel, 1]]
+    return float(np.sum(form.w_edges[sel] * df ** 2))
+
+
+# -- bit equality on the bundled configs ---------------------------------------
+
+
+def test_energy_matrix_from_edge_list(ctx):
+    assert np.array_equal(ctx.form.A, old_A(ctx.form))
+
+
+def test_local_laplacian_keeps_edge_loop_order(ctx):
+    form = ctx.form
+    for x0, r in ball_family(form.space, ctx.radii, reach_factor=2.0):
+        Bk = form.space.ball(x0, 2.0 * r)
+        assert np.array_equal(form.local_laplacian(Bk),
+                              old_loop_laplacian(form, Bk))
+
+
+def test_poincare(ctx):
+    form = ctx.form
+    for kappa in (1.0, 2.0):
+        for x0, r in ball_family(form.space, ctx.radii, reach_factor=kappa):
+            assert (poincare(form, ctx.scales, x0, r, kappa)
+                    == old_poincare(form, ctx.scales, x0, r, kappa))
+
+
+def test_function_family(ctx):
+    new = function_family(ctx.form, seed=ctx.cfg.seed)
+    old = old_function_family(ctx.form, seed=ctx.cfg.seed)
+    assert len(new) == len(old)
+    assert all(np.array_equal(a, b) for a, b in zip(new, old))
+
+
+def test_energy_and_champ(ctx):
+    form = ctx.form
+    for f in function_family(form, seed=ctx.cfg.seed):
+        for rho in (None, max(ctx.radii), 2.0 * max(ctx.radii)):
+            new = energy_and_champ(form, f, rho=rho)
+            old = old_energy_and_champ(form, f, rho=rho)
+            assert new[0] == old[0]
+            for a, b in zip(new[1:], old[1:]):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_check_cs_constants(ctx):
+    form = ctx.form
+    fns = function_family(form, seed=ctx.cfg.seed)
+    fams = _gcap_families(ctx)
+    rho_grid = [max(ctx.radii), 2.0 * max(ctx.radii)]
+    rep = check_cs(form, ctx.scales, fams, fns, rho_grid=rho_grid)
+    assert rep.constants == old_cs_constants(form, ctx.scales, fams, fns,
+                                             rho_grid)
+
+
+def test_truncated_form_jump(ctx):
+    form = ctx.form
+    rho = max(ctx.radii)
+    trunc = truncate(form, rho)
+    if form.jump is None:
+        assert trunc.jump is None
+        return
+    Jr = form.jump.matrix.copy()
+    Jr[form.space.metric > rho] = 0.0
+    assert np.array_equal(trunc.jump.matrix, Jr)
+
+
+# -- identities on random small spaces -----------------------------------------
+
+
+@st.composite
+def small_forms(draw):
+    n = draw(st.integers(3, 9))
+    coords = np.cumsum(draw(st.lists(st.floats(0.5, 3.0), min_size=n,
+                                     max_size=n)))
+    metric = np.abs(coords[:, None] - coords[None, :])
+    mu = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = np.array([p for p, k in zip(pairs, keep) if k],
+                     dtype=int).reshape(-1, 2)
+    w = draw(st.lists(st.floats(0.0, 5.0), min_size=len(edges),
+                      max_size=len(edges)))
+    space = MetricMeasureSpace(metric, mu, edges=edges)
+    jump = None
+    if draw(st.booleans()):
+        jump = JumpKernel.power_law(space, alpha=draw(st.floats(0.2, 1.8)))
+    form = assemble(space, np.array(w, dtype=float), jump)
+    f = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    rho = draw(st.floats(0.1, float(metric.max()) + 1.0))
+    return form, f, idx, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_energy_measure_sums_to_energy(case):
+    form, f, _, rho = case
+    e, gc, gj, gjr = energy_and_champ(form, f, rho=rho)
+    # rounding bound of f @ A @ f, whose terms may cancel
+    tol = 1e-12 * (np.abs(f) @ np.abs(form.A) @ np.abs(f)) + 1e-300
+    assert gc.sum() + (gj * form.mu).sum() == pytest.approx(e, abs=tol)
+    # the rho-truncated measure sums to the truncated form's energy
+    te = truncate(form, rho).energy(f)
+    jr = 0.0 if gjr is None else (gjr * form.mu).sum()
+    assert gc.sum() + jr == pytest.approx(te, abs=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_local_laplacian_is_restricted_energy(case):
+    form, f, idx, _ = case
+    L = form.local_laplacian(idx)
+    assert np.array_equal(L, old_loop_laplacian(form, idx))
+    fi = f[idx]
+    tol = 1e-12 * (np.abs(fi) @ np.abs(L) @ np.abs(fi)) + 1e-300
+    assert fi @ L @ fi == pytest.approx(old_local_energy_within(form, f, idx),
+                                        abs=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_sym_generator_block(case):
+    form, _, idx, _ = case
+    assert np.array_equal(form.sym_generator(idx),
+                          form.sym_generator()[np.ix_(idx, idx)])

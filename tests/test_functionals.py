@@ -105,6 +105,12 @@ class TestPoincare:
         c, bad = poincare(form, alpha1_triple(), 0, 2.0, 6.0)
         assert c == np.inf and bad is not None
 
+    def test_shrinking_dilation_rejected(self):
+        # the energy ball must contain the mass ball
+        sp, form = z1(side=33, margin=4)
+        with pytest.raises(ValueError):
+            poincare(form, alpha1_triple(), 16, 4.0, 0.5)
+
     def test_scalar_invariance(self):
         # scaling (mu -> s mu, w -> s w, J -> J / s) leaves C_PI unchanged
         sp, form = z1(side=33, margin=4)

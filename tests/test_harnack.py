@@ -286,6 +286,15 @@ class TestRegularity:
         theta, c = _theta_fit(pairs, (1.0, 0.5), cap=32.0)
         assert theta == 1.0 and c == 0.0
 
+    def test_single_usable_center_visited_once(self):
+        # only x = 4 of a side-9 line keeps B(x, 3.5) clear of both ends;
+        # asking for two centers must not sweep it twice with fresh picks
+        sp, form = z1(side=9, margin=0, with_jump=False)
+        rep = check_regularity(form, diffusion_triple(), radii=[3.5],
+                               eps=0.5, max_centers=2)
+        assert [row["x0"] for row in rep.rows] == [4]
+        assert rep.ranges["ehr_functions"] == 2   # the two exterior atoms
+
     def test_empty_family_fails_cleanly(self):
         # eps * r below the lattice spacing leaves singleton cores
         sp, form = z1(side=33, margin=4, with_jump=False)

@@ -73,6 +73,14 @@ class TestBuilders:
             r1, r2 = sorted(rng.uniform(0.5, 10.0, size=2))
             assert set(sp.ball(x, r1)) <= set(sp.ball(x, r2))
 
+    def test_spread_centers(self):
+        sp = build_space("lattice_box", dim=1, side=21)
+        # usable at reach 4: dist to {0, 20} > 4, i.e. x = 5..15
+        assert list(sp.spread_centers(4.0, 3)) == [5, 10, 15]
+        assert list(sp.spread_centers(4.0, 50)) == list(range(5, 16))
+        assert list(sp.spread_centers(9.5, 4)) == [10]
+        assert len(sp.spread_centers(10.0, 4)) == 0
+
     def test_points_csv(self, tmp_path):
         sp = build_space("lattice_box", dim=2, side=5)
         path = tmp_path / "pts.csv"
