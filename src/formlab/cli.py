@@ -34,16 +34,16 @@ from . import __version__
 from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
                         dominance_map, envelope_ratio_rows, fit_hk,
                         tail_probability_check)
-from .form import (SPECTRAL_CAP, JumpKernel, assemble, gap_check, heat_kernel,
+from .form import (JumpKernel, assemble, gap_check, heat_kernel,
                    kernel_certificates, meyer_check, subordinate,
                    subordinate_intensity_quadrature)
-from .functionals import (ConditionReport, ball_family, check_cs, check_exit,
-                          check_fk, check_gcap, check_pi, fit_jpsi,
-                          tail_and_ujs, function_family)
+from .functionals import (ConditionReport, check_cs, check_exit, check_fk,
+                          check_gcap, check_pi, fit_jpsi, tail_and_ujs,
+                          function_family)
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleFunction, ScaleTriple
-from .space import build_space, chain_check, volume_report
+from .space import MAX_POINTS, build_space, chain_check, volume_report
 
 OK_VERDICTS = {"certified", "certified-for-family", "one-sided-certificate"}
 
@@ -127,10 +127,15 @@ def validate_config(data: dict) -> ExperimentConfig:
     if kind in ("lattice_box", "halfspace_lattice"):
         dim = 2 if kind == "halfspace_lattice" else int(cfg.space.get("dim", 1))
         n = int(cfg.space.get("side", 0)) ** dim
-        if n > SPECTRAL_CAP:
-            raise ConfigError(f"space of {n} points exceeds the spectral cap")
+        if n > MAX_POINTS:
+            raise ConfigError(
+                f"space of {n} points exceeds the cap of {MAX_POINTS}")
     if kind == "gasket" and int(cfg.space.get("level", 0)) > 7:
         raise ConfigError("gasket level capped at 7")
+    if ("jpsi_alt" in cfg.checks
+            and "phi_j" not in cfg.check_params.get("jpsi_alt", {})):
+        raise ConfigError("jpsi_alt needs an alternative phi_j piece list "
+                          "in check_params")
     # scales must pass the triple invariants at load time
     _build_scales(cfg)
     return cfg
@@ -183,6 +188,8 @@ class SuiteContext:
         self.times = list(np.geomspace(t_lo, max(t_hi, 2.0 * t_lo), n_times))
         self._table = None
         self._table_lock = threading.Lock()
+        self._family = None
+        self._family_lock = threading.Lock()
         radii = g.get("radii")
         if radii is None:
             top = max(self.space.interior_margin, 4.0)
@@ -198,6 +205,16 @@ class SuiteContext:
             if self._table is None:
                 self._table = heat_kernel(self.form, self.times)
         return self._table
+
+    @property
+    def family(self):
+        """Standard test functions of the form (``function_family``) that
+        gcap, cs and gap share, built once; safe to read from several
+        threads."""
+        with self._family_lock:
+            if self._family is None:
+                self._family = function_family(self.form, seed=self.cfg.seed)
+        return self._family
 
 
 # -- check implementations -----------------------------------------------------
@@ -238,7 +255,7 @@ def _chk_kernel(ctx, **kw):
                           "certified" if ok else "failed",
                           constants=certs,
                           ranges={"times": list(ctx.times),
-                                  "method": ctx.table.method})
+                                  "method": "spectral"})
     return rep, None
 
 
@@ -260,12 +277,12 @@ def _gcap_families(ctx):
 
 
 def _chk_gcap(ctx, **kw):
-    fns = function_family(ctx.form, seed=ctx.cfg.seed)
+    fns = ctx.family
     return check_gcap(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw), None
 
 
 def _chk_cs(ctx, **kw):
-    fns = function_family(ctx.form, seed=ctx.cfg.seed)
+    fns = ctx.family
     kw.setdefault("rho_grid", [max(ctx.radii), 2.0 * max(ctx.radii)])
     return check_cs(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw), None
 
@@ -285,9 +302,7 @@ def _chk_tail_ujs(ctx, spread_cap=8.0, **kw):
     return rep, None
 
 
-def _chk_jpsi_alt(ctx, phi_j=None, spread_cap=4.0, **kw):
-    if phi_j is None:
-        raise ConfigError("jpsi_alt needs an alternative phi_j piece list")
+def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0, **kw):
     psi = ScaleFunction.from_config(phi_j)
     c1, c2, table = fit_jpsi(ctx.form, psi)
     spread = c2 / c1 if c1 > 0 else math.inf
@@ -406,7 +421,7 @@ def _chk_meyer(ctx, rho_grid=None, **kw):
 
 
 def _chk_gap(ctx, rho_grid=None, **kw):
-    fns = function_family(ctx.form, seed=ctx.cfg.seed)
+    fns = ctx.family
     rhos = rho_grid or [r for r in ctx.radii]
     fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho, fns)
             for rho in rhos}
@@ -703,10 +718,8 @@ def main(argv=None) -> int:
                   f"points -> {out / 'points.csv'}")
             return 0
         if args.command == "check":
-            if args.check_name not in CHECKS:
-                print(f"unknown check {args.check_name!r}", file=sys.stderr)
-                return 3
-            cfg.checks = [args.check_name]
+            cfg = validate_config({**cfg.raw, "out": cfg.out,
+                                   "checks": [args.check_name]})
         suite = run_suite(cfg, thin=args.grid_thin, threads=args.threads,
                           mode=args.mode)
         out_dir = args.out or cfg.out

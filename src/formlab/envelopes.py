@@ -24,7 +24,7 @@ import numpy as np
 
 from .form import DirichletForm, HeatKernelTable, heat_kernel
 from .functionals import ConditionReport
-from .scales import ScaleTriple, crossover_radius, legendre_sup
+from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
 
 __all__ = [
     "EnvelopeParams",
@@ -521,9 +521,7 @@ def dominance_map(table: HeatKernelTable, scales: ScaleTriple, space,
         r_star = co.r_star
         log_ratio = co.log_ratio
         if cross.size and log_ratio > 0.0:
-            from .scales import power_bounds as _pb
-
-            pb = _pb(scales.phi_c)
+            pb = power_bounds(scales.phi_c)
             e_lo = (pb.beta1 - 1.0) / pb.beta2
             e_hi = (pb.beta2 - 1.0) / pb.beta1
             c3 = float(cross.min() / (diag_edge * log_ratio ** e_lo))
@@ -621,8 +619,8 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
 
 
 def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
-                      c0: float = 2.0, margin=None, m_cap: float = 30.0,
-                      local_only_times=None) -> ConditionReport:
+                      c0: float = 2.0, margin=None,
+                      m_cap: float = 30.0) -> ConditionReport:
     """Fit (c5, c6) in p(t,x,y) >= c5 c6^{m(t,d)} / V(x, phi_c^{-1}(t)) over
     triples with d >= c0 phi_c^{-1}(t) in the locally dominated regime.
 
@@ -630,9 +628,7 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     is the largest ratio base certified over the grid."""
     margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
-    keep = usable_times(table, space)
-    times = ([table.times[i] for i in keep] if local_only_times is None
-             else [t for t in local_only_times if t in table.times])
+    times = [table.times[i] for i in usable_times(table, space)]
     if not np.isfinite(space.metric).all():
         return ConditionReport("chain-lower", "failed",
                                notes="disconnected space, skipped")

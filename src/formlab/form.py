@@ -12,9 +12,9 @@ so that <-L f, g>_mu = E(f, g) with
     E(f, g) = sum_{edges} w (f(x)-f(y))(g(x)-g(y))
               + sum_{x != y} (f(x)-f(y))(g(x)-g(y)) J(x,y) mu(x) mu(y),
 
-the jump sum running over ordered pairs.  Heat kernels are computed from the
-symmetrised generator; spectral mode is exact at machine precision for
-n <= 4096 and an exponential-action fallback covers the rest.
+the jump sum running over ordered pairs.  Heat kernels are computed by
+spectral functional calculus on the symmetrised generator, exact at machine
+precision on every space formlab builds (n <= ``space.MAX_POINTS``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gamma as gamma_fn
 
 from .space import MetricMeasureSpace
@@ -50,8 +49,6 @@ __all__ = [
     "kernel_certificates",
     "mediant_max_ratio",
 ]
-
-SPECTRAL_CAP = 4096
 
 
 class FormError(ValueError):
@@ -86,14 +83,6 @@ class JumpKernel:
         np.fill_diagonal(J, 0.0)
         self.matrix = J
 
-    @staticmethod
-    def _dense_cap(space):
-        if space.n > SPECTRAL_CAP:
-            raise FormError(
-                f"dense jump matrices capped at n = {SPECTRAL_CAP}; "
-                f"got a space of {space.n} points"
-            )
-
     @classmethod
     def stable_like(cls, space: MetricMeasureSpace, psi, coeff: float = 1.0,
                     cmin: float = 1.0, cmax: float = 1.0, seed: int = 0x5EED):
@@ -103,7 +92,6 @@ class JumpKernel:
         symmetric field in [cmin, cmax] (constant when cmin == cmax), and the
         fitted two-sided comparability against 1/(V(x,d) psi(d)) is
         recorded."""
-        cls._dense_cap(space)
         n = space.n
         d = space.metric
         off = ~np.eye(n, dtype=bool)
@@ -133,7 +121,6 @@ class JumpKernel:
     @classmethod
     def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: float = 1.0):
         """Translation-invariant J(x,y) = coeff * d(x,y)^{-(1+alpha)}."""
-        cls._dense_cap(space)
         d = space.metric
         off = ~np.eye(space.n, dtype=bool)
         J = np.zeros_like(d)
@@ -145,7 +132,6 @@ class JumpKernel:
                    regime_break: float, coeff: float = 1.0):
         """d^{-(1+alpha)} below the regime break, matched continuously to
         break^{beta-alpha} d^{-(1+beta)} above it."""
-        cls._dense_cap(space)
         d = space.metric
         off = ~np.eye(space.n, dtype=bool)
         J = np.zeros_like(d)
@@ -211,9 +197,6 @@ class DirichletForm:
         """Dense matrix of L acting on functions."""
         return -(self.A / self.mu[:, None])
 
-    def apply_generator(self, f):
-        return -(self.A @ np.asarray(f)) / self.mu
-
     def sym_generator(self, idx=None):
         """S = Mu^{-1/2} A Mu^{-1/2}; spec(S) >= 0 and p(t) is built from it.
         ``idx`` gives only the block S[idx, idx], the generator of the
@@ -228,10 +211,6 @@ class DirichletForm:
         call from several threads."""
         with self._spec_lock:
             if self._spec is None:
-                if self.n > SPECTRAL_CAP:
-                    raise FormError(
-                        f"spectral mode capped at n = {SPECTRAL_CAP}; got {self.n}"
-                    )
                 lam, Q = eigh(self.sym_generator())
                 self._spec = (np.maximum(lam, 0.0), Q)
         return self._spec
@@ -295,37 +274,13 @@ class HeatKernelTable:
 
     times: tuple
     kernels: list
-    method: str
     domain: np.ndarray | None = None
-    tol: float = 0.0
 
     def kernel(self, t):
         for tt, k in zip(self.times, self.kernels):
             if abs(tt - t) <= 1e-12 * max(abs(t), 1.0):
                 return k
         raise KeyError(f"time {t} not in table")
-
-    def export_csv(self, path, thin=1):
-        with open(path, "w") as fh:
-            fh.write("t,x,y,p\n")
-            for t, K in zip(self.times, self.kernels):
-                for x in range(0, K.shape[0], thin):
-                    for y in range(0, K.shape[1], thin):
-                        fh.write(f"{t!r},{x},{y},{K[x, y]!r}\n")
-
-    def export_binary(self, path):
-        """Compact block: JSON header line, then row-major float64."""
-        import json
-
-        header = {
-            "times": list(map(float, self.times)),
-            "shape": list(self.kernels[0].shape),
-            "method": self.method,
-        }
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-            for K in self.kernels:
-                fh.write(np.ascontiguousarray(K, dtype="<f8").tobytes())
 
 
 def _spectral_basis(form, idx=None):
@@ -351,51 +306,18 @@ def _semigroup_kernels(B, rates, times):
     return kernels
 
 
-def _spectral_kernel(form, times, idx=None):
-    lam, B = _spectral_basis(form, idx)
-    return _semigroup_kernels(B, lam, times)
-
-
-def _expm_kernel(form, times, idx=None):
-    n = form.n if idx is None else len(idx)
-    if idx is None:
-        Lmat = form.generator_matrix()
-        invmu = 1.0 / form.mu
-    else:
-        Lmat = -(form.A[np.ix_(idx, idx)] / form.mu[idx][:, None])
-        invmu = 1.0 / form.mu[idx]
-    kernels = []
-    for t in times:
-        K = expm_multiply(t * Lmat, np.diag(invmu))
-        kernels.append(0.5 * (K + K.T))
-    return kernels
-
-
-def heat_kernel(form: DirichletForm, times, domain=None, method="auto"
-                ) -> HeatKernelTable:
-    """Heat kernel table; ``domain`` gives the Dirichlet kernel p^D by
-    deleting rows and columns outside the domain (killing on exit)."""
+def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
+    """Heat kernel table by spectral functional calculus; ``domain`` gives
+    the Dirichlet kernel p^D by deleting rows and columns outside the domain
+    (killing on exit)."""
     times = tuple(float(t) for t in times)
     if any(t <= 0.0 for t in times):
         raise FormError("kernel times must be positive")
     idx = None if domain is None else np.asarray(domain, dtype=int)
     if idx is not None and len(idx) == 0:
         raise FormError("empty Dirichlet domain")
-    size = form.n if idx is None else len(idx)
-    if method == "auto":
-        method = "spectral" if size <= SPECTRAL_CAP else "expm"
-    if method == "spectral":
-        try:
-            kernels = _spectral_kernel(form, times, idx)
-        except np.linalg.LinAlgError:
-            method = "expm"
-            kernels = _expm_kernel(form, times, idx)
-    elif method == "expm":
-        kernels = _expm_kernel(form, times, idx)
-    else:
-        raise FormError(f"unknown kernel method {method!r}")
-    tol = 0.0 if method == "spectral" else 1e-10
-    return HeatKernelTable(times, kernels, method, idx, tol)
+    lam, B = _spectral_basis(form, idx)
+    return HeatKernelTable(times, _semigroup_kernels(B, lam, times), idx)
 
 
 def kernel_certificates(form: DirichletForm, table: HeatKernelTable) -> dict:
@@ -412,8 +334,7 @@ def kernel_certificates(form: DirichletForm, table: HeatKernelTable) -> dict:
         sym = max(sym, float(np.abs(K - K.T).max()))
         if table.domain is None:
             mass = max(mass, float(np.abs((K * mu[None, :]).sum(axis=1) - 1.0).max()))
-        half = heat_kernel(form, [t / 2.0], domain=table.domain,
-                           method=table.method).kernels[0]
+        half = heat_kernel(form, [t / 2.0], domain=table.domain).kernels[0]
         comp = (half * mu[None, :]) @ half
         ck = max(ck, float(np.abs(comp - K).max() / max(K.max(), 1e-300)))
     return {"symmetry": sym, "chapman_kolmogorov": ck, "unit_mass": mass}
@@ -532,7 +453,7 @@ def subordinate(form: DirichletForm, b: float, gamma: float, times
     lam, B = _spectral_basis(form)
     times = tuple(map(float, times))
     kernels = _semigroup_kernels(B, b * lam + lam ** gamma, times)
-    table = HeatKernelTable(times, kernels, "spectral")
+    table = HeatKernelTable(times, kernels)
     # symmetrised (-L)^gamma, expressed as kernel against mu x mu
     G = (B * lam ** gamma) @ B.T
     intensity = -G

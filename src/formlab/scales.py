@@ -15,7 +15,7 @@ import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -27,7 +27,8 @@ __all__ = [
     "chain_check",
 ]
 
-MAX_POINTS = 8192
+# the one size cap: dense n x n metric, jump matrix, form and eigenbasis
+MAX_POINTS = 4096
 
 
 class SpaceError(ValueError):

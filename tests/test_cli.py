@@ -77,12 +77,17 @@ class TestSuite:
         assert suite.report["checks"] == {}
         assert suite.report["outcome"] == []
 
-    def test_errored_check_keeps_suite_alive(self):
-        cfg = validate_config(mini_cfg(
-            checks=["kernel", "jpsi_alt"],   # jpsi_alt without params errors
-        ))
+    def test_errored_check_keeps_suite_alive(self, monkeypatch):
+        def broken(ctx, **kw):
+            raise RuntimeError("deliberate failure")
+
+        data = mini_cfg(checks=["kernel", "jpsi_alt"])
+        data["check_params"] = {"jpsi_alt": {"phi_j": data["scales"]["phi_j"]}}
+        cfg = validate_config(data)
+        monkeypatch.setitem(cli.CHECKS, "jpsi_alt", broken)
         suite = run_suite(cfg)
         assert suite.report["checks"]["jpsi_alt"]["verdict"] == "errored"
+        assert "deliberate failure" in suite.report["checks"]["jpsi_alt"]["notes"]
         assert suite.report["checks"]["kernel"]["verdict"] == "certified"
         assert not suite.report["all_ok"]
 
@@ -156,6 +161,31 @@ class TestSuite:
             s2.report, sort_keys=True
         )
 
+    def test_threads_build_the_test_family_once(self, monkeypatch):
+        checks = ["gcap", "cs", "gap"]
+        s1 = run_suite(validate_config(mini_cfg(checks=checks)))
+        real_family = cli.function_family
+        builds = []
+
+        def counting_family(*args, **kwargs):
+            builds.append(args)
+            return real_family(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "function_family", counting_family)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads' bytecode
+        try:
+            s2 = run_suite(validate_config(mini_cfg(checks=checks)), threads=3)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(builds) == 1
+        for rep in (s1, s2):
+            rep.report["provenance"].pop("timestamp")
+            rep.report["provenance"].pop("wall_time_s")
+        assert json.dumps(s1.report, sort_keys=True) == json.dumps(
+            s2.report, sort_keys=True
+        )
+
 
 class TestGeometrySuites:
     @pytest.mark.parametrize("name", ["gasket_walk", "z2_alpha1", "halfspace"])
@@ -201,6 +231,14 @@ class TestMain:
         assert main(["--config", str(p), "validate"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "6400" in err
+
+    def test_jpsi_alt_without_scale_rejected_at_validate(self, tmp_path,
+                                                          capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(mini_cfg(checks=["kernel", "jpsi_alt"])))
+        assert main(["--config", str(p), "validate"]) == 3
+        assert "jpsi_alt needs" in capsys.readouterr().err
+        assert main(["--config", "z1_mini", "check", "jpsi_alt"]) == 3
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

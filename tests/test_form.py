@@ -99,12 +99,11 @@ class TestHeatKernel:
         assert certs["chapman_kolmogorov"] < 1e-10
         assert certs["unit_mass"] < 1e-10
 
-    def test_spectral_vs_expm(self):
+    def test_spectral_vs_expm(self, expm_kernels):
         _, form = z1(side=64, margin=0)
         ts = [0.5, 2.0]
-        spec = heat_kernel(form, ts, method="spectral")
-        expm = heat_kernel(form, ts, method="expm")
-        for A, B in zip(spec.kernels, expm.kernels):
+        spec = heat_kernel(form, ts)
+        for A, B in zip(spec.kernels, expm_kernels(form, ts)):
             assert np.abs(A - B).max() < 1e-8
 
     def test_domain_monotonicity(self):
@@ -332,32 +331,6 @@ class TestEnergyMeasures:
             rhs = (np.sum(f * f * gamma_pointwise(u, u)) / (2 * lam)
                    + lam / 2 * np.sum(g * g * gamma_pointwise(v, v)))
             assert lhs <= rhs + 1e-9
-
-
-class TestExports:
-    def test_kernel_csv(self, tmp_path):
-        sp, form = z1(side=9, margin=0)
-        table = heat_kernel(form, [0.5, 1.0])
-        path = tmp_path / "kernel.csv"
-        table.export_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x,y,p"
-        assert len(lines) == 1 + 2 * sp.n * sp.n
-
-    def test_kernel_binary_roundtrip(self, tmp_path):
-        import json as _json
-
-        sp, form = z1(side=9, margin=0)
-        table = heat_kernel(form, [0.5, 1.0])
-        path = tmp_path / "kernel.bin"
-        table.export_binary(path)
-        raw = path.read_bytes()
-        nl = raw.index(b"\n")
-        header = _json.loads(raw[:nl])
-        assert header["times"] == [0.5, 1.0]
-        body = np.frombuffer(raw[nl + 1:], dtype="<f8")
-        K0 = body[: sp.n * sp.n].reshape(sp.n, sp.n)
-        assert np.allclose(K0, table.kernels[0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from formlab.space import (MetricMeasureSpace, SpaceError, build_space,
-                           chain_check, volume_report)
+from formlab.space import (MAX_POINTS, MetricMeasureSpace, SpaceError,
+                           build_space, chain_check, volume_report)
 
 
 class TestBuilders:
@@ -44,6 +44,17 @@ class TestBuilders:
             build_space("lattice_box", dim=3, side=1024)
         with pytest.raises(SpaceError):
             build_space("gasket", level=9)
+
+    def test_one_size_cap_at_construction(self):
+        # the cap the form, its eigenbasis and validate_config share
+        assert MAX_POINTS == 4096
+        for n in (MAX_POINTS, MAX_POINTS + 1):
+            metric = np.zeros((n, n))
+            if n > MAX_POINTS:
+                with pytest.raises(SpaceError, match="capacity"):
+                    MetricMeasureSpace(metric, np.ones(n))
+            else:
+                assert MetricMeasureSpace(metric, np.ones(n)).n == n
 
     def test_halfspace_boundary(self):
         sp = build_space("halfspace_lattice", side=16)
