@@ -39,6 +39,7 @@ __all__ = [
     "ExitStats",
     "assemble",
     "heat_kernel",
+    "kernel_blocks",
     "truncate",
     "gap_check",
     "meyer_check",
@@ -101,16 +102,17 @@ class JumpKernel:
         if not (0.0 < cmin <= cmax):
             raise FormError("need 0 < cmin <= cmax")
         if cmin == cmax:
-            c_field = np.full((n, n), cmin)
+            c = cmin
         else:
             rng = np.random.RandomState(seed)
             c_field = rng.uniform(cmin, cmax, size=(n, n))
             iu = np.triu_indices(n, k=1)
             c_field[(iu[1], iu[0])] = c_field[iu]
+            c = c_field[off]
         J = np.zeros((n, n))
         psid = np.ones_like(d)
         psid[off] = psi(d[off])
-        J[off] = coeff * c_field[off] / (np.sqrt(V[off] * V.T[off]) * psid[off])
+        J[off] = coeff * c / (np.sqrt(V[off] * V.T[off]) * psid[off])
         ref = coeff / (V[off] * psid[off])
         ratio = J[off] / ref
         kern = cls(J, kind="stable_like",
@@ -207,12 +209,13 @@ class DirichletForm:
         return self.A[np.ix_(idx, idx)] / np.outer(sq, sq)
 
     def spectral(self):
-        """(clamped eigenvalues, eigenvectors) of S, computed once; safe to
-        call from several threads."""
+        """(lam, B): the clamped eigenvalues of S and its eigenvectors Q
+        scaled to B = Q / sqrt(mu), computed once; safe to call from several
+        threads."""
         with self._spec_lock:
             if self._spec is None:
                 lam, Q = eigh(self.sym_generator())
-                self._spec = (np.maximum(lam, 0.0), Q)
+                self._spec = (np.maximum(lam, 0.0), Q / self._sqmu[:, None])
         return self._spec
 
     # energy-measure primitives used by the condition checks
@@ -288,22 +291,29 @@ def _spectral_basis(form, idx=None):
     kernel B diag(psi(lam)) B^T against mu; ``idx`` restricts to a
     Dirichlet domain."""
     if idx is None:
-        lam, Q = form.spectral()
-        sqmu = form._sqmu
-    else:
-        lam, Q = eigh(form.sym_generator(idx))
-        lam = np.maximum(lam, 0.0)
-        sqmu = form._sqmu[idx]
-    return lam, Q / sqmu[:, None]
+        return form.spectral()
+    lam, Q = eigh(form.sym_generator(idx))
+    return np.maximum(lam, 0.0), Q / form._sqmu[idx][:, None]
+
+
+def _symmetrise(K):
+    """K <- (K + K^T) / 2 in place, one pair of 128 x 128 tiles at a time;
+    bit-equal to ``0.5 * (K + K.T)`` without its two n x n temporaries."""
+    n = K.shape[0]
+    for i in range(0, n, 128):
+        rows = slice(i, i + 128)
+        for j in range(i, n, 128):
+            cols = slice(j, j + 128)
+            s = K[rows, cols] + K[cols, rows].T
+            s *= 0.5
+            K[rows, cols] = s
+            K[cols, rows] = s.T
+    return K
 
 
 def _semigroup_kernels(B, rates, times):
     """Symmetrised kernels B exp(-rates t) B^T, one per time."""
-    kernels = []
-    for t in times:
-        K = (B * np.exp(-rates * t)) @ B.T
-        kernels.append(0.5 * (K + K.T))
-    return kernels
+    return [_symmetrise((B * np.exp(-rates * t)) @ B.T) for t in times]
 
 
 def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
@@ -320,6 +330,26 @@ def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     return HeatKernelTable(times, _semigroup_kernels(B, lam, times), idx)
 
 
+def kernel_blocks(form: DirichletForm, times, blocks, domain=None) -> list:
+    """Slices of the heat kernel: ``out[b][i]`` is K[rows, cols] at
+    ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``, indexed like
+    ``heat_kernel(form, times, domain).kernels``.
+
+    A global kernel is computed whole one time at a time, sliced and
+    dropped, so one n x n kernel is alive at a time.  A Dirichlet domain is
+    decomposed once for all times, its table held while it is sliced."""
+    if domain is None:
+        kernels = (heat_kernel(form, [t]).kernels[0] for t in times)
+    else:
+        kernels = heat_kernel(form, times, domain=domain).kernels
+    out = [[] for _ in blocks]
+    for K in kernels:
+        for slabs, (rows, cols) in zip(out, blocks):
+            slabs.append(K[np.ix_(rows, cols)])
+        del K    # before the next kernel is computed
+    return out
+
+
 def kernel_certificates(form: DirichletForm, table: HeatKernelTable) -> dict:
     """Symmetry, Chapman-Kolmogorov and conservation defects of a table.
 
@@ -331,12 +361,19 @@ def kernel_certificates(form: DirichletForm, table: HeatKernelTable) -> dict:
     mass = 0.0
     ck = 0.0
     for t, K in zip(table.times, table.kernels):
-        sym = max(sym, float(np.abs(K - K.T).max()))
+        # |K - K^T| and |p(t/2) mu p(t/2) - K| are formed in place, each
+        # n x n temporary dropped before the next is made
+        d = K - K.T
+        sym = max(sym, float(np.abs(d, out=d).max()))
+        del d
         if table.domain is None:
             mass = max(mass, float(np.abs((K * mu[None, :]).sum(axis=1) - 1.0).max()))
         half = heat_kernel(form, [t / 2.0], domain=table.domain).kernels[0]
-        comp = (half * mu[None, :]) @ half
-        ck = max(ck, float(np.abs(comp - K).max() / max(K.max(), 1e-300)))
+        d = (half * mu[None, :]) @ half
+        del half
+        d -= K
+        ck = max(ck, float(np.abs(d, out=d).max() / max(K.max(), 1e-300)))
+        del d
     return {"symmetry": sym, "chapman_kolmogorov": ck, "unit_mass": mass}
 
 
@@ -389,12 +426,17 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
     space = form.space
     margin = space.interior_margin if margin is None else margin
     interior = space.interior(margin)
-    if kernels is None:
-        kernels = heat_kernel(form, times).kernels
-    truncated = heat_kernel(truncate(form, rho), times).kernels
-    block = np.ix_(interior, interior)
-    diffs = [(P - Qk)[block] for P, Qk in zip(kernels, truncated)]
-    del truncated
+    block = [(interior, interior)]
+
+    def p_block(i):
+        if kernels is None:
+            return kernel_blocks(form, [times[i]], block)[0][0]
+        return kernels[i][np.ix_(interior, interior)]
+
+    # p - q^(rho) on the interior block, written over the q^(rho) slices
+    (diffs,) = kernel_blocks(truncate(form, rho), times, block)
+    for i, diff in enumerate(diffs):
+        np.subtract(p_block(i), diff, out=diff)
     phi_rho = scales.phi(rho)
     phij_rho = scales.phi_j(rho)
     Vrho = np.array([space.volume(x, rho) for x in interior])

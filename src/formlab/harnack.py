@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .form import DirichletForm, heat_kernel
+from .form import DirichletForm, heat_kernel, kernel_blocks
 from .functionals import ConditionReport
 
 __all__ = [
@@ -134,26 +135,27 @@ def _flow_times(scales, cyl: CylinderSpec, n_window_times: int):
 def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
                     mode: str = "necessary", n_atom_intervals: int = 8,
                     n_window_times: int = 5, thin: int = 1,
-                    keep_samples: bool = False, kernels=None) -> CaloricFamily:
+                    keep_samples: bool = False, blocks=None) -> CaloricFamily:
     """Produce the caloric family for a cylinder and record its Q-/Q+ extrema.
 
     FULL mode solves the backward parabolic problem per exterior space-time
     atom with exact spectral stepping (capped at ball size 256 and 2000
     atoms); NECESSARY mode uses the global heat flows from point masses.
-    ``kernels`` are the global p at the Q- then Q+ sample times when the
-    caller holds them already (NECESSARY mode only).
+    ``blocks`` are the B(x0, R) x atoms slices of the global p at the Q-
+    then Q+ sample times when the caller holds them already (NECESSARY mode
+    only).
     """
     space = form.space
     ball_R = space.ball(cyl.x0, cyl.R)
     t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
 
     if mode == "necessary":
-        if kernels is None:
-            kernels = heat_kernel(form, t_minus + t_plus).kernels
         atoms = np.arange(0, form.n, thin)
-        block = np.ix_(ball_R, atoms)
+        if blocks is None:
+            (blocks,) = kernel_blocks(form, t_minus + t_plus,
+                                      [(ball_R, atoms)])
         # u_z(t, x) = p(t, x, z) mu(z) on B(x0, R) x atoms, one slab per time
-        flows = np.stack([K[block] * form.mu[atoms] for K in kernels])
+        flows = np.stack([K * form.mu[atoms] for K in blocks])
         nm = len(t_minus)
         sup_m = flows[:nm].max(axis=(0, 1))
         inf_p = flows[nm:].min(axis=(0, 1))
@@ -240,8 +242,32 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     return fam
 
 
+def _families(form, scales, cylinders, mode, n_window_times, thin, kw):
+    """The caloric family of each cylinder in turn.  In NECESSARY mode a run
+    of consecutive cylinders with equal sample times (same R, t0 and
+    constants) shares one pass over the global kernels at those times: each
+    kernel is sliced to every cylinder's B(x0, R) x atoms block and dropped."""
+    atoms = np.arange(0, form.n, thin)
+
+    def flow_times(cyl):
+        t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
+        return tuple(t_minus + t_plus)
+
+    for times, run in groupby(cylinders, key=flow_times):
+        run = list(run)
+        if mode == "necessary":
+            cyl_blocks = kernel_blocks(form, times, [
+                (form.space.ball(c.x0, c.R), atoms) for c in run])
+        else:
+            cyl_blocks = [None] * len(run)
+        for cyl, blocks in zip(run, cyl_blocks):
+            yield caloric_poisson(form, scales, cyl, mode=mode,
+                                  n_window_times=n_window_times, thin=thin,
+                                  blocks=blocks, **kw)
+
+
 def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
-              n_window_times: int = 5, **kw) -> ConditionReport:
+              n_window_times: int = 5, thin: int = 1, **kw) -> ConditionReport:
     """Fit C6 = sup over the caloric family of sup_{Q-} u / inf_{Q+} u.
 
     In FULL mode on small cylinders this bounds every nonnegative caloric
@@ -251,19 +277,8 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
     rows = []
     C6 = 0.0
     witness = {}
-    # consecutive cylinders with equal sample times (same R, t0 and
-    # constants) share one table of global heat flows; one table is alive
-    # at a time
-    times, kernels = None, None
-    for cyl in cylinders:
-        if mode == "necessary":
-            t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
-            if tuple(t_minus + t_plus) != times:
-                times, kernels = tuple(t_minus + t_plus), None
-                kernels = heat_kernel(form, times).kernels
-        fam = caloric_poisson(form, scales, cyl, mode=mode,
-                              n_window_times=n_window_times, kernels=kernels,
-                              **kw)
+    for cyl, fam in zip(cylinders, _families(form, scales, cylinders, mode,
+                                             n_window_times, thin, kw)):
         ratios = fam.ratios()
         alive = ratios[np.isfinite(ratios)]
         if alive.size == 0:

@@ -245,6 +245,25 @@ class TestMain:
         p.write_text(json.dumps({"name": "x"}))
         assert main(["--config", str(p), "validate"]) == 3
 
+    def test_missing_config_exit_code(self, capsys):
+        assert main(["validate"]) == 3
+        assert "--config is required" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(mini_cfg(checks=["volume"])))
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["--config", str(p), "--out", str(blocker / "out"),
+                     "suite"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("config error:")
+
+    def test_report_on_missing_file_exit_code(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "report",
+                     str(tmp_path / "missing.json")]) == 3
+        assert capsys.readouterr().err.startswith("execution error:")
+
     def test_unexpected_verdict_exit_code(self, tmp_path, capsys):
         # expecting a failure that does not happen must flag exit code 2
         cfg = mini_cfg(checks=["kernel"], expect={"kernel": "failed"})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import formlab.form as form_mod
 import formlab.harnack as harnack
 from formlab.cli import SuiteContext, load_config
 from formlab.form import JumpKernel, assemble, heat_kernel
@@ -188,20 +189,27 @@ class TestSharedFlows:
         assert np.array_equal(rep.witness["worst"]["trace_plus"], tp)
 
     def test_one_kernel_table_per_window_times(self, mini, monkeypatch):
+        # each window time's kernel is computed exactly once per run of
+        # consecutive cylinders with equal sample times, one time per call
         form, scales, cyls = mini
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(tuple(args[1]))
             return heat_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(harnack, "heat_kernel", counting)
+        def window_times(cyl):
+            t_minus, t_plus = harnack._flow_times(scales, cyl, 5)
+            return [(t,) for t in t_minus + t_plus]
+
+        monkeypatch.setattr(form_mod, "heat_kernel", counting)
         check_phi(form, scales, cyls[:3], mode="necessary")
-        assert len(calls) == 1
+        assert calls == window_times(cyls[0])
         calls.clear()
         # a later t0 and a smaller R each bring their own sample times
         check_phi(form, scales, cyls, mode="necessary")
-        assert len(calls) == 3
+        assert calls == (window_times(cyls[0]) + window_times(cyls[3])
+                         + window_times(cyls[4]))
         calls.clear()
         check_phi(form, scales, cyls[:1], mode="full")
         assert calls == []

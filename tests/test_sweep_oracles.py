@@ -1,7 +1,9 @@
 """The hoisted envelope, tail, chain and J-psi sweeps against in-test copies
 of the loop formulas they replaced, which recompute every geometric piece
-per time, per dilation and per entry.  Outputs must be equal, not close:
-the hoisting moves computations, it does not change them."""
+per time, per dilation and per entry, and the block-streamed NDL and Meyer
+sweeps against copies of the loops that sliced whole kernel tables.
+Outputs must be equal, not close: the rewrites move computations, they do
+not change them."""
 
 import json
 import math
@@ -10,10 +12,12 @@ import numpy as np
 import pytest
 
 from formlab.cli import SuiteContext, _jsonable, load_config, run_suite
-from formlab.envelopes import (FLOOR_REL, EnvelopeParams, chain_lower_check,
+from formlab.envelopes import (FLOOR_REL, EnvelopeParams, _EnvelopeGrid,
+                               chain_lower_check, diag_checks,
                                envelope_ratio_rows, fit_hk,
                                tail_probability_check, usable_times)
-from formlab.form import JumpKernel, assemble
+from formlab.form import (JumpKernel, assemble, heat_kernel, meyer_check,
+                          truncate)
 from formlab.functionals import ConditionReport, fit_jpsi
 from formlab.scales import ScaleFunction, _log_grid, legendre_sup
 from formlab.space import chain_check
@@ -302,6 +306,91 @@ def old_fit_jpsi(form, psi):
                     for k, v in sorted(per_d.items())]
 
 
+def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
+                    eps=0.25, nl_constant=1.0):
+    xs = space.interior()
+    keep = usable_times(table, space, 0.01)
+    c_uhkd = 0.0
+    c_nl = math.inf
+    grid = _EnvelopeGrid(scales, space, xs, xs)
+    for i in keep:
+        t = table.times[i]
+        Vphi = grid.volumes(scales.phi.inverse(t))
+        diag = table.kernels[i][xs, xs]
+        c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
+        near = grid.d <= nl_constant * scales.phi.inverse(t)
+        K = table.kernels[i][np.ix_(xs, xs)]
+        vals = (K * Vphi[:, None])[near]
+        if vals.size:
+            c_nl = min(c_nl, float(vals.min()))
+    c_ndl = math.inf
+    mono_defect = 0.0
+    ndl_rows = []
+    for r in map(float, ndl_radii):
+        centers = space.usable_centers(r + 1e-9)[:3]
+        if len(centers) == 0:
+            continue
+        t_top = scales.phi(eps * r)
+        t_floor = min(scales.phi(1.0), t_top)
+        ts = list(np.geomspace(t_floor, t_top, 4))
+        full = heat_kernel(form, ts)
+        for x0 in map(int, centers):
+            B = space.ball(x0, r)
+            tabB = heat_kernel(form, ts, domain=B)
+            posB = {int(p): k for k, p in enumerate(B)}
+            for t, KB, KF in zip(ts, tabB.kernels, full.kernels):
+                rad = eps * scales.phi.inverse(t)
+                core = [p for p in B if space.metric[x0, p] < max(rad, 1e-12)]
+                if not core:
+                    core = [x0]
+                ci = [posB[p] for p in core]
+                Vx0 = space.volume(x0, scales.phi.inverse(t))
+                sub = KB[np.ix_(ci, ci)]
+                c_ndl = min(c_ndl, float(sub.min()) * Vx0)
+                mono_defect = max(mono_defect, float(
+                    (KB - KF[np.ix_(B, B)]).max()
+                ))
+                ndl_rows.append({"x0": x0, "r": r, "t": t,
+                                 "c1": float(sub.min()) * Vx0})
+    return c_uhkd, c_nl, c_ndl, mono_defect, ndl_rows
+
+
+def old_meyer_check(form, scales, rho, times, kernels=None):
+    space = form.space
+    interior = space.interior()
+    if kernels is None:
+        kernels = heat_kernel(form, times).kernels
+    truncated = heat_kernel(truncate(form, rho), times).kernels
+    block = np.ix_(interior, interior)
+    diffs = [(P - Qk)[block] for P, Qk in zip(kernels, truncated)]
+    phi_rho = scales.phi(rho)
+    phij_rho = scales.phi_j(rho)
+    Vrho = np.array([space.volume(x, rho) for x in interior])
+
+    def excess(c1):
+        worst = -np.inf
+        for t, diff in zip(times, diffs):
+            bound = c1 * t / (Vrho[:, None] * phij_rho) * math.exp(
+                c1 * t / phi_rho)
+            worst = max(worst, float((diff - bound).max()))
+        return worst
+
+    if excess(0.0) <= 0.0:
+        return {"c1": 0.0, "rho": rho}
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            return {"c1": math.inf, "rho": rho}
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return {"c1": hi, "rho": rho}
+
+
 # -- equality with the hoisted sweeps ------------------------------------------
 
 
@@ -385,6 +474,33 @@ def test_fit_jpsi_equals_loop_formulas(ctx):
             assemble(space, 1.0, JumpKernel.power_law(space, alpha=1.0)))
     for psi in (ctx.scales.phi_j, ScaleFunction.single_power(0.5)):
         assert canon(fit_jpsi(form, psi)) == canon(old_fit_jpsi(form, psi))
+
+
+def test_diag_checks_equal_full_kernel_loops(ctx):
+    radii = (4.0, 8.0)
+    rep = diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form,
+                      ndl_radii=radii)
+    c_uhkd, c_nl, c_ndl, defect, rows = old_diag_checks(
+        ctx.table, ctx.scales, ctx.space, ctx.form, ndl_radii=radii)
+    assert rows
+    assert (rep.constants["c_UHKD"], rep.constants["c_NL"],
+            rep.constants["c_NDL"]) == (c_uhkd, c_nl, c_ndl)
+    assert rep.constants["domain_monotonicity_defect"] == defect
+    assert canon(rep.rows) == canon(rows)
+
+
+def test_meyer_check_equals_full_kernel_loop(ctx):
+    space = ctx.space
+    form = (ctx.form if ctx.form.jump is not None else
+            assemble(space, 1.0, JumpKernel.power_law(space, alpha=1.0)))
+    times = ctx.times[:3]
+    kernels = heat_kernel(form, times).kernels
+    for rho in ctx.radii:
+        want = old_meyer_check(form, ctx.scales, rho, times)
+        assert want["c1"] > 0.0
+        assert meyer_check(form, ctx.scales, rho, times) == want
+        assert meyer_check(form, ctx.scales, rho, times,
+                           kernels=kernels) == want
 
 
 def test_fit_hk_sweeps_each_row_once(monkeypatch):
