@@ -330,20 +330,15 @@ def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     return HeatKernelTable(times, _semigroup_kernels(B, lam, times), idx)
 
 
-def kernel_blocks(form: DirichletForm, times, blocks, domain=None) -> list:
-    """Slices of the heat kernel: ``out[b][i]`` is K[rows, cols] at
-    ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``, indexed like
-    ``heat_kernel(form, times, domain).kernels``.
+def kernel_blocks(form: DirichletForm, times, blocks) -> list:
+    """Slices of the global heat kernel: ``out[b][i]`` is K[rows, cols] at
+    ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``.
 
-    A global kernel is computed whole one time at a time, sliced and
-    dropped, so one n x n kernel is alive at a time.  A Dirichlet domain is
-    decomposed once for all times, its table held while it is sliced."""
-    if domain is None:
-        kernels = (heat_kernel(form, [t]).kernels[0] for t in times)
-    else:
-        kernels = heat_kernel(form, times, domain=domain).kernels
+    Each kernel is computed whole one time at a time, sliced and dropped,
+    so one n x n kernel is alive at a time."""
     out = [[] for _ in blocks]
-    for K in kernels:
+    for t in times:
+        K = heat_kernel(form, [t]).kernels[0]
         for slabs, (rows, cols) in zip(out, blocks):
             slabs.append(K[np.ix_(rows, cols)])
         del K    # before the next kernel is computed
@@ -427,16 +422,14 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
     margin = space.interior_margin if margin is None else margin
     interior = space.interior(margin)
     block = [(interior, interior)]
-
-    def p_block(i):
-        if kernels is None:
-            return kernel_blocks(form, [times[i]], block)[0][0]
-        return kernels[i][np.ix_(interior, interior)]
-
+    if kernels is None:
+        (P,) = kernel_blocks(form, times, block)
+    else:
+        P = [K[np.ix_(interior, interior)] for K in kernels]
     # p - q^(rho) on the interior block, written over the q^(rho) slices
     (diffs,) = kernel_blocks(truncate(form, rho), times, block)
-    for i, diff in enumerate(diffs):
-        np.subtract(p_block(i), diff, out=diff)
+    for p, diff in zip(P, diffs):
+        np.subtract(p, diff, out=diff)
     phi_rho = scales.phi(rho)
     phij_rho = scales.phi_j(rho)
     Vrho = np.array([space.volume(x, rho) for x in interior])
