@@ -450,7 +450,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                 sub = KB[np.ix_(ci, ci)]
                 c_ndl = min(c_ndl, float(sub.min()) * Vx0)
                 mono_defect = max(mono_defect, float((KB - KF).max()))
-                ndl_rows.append({"x0": x0, "r": r, "t": t,
+                ndl_rows.append({"x0": x0, "r": r, "t": float(t),
                                  "c1": float(sub.min()) * Vx0})
     nl_ok = np.isfinite(c_nl) and c_nl > 0.0
     ndl_ok = np.isfinite(c_ndl) and c_ndl > 0.0
@@ -615,6 +615,18 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
 
 # -- chaining lower bound ----------------------------------------------------------------
 
+_CHUNK = 8192   # triples per batch of Python floats
+
+
+def _pow(xs, ys):
+    """[x ** y] by the C library pow, as numpy float64 scalars compute it;
+    a vectorised ``np.power`` may round differently.  A batch that
+    overflows is redone with the scalars, which give inf there."""
+    try:
+        return list(map(math.pow, xs, ys))
+    except OverflowError:
+        return [float(np.float64(x) ** y) for x, y in zip(xs, ys)]
+
 
 def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
                       c0: float = 2.0, margin=None,
@@ -654,12 +666,16 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
         K_sub = K[np.ix_(xs, xs)]
         floor = FLOOR_REL * float(K.max())
         ii, jj = np.nonzero(sel & (K_sub > floor))
-        for a, b in zip(ii, jj):
-            ratio = K_sub[a, b] * Vc[a] / c5
-            base = ratio ** (1.0 / mvals[a, b])
-            rows.append({"t": t, "m": float(mvals[a, b]), "base": float(base)})
-            c6 = min(c6, float(base))
-            used += 1
+        ratio = K_sub[ii, jj] * Vc[ii] / c5
+        m_sel = mvals[ii, jj]
+        inv_m = 1.0 / m_sel
+        for lo in range(0, len(ii), _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            bases = _pow(ratio[part].tolist(), inv_m[part].tolist())
+            rows.extend({"t": t, "m": m, "base": base}
+                        for m, base in zip(m_sel[part].tolist(), bases))
+            c6 = min(c6, *bases)
+        used += len(ii)
     verdict = "certified" if (used and 0.0 < c6) else "failed"
     return ConditionReport(
         "chain-lower", verdict,

@@ -56,6 +56,39 @@ class FormError(ValueError):
     """Invalid form construction or query."""
 
 
+_ROWS = 32    # rows per block of the in-place n x n sweeps
+_TILE = 128   # side of the tiles that mirror an n x n matrix in place
+
+
+def _row_asymmetry(M):
+    """Row maxima of |M - M^T|, one block of rows at a time, without an
+    n x n temporary."""
+    out = np.empty(len(M))
+    for i in range(0, len(M), _ROWS):
+        d = M[i:i + _ROWS] - M[:, i:i + _ROWS].T
+        np.abs(d, out=d).max(axis=1, out=out[i:i + _ROWS])
+    return out
+
+
+def _abs_max(M):
+    """max |M| without the n x n temporary of ``np.abs(M).max()``."""
+    return max(float(M.max()), -float(M.min()))
+
+
+def _mirror_upper(M):
+    """M[i, j] <- M[j, i] for i > j in place, one tile at a time."""
+    n = len(M)
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, i, _TILE):
+            cols = slice(j, j + _TILE)
+            M[rows, cols] = M[cols, rows].T
+        tile = M[rows, rows]
+        low = np.tril_indices(len(tile), -1)
+        tile[low] = tile.T[low]
+    return M
+
+
 # -- jump kernels ------------------------------------------------------------
 
 
@@ -70,17 +103,18 @@ class JumpKernel:
 
     def __post_init__(self):
         J = np.asarray(self.matrix, dtype=float)
-        asym = np.abs(J - J.T)
-        scale = max(float(np.abs(J).max()), 1e-300)
-        if asym.max() > 1e-12 * scale:
-            i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        asym = _row_asymmetry(J)
+        if asym.max() > 1e-12 * max(_abs_max(J), 1e-300):
+            # the first worst pair in row-major order
+            i = int(np.argmax(asym))
+            j = int(np.argmax(np.abs(J[i] - J[:, i])))
             raise FormError(
                 f"jump kernel not symmetric: worst witness ({i}, {j}) with "
                 f"J[i,j]={J[i, j]!r}, J[j,i]={J[j, i]!r}"
             )
-        if np.any(J < 0.0):
+        if any((J[i:i + _ROWS] < 0.0).any() for i in range(0, len(J), _ROWS)):
             raise FormError("jump intensities must be nonnegative")
-        J = 0.5 * (J + J.T)
+        J = _symmetrise(J.copy())
         np.fill_diagonal(J, 0.0)
         self.matrix = J
 
@@ -95,29 +129,36 @@ class JumpKernel:
         recorded."""
         n = space.n
         d = space.metric
-        off = ~np.eye(n, dtype=bool)
         V = np.empty((n, n))
         for x in range(n):
             V[x] = space.volumes(x, d[x] + 1e-9)  # closed-ball volume at d(x,y)
         if not (0.0 < cmin <= cmax):
             raise FormError("need 0 < cmin <= cmax")
-        if cmin == cmax:
-            c = cmin
-        else:
+        c_field = None
+        if cmin != cmax:
             rng = np.random.RandomState(seed)
-            c_field = rng.uniform(cmin, cmax, size=(n, n))
-            iu = np.triu_indices(n, k=1)
-            c_field[(iu[1], iu[0])] = c_field[iu]
-            c = c_field[off]
+            c_field = _mirror_upper(rng.uniform(cmin, cmax, size=(n, n)))
+        # one block of rows at a time over the off-diagonal pairs
         J = np.zeros((n, n))
-        psid = np.ones_like(d)
-        psid[off] = psi(d[off])
-        J[off] = coeff * c / (np.sqrt(V[off] * V.T[off]) * psid[off])
-        ref = coeff / (V[off] * psid[off])
-        ratio = J[off] / ref
+        lo, hi = [], []
+        for i in range(0, n, _ROWS):
+            rows = slice(i, i + _ROWS)
+            b = min(_ROWS, n - i)
+            off = np.ones((b, n), dtype=bool)
+            off[np.arange(b), np.arange(i, i + b)] = False
+            Vo = V[rows][off]
+            psid = psi(d[rows][off])
+            c = cmin if c_field is None else c_field[rows][off]
+            Jo = coeff * c / (np.sqrt(Vo * V[:, rows].T[off]) * psid)
+            J[rows][off] = Jo
+            ratio = Jo / (coeff / (Vo * psid))
+            lo.append(ratio.min())
+            hi.append(ratio.max())
+        del V, c_field   # before the kernel makes its own copy of J
+        comparability = (float(np.min(lo)), float(np.max(hi)))
         kern = cls(J, kind="stable_like",
                    params={"coeff": coeff, "cmin": cmin, "cmax": cmax})
-        kern.comparability = (float(ratio.min()), float(ratio.max()))
+        kern.comparability = comparability
         return kern
 
     @classmethod
@@ -168,13 +209,16 @@ class DirichletForm:
         self.w_edges = w_edges
         self.jump = jump
 
-        K = np.zeros((n, n))
-        if jump is not None:
-            K = jump.matrix * np.outer(space.mu, space.mu)
-        # energy matrix: E(f, g) = f @ A @ g
-        A = -(2.0 * K)
+        # energy matrix: E(f, g) = f @ A @ g, built in place from K = J mu mu
         i, j = edges[:, 0], edges[:, 1]
-        A[i, j] = A[j, i] = -(w_edges + 2.0 * K[i, j])
+        if jump is None:
+            A = np.zeros((n, n))
+        else:
+            A = np.outer(space.mu, space.mu)
+            A *= jump.matrix
+        K_edges = A[i, j]
+        A *= -2.0
+        A[i, j] = A[j, i] = -(w_edges + 2.0 * K_edges)
         np.fill_diagonal(A, 0.0)
         A[np.diag_indices(n)] = -A.sum(axis=1)
         self.A = A
@@ -182,8 +226,8 @@ class DirichletForm:
         self._sqmu = np.sqrt(space.mu)
         self._spec = None
         self._spec_lock = threading.Lock()
-        sym_err = float(np.abs(A - A.T).max())
-        if sym_err > 1e-12 * max(float(np.abs(A).max()), 1e-300):
+        sym_err = float(_row_asymmetry(A).max())
+        if sym_err > 1e-12 * max(_abs_max(A), 1e-300):
             raise FormError(f"generator lost mu-symmetry: {sym_err}")
         self.symmetry_defect = sym_err
 
@@ -204,7 +248,9 @@ class DirichletForm:
         ``idx`` gives only the block S[idx, idx], the generator of the
         Dirichlet restriction to idx."""
         if idx is None:
-            return self.A / np.outer(self._sqmu, self._sqmu)
+            # Fortran order, which eigh reads without a copy
+            S = np.outer(self._sqmu, self._sqmu).T
+            return np.divide(self.A, S, out=S)
         sq = self._sqmu[idx]
         return self.A[np.ix_(idx, idx)] / np.outer(sq, sq)
 
@@ -214,8 +260,9 @@ class DirichletForm:
         threads."""
         with self._spec_lock:
             if self._spec is None:
-                lam, Q = eigh(self.sym_generator())
-                self._spec = (np.maximum(lam, 0.0), Q / self._sqmu[:, None])
+                lam, B = eigh(self.sym_generator(), overwrite_a=True)
+                B /= self._sqmu[:, None]
+                self._spec = (np.maximum(lam, 0.0), B)
         return self._spec
 
     # energy-measure primitives used by the condition checks
@@ -297,13 +344,13 @@ def _spectral_basis(form, idx=None):
 
 
 def _symmetrise(K):
-    """K <- (K + K^T) / 2 in place, one pair of 128 x 128 tiles at a time;
+    """K <- (K + K^T) / 2 in place, one pair of tiles at a time;
     bit-equal to ``0.5 * (K + K.T)`` without its two n x n temporaries."""
     n = K.shape[0]
-    for i in range(0, n, 128):
-        rows = slice(i, i + 128)
-        for j in range(i, n, 128):
-            cols = slice(j, j + 128)
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, n, _TILE):
+            cols = slice(j, j + _TILE)
             s = K[rows, cols] + K[cols, rows].T
             s *= 0.5
             K[rows, cols] = s
@@ -426,21 +473,24 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
         (P,) = kernel_blocks(form, times, block)
     else:
         P = [K[np.ix_(interior, interior)] for K in kernels]
-    # p - q^(rho) on the interior block, written over the q^(rho) slices
+    # row maxima of p - q^(rho) on the interior block: the bound below is
+    # constant along a row and rounding is monotone, so the largest
+    # fl(p - q - bound) of a row is fl(rowmax - bound)
     (diffs,) = kernel_blocks(truncate(form, rho), times, block)
+    rowmax = []
     for p, diff in zip(P, diffs):
         np.subtract(p, diff, out=diff)
+        rowmax.append(diff.max(axis=1))
+    del P, diffs
     phi_rho = scales.phi(rho)
     phij_rho = scales.phi_j(rho)
-    Vrho = np.array([space.volume(x, rho) for x in interior])
+    Vphij = np.array([space.volume(x, rho) for x in interior]) * phij_rho
 
     def excess(c1):
         worst = -np.inf
-        for t, diff in zip(times, diffs):
-            bound = c1 * t / (Vrho[:, None] * phij_rho) * math.exp(
-                c1 * t / phi_rho
-            )
-            worst = max(worst, float((diff - bound).max()))
+        for t, top in zip(times, rowmax):
+            bound = c1 * t / Vphij * math.exp(c1 * t / phi_rho)
+            worst = max(worst, float((top - bound).max()))
         return worst
 
     if excess(0.0) <= 0.0:

@@ -277,6 +277,36 @@ def capacity_ball_report(form: DirichletForm, scales, x0: int, R: float,
             "potential": potential}
 
 
+def _gcap_cutoffs(form: DirichletForm, A, B, x0=None, radii=None):
+    """The kappa-free candidate cut-offs of (A, B): the equilibrium
+    potential and, for concentric balls, the radial linear ramp."""
+    _, eq = capacity(form, A, B)
+    cutoffs = [eq]
+    if x0 is not None and radii is not None:
+        r_in, r_out = radii
+        d = form.space.metric[x0]
+        ramp = np.clip((r_out - d) / max(r_out - r_in, 1e-12), 0.0, 1.0)
+        ramp[d >= r_out] = 0.0
+        cutoffs.append(ramp)
+    return cutoffs
+
+
+def _gcap_min(form: DirichletForm, f2, cutoffs, values, kappa):
+    """Least E(f^2 phi, phi) over the cut-offs, whose values are given, each
+    followed by its kappa-scaled copy min(kappa phi, kappa) when kappa > 1;
+    the first least candidate wins."""
+    vals, cands = [], []
+    for phi, val in zip(cutoffs, values):
+        vals.append(val)
+        cands.append(phi)
+        if kappa > 1.0:
+            scaled = np.minimum(kappa * phi, kappa)
+            vals.append(float((f2 * scaled) @ form.A @ scaled))
+            cands.append(scaled)
+    k = int(np.argmin(vals))
+    return vals[k], cands[k]
+
+
 def generalized_capacity(form: DirichletForm, f, A, B, kappa: float = 1.0,
                          x0=None, radii=None):
     """E(f^2 phi, phi) minimised over candidate kappa-cut-offs: the scaled
@@ -285,28 +315,17 @@ def generalized_capacity(form: DirichletForm, f, A, B, kappa: float = 1.0,
     capacity."""
     f = np.asarray(f, dtype=float)
     f2 = f * f
-    _, eq = capacity(form, A, B)
-    candidates = [eq]
-    if kappa > 1.0:
-        candidates.append(np.minimum(kappa * eq, kappa))
-    if x0 is not None and radii is not None:
-        r_in, r_out = radii
-        d = form.space.metric[x0]
-        ramp = np.clip((r_out - d) / max(r_out - r_in, 1e-12), 0.0, 1.0)
-        outside = d >= r_out
-        ramp[outside] = 0.0
-        candidates.append(ramp)
-        if kappa > 1.0:
-            candidates.append(np.minimum(kappa * ramp, kappa))
-    vals = [float((f2 * phi) @ form.A @ phi) for phi in candidates]
-    k = int(np.argmin(vals))
-    return vals[k], candidates[k]
+    cutoffs = _gcap_cutoffs(form, A, B, x0, radii)
+    values = [float((f2 * phi) @ form.A @ phi) for phi in cutoffs]
+    return _gcap_min(form, f2, cutoffs, values, kappa)
 
 
 def check_gcap(form: DirichletForm, scales, families, test_fns,
                kappas=(1.0, 2.0)) -> ConditionReport:
     """One-sided certificate for the generalized capacity inequality: the
-    candidate cut-offs witness E(f^2 phi, phi) <= C/phi(r) int_B f^2 dmu."""
+    candidate cut-offs witness E(f^2 phi, phi) <= C/phi(r) int_B f^2 dmu.
+    The capacity solve is made once per family and each kappa-free
+    candidate is evaluated once per test function."""
     space = form.space
     rows = []
     fitted = {k: 0.0 for k in kappas}
@@ -317,14 +336,18 @@ def check_gcap(form: DirichletForm, scales, families, test_fns,
         if len(B_idx) >= form.n or len(A_idx) == 0:
             continue
         phi_r = scales.phi(r)
+        cutoffs = None
         for fi, f in enumerate(test_fns):
             mass = float(np.sum(np.asarray(f)[B_idx] ** 2 * space.mu[B_idx]))
             if mass <= 0.0:
                 continue
+            if cutoffs is None:
+                cutoffs = _gcap_cutoffs(form, A_idx, B_idx, x0, (R, R + r))
+            f = np.asarray(f, dtype=float)
+            f2 = f * f
+            values = [float((f2 * phi) @ form.A @ phi) for phi in cutoffs]
             for kappa in kappas:
-                val, _ = generalized_capacity(
-                    form, f, A_idx, B_idx, kappa, x0=x0, radii=(R, R + r)
-                )
+                val, _ = _gcap_min(form, f2, cutoffs, values, kappa)
                 c = val * phi_r / mass
                 rows.append({"x0": x0, "R": R, "r": r, "kappa": kappa,
                              "fn": fi, "C": c})

@@ -201,12 +201,12 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     U = np.zeros((nb, n_atoms))
     U[:, :nb] = np.eye(nb)               # bottom atoms: delta data at t0
     src = np.zeros((nb, n_atoms))
-    bounds = np.linspace(0.0, horizon, n_atom_intervals + 1)
 
-    rec_m = {round(t, 12): [] for t in t_minus}
-    rec_p = {round(t, 12): [] for t in t_plus}
+    # the distinct rounded sample times, in order
+    rec_m = list(dict.fromkeys(round(t, 12) for t in t_minus))
+    rec_p = list(dict.fromkeys(round(t, 12) for t in t_plus))
     sample_steps = {}
-    for t in list(rec_m) + list(rec_p):
+    for t in rec_m + rec_p:
         sample_steps.setdefault(int(round(t / h)), []).append(t)
 
     posR = np.array([int(np.nonzero(B_cyl == p)[0][0]) for p in ball_R])

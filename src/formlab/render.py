@@ -6,46 +6,45 @@ identical bytes (no timestamps, no library version strings).
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 DOMINANCE_CLASSES = ("diagonal", "gaussian", "jump")
 DOMINANCE_COLORS = {"diagonal": "#1f3b70", "gaussian": "#2e8b57", "jump": "#d2691e"}
+_CHUNK = 8192   # rows or rects per write
 
 
 def svg_heatmap(labels, path, cell: int = 4, title: str = "dominance map"):
     """Categorical heatmap of dominance labels (0 diagonal, 1 gaussian,
-    2 jump).  All three region classes are always declared in the legend."""
+    2 jump).  All three region classes are always declared in the legend.
+    The rects are written one class and one bounded batch at a time."""
     labels = np.asarray(labels)
     h, w = labels.shape
     width = w * cell + 160
     height = max(h * cell, 70) + 30
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}">',
-        f'<title>{title}</title>',
-    ]
-    for k, name in enumerate(DOMINANCE_CLASSES):
-        parts.append(f'<g class="region-{name}">')
-        ys, xs = np.nonzero(labels == k)
-        for y, x in zip(ys, xs):
-            parts.append(
-                f'<rect x="{x * cell}" y="{y * cell}" width="{cell}" '
-                f'height="{cell}" fill="{DOMINANCE_COLORS[name]}"/>'
-            )
-        parts.append("</g>")
-    for k, name in enumerate(DOMINANCE_CLASSES):
-        y0 = 20 + 18 * k
-        parts.append(
-            f'<rect x="{w * cell + 12}" y="{y0}" width="12" height="12" '
-            f'fill="{DOMINANCE_COLORS[name]}" class="legend-{name}"/>'
-        )
-        parts.append(
-            f'<text x="{w * cell + 30}" y="{y0 + 11}" font-size="12" '
-            f'font-family="monospace">{name}</text>'
-        )
-    parts.append("</svg>")
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                 f'height="{height}">\n<title>{title}</title>\n')
+        for k, name in enumerate(DOMINANCE_CLASSES):
+            fh.write(f'<g class="region-{name}">\n')
+            rect = (f'<rect x="{{}}" y="{{}}" width="{cell}" height="{cell}" '
+                    f'fill="{DOMINANCE_COLORS[name]}"/>\n')
+            ys, xs = np.nonzero(labels == k)
+            for lo in range(0, len(ys), _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                fh.write("".join(map(rect.format, (xs[part] * cell).tolist(),
+                                     (ys[part] * cell).tolist())))
+            fh.write("</g>\n")
+        for k, name in enumerate(DOMINANCE_CLASSES):
+            y0 = 20 + 18 * k
+            fh.write(
+                f'<rect x="{w * cell + 12}" y="{y0}" width="12" height="12" '
+                f'fill="{DOMINANCE_COLORS[name]}" class="legend-{name}"/>\n'
+                f'<text x="{w * cell + 30}" y="{y0 + 11}" font-size="12" '
+                f'font-family="monospace">{name}</text>\n'
+            )
+        fh.write("</svg>\n")
 
 
 def svg_curves(series, path, title: str = "curves", width: int = 520,
@@ -92,22 +91,43 @@ def svg_curves(series, path, title: str = "curves", width: int = 520,
 
 
 def write_rows_csv(rows, path):
-    """Flat CSV from a list of dict rows (nested values skipped)."""
-    flat = [r for r in rows if isinstance(r, dict)
-            and all(not isinstance(v, (list, dict)) for v in r.values())]
+    """Flat CSV from a list of dict rows (nested values skipped), one
+    column at a time and one bounded batch of rows at a time.  Cells that
+    hold a comma, a quote or a line break are quoted as in RFC 4180."""
+    flat = [r for r in rows if isinstance(r, dict)]
+    types = set(map(type, chain.from_iterable(map(dict.values, flat))))
+    if any(issubclass(t, (list, dict)) for t in types):
+        flat = [r for r in flat
+                if all(not isinstance(v, (list, dict)) for v in r.values())]
     if not flat:
         return False
-    keys = sorted({k for r in flat for k in r})
+    keys = sorted(set(chain.from_iterable(flat)))
     with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for r in flat:
-            fh.write(",".join(_cell(r.get(k)) for k in keys) + "\n")
+        fh.write(",".join(map(_quote, keys)) + "\n")
+        for lo in range(0, len(flat), _CHUNK):
+            part = flat[lo:lo + _CHUNK]
+            cols = [_column(list(map(dict.get, part, repeat(k)))) for k in keys]
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
     return True
 
 
+def _column(values):
+    if set(map(type, values)) == {float}:
+        return list(map(float.__repr__, values))
+    return list(map(_cell, values))
+
+
 def _cell(v):
+    if isinstance(v, np.generic):
+        v = v.item()
     if v is None:
         return ""
     if isinstance(v, float):
         return repr(v)
-    return str(v)
+    return _quote(str(v))
+
+
+def _quote(text):
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 
@@ -90,6 +91,35 @@ class TestSuite:
         assert "deliberate failure" in suite.report["checks"]["jpsi_alt"]["notes"]
         assert suite.report["checks"]["kernel"]["verdict"] == "certified"
         assert not suite.report["all_ok"]
+
+    def test_rendered_csvs_parse_back(self, suite, tmp_path, monkeypatch):
+        # an errored check's traceback holds commas, quotes and newlines
+        def broken(ctx, **kw):
+            raise RuntimeError('deliberate, "quoted" failure')
+
+        data = mini_cfg(checks=["jpsi_alt"])
+        data["check_params"] = {"jpsi_alt": {"phi_j": data["scales"]["phi_j"]}}
+        monkeypatch.setitem(cli.CHECKS, "jpsi_alt", broken)
+        errored = run_suite(validate_config(data))
+        for name, run in (("mini", suite), ("errored", errored)):
+            render_report(run, tmp_path / name)
+            files = sorted((tmp_path / name).glob("ratios_*.csv"))
+            assert files
+            for path in files:
+                rows = [r for r in run.artifacts["_rows"][path.stem[7:]]
+                        if not any(isinstance(v, (list, dict))
+                                   for v in r.values())]
+                with open(path, newline="") as fh:
+                    reader = csv.DictReader(fh)
+                    back = list(reader)
+                assert len(back) == len(rows)
+                for got, row in zip(back, rows):
+                    assert None not in got and None not in got.values()
+                    assert set(got) == set(reader.fieldnames)
+                    assert {k: v for k, v in got.items() if v} == {
+                        k: str(v) for k, v in row.items() if v is not None}
+        (tb,) = errored.artifacts["_rows"]["jpsi_alt"]
+        assert '"quoted" failure' in tb["traceback"]
 
     def test_render_roundtrip(self, suite, tmp_path):
         files = render_report(suite, tmp_path)

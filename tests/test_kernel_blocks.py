@@ -1,14 +1,20 @@
 """The blocks primitive of the kernel engine: bit-equal slices of the full
 kernels, an in-place symmetrisation bit-equal to the two-temporary one, and
-traced memory bounds for the consumers that stream through it."""
+traced memory bounds for the consumers that stream through it.  The set-up
+constructors (jump kernel, form, spectrum, truncation) run in place; they
+are held bit-equal to in-test copies of the whole-matrix formulas and to
+traced memory bounds of their own."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from formlab.form import (JumpKernel, _symmetrise, assemble, heat_kernel,
-                          kernel_blocks, kernel_certificates, meyer_check)
+from scipy.linalg import eigh
+
+from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
+                          heat_kernel, kernel_blocks, kernel_certificates,
+                          meyer_check, truncate)
 from formlab.harnack import CylinderSpec, check_phi
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import build_space
@@ -65,6 +71,87 @@ def test_stable_like_constant_field_equals_full_field():
     assert np.array_equal(got.matrix, 0.5 * (want + want.T))
 
 
+def old_stable_like(space, psi, coeff, cmin, cmax, seed=0x5EED):
+    n = space.n
+    d = space.metric
+    off = ~np.eye(n, dtype=bool)
+    V = np.array([space.volumes(x, d[x] + 1e-9) for x in range(n)])
+    if cmin == cmax:
+        c = cmin
+    else:
+        c_field = np.random.RandomState(seed).uniform(cmin, cmax, size=(n, n))
+        iu = np.triu_indices(n, k=1)
+        c_field[(iu[1], iu[0])] = c_field[iu]
+        c = c_field[off]
+    J = np.zeros((n, n))
+    psid = np.ones_like(d)
+    psid[off] = psi(d[off])
+    J[off] = coeff * c / (np.sqrt(V[off] * V.T[off]) * psid[off])
+    ratio = J[off] / (coeff / (V[off] * psid[off]))
+    return J, (float(ratio.min()), float(ratio.max()))
+
+
+def old_jump_matrix(J):
+    asym = np.abs(J - J.T)
+    if asym.max() > 1e-12 * max(float(np.abs(J).max()), 1e-300):
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        return (f"jump kernel not symmetric: worst witness ({i}, {j}) with "
+                f"J[i,j]={J[i, j]!r}, J[j,i]={J[j, i]!r}")
+    J = 0.5 * (J + J.T)
+    np.fill_diagonal(J, 0.0)
+    return J
+
+
+def old_energy_matrix(space, w, J):
+    n = space.n
+    K = J * np.outer(space.mu, space.mu)
+    A = -(2.0 * K)
+    i, j = space.edges[:, 0], space.edges[:, 1]
+    A[i, j] = A[j, i] = -(w + 2.0 * K[i, j])
+    np.fill_diagonal(A, 0.0)
+    A[np.diag_indices(n)] = -A.sum(axis=1)
+    return A, float(np.abs(A - A.T).max())
+
+
+@pytest.mark.parametrize("side,cmax", [(2, 2.5), (45, 1.0), (45, 2.5),
+                                       (300, 2.5)])
+def test_setup_constructors_equal_whole_matrix_formulas(side, cmax):
+    # 300 points span several row blocks and mirror tiles
+    sp = build_space("lattice_box", dim=1, side=side, margin=0)
+    psi = ScaleFunction.single_power(1.5)
+    kern = JumpKernel.stable_like(sp, psi, coeff=1.3, cmin=0.5, cmax=cmax)
+    J, comparability = old_stable_like(sp, psi, 1.3, 0.5, cmax)
+    assert kern.comparability == comparability
+    assert np.array_equal(kern.matrix, old_jump_matrix(J))
+    form = assemble(sp, 0.7, kern)
+    A, sym_err = old_energy_matrix(sp, np.full(len(sp.edges), 0.7),
+                                   kern.matrix)
+    assert np.array_equal(form.A, A)
+    assert form.symmetry_defect == sym_err
+    lam, Q = eigh(A / np.outer(form._sqmu, form._sqmu))
+    got_lam, got_B = form.spectral()
+    assert np.array_equal(got_lam, np.maximum(lam, 0.0))
+    assert np.array_equal(got_B, Q / form._sqmu[:, None])
+
+
+def test_asymmetric_jump_names_the_first_worst_pair():
+    rng = np.random.RandomState(2)
+    J = rng.uniform(0.5, 1.0, size=(70, 70))
+    J = 0.5 * (J + J.T)
+    # equal worst defects at (3, 60), (60, 3), (40, 9) and (9, 40):
+    # row-major order puts (3, 60) first
+    for i, j in ((40, 9), (3, 60)):
+        J[i, j] += 0.25
+    with pytest.raises(FormError) as err:
+        JumpKernel(J.copy())
+    assert str(err.value) == old_jump_matrix(J)
+    assert "(3, 60)" in str(err.value)
+    neg = np.ones((40, 40))
+    neg[39, 38] = neg[38, 39] = -1.0
+    with pytest.raises(FormError, match="nonnegative"):
+        JumpKernel(neg)
+
+
 # -- traced memory -------------------------------------------------------------
 
 
@@ -114,3 +201,21 @@ def test_kernel_certificates_drop_each_temporary():
     table = heat_kernel(form, [0.5, 1.0, 2.0])
     peak = traced_peak(lambda: kernel_certificates(form, table))
     assert peak <= 3.5 * n * n * 8
+
+
+def test_setup_constructors_hold_no_whole_matrix_temporaries():
+    # traced peak above base in n^2 doubles at n = 256; the whole-matrix
+    # formulas measure 8.1 (stable_like), 2.1 (jump kernel), 4.0 (form),
+    # 3.2 (spectrum) and 5.0 (truncation)
+    n = 256
+    sp = build_space("lattice_box", dim=1, side=n, margin=16)
+    psi = ScaleFunction.single_power(1.0)
+    unit = n * n * 8
+    assert traced_peak(lambda: JumpKernel.stable_like(sp, psi)) <= 4.5 * unit
+    kern = JumpKernel.stable_like(sp, psi)
+    J = kern.matrix.copy()
+    assert traced_peak(lambda: JumpKernel(J)) <= 2.0 * unit
+    assert traced_peak(lambda: assemble(sp, 1.0, kern)) <= 2.0 * unit
+    form = assemble(sp, 1.0, kern)
+    assert traced_peak(form.spectral) <= 2.5 * unit
+    assert traced_peak(lambda: truncate(form, 8.0)) <= 3.5 * unit

@@ -1,7 +1,10 @@
 """The hoisted envelope, tail, chain and J-psi sweeps against in-test copies
 of the loop formulas they replaced, which recompute every geometric piece
 per time, per dilation and per entry, and the block-streamed NDL and Meyer
-sweeps against copies of the loops that sliced whole kernel tables.
+sweeps against copies of the loops that sliced whole kernel tables.  The
+Meyer bisection on row maxima, the generalized-capacity sweep with one
+capacity solve per family and the batched chain-lower bases are held to the
+same copies of the whole-matrix, per-kappa and per-triple loops.
 Outputs must be equal, not close: the rewrites move computations, they do
 not change them."""
 
@@ -11,14 +14,16 @@ import math
 import numpy as np
 import pytest
 
-from formlab.cli import SuiteContext, _jsonable, load_config, run_suite
-from formlab.envelopes import (FLOOR_REL, EnvelopeParams, _EnvelopeGrid,
+from formlab.cli import (SuiteContext, _gcap_families, _jsonable, load_config,
+                         run_suite)
+from formlab.envelopes import (FLOOR_REL, EnvelopeParams, _EnvelopeGrid, _pow,
                                chain_lower_check, diag_checks,
                                envelope_ratio_rows, fit_hk,
                                tail_probability_check, usable_times)
 from formlab.form import (JumpKernel, assemble, heat_kernel, meyer_check,
                           truncate)
-from formlab.functionals import ConditionReport, fit_jpsi
+from formlab.functionals import (ConditionReport, capacity, check_gcap,
+                                 fit_jpsi, generalized_capacity)
 from formlab.scales import ScaleFunction, _log_grid, legendre_sup
 from formlab.space import chain_check
 
@@ -391,6 +396,55 @@ def old_meyer_check(form, scales, rho, times, kernels=None):
     return {"c1": hi, "rho": rho}
 
 
+def old_generalized_capacity(form, f, A, B, kappa=1.0, x0=None, radii=None):
+    f = np.asarray(f, dtype=float)
+    f2 = f * f
+    _, eq = capacity(form, A, B)
+    candidates = [eq]
+    if kappa > 1.0:
+        candidates.append(np.minimum(kappa * eq, kappa))
+    if x0 is not None and radii is not None:
+        r_in, r_out = radii
+        d = form.space.metric[x0]
+        ramp = np.clip((r_out - d) / max(r_out - r_in, 1e-12), 0.0, 1.0)
+        outside = d >= r_out
+        ramp[outside] = 0.0
+        candidates.append(ramp)
+        if kappa > 1.0:
+            candidates.append(np.minimum(kappa * ramp, kappa))
+    vals = [float((f2 * phi) @ form.A @ phi) for phi in candidates]
+    k = int(np.argmin(vals))
+    return vals[k], candidates[k]
+
+
+def old_check_gcap(form, scales, families, test_fns, kappas):
+    space = form.space
+    rows = []
+    fitted = {k: 0.0 for k in kappas}
+    witness = {}
+    for x0, R, r in families:
+        A_idx = space.ball(x0, R)
+        B_idx = space.ball(x0, R + r)
+        if len(B_idx) >= form.n or len(A_idx) == 0:
+            continue
+        phi_r = scales.phi(r)
+        for fi, f in enumerate(test_fns):
+            mass = float(np.sum(np.asarray(f)[B_idx] ** 2 * space.mu[B_idx]))
+            if mass <= 0.0:
+                continue
+            for kappa in kappas:
+                val, _ = old_generalized_capacity(
+                    form, f, A_idx, B_idx, kappa, x0=x0, radii=(R, R + r))
+                c = val * phi_r / mass
+                rows.append({"x0": x0, "R": R, "r": r, "kappa": kappa,
+                             "fn": fi, "C": c})
+                if c > fitted[kappa]:
+                    fitted[kappa] = c
+                    if kappa == min(kappas):
+                        witness = {"x0": x0, "R": R, "r": r, "fn": fi, "C": c}
+    return fitted, witness, rows
+
+
 # -- equality with the hoisted sweeps ------------------------------------------
 
 
@@ -460,6 +514,62 @@ def test_chain_lower_equals_loop_formulas(ctx):
     assert rep.constants == {"c5": c5, "c6": c6}
     assert rep.ranges["triples"] == used
     assert canon(rep.rows) == canon(rows)
+
+
+def test_chain_lower_bases_overflow_as_numpy_scalars():
+    xs, ys = [2.0, 0.5, 3.0, 1.0], [2000.0, 3.0, 0.25, 1e300]
+    with np.errstate(over="ignore"):
+        want = [float(np.float64(x) ** np.float64(y)) for x, y in zip(xs, ys)]
+    with np.errstate(over="ignore"):
+        got = _pow(xs, ys)
+    assert got == want
+    assert got[0] == math.inf
+    # random pairs in the range the sweep meets: math.pow is bit-equal to
+    # the numpy scalar power
+    rng = np.random.RandomState(5)
+    xs = rng.uniform(1e-3, 4.0, 20000)
+    ys = 1.0 / rng.uniform(0.05, 40.0, 20000)
+    assert _pow(xs.tolist(), ys.tolist()) == [float(x ** y)
+                                               for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("kappas", [(1.0, 2.0), (3.0, 0.5, 1.0)])
+def test_check_gcap_equals_per_kappa_solves(ctx, kappas):
+    families = _gcap_families(ctx)
+    rep = check_gcap(ctx.form, ctx.scales, families, ctx.family, kappas)
+    fitted, witness, rows = old_check_gcap(ctx.form, ctx.scales, families,
+                                           ctx.family, kappas)
+    assert rows
+    assert rep.constants == {**{f"C(kappa={k})": v for k, v in fitted.items()},
+                             "C": min(fitted.values())}
+    assert rep.witness == witness
+    assert rep.ranges["instances"] == len(rows)
+    assert canon(rep.rows) == canon(rows)
+
+
+def test_generalized_capacity_equals_old_candidates(ctx):
+    space = ctx.space
+    x0, R, r = _gcap_families(ctx)[0]
+    A, B = space.ball(x0, R), space.ball(x0, R + r)
+    # a point mass where ramp * (A @ ramp) < 0 makes E(f^2 phi, phi)
+    # negative, so that a kappa-scaled ramp is the least candidate
+    d = space.metric[x0]
+    ramp = np.clip((R + r - d) / r, 0.0, 1.0)
+    ramp[d >= R + r] = 0.0
+    spike = np.zeros(space.n)
+    spike[np.argmin(ramp * (ctx.form.A @ ramp))] = 1.0
+    _, phi = generalized_capacity(ctx.form, spike, A, B, 2.0, x0=x0,
+                                  radii=(R, R + r))
+    assert phi.max() == 2.0
+    for f in [spike] + ctx.family[:4]:
+        for kappa in (0.5, 1.0, 2.0, 3.0):
+            for radii in (None, (R, R + r)):
+                val, phi = generalized_capacity(ctx.form, f, A, B, kappa,
+                                                x0=x0, radii=radii)
+                want_val, want_phi = old_generalized_capacity(
+                    ctx.form, f, A, B, kappa, x0=x0, radii=radii)
+                assert val == want_val
+                assert np.array_equal(phi, want_phi)
 
 
 def test_chain_check_equals_loop_formulas(ctx):
