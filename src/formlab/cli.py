@@ -359,7 +359,7 @@ def _chk_pc_equiv(ctx, **kw):
 def _chk_dominance(ctx, t=None, **kw):
     if t is None:
         t = float(ctx.times[0])
-    dm = dominance_map(ctx.table, ctx.scales, ctx.space, t, **kw)
+    dm = dominance_map(ctx.scales, ctx.space, t, **kw)
     cross = dm.crossover[np.isfinite(dm.crossover)]
     rep = ConditionReport(
         "dominance-map", "certified",
@@ -588,7 +588,7 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
     return SuiteReport(report, artifacts)
 
 
-def render_report(suite: SuiteReport, out_dir, formats=("json", "csv", "svg")):
+def render_report(suite: SuiteReport, out_dir):
     """Emit report.json (canonical, key-sorted), per-check CSV ratio tables,
     and SVG plots.  Byte-stable given identical inputs and version."""
     out = Path(out_dir)
@@ -599,56 +599,49 @@ def render_report(suite: SuiteReport, out_dir, formats=("json", "csv", "svg")):
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
-    written = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(json.dumps(_jsonable(suite.report), sort_keys=True,
-                                   indent=2) + "\n")
+    path = out / "report.json"
+    path.write_text(json.dumps(_jsonable(suite.report), sort_keys=True,
+                               indent=2) + "\n")
+    written = [path]
+    for name, rows in suite.artifacts.get("_rows", {}).items():
+        path = out / f"ratios_{name}.csv"
+        if write_rows_csv(rows, path):
+            written.append(path)
+    dom = suite.artifacts.get("dominance", {}).get("dominance_map")
+    if dom is not None:
+        path = out / "dominance.svg"
+        svg_heatmap(dom.labels, path, title=f"dominance map t={dom.t:g}")
         written.append(path)
-    if "csv" in formats:
-        for name, rows in suite.artifacts.get("_rows", {}).items():
-            path = out / f"ratios_{name}.csv"
-            if write_rows_csv(rows, path):
-                written.append(path)
-    if "svg" in formats:
-        dom = suite.artifacts.get("dominance", {}).get("dominance_map")
-        if dom is not None:
-            path = out / "dominance.svg"
-            svg_heatmap(dom.labels, path,
-                        title=f"dominance map t={dom.t:g}")
-            written.append(path)
-        phi_art = suite.artifacts.get("phi", {})
-        worst = phi_art.get("phi_witness", {}).get("worst", {})
-        if "trace_minus" in worst:
-            path = out / "caloric_worst.svg"
-            tm = np.asarray(worst["trace_minus"], dtype=float)
-            tp = np.asarray(worst["trace_plus"], dtype=float)
-            xs = np.arange(tm.shape[1])
-            series = [(f"Q- t{i}", xs, tm[i]) for i in range(tm.shape[0])]
-            series += [(f"Q+ t{i}", xs, tp[i]) for i in range(tp.shape[0])]
-            svg_curves(series, path, title="worst caloric function")
-            written.append(path)
-        hk_art = suite.artifacts.get("hk", {})
-        rows = hk_art.get("ratio_rows")
-        if rows:
-            t_last = max(r["t"] for r in rows)
-            sel = [r for r in rows if r["t"] == t_last]
-            xs_centers = sorted({r["x"] for r in sel})
-            x_mid = xs_centers[len(xs_centers) // 2]
-            curve = sorted(
-                ((abs(r["y"] - x_mid), r) for r in sel if r["x"] == x_mid),
-                key=lambda c: c[0],
-            )
-            ds = [c[0] for c in curve]
-            path = out / "envelope_ratio.svg"
-            svg_curves(
-                [("kernel/upper", ds,
-                  [c[1]["kernel_over_upper"] for c in curve]),
-                 ("kernel/lower", ds,
-                  [c[1]["kernel_over_lower"] for c in curve])],
-                path, title=f"envelope ratios at t={t_last:g}",
-            )
-            written.append(path)
+    phi_art = suite.artifacts.get("phi", {})
+    worst = phi_art.get("phi_witness", {}).get("worst", {})
+    if "trace_minus" in worst:
+        path = out / "caloric_worst.svg"
+        tm = np.asarray(worst["trace_minus"], dtype=float)
+        tp = np.asarray(worst["trace_plus"], dtype=float)
+        xs = np.arange(tm.shape[1])
+        series = [(f"Q- t{i}", xs, tm[i]) for i in range(tm.shape[0])]
+        series += [(f"Q+ t{i}", xs, tp[i]) for i in range(tp.shape[0])]
+        svg_curves(series, path, title="worst caloric function")
+        written.append(path)
+    hk_art = suite.artifacts.get("hk", {})
+    rows = hk_art.get("ratio_rows")
+    if rows:
+        t_last = max(r["t"] for r in rows)
+        sel = [r for r in rows if r["t"] == t_last]
+        xs_centers = sorted({r["x"] for r in sel})
+        x_mid = xs_centers[len(xs_centers) // 2]
+        curve = sorted(
+            ((abs(r["y"] - x_mid), r) for r in sel if r["x"] == x_mid),
+            key=lambda c: c[0],
+        )
+        ds = [c[0] for c in curve]
+        path = out / "envelope_ratio.svg"
+        svg_curves(
+            [("kernel/upper", ds, [c[1]["kernel_over_upper"] for c in curve]),
+             ("kernel/lower", ds, [c[1]["kernel_over_lower"] for c in curve])],
+            path, title=f"envelope ratios at t={t_last:g}",
+        )
+        written.append(path)
     return written
 
 

@@ -28,7 +28,6 @@ from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
 
 __all__ = [
     "EnvelopeParams",
-    "envelope_eval",
     "check_pc_equivalence",
     "fit_hk",
     "diag_checks",
@@ -63,38 +62,7 @@ class EnvelopeParams:
         return out
 
 
-# -- pointwise envelope evaluation ------------------------------------------------
-
-
-def envelope_eval(scales: ScaleTriple, space, kind: str, t: float, x: int,
-                  y: int, dilation: float = 1.0) -> float:
-    """Evaluate one envelope profile at (t, x, y).
-
-    kinds: ``pc_sup`` (Legendre form), ``pc_explicit`` (m(t, d) form),
-    ``pj``, ``diag``.  ``dilation`` rescales time inside the local profile,
-    absorbing the sandwich constants multiplicatively.
-    """
-    if t <= 0.0:
-        raise ValueError("envelope time must be positive")
-    d = float(space.metric[x, y])
-    td = t * dilation
-    if kind == "pc_sup":
-        expo = legendre_sup(scales, d, td) if d > 0.0 else 0.0
-        return math.exp(-expo) / space.volume(x, scales.phi_c.inverse(td))
-    if kind == "pc_explicit":
-        expo = scales.m(td, d) if d > 0.0 else 0.0
-        return math.exp(-expo) / space.volume(x, scales.phi_c.inverse(td))
-    if kind == "pj":
-        diag = 1.0 / space.volume(x, scales.phi_j.inverse(t))
-        if d <= 0.0:
-            return diag
-        V = space.volume(x, d)
-        if V <= 0.0:
-            return diag
-        return min(diag, t / (V * scales.phi_j(d)))
-    if kind == "diag":
-        return 1.0 / space.volume(x, scales.phi.inverse(t))
-    raise ValueError(f"unknown envelope kind {kind!r}")
+# -- envelope geometry ---------------------------------------------------------
 
 
 class _EnvelopeGrid:
@@ -174,39 +142,47 @@ def _envelope_arrays(grid, t, dilation=1.0):
     return {"Vc": Vc, "Vj": Vj, "Vphi": Vphi, "pc": pc, "pj": pj}
 
 
+def _sandwich(env, with_jump):
+    """The profile a sandwich constant multiplies: the local profile plus
+    the jump profile, capped by the on-diagonal values, or the local
+    profile alone when ``with_jump`` is false."""
+    if not with_jump:
+        return np.minimum((1.0 / env["Vc"])[:, None], env["pc"])
+    return np.minimum(np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None],
+                      env["pc"] + env["pj"])
+
+
 def envelope_ratio_rows(table: HeatKernelTable, scales: ScaleTriple, space,
                         params: EnvelopeParams, margin=None,
                         max_rows: int = 2000):
-    """Thinned (t, x, y, kernel/upper, kernel/lower) table for the fitted
-    sandwich; rows where the lower envelope is unresolvable carry nan."""
+    """Thinned (t, x, y, kernel/upper, kernel/lower) table for the sandwich
+    ``fit_hk`` fitted in ``params.mode``; a ratio is nan wherever the fit
+    excludes its triple (kernel, or lower envelope, below the floor)."""
     margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
     keep = usable_times(table, space)
     total = max(len(keep) * len(xs) * len(xs), 1)
     stride = max(1, int(math.sqrt(total / max_rows)))
     xs_thin = xs[::stride]
+    ids = xs_thin.tolist()
     grid = _EnvelopeGrid(scales, space, xs_thin, xs_thin)
+    with_jump = params.mode != "HK_local"
+    c4 = params.c4 if np.isfinite(params.c4) else 1.0
+    c2 = params.c2 if np.isfinite(params.c2) else 1.0
     rows = []
     for i in keep:
-        t = table.times[i]
+        t = float(table.times[i])
         K = table.kernels[i][np.ix_(xs_thin, xs_thin)]
-        up = _envelope_arrays(grid, t,
-                              dilation=params.c4 if np.isfinite(params.c4)
-                              else 1.0)
-        U = np.minimum(np.minimum(1.0 / up["Vc"], 1.0 / up["Vj"])[:, None],
-                       up["pc"] + up["pj"])
-        lo = _envelope_arrays(grid, t,
-                              dilation=params.c2 if np.isfinite(params.c2)
-                              else 1.0)
-        L = np.minimum(np.minimum(1.0 / lo["Vc"], 1.0 / lo["Vj"])[:, None],
-                       lo["pc"] + lo["pj"])
         floor = FLOOR_REL * float(table.kernels[i].max())
-        for a, x in enumerate(xs_thin):
-            for b, y in enumerate(xs_thin):
-                low = K[a, b] / L[a, b] if L[a, b] > floor else math.nan
-                rows.append({"t": float(t), "x": int(x), "y": int(y),
-                             "kernel_over_upper": float(K[a, b] / U[a, b]),
-                             "kernel_over_lower": float(low)})
+        U = _sandwich(_envelope_arrays(grid, t, dilation=c4), with_jump)
+        L = _sandwich(_envelope_arrays(grid, t, dilation=c2), with_jump)
+        K_ok = K > floor
+        up = np.where(K_ok, K / U, math.nan).tolist()
+        low = np.where(K_ok & (L > floor), K / L, math.nan).tolist()
+        for x, up_x, low_x in zip(ids, up, low):
+            rows.extend({"t": t, "x": x, "y": y, "kernel_over_upper": u,
+                         "kernel_over_lower": v}
+                        for y, u, v in zip(ids, up_x, low_x))
     return rows
 
 
@@ -288,12 +264,6 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         return {"t": float(t), "x": int(xs[a]), "y": int(xs[b]),
                 "ratio": float(ratio[a, b])}
 
-    def sandwich(env):
-        prof = env["pc"] + (env["pj"] if with_jump else 0.0)
-        cap = (np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None]
-               if with_jump else (1.0 / env["Vc"])[:, None])
-        return np.minimum(cap, prof)
-
     if mode == "UHK_weak":
         d = grid.d
         phi_d = np.ones_like(d)
@@ -315,14 +285,14 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         fl = FLOOR_REL * float(table.kernels[i].max())
         K_ok = K > fl
         for acc, c4 in zip(up_acc, uppers):
-            U = sandwich(_envelope_arrays(grid, t, dilation=c4))
+            U = _sandwich(_envelope_arrays(grid, t, dilation=c4), with_jump)
             acc[1] += int((~K_ok).sum())
             if K_ok.any():
                 cand = _extreme(K / U, K_ok, t, pick_max=True)
                 if cand["ratio"] > acc[0]:
                     acc[0], acc[2] = cand["ratio"], cand
         for acc, c2 in zip(lo_acc, lowers):
-            L = sandwich(_envelope_arrays(grid, t, dilation=c2))
+            L = _sandwich(_envelope_arrays(grid, t, dilation=c2), with_jump)
             ok = (L > fl) & K_ok
             acc[1] += int((~ok).sum())
             if ok.any():
@@ -427,7 +397,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     mono_defect = 0.0
     ndl_rows = []
     for r in map(float, ndl_radii):
-        centers = space.usable_centers(r + 1e-9)[:3]
+        centers = space.interior(r + 1e-9)[:3]
         if len(centers) == 0:
             continue
         t_top = scales.phi(eps * r)
@@ -485,8 +455,8 @@ class DominanceMap:
     log_ratio: float
 
 
-def dominance_map(table: HeatKernelTable, scales: ScaleTriple, space,
-                  t: float, margin=None) -> DominanceMap:
+def dominance_map(scales: ScaleTriple, space, t: float,
+                  margin=None) -> DominanceMap:
     """Label every interior pair by the largest envelope branch at time t and
     locate the empirical Gaussian-to-jump crossover distance per center.
 
@@ -638,15 +608,16 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     is the largest ratio base certified over the grid."""
     margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
-    times = [table.times[i] for i in usable_times(table, space)]
+    keep = usable_times(table, space)
+    times = [table.times[i] for i in keep]
     if not np.isfinite(space.metric).all():
         return ConditionReport("chain-lower", "failed",
                                notes="disconnected space, skipped")
     grid = _EnvelopeGrid(scales, space, xs, xs)
     # near-diagonal constant c5
     c5 = math.inf
-    for t in times:
-        K = table.kernel(t)
+    for t, i in zip(times, keep):
+        K = table.kernels[i]
         Vc = grid.volumes(scales.phi_c.inverse(t))
         near = grid.d <= scales.phi_c.inverse(t)
         vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
@@ -658,8 +629,8 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     c6 = 1.0
     used = 0
     rows = []
-    for t in times:
-        K = table.kernel(t)
+    for t, i in zip(times, keep):
+        K = table.kernels[i]
         Vc = grid.volumes(scales.phi_c.inverse(t))
         mvals = grid.m(t)
         sel = (grid.d >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)

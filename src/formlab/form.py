@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,7 +35,6 @@ __all__ = [
     "JumpKernel",
     "DirichletForm",
     "HeatKernelTable",
-    "TruncatedForm",
     "ExitStats",
     "assemble",
     "heat_kernel",
@@ -48,7 +47,6 @@ __all__ = [
     "exit_stats",
     "energy_and_champ",
     "kernel_certificates",
-    "mediant_max_ratio",
 ]
 
 
@@ -97,9 +95,6 @@ class JumpKernel:
     """Symmetric jump intensity J(x, y) >= 0 with zero diagonal."""
 
     matrix: np.ndarray
-    kind: str = "custom"
-    params: dict = field(default_factory=dict)
-    comparability: tuple | None = None   # (c1, c2) against 1/(V(x,d) psi(d))
 
     def __post_init__(self):
         J = np.asarray(self.matrix, dtype=float)
@@ -124,9 +119,7 @@ class JumpKernel:
         """J(x,y) = c(x,y) / (sqrt(V(x,d) V(y,d)) psi(d)).
 
         The geometric mean keeps J exactly symmetric; c(x,y) is a seeded
-        symmetric field in [cmin, cmax] (constant when cmin == cmax), and the
-        fitted two-sided comparability against 1/(V(x,d) psi(d)) is
-        recorded."""
+        symmetric field in [cmin, cmax] (constant when cmin == cmax)."""
         n = space.n
         d = space.metric
         V = np.empty((n, n))
@@ -140,7 +133,6 @@ class JumpKernel:
             c_field = _mirror_upper(rng.uniform(cmin, cmax, size=(n, n)))
         # one block of rows at a time over the off-diagonal pairs
         J = np.zeros((n, n))
-        lo, hi = [], []
         for i in range(0, n, _ROWS):
             rows = slice(i, i + _ROWS)
             b = min(_ROWS, n - i)
@@ -149,17 +141,9 @@ class JumpKernel:
             Vo = V[rows][off]
             psid = psi(d[rows][off])
             c = cmin if c_field is None else c_field[rows][off]
-            Jo = coeff * c / (np.sqrt(Vo * V[:, rows].T[off]) * psid)
-            J[rows][off] = Jo
-            ratio = Jo / (coeff / (Vo * psid))
-            lo.append(ratio.min())
-            hi.append(ratio.max())
+            J[rows][off] = coeff * c / (np.sqrt(Vo * V[:, rows].T[off]) * psid)
         del V, c_field   # before the kernel makes its own copy of J
-        comparability = (float(np.min(lo)), float(np.max(hi)))
-        kern = cls(J, kind="stable_like",
-                   params={"coeff": coeff, "cmin": cmin, "cmax": cmax})
-        kern.comparability = comparability
-        return kern
+        return cls(J)
 
     @classmethod
     def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: float = 1.0):
@@ -168,7 +152,7 @@ class JumpKernel:
         off = ~np.eye(space.n, dtype=bool)
         J = np.zeros_like(d)
         J[off] = coeff * d[off] ** (-(1.0 + alpha))
-        return cls(J, kind="power_law", params={"alpha": alpha, "coeff": coeff})
+        return cls(J)
 
     @classmethod
     def two_regime(cls, space: MetricMeasureSpace, alpha: float, beta: float,
@@ -182,11 +166,7 @@ class JumpKernel:
         large = off & (d > regime_break)
         J[small] = coeff * d[small] ** (-(1.0 + alpha))
         J[large] = coeff * regime_break ** (beta - alpha) * d[large] ** (-(1.0 + beta))
-        return cls(
-            J, kind="two_regime",
-            params={"alpha": alpha, "beta": beta, "regime_break": regime_break,
-                    "coeff": coeff},
-        )
+        return cls(J)
 
 
 # -- the form ---------------------------------------------------------------
@@ -326,12 +306,6 @@ class HeatKernelTable:
     kernels: list
     domain: np.ndarray | None = None
 
-    def kernel(self, t):
-        for tt, k in zip(self.times, self.kernels):
-            if abs(tt - t) <= 1e-12 * max(abs(t), 1.0):
-                return k
-        raise KeyError(f"time {t} not in table")
-
 
 def _spectral_basis(form, idx=None):
     """(lam, B) with B = Q / sqrt(mu), so that a function psi of -L has the
@@ -422,24 +396,13 @@ def kernel_certificates(form: DirichletForm, table: HeatKernelTable) -> dict:
 # -- truncation and Meyer decomposition --------------------------------------
 
 
-class TruncatedForm(DirichletForm):
-    """Form with jumps of range > rho removed; E^(rho) <= E."""
-
-    def __init__(self, parent: DirichletForm, rho: float):
-        if rho <= 0.0:
-            raise FormError("truncation radius must be positive")
-        jump = None
-        if parent.jump is not None:
-            jump = JumpKernel(parent.truncated_jump(rho),
-                              kind=parent.jump.kind + f"|rho={rho:g}",
-                              params=dict(parent.jump.params))
-        super().__init__(parent.space, parent.w_edges, jump)
-        self.parent = parent
-        self.rho = float(rho)
-
-
-def truncate(form: DirichletForm, rho: float) -> TruncatedForm:
-    return TruncatedForm(form, rho)
+def truncate(form: DirichletForm, rho: float) -> DirichletForm:
+    """The rho-truncated form E^(rho) <= E: the jumps of range > rho
+    removed."""
+    if rho <= 0.0:
+        raise FormError("truncation radius must be positive")
+    jump = None if form.jump is None else JumpKernel(form.truncated_jump(rho))
+    return DirichletForm(form.space, form.w_edges, jump)
 
 
 def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
@@ -515,10 +478,7 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
 @dataclass
 class SubordinationResult:
     table: HeatKernelTable
-    jump: JumpKernel
     intensity: np.ndarray            # generator off-diagonal: int q(u,x,y) nu(u) du
-    b: float
-    gamma: float
 
 
 def subordinate(form: DirichletForm, b: float, gamma: float, times
@@ -526,10 +486,10 @@ def subordinate(form: DirichletForm, b: float, gamma: float, times
     """Subordinate semigroup exp(-t psi(-L)) with psi(lam) = b lam + lam^gamma
     by functional calculus on the eigenvalues.
 
-    The returned jump kernel follows the form convention (half the generator
-    off-diagonal intensity); ``intensity`` carries the full off-diagonal of
-    (-L)^gamma over mu, which equals int_0^inf q(u,x,y) nu(u) du for the
-    gamma-stable Levy density nu.  The drift contributes only locally.
+    ``intensity`` carries the full off-diagonal of (-L)^gamma over mu, which
+    equals int_0^inf q(u,x,y) nu(u) du for the gamma-stable Levy density nu
+    (twice the jump kernel in the form convention).  The drift contributes
+    only locally.
     """
     if not (0.0 < gamma <= 1.0):
         raise FormError("gamma must lie in (0, 1]")
@@ -544,9 +504,7 @@ def subordinate(form: DirichletForm, b: float, gamma: float, times
     intensity = -G
     np.fill_diagonal(intensity, 0.0)
     intensity = np.maximum(0.5 * (intensity + intensity.T), 0.0)
-    jump = JumpKernel(0.5 * intensity, kind="subordinate",
-                      params={"b": b, "gamma": gamma})
-    return SubordinationResult(table, jump, intensity, b, gamma)
+    return SubordinationResult(table, intensity)
 
 
 def subordinate_intensity_quadrature(form: DirichletForm, gamma: float,
@@ -637,14 +595,3 @@ def energy_and_champ(form: DirichletForm, f, rho: float | None = None):
                            * form.mu[None, :]).sum(axis=1)
     energy = form.energy(f)
     return energy, gamma_c, gamma_j, gamma_j_rho
-
-
-def mediant_max_ratio(numers, denoms) -> float:
-    """max over z of u_z(p)/u_z(q); dominates (sum a u(p)) / (sum a u(q)) for
-    any nonnegative weights a (mediant inequality)."""
-    numers = np.asarray(numers, dtype=float)
-    denoms = np.asarray(denoms, dtype=float)
-    ok = denoms > 0.0
-    if not ok.any():
-        return math.inf
-    return float(np.max(numers[ok] / denoms[ok]))

@@ -28,13 +28,11 @@ __all__ = [
     "poincare",
     "check_pi",
     "capacity",
-    "capacity_ball_report",
     "generalized_capacity",
     "check_gcap",
     "check_cs",
     "check_exit",
     "tail_and_ujs",
-    "tail_psi",
     "fit_jpsi",
 ]
 
@@ -69,7 +67,7 @@ class ConditionReport:
 
 
 def ball_family(space: MetricMeasureSpace, radii, reach_factor=1.0,
-                max_centers=6, seed=SEED):
+                max_centers=6):
     """(center, radius) pairs whose reach_factor-enlarged ball avoids the
     truncation boundary; centers thinned deterministically."""
     return [(int(x), float(r)) for r in radii
@@ -262,19 +260,6 @@ def capacity(form: DirichletForm, A, B):
         rhs = -form.A[np.ix_(free, A_idx)].sum(axis=1)
         phi[free] = np.linalg.solve(Aff, rhs)
     return form.energy(phi), phi
-
-
-def capacity_ball_report(form: DirichletForm, scales, x0: int, R: float,
-                         r: float):
-    """Capacity between concentric balls with the fitted constant of the
-    upper bound cap(B(x,R), B(x,R+r)) <= c0 V(x, R+r) / phi(r)."""
-    space = form.space
-    A_idx = space.ball(x0, R)
-    B_idx = space.ball(x0, R + r)
-    value, potential = capacity(form, A_idx, B_idx)
-    c0 = value * scales.phi(r) / space.volume(x0, R + r)
-    return {"value": value, "c0": c0, "x0": x0, "R": R, "r": r,
-            "potential": potential}
 
 
 def _gcap_cutoffs(form: DirichletForm, A, B, x0=None, radii=None):
@@ -483,18 +468,6 @@ def check_exit(form: DirichletForm, scales, radii, time_fracs=(0.25, 0.5, 1.0),
 
 
 # -- jump tail, UJS, two-sided J_psi ----------------------------------------------
-
-
-def tail_psi(space: MetricMeasureSpace, psi, u, x0: int, r: float) -> float:
-    """Nonlocal tail Tail_psi(u; x0, r) = psi(r) * sum over the complement of
-    B(x0, r) of |u(z)| / (V(x0, d(x0,z)) psi(d(x0,z))) mu(z)."""
-    d = space.metric[x0]
-    outside = d >= r
-    if not outside.any():
-        return 0.0
-    V = space.volumes(x0, d[outside] + 1e-9)
-    vals = np.abs(np.asarray(u)[outside]) / (V * psi(d[outside]))
-    return float(psi(r) * np.sum(vals * space.mu[outside]))
 
 
 def fit_jpsi(form: DirichletForm, psi, margin=None):

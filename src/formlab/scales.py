@@ -25,8 +25,6 @@ __all__ = [
     "ScaleTriple",
     "PowerBounds",
     "CrossoverResult",
-    "eval_inverse",
-    "effective_scale",
     "legendre_sup",
     "crossover_radius",
     "power_bounds",
@@ -132,11 +130,6 @@ class ScaleFunction:
 
     def scaled(self, factor: float) -> "ScaleFunction":
         return ScaleFunction(tuple((b, c * factor, e) for b, c, e in self.pieces))
-
-    def to_config(self):
-        return [
-            {"break": b, "coeff": c, "exp": e} for b, c, e in self.pieces
-        ]
 
     # -- evaluation -----------------------------------------------------
 
@@ -281,10 +274,6 @@ class ScaleTriple:
             tail[0] = (1.0, c, e)
         return ScaleFunction(tuple(pieces + tail))
 
-    # convenience forwards
-    def phi_inv(self, t):
-        return self.phi.inverse(t)
-
     def m(self, t, r):
         """Sub-Gaussian exponent m(t, r) = r / bar_phi_c^{-1}(t / r)."""
         r_arr = np.asarray(r, dtype=float)
@@ -293,38 +282,6 @@ class ScaleTriple:
         if np.isscalar(r) and np.isscalar(t):
             return float(out)
         return out
-
-
-def eval_inverse(f: ScaleFunction, mode: str, v: float):
-    """Forward or inverse evaluation of a scale function.
-
-    Raises :class:`ScaleError` on non-positive input.
-    """
-    if mode not in ("forward", "inverse"):
-        raise ScaleError(f"unknown mode {mode!r}")
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ScaleError("argument must be positive")
-    return f(v) if mode == "forward" else f.inverse(v)
-
-
-def effective_scale(triple: ScaleTriple, mode: str, t_val: float, r: float):
-    """Effective diffusion scale bar_phi_c(r) or the exponent m(t, r).
-
-    ``m(t, r)`` is defined by bar_phi_c(r / m) = t / r and computed in closed
-    form through the piecewise inverse.
-    """
-    if mode == "bar_phi_c":
-        if np.any(np.asarray(r, dtype=float) <= 0.0):
-            raise ScaleError("radius must be positive")
-        return triple.bar_phi_c(r)
-    if mode == "m_of":
-        if np.any(np.asarray(r, dtype=float) <= 0.0) or np.any(
-            np.asarray(t_val, dtype=float) <= 0.0
-        ):
-            raise ScaleError("m(t, r) needs t, r > 0")
-        return triple.m(t_val, r)
-    raise ScaleError(f"unknown mode {mode!r}")
 
 
 def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):

@@ -40,7 +40,7 @@ class MetricMeasureSpace:
     neighbour edges, and a designated truncation boundary."""
 
     def __init__(self, metric, mu, edges=None, coords=None, boundary=None,
-                 interior_margin=0.0, kind="custom", params=None):
+                 interior_margin=0.0):
         metric = np.asarray(metric, dtype=float)
         if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
             raise SpaceError("metric must be a square matrix")
@@ -64,8 +64,6 @@ class MetricMeasureSpace:
         bnd = np.zeros(n, dtype=bool) if boundary is None else np.asarray(boundary)
         self.boundary = bnd
         self.interior_margin = float(interior_margin)
-        self.kind = kind
-        self.params = dict(params or {})
         if bnd.any():
             self.dist_to_boundary = metric[:, bnd].min(axis=1)
         else:
@@ -89,25 +87,18 @@ class MetricMeasureSpace:
         return c_sorted[k]
 
     def interior(self, margin=None) -> np.ndarray:
+        """Centers whose ball of radius ``margin`` (default
+        ``interior_margin``) avoids the truncation set."""
         m = self.interior_margin if margin is None else margin
         return np.nonzero(self.dist_to_boundary >= m)[0]
-
-    def usable_centers(self, reach: float) -> np.ndarray:
-        """Centers whose ball of radius ``reach`` avoids the truncation set."""
-        return np.nonzero(self.dist_to_boundary >= reach)[0]
 
     def spread_centers(self, reach: float, count: int) -> np.ndarray:
         """At most ``count`` centers whose closed ball of radius ``reach``
         avoids the truncation set, spread evenly over the usable ones by a
         rounded linspace of their positions (each taken once)."""
-        centers = self.usable_centers(reach + 1e-9)
+        centers = self.interior(reach + 1e-9)
         take = np.linspace(0, len(centers) - 1, min(count, len(centers)))
         return centers[np.unique(take.round().astype(int))]
-
-    @property
-    def diameter(self) -> float:
-        finite = self.metric[np.isfinite(self.metric)]
-        return float(finite.max()) if finite.size else 0.0
 
     def export_points_csv(self, path):
         """Write id, coords, mu rows for external plotting."""
@@ -121,13 +112,6 @@ class MetricMeasureSpace:
                     row += [repr(float(v)) for v in self.coords[i]]
                 row.append(repr(float(self.mu[i])))
                 fh.write(",".join(row) + "\n")
-
-    @classmethod
-    def from_metric(cls, metric, mu=None, **kw):
-        metric = np.asarray(metric, dtype=float)
-        if mu is None:
-            mu = np.ones(metric.shape[0])
-        return cls(metric, mu, **kw)
 
 
 # -- builders --------------------------------------------------------------
@@ -166,11 +150,9 @@ def _lattice_box(dim, side, metric="l1", margin=None):
         boundary |= (coords[:, ax] == 0) | (coords[:, ax] == side - 1)
     if margin is None:
         margin = side / 8.0
-    return MetricMeasureSpace(
-        dist, np.ones(n), edges=np.array(edges), coords=coords,
-        boundary=boundary, interior_margin=margin,
-        kind="lattice_box", params={"dim": dim, "side": side, "metric": metric},
-    )
+    return MetricMeasureSpace(dist, np.ones(n), edges=np.array(edges),
+                              coords=coords, boundary=boundary,
+                              interior_margin=margin)
 
 
 def _halfspace_lattice(side, metric="l1", margin=None):
@@ -183,11 +165,9 @@ def _halfspace_lattice(side, metric="l1", margin=None):
         | (coords[:, 0] == side - 1)
         | (coords[:, 1] == side - 1)
     )
-    return MetricMeasureSpace(
-        sp.metric, sp.mu, edges=sp.edges, coords=coords, boundary=boundary,
-        interior_margin=sp.interior_margin, kind="halfspace_lattice",
-        params={"dim": 2, "side": side, "metric": metric},
-    )
+    return MetricMeasureSpace(sp.metric, sp.mu, edges=sp.edges, coords=coords,
+                              boundary=boundary,
+                              interior_margin=sp.interior_margin)
 
 
 def _gasket(level, margin=None):
@@ -225,10 +205,8 @@ def _gasket(level, margin=None):
         boundary[index[corner]] = True
     if margin is None:
         margin = scale / 8.0
-    return MetricMeasureSpace(
-        dist, np.ones(n), edges=edges, coords=coords, boundary=boundary,
-        interior_margin=margin, kind="gasket", params={"level": level},
-    )
+    return MetricMeasureSpace(dist, np.ones(n), edges=edges, coords=coords,
+                              boundary=boundary, interior_margin=margin)
 
 
 def build_space(kind: str, **params) -> MetricMeasureSpace:
@@ -285,7 +263,7 @@ def volume_report(space: MetricMeasureSpace, radii=None) -> VolumeReport:
     radii = np.asarray(sorted(radii), dtype=float)
     rmax = radii.max()
 
-    centers = space.usable_centers(2.0 * rmax)
+    centers = space.interior(2.0 * rmax)
     if len(centers) < 2:
         centers = space.interior()
     if len(centers) < 1:

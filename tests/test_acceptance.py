@@ -157,7 +157,7 @@ def test_06_counterexample_fidelity():
     form = assemble(sp, 1.0, JumpKernel.stable_like(sp, tr.phi_j))
     c6 = {}
     for R in (8.0, 16.0):
-        centers = sp.usable_centers(5.0 * R + 1e-9)
+        centers = sp.interior(5.0 * R + 1e-9)
         cyl = CylinderSpec(x0=int(centers[len(centers) // 2]), R=R)
         rep = check_phi(form, tr, [cyl], mode="necessary")
         assert rep.verdict in ("certified", "certified-for-family")
@@ -200,7 +200,7 @@ def test_08_dominance_bracket(model256):
     sp, form, table = model256
     tr = alpha1_triple()
     t = tr.phi_c(8.0) * 1e-2
-    dm = dominance_map(table, tr, sp, t)
+    dm = dominance_map(tr, sp, t)
     cross = dm.crossover[np.isfinite(dm.crossover)]
     lo = dm.c3 * tr.phi_c.inverse(t) * dm.log_ratio ** 0.5
     hi = dm.c4 * tr.phi_c.inverse(t) * dm.log_ratio ** 0.5

@@ -191,6 +191,25 @@ class TestSuite:
             s2.report, sort_keys=True
         )
 
+    def test_dominance_alone_needs_no_spectrum(self, monkeypatch):
+        # the dominance map reads the envelopes only: no kernel, no eigh
+        real_kernel, real_eigh = cli.heat_kernel, form_mod.eigh
+        calls = []
+
+        def counting_kernel(*args, **kwargs):
+            calls.append("heat_kernel")
+            return real_kernel(*args, **kwargs)
+
+        def counting_eigh(*args, **kwargs):
+            calls.append("eigh")
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "heat_kernel", counting_kernel)
+        monkeypatch.setattr(form_mod, "eigh", counting_eigh)
+        suite = run_suite(validate_config(mini_cfg(checks=["dominance"])))
+        assert suite.report["checks"]["dominance"]["verdict"] == "certified"
+        assert calls == []
+
     def test_threads_build_the_test_family_once(self, monkeypatch):
         checks = ["gcap", "cs", "gap"]
         s1 = run_suite(validate_config(mini_cfg(checks=checks)))

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from formlab.envelopes import (chain_lower_check, check_pc_equivalence,
-                               diag_checks, dominance_map, envelope_eval,
-                               fit_hk, tail_probability_check, usable_times)
+from formlab.cli import SuiteContext, load_config
+from formlab.envelopes import (_EnvelopeGrid, _envelope_arrays,
+                               chain_lower_check, check_pc_equivalence,
+                               diag_checks, dominance_map,
+                               envelope_ratio_rows, fit_hk,
+                               tail_probability_check, usable_times)
 from formlab.form import JumpKernel, assemble, heat_kernel
-from formlab.scales import ScaleFunction, ScaleTriple
+from formlab.scales import ScaleFunction, ScaleTriple, legendre_sup
 from formlab.space import build_space
 
 
@@ -27,47 +30,47 @@ def model(side=128, margin=32, with_jump=True):
     return sp, assemble(sp, 1.0, jump)
 
 
+def one_row(tr, sp, x, ys, t):
+    """The envelope pieces from center x to each of ys at time t."""
+    return _envelope_arrays(_EnvelopeGrid(tr, sp, [x], list(ys)), t)
+
+
 class TestEnvelopeEval:
     def test_diagonal_values(self):
         tr = alpha1_triple()
         sp, _ = model(side=33, margin=4)
         x = 16
         t = 4.0
-        v = envelope_eval(tr, sp, "pc_explicit", t, x, x)
-        assert v == pytest.approx(1.0 / sp.volume(x, tr.phi_c.inverse(t)))
-        assert envelope_eval(tr, sp, "diag", t, x, x) == pytest.approx(
-            1.0 / sp.volume(x, tr.phi.inverse(t))
-        )
+        env = one_row(tr, sp, x, [x], t)
+        assert env["pc"][0, 0] == pytest.approx(
+            1.0 / sp.volume(x, tr.phi_c.inverse(t)))
+        assert env["Vphi"][0] == sp.volume(x, tr.phi.inverse(t))
 
     def test_legendre_exponent_quadratic(self):
         # calculus oracle: exponent d^2/(4t) = 1 at d = 2, t = 1
         tr = alpha1_triple()
-        sp, _ = model(side=33, margin=4)
-        x = 16
-        y = 18
-        v = envelope_eval(tr, sp, "pc_sup", 1.0, x, y)
-        expect = math.exp(-1.0) / sp.volume(x, 1.0)
-        assert v == pytest.approx(expect, rel=1e-9)
+        assert legendre_sup(tr, 2.0, 1.0) == pytest.approx(1.0, rel=1e-9)
+        # and m(t, d) = d^2 / t, four times the Legendre exponent
+        assert tr.m(1.0, 2.0) == pytest.approx(4.0, rel=1e-12)
 
     def test_pj_near_diagonal_branch(self):
         tr = alpha1_triple()
         sp, _ = model(side=65, margin=8)
         x, t = 32, 8.0
         # d <= phi_j^{-1}(t): the min attains the diagonal branch
-        for y in (x + 1, x + 4):
-            v = envelope_eval(tr, sp, "pj", t, x, y)
-            assert v == pytest.approx(1.0 / sp.volume(x, tr.phi_j.inverse(t)))
-        assert envelope_eval(tr, sp, "pj", t, x, x) > 0.0
+        env = one_row(tr, sp, x, [x, x + 1, x + 4], t)
+        diag = 1.0 / sp.volume(x, tr.phi_j.inverse(t))
+        assert env["pj"][0, 1:] == pytest.approx([diag, diag])
+        assert env["pj"][0, 0] > 0.0
 
     def test_monotone_in_distance(self):
         tr = alpha1_triple()
         sp, _ = model(side=65, margin=8)
         x, t = 32, 2.0
-        pc = [envelope_eval(tr, sp, "pc_explicit", t, x, x + d)
-              for d in range(1, 12)]
-        pj = [envelope_eval(tr, sp, "pj", t, x, x + d) for d in range(1, 12)]
-        assert all(a > b for a, b in zip(pc, pc[1:]))
-        assert all(a >= b - 1e-15 for a, b in zip(pj, pj[1:]))
+        env = one_row(tr, sp, x, range(x + 1, x + 12), t)
+        pc, pj = env["pc"][0], env["pj"][0]
+        assert np.all(pc[:-1] > pc[1:])
+        assert np.all(pj[:-1] >= pj[1:] - 1e-15)
 
 
 class TestPcEquivalence:
@@ -88,10 +91,11 @@ class TestPcEquivalence:
         # t >> phi_c(d): both exponents vanish, the two forms coincide
         tr = alpha1_triple()
         sp, _ = model(side=33, margin=4)
-        x, y = 16, 17
-        a = envelope_eval(tr, sp, "pc_sup", 1e6, x, y)
-        b = envelope_eval(tr, sp, "pc_explicit", 1e6, x, y)
-        assert a == pytest.approx(b, rel=1e-3)
+        x, y, t = 16, 17, 1e6
+        explicit = one_row(tr, sp, x, [y], t)["pc"][0, 0]
+        legendre = (math.exp(-legendre_sup(tr, 1.0, t))
+                    / sp.volume(x, tr.phi_c.inverse(t)))
+        assert legendre == pytest.approx(explicit, rel=1e-3)
 
 
 class TestFitHK:
@@ -159,10 +163,25 @@ class TestFitHK:
         assert rep_u.verdict == "certified"
         assert params_u.c3 == pytest.approx(params.c3, rel=1e-12)
 
+    @pytest.mark.parametrize("name,mode", [("z1_mini", "HK"),
+                                           ("gasket_walk", "HK"),
+                                           ("gasket_walk", "HK_local")])
+    def test_ratio_rows_reproduce_the_fit(self, name, mode):
+        # at stride 1 the rows cover the fit's grid, with the sandwich of
+        # the fitted mode and nan where the fit excludes a triple
+        ctx = SuiteContext(load_config(name))
+        params, _ = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
+        rows = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params,
+                                   max_rows=10 ** 9)
+        n_xs = len(ctx.space.interior())
+        assert len(rows) == len(params.grid["times"]) * n_xs ** 2
+        assert np.nanmax([r["kernel_over_upper"] for r in rows]) == params.c3
+        assert np.nanmin([r["kernel_over_lower"] for r in rows]) == params.c1
+
     def test_envelope_time_domain(self):
         sp, _ = model(side=33, margin=4)
         with pytest.raises(ValueError):
-            envelope_eval(alpha1_triple(), sp, "pj", 0.0, 1, 2)
+            one_row(alpha1_triple(), sp, 1, [2], 0.0)
 
     def test_constants_nest_hk_hkminus_nl(self):
         sp, form = model(side=129, margin=32)
@@ -208,26 +227,23 @@ class TestDiagChecks:
 
 class TestDominance:
     def test_large_time_jump_dominates(self):
-        sp, form = model(side=65, margin=8)
+        sp, _ = model(side=65, margin=8)
         tr = alpha1_triple()
-        table = heat_kernel(form, [2.0])
-        dm = dominance_map(table, tr, sp, 2.0)
+        dm = dominance_map(tr, sp, 2.0)
         off = dm.labels[np.triu_indices_from(dm.labels, k=3)]
         assert np.all(off == 2)
 
     def test_near_diagonal_class(self):
-        sp, form = model(side=65, margin=8)
+        sp, _ = model(side=65, margin=8)
         tr = alpha1_triple()
-        table = heat_kernel(form, [1.0])
-        dm = dominance_map(table, tr, sp, 1.0)
+        dm = dominance_map(tr, sp, 1.0)
         assert np.all(np.diag(dm.labels) == 0)
 
     def test_crossover_in_bracket_small_time(self):
-        sp, form = model(side=256, margin=32)
+        sp, _ = model(side=256, margin=32)
         tr = alpha1_triple()
-        table = heat_kernel(form, [1.0])
         t = tr.phi_c(8.0) * 1e-2
-        dm = dominance_map(table, tr, sp, t)
+        dm = dominance_map(tr, sp, t)
         assert dm.c3 is not None and np.isfinite(dm.c3)
         assert dm.c4 is not None and np.isfinite(dm.c4)
         cross = dm.crossover[np.isfinite(dm.crossover)]

@@ -154,7 +154,7 @@ def necessary_oracle(form, scales, cyl, n_window_times=5):
 @pytest.fixture(scope="module")
 def mini():
     ctx = SuiteContext(load_config("z1_mini"))
-    centers = ctx.space.usable_centers(5.0 * 4.0 + 1e-9)
+    centers = ctx.space.interior(5.0 * 4.0 + 1e-9)
     cyls = [CylinderSpec(x0=int(centers[i]), R=4.0)
             for i in (0, len(centers) // 2, len(centers) - 1)]
     cyls.append(CylinderSpec(x0=int(centers[1]), R=4.0, t0=0.75))
@@ -221,7 +221,7 @@ class TestCheckPhi:
         tr = diffusion_triple()
         fits = {}
         for R in (8.0, 16.0):
-            centers = sp.usable_centers(5.0 * R + 1e-9)
+            centers = sp.interior(5.0 * R + 1e-9)
             cyl = CylinderSpec(x0=int(centers[len(centers) // 2]), R=R)
             rep = check_phi(form, tr, [cyl], mode="full",
                             n_atom_intervals=6, n_window_times=4)

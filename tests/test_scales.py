@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlab.scales import (CrossoverResult, ScaleError, ScaleFunction,
-                            ScaleTriple, crossover_radius, effective_scale,
-                            eval_inverse, legendre_sup, power_bounds)
+                            ScaleTriple, crossover_radius, legendre_sup,
+                            power_bounds)
 
 
 def quad():
@@ -35,22 +35,22 @@ def bisect_inverse(f, v, lo=1e-12, hi=1e12):
 
 class TestEvalInverse:
     def test_forward_power(self):
-        assert eval_inverse(quad(), "forward", 3.0) == pytest.approx(9.0)
+        assert quad()(3.0) == pytest.approx(9.0)
 
     def test_inverse_power(self):
-        assert eval_inverse(quad(), "inverse", 9.0) == pytest.approx(3.0)
+        assert quad().inverse(9.0) == pytest.approx(3.0)
 
     def test_min_scale_inverse_jump_branch(self):
         phi = alpha1_triple().phi
         oracle = bisect_inverse(phi, 4.0)
-        assert eval_inverse(phi, "inverse", 4.0) == pytest.approx(4.0)
+        assert phi.inverse(4.0) == pytest.approx(4.0)
         assert oracle == pytest.approx(4.0, rel=1e-9)
 
     def test_nonpositive_input_rejected(self):
         with pytest.raises(ScaleError):
-            eval_inverse(quad(), "inverse", 0.0)
+            quad().inverse(0.0)
         with pytest.raises(ScaleError):
-            eval_inverse(quad(), "forward", -1.0)
+            quad()(-1.0)
 
     def test_roundtrip_six_decades(self):
         tr = alpha1_triple()
@@ -69,12 +69,12 @@ class TestEvalInverse:
 class TestEffectiveScale:
     def test_bar_phi_c_quadratic(self):
         tr = alpha1_triple()
-        assert effective_scale(tr, "bar_phi_c", 0.0, 5.0) == pytest.approx(5.0)
-        assert effective_scale(tr, "m_of", 1.0, 4.0) == pytest.approx(16.0)
+        assert tr.bar_phi_c(5.0) == pytest.approx(5.0)
+        assert tr.m(1.0, 4.0) == pytest.approx(16.0)
 
     def test_m_cubic_against_bisection(self):
         tr = ScaleTriple(ScaleFunction.single_power(3.0), lin())
-        m = effective_scale(tr, "m_of", 1.0, 2.0)
+        m = tr.m(1.0, 2.0)
         assert m == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
         # oracle: root of bar_phi_c(r/m) = t/r by bisection in m
         def defect(mm):
@@ -248,7 +248,8 @@ class TestConstruction:
 
     def test_config_roundtrip(self):
         f = ScaleFunction.from_exponents([0.5, 1.5], [32.0])
-        g = ScaleFunction.from_config(f.to_config(), normalize=False)
+        spec = [{"break": b, "coeff": c, "exp": e} for b, c, e in f.pieces]
+        g = ScaleFunction.from_config(spec, normalize=False)
         for r in (0.3, 1.0, 7.0, 200.0):
             assert g(r) == pytest.approx(f(r), rel=1e-12)
 

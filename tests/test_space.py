@@ -14,7 +14,7 @@ class TestBuilders:
         # direct count oracle: {y : |y - 50| < 2.5} has 5 points
         assert sp.volume(50, 2.5) == 5.0
         assert set(sp.ball(50, 0.5)) == {50}
-        assert len(sp.ball(50, sp.diameter + 1.0)) == sp.n
+        assert len(sp.ball(50, sp.metric.max() + 1.0)) == sp.n
 
     def test_lattice_2d(self):
         sp = build_space("lattice_box", dim=2, side=9)
@@ -31,7 +31,7 @@ class TestBuilders:
     def test_gasket_volume_exponent(self):
         # log-log fit oracle against d = log 3 / log 2
         g = build_space("gasket", level=5)
-        centers = g.usable_centers(16.0)
+        centers = g.interior(16.0)
         assert len(centers) > 10
         radii = np.array([2.5, 4.5, 8.5])
         logs = np.array([np.log(g.volumes(int(x), radii)) for x in centers])
@@ -118,9 +118,8 @@ class TestVolumeReport:
         assert vr.c_tilde <= 1.0 + 1e-9 <= vr.C_tilde + 1e-9
 
     def test_two_point_rvd_fails(self):
-        sp = MetricMeasureSpace.from_metric(
-            [[0.0, 1.0], [1.0, 0.0]], edges=[(0, 1)]
-        )
+        sp = MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], np.ones(2),
+                                edges=[(0, 1)])
         vr = volume_report(sp, radii=[0.5, 1.5])
         assert vr.c_mu <= 1.0
         assert not vr.rvd_passes
@@ -133,10 +132,8 @@ class TestVolumeReport:
         assert rel <= 0.2
 
     def test_empty_interior_error(self):
-        sp = MetricMeasureSpace.from_metric(
-            [[0.0, 1.0], [1.0, 0.0]], boundary=[True, True],
-            interior_margin=5.0,
-        )
+        sp = MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], np.ones(2),
+                                boundary=[True, True], interior_margin=5.0)
         with pytest.raises(SpaceError):
             volume_report(sp, radii=[0.5])
 
@@ -157,8 +154,8 @@ class TestChain:
 
     def test_disconnected_witness(self):
         inf = np.inf
-        sp = MetricMeasureSpace.from_metric(
-            [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]
+        sp = MetricMeasureSpace(
+            [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]], np.ones(3)
         )
         rep = chain_check(sp, samples=3)
         assert rep.constant == np.inf

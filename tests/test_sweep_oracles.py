@@ -235,18 +235,19 @@ def old_tail_probability(table, scales, space, radii, a1_grid, gauss_cap):
 
 def old_chain_lower(table, scales, space, c0, m_cap):
     xs = space.interior(space.interior_margin)
-    times = [table.times[i] for i in usable_times(table, space)]
+    keep = usable_times(table, space)
+    times = [table.times[i] for i in keep]
     c5 = math.inf
-    for t in times:
-        K = table.kernel(t)
+    for t, i in zip(times, keep):
+        K = table.kernels[i]
         Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
         near = space.metric[np.ix_(xs, xs)] <= scales.phi_c.inverse(t)
         vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
         if vals.size:
             c5 = min(c5, float(vals.min()))
     c6, used, rows = 1.0, 0, []
-    for t in times:
-        K = table.kernel(t)
+    for t, i in zip(times, keep):
+        K = table.kernels[i]
         Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
         d_sub = space.metric[np.ix_(xs, xs)]
         mvals = old_envelope_arrays(scales, space, t, xs, xs)["m"]
@@ -332,7 +333,7 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
     mono_defect = 0.0
     ndl_rows = []
     for r in map(float, ndl_radii):
-        centers = space.usable_centers(r + 1e-9)[:3]
+        centers = space.interior(r + 1e-9)[:3]
         if len(centers) == 0:
             continue
         t_top = scales.phi(eps * r)
@@ -465,30 +466,45 @@ def test_fit_hk_equals_loop_formulas(ctx, mode, dilations):
 
 
 def test_envelope_ratio_rows_equal_loop_formulas(ctx):
-    params, _ = fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK")
-    got = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params,
-                              max_rows=300)
+    # the rows carry the fitted mode's sandwich and are nan wherever
+    # fit_hk excludes the triple
+    for mode in ("HK", "HK_local"):
+        params, _ = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
+        got = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params,
+                                  max_rows=300)
+        assert canon(got) == canon(old_ratio_rows(ctx, params, 300))
+
+
+def old_ratio_rows(ctx, params, max_rows):
     xs = ctx.space.interior()
     keep = usable_times(ctx.table, ctx.space)
-    stride = max(1, int(math.sqrt(len(keep) * len(xs) ** 2 / 300)))
+    stride = max(1, int(math.sqrt(len(keep) * len(xs) ** 2 / max_rows)))
     xs = xs[::stride]
-    want = []
+    rows = []
     for i in keep:
         t = ctx.table.times[i]
         K = ctx.table.kernels[i][np.ix_(xs, xs)]
         env = {c: old_envelope_arrays(ctx.scales, ctx.space, t, xs, xs, c)
                for c in (params.c4, params.c2)}
-        U, L = (np.minimum(np.minimum(1.0 / e["Vc"], 1.0 / e["Vj"])[:, None],
-                           e["pc"] + e["pj"])
-                for e in (env[params.c4], env[params.c2]))
+        if params.mode == "HK_local":
+            U, L = (np.minimum((1.0 / e["Vc"])[:, None], e["pc"])
+                    for e in (env[params.c4], env[params.c2]))
+        else:
+            U, L = (np.minimum(np.minimum(1.0 / e["Vc"],
+                                          1.0 / e["Vj"])[:, None],
+                               e["pc"] + e["pj"])
+                    for e in (env[params.c4], env[params.c2]))
         floor = FLOOR_REL * float(ctx.table.kernels[i].max())
         for a, x in enumerate(xs):
             for b, y in enumerate(xs):
-                low = K[a, b] / L[a, b] if L[a, b] > floor else math.nan
-                want.append({"t": float(t), "x": int(x), "y": int(y),
-                             "kernel_over_upper": float(K[a, b] / U[a, b]),
+                kept = K[a, b] > floor
+                up = K[a, b] / U[a, b] if kept else math.nan
+                low = (K[a, b] / L[a, b] if kept and L[a, b] > floor
+                       else math.nan)
+                rows.append({"t": float(t), "x": int(x), "y": int(y),
+                             "kernel_over_upper": float(up),
                              "kernel_over_lower": float(low)})
-    assert canon(got) == canon(want)
+    return rows
 
 
 @pytest.mark.parametrize("a1_grid,gauss_cap", [
