@@ -32,18 +32,18 @@ import numpy as np
 
 from . import __version__
 from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
-                        dominance_map, envelope_ratio_rows, fit_hk,
-                        tail_probability_check)
-from .form import (JumpKernel, assemble, gap_check, heat_kernel,
-                   kernel_certificates, meyer_check, subordinate,
-                   subordinate_intensity_quadrature)
+                        dominance_map, fit_hk, tail_probability_check)
+from .form import (FormError, JumpKernel, assemble, check_jump, gap_check,
+                   heat_kernel, kernel_certificates, meyer_check, subordinate,
+                   subordinate_intensity, subordinate_intensity_quadrature)
 from .functionals import (ConditionReport, check_cs, check_exit, check_fk,
                           check_gcap, check_pi, fit_jpsi, tail_and_ujs,
                           function_family)
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleFunction, ScaleTriple
-from .space import MAX_POINTS, build_space, chain_check, volume_report
+from .space import (SpaceError, build_space, chain_check, space_size,
+                    volume_report)
 
 OK_VERDICTS = {"certified", "certified-for-family", "one-sided-certificate"}
 
@@ -122,16 +122,12 @@ def validate_config(data: dict) -> ExperimentConfig:
     bad = [c for c in cfg.checks if c not in CHECKS]
     if bad:
         raise ConfigError(f"unknown checks: {bad}; known: {sorted(CHECKS)}")
-    # resource guard: refuse oversized requests at validation time
-    kind = cfg.space.get("kind")
-    if kind in ("lattice_box", "halfspace_lattice"):
-        dim = 2 if kind == "halfspace_lattice" else int(cfg.space.get("dim", 1))
-        n = int(cfg.space.get("side", 0)) ** dim
-        if n > MAX_POINTS:
-            raise ConfigError(
-                f"space of {n} points exceeds the cap of {MAX_POINTS}")
-    if kind == "gasket" and int(cfg.space.get("level", 0)) > 7:
-        raise ConfigError("gasket level capped at 7")
+    # refuse what the builders would refuse, without building anything
+    try:
+        space_size(**cfg.space)
+        check_jump(cfg.jump)
+    except (SpaceError, FormError) as exc:
+        raise ConfigError(str(exc)) from exc
     if ("jpsi_alt" in cfg.checks
             and "phi_j" not in cfg.check_params.get("jpsi_alt", {})):
         raise ConfigError("jpsi_alt needs an alternative phi_j piece list "
@@ -148,6 +144,7 @@ def _build_scales(cfg: ExperimentConfig) -> ScaleTriple:
 
 
 def _build_jump(cfg, space, scales):
+    check_jump(cfg.jump)
     kind = cfg.jump.get("kind", "none")
     if kind == "none":
         return None
@@ -160,13 +157,11 @@ def _build_jump(cfg, space, scales):
     if kind == "power_law":
         return JumpKernel.power_law(space, alpha=cfg.jump["alpha"],
                                     coeff=cfg.jump.get("coeff", 1.0))
-    if kind == "two_regime":
-        return JumpKernel.two_regime(
-            space, alpha=cfg.jump["alpha"], beta=cfg.jump["beta"],
-            regime_break=cfg.jump["regime_break"],
-            coeff=cfg.jump.get("coeff", 1.0),
-        )
-    raise ConfigError(f"unknown jump kind {kind!r}")
+    return JumpKernel.two_regime(
+        space, alpha=cfg.jump["alpha"], beta=cfg.jump["beta"],
+        regime_break=cfg.jump["regime_break"],
+        coeff=cfg.jump.get("coeff", 1.0),
+    )
 
 
 class SuiteContext:
@@ -176,9 +171,7 @@ class SuiteContext:
         self.cfg = cfg
         self.thin = max(1, int(thin))
         self.scales = _build_scales(cfg)
-        self.space = build_space(cfg.space["kind"], **{
-            k: v for k, v in cfg.space.items() if k != "kind"
-        })
+        self.space = build_space(**cfg.space)
         self.jump = _build_jump(cfg, self.space, self.scales)
         self.form = assemble(self.space, cfg.local_weight, self.jump)
         g = cfg.grids
@@ -223,7 +216,7 @@ class SuiteContext:
 def _chk_volume(ctx, **kw):
     vr = volume_report(ctx.space, **kw)
     verdict = "certified" if np.isfinite(vr.C_mu) else "failed"
-    rep = ConditionReport(
+    return ConditionReport(
         "VD/RVD", verdict,
         constants={"C_mu": vr.C_mu, "l_mu": vr.l_mu, "c_mu": vr.c_mu,
                    "rvd": vr.rvd_passes, "d1": vr.d1, "d2": vr.d2,
@@ -232,42 +225,39 @@ def _chk_volume(ctx, **kw):
                 "n_centers": vr.n_centers},
         notes="RVD verdict applies to the restricted radius range only",
     )
-    return rep, None
 
 
 def _chk_chain(ctx, samples=30, **kw):
     cr = chain_check(ctx.space, samples=samples // ctx.thin + 1,
                      seed=ctx.cfg.seed, **kw)
     verdict = "certified" if np.isfinite(cr.constant) else "failed"
-    rep = ConditionReport("chain-condition", verdict,
-                          constants={"C": cr.constant},
-                          witness={} if cr.witness is None else
-                          {"disconnected_pair": list(cr.witness)},
-                          ranges={"samples": cr.samples})
-    return rep, None
+    return ConditionReport("chain-condition", verdict,
+                           constants={"C": cr.constant},
+                           witness={} if cr.witness is None else
+                           {"disconnected_pair": list(cr.witness)},
+                           ranges={"samples": cr.samples})
 
 
 def _chk_kernel(ctx, **kw):
     certs = kernel_certificates(ctx.form, ctx.table)
     ok = (certs["symmetry"] < 1e-10 and certs["chapman_kolmogorov"] < 1e-10
           and certs["unit_mass"] < 1e-10)
-    rep = ConditionReport("kernel-exactness",
-                          "certified" if ok else "failed",
-                          constants=certs,
-                          ranges={"times": list(ctx.times),
-                                  "method": "spectral"})
-    return rep, None
+    return ConditionReport("kernel-exactness",
+                           "certified" if ok else "failed",
+                           constants=certs,
+                           ranges={"times": list(ctx.times),
+                                   "method": "spectral"})
 
 
 def _chk_fk(ctx, **kw):
     return check_fk(ctx.form, ctx.scales, ctx.radii,
-                    max_centers=ctx.max_centers, **kw), None
+                    max_centers=ctx.max_centers, **kw)
 
 
 def _chk_pi(ctx, **kw):
     kw.setdefault("kappas", (1.0, 2.0))
     return check_pi(ctx.form, ctx.scales, ctx.radii,
-                    max_centers=ctx.max_centers, **kw), None
+                    max_centers=ctx.max_centers, **kw)
 
 
 def _gcap_families(ctx):
@@ -278,18 +268,18 @@ def _gcap_families(ctx):
 
 def _chk_gcap(ctx, **kw):
     fns = ctx.family
-    return check_gcap(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw), None
+    return check_gcap(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw)
 
 
 def _chk_cs(ctx, **kw):
     fns = ctx.family
     kw.setdefault("rho_grid", [max(ctx.radii), 2.0 * max(ctx.radii)])
-    return check_cs(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw), None
+    return check_cs(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw)
 
 
 def _chk_exit(ctx, **kw):
     return check_exit(ctx.form, ctx.scales, ctx.radii,
-                      max_centers=ctx.max_centers, **kw), None
+                      max_centers=ctx.max_centers, **kw)
 
 
 def _chk_tail_ujs(ctx, spread_cap=8.0, **kw):
@@ -299,7 +289,7 @@ def _chk_tail_ujs(ctx, spread_cap=8.0, **kw):
         rep.notes = (rep.notes + " two-sided comparability spread over "
                      f"cap {spread_cap}").strip()
     rep.constants["spread_cap"] = spread_cap
-    return rep, None
+    return rep
 
 
 def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0, **kw):
@@ -310,50 +300,40 @@ def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0, **kw):
     rows = [{"d": row["d"], "max_ratio": row["max_ratio"],
              "violation": plateau / row["max_ratio"]} for row in table]
     verdict = "failed" if spread > spread_cap else "certified"
-    rep = ConditionReport(
+    return ConditionReport(
         "J_psi-alt", verdict,
         constants={"c1": c1, "c2": c2, "spread": spread,
                    "spread_cap": spread_cap},
         ranges={"pieces": phi_j}, rows=rows,
         notes="two-sided comparability against the alternative scale",
     )
-    return rep, None
 
 
-def _chk_hk(ctx, mode="HK", **kw):
-    params, rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode, **kw)
-    art = {"envelope_params": params}
-    if mode in ("HK", "HK_local"):
-        rows = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params)
-        rep.rows = rows
-        art["ratio_rows"] = rows
-    return rep, art
+def _chk_hk(ctx, **kw):
+    return fit_hk(ctx.table, ctx.scales, ctx.space, **kw)
 
 
 def _chk_hk_minus(ctx, **kw):
-    params, rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK_minus", **kw)
-    return rep, {"envelope_params": params}
+    return fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK_minus", **kw)
 
 
 def _chk_uhk_weak(ctx, **kw):
-    params, rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode="UHK_weak", **kw)
-    return rep, {"envelope_params": params}
+    return fit_hk(ctx.table, ctx.scales, ctx.space, mode="UHK_weak", **kw)
 
 
 def _chk_diag(ctx, **kw):
     kw.setdefault("ndl_radii", ctx.radii[:2])
-    return diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form, **kw), None
+    return diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form, **kw)
 
 
 def _chk_pc_equiv(ctx, **kw):
     kw.setdefault("n_per_axis", max(10, 30 // ctx.thin))
     out = check_pc_equivalence(ctx.scales, **kw)
-    rep = ConditionReport(
+    return ConditionReport(
         "pc-equivalence", "certified",
         constants={k: v for k, v in out.items() if k != "grid"},
         ranges=out["grid"],
     )
-    return rep, None
 
 
 def _chk_dominance(ctx, t=None, **kw):
@@ -361,7 +341,7 @@ def _chk_dominance(ctx, t=None, **kw):
         t = float(ctx.times[0])
     dm = dominance_map(ctx.scales, ctx.space, t, **kw)
     cross = dm.crossover[np.isfinite(dm.crossover)]
-    rep = ConditionReport(
+    return ConditionReport(
         "dominance-map", "certified",
         constants={"t": dm.t, "diag_edge": dm.diag_edge,
                    "crossover_min": float(cross.min()) if cross.size else math.nan,
@@ -369,17 +349,17 @@ def _chk_dominance(ctx, t=None, **kw):
                    "c3": dm.c3, "c4": dm.c4, "log_ratio": dm.log_ratio,
                    "r_star": dm.r_star, "degenerate_root": dm.degenerate},
         ranges={"centers": int(len(dm.xs))},
+        labels=dm.labels,
     )
-    return rep, {"dominance_map": dm}
 
 
 def _chk_tail_probability(ctx, **kw):
-    return tail_probability_check(ctx.table, ctx.scales, ctx.space, **kw), None
+    return tail_probability_check(ctx.table, ctx.scales, ctx.space, **kw)
 
 
 def _chk_chain_lower(ctx, times=None, **kw):
     table = ctx.table if times is None else heat_kernel(ctx.form, times)
-    return chain_lower_check(table, ctx.scales, ctx.space, **kw), None
+    return chain_lower_check(table, ctx.scales, ctx.space, **kw)
 
 
 def _chk_phi(ctx, R=None, mode=None, **kw):
@@ -390,15 +370,14 @@ def _chk_phi(ctx, R=None, mode=None, **kw):
             for x in ctx.space.spread_centers(5.0 * float(r), n_centers)]
     if not cyls:
         return ConditionReport("PHI(phi)", "failed",
-                               notes="no cylinder fits the space"), None
-    rep = check_phi(ctx.form, ctx.scales, cyls, mode=mode, **kw)
-    return rep, {"phi_rows": rep.rows, "phi_witness": rep.witness}
+                               notes="no cylinder fits the space")
+    return check_phi(ctx.form, ctx.scales, cyls, mode=mode, **kw)
 
 
 def _chk_regularity(ctx, **kw):
     kw.setdefault("radii", ctx.cfg.grids.get("phi_R", [ctx.radii[0]]))
     kw.setdefault("max_centers", min(2, ctx.max_centers))
-    return check_regularity(ctx.form, ctx.scales, seed=ctx.cfg.seed, **kw), None
+    return check_regularity(ctx.form, ctx.scales, seed=ctx.cfg.seed, **kw)
 
 
 def _chk_meyer(ctx, rho_grid=None, **kw):
@@ -411,13 +390,12 @@ def _chk_meyer(ctx, rho_grid=None, **kw):
         )["c1"]
     vals = [v for v in fits.values()]
     ok = all(np.isfinite(v) for v in vals)
-    rep = ConditionReport(
+    return ConditionReport(
         "meyer-decomposition", "certified" if ok else "failed",
         constants={**fits, "max_over_min": (max(vals) / min(vals))
                    if min(vals) > 0 else math.inf},
         ranges={"rhos": list(map(float, rhos))},
     )
-    return rep, None
 
 
 def _chk_gap(ctx, rho_grid=None, **kw):
@@ -425,15 +403,13 @@ def _chk_gap(ctx, rho_grid=None, **kw):
     rhos = rho_grid or [r for r in ctx.radii]
     fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho, fns)
             for rho in rhos}
-    rep = ConditionReport(
+    return ConditionReport(
         "truncation-gap", "certified",
         constants=fits, ranges={"rhos": list(map(float, rhos))},
     )
-    return rep, None
 
 
 def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01, **kw):
-    sub = subordinate(ctx.form, b=b, gamma=gamma, times=ctx.times[:2])
     rng = np.random.RandomState(ctx.cfg.seed)
     interior = ctx.space.interior()
     pairs = []
@@ -441,19 +417,19 @@ def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01, **kw):
         x, y = rng.choice(interior, 2, replace=False)
         pairs.append((int(x), int(y)))
     quadv = subordinate_intensity_quadrature(ctx.form, gamma, pairs)
-    specv = np.array([sub.intensity[x, y] for x, y in pairs])
+    intensity = subordinate_intensity(ctx.form, gamma)
+    specv = np.array([intensity[x, y] for x, y in pairs])
     rel = float(np.max(np.abs(quadv - specv) / np.maximum(specv, 1e-300)))
     ident = subordinate(ctx.form, b=0.0, gamma=1.0 - 1e-12,
                         times=[ctx.times[0]])
-    id_err = float(np.abs(ident.table.kernels[0] - ctx.table.kernels[0]).max())
+    id_err = float(np.abs(ident.kernels[0] - ctx.table.kernels[0]).max())
     ok = rel <= tol and id_err <= 1e-8
-    rep = ConditionReport(
+    return ConditionReport(
         "subordination", "certified" if ok else "failed",
         constants={"b": b, "gamma": gamma, "quadrature_rel_err": rel,
                    "identity_case_err": id_err},
         ranges={"pairs": len(pairs)},
     )
-    return rep, None
 
 
 CHECKS = {
@@ -495,7 +471,7 @@ CROSS_RULES = (
 @dataclass
 class SuiteReport:
     report: dict
-    artifacts: dict = field(default_factory=dict)
+    reports: dict[str, ConditionReport]   # check name -> its report
 
 
 def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
@@ -505,28 +481,21 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
         cfg = replace(cfg, mode=mode)
     ctx = SuiteContext(cfg, thin=thin)
     checks = list(cfg.checks)   # an empty list yields an empty report
-    reports: dict[str, ConditionReport] = {}
-    artifacts: dict = {}
 
     def run_one(name):
         params = dict(cfg.check_params.get(name, {}))
         try:
-            return name, CHECKS[name](ctx, **params)
+            return CHECKS[name](ctx, **params)
         except Exception as exc:  # marked errored, suite continues
-            rep = ConditionReport(name, "errored",
-                                  notes=f"{type(exc).__name__}: {exc}")
-            rep.rows = [{"traceback": traceback.format_exc(limit=3)}]
-            return name, (rep, None)
+            return ConditionReport(
+                name, "errored", notes=f"{type(exc).__name__}: {exc}",
+                rows=[{"traceback": traceback.format_exc(limit=3)}])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, checks))
+            reports = dict(zip(checks, pool.map(run_one, checks)))
     else:
-        results = [run_one(name) for name in checks]
-    for name, (rep, art) in results:
-        reports[name] = rep
-        if art:
-            artifacts[name] = art
+        reports = {name: run_one(name) for name in checks}
 
     rules = []
     deviations = []
@@ -583,9 +552,7 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
-    artifacts["_rows"] = {name: rep.rows for name, rep in reports.items()
-                          if rep.rows}
-    return SuiteReport(report, artifacts)
+    return SuiteReport(report, reports)
 
 
 def render_report(suite: SuiteReport, out_dir):
@@ -603,17 +570,18 @@ def render_report(suite: SuiteReport, out_dir):
     path.write_text(json.dumps(_jsonable(suite.report), sort_keys=True,
                                indent=2) + "\n")
     written = [path]
-    for name, rows in suite.artifacts.get("_rows", {}).items():
+    for name, rep in suite.reports.items():
         path = out / f"ratios_{name}.csv"
-        if write_rows_csv(rows, path):
+        if rep.rows and write_rows_csv(rep.rows, path):
             written.append(path)
-    dom = suite.artifacts.get("dominance", {}).get("dominance_map")
-    if dom is not None:
+    dom = suite.reports.get("dominance")
+    if dom is not None and dom.labels is not None:
         path = out / "dominance.svg"
-        svg_heatmap(dom.labels, path, title=f"dominance map t={dom.t:g}")
+        svg_heatmap(dom.labels, path,
+                    title=f"dominance map t={dom.constants['t']:g}")
         written.append(path)
-    phi_art = suite.artifacts.get("phi", {})
-    worst = phi_art.get("phi_witness", {}).get("worst", {})
+    phi = suite.reports.get("phi")
+    worst = {} if phi is None else phi.witness.get("worst", {})
     if "trace_minus" in worst:
         path = out / "caloric_worst.svg"
         tm = np.asarray(worst["trace_minus"], dtype=float)
@@ -623,8 +591,8 @@ def render_report(suite: SuiteReport, out_dir):
         series += [(f"Q+ t{i}", xs, tp[i]) for i in range(tp.shape[0])]
         svg_curves(series, path, title="worst caloric function")
         written.append(path)
-    hk_art = suite.artifacts.get("hk", {})
-    rows = hk_art.get("ratio_rows")
+    hk = suite.reports.get("hk")
+    rows = [] if hk is None or hk.verdict == "errored" else hk.rows
     if rows:
         t_last = max(r["t"] for r in rows)
         sel = [r for r in rows if r["t"] == t_last]

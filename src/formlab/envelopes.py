@@ -17,8 +17,9 @@ computed kernel are excluded and counted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .functionals import ConditionReport
 from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
 
 __all__ = [
-    "EnvelopeParams",
     "check_pc_equivalence",
     "fit_hk",
     "diag_checks",
@@ -39,27 +39,7 @@ __all__ = [
 ]
 
 FLOOR_REL = 1e-13
-
-
-@dataclass
-class EnvelopeParams:
-    """Fitted envelope constants; lower <= kernel <= upper on the fit grid."""
-
-    mode: str
-    c1: float = math.nan          # lower multiplicative constant
-    c2: float = math.nan          # lower time dilation
-    c3: float = math.nan          # upper multiplicative constant
-    c4: float = math.nan          # upper time dilation
-    c0: float = math.nan          # HK_minus lower constant
-    indicator: float = math.nan   # HK_minus region constant
-    excluded: int = 0
-    grid: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {k: getattr(self, k) for k in
-               ("mode", "c1", "c2", "c3", "c4", "c0", "indicator", "excluded")}
-        out["grid"] = self.grid
-        return out
+RATIO_ROWS = 2000   # row budget of the thinned ratio table of HK and HK_local
 
 
 # -- envelope geometry ---------------------------------------------------------
@@ -152,34 +132,14 @@ def _sandwich(env, with_jump):
                       env["pc"] + env["pj"])
 
 
-def envelope_ratio_rows(table: HeatKernelTable, scales: ScaleTriple, space,
-                        params: EnvelopeParams, margin=None,
-                        max_rows: int = 2000):
-    """Thinned (t, x, y, kernel/upper, kernel/lower) table for the sandwich
-    ``fit_hk`` fitted in ``params.mode``; a ratio is nan wherever the fit
-    excludes its triple (kernel, or lower envelope, below the floor)."""
-    margin = space.interior_margin if margin is None else margin
-    xs = space.interior(margin)
-    keep = usable_times(table, space)
-    total = max(len(keep) * len(xs) * len(xs), 1)
-    stride = max(1, int(math.sqrt(total / max_rows)))
-    xs_thin = xs[::stride]
-    ids = xs_thin.tolist()
-    grid = _EnvelopeGrid(scales, space, xs_thin, xs_thin)
-    with_jump = params.mode != "HK_local"
-    c4 = params.c4 if np.isfinite(params.c4) else 1.0
-    c2 = params.c2 if np.isfinite(params.c2) else 1.0
+def envelope_ratio_rows(times, xs, up, low):
+    """Rows (t, x, y, kernel/upper, kernel/lower) of a ratio table on the
+    centers ``xs``: ``up[k]`` and ``low[k]`` hold the ratios at
+    ``times[k]``, nan where the fit excludes the triple."""
+    ids = xs.tolist()
     rows = []
-    for i in keep:
-        t = float(table.times[i])
-        K = table.kernels[i][np.ix_(xs_thin, xs_thin)]
-        floor = FLOOR_REL * float(table.kernels[i].max())
-        U = _sandwich(_envelope_arrays(grid, t, dilation=c4), with_jump)
-        L = _sandwich(_envelope_arrays(grid, t, dilation=c2), with_jump)
-        K_ok = K > floor
-        up = np.where(K_ok, K / U, math.nan).tolist()
-        low = np.where(K_ok & (L > floor), K / L, math.nan).tolist()
-        for x, up_x, low_x in zip(ids, up, low):
+    for t, up_t, low_t in zip(times, up, low):
+        for x, up_x, low_x in zip(ids, up_t.tolist(), low_t.tolist()):
             rows.extend({"t": t, "x": x, "y": y, "kernel_over_upper": u,
                          "kernel_over_lower": v}
                         for y, u, v in zip(ids, up_x, low_x))
@@ -232,23 +192,25 @@ def check_pc_equivalence(scales: ScaleTriple, n_per_axis: int = 40,
 def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
            mode: str = "HK", margin=None, upper_dilations=(1.0, 2.0, 4.0),
            lower_dilations=(1.0, 0.5, 0.25), indicator: float = 1.0,
-           boundary_cap: float = 0.01):
+           boundary_cap: float = 0.01) -> ConditionReport:
     """Fit the smallest upper and largest lower constants of the requested
     sandwich over interior triples of the kernel table.
 
     modes: ``HK`` (full sandwich), ``HK_minus`` (indicator lower bound),
     ``UHK`` (upper only), ``UHK_weak`` (rough upper with phi in both slots),
     ``HK_local`` (diffusion-only Gaussian sandwich, no jump envelope).
-    Returns (EnvelopeParams, ConditionReport).
+    In ``HK`` and ``HK_local`` the report's rows hold kernel/upper and
+    kernel/lower at the fitted dilations on the fit's own grid, thinned by
+    one stride over both centers to about ``RATIO_ROWS`` rows, nan wherever
+    the fit excludes the triple.
     """
-    margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
     keep = usable_times(table, space, boundary_cap)
-    params = EnvelopeParams(mode=mode)
-    params.grid = {"times": [float(table.times[i]) for i in keep],
-                   "n_centers": int(len(xs))}
+    times = [float(table.times[i]) for i in keep]
+    total = max(len(keep) * len(xs) * len(xs), 1)
+    thin = slice(None, None, max(1, int(math.sqrt(total / RATIO_ROWS))))
+    c1 = c2 = c3 = c4 = c0 = math.nan
     excluded = 0
-    rows = []
     with_jump = mode in ("HK", "HK_minus", "UHK", "UHK_weak")
     uppers = (upper_dilations if mode in ("HK", "UHK", "HK_local")
               else ())
@@ -272,11 +234,12 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         weak_denom = grid.Vd * phi_d
 
     # One sweep over the times; each dilation keeps its own running
-    # [extreme ratio, excluded triples, witness], filled in time order.
-    # Triples where the kernel is below its resolvable floor are excluded
-    # (their computed values are eigensolver noise) and counted.
-    up_acc = [[0.0, 0, None] for _ in uppers]
-    lo_acc = [[math.inf, 0, None] for _ in lowers]
+    # [extreme ratio, excluded triples, witness, thinned ratios], filled in
+    # time order.  Triples where the kernel is below its resolvable floor
+    # are excluded (their computed values are eigensolver noise), counted,
+    # and nan in the thinned ratios.
+    up_acc = [[0.0, 0, None, []] for _ in uppers]
+    lo_acc = [[math.inf, 0, None, []] for _ in lowers]
     weak_worst = 0.0
     minus = [math.inf, 0, None]
     for i in keep:
@@ -284,19 +247,25 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         K = table.kernels[i][np.ix_(xs, xs)]
         fl = FLOOR_REL * float(table.kernels[i].max())
         K_ok = K > fl
-        for acc, c4 in zip(up_acc, uppers):
-            U = _sandwich(_envelope_arrays(grid, t, dilation=c4), with_jump)
+        for acc, dil in zip(up_acc, uppers):
+            U = _sandwich(_envelope_arrays(grid, t, dilation=dil), with_jump)
+            ratio = K / U
             acc[1] += int((~K_ok).sum())
+            acc[3].append(np.where(K_ok[thin, thin], ratio[thin, thin],
+                                   math.nan))
             if K_ok.any():
-                cand = _extreme(K / U, K_ok, t, pick_max=True)
+                cand = _extreme(ratio, K_ok, t, pick_max=True)
                 if cand["ratio"] > acc[0]:
                     acc[0], acc[2] = cand["ratio"], cand
-        for acc, c2 in zip(lo_acc, lowers):
-            L = _sandwich(_envelope_arrays(grid, t, dilation=c2), with_jump)
+        for acc, dil in zip(lo_acc, lowers):
+            L = _sandwich(_envelope_arrays(grid, t, dilation=dil), with_jump)
+            ratio = K / L
             ok = (L > fl) & K_ok
             acc[1] += int((~ok).sum())
+            acc[3].append(np.where(ok[thin, thin], ratio[thin, thin],
+                                   math.nan))
             if ok.any():
-                cand = _extreme(K / L, ok, t, pick_max=False)
+                cand = _extreme(ratio, ok, t, pick_max=False)
                 if cand["ratio"] < acc[0]:
                     acc[0], acc[2] = cand["ratio"], cand
         if mode == "UHK_weak":
@@ -317,54 +286,57 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                 if cand["ratio"] < minus[0]:
                     minus[0], minus[2] = cand["ratio"], cand
 
-    # upper fit: the dilation with the smallest worst ratio
+    # upper fit: the dilation with the smallest worst ratio; the rows keep
+    # the first dilation's ratios when no dilation is fitted
+    up_rows = up_acc[0][3] if up_acc else []
     if mode in ("HK", "UHK", "HK_local"):
         best_upper = (math.inf, math.nan)
-        for (worst, exc_u, wit), c4 in zip(up_acc, uppers):
+        for (worst, exc_u, wit, ratios), dil in zip(up_acc, uppers):
             if worst < best_upper[0]:
-                best_upper = (worst, c4)
+                best_upper = (worst, dil)
+                up_rows = ratios
                 excluded = max(excluded, exc_u)
                 if wit is not None:
                     witnesses["upper"] = wit
-        params.c3, params.c4 = best_upper
+        c3, c4 = best_upper
     elif mode == "UHK_weak":
-        params.c3 = weak_worst
+        c3 = weak_worst
 
     # lower fit: the dilation with the largest finite best ratio
+    lo_rows = lo_acc[0][3] if lo_acc else []
     if mode in ("HK", "HK_local"):
         best_lower = (0.0, math.nan)
-        for (best, exc, wit), c2 in zip(lo_acc, lowers):
+        for (best, exc, wit, ratios), dil in zip(lo_acc, lowers):
             if best > best_lower[0] and np.isfinite(best):
-                best_lower = (best, c2)
+                best_lower = (best, dil)
+                lo_rows = ratios
                 excluded = max(excluded, exc)
                 if wit is not None:
                     witnesses["lower"] = wit
-        params.c1, params.c2 = best_lower
+        c1, c2 = best_lower
     elif mode == "HK_minus":
-        params.c0 = minus[0]
-        params.indicator = indicator
+        c0 = minus[0]
         excluded = minus[1]
         if minus[2] is not None:
             witnesses["lower"] = minus[2]
 
-    params.excluded = excluded
-    consts = {k: v for k, v in params.to_dict().items()
+    fitted = {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "c0": c0,
+              "indicator": indicator if mode == "HK_minus" else math.nan}
+    consts = {k: v for k, v in fitted.items()
               if isinstance(v, float) and np.isfinite(v)}
     lower_ok = mode in ("UHK", "UHK_weak") or (
-        np.isfinite(params.c1) and params.c1 > 0.0
-    ) or (np.isfinite(params.c0) and params.c0 > 0.0)
-    upper_ok = mode == "HK_minus" or (
-        np.isfinite(params.c3) and params.c3 < math.inf
-    )
+        np.isfinite(c1) and c1 > 0.0
+    ) or (np.isfinite(c0) and c0 > 0.0)
+    upper_ok = mode == "HK_minus" or (np.isfinite(c3) and c3 < math.inf)
     verdict = "certified" if (lower_ok and upper_ok and keep) else "failed"
-    report = ConditionReport(
+    rows = (envelope_ratio_rows(times, xs[thin], up_rows, lo_rows)
+            if mode in ("HK", "HK_local") else [])
+    return ConditionReport(
         f"{mode}(phi_c,phi_j)", verdict, constants=consts,
         witness=witnesses,
-        ranges={"times_used": params.grid["times"],
-                "excluded_triples": excluded},
+        ranges={"times_used": times, "excluded_triples": excluded},
         rows=rows,
     )
-    return params, report
 
 
 # -- diagonal conditions -------------------------------------------------------------
@@ -376,7 +348,6 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                 boundary_cap: float = 0.01) -> ConditionReport:
     """UHKD, NL and NDL constants, the last from Dirichlet kernels on a ball
     family; domain monotonicity p >= p^B is re-verified on the NDL grid."""
-    margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
     keep = usable_times(table, space, boundary_cap)
     c_uhkd = 0.0
@@ -464,7 +435,6 @@ def dominance_map(scales: ScaleTriple, space, t: float,
     phi_c^{-1}(t): the bracket constants c3, c4 are fitted from the
     empirical crossovers with the two theoretical log exponents.
     """
-    margin = space.interior_margin if margin is None else margin
     xs = space.interior(margin)
     grid = _EnvelopeGrid(scales, space, xs, xs)
     env = _envelope_arrays(grid, t)
@@ -605,8 +575,9 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     triples with d >= c0 phi_c^{-1}(t) in the locally dominated regime.
 
     c5 is pinned to the near-diagonal constant (the one-step case), then c6
-    is the largest ratio base certified over the grid."""
-    margin = space.interior_margin if margin is None else margin
+    is the largest ratio base certified over the grid.  The rows hold
+    (t, m, base) of every ``stride``-th selected triple in sweep order, the
+    stride keeping them within ``RATIO_ROWS``."""
     xs = space.interior(margin)
     keep = usable_times(table, space)
     times = [table.times[i] for i in keep]
@@ -628,7 +599,7 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
                                notes="no near-diagonal reference")
     c6 = 1.0
     used = 0
-    rows = []
+    triples = []   # (t, m, base) of every selected triple, in sweep order
     for t, i in zip(times, keep):
         K = table.kernels[i]
         Vc = grid.volumes(scales.phi_c.inverse(t))
@@ -643,10 +614,13 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
         for lo in range(0, len(ii), _CHUNK):
             part = slice(lo, lo + _CHUNK)
             bases = _pow(ratio[part].tolist(), inv_m[part].tolist())
-            rows.extend({"t": t, "m": m, "base": base}
-                        for m, base in zip(m_sel[part].tolist(), bases))
+            triples.extend(zip(repeat(t), m_sel[part].tolist(), bases))
             c6 = min(c6, *bases)
         used += len(ii)
+    # every triple enters c6; the rows keep one in ``stride``
+    stride = max(1, math.ceil(used / RATIO_ROWS))
+    rows = [{"t": t, "m": m, "base": base}
+            for t, m, base in triples[::stride]]
     verdict = "certified" if (used and 0.0 < c6) else "failed"
     return ConditionReport(
         "chain-lower", verdict,

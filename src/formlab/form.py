@@ -37,12 +37,14 @@ __all__ = [
     "HeatKernelTable",
     "ExitStats",
     "assemble",
+    "check_jump",
     "heat_kernel",
     "kernel_blocks",
     "truncate",
     "gap_check",
     "meyer_check",
     "subordinate",
+    "subordinate_intensity",
     "subordinate_intensity_quadrature",
     "exit_stats",
     "energy_and_champ",
@@ -88,6 +90,13 @@ def _mirror_upper(M):
 
 
 # -- jump kernels ------------------------------------------------------------
+
+
+def check_jump(jump: dict):
+    """Raise FormError unless ``jump`` names a jump kind a config can use."""
+    kind = jump.get("kind", "none")
+    if kind not in ("none", "stable_like", "power_law", "two_regime"):
+        raise FormError(f"unknown jump kind {kind!r}")
 
 
 @dataclass
@@ -429,7 +438,6 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
     increasing in c1).  ``kernels`` are the untruncated p(t) at ``times``
     when the caller holds them already."""
     space = form.space
-    margin = space.interior_margin if margin is None else margin
     interior = space.interior(margin)
     block = [(interior, interior)]
     if kernels is None:
@@ -475,36 +483,33 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
 # -- subordination -------------------------------------------------------------
 
 
-@dataclass
-class SubordinationResult:
-    table: HeatKernelTable
-    intensity: np.ndarray            # generator off-diagonal: int q(u,x,y) nu(u) du
-
-
 def subordinate(form: DirichletForm, b: float, gamma: float, times
-                ) -> SubordinationResult:
+                ) -> HeatKernelTable:
     """Subordinate semigroup exp(-t psi(-L)) with psi(lam) = b lam + lam^gamma
-    by functional calculus on the eigenvalues.
-
-    ``intensity`` carries the full off-diagonal of (-L)^gamma over mu, which
-    equals int_0^inf q(u,x,y) nu(u) du for the gamma-stable Levy density nu
-    (twice the jump kernel in the form convention).  The drift contributes
-    only locally.
-    """
+    by functional calculus on the eigenvalues."""
     if not (0.0 < gamma <= 1.0):
         raise FormError("gamma must lie in (0, 1]")
     if b < 0.0:
         raise FormError("drift must be nonnegative")
     lam, B = _spectral_basis(form)
     times = tuple(map(float, times))
-    kernels = _semigroup_kernels(B, b * lam + lam ** gamma, times)
-    table = HeatKernelTable(times, kernels)
+    return HeatKernelTable(times, _semigroup_kernels(B, b * lam + lam ** gamma,
+                                                     times))
+
+
+def subordinate_intensity(form: DirichletForm, gamma: float) -> np.ndarray:
+    """Jump intensity of the gamma-stable part of ``subordinate``: the full
+    off-diagonal of (-L)^gamma over mu, which equals int_0^inf q(u,x,y)
+    nu(u) du for the gamma-stable Levy density nu (twice the jump kernel in
+    the form convention).  The drift contributes only locally."""
+    if not (0.0 < gamma <= 1.0):
+        raise FormError("gamma must lie in (0, 1]")
+    lam, B = _spectral_basis(form)
     # symmetrised (-L)^gamma, expressed as kernel against mu x mu
     G = (B * lam ** gamma) @ B.T
     intensity = -G
     np.fill_diagonal(intensity, 0.0)
-    intensity = np.maximum(0.5 * (intensity + intensity.T), 0.0)
-    return SubordinationResult(table, intensity)
+    return np.maximum(0.5 * (intensity + intensity.T), 0.0)
 
 
 def subordinate_intensity_quadrature(form: DirichletForm, gamma: float,

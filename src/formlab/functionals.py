@@ -51,6 +51,7 @@ class ConditionReport:
     ranges: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)   # per-instance table for CSV
     notes: str = ""
+    labels: np.ndarray | None = None   # plot classes per pair; not in to_dict
 
     def to_dict(self):
         return {
@@ -474,7 +475,6 @@ def fit_jpsi(form: DirichletForm, psi, margin=None):
     """Two-sided comparability fit of J against 1/(V(x,d) psi(d)) over
     interior ordered pairs; returns (c1, c2, per-distance table)."""
     space = form.space
-    margin = space.interior_margin if margin is None else margin
     interior = space.interior(margin)
     J = form.jump.matrix
     c1, c2 = math.inf, 0.0

@@ -23,6 +23,7 @@ __all__ = [
     "VolumeReport",
     "ChainReport",
     "build_space",
+    "space_size",
     "volume_report",
     "chain_check",
 ]
@@ -35,6 +36,14 @@ class SpaceError(ValueError):
     """Invalid space construction or query."""
 
 
+def _check_size(n):
+    if n > MAX_POINTS:
+        raise SpaceError(
+            f"capacity exceeded: {n} points > {MAX_POINTS} supported by "
+            "the dense metric representation"
+        )
+
+
 class MetricMeasureSpace:
     """Finite point set with a symmetric metric, positive measure, nearest
     neighbour edges, and a designated truncation boundary."""
@@ -45,11 +54,7 @@ class MetricMeasureSpace:
         if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
             raise SpaceError("metric must be a square matrix")
         n = metric.shape[0]
-        if n > MAX_POINTS:
-            raise SpaceError(
-                f"capacity exceeded: {n} points > {MAX_POINTS} supported by "
-                "the dense metric representation"
-            )
+        _check_size(n)
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (n,) or np.any(mu <= 0.0):
             raise SpaceError("mu must be positive with one entry per point")
@@ -118,24 +123,14 @@ class MetricMeasureSpace:
 
 
 def _lattice_box(dim, side, metric="l1", margin=None):
-    if dim not in (1, 2, 3):
-        raise SpaceError("lattice_box supports dim in {1, 2, 3}")
-    if side > 1024:
-        raise SpaceError("lattice_box side capped at 1024 per dimension")
     n = side ** dim
-    if n > MAX_POINTS:
-        raise SpaceError(
-            f"capacity exceeded: lattice_box({dim}, {side}) has {n} points"
-        )
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
     if metric == "l1":
         dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
         dist = dist.astype(float)
-    elif metric == "l2":
+    else:
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff.astype(float) ** 2).sum(axis=2))
-    else:
-        raise SpaceError("lattice metric must be 'l1' or 'l2'")
     index = {tuple(c): i for i, c in enumerate(coords)}
     edges = []
     for i, c in enumerate(coords):
@@ -171,8 +166,6 @@ def _halfspace_lattice(side, metric="l1", margin=None):
 
 
 def _gasket(level, margin=None):
-    if level > 7:
-        raise SpaceError("gasket level capped at 7")
     scale = 2 ** level
     tris = [((0, 0), (scale, 0), (0, scale))]
     for _ in range(level):
@@ -215,6 +208,7 @@ def build_space(kind: str, **params) -> MetricMeasureSpace:
     kinds: ``lattice_box(dim, side, metric, margin)``,
     ``gasket(level, margin)``, ``halfspace_lattice(side, metric, margin)``.
     """
+    space_size(kind, **params)
     if kind == "lattice_box":
         return _lattice_box(
             params["dim"], params["side"],
@@ -222,12 +216,30 @@ def build_space(kind: str, **params) -> MetricMeasureSpace:
         )
     if kind == "gasket":
         return _gasket(params["level"], margin=params.get("margin"))
-    if kind == "halfspace_lattice":
-        return _halfspace_lattice(
-            params["side"], metric=params.get("metric", "l1"),
-            margin=params.get("margin"),
-        )
-    raise SpaceError(f"unknown space kind {kind!r}")
+    return _halfspace_lattice(
+        params["side"], metric=params.get("metric", "l1"),
+        margin=params.get("margin"),
+    )
+
+
+def space_size(kind: str, **params) -> int:
+    """Point count of ``build_space(kind, **params)``, found without
+    building anything.  Raises SpaceError on an unknown kind, a lattice dim
+    outside {1, 2, 3}, a lattice metric other than l1 or l2, and a count
+    over ``MAX_POINTS``."""
+    if kind == "gasket":
+        n = 3 * (3 ** params["level"] + 1) // 2
+    elif kind in ("lattice_box", "halfspace_lattice"):
+        dim = params["dim"] if kind == "lattice_box" else 2
+        if dim not in (1, 2, 3):
+            raise SpaceError("lattice_box supports dim in {1, 2, 3}")
+        if params.get("metric", "l1") not in ("l1", "l2"):
+            raise SpaceError("lattice metric must be 'l1' or 'l2'")
+        n = params["side"] ** dim
+    else:
+        raise SpaceError(f"unknown space kind {kind!r}")
+    _check_size(n)
+    return n
 
 
 # -- volume regularity ------------------------------------------------------

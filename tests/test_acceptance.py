@@ -15,6 +15,7 @@ from formlab.cli import load_config, run_suite, SuiteContext
 from formlab.envelopes import (dominance_map, fit_hk, tail_probability_check)
 from formlab.form import (JumpKernel, assemble, heat_kernel,
                           kernel_certificates, subordinate,
+                          subordinate_intensity,
                           subordinate_intensity_quadrature)
 from formlab.functionals import check_exit, fit_jpsi
 from formlab.harnack import CylinderSpec, check_phi
@@ -107,13 +108,12 @@ def test_03_hk_sandwich(model256, model128):
     tr = alpha1_triple()
     fits = {}
     for label, (sp, form, table) in (("256", model256), ("128", model128)):
-        params, rep = fit_hk(table, tr, sp, mode="HK")
-        fits[label] = (params, rep)
-    p256, rep256 = fits["256"]
-    p128, _ = fits["128"]
-    ratio = p256.c3 / p256.c1
-    drift = max(abs(p256.c1 - p128.c1) / max(p256.c1, p128.c1),
-                abs(p256.c3 - p128.c3) / max(p256.c3, p128.c3))
+        fits[label] = fit_hk(table, tr, sp, mode="HK")
+    rep256 = fits["256"]
+    p256, p128 = fits["256"].constants, fits["128"].constants
+    ratio = p256["c3"] / p256["c1"]
+    drift = max(abs(p256["c1"] - p128["c1"]) / max(p256["c1"], p128["c1"]),
+                abs(p256["c3"] - p128["c3"]) / max(p256["c3"], p128["c3"]))
     elapsed = time.monotonic() - t0
     ok = (rep256.verdict == "certified" and ratio <= 200.0
           and drift <= 0.3 and elapsed < 120.0)
@@ -178,7 +178,7 @@ def test_06_counterexample_fidelity():
 def test_07_subordination():
     g = build_space("gasket", level=5)
     form = assemble(g, 1.0, None)
-    sub = subordinate(form, b=1.0, gamma=0.5, times=[1.0])
+    intensity = subordinate_intensity(form, 0.5)
     rng = np.random.RandomState(0x5EED)
     pairs = []
     while len(pairs) < 100:
@@ -186,11 +186,11 @@ def test_07_subordination():
         if x != y:
             pairs.append((int(x), int(y)))
     quad = subordinate_intensity_quadrature(form, 0.5, pairs)
-    spec = np.array([sub.intensity[x, y] for x, y in pairs])
+    spec = np.array([intensity[x, y] for x, y in pairs])
     rel = float(np.max(np.abs(quad - spec) / spec))
     ident = subordinate(form, b=0.0, gamma=1.0 - 1e-12, times=[1.0])
     base = heat_kernel(form, [1.0]).kernels[0]
-    id_err = float(np.abs(ident.table.kernels[0] - base).max())
+    id_err = float(np.abs(ident.kernels[0] - base).max())
     ok = rel <= 0.01 and id_err <= 1e-8
     conclude(7, f"subordinate intensities match quadrature to {rel:.2e} "
                 f"on 100 pairs; identity case error {id_err:.2e}", ok)

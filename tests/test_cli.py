@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import formlab.cli as cli
+import formlab.envelopes as envelopes
 import formlab.form as form_mod
 from formlab.cli import (ConfigError, load_config, main, render_report,
                          run_suite, validate_config)
+from formlab.functionals import ConditionReport
+from formlab.space import build_space
 
 
 def mini_cfg(**overrides):
@@ -65,6 +68,9 @@ class TestSuite:
         cfg = validate_config(mini_cfg())
         assert sorted(suite.report["checks"]) == sorted(cfg.checks)
         assert len(suite.report["outcome"]) == len(cfg.checks)
+        assert list(suite.reports) == cfg.checks
+        assert all(isinstance(rep, ConditionReport)
+                   for rep in suite.reports.values())
 
     def test_all_ok(self, suite):
         assert suite.report["all_ok"]
@@ -106,7 +112,7 @@ class TestSuite:
             files = sorted((tmp_path / name).glob("ratios_*.csv"))
             assert files
             for path in files:
-                rows = [r for r in run.artifacts["_rows"][path.stem[7:]]
+                rows = [r for r in run.reports[path.stem[7:]].rows
                         if not any(isinstance(v, (list, dict))
                                    for v in r.values())]
                 with open(path, newline="") as fh:
@@ -118,7 +124,7 @@ class TestSuite:
                     assert set(got) == set(reader.fieldnames)
                     assert {k: v for k, v in got.items() if v} == {
                         k: str(v) for k, v in row.items() if v is not None}
-        (tb,) = errored.artifacts["_rows"]["jpsi_alt"]
+        (tb,) = errored.reports["jpsi_alt"].rows
         assert '"quoted" failure' in tb["traceback"]
 
     def test_render_roundtrip(self, suite, tmp_path):
@@ -133,9 +139,24 @@ class TestSuite:
 
     def test_csv_row_counts(self, suite, tmp_path):
         render_report(suite, tmp_path)
-        fk_rows = suite.artifacts["_rows"]["fk"]
+        fk_rows = suite.reports["fk"].rows
         lines = (tmp_path / "ratios_fk.csv").read_text().strip().splitlines()
         assert len(lines) == len(fk_rows) + 1
+
+    @pytest.mark.parametrize("params", [{"margin": 40},
+                                        {"boundary_cap": 0.001}])
+    def test_hk_rows_follow_the_fit_grid(self, params, monkeypatch):
+        # the rows come from the fit's own sweep: its centers at its
+        # margin, its usable times at its boundary cap
+        monkeypatch.setattr(envelopes, "RATIO_ROWS", 10 ** 9)
+        cfg = validate_config(mini_cfg(checks=["hk"],
+                                       check_params={"hk": params}))
+        rep = run_suite(cfg).reports["hk"]
+        xs = build_space(**cfg.space).interior(params.get("margin"))
+        times = rep.ranges["times_used"]
+        assert [r["t"] for r in rep.rows[::len(xs) ** 2]] == times
+        assert [(r["x"], r["y"]) for r in rep.rows] == [
+            (x, y) for _ in times for x in xs.tolist() for y in xs.tolist()]
 
     def test_dominance_svg_three_classes(self, suite, tmp_path):
         render_report(suite, tmp_path)
@@ -280,6 +301,22 @@ class TestMain:
         assert main(["--config", str(p), "validate"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "6400" in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("space", {"kind": "lattice_box", "dim": 4, "side": 4}, "dim"),
+        ("space", {"kind": "torus", "side": 16}, "unknown space kind"),
+        ("space", {"kind": "lattice_box", "dim": 1, "side": 64,
+                   "metric": "linf"}, "metric"),
+        ("jump", {"kind": "levy"}, "unknown jump kind"),
+    ])
+    def test_unbuildable_config_rejected_at_validate(self, tmp_path, capsys,
+                                                      key, value, message):
+        # each would pass validate and then stop the suite midway
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(mini_cfg(**{key: value})))
+        assert main(["--config", str(p), "validate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
     def test_jpsi_alt_without_scale_rejected_at_validate(self, tmp_path,
                                                           capsys):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import formlab.envelopes as envelopes
 from formlab.cli import SuiteContext, load_config
 from formlab.envelopes import (_EnvelopeGrid, _envelope_arrays,
                                chain_lower_check, check_pc_equivalence,
-                               diag_checks, dominance_map,
-                               envelope_ratio_rows, fit_hk,
+                               diag_checks, dominance_map, fit_hk,
                                tail_probability_check, usable_times)
 from formlab.form import JumpKernel, assemble, heat_kernel
 from formlab.scales import ScaleFunction, ScaleTriple, legendre_sup
@@ -102,16 +102,16 @@ class TestFitHK:
     def test_alpha1_certifies(self):
         sp, form = model()
         table = heat_kernel(form, list(np.geomspace(1.0, 2.5, 4)))
-        params, rep = fit_hk(table, alpha1_triple(), sp, mode="HK")
+        rep = fit_hk(table, alpha1_triple(), sp, mode="HK")
         assert rep.verdict == "certified"
-        assert params.c3 / params.c1 <= 200.0
+        assert rep.constants["c3"] / rep.constants["c1"] <= 200.0
 
     def test_posthoc_sandwich_holds(self):
         sp, form = model(side=129, margin=32)
         tr = alpha1_triple()
         times = [1.0, 1.6]
         table = heat_kernel(form, times)
-        params, rep = fit_hk(table, tr, sp, mode="HK")
+        params = fit_hk(table, tr, sp, mode="HK").constants
         xs = sp.interior()
         keep = usable_times(table, sp)
         from formlab.envelopes import _envelope_arrays, _EnvelopeGrid
@@ -119,16 +119,16 @@ class TestFitHK:
         for i in keep:
             t = times[i]
             K = table.kernels[i][np.ix_(xs, xs)]
-            up = _envelope_arrays(grid, t, dilation=params.c4)
+            up = _envelope_arrays(grid, t, dilation=params["c4"])
             U = np.minimum(np.minimum(1.0 / up["Vc"], 1.0 / up["Vj"])[:, None],
                            up["pc"] + up["pj"])
-            assert np.all(K <= params.c3 * U * (1 + 1e-9))
-            lo = _envelope_arrays(grid, t, dilation=params.c2)
+            assert np.all(K <= params["c3"] * U * (1 + 1e-9))
+            lo = _envelope_arrays(grid, t, dilation=params["c2"])
             L = np.minimum(np.minimum(1.0 / lo["Vc"], 1.0 / lo["Vj"])[:, None],
                            lo["pc"] + lo["pj"])
             floor = 1e-13 * table.kernels[i].max()
             ok = L > floor
-            assert np.all(K[ok] >= params.c1 * L[ok] * (1 - 1e-9))
+            assert np.all(K[ok] >= params["c1"] * L[ok] * (1 - 1e-9))
 
     def test_gaussian_sandwich_diffusion_only(self):
         tr = diffusion_triple()
@@ -136,47 +136,50 @@ class TestFitHK:
         for side in (128, 256):
             sp, form = model(side=side, margin=32, with_jump=False)
             table = heat_kernel(form, list(np.geomspace(4.0, 64.0, 5)))
-            params, rep = fit_hk(table, tr, sp, mode="HK_local")
+            rep = fit_hk(table, tr, sp, mode="HK_local")
             assert rep.verdict == "certified"
-            fits[side] = params
+            fits[side] = rep.constants
         for attr in ("c1", "c3"):
-            a = getattr(fits[128], attr)
-            b = getattr(fits[256], attr)
+            a = fits[128][attr]
+            b = fits[256][attr]
             assert abs(a - b) / max(a, b) <= 0.3
 
     def test_uhk_weak_follows_from_hk(self):
         sp, form = model(side=129, margin=32)
         tr = alpha1_triple()
         table = heat_kernel(form, [1.0, 1.6])
-        _, rep_hk = fit_hk(table, tr, sp, mode="HK")
-        params_w, rep_w = fit_hk(table, tr, sp, mode="UHK_weak")
+        rep_hk = fit_hk(table, tr, sp, mode="HK")
+        rep_w = fit_hk(table, tr, sp, mode="UHK_weak")
         assert rep_hk.verdict == "certified"
         assert rep_w.verdict == "certified"
-        assert np.isfinite(params_w.c3)
+        assert np.isfinite(rep_w.constants["c3"])
 
     def test_upper_only_mode_matches_full_upper(self):
         sp, form = model(side=129, margin=32)
         tr = alpha1_triple()
         table = heat_kernel(form, [1.0, 1.6])
-        params, _ = fit_hk(table, tr, sp, mode="HK")
-        params_u, rep_u = fit_hk(table, tr, sp, mode="UHK")
+        rep = fit_hk(table, tr, sp, mode="HK")
+        rep_u = fit_hk(table, tr, sp, mode="UHK")
         assert rep_u.verdict == "certified"
-        assert params_u.c3 == pytest.approx(params.c3, rel=1e-12)
+        assert rep_u.constants["c3"] == pytest.approx(rep.constants["c3"],
+                                                      rel=1e-12)
 
     @pytest.mark.parametrize("name,mode", [("z1_mini", "HK"),
                                            ("gasket_walk", "HK"),
                                            ("gasket_walk", "HK_local")])
-    def test_ratio_rows_reproduce_the_fit(self, name, mode):
+    def test_ratio_rows_reproduce_the_fit(self, name, mode, monkeypatch):
         # at stride 1 the rows cover the fit's grid, with the sandwich of
         # the fitted mode and nan where the fit excludes a triple
+        monkeypatch.setattr(envelopes, "RATIO_ROWS", 10 ** 9)
         ctx = SuiteContext(load_config(name))
-        params, _ = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
-        rows = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params,
-                                   max_rows=10 ** 9)
+        rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
+        rows = rep.rows
         n_xs = len(ctx.space.interior())
-        assert len(rows) == len(params.grid["times"]) * n_xs ** 2
-        assert np.nanmax([r["kernel_over_upper"] for r in rows]) == params.c3
-        assert np.nanmin([r["kernel_over_lower"] for r in rows]) == params.c1
+        assert len(rows) == len(rep.ranges["times_used"]) * n_xs ** 2
+        assert (np.nanmax([r["kernel_over_upper"] for r in rows])
+                == rep.constants["c3"])
+        assert (np.nanmin([r["kernel_over_lower"] for r in rows])
+                == rep.constants["c1"])
 
     def test_envelope_time_domain(self):
         sp, _ = model(side=33, margin=4)
@@ -187,15 +190,16 @@ class TestFitHK:
         sp, form = model(side=129, margin=32)
         tr = alpha1_triple()
         table = heat_kernel(form, [1.0, 1.6])
-        params, _ = fit_hk(table, tr, sp, mode="HK")
-        params_m, _ = fit_hk(table, tr, sp, mode="HK_minus", indicator=1.0)
+        params = fit_hk(table, tr, sp, mode="HK").constants
+        params_m = fit_hk(table, tr, sp, mode="HK_minus",
+                          indicator=1.0).constants
         rep_d = diag_checks(table, tr, sp, form, ndl_radii=(8.0,),
                             nl_constant=1.0)
-        assert params.c1 > 0.0
-        assert params_m.c0 > 0.0
+        assert params["c1"] > 0.0
+        assert params_m["c0"] > 0.0
         # NL region is the near part of the HK_minus region with the same
         # profile, so its inf cannot be smaller
-        assert rep_d.constants["c_NL"] >= params_m.c0 - 1e-12
+        assert rep_d.constants["c_NL"] >= params_m["c0"] - 1e-12
 
 
 class TestDiagChecks:

@@ -6,6 +6,7 @@ import pytest
 from formlab.form import (FormError, JumpKernel, assemble, energy_and_champ,
                           exit_stats, gap_check, heat_kernel,
                           kernel_certificates, meyer_check, subordinate,
+                          subordinate_intensity,
                           subordinate_intensity_quadrature, truncate)
 from formlab.functionals import fit_jpsi
 from formlab.scales import ScaleFunction, ScaleTriple
@@ -197,13 +198,13 @@ class TestSubordination:
         form = assemble(g, 1.0, None)
         out = subordinate(form, b=0.0, gamma=1.0 - 1e-12, times=[0.7])
         base = heat_kernel(form, [0.7]).kernels[0]
-        assert np.abs(out.table.kernels[0] - base).max() < 1e-8
+        assert np.abs(out.kernels[0] - base).max() < 1e-8
 
     def test_semigroup_property(self):
         g = build_space("gasket", level=3)
         form = assemble(g, 1.0, None)
         out = subordinate(form, b=1.0, gamma=0.5, times=[0.5, 1.0])
-        K, K2 = out.table.kernels
+        K, K2 = out.kernels
         comp = (K * form.mu[None, :]) @ K
         assert np.abs(comp - K2).max() < 1e-10
 
@@ -211,10 +212,10 @@ class TestSubordination:
         # oracle: direct quadrature of int q(u,x,y) nu(u) du
         sp = build_space("lattice_box", dim=1, side=33, margin=0)
         form = assemble(sp, 1.0, None)
-        out = subordinate(form, b=1.0, gamma=0.5, times=[1.0])
+        intensity = subordinate_intensity(form, 0.5)
         pairs = [(5, 9), (10, 20), (16, 17), (3, 30)]
         quad = subordinate_intensity_quadrature(form, 0.5, pairs)
-        spec = np.array([out.intensity[x, y] for x, y in pairs])
+        spec = np.array([intensity[x, y] for x, y in pairs])
         assert np.max(np.abs(quad - spec) / spec) < 1e-4
 
     def test_walk_intensity_power_law_shape(self):
@@ -222,10 +223,10 @@ class TestSubordination:
         # has jump intensity ~ c / d^2 at mid-range distances
         sp = build_space("lattice_box", dim=1, side=65, margin=0)
         form = assemble(sp, 1.0, None)
-        out = subordinate(form, b=1.0, gamma=0.5, times=[1.0])
+        intensity = subordinate_intensity(form, 0.5)
         x = 32
         ds = np.array([2, 3, 4, 6, 8, 12])
-        vals = np.array([out.intensity[x, x + d] for d in ds])
+        vals = np.array([intensity[x, x + d] for d in ds])
         fitted = vals * ds ** 2.0
         assert fitted.max() / fitted.min() < 10.0
 
@@ -236,17 +237,19 @@ class TestSubordination:
             subordinate(form, b=1.0, gamma=1.5, times=[1.0])
         with pytest.raises(FormError):
             subordinate(form, b=1.0, gamma=0.0, times=[1.0])
+        with pytest.raises(FormError):
+            subordinate_intensity(form, gamma=1.5)
 
     def test_subordinating_a_jump_form(self):
         # subordination applies to any mu-symmetric form, including one
         # that already jumps; the result stays a semigroup with a
         # symmetric nonnegative intensity
         sp, form = z1(side=33, margin=0)
-        out = subordinate(form, b=0.5, gamma=0.7, times=[0.5, 1.0])
-        K, K2 = out.table.kernels
+        K, K2 = subordinate(form, b=0.5, gamma=0.7, times=[0.5, 1.0]).kernels
+        intensity = subordinate_intensity(form, 0.7)
         assert np.abs((K * form.mu[None, :]) @ K - K2).max() < 1e-10
-        assert np.abs(out.intensity - out.intensity.T).max() == 0.0
-        assert out.intensity.min() >= 0.0
+        assert np.abs(intensity - intensity.T).max() == 0.0
+        assert intensity.min() >= 0.0
 
 
 class TestExitStats:

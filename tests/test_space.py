@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from formlab.space import (MAX_POINTS, MetricMeasureSpace, SpaceError,
-                           build_space, chain_check, volume_report)
+                           build_space, chain_check, space_size,
+                           volume_report)
 
 
 class TestBuilders:
@@ -44,6 +45,15 @@ class TestBuilders:
             build_space("lattice_box", dim=3, side=1024)
         with pytest.raises(SpaceError):
             build_space("gasket", level=9)
+
+    def test_point_count_is_the_only_cap(self):
+        # no per-side or per-level cap of its own: a 1-d side of 2000 fits
+        # MAX_POINTS and builds; gasket level 8 has 9843 points and does not
+        assert space_size("lattice_box", dim=1, side=2000) == 2000
+        assert build_space("lattice_box", dim=1, side=2000).n == 2000
+        assert space_size("gasket", level=7) == 3282
+        with pytest.raises(SpaceError, match="9843"):
+            space_size("gasket", level=8)
 
     def test_one_size_cap_at_construction(self):
         # the cap the form, its eigenbasis and validate_config share

@@ -10,15 +10,16 @@ not change them."""
 
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from formlab.cli import (SuiteContext, _gcap_families, _jsonable, load_config,
                          run_suite)
-from formlab.envelopes import (FLOOR_REL, EnvelopeParams, _EnvelopeGrid, _pow,
-                               chain_lower_check, diag_checks,
-                               envelope_ratio_rows, fit_hk,
+import formlab.envelopes as envelopes
+from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
+                               chain_lower_check, diag_checks, fit_hk,
                                tail_probability_check, usable_times)
 from formlab.form import (JumpKernel, assemble, heat_kernel, meyer_check,
                           truncate)
@@ -78,11 +79,31 @@ def old_envelope_arrays(scales, space, t, xs, ys, dilation=1.0):
             "pc": pc, "pj": pj, "m": m_grid}
 
 
+@dataclass
+class OldParams:
+    """The constants the old fit held beside its report."""
+
+    c1: float = math.nan
+    c2: float = math.nan
+    c3: float = math.nan
+    c4: float = math.nan
+    c0: float = math.nan
+    indicator: float = math.nan
+    excluded: int = 0
+    grid: dict = field(default_factory=dict)
+
+    def constants(self):
+        """The finite constants, as the report carries them."""
+        return {k: v for k in ("c1", "c2", "c3", "c4", "c0", "indicator")
+                if isinstance(v := getattr(self, k), float)
+                and np.isfinite(v)}
+
+
 def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
                lower_dilations=(1.0, 0.5, 0.25), indicator=1.0):
     xs = space.interior(space.interior_margin)
     keep = usable_times(table, space, 0.01)
-    params = EnvelopeParams(mode=mode)
+    params = OldParams()
     params.grid = {"times": [float(table.times[i]) for i in keep],
                    "n_centers": int(len(xs))}
     excluded = 0
@@ -260,7 +281,8 @@ def old_chain_lower(table, scales, space, c0, m_cap):
             rows.append({"t": t, "m": float(mvals[a, b]), "base": float(base)})
             c6 = min(c6, float(base))
             used += 1
-    return c5, c6, used, rows
+    # one row per stride triples, in sweep order
+    return c5, c6, used, rows[::max(1, math.ceil(used / RATIO_ROWS))]
 
 
 def old_min_max_step(space, x, y, n):
@@ -456,26 +478,26 @@ def old_check_gcap(form, scales, families, test_fns, kappas):
     {"upper_dilations": (4.0, 2.0, 1.0), "lower_dilations": (0.25, 0.5, 1.0)},
 ])
 def test_fit_hk_equals_loop_formulas(ctx, mode, dilations):
-    params, rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode,
-                         **dilations)
+    rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode, **dilations)
     want, witnesses = old_fit_hk(ctx.table, ctx.scales, ctx.space, mode,
                                  **dilations)
-    assert canon(params.to_dict()) == canon(want.to_dict())
+    assert canon(rep.constants) == canon(want.constants())
+    assert rep.ranges["times_used"] == want.grid["times"]
     assert canon(rep.witness) == canon(witnesses)
     assert rep.ranges["excluded_triples"] == want.excluded
 
 
-def test_envelope_ratio_rows_equal_loop_formulas(ctx):
+def test_envelope_ratio_rows_equal_loop_formulas(ctx, monkeypatch):
     # the rows carry the fitted mode's sandwich and are nan wherever
     # fit_hk excludes the triple
+    monkeypatch.setattr(envelopes, "RATIO_ROWS", 300)
     for mode in ("HK", "HK_local"):
-        params, _ = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
-        got = envelope_ratio_rows(ctx.table, ctx.scales, ctx.space, params,
-                                  max_rows=300)
-        assert canon(got) == canon(old_ratio_rows(ctx, params, 300))
+        rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
+        want = old_ratio_rows(ctx, mode, rep.constants, 300)
+        assert canon(rep.rows) == canon(want)
 
 
-def old_ratio_rows(ctx, params, max_rows):
+def old_ratio_rows(ctx, mode, params, max_rows):
     xs = ctx.space.interior()
     keep = usable_times(ctx.table, ctx.space)
     stride = max(1, int(math.sqrt(len(keep) * len(xs) ** 2 / max_rows)))
@@ -485,15 +507,15 @@ def old_ratio_rows(ctx, params, max_rows):
         t = ctx.table.times[i]
         K = ctx.table.kernels[i][np.ix_(xs, xs)]
         env = {c: old_envelope_arrays(ctx.scales, ctx.space, t, xs, xs, c)
-               for c in (params.c4, params.c2)}
-        if params.mode == "HK_local":
+               for c in (params["c4"], params["c2"])}
+        if mode == "HK_local":
             U, L = (np.minimum((1.0 / e["Vc"])[:, None], e["pc"])
-                    for e in (env[params.c4], env[params.c2]))
+                    for e in (env[params["c4"]], env[params["c2"]]))
         else:
             U, L = (np.minimum(np.minimum(1.0 / e["Vc"],
                                           1.0 / e["Vj"])[:, None],
                                e["pc"] + e["pj"])
-                    for e in (env[params.c4], env[params.c2]))
+                    for e in (env[params["c4"]], env[params["c2"]]))
         floor = FLOOR_REL * float(ctx.table.kernels[i].max())
         for a, x in enumerate(xs):
             for b, y in enumerate(xs):
