@@ -92,11 +92,20 @@ def _mirror_upper(M):
 # -- jump kernels ------------------------------------------------------------
 
 
+# jump kind -> the parameters its builder needs
+_JUMP_PARAMS = {"none": (), "stable_like": (), "power_law": ("alpha",),
+                "two_regime": ("alpha", "beta", "regime_break")}
+
+
 def check_jump(jump: dict):
-    """Raise FormError unless ``jump`` names a jump kind a config can use."""
+    """Raise FormError unless ``jump`` names a jump kind a config can use,
+    with every parameter its builder needs."""
     kind = jump.get("kind", "none")
-    if kind not in ("none", "stable_like", "power_law", "two_regime"):
+    if kind not in _JUMP_PARAMS:
         raise FormError(f"unknown jump kind {kind!r}")
+    missing = [p for p in _JUMP_PARAMS[kind] if p not in jump]
+    if missing:
+        raise FormError(f"jump kind {kind!r} needs {', '.join(missing)}")
 
 
 @dataclass
@@ -308,12 +317,11 @@ def assemble(space: MetricMeasureSpace, local_weights, jump: JumpKernel | None
 
 @dataclass
 class HeatKernelTable:
-    """p(t, x, y) on a time grid.  ``domain`` marks a Dirichlet restriction
-    (killing outside); kernels are indexed by the domain's points then."""
+    """p(t, x, y) on a time grid; the kernels of a Dirichlet restriction are
+    indexed by the domain's points."""
 
     times: tuple
     kernels: list
-    domain: np.ndarray | None = None
 
 
 def _spectral_basis(form, idx=None):
@@ -357,7 +365,7 @@ def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     if idx is not None and len(idx) == 0:
         raise FormError("empty Dirichlet domain")
     lam, B = _spectral_basis(form, idx)
-    return HeatKernelTable(times, _semigroup_kernels(B, lam, times), idx)
+    return HeatKernelTable(times, _semigroup_kernels(B, lam, times))
 
 
 def kernel_blocks(form: DirichletForm, times, blocks) -> list:
@@ -375,30 +383,31 @@ def kernel_blocks(form: DirichletForm, times, blocks) -> list:
     return out
 
 
-def kernel_certificates(form: DirichletForm, table: HeatKernelTable) -> dict:
-    """Symmetry, Chapman-Kolmogorov and conservation defects of a table.
+def kernel_certificates(form: DirichletForm, times) -> dict:
+    """Symmetry, Chapman-Kolmogorov and conservation defects of the global
+    heat kernel at each of ``times``.
 
     CK is checked against a freshly computed half-time kernel:
-    p(t) == integral p(t/2, x, y) p(t/2, y, z) mu(dy).
+    p(t) == integral p(t/2, x, y) p(t/2, y, z) mu(dy).  One time at a time,
+    so at most three n x n arrays are alive beyond the spectrum.
     """
-    mu = form.mu if table.domain is None else form.mu[table.domain]
+    mu = form.mu
     sym = 0.0
     mass = 0.0
     ck = 0.0
-    for t, K in zip(table.times, table.kernels):
-        # |K - K^T| and |p(t/2) mu p(t/2) - K| are formed in place, each
-        # n x n temporary dropped before the next is made
-        d = K - K.T
-        sym = max(sym, float(np.abs(d, out=d).max()))
-        del d
-        if table.domain is None:
-            mass = max(mass, float(np.abs((K * mu[None, :]).sum(axis=1) - 1.0).max()))
-        half = heat_kernel(form, [t / 2.0], domain=table.domain).kernels[0]
+    for t in times:
+        half = heat_kernel(form, [t / 2.0]).kernels[0]
         d = (half * mu[None, :]) @ half
         del half
+        K = heat_kernel(form, [t]).kernels[0]
+        # |K - K^T| is formed in place and dropped before the mass row sums
+        s = K - K.T
+        sym = max(sym, float(np.abs(s, out=s).max()))
+        del s
+        mass = max(mass, float(np.abs((K * mu[None, :]).sum(axis=1) - 1.0).max()))
         d -= K
         ck = max(ck, float(np.abs(d, out=d).max() / max(K.max(), 1e-300)))
-        del d
+        del d, K    # before the next time's kernels are computed
     return {"symmetry": sym, "chapman_kolmogorov": ck, "unit_mass": mass}
 
 

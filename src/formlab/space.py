@@ -224,18 +224,24 @@ def build_space(kind: str, **params) -> MetricMeasureSpace:
 
 def space_size(kind: str, **params) -> int:
     """Point count of ``build_space(kind, **params)``, found without
-    building anything.  Raises SpaceError on an unknown kind, a lattice dim
-    outside {1, 2, 3}, a lattice metric other than l1 or l2, and a count
-    over ``MAX_POINTS``."""
+    building anything.  Raises SpaceError on an unknown kind, a missing
+    ``level``, ``dim`` or ``side``, a lattice dim outside {1, 2, 3}, a
+    lattice metric other than l1 or l2, and a count over ``MAX_POINTS``."""
+
+    def need(key):
+        if key not in params:
+            raise SpaceError(f"{kind} space needs {key!r}")
+        return params[key]
+
     if kind == "gasket":
-        n = 3 * (3 ** params["level"] + 1) // 2
+        n = 3 * (3 ** need("level") + 1) // 2
     elif kind in ("lattice_box", "halfspace_lattice"):
-        dim = params["dim"] if kind == "lattice_box" else 2
+        dim = need("dim") if kind == "lattice_box" else 2
         if dim not in (1, 2, 3):
             raise SpaceError("lattice_box supports dim in {1, 2, 3}")
         if params.get("metric", "l1") not in ("l1", "l2"):
             raise SpaceError("lattice metric must be 'l1' or 'l2'")
-        n = params["side"] ** dim
+        n = need("side") ** dim
     else:
         raise SpaceError(f"unknown space kind {kind!r}")
     _check_size(n)

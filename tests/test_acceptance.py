@@ -64,7 +64,7 @@ def test_01_kernel_exactness(expm_kernels):
         if ctx.space.n > 256:
             continue
         n_forms += 1
-        certs = kernel_certificates(ctx.form, ctx.table)
+        certs = kernel_certificates(ctx.form, ctx.times)
         for k in worst:
             worst[k] = max(worst[k], certs[k])
         ts = list(ctx.times[:2])

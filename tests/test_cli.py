@@ -177,12 +177,14 @@ class TestSuite:
         assert b1 == b2
 
     def test_threads_match_serial(self, monkeypatch):
-        # kernel, meyer and subordination all read the shared table and the
-        # global spectrum; under threads each must still be computed once
+        # kernel, meyer and subordination all read the global spectrum, and
+        # meyer the shared table; under threads each must still be computed
+        # once (subordination's one-time kernel is no table build)
         checks = ["kernel", "meyer", "subordination", "volume", "fk"]
         s1 = run_suite(validate_config(mini_cfg(checks=checks)))
         cfg = validate_config(mini_cfg(checks=checks))
-        S_ref = cli.SuiteContext(cfg).form.sym_generator()
+        ref = cli.SuiteContext(cfg)
+        S_ref = ref.form.sym_generator()
         real_kernel, real_eigh = cli.heat_kernel, form_mod.eigh
         tables, spectra = [], []
 
@@ -203,7 +205,7 @@ class TestSuite:
             s2 = run_suite(cfg, threads=3)
         finally:
             sys.setswitchinterval(switch)
-        assert len(tables) == 1
+        assert [list(times) for times in tables].count(ref.times) == 1
         assert len(spectra) == 1
         for rep in (s1, s2):
             rep.report["provenance"].pop("timestamp")
@@ -211,6 +213,24 @@ class TestSuite:
         assert json.dumps(s1.report, sort_keys=True) == json.dumps(
             s2.report, sort_keys=True
         )
+
+    def test_kernel_and_subordination_build_no_table(self, monkeypatch):
+        # both compute the kernel one time at a time: the shared table of
+        # len(times) kernels is built only for checks that read it
+        table = cli.SuiteContext.table
+        reads = []
+
+        def counting_table(ctx):
+            reads.append(ctx)
+            return table.fget(ctx)
+
+        monkeypatch.setattr(cli.SuiteContext, "table",
+                            property(counting_table))
+        checks = ["kernel", "subordination", "volume"]
+        suite = run_suite(validate_config(mini_cfg(checks=checks)))
+        assert reads == []
+        assert [rep.verdict for rep in suite.reports.values()] == [
+            "certified"] * 3
 
     def test_dominance_alone_needs_no_spectrum(self, monkeypatch):
         # the dominance map reads the envelopes only: no kernel, no eigh
@@ -308,6 +328,17 @@ class TestMain:
         ("space", {"kind": "lattice_box", "dim": 1, "side": 64,
                    "metric": "linf"}, "metric"),
         ("jump", {"kind": "levy"}, "unknown jump kind"),
+        ("jump", {"kind": "power_law"}, "needs alpha"),
+        ("jump", {"kind": "two_regime", "beta": 0.5, "regime_break": 8},
+         "needs alpha"),
+        ("jump", {"kind": "two_regime", "alpha": 1.0, "regime_break": 8},
+         "needs beta"),
+        ("jump", {"kind": "two_regime", "alpha": 1.0, "beta": 0.5},
+         "needs regime_break"),
+        ("space", {"kind": "lattice_box", "side": 64}, "needs 'dim'"),
+        ("space", {"kind": "lattice_box", "dim": 1}, "needs 'side'"),
+        ("space", {"kind": "halfspace_lattice", "margin": 4}, "needs 'side'"),
+        ("space", {"kind": "gasket"}, "needs 'level'"),
     ])
     def test_unbuildable_config_rejected_at_validate(self, tmp_path, capsys,
                                                       key, value, message):

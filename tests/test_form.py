@@ -92,8 +92,7 @@ class TestHeatKernel:
 
     def test_certificates(self):
         _, form = z1(side=49, margin=0)
-        table = heat_kernel(form, [0.5, 1.0, 3.0])
-        certs = kernel_certificates(form, table)
+        certs = kernel_certificates(form, [0.5, 1.0, 3.0])
         assert certs["symmetry"] < 1e-12
         assert certs["chapman_kolmogorov"] < 1e-10
         assert certs["unit_mass"] < 1e-10

@@ -12,6 +12,7 @@ import pytest
 
 from scipy.linalg import eigh
 
+from formlab.cli import SuiteContext, _chk_kernel, validate_config
 from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
                           heat_kernel, kernel_blocks, kernel_certificates,
                           meyer_check, truncate)
@@ -192,13 +193,34 @@ def test_meyer_check_holds_one_transient_kernel(given):
 
 
 def test_kernel_certificates_drop_each_temporary():
-    # a half-time kernel, its mu-scaled copy and their product: keeping the
-    # last product or |K - K^T| alive into the next time adds an n^2
+    # a half-time kernel, its mu-scaled copy and their product, then the
+    # product beside the kernel and one temporary of it: keeping the half
+    # kernel, the last product, K or |K - K^T| alive into the next step or
+    # time adds an n^2
     n = 256
     sp, form = z1(side=n, margin=16)
-    table = heat_kernel(form, [0.5, 1.0, 2.0])
-    peak = traced_peak(lambda: kernel_certificates(form, table))
+    form.spectral()
+    peak = traced_peak(lambda: kernel_certificates(form, [0.5, 1.0, 2.0]))
     assert peak <= 3.5 * n * n * 8
+
+
+def test_kernel_check_peak_does_not_grow_with_n_times():
+    # the kernel check certifies one time at a time, so its traced peak at
+    # 24 table times is that at 4; a 24-time table alone is 24 n^2 doubles
+    n = 256
+    peaks = []
+    for n_times in (4, 24):
+        ctx = SuiteContext(validate_config({
+            "name": "z1_256", "jump": {"kind": "power_law", "alpha": 1.0},
+            "space": {"kind": "lattice_box", "dim": 1, "side": n,
+                      "margin": 16},
+            "scales": {"phi_c": [{"break": 0, "coeff": 1, "exp": 2}],
+                       "phi_j": [{"break": 0, "coeff": 1, "exp": 1}]},
+            "grids": {"n_times": n_times}}))
+        assert len(ctx.times) == n_times
+        ctx.form.spectral()
+        peaks.append(traced_peak(lambda: _chk_kernel(ctx)))
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * n * n * 8
 
 
 def test_setup_constructors_hold_no_whole_matrix_temporaries():
