@@ -176,9 +176,9 @@ def check_pc_equivalence(scales: ScaleTriple, n_per_axis: int = 40,
     ts = np.geomspace(10 ** (-decades / 2), 10 ** (decades / 2), n_per_axis)
     ds = np.geomspace(10 ** (-decades / 2), 10 ** (decades / 2), n_per_axis)
     lo, hi = math.inf, 0.0
-    for t in ts:
-        for d in ds:
-            ratio = legendre_sup(scales, d, t, c0) / scales.m(t, d)
+    for t in ts.tolist():
+        for d, sup in zip(ds.tolist(), legendre_sup(scales, ds, t, c0).tolist()):
+            ratio = sup / scales.m(t, d)
             lo = min(lo, ratio)
             hi = max(hi, ratio)
     return {"ratio_min": lo, "ratio_max": hi,
@@ -367,6 +367,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     c_ndl = math.inf
     mono_defect = 0.0
     ndl_rows = []
+    radii = []      # (r, centers, balls, times), radii without centers dropped
     for r in map(float, ndl_radii):
         centers = space.interior(r + 1e-9)[:3]
         if len(centers) == 0:
@@ -375,13 +376,20 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
         # sample from the lattice time scale up; below phi(1) the kernel is
         # within its diagonal limit and the bound trivialises
         t_floor = min(scales.phi(1.0), t_top)
-        ts = list(np.geomspace(t_floor, t_top, 4))
-        balls = [space.ball(int(x0), r) for x0 in centers]
-        full = kernel_blocks(form, ts, [(B, B) for B in balls])
-        for x0, B, KF_BB in zip(map(int, centers), balls, full):
-            tabB = heat_kernel(form, ts, domain=B)
+        ts = np.geomspace(t_floor, t_top, 4).tolist()
+        radii.append((r, centers, [space.ball(int(x0), r) for x0 in centers], ts))
+    # each distinct time's global kernel once, sliced to every ball
+    times = sorted({t for *_, ts in radii for t in ts})
+    full = iter(kernel_blocks(form, times,
+                              [(B, B) for _, _, balls, _ in radii for B in balls]))
+    for r, centers, balls, ts in radii:
+        ts_B = sorted(set(ts))
+        for x0, B in zip(map(int, centers), balls):
+            KF_BB = dict(zip(times, next(full)))
+            KB_t = dict(zip(ts_B, heat_kernel(form, ts_B, domain=B).kernels))
             posB = {int(p): k for k, p in enumerate(B)}
-            for t, KB, KF in zip(ts, tabB.kernels, KF_BB):
+            for t in ts:
+                KB, KF = KB_t[t], KF_BB[t]
                 rad = eps * scales.phi.inverse(t)
                 core = [p for p in B if space.metric[x0, p] < max(rad, 1e-12)]
                 if not core:
@@ -391,7 +399,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                 sub = KB[np.ix_(ci, ci)]
                 c_ndl = min(c_ndl, float(sub.min()) * Vx0)
                 mono_defect = max(mono_defect, float((KB - KF).max()))
-                ndl_rows.append({"x0": x0, "r": r, "t": float(t),
+                ndl_rows.append({"x0": x0, "r": r, "t": t,
                                  "c1": float(sub.min()) * Vx0})
     nl_ok = np.isfinite(c_nl) and c_nl > 0.0
     ndl_ok = np.isfinite(c_ndl) and c_ndl > 0.0

@@ -20,6 +20,7 @@ precision on every space formlab builds (n <= ``space.MAX_POINTS``).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -99,13 +100,17 @@ _JUMP_PARAMS = {"none": (), "stable_like": (), "power_law": ("alpha",),
 
 def check_jump(jump: dict):
     """Raise FormError unless ``jump`` names a jump kind a config can use,
-    with every parameter its builder needs."""
+    with every parameter its builder needs, each a real number."""
     kind = jump.get("kind", "none")
     if kind not in _JUMP_PARAMS:
         raise FormError(f"unknown jump kind {kind!r}")
     missing = [p for p in _JUMP_PARAMS[kind] if p not in jump]
     if missing:
         raise FormError(f"jump kind {kind!r} needs {', '.join(missing)}")
+    for p in _JUMP_PARAMS[kind]:
+        if not isinstance(jump[p], numbers.Real) or isinstance(jump[p], bool):
+            raise FormError(f"jump kind {kind!r} needs a real {p}, "
+                            f"got {jump[p]!r}")
 
 
 @dataclass

@@ -12,7 +12,6 @@ exponent m(t, r) = r / bar_phi_c^{-1}(t/r).
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,6 +78,7 @@ class ScaleFunction:
         for i in range(1, len(pieces)):
             vals[i] = pieces[i][1] * pieces[i][0] ** pieces[i][2]
         object.__setattr__(self, "_break_values", vals)
+        object.__setattr__(self, "_break_list", vals.tolist())
 
     # -- constructors ---------------------------------------------------
 
@@ -147,7 +147,21 @@ class ScaleFunction:
         return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
 
     def inverse(self, v):
-        """Closed-form inverse; exact per power piece."""
+        """Closed-form inverse; exact per power piece.
+
+        A Python or NumPy float or int is inverted in Python floats
+        (``bisect`` and libm's ``pow``), with the array path's bits and
+        without its numpy overhead."""
+        if isinstance(v, (float, int)):
+            v = float(v)
+            if v <= 0.0:
+                raise ScaleError("inverse requires a positive value")
+            _, c, e = self.pieces[
+                max(bisect.bisect_right(self._break_list, v) - 1, 0)]
+            try:
+                return (v / c) ** (1.0 / e)
+            except OverflowError:   # numpy's power gives inf here
+                return math.inf
         v_arr = np.asarray(v, dtype=float)
         if np.any(v_arr <= 0.0):
             raise ScaleError("inverse requires a positive value")
@@ -275,7 +289,11 @@ class ScaleTriple:
         return ScaleFunction(tuple(pieces + tail))
 
     def m(self, t, r):
-        """Sub-Gaussian exponent m(t, r) = r / bar_phi_c^{-1}(t / r)."""
+        """Sub-Gaussian exponent m(t, r) = r / bar_phi_c^{-1}(t / r);
+        float for a float or int pair with r != 0, computed in floats."""
+        if isinstance(t, (float, int)) and isinstance(r, (float, int)) and r:
+            r = float(r)
+            return r / self.bar_phi_c.inverse(float(t) / r)
         r_arr = np.asarray(r, dtype=float)
         t_arr = np.asarray(t, dtype=float)
         out = r_arr / self.bar_phi_c.inverse(t_arr / r_arr)
@@ -312,10 +330,9 @@ def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):
     return best
 
 
-@functools.lru_cache(maxsize=8)
 def _log_grid(phi_c: ScaleFunction, t_val: float):
     """``legendre_sup``'s 512-point log grid around phi_c^{-1}(t) and phi_c
-    on it, read-only; sweeps over r at a fixed t reuse it."""
+    on it, read-only."""
     center = phi_c.inverse(t_val)
     grid = np.geomspace(center * 1e-8, center * 1e8, 512)
     phi_grid = phi_c(grid)
@@ -324,50 +341,57 @@ def _log_grid(phi_c: ScaleFunction, t_val: float):
     return grid, phi_grid
 
 
-def legendre_sup(
-    triple: ScaleTriple, r: float, t_val: float, c0: float = 1.0
-) -> float:
-    """sup_{s>0} { r/s - c0 t / phi_c(s) }.
+def legendre_sup(triple: ScaleTriple, r, t_val: float, c0: float = 1.0):
+    """sup_{s>0} { r/s - c0 t / phi_c(s) } for a scalar r (a float), or for
+    each r of a 1-D array at the one time t (an array).
 
     The per-piece stationary points give the exact value for power laws; a
     512-point log grid around phi_c^{-1}(t) plus golden-section refinement is
-    run as well and the larger of the two is returned.
+    run as well and the larger of the two is returned.  One grid serves every
+    r.  The refinement runs lane by lane in Python floats: ``math.exp`` and
+    float ``**`` are libm's, whose bits numpy's SIMD ``exp`` and ``power``
+    do not always match, and on a row of 100 lanes numpy's per-call cost
+    exceeds the loop's.
     """
-    if r <= 0.0 or t_val <= 0.0 or c0 <= 0.0:
+    scalar = np.ndim(r) == 0
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(rs <= 0.0) or t_val <= 0.0 or c0 <= 0.0:
         raise ScaleError("legendre_sup needs r, t, c0 > 0")
     phi_c = triple.phi_c if isinstance(triple, ScaleTriple) else triple
-    exact = _legendre_closed_form(phi_c, r, t_val, c0)
 
     grid, phi_grid = _log_grid(phi_c, float(t_val))
-    gvals = r / grid - c0 * t_val / phi_grid
-    k = int(np.argmax(gvals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
+    gvals = rs[:, None] / grid - c0 * t_val / phi_grid
+    k = np.argmax(gvals, axis=1)
+    on_grid = gvals[np.arange(len(rs)), k].tolist()
+    los = grid[np.maximum(k - 1, 0)].tolist()
+    his = grid[np.minimum(k + 1, len(grid) - 1)].tolist()
 
-    # scalar evaluation without array plumbing; the golden loop is hot
     p_breaks = [p[0] for p in phi_c.pieces]
     p_coeff = [p[1] for p in phi_c.pieces]
     p_exp = [p[2] for p in phi_c.pieces]
+    ct = c0 * t_val
+    out = []
+    for r1, g_k, lo, hi in zip(rs.tolist(), on_grid, los, his):
+        def g(s):
+            i = bisect.bisect_right(p_breaks, s) - 1
+            return r1 / s - ct / (p_coeff[i] * s ** p_exp[i])
 
-    def g(s):
-        i = bisect.bisect_right(p_breaks, s) - 1
-        return r / s - c0 * t_val / (p_coeff[i] * s ** p_exp[i])
-
-    a, b = math.log(lo), math.log(hi)
-    c_pt = b - _GOLDEN * (b - a)
-    d_pt = a + _GOLDEN * (b - a)
-    fc, fd = g(math.exp(c_pt)), g(math.exp(d_pt))
-    while (b - a) > 1e-12:
-        if fc >= fd:
-            b, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b - _GOLDEN * (b - a)
-            fc = g(math.exp(c_pt))
-        else:
-            a, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a + _GOLDEN * (b - a)
-            fd = g(math.exp(d_pt))
-    refined = max(float(gvals[k]), g(math.exp(0.5 * (a + b))))
-    return max(exact, refined, 0.0)
+        a, b = math.log(lo), math.log(hi)
+        c_pt = b - _GOLDEN * (b - a)
+        d_pt = a + _GOLDEN * (b - a)
+        fc, fd = g(math.exp(c_pt)), g(math.exp(d_pt))
+        while (b - a) > 1e-12:
+            if fc >= fd:
+                b, d_pt, fd = d_pt, c_pt, fc
+                c_pt = b - _GOLDEN * (b - a)
+                fc = g(math.exp(c_pt))
+            else:
+                a, c_pt, fc = c_pt, d_pt, fd
+                d_pt = a + _GOLDEN * (b - a)
+                fd = g(math.exp(d_pt))
+        refined = max(g_k, g(math.exp(0.5 * (a + b))))
+        out.append(max(_legendre_closed_form(phi_c, r1, t_val, c0), refined, 0.0))
+    return out[0] if scalar else np.array(out)
 
 
 @dataclass(frozen=True)

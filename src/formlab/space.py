@@ -222,17 +222,24 @@ def build_space(kind: str, **params) -> MetricMeasureSpace:
     )
 
 
-def space_size(kind: str, **params) -> int:
+def space_size(kind: str | None = None, **params) -> int:
     """Point count of ``build_space(kind, **params)``, found without
-    building anything.  Raises SpaceError on an unknown kind, a missing
-    ``level``, ``dim`` or ``side``, a lattice dim outside {1, 2, 3}, a
-    lattice metric other than l1 or l2, and a count over ``MAX_POINTS``."""
+    building anything.  Raises SpaceError on a missing or unknown kind, a
+    missing or non-integer ``level``, ``dim`` or ``side``, a lattice dim
+    outside {1, 2, 3}, a lattice metric other than l1 or l2, and a count
+    over ``MAX_POINTS``."""
 
     def need(key):
         if key not in params:
             raise SpaceError(f"{kind} space needs {key!r}")
-        return params[key]
+        value = params[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SpaceError(f"{kind} space needs an integer {key!r}, "
+                             f"got {value!r}")
+        return value
 
+    if kind is None:
+        raise SpaceError("space needs 'kind'")
     if kind == "gasket":
         n = 3 * (3 ** need("level") + 1) // 2
     elif kind in ("lattice_box", "halfspace_lattice"):

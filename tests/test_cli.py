@@ -339,6 +339,10 @@ class TestMain:
         ("space", {"kind": "lattice_box", "dim": 1}, "needs 'side'"),
         ("space", {"kind": "halfspace_lattice", "margin": 4}, "needs 'side'"),
         ("space", {"kind": "gasket"}, "needs 'level'"),
+        ("space", {"dim": 1, "side": 64}, "needs 'kind'"),
+        ("space", {"kind": "lattice_box", "dim": 1, "side": "64"},
+         "integer 'side'"),
+        ("jump", {"kind": "power_law", "alpha": "x"}, "real alpha"),
     ])
     def test_unbuildable_config_rejected_at_validate(self, tmp_path, capsys,
                                                       key, value, message):

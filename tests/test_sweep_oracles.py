@@ -8,6 +8,7 @@ same copies of the whole-matrix, per-kappa and per-triple loops.
 Outputs must be equal, not close: the rewrites move computations, they do
 not change them."""
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,17 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from formlab.cli import (SuiteContext, _gcap_families, _jsonable, load_config,
-                         run_suite)
+from formlab.cli import (SuiteContext, _build_scales, _gcap_families,
+                         _jsonable, load_config, run_suite)
 import formlab.envelopes as envelopes
+import formlab.form
 from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
-                               chain_lower_check, diag_checks, fit_hk,
-                               tail_probability_check, usable_times)
+                               chain_lower_check, check_pc_equivalence,
+                               diag_checks, fit_hk, tail_probability_check,
+                               usable_times)
 from formlab.form import (JumpKernel, assemble, heat_kernel, meyer_check,
                           truncate)
 from formlab.functionals import (ConditionReport, capacity, check_gcap,
                                  fit_jpsi, generalized_capacity)
-from formlab.scales import ScaleFunction, _log_grid, legendre_sup
+from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
+                            _legendre_closed_form, _log_grid, legendre_sup)
 from formlab.space import chain_check
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
@@ -675,14 +679,10 @@ def test_fit_hk_sweeps_each_row_once(monkeypatch):
 def test_legendre_grid_memo_equals_fresh_grid():
     scales = SuiteContext(load_config("gasket_walk")).scales
     phi_c = scales.phi_c
-    points = [(r, t) for t in (0.3, 2.0) for r in (0.5, 3.0, 40.0)]
-    fresh = []
-    for r, t in points:
-        _log_grid.cache_clear()
-        fresh.append(legendre_sup(scales, r, t))
-    memo = [legendre_sup(scales, r, t) for r, t in points]
-    assert memo == fresh
-    assert _log_grid.cache_info().hits >= len(points) - 2
+    rs = (0.5, 3.0, 40.0)
+    for t in (0.3, 2.0):
+        fresh = [legendre_sup(scales, r, t) for r in rs]
+        assert legendre_sup(scales, np.array(rs), t).tolist() == fresh
     for t in (0.3, 2.0):
         center = phi_c.inverse(t)
         grid = np.geomspace(center * 1e-8, center * 1e8, 512)
@@ -691,6 +691,127 @@ def test_legendre_grid_memo_equals_fresh_grid():
         assert np.array_equal(phi_grid, phi_c(grid))
     with pytest.raises(ValueError):
         got[0] = 1.0
+
+
+def old_legendre_sup(triple, r, t_val, c0=1.0):
+    """The scalar sweep: one fresh grid and one golden-section search per
+    (r, t)."""
+    phi_c = triple.phi_c
+    exact = _legendre_closed_form(phi_c, r, t_val, c0)
+    center = phi_c.inverse(t_val)
+    grid = np.geomspace(center * 1e-8, center * 1e8, 512)
+    gvals = r / grid - c0 * t_val / phi_c(grid)
+    k = int(np.argmax(gvals))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, len(grid) - 1)]
+    p_breaks = [p[0] for p in phi_c.pieces]
+    p_coeff = [p[1] for p in phi_c.pieces]
+    p_exp = [p[2] for p in phi_c.pieces]
+
+    def g(s):
+        i = bisect.bisect_right(p_breaks, s) - 1
+        return r / s - c0 * t_val / (p_coeff[i] * s ** p_exp[i])
+
+    a, b = math.log(lo), math.log(hi)
+    c_pt = b - _GOLDEN * (b - a)
+    d_pt = a + _GOLDEN * (b - a)
+    fc, fd = g(math.exp(c_pt)), g(math.exp(d_pt))
+    while (b - a) > 1e-12:
+        if fc >= fd:
+            b, d_pt, fd = d_pt, c_pt, fc
+            c_pt = b - _GOLDEN * (b - a)
+            fc = g(math.exp(c_pt))
+        else:
+            a, c_pt, fc = c_pt, d_pt, fd
+            d_pt = a + _GOLDEN * (b - a)
+            fd = g(math.exp(d_pt))
+    refined = max(float(gvals[k]), g(math.exp(0.5 * (a + b))))
+    return max(exact, refined, 0.0)
+
+
+def old_inverse(f, v):
+    """``ScaleFunction.inverse`` through numpy 0-d arrays."""
+    v_arr = np.asarray(v, dtype=float)
+    idx = np.clip(np.searchsorted(f._break_values, v_arr, side="right") - 1,
+                  0, len(f.pieces) - 1)
+    return float((v_arr / f._coeffs[idx]) ** (1.0 / f._exps[idx]))
+
+
+def old_m(triple, t, r):
+    r_arr = np.asarray(r, dtype=float)
+    t_arr = np.asarray(t, dtype=float)
+    return float(r_arr / old_inverse(triple.bar_phi_c, t_arr / r_arr))
+
+
+F = ScaleFunction
+TRIPLES = {
+    "z1_alpha1": lambda: _build_scales(load_config("z1_alpha1")),
+    "gasket_walk": lambda: _build_scales(load_config("gasket_walk")),
+    "two_piece": lambda: ScaleTriple(F.from_exponents([2.5, 2.0], [4.0]),
+                                     F.single_power(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLES))
+def test_legendre_rows_equal_scalar_sweep(name):
+    triple = TRIPLES[name]()
+    ts = np.geomspace(1e-3, 1e3, 30)
+    ds = np.geomspace(1e-3, 1e3, 30)
+    for t in ts:
+        want = [old_legendre_sup(triple, d, t) for d in ds]
+        assert legendre_sup(triple, ds, t).tolist() == want
+        assert legendre_sup(triple, ds[7], t) == want[7]
+
+
+def test_float_path_inverse_and_m_equal_numpy_0d():
+    vs = np.geomspace(1e-6, 1e6, 10_000)
+    ints = np.rint(np.geomspace(1.0, 1e9, 10_000)).astype(int).tolist()
+    shapes = [F.single_power(2.0), F.single_power(2.321928094887362),
+              F.from_exponents([0.5, 1.5], [32.0]),
+              F.from_exponents([2.0, 1.2, 3.0], [0.5, 7.0])]
+    for f in shapes:
+        for points in (vs.tolist(), list(vs), ints):
+            got = [f.inverse(v) for v in points]
+            assert got == [old_inverse(f, v) for v in points]
+            assert all(type(x) is float for x in got)
+    with np.errstate(over="ignore"):
+        assert F.single_power(0.5).inverse(1e200) == old_inverse(
+            F.single_power(0.5), 1e200) == math.inf
+    for name in sorted(TRIPLES):
+        triple = TRIPLES[name]()
+        for points in (vs.tolist(), list(vs), ints):
+            pairs = list(zip(points, reversed(points)))
+            assert ([triple.m(t, r) for t, r in pairs]
+                    == [old_m(triple, t, r) for t, r in pairs])
+
+
+def test_pc_equivalence_pinned_on_the_benchmark_triple():
+    out = check_pc_equivalence(TRIPLES["z1_alpha1"](), n_per_axis=100)
+    assert (out["ratio_min"], out["ratio_max"]) == (0.24999999999999992,
+                                                    0.2500000000000001)
+
+
+def test_diag_checks_compute_each_distinct_time_once(monkeypatch):
+    # z1_mini at radii 4 and 8: radius 4 repeats t = 1 four times and
+    # radius 8 starts at t = 1 again: 4 distinct times of 8
+    ctx = SuiteContext(load_config("z1_mini"))
+    table, form = ctx.table, ctx.form
+    calls = {"global": [], "dirichlet": []}
+    engine = heat_kernel
+
+    def counted(form, times, domain=None):
+        calls["global" if domain is None else "dirichlet"].append(list(times))
+        return engine(form, times, domain=domain)
+
+    monkeypatch.setattr(formlab.form, "heat_kernel", counted)
+    monkeypatch.setattr(envelopes, "heat_kernel", counted)
+    rep = diag_checks(table, ctx.scales, ctx.space, form, ndl_radii=(4.0, 8.0))
+    times = [r["t"] for r in rep.rows]
+    global_times = [t for ts in calls["global"] for t in ts]
+    assert len(times) > len(set(times))
+    assert sorted(global_times) == sorted(set(times))
+    for ts in calls["dirichlet"]:
+        assert len(ts) == len(set(ts))
 
 
 def test_run_suite_mode_override_leaves_config_alone():
