@@ -17,8 +17,10 @@ execution errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.resources
+import inspect
 import json
 import math
 import sys
@@ -34,19 +36,20 @@ import numpy as np
 from . import __version__
 from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
                         dominance_map, fit_hk, tail_probability_check)
-from .form import (FormError, JumpKernel, assemble, check_jump, gap_check,
+from .form import (FormError, assemble, build_jump, check_jump, gap_check,
                    heat_kernel, kernel_certificates, meyer_check, subordinate,
                    subordinate_intensity, subordinate_intensity_quadrature)
-from .functionals import (ConditionReport, check_cs, check_exit, check_fk,
-                          check_gcap, check_pi, fit_jpsi, tail_and_ujs,
-                          function_family)
+from .functionals import (ConditionReport, ball_family, check_cs, check_exit,
+                          check_fk, check_gcap, check_pi, fit_jpsi,
+                          function_family, tail_and_ujs)
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
-from .scales import ScaleFunction, ScaleTriple
-from .space import (SpaceError, build_space, chain_check, space_size,
-                    volume_report)
+from .scales import ScaleError, ScaleFunction, ScaleTriple
+from .space import (SpaceError, bind, build_space, chain_check, parameters,
+                    space_size, volume_report)
 
 OK_VERDICTS = {"certified", "certified-for-family", "one-sided-certificate"}
+MODES = ("necessary", "full")
 
 
 class ConfigError(ValueError):
@@ -58,9 +61,9 @@ class ExperimentConfig:
     name: str
     space: dict
     scales: dict
-    jump: dict
+    jump: dict = field(default_factory=lambda: {"kind": "none"})
     local_weight: float = 1.0
-    checks: list = field(default_factory=list)
+    checks: list[str] = field(default_factory=list)
     check_params: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
     expect: dict = field(default_factory=dict)
@@ -70,13 +73,7 @@ class ExperimentConfig:
 
     @property
     def raw(self):
-        return {
-            "name": self.name, "space": self.space, "scales": self.scales,
-            "jump": self.jump, "local_weight": self.local_weight,
-            "checks": self.checks, "check_params": self.check_params,
-            "grids": self.grids, "expect": self.expect, "mode": self.mode,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in vars(self).items() if k != "out"}
 
     def hash(self):
         blob = json.dumps(self.raw, sort_keys=True).encode()
@@ -86,83 +83,59 @@ class ExperimentConfig:
 def load_config(source) -> ExperimentConfig:
     """Load a config from a path, or by bundled name (e.g. ``z1_alpha1``)."""
     if isinstance(source, dict):
-        data = source
-    else:
-        p = Path(str(source))
-        if p.exists():
-            data = json.loads(p.read_text())
-        else:
-            ref = importlib.resources.files("formlab.configs").joinpath(
-                f"{source}.json"
-            )
-            if not ref.is_file():
-                raise ConfigError(f"no config file or bundled name {source!r}")
-            data = json.loads(ref.read_text())
-    return validate_config(data)
+        return validate_config(source)
+    path = Path(str(source))
+    if not path.exists():
+        path = importlib.resources.files("formlab.configs") / f"{source}.json"
+        if not path.is_file():
+            raise ConfigError(f"no config file or bundled name {source!r}")
+    return validate_config(json.loads(path.read_text()))
 
 
 def validate_config(data: dict) -> ExperimentConfig:
-    for key in ("name", "space", "scales"):
-        if key not in data:
-            raise ConfigError(f"config missing required key {key!r}")
-    known = {"name", "space", "scales", "jump", "local_weight", "checks",
-             "check_params", "grids", "expect", "mode", "seed", "out"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    cfg = ExperimentConfig(
-        name=data["name"], space=dict(data["space"]),
-        scales=dict(data["scales"]), jump=dict(data.get("jump", {"kind": "none"})),
-        local_weight=float(data.get("local_weight", 1.0)),
-        checks=list(data.get("checks", [])),
-        check_params=dict(data.get("check_params", {})),
-        grids=dict(data.get("grids", {})), expect=dict(data.get("expect", {})),
-        mode=str(data.get("mode", "necessary")),
-        seed=int(data.get("seed", 0x5EED)), out=data.get("out"),
-    )
-    bad = [c for c in cfg.checks if c not in CHECKS]
+    """The config ``data`` describes, or ConfigError.  Each part must
+    ``bind`` to the signature that reads it: the top level to
+    ``ExperimentConfig``, ``space`` and ``jump`` to the builder of their
+    kind, ``scales`` to ``ScaleTriple``, ``grids`` to ``SuiteContext._grids``
+    and each ``check_params`` entry to ``check_parameters`` of its check
+    (required ones only for configured checks).  Then the values must be
+    in the range the builders take."""
+    bind(parameters(ExperimentConfig), data, "config", ConfigError)
+    cfg = ExperimentConfig(**data)
+    cfg.local_weight = float(cfg.local_weight)
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    if cfg.local_weight < 0.0:
+        raise ConfigError(f"local_weight must be nonnegative, got "
+                          f"{cfg.local_weight!r}")
+    if not 0 <= cfg.seed < 2 ** 32:
+        raise ConfigError(f"seed must be in [0, 2**32), got {cfg.seed}")
+    bad = [c for c in [*cfg.checks, *cfg.check_params, *cfg.expect]
+           if c not in CHECKS]
     if bad:
         raise ConfigError(f"unknown checks: {bad}; known: {sorted(CHECKS)}")
+    bind(parameters(SuiteContext._grids, ("self",)), cfg.grids, "grids",
+         ConfigError)
+    for name in dict.fromkeys([*cfg.checks, *cfg.check_params]):
+        named = check_parameters(CHECKS[name])
+        if named is not None:
+            bind(named, cfg.check_params.get(name, {}),
+                 f"check_params.{name}", ConfigError,
+                 required=name in cfg.checks)
+    bind(parameters(ScaleTriple), cfg.scales, "scales", ConfigError)
     # refuse what the builders would refuse, without building anything
     try:
         space_size(**cfg.space)
         check_jump(cfg.jump)
-    except (SpaceError, FormError) as exc:
+        _build_scales(cfg)
+    except (SpaceError, FormError, ScaleError) as exc:
         raise ConfigError(str(exc)) from exc
-    if ("jpsi_alt" in cfg.checks
-            and "phi_j" not in cfg.check_params.get("jpsi_alt", {})):
-        raise ConfigError("jpsi_alt needs an alternative phi_j piece list "
-                          "in check_params")
-    # scales must pass the triple invariants at load time
-    _build_scales(cfg)
     return cfg
 
 
 def _build_scales(cfg: ExperimentConfig) -> ScaleTriple:
-    pc = ScaleFunction.from_config(cfg.scales["phi_c"])
-    pj = ScaleFunction.from_config(cfg.scales["phi_j"])
-    return ScaleTriple(pc, pj)
-
-
-def _build_jump(cfg, space, scales):
-    check_jump(cfg.jump)
-    kind = cfg.jump.get("kind", "none")
-    if kind == "none":
-        return None
-    if kind == "stable_like":
-        return JumpKernel.stable_like(
-            space, scales.phi_j, coeff=cfg.jump.get("coeff", 1.0),
-            cmin=cfg.jump.get("cmin", 1.0), cmax=cfg.jump.get("cmax", 1.0),
-            seed=cfg.seed,
-        )
-    if kind == "power_law":
-        return JumpKernel.power_law(space, alpha=cfg.jump["alpha"],
-                                    coeff=cfg.jump.get("coeff", 1.0))
-    return JumpKernel.two_regime(
-        space, alpha=cfg.jump["alpha"], beta=cfg.jump["beta"],
-        regime_break=cfg.jump["regime_break"],
-        coeff=cfg.jump.get("coeff", 1.0),
-    )
+    return ScaleTriple(**{name: ScaleFunction.from_config(spec)
+                          for name, spec in cfg.scales.items()})
 
 
 class SuiteContext:
@@ -176,23 +149,28 @@ class SuiteContext:
         self.thin = max(1, int(thin))
         self.scales = _build_scales(cfg)
         self.space = build_space(**cfg.space)
-        self.jump = _build_jump(cfg, self.space, self.scales)
+        self.jump = build_jump(cfg.jump, self.space, self.scales.phi_j,
+                               cfg.seed)
         self.form = assemble(self.space, cfg.local_weight, self.jump)
-        g = cfg.grids
-        n_times = max(3, int(g.get("n_times", 24)) // self.thin)
-        t_lo = self.scales.phi(1.0)
-        t_hi = self.scales.phi(max(self.space.interior_margin, 2.0))
-        self.times = list(np.geomspace(t_lo, max(t_hi, 2.0 * t_lo), n_times))
+        self._grids(**cfg.grids)
         self._table = None
         self._table_lock = threading.Lock()
         self._family = None
         self._family_lock = threading.Lock()
-        radii = g.get("radii")
+
+    def _grids(self, n_times: int = 24, radii: list[float] | None = None,
+               max_centers: int = 4, phi_R: list[float] | None = None):
+        """Read the config's ``grids``, whose keys are these parameters."""
+        t_lo = self.scales.phi(1.0)
+        t_hi = self.scales.phi(max(self.space.interior_margin, 2.0))
+        self.times = list(np.geomspace(t_lo, max(t_hi, 2.0 * t_lo),
+                                       max(3, n_times // self.thin)))
         if radii is None:
             top = max(self.space.interior_margin, 4.0)
             radii = [top / 4.0, top / 2.0, top]
         self.radii = [float(r) for r in radii]
-        self.max_centers = max(2, int(g.get("max_centers", 4)) // self.thin)
+        self.max_centers = max(2, max_centers // self.thin)
+        self.phi_R = [self.radii[0]] if phi_R is None else phi_R
 
     @property
     def table(self):
@@ -217,6 +195,43 @@ class SuiteContext:
 # -- check implementations -----------------------------------------------------
 
 
+CHECKS = {}   # check name -> check(ctx, **params)
+_FORWARDS = {}   # check -> (callee its **kw goes to, callee params it fixes)
+
+
+def check(name, callee=None, *fixed):
+    """Register a check under ``name``.  A check that takes ``**kw`` names
+    the ``callee`` it forwards them to and the callee parameters it fixes
+    itself."""
+    def register(fn):
+        CHECKS[name] = fn
+        if callee is not None:
+            _FORWARDS[fn] = (callee, fixed)
+        return fn
+    return register
+
+
+@functools.cache
+def check_parameters(fn):
+    """The parameters ``check_params`` may set for the check ``fn``, by
+    name: those the check names, and through its ``**kw`` the optional
+    parameters of its callee that it does not fix.  None for a ``**kw``
+    with no declared callee, which takes any key.  Read through
+    ``inspect``, so a wrapper that sets ``__wrapped__`` resolves like the
+    check it wraps."""
+    own = parameters(fn, ("ctx",))
+    if all(p.kind is not p.VAR_KEYWORD
+           for p in inspect.signature(fn).parameters.values()):
+        return own
+    forward = _FORWARDS.get(inspect.unwrap(fn))
+    if forward is None:
+        return None
+    callee, fixed = forward
+    return {**{n: p for n, p in parameters(callee, fixed).items()
+               if p.default is not p.empty}, **own}
+
+
+@check("volume", volume_report)
 def _chk_volume(ctx, **kw):
     vr = volume_report(ctx.space, **kw)
     verdict = "certified" if np.isfinite(vr.C_mu) else "failed"
@@ -231,6 +246,7 @@ def _chk_volume(ctx, **kw):
     )
 
 
+@check("chain", chain_check, "seed")
 def _chk_chain(ctx, samples=30, **kw):
     cr = chain_check(ctx.space, samples=samples // ctx.thin + 1,
                      seed=ctx.cfg.seed, **kw)
@@ -242,7 +258,8 @@ def _chk_chain(ctx, samples=30, **kw):
                            ranges={"samples": cr.samples})
 
 
-def _chk_kernel(ctx, **kw):
+@check("kernel")
+def _chk_kernel(ctx):
     certs = kernel_certificates(ctx.form, ctx.times)
     ok = (certs["symmetry"] < 1e-10 and certs["chapman_kolmogorov"] < 1e-10
           and certs["unit_mass"] < 1e-10)
@@ -253,39 +270,44 @@ def _chk_kernel(ctx, **kw):
                                    "method": "spectral"})
 
 
+@check("fk", check_fk, "max_centers")
 def _chk_fk(ctx, **kw):
     return check_fk(ctx.form, ctx.scales, ctx.radii,
                     max_centers=ctx.max_centers, **kw)
 
 
+@check("pi", check_pi, "max_centers")
 def _chk_pi(ctx, **kw):
-    kw.setdefault("kappas", (1.0, 2.0))
     return check_pi(ctx.form, ctx.scales, ctx.radii,
                     max_centers=ctx.max_centers, **kw)
 
 
 def _gcap_families(ctx):
     """(x0, R, r) with R = 2r and B(x0, R + 2r) clear of the truncation set."""
-    return [(int(x), 2.0 * r, r) for r in ctx.radii
-            for x in ctx.space.spread_centers(4.0 * r, ctx.max_centers)]
+    return [(x, 2.0 * r, r) for x, r in
+            ball_family(ctx.space, ctx.radii, 4.0, ctx.max_centers)]
 
 
+@check("gcap", check_gcap)
 def _chk_gcap(ctx, **kw):
     fns = ctx.family
     return check_gcap(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw)
 
 
+@check("cs", check_cs)
 def _chk_cs(ctx, **kw):
     fns = ctx.family
     kw.setdefault("rho_grid", [max(ctx.radii), 2.0 * max(ctx.radii)])
     return check_cs(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw)
 
 
+@check("exit", check_exit, "max_centers")
 def _chk_exit(ctx, **kw):
     return check_exit(ctx.form, ctx.scales, ctx.radii,
                       max_centers=ctx.max_centers, **kw)
 
 
+@check("tail_ujs", tail_and_ujs, "seed")
 def _chk_tail_ujs(ctx, spread_cap=8.0, **kw):
     rep = tail_and_ujs(ctx.form, ctx.scales, ctx.radii, seed=ctx.cfg.seed, **kw)
     if rep.constants.get("J_phij_spread", math.inf) > spread_cap:
@@ -296,7 +318,8 @@ def _chk_tail_ujs(ctx, spread_cap=8.0, **kw):
     return rep
 
 
-def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0, **kw):
+@check("jpsi_alt")
+def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0):
     psi = ScaleFunction.from_config(phi_j)
     c1, c2, table = fit_jpsi(ctx.form, psi)
     spread = c2 / c1 if c1 > 0 else math.inf
@@ -313,23 +336,28 @@ def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0, **kw):
     )
 
 
+@check("hk", fit_hk)
 def _chk_hk(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, **kw)
 
 
+@check("hk_minus", fit_hk, "mode")
 def _chk_hk_minus(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK_minus", **kw)
 
 
+@check("uhk_weak", fit_hk, "mode")
 def _chk_uhk_weak(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, mode="UHK_weak", **kw)
 
 
+@check("diag", diag_checks)
 def _chk_diag(ctx, **kw):
     kw.setdefault("ndl_radii", ctx.radii[:2])
     return diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form, **kw)
 
 
+@check("pc_equivalence", check_pc_equivalence)
 def _chk_pc_equiv(ctx, **kw):
     kw.setdefault("n_per_axis", max(10, 30 // ctx.thin))
     out = check_pc_equivalence(ctx.scales, **kw)
@@ -340,6 +368,7 @@ def _chk_pc_equiv(ctx, **kw):
     )
 
 
+@check("dominance", dominance_map)
 def _chk_dominance(ctx, t=None, **kw):
     if t is None:
         t = float(ctx.times[0])
@@ -357,17 +386,20 @@ def _chk_dominance(ctx, t=None, **kw):
     )
 
 
+@check("tail_probability", tail_probability_check)
 def _chk_tail_probability(ctx, **kw):
     return tail_probability_check(ctx.table, ctx.scales, ctx.space, **kw)
 
 
+@check("chain_lower", chain_lower_check)
 def _chk_chain_lower(ctx, times=None, **kw):
     table = ctx.table if times is None else heat_kernel(ctx.form, times)
     return chain_lower_check(table, ctx.scales, ctx.space, **kw)
 
 
+@check("phi", check_phi)
 def _chk_phi(ctx, R=None, mode=None, **kw):
-    radii = R if R is not None else ctx.cfg.grids.get("phi_R", [ctx.radii[0]])
+    radii = ctx.phi_R if R is None else R
     mode = ctx.cfg.mode if mode is None else mode
     n_centers = 1 if mode == "full" else min(3, ctx.max_centers)
     cyls = [CylinderSpec(x0=int(x), R=float(r)) for r in radii
@@ -378,21 +410,22 @@ def _chk_phi(ctx, R=None, mode=None, **kw):
     return check_phi(ctx.form, ctx.scales, cyls, mode=mode, **kw)
 
 
-def _chk_regularity(ctx, **kw):
-    kw.setdefault("radii", ctx.cfg.grids.get("phi_R", [ctx.radii[0]]))
+@check("regularity", check_regularity, "seed")
+def _chk_regularity(ctx, radii=None, **kw):
     kw.setdefault("max_centers", min(2, ctx.max_centers))
-    return check_regularity(ctx.form, ctx.scales, seed=ctx.cfg.seed, **kw)
+    return check_regularity(ctx.form, ctx.scales,
+                            ctx.phi_R if radii is None else radii,
+                            seed=ctx.cfg.seed, **kw)
 
 
+@check("meyer", meyer_check, "kernels")
 def _chk_meyer(ctx, rho_grid=None, **kw):
-    rhos = rho_grid or [r for r in ctx.radii]
+    rhos = rho_grid or ctx.radii
     kernels = ctx.table.kernels[:3]
-    fits = {}
-    for rho in rhos:
-        fits[f"c1(rho={rho:g})"] = meyer_check(
-            ctx.form, ctx.scales, rho, ctx.times[:3], kernels=kernels, **kw
-        )["c1"]
-    vals = [v for v in fits.values()]
+    fits = {f"c1(rho={rho:g})": meyer_check(ctx.form, ctx.scales, rho,
+                                            ctx.times[:3], kernels=kernels,
+                                            **kw)["c1"] for rho in rhos}
+    vals = list(fits.values())
     ok = all(np.isfinite(v) for v in vals)
     return ConditionReport(
         "meyer-decomposition", "certified" if ok else "failed",
@@ -402,24 +435,23 @@ def _chk_meyer(ctx, rho_grid=None, **kw):
     )
 
 
-def _chk_gap(ctx, rho_grid=None, **kw):
-    fns = ctx.family
-    rhos = rho_grid or [r for r in ctx.radii]
-    fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho, fns)
-            for rho in rhos}
+@check("gap")
+def _chk_gap(ctx, rho_grid=None):
+    rhos = rho_grid or ctx.radii
+    fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho,
+                                          ctx.family) for rho in rhos}
     return ConditionReport(
         "truncation-gap", "certified",
         constants=fits, ranges={"rhos": list(map(float, rhos))},
     )
 
 
-def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01, **kw):
+@check("subordination")
+def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01):
     rng = np.random.RandomState(ctx.cfg.seed)
     interior = ctx.space.interior()
-    pairs = []
-    while len(pairs) < n_pairs:
-        x, y = rng.choice(interior, 2, replace=False)
-        pairs.append((int(x), int(y)))
+    pairs = [tuple(map(int, rng.choice(interior, 2, replace=False)))
+             for _ in range(n_pairs)]
     quadv = subordinate_intensity_quadrature(ctx.form, gamma, pairs)
     intensity = subordinate_intensity(ctx.form, gamma)
     specv = np.array([intensity[x, y] for x, y in pairs])
@@ -436,32 +468,6 @@ def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01, **kw):
         ranges={"pairs": len(pairs)},
     )
 
-
-CHECKS = {
-    "volume": _chk_volume,
-    "chain": _chk_chain,
-    "kernel": _chk_kernel,
-    "fk": _chk_fk,
-    "pi": _chk_pi,
-    "gcap": _chk_gcap,
-    "cs": _chk_cs,
-    "exit": _chk_exit,
-    "tail_ujs": _chk_tail_ujs,
-    "jpsi_alt": _chk_jpsi_alt,
-    "hk": _chk_hk,
-    "hk_minus": _chk_hk_minus,
-    "uhk_weak": _chk_uhk_weak,
-    "diag": _chk_diag,
-    "pc_equivalence": _chk_pc_equiv,
-    "dominance": _chk_dominance,
-    "tail_probability": _chk_tail_probability,
-    "chain_lower": _chk_chain_lower,
-    "phi": _chk_phi,
-    "regularity": _chk_regularity,
-    "meyer": _chk_meyer,
-    "gap": _chk_gap,
-    "subordination": _chk_subordination,
-}
 
 # cross-consistency rules: (premise check, expected checks, policy).
 # "strict" lists unconfigured expected checks as deviations; the Harnack-side
@@ -503,8 +509,6 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
         reports = {name: run_one(name) for name in checks}
 
     rules = []
-    deviations = []
-    evaluated_any = False
     for premise, expected, policy in CROSS_RULES:
         entry = {"premise": f"{premise} certified",
                  "expected": list(expected), "evaluated": False,
@@ -512,36 +516,26 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
         prem = reports.get(premise)
         if prem is not None and prem.verdict in OK_VERDICTS:
             entry["evaluated"] = True
-            evaluated_any = True
             for name in expected:
                 rep = reports.get(name)
                 if rep is None:
                     if policy == "strict":
-                        entry["deviations"].append(
-                            {"check": name, "reason": "not configured"}
-                        )
+                        entry["deviations"].append({"check": name,
+                                                    "reason": "not configured"})
                     else:
                         entry["skipped"].append(name)
                 elif rep.verdict not in OK_VERDICTS:
                     entry["deviations"].append(
-                        {"check": name, "reason": f"verdict {rep.verdict}"}
-                    )
+                        {"check": name, "reason": f"verdict {rep.verdict}"})
         rules.append(entry)
-        deviations.extend(entry["deviations"])
-    cross = {"evaluated": evaluated_any, "rules": rules,
-             "deviations": deviations}
+    cross = {"evaluated": any(e["evaluated"] for e in rules), "rules": rules,
+             "deviations": [d for e in rules for d in e["deviations"]]}
 
-    outcome = []
-    for name, rep in reports.items():
-        expected = cfg.expect.get(name)
-        if expected is not None:
-            matched = rep.verdict == expected
-            outcome.append({"check": name, "verdict": rep.verdict,
-                            "expected": expected, "ok": matched})
-        else:
-            outcome.append({"check": name, "verdict": rep.verdict,
-                            "expected": None,
-                            "ok": rep.verdict in OK_VERDICTS})
+    outcome = [{"check": name, "verdict": rep.verdict, "expected": expected,
+                "ok": (rep.verdict in OK_VERDICTS if expected is None
+                       else rep.verdict == expected)}
+               for name, rep in reports.items()
+               for expected in [cfg.expect.get(name)]]
 
     report = {
         "name": cfg.name,
@@ -603,10 +597,8 @@ def render_report(suite: SuiteReport, out_dir):
         sel = [r for r in rows if r["t"] == t_last]
         xs_centers = sorted({r["x"] for r in sel})
         x_mid = xs_centers[len(xs_centers) // 2]
-        curve = sorted(
-            ((abs(r["y"] - x_mid), r) for r in sel if r["x"] == x_mid),
-            key=lambda c: c[0],
-        )
+        curve = sorted(((abs(r["y"] - x_mid), r) for r in sel
+                        if r["x"] == x_mid), key=lambda c: c[0])
         ds = [c[0] for c in curve]
         path = out / "envelope_ratio.svg"
         svg_curves(
@@ -647,7 +639,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--grid-thin", type=int, default=1,
                         help="divide grid densities by this factor")
-    parser.add_argument("--mode", choices=("necessary", "full"), default=None)
+    parser.add_argument("--mode", choices=MODES, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", help="validate the config and exit")
     sub.add_parser("build", help="build the space/form, export the point CSV")
@@ -684,8 +676,7 @@ def main(argv=None) -> int:
                   f"points -> {out / 'points.csv'}")
             return 0
         if args.command == "check":
-            cfg = validate_config({**cfg.raw, "out": cfg.out,
-                                   "checks": [args.check_name]})
+            cfg = validate_config({**vars(cfg), "checks": [args.check_name]})
         suite = run_suite(cfg, thin=args.grid_thin, threads=args.threads,
                           mode=args.mode)
         out_dir = args.out or cfg.out

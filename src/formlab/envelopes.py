@@ -212,8 +212,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     c1 = c2 = c3 = c4 = c0 = math.nan
     excluded = 0
     with_jump = mode in ("HK", "HK_minus", "UHK", "UHK_weak")
-    uppers = (upper_dilations if mode in ("HK", "UHK", "HK_local")
-              else ())
+    uppers = upper_dilations if mode in ("HK", "UHK", "HK_local") else ()
     lowers = lower_dilations if mode in ("HK", "HK_local") else ()
     grid = _EnvelopeGrid(scales, space, xs, xs)
 
@@ -324,9 +323,8 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
               "indicator": indicator if mode == "HK_minus" else math.nan}
     consts = {k: v for k, v in fitted.items()
               if isinstance(v, float) and np.isfinite(v)}
-    lower_ok = mode in ("UHK", "UHK_weak") or (
-        np.isfinite(c1) and c1 > 0.0
-    ) or (np.isfinite(c0) and c0 > 0.0)
+    lower_ok = (mode in ("UHK", "UHK_weak") or (np.isfinite(c1) and c1 > 0.0)
+                or (np.isfinite(c0) and c0 > 0.0))
     upper_ok = mode == "HK_minus" or (np.isfinite(c3) and c3 < math.inf)
     verdict = "certified" if (lower_ok and upper_ok and keep) else "failed"
     rows = (envelope_ratio_rows(times, xs[thin], up_rows, lo_rows)
@@ -350,8 +348,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     family; domain monotonicity p >= p^B is re-verified on the NDL grid."""
     xs = space.interior(margin)
     keep = usable_times(table, space, boundary_cap)
-    c_uhkd = 0.0
-    c_nl = math.inf
+    c_uhkd, c_nl = 0.0, math.inf
     grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
         t = table.times[i]
@@ -364,8 +361,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
         if vals.size:
             c_nl = min(c_nl, float(vals.min()))
 
-    c_ndl = math.inf
-    mono_defect = 0.0
+    c_ndl, mono_defect = math.inf, 0.0
     ndl_rows = []
     radii = []      # (r, centers, balls, times), radii without centers dropped
     for r in map(float, ndl_radii):
@@ -456,16 +452,11 @@ def dominance_map(scales: ScaleTriple, space, t: float,
         if jumps.size:
             crossover[i] = jumps.min()
     cross = crossover[np.isfinite(crossover)]
-    co = None
-    c3 = c4 = None
-    log_ratio = 0.0
-    degenerate = True
-    r_star = None
+    c3 = c4 = r_star = None
+    log_ratio, degenerate = 0.0, True
     if t < 1.0:
         co = crossover_radius(scales, t)
-        degenerate = co.degenerate
-        r_star = co.r_star
-        log_ratio = co.log_ratio
+        r_star, degenerate, log_ratio = co.r_star, co.degenerate, co.log_ratio
         if cross.size and log_ratio > 0.0:
             pb = power_bounds(scales.phi_c)
             e_lo = (pb.beta1 - 1.0) / pb.beta2
@@ -526,10 +517,8 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
 
     best = None
     for a1 in a1_grid:
-        cg_all = max(
-            (mass * math.exp(min(a1 * mval, 700.0))
-             for mass, r, t, mval in entries), default=0.0,
-        )
+        cg_all = max((mass * math.exp(min(a1 * mval, 700.0))
+                      for mass, r, t, mval in entries), default=0.0)
         if cg_all <= gauss_cap:
             best = {"a1": a1, "c_gauss": cg_all, "c_jump": 0.0}
             break
@@ -537,16 +526,12 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
         a1 = a1_grid[-1]
         phi_inv = {float(t): scales.phi.inverse(float(t)) for t in times}
         phij_inv = {t: scales.phi_j.inverse(t) for t in phi_inv}
-        c_gauss = max(
-            (mass * math.exp(min(a1 * mval, 700.0))
-             for mass, r, t, mval in entries
-             if r <= 2.0 * phi_inv[t]), default=0.0,
-        )
-        c_jump = max(
-            (mass * (r / phij_inv[t]) ** eta
-             for mass, r, t, mval in entries
-             if r > 2.0 * phi_inv[t]), default=0.0,
-        )
+        c_gauss = max((mass * math.exp(min(a1 * mval, 700.0))
+                       for mass, r, t, mval in entries
+                       if r <= 2.0 * phi_inv[t]), default=0.0)
+        c_jump = max((mass * (r / phij_inv[t]) ** eta
+                      for mass, r, t, mval in entries
+                      if r > 2.0 * phi_inv[t]), default=0.0)
         best = {"a1": a1, "c_gauss": c_gauss, "c_jump": c_jump}
     c1 = max(best["c_jump"], best["c_gauss"])
     verdict = "certified" if np.isfinite(c1) else "failed"

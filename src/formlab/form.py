@@ -20,7 +20,6 @@ precision on every space formlab builds (n <= ``space.MAX_POINTS``).
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma as gamma_fn
 
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, bind, parameters
 
 __all__ = [
     "FormError",
@@ -93,26 +92,6 @@ def _mirror_upper(M):
 # -- jump kernels ------------------------------------------------------------
 
 
-# jump kind -> the parameters its builder needs
-_JUMP_PARAMS = {"none": (), "stable_like": (), "power_law": ("alpha",),
-                "two_regime": ("alpha", "beta", "regime_break")}
-
-
-def check_jump(jump: dict):
-    """Raise FormError unless ``jump`` names a jump kind a config can use,
-    with every parameter its builder needs, each a real number."""
-    kind = jump.get("kind", "none")
-    if kind not in _JUMP_PARAMS:
-        raise FormError(f"unknown jump kind {kind!r}")
-    missing = [p for p in _JUMP_PARAMS[kind] if p not in jump]
-    if missing:
-        raise FormError(f"jump kind {kind!r} needs {', '.join(missing)}")
-    for p in _JUMP_PARAMS[kind]:
-        if not isinstance(jump[p], numbers.Real) or isinstance(jump[p], bool):
-            raise FormError(f"jump kind {kind!r} needs a real {p}, "
-                            f"got {jump[p]!r}")
-
-
 @dataclass
 class JumpKernel:
     """Symmetric jump intensity J(x, y) >= 0 with zero diagonal."""
@@ -148,8 +127,6 @@ class JumpKernel:
         V = np.empty((n, n))
         for x in range(n):
             V[x] = space.volumes(x, d[x] + 1e-9)  # closed-ball volume at d(x,y)
-        if not (0.0 < cmin <= cmax):
-            raise FormError("need 0 < cmin <= cmax")
         c_field = None
         if cmin != cmax:
             rng = np.random.RandomState(seed)
@@ -190,6 +167,44 @@ class JumpKernel:
         J[small] = coeff * d[small] ** (-(1.0 + alpha))
         J[large] = coeff * regime_break ** (beta - alpha) * d[large] ** (-(1.0 + beta))
         return cls(J)
+
+
+# jump kind -> builder; a jump config sets exactly the builder's parameters
+# but those the suite supplies
+JUMPS = {"none": lambda space: None, "stable_like": JumpKernel.stable_like,
+         "power_law": JumpKernel.power_law,
+         "two_regime": JumpKernel.two_regime}
+_SUPPLIED = ("space", "psi", "seed")
+
+
+def check_jump(jump: dict):
+    """(kind, params) of a jump config.  Raises FormError on an unknown kind,
+    params that do not ``bind`` to its builder, a negative coeff, cmin or
+    cmax outside 0 < cmin <= cmax, and a regime_break that is not
+    positive."""
+    params = dict(jump)
+    kind = params.pop("kind", "none")
+    if not isinstance(kind, str) or kind not in JUMPS:
+        raise FormError(f"unknown jump kind {kind!r}")
+    bind(parameters(JUMPS[kind], _SUPPLIED), params, f"jump kind {kind!r}",
+         FormError, show=str)
+    if params.get("coeff", 1.0) < 0.0:
+        raise FormError("jump coeff must be nonnegative")
+    if not 0.0 < params.get("cmin", 1.0) <= params.get("cmax", 1.0):
+        raise FormError("need 0 < cmin <= cmax")
+    if params.get("regime_break", 1.0) <= 0.0:
+        raise FormError("jump regime_break must be positive")
+    return kind, params
+
+
+def build_jump(jump: dict, space: MetricMeasureSpace, psi, seed: int):
+    """The jump kernel a jump config describes on ``space``, None for kind
+    none; ``psi`` and ``seed`` go to the builders that take them."""
+    kind, params = check_jump(jump)
+    build = JUMPS[kind]
+    supplied = dict(zip(_SUPPLIED, (space, psi, seed)))
+    return build(**{k: v for k, v in supplied.items()
+                    if k in parameters(build)}, **params)
 
 
 # -- the form ---------------------------------------------------------------
@@ -397,9 +412,7 @@ def kernel_certificates(form: DirichletForm, times) -> dict:
     so at most three n x n arrays are alive beyond the spectrum.
     """
     mu = form.mu
-    sym = 0.0
-    mass = 0.0
-    ck = 0.0
+    sym = mass = ck = 0.0
     for t in times:
         half = heat_kernel(form, [t / 2.0]).kernels[0]
         d = (half * mu[None, :]) @ half
@@ -520,8 +533,7 @@ def subordinate_intensity(form: DirichletForm, gamma: float) -> np.ndarray:
         raise FormError("gamma must lie in (0, 1]")
     lam, B = _spectral_basis(form)
     # symmetrised (-L)^gamma, expressed as kernel against mu x mu
-    G = (B * lam ** gamma) @ B.T
-    intensity = -G
+    intensity = -((B * lam ** gamma) @ B.T)
     np.fill_diagonal(intensity, 0.0)
     return np.maximum(0.5 * (intensity + intensity.T), 0.0)
 

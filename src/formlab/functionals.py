@@ -54,14 +54,9 @@ class ConditionReport:
     labels: np.ndarray | None = None   # plot classes per pair; not in to_dict
 
     def to_dict(self):
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "constants": self.constants,
-            "witness": self.witness,
-            "ranges": self.ranges,
-            "notes": self.notes,
-        }
+        return {k: getattr(self, k) for k in ("condition", "verdict",
+                                              "constants", "witness",
+                                              "ranges", "notes")}
 
 
 # -- shared families -----------------------------------------------------------
@@ -438,8 +433,7 @@ def check_exit(form: DirichletForm, scales, radii, time_fracs=(0.25, 0.5, 1.0),
     (x, r, t) grid."""
     space = form.space
     rows = []
-    c1 = 1.0
-    c_ep = 0.0
+    c1, c_ep = 1.0, 0.0
     witness = {}
     for x0, r in ball_family(space, radii, reach_factor=1.0,
                              max_centers=max_centers):
@@ -542,9 +536,8 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
             if r < 1.0:
                 continue
             Bx = space.ball(int(x), r + 1e-9)
-            avg = float(np.sum(J[Bx, y] * space.mu[Bx])) / space.volume(
-                int(x), r + 1e-9
-            )
+            avg = (float(np.sum(J[Bx, y] * space.mu[Bx]))
+                   / space.volume(int(x), r + 1e-9))
             if avg <= 0.0:
                 c_ujs = math.inf
                 break

@@ -161,11 +161,9 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
         inf_p = flows[nm:].min(axis=(0, 1))
         fam = CaloricFamily("necessary", len(atoms), sup_m, inf_p, 0)
         k = int(np.nanargmax(np.where(inf_p > FLOOR, sup_m / np.maximum(inf_p, FLOOR), -np.inf)))
-        fam.worst = {
-            "atom": int(atoms[k]),
-            "trace_minus": flows[:nm, :, k].tolist(),
-            "trace_plus": flows[nm:, :, k].tolist(),
-        }
+        fam.worst = {"atom": int(atoms[k]),
+                     "trace_minus": flows[:nm, :, k].tolist(),
+                     "trace_plus": flows[nm:, :, k].tolist()}
         return fam
 
     if mode != "full":
@@ -242,7 +240,8 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     return fam
 
 
-def _families(form, scales, cylinders, mode, n_window_times, thin, kw):
+def _families(form, scales, cylinders, mode, n_window_times, thin,
+              n_atom_intervals):
     """The caloric family of each cylinder in turn.  In NECESSARY mode a run
     of consecutive cylinders with equal sample times (same R, t0 and
     constants) shares one pass over the global kernels at those times: each
@@ -262,12 +261,14 @@ def _families(form, scales, cylinders, mode, n_window_times, thin, kw):
             cyl_blocks = [None] * len(run)
         for cyl, blocks in zip(run, cyl_blocks):
             yield caloric_poisson(form, scales, cyl, mode=mode,
+                                  n_atom_intervals=n_atom_intervals,
                                   n_window_times=n_window_times, thin=thin,
-                                  blocks=blocks, **kw)
+                                  blocks=blocks)
 
 
 def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
-              n_window_times: int = 5, thin: int = 1, **kw) -> ConditionReport:
+              n_window_times: int = 5, thin: int = 1,
+              n_atom_intervals: int = 8) -> ConditionReport:
     """Fit C6 = sup over the caloric family of sup_{Q-} u / inf_{Q+} u.
 
     In FULL mode on small cylinders this bounds every nonnegative caloric
@@ -278,22 +279,16 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
     C6 = 0.0
     witness = {}
     for cyl, fam in zip(cylinders, _families(form, scales, cylinders, mode,
-                                             n_window_times, thin, kw)):
+                                             n_window_times, thin,
+                                             n_atom_intervals)):
         ratios = fam.ratios()
         alive = ratios[np.isfinite(ratios)]
-        if alive.size == 0:
-            return ConditionReport(
-                "PHI(phi)", "failed",
-                witness={"x0": cyl.x0, "R": cyl.R,
-                         "reason": "caloric family vanished on Q+"},
-            )
-        dead_pos = int(np.sum((fam.sup_minus > FLOOR) & (fam.inf_plus <= FLOOR)))
-        if dead_pos:
-            return ConditionReport(
-                "PHI(phi)", "failed",
-                witness={"x0": cyl.x0, "R": cyl.R,
-                         "reason": "positive mass on Q- with vanishing Q+"},
-            )
+        if alive.size == 0 or np.any((fam.sup_minus > FLOOR)
+                                     & (fam.inf_plus <= FLOOR)):
+            reason = ("caloric family vanished on Q+" if alive.size == 0
+                      else "positive mass on Q- with vanishing Q+")
+            return ConditionReport("PHI(phi)", "failed", witness={
+                "x0": cyl.x0, "R": cyl.R, "reason": reason})
         c = float(alive.max())
         rows.append({"x0": cyl.x0, "R": cyl.R, "C6": c,
                      "atoms": fam.n_atoms, "mode": fam.mode})
@@ -342,9 +337,7 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
     """
     space = form.space
     rng = np.random.RandomState(seed)
-    ehr_pairs_by_fn = []
-    phr_pairs_by_fn = []
-    rows = []
+    ehr_pairs_by_fn, phr_pairs_by_fn, rows = [], [], []
     for r in radii:
         centers = space.spread_centers(r, max_centers)
         if len(centers) == 0:
@@ -369,12 +362,9 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
                 data[z] = 1.0
                 u = harmonic_solve(form, B, data)
                 supu = float(np.abs(u).max())
-                prs = []
-                for i, p in enumerate(core):
-                    for q in core[i + 1:]:
-                        prs.append((abs(u[p] - u[q]),
-                                    space.metric[p, q] / r, supu))
-                ehr_pairs_by_fn.append(prs)
+                ehr_pairs_by_fn.append([
+                    (abs(u[p] - u[q]), space.metric[p, q] / r, supu)
+                    for i, p in enumerate(core) for q in core[i + 1:]])
             zs = np.arange(form.n)[rng.choice(form.n, size=min(8, form.n),
                                               replace=False)]
             for z in zs:

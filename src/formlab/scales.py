@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .space import _real
+
 __all__ = [
     "ScaleError",
     "ScaleFunction",
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _CONT_TOL = 1e-9
+_KEYS = {"break", "coeff", "exp"}   # of a piece in a config
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -113,11 +116,19 @@ class ScaleFunction:
         When ``normalize`` the result is rescaled so that phi(1) = 1, with a
         warning if that actually changed anything.
         """
+        if not (isinstance(spec, list) and all(
+                isinstance(d, dict) and {"break", "exp"} <= d.keys() <= _KEYS
+                and all(map(_real, d.values())) for d in spec)):
+            raise ScaleError('a scale is a list of {"break", "coeff", "exp"} '
+                             f"pieces of finite reals, got {spec!r}")
         pieces = tuple(
             (float(d["break"]), float(d.get("coeff", 1.0)), float(d["exp"]))
             for d in spec
         )
-        f = cls(pieces)
+        try:
+            f = cls(pieces)
+        except OverflowError:
+            raise ScaleError(f"scale pieces overflow a float: {spec!r}") from None
         if normalize:
             v1 = f(1.0)
             if abs(v1 - 1.0) > 1e-12:
@@ -165,11 +176,8 @@ class ScaleFunction:
         v_arr = np.asarray(v, dtype=float)
         if np.any(v_arr <= 0.0):
             raise ScaleError("inverse requires a positive value")
-        idx = np.clip(
-            np.searchsorted(self._break_values, v_arr, side="right") - 1,
-            0,
-            len(self.pieces) - 1,
-        )
+        idx = np.clip(np.searchsorted(self._break_values, v_arr, side="right")
+                      - 1, 0, len(self.pieces) - 1)
         out = (v_arr / self._coeffs[idx]) ** (1.0 / self._exps[idx])
         return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
 
@@ -177,24 +185,6 @@ class ScaleFunction:
     def exponents(self):
         return tuple(float(e) for e in self._exps)
 
-    def restricted_below(self, cut: float):
-        """Pieces of this function on (0, cut], as raw piece list."""
-        out = []
-        for b, c, e in self.pieces:
-            if b >= cut:
-                break
-            out.append((b, c, e))
-        return out
-
-    def restricted_above(self, cut: float):
-        """Pieces on [cut, infinity), re-anchored so the first starts at cut."""
-        out = []
-        for i, (b, c, e) in enumerate(self.pieces):
-            nxt = self.pieces[i + 1][0] if i + 1 < len(self.pieces) else math.inf
-            if nxt <= cut:
-                continue
-            out.append((max(b, cut), c, e))
-        return out
 
 
 @dataclass(frozen=True)
@@ -280,13 +270,14 @@ class ScaleTriple:
     @staticmethod
     def _min_scale(phi_c, phi_j):
         # under the crossing-at-1 ordering the minimum is phi_c below 1 and
-        # phi_j above, so the pieces concatenate along the cut at 1
-        pieces = phi_c.restricted_below(1.0)
-        tail = phi_j.restricted_above(1.0)
-        if tail and tail[0][0] != 1.0:
-            b, c, e = tail[0]
-            tail[0] = (1.0, c, e)
-        return ScaleFunction(tuple(pieces + tail))
+        # phi_j above, so the pieces concatenate along the cut at 1: phi_c's
+        # pieces that start below 1, then phi_j's that end above it, the
+        # first re-anchored at 1
+        ends = [b for b, _, _ in phi_j.pieces[1:]] + [math.inf]
+        return ScaleFunction(tuple(
+            [p for p in phi_c.pieces if p[0] < 1.0]
+            + [(max(b, 1.0), c, e)
+               for (b, c, e), end in zip(phi_j.pieces, ends) if end > 1.0]))
 
     def m(self, t, r):
         """Sub-Gaussian exponent m(t, r) = r / bar_phi_c^{-1}(t / r);
@@ -297,9 +288,7 @@ class ScaleTriple:
         r_arr = np.asarray(r, dtype=float)
         t_arr = np.asarray(t, dtype=float)
         out = r_arr / self.bar_phi_c.inverse(t_arr / r_arr)
-        if np.isscalar(r) and np.isscalar(t):
-            return float(out)
-        return out
+        return float(out) if np.isscalar(r) and np.isscalar(t) else out
 
 
 def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):
@@ -429,18 +418,12 @@ def crossover_radius(
     inv_j = triple.phi_j.inverse(t_val)
     ratio = inv_c / inv_j
     log_ratio = math.log(ratio) if ratio > 1.0 else 0.0
-    if ratio <= 1.0 + 1e-12:
-        return CrossoverResult(
-            None, True, "degenerate: scales coincide", math.inf, log_ratio,
-            None, None, None,
-        )
 
     def g(r):
         return c_star * triple.m(t_val, r) - math.log(c_low * r / inv_j)
 
     lo, hi = inv_c, bracket_cap * inv_c
-    glo, ghi = g(lo), g(hi)
-    if glo >= 0.0 or ghi <= 0.0:
+    if ratio <= 1.0 + 1e-12 or g(lo) >= 0.0 or g(hi) <= 0.0:
         return CrossoverResult(
             None, True, "degenerate: scales coincide", math.inf, log_ratio,
             None, None, None,
@@ -465,6 +448,5 @@ def crossover_radius(
     c3 = r_star / denom_lo
     c4 = r_star / denom_hi
     bracket = (c3 * denom_lo, c4 * denom_hi)
-    return CrossoverResult(
-        r_star, False, "", residual, log_ratio, c3, c4, bracket
-    )
+    return CrossoverResult(r_star, False, "", residual, log_ratio, c3, c4,
+                           bracket)

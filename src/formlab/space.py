@@ -10,8 +10,12 @@ Ball membership is strict: B(x, r) = {y : d(x, y) < r}.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -42,6 +46,57 @@ def _check_size(n):
             f"capacity exceeded: {n} points > {MAX_POINTS} supported by "
             "the dense metric representation"
         )
+
+
+# -- config binding ----------------------------------------------------------
+
+
+def _real(v):
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and -math.inf < v < math.inf)
+
+
+# annotation -> (what a value must be, test); a default of None takes None too
+_TYPES = {"int": ("an integer", lambda v: _real(v) and isinstance(v, int)),
+          "float": ("a finite real", _real),
+          "str": ("a string", lambda v: isinstance(v, str)),
+          "dict": ("an object", lambda v: isinstance(v, dict)),
+          "list[float]": ("a nonempty list of finite reals", lambda v:
+                          isinstance(v, list) and v and all(map(_real, v))),
+          "list[str]": ("a list of strings", lambda v: isinstance(v, list)
+                        and all(isinstance(x, str) for x in v))}
+
+
+@functools.cache
+def parameters(fn, skip=()) -> MappingProxyType:
+    """The named parameters of ``fn`` outside ``skip``, by name; read once
+    per function, so a config binds in microseconds."""
+    return MappingProxyType({
+        name: p for name, p in inspect.signature(fn).parameters.items()
+        if name not in skip and p.kind not in (p.VAR_POSITIONAL,
+                                               p.VAR_KEYWORD)})
+
+
+def bind(named: dict, params, what: str, error=ValueError, show=repr,
+         required=True):
+    """Raise ``error`` unless the dict ``params`` binds to the parameters
+    ``named``: each key names one, each one without a default is given
+    (if ``required``), and each value has the type its annotation names."""
+    if not isinstance(params, dict):
+        raise error(f"{what} must be an object, got {params!r}")
+    unknown = sorted(set(params) - set(named))
+    if unknown:
+        raise error(f"unknown {what} keys: {unknown}")
+    missing = [name for name, p in named.items()
+               if required and p.default is p.empty and name not in params]
+    if missing:
+        raise error(f"{what} needs {', '.join(map(show, missing))}")
+    for name, value in params.items():
+        p = named[name]
+        kind, ok = _TYPES.get(str(p.annotation).removesuffix(" | None"),
+                              ("", None))
+        if ok and not ok(value) and not (value is None and p.default is None):
+            raise error(f"{what} needs {kind} {show(name)}, got {value!r}")
 
 
 class MetricMeasureSpace:
@@ -122,7 +177,8 @@ class MetricMeasureSpace:
 # -- builders --------------------------------------------------------------
 
 
-def _lattice_box(dim, side, metric="l1", margin=None):
+def _lattice_box(dim: int, side: int, metric: str = "l1",
+                 margin: float | None = None):
     n = side ** dim
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
     if metric == "l1":
@@ -150,7 +206,8 @@ def _lattice_box(dim, side, metric="l1", margin=None):
                               interior_margin=margin)
 
 
-def _halfspace_lattice(side, metric="l1", margin=None):
+def _halfspace_lattice(side: int, metric: str = "l1",
+                       margin: float | None = None):
     """2-d box whose bottom edge y = 0 is a genuine reflecting boundary; only
     the three cut faces count as truncation."""
     sp = _lattice_box(2, side, metric=metric, margin=margin)
@@ -165,7 +222,7 @@ def _halfspace_lattice(side, metric="l1", margin=None):
                               interior_margin=sp.interior_margin)
 
 
-def _gasket(level, margin=None):
+def _gasket(level: int, margin: float | None = None):
     scale = 2 ** level
     tris = [((0, 0), (scale, 0), (0, scale))]
     for _ in range(level):
@@ -202,55 +259,43 @@ def _gasket(level, margin=None):
                               boundary=boundary, interior_margin=margin)
 
 
-def build_space(kind: str, **params) -> MetricMeasureSpace:
-    """Construct one of the bundled geometries.
+# space kind -> builder; a space config sets exactly its parameters
+SPACES = {"lattice_box": _lattice_box, "gasket": _gasket,
+          "halfspace_lattice": _halfspace_lattice}
 
-    kinds: ``lattice_box(dim, side, metric, margin)``,
-    ``gasket(level, margin)``, ``halfspace_lattice(side, metric, margin)``.
-    """
+
+def build_space(kind: str, **params) -> MetricMeasureSpace:
+    """Construct one of the bundled geometries: ``SPACES[kind](**params)``."""
     space_size(kind, **params)
-    if kind == "lattice_box":
-        return _lattice_box(
-            params["dim"], params["side"],
-            metric=params.get("metric", "l1"), margin=params.get("margin"),
-        )
-    if kind == "gasket":
-        return _gasket(params["level"], margin=params.get("margin"))
-    return _halfspace_lattice(
-        params["side"], metric=params.get("metric", "l1"),
-        margin=params.get("margin"),
-    )
+    return SPACES[kind](**params)
 
 
 def space_size(kind: str | None = None, **params) -> int:
     """Point count of ``build_space(kind, **params)``, found without
-    building anything.  Raises SpaceError on a missing or unknown kind, a
-    missing or non-integer ``level``, ``dim`` or ``side``, a lattice dim
-    outside {1, 2, 3}, a lattice metric other than l1 or l2, and a count
-    over ``MAX_POINTS``."""
-
-    def need(key):
-        if key not in params:
-            raise SpaceError(f"{kind} space needs {key!r}")
-        value = params[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SpaceError(f"{kind} space needs an integer {key!r}, "
-                             f"got {value!r}")
-        return value
-
+    building anything.  Raises SpaceError on a missing or unknown kind,
+    params that do not ``bind`` to the kind's builder, a lattice dim outside
+    {1, 2, 3}, a side below 1, a level below 0, a lattice metric other than
+    l1 or l2, and a count over ``MAX_POINTS``."""
     if kind is None:
         raise SpaceError("space needs 'kind'")
+    if not isinstance(kind, str) or kind not in SPACES:
+        raise SpaceError(f"unknown space kind {kind!r}")
+    bind(parameters(SPACES[kind]), params, f"{kind} space", SpaceError)
     if kind == "gasket":
-        n = 3 * (3 ** need("level") + 1) // 2
-    elif kind in ("lattice_box", "halfspace_lattice"):
-        dim = need("dim") if kind == "lattice_box" else 2
+        level = params["level"]
+        if level < 0:
+            raise SpaceError(f"gasket level must be at least 0, got {level}")
+        # 3 ** level itself takes long to compute for a huge level
+        n = 3 * (3 ** level + 1) // 2 if level <= 40 else math.inf
+    else:
+        dim, side = params.get("dim", 2), params["side"]
         if dim not in (1, 2, 3):
             raise SpaceError("lattice_box supports dim in {1, 2, 3}")
+        if side < 1:
+            raise SpaceError(f"lattice side must be at least 1, got {side}")
         if params.get("metric", "l1") not in ("l1", "l2"):
             raise SpaceError("lattice metric must be 'l1' or 'l2'")
-        n = need("side") ** dim
-    else:
-        raise SpaceError(f"unknown space kind {kind!r}")
+        n = side ** dim
     _check_size(n)
     return n
 

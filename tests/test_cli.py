@@ -343,6 +343,10 @@ class TestMain:
         ("space", {"kind": "lattice_box", "dim": 1, "side": "64"},
          "integer 'side'"),
         ("jump", {"kind": "power_law", "alpha": "x"}, "real alpha"),
+        ("space", {"kind": "lattice_box", "dim": 1, "side": 0},
+         "side must be at least 1"),
+        ("space", {"kind": "gasket", "level": -1},
+         "level must be at least 0"),
     ])
     def test_unbuildable_config_rejected_at_validate(self, tmp_path, capsys,
                                                       key, value, message):
@@ -352,6 +356,48 @@ class TestMain:
         assert main(["--config", str(p), "validate"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("change,message", [
+        ({"jump": {"kind": "power_law", "alpha": 1.0, "alpah": 0.5}},
+         "unknown jump kind 'power_law' keys: ['alpah']"),
+        ({"space": {"kind": "lattice_box", "dim": 1, "side": 128,
+                    "margn": 32}},
+         "unknown lattice_box space keys: ['margn']"),
+        ({"check_params": {"kernel": {"foo": 1}}},
+         "unknown check_params.kernel keys: ['foo']"),
+        ({"check_params": {"hk": {"modee": "HK"}}},
+         "unknown check_params.hk keys: ['modee']"),
+        ({"grids": {"n_time": 5}}, "unknown grids keys: ['n_time']"),
+        ({"grids": {"radii": [4, "8"]}}, "list of finite reals 'radii'"),
+        ({"grids": {"radii": []}}, "nonempty list of finite reals"),
+        ({"mode": "fulll"}, "mode must be one of"),
+        ({"local_weight": -1}, "local_weight must be nonnegative"),
+        ({"seed": -1}, "seed must be in"),
+        ({"expect": {"nosuch": "failed"}}, "unknown checks: ['nosuch']"),
+        ({"check_params": {"nosuch": {}}}, "unknown checks: ['nosuch']"),
+        ({"jump": {"kind": "stable_like", "cmin": 2.0, "cmax": 1.0}},
+         "0 < cmin <= cmax"),
+        ({"jump": {"kind": "power_law", "alpha": 1.0, "coeff": -1.0}},
+         "coeff must be nonnegative"),
+        ({"scales": {"phi_c": [{"break": 0, "exp": 2, "coef": 1}],
+                     "phi_j": [{"break": 0, "exp": 1}]}},
+         "pieces of finite reals"),
+    ])
+    def test_misspelt_or_out_of_range_config_rejected_at_validate(
+            self, tmp_path, capsys, change, message):
+        # each of these used to validate and then run on a default, be
+        # ignored, or stop the suite midway
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(mini_cfg(**change)))
+        assert main(["--config", str(p), "validate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    def test_check_command_binds_only_its_own_required_params(self, capsys):
+        # phi_counterexample configures jpsi_alt with its phi_j; checking
+        # another check alone keeps that entry, which still binds
+        assert main(["--config", "phi_counterexample", "--grid-thin", "2",
+                     "check", "volume"]) == 0
 
     def test_jpsi_alt_without_scale_rejected_at_validate(self, tmp_path,
                                                           capsys):
