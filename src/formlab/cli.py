@@ -45,8 +45,8 @@ from .functionals import (ConditionReport, ball_family, check_cs, check_exit,
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleError, ScaleFunction, ScaleTriple
-from .space import (SpaceError, bind, build_space, chain_check, parameters,
-                    space_size, volume_report)
+from .space import (MAX_TIMES, SpaceError, bind, build_space, chain_check,
+                    parameters, space_size, volume_report)
 
 OK_VERDICTS = {"certified", "certified-for-family", "one-sided-certificate"}
 MODES = ("necessary", "full")
@@ -116,6 +116,9 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown checks: {bad}; known: {sorted(CHECKS)}")
     bind(parameters(SuiteContext._grids, ("self",)), cfg.grids, "grids",
          ConfigError)
+    if cfg.grids.get("n_times", 0) > MAX_TIMES:
+        raise ConfigError(f"grids.n_times must be at most {MAX_TIMES}, got "
+                          f"{cfg.grids['n_times']}")
     for name in dict.fromkeys([*cfg.checks, *cfg.check_params]):
         named = check_parameters(CHECKS[name])
         if named is not None:

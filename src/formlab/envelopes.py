@@ -49,16 +49,14 @@ class _EnvelopeGrid:
     """The time-independent geometry of one xs x ys envelope sweep.
 
     Built once per check call and dropped when it returns: the pair
-    distances ``d``, their unique values with the inverse map, V(x, d(x, y)),
-    V(x, d) phi_j(d) and a per-radius memo of V(x, r) over ``xs``.  Each
-    piece is computed on first use."""
+    distances ``d``, their unique values with the inverse map, V(x, d(x, y))
+    and V(x, d) phi_j(d).  Each piece is computed on first use."""
 
     def __init__(self, scales, space, xs, ys):
         self.scales = scales
         self.space = space
-        self.xs = xs
+        self.xs = np.asarray(xs)
         self.d = space.metric[np.ix_(xs, ys)]
-        self._volumes = {}
 
     @cached_property
     def _unique(self):
@@ -67,11 +65,8 @@ class _EnvelopeGrid:
 
     @cached_property
     def Vd(self):
-        """V(x, d(x,y)) per pair, via one sorted sweep per row."""
-        Vd = np.empty_like(self.d)
-        for i, x in enumerate(self.xs):
-            Vd[i] = self.space.volumes(int(x), self.d[i])
-        return Vd
+        """V(x, d(x,y)) per pair."""
+        return self.space.volumes(self.xs[:, None], self.d)
 
     @cached_property
     def jump_denom(self):
@@ -80,14 +75,6 @@ class _EnvelopeGrid:
         phij_u = np.ones_like(uq)
         phij_u[pos] = self.scales.phi_j(uq[pos])
         return self.Vd * phij_u[inv].reshape(self.d.shape)
-
-    def volumes(self, radius):
-        """V(x, radius) for every x in ``xs``, computed once per radius."""
-        V = self._volumes.get(radius)
-        if V is None:
-            V = self._volumes[radius] = np.array(
-                [self.space.volume(int(x), radius) for x in self.xs])
-        return V
 
     def m(self, td):
         """m(td, d(x, y)) on the grid, 0 on the diagonal."""
@@ -102,15 +89,15 @@ def _envelope_arrays(grid, t, dilation=1.0):
 
     Returns dict with Vc, Vj, Vphi (per x), pc, pj (len(xs) x len(ys)),
     exploiting the discreteness of the metric through a unique-distance
-    lookup for m(t, d) and phi_j(d).  Per check (held by ``grid``): d,
-    V(x, d) phi_j(d) and each V(x, r); per time and dilation: m, the
-    V(x, r) lookups, pc and pj."""
-    scales = grid.scales
+    lookup for m(t, d) and phi_j(d).  Per check (held by ``grid``): d and
+    V(x, d) phi_j(d); per time and dilation: m, the V(x, r) lookups, pc and
+    pj."""
+    scales, V = grid.scales, grid.space.volumes
     td = t * dilation
     m_grid = grid.m(td)
-    Vc = grid.volumes(scales.phi_c.inverse(td))
-    Vj = grid.volumes(scales.phi_j.inverse(t))
-    Vphi = grid.volumes(scales.phi.inverse(t))
+    Vc = V(grid.xs, scales.phi_c.inverse(td))
+    Vj = V(grid.xs, scales.phi_j.inverse(t))
+    Vphi = V(grid.xs, scales.phi.inverse(t))
 
     with np.errstate(over="ignore"):
         pc = np.exp(-np.minimum(m_grid, 700.0)) / Vc[:, None]
@@ -246,29 +233,23 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         K = table.kernels[i][np.ix_(xs, xs)]
         fl = FLOOR_REL * float(table.kernels[i].max())
         K_ok = K > fl
-        for acc, dil in zip(up_acc, uppers):
-            U = _sandwich(_envelope_arrays(grid, t, dilation=dil), with_jump)
-            ratio = K / U
-            acc[1] += int((~K_ok).sum())
-            acc[3].append(np.where(K_ok[thin, thin], ratio[thin, thin],
-                                   math.nan))
-            if K_ok.any():
-                cand = _extreme(ratio, K_ok, t, pick_max=True)
-                if cand["ratio"] > acc[0]:
-                    acc[0], acc[2] = cand["ratio"], cand
-        for acc, dil in zip(lo_acc, lowers):
-            L = _sandwich(_envelope_arrays(grid, t, dilation=dil), with_jump)
-            ratio = K / L
-            ok = (L > fl) & K_ok
+        # upper dilations, then lower ones; a lower profile under the
+        # floor also excludes the triple
+        for acc, dil, upper in [*zip(up_acc, uppers, repeat(True)),
+                                *zip(lo_acc, lowers, repeat(False))]:
+            P = _sandwich(_envelope_arrays(grid, t, dilation=dil), with_jump)
+            ratio = K / P
+            ok = K_ok if upper else (P > fl) & K_ok
             acc[1] += int((~ok).sum())
             acc[3].append(np.where(ok[thin, thin], ratio[thin, thin],
                                    math.nan))
             if ok.any():
-                cand = _extreme(ratio, ok, t, pick_max=False)
-                if cand["ratio"] < acc[0]:
+                cand = _extreme(ratio, ok, t, pick_max=upper)
+                if (cand["ratio"] > acc[0] if upper
+                        else cand["ratio"] < acc[0]):
                     acc[0], acc[2] = cand["ratio"], cand
         if mode == "UHK_weak":
-            Vphi = grid.volumes(scales.phi.inverse(t))
+            Vphi = space.volumes(xs, scales.phi.inverse(t))
             far = np.full_like(d, np.inf)
             np.divide(t, weak_denom, out=far, where=weak_denom > 0.0)
             U = np.minimum((1.0 / Vphi)[:, None], far)
@@ -352,7 +333,7 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
         t = table.times[i]
-        Vphi = grid.volumes(scales.phi.inverse(t))
+        Vphi = space.volumes(xs, scales.phi.inverse(t))
         diag = table.kernels[i][xs, xs]
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
         near = grid.d <= nl_constant * scales.phi.inverse(t)
@@ -446,11 +427,8 @@ def dominance_map(scales: ScaleTriple, space, t: float,
     diag_edge = scales.phi_c.inverse(t)
     labels = np.where(env["pj"] >= env["pc"], 2, 1).astype(np.int8)
     labels[d <= diag_edge] = 0
-    crossover = np.full(len(xs), np.nan)
-    for i in range(len(xs)):
-        jumps = d[i][(labels[i] == 2)]
-        if jumps.size:
-            crossover[i] = jumps.min()
+    crossover = np.fmin.reduce(np.where(labels == 2, d, np.nan), axis=1,
+                               initial=np.nan)
     cross = crossover[np.isfinite(crossover)]
     c3 = c4 = r_star = None
     log_ratio, degenerate = 0.0, True
@@ -582,7 +560,7 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     c5 = math.inf
     for t, i in zip(times, keep):
         K = table.kernels[i]
-        Vc = grid.volumes(scales.phi_c.inverse(t))
+        Vc = space.volumes(xs, scales.phi_c.inverse(t))
         near = grid.d <= scales.phi_c.inverse(t)
         vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
         if vals.size:
@@ -595,7 +573,7 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     triples = []   # (t, m, base) of every selected triple, in sweep order
     for t, i in zip(times, keep):
         K = table.kernels[i]
-        Vc = grid.volumes(scales.phi_c.inverse(t))
+        Vc = space.volumes(xs, scales.phi_c.inverse(t))
         mvals = grid.m(t)
         sel = (grid.d >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)
         K_sub = K[np.ix_(xs, xs)]

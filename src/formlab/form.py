@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma as gamma_fn
 
-from .space import MetricMeasureSpace, bind, parameters
+from .space import _ROWS, MetricMeasureSpace, bind, parameters
 
 __all__ = [
     "FormError",
@@ -56,7 +56,6 @@ class FormError(ValueError):
     """Invalid form construction or query."""
 
 
-_ROWS = 32    # rows per block of the in-place n x n sweeps
 _TILE = 128   # side of the tiles that mirror an n x n matrix in place
 
 
@@ -124,9 +123,8 @@ class JumpKernel:
         symmetric field in [cmin, cmax] (constant when cmin == cmax)."""
         n = space.n
         d = space.metric
-        V = np.empty((n, n))
-        for x in range(n):
-            V[x] = space.volumes(x, d[x] + 1e-9)  # closed-ball volume at d(x,y)
+        # closed-ball volume at d(x, y)
+        V = space.volumes(np.arange(n)[:, None], d + 1e-9)
         c_field = None
         if cmin != cmax:
             rng = np.random.RandomState(seed)
@@ -180,8 +178,8 @@ _SUPPLIED = ("space", "psi", "seed")
 def check_jump(jump: dict):
     """(kind, params) of a jump config.  Raises FormError on an unknown kind,
     params that do not ``bind`` to its builder, a negative coeff, cmin or
-    cmax outside 0 < cmin <= cmax, and a regime_break that is not
-    positive."""
+    cmax outside 0 < cmin <= cmax, a regime_break that is not positive, and
+    a regime_break ** (beta - alpha) that overflows a float."""
     params = dict(jump)
     kind = params.pop("kind", "none")
     if not isinstance(kind, str) or kind not in JUMPS:
@@ -194,6 +192,12 @@ def check_jump(jump: dict):
         raise FormError("need 0 < cmin <= cmax")
     if params.get("regime_break", 1.0) <= 0.0:
         raise FormError("jump regime_break must be positive")
+    if kind == "two_regime":
+        try:
+            float(params["regime_break"]) ** (params["beta"] - params["alpha"])
+        except OverflowError:
+            raise FormError("jump regime_break ** (beta - alpha) overflows "
+                            "a float") from None
     return kind, params
 
 
@@ -482,7 +486,7 @@ def meyer_check(form: DirichletForm, scales, rho: float, times,
     del P, diffs
     phi_rho = scales.phi(rho)
     phij_rho = scales.phi_j(rho)
-    Vphij = np.array([space.volume(x, rho) for x in interior]) * phij_rho
+    Vphij = space.volumes(interior, rho) * phij_rho
 
     def excess(c1):
         worst = -np.inf

@@ -470,31 +470,25 @@ def fit_jpsi(form: DirichletForm, psi, margin=None):
     interior ordered pairs; returns (c1, c2, per-distance table)."""
     space = form.space
     interior = space.interior(margin)
-    J = form.jump.matrix
-    c1, c2 = math.inf, 0.0
-    dists, ratios = [], []
-    for x in interior:
-        d = space.metric[x][interior]
-        mask = d > 0.0
-        V = space.volumes(x, d[mask] + 1e-9)
-        ratio = J[x][interior][mask] * V * psi(d[mask])
-        c1 = min(c1, float(ratio.min()))
-        c2 = max(c2, float(ratio.max()))
-        dists.append(d[mask])
-        ratios.append(ratio)
-    # per-distance extremes; fmin/fmax skip a nan ratio as min()/max() do
+    block = np.ix_(interior, interior)
+    d = space.metric[block]
+    mask = d > 0.0
+    V = space.volumes(interior[:, None], d + 1e-9)[mask]
+    dists = d[mask]
+    ratios = form.jump.matrix[block][mask] * V * psi(dists)
+    # the extremes, overall and per distance; fmin/fmax skip a nan ratio
+    c1 = float(np.fmin.reduce(ratios, initial=math.inf))
+    c2 = float(np.fmax.reduce(ratios, initial=0.0))
+    uq, inv = np.unique(dists, return_inverse=True)
+    lo_u = np.full(len(uq), math.inf)
+    hi_u = np.zeros(len(uq))
+    np.fmin.at(lo_u, inv, ratios)
+    np.fmax.at(hi_u, inv, ratios)
     per_d = {}
-    if dists:
-        uq, inv = np.unique(np.concatenate(dists), return_inverse=True)
-        ratios = np.concatenate(ratios)
-        lo_u = np.full(len(uq), math.inf)
-        hi_u = np.zeros(len(uq))
-        np.fmin.at(lo_u, inv, ratios)
-        np.fmax.at(hi_u, inv, ratios)
-        for dd, lo_d, hi_d in zip(uq, lo_u, hi_u):
-            key = round(float(dd), 9)
-            lo, hi = per_d.get(key, (math.inf, 0.0))
-            per_d[key] = (min(lo, float(lo_d)), max(hi, float(hi_d)))
+    for dd, lo_d, hi_d in zip(uq, lo_u, hi_u):
+        key = round(float(dd), 9)
+        lo, hi = per_d.get(key, (math.inf, 0.0))
+        per_d[key] = (min(lo, float(lo_d)), max(hi, float(hi_d)))
     table = [{"d": k, "min_ratio": v[0], "max_ratio": v[1]}
              for k, v in sorted(per_d.items())]
     return c1, c2, table

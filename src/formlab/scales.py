@@ -62,9 +62,8 @@ class ScaleFunction:
             raise ScaleError("first piece must start at break 0.0")
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise ScaleError("breakpoints must be strictly increasing")
-        for _, c, e in pieces:
-            if c <= 0.0 or e <= 0.0:
-                raise ScaleError("coefficients and exponents must be positive")
+        if any(c <= 0.0 or e <= 0.0 for _, c, e in pieces):
+            raise ScaleError("coefficients and exponents must be positive")
         for (b1, c1, e1), (b2, c2, e2) in zip(pieces, pieces[1:]):
             left = c1 * b2 ** e1
             right = c2 * b2 ** e2
@@ -76,10 +75,7 @@ class ScaleFunction:
         object.__setattr__(self, "_breaks", np.array(breaks))
         object.__setattr__(self, "_coeffs", np.array([p[1] for p in pieces]))
         object.__setattr__(self, "_exps", np.array([p[2] for p in pieces]))
-        vals = np.empty(len(pieces))
-        vals[0] = 0.0
-        for i in range(1, len(pieces)):
-            vals[i] = pieces[i][1] * pieces[i][0] ** pieces[i][2]
+        vals = np.array([0.0] + [c * b ** e for b, c, e in pieces[1:]])
         object.__setattr__(self, "_break_values", vals)
         object.__setattr__(self, "_break_list", vals.tolist())
 

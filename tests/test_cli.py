@@ -347,6 +347,9 @@ class TestMain:
          "side must be at least 1"),
         ("space", {"kind": "gasket", "level": -1},
          "level must be at least 0"),
+        ("jump", {"kind": "two_regime", "alpha": 1.0, "beta": 1e9,
+                  "regime_break": 8}, "overflows"),
+        ("grids", {"n_times": 10 ** 9}, "n_times must be at most"),
     ])
     def test_unbuildable_config_rejected_at_validate(self, tmp_path, capsys,
                                                       key, value, message):

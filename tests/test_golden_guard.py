@@ -2,9 +2,11 @@
 equal the benchmark's golden digests (``perfbench/golden.json``).
 
 The configs run in one child process with single-threaded BLAS, the setting
-the digests were recorded with: ``z1_mini``, ``phi_counterexample`` and
-``gasket_walk`` as shipped, and the benchmark's ``z1_all_512`` config
-restricted to ``pc_equivalence``.  The test skips when numpy, scipy or the
+the digests were recorded with: ``z1_mini``, ``phi_counterexample``,
+``gasket_walk``, ``z1_alpha1`` and ``gasket_subordination`` as shipped
+(between them every check but ``pc_equivalence``, on lattices and the
+gasket), and the benchmark's ``z1_all_512`` config restricted to
+``pc_equivalence``.  The test skips when numpy, scipy or the
 OpenBLAS build differ from the recorded environment, whose bits may differ.
 The benchmark's files are read, never written.
 """
@@ -21,7 +23,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-BUNDLED = ("z1_mini", "phi_counterexample", "gasket_walk")
+BUNDLED = ("z1_mini", "phi_counterexample", "gasket_walk", "z1_alpha1",
+           "gasket_subordination")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 CHILD = r"""

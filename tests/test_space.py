@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from formlab.form import assemble
 from formlab.space import (MAX_POINTS, MetricMeasureSpace, SpaceError,
                            build_space, chain_check, space_size,
                            volume_report)
@@ -22,6 +23,18 @@ class TestBuilders:
         assert sp.n == 81
         center = 40
         assert sp.volume(center, 1.5) == 5.0   # von Neumann neighbourhood
+
+    def test_lattice_edges_and_a_single_point(self):
+        # each point joined to its successor along each axis, in order of
+        # point, then axis; a one-point box has no edge and assembles
+        sp = build_space("lattice_box", dim=2, side=3)
+        assert sp.edges.tolist() == [[0, 3], [0, 1], [1, 4], [1, 2], [2, 5],
+                                     [3, 6], [3, 4], [4, 7], [4, 5], [5, 8],
+                                     [6, 7], [7, 8]]
+        for dim in (1, 2, 3):
+            one = build_space("lattice_box", dim=dim, side=1)
+            assert one.edges.shape == (0, 2)
+            assert assemble(one, 1.0, None).A.tolist() == [[0.0]]
 
     def test_gasket_vertex_counts(self):
         # recursion-count oracle: 3 (3^l + 1) / 2

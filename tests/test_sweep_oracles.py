@@ -347,7 +347,7 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
     grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
         t = table.times[i]
-        Vphi = grid.volumes(scales.phi.inverse(t))
+        Vphi = old_volumes_at(space, xs, scales.phi.inverse(t))
         diag = table.kernels[i][xs, xs]
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
         near = grid.d <= nl_constant * scales.phi.inverse(t)
@@ -656,24 +656,27 @@ def test_meyer_check_equals_full_kernel_loop(ctx):
 
 
 def test_fit_hk_sweeps_each_row_once(monkeypatch):
-    # V(x, d(x, y)) is t-independent: one sorted sweep per centre per call,
-    # not one per centre, time and dilation
+    # V(x, d(x, y)) is t-independent: one batched lookup over all centres
+    # per call, not one per time and dilation
     ctx = SuiteContext(load_config("z1_mini"))
     space = ctx.space
     table = ctx.table
     calls = []
-    sweep = space.volumes
+    lookup = space.volumes
 
     def counted(x, radii):
-        calls.append(x)
-        return sweep(x, radii)
+        calls.append((x, radii))
+        return lookup(x, radii)
 
     monkeypatch.setattr(space, "volumes", counted)
     fit_hk(table, ctx.scales, space, mode="HK")
     xs = space.interior()
     keep = usable_times(table, space)
     assert len(keep) > 1
-    assert sorted(calls) == sorted(map(int, xs))
+    pair_calls = [(x, r) for x, r in calls if np.ndim(r) == 2]
+    assert len(pair_calls) == 1
+    x, r = pair_calls[0]
+    assert np.array_equal(np.ravel(x), xs) and np.shape(r) == (len(xs),) * 2
 
 
 def test_legendre_grid_memo_equals_fresh_grid():
