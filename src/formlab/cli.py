@@ -125,6 +125,10 @@ def validate_config(data: dict) -> ExperimentConfig:
             bind(named, cfg.check_params.get(name, {}),
                  f"check_params.{name}", ConfigError,
                  required=name in cfg.checks)
+    phi_mode = cfg.check_params.get("phi", {}).get("mode")
+    if phi_mode is not None and phi_mode not in MODES:
+        raise ConfigError(f"check_params.phi.mode must be one of {MODES}, "
+                          f"got {phi_mode!r}")
     bind(parameters(ScaleTriple), cfg.scales, "scales", ConfigError)
     # refuse what the builders would refuse, without building anything
     try:

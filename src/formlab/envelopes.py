@@ -475,28 +475,33 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
 
     times = [table.times[i] for i in keep]
     centers = [x for x in xs if space.dist_to_boundary[x] >= max(radii)]
-    # tail mass per (t, center, r); each ball complement is cut once
-    tail = np.empty((len(keep), len(centers), len(radii)))
-    for b, x in enumerate(centers):
-        drow = space.metric[x]
-        for c, r in enumerate(radii):
-            outside = drow >= r
-            mu_out = space.mu[outside]
-            for a, i in enumerate(keep):
-                tail[a, b, c] = (table.kernels[i][x][outside] * mu_out).sum()
-    m_tr = [[float(scales.m(t, r)) for r in radii] for t in times]
-    entries = [(float(tail[a, b, c]), float(r), float(t), m_tr[a][c])
-               for a, t in enumerate(times)
-               for b in range(len(centers))
-               for c, r in enumerate(radii)]   # (tailmass, r, t, m(t, r))
-    if not entries:
+    instances = len(times) * len(centers) * len(radii)
+    if not instances:
         return ConditionReport("tail-probability", "failed",
                                notes="no usable (x, r, t) grid")
+    # tail mass per (t, center, r): each ball complement is cut once and
+    # summed at every time in one go, over one C-contiguous row per time
+    # (``compress`` keeps C order, a mask index does not: a strided sum
+    # would add in another order than the sum of one row)
+    tail = np.empty((len(times), len(centers), len(radii)))
+    for b, x in enumerate(centers):
+        rows = np.stack([table.kernels[i][x] for i in keep])
+        for c, r in enumerate(radii):
+            outside = space.metric[x] >= r
+            mass = rows.compress(outside, axis=1) * space.mu[outside]
+            tail[:, b, c] = mass.sum(axis=1)
+    # each bound below is mass times a factor >= 0 of (t, r) alone, and
+    # rounding is monotone, so its largest value over the centres is that
+    # of the largest mass: the fit runs over the (t, r) grid
+    peak = tail.max(axis=1).tolist()
+    grid = [(peak[a][c], float(r), float(t), float(scales.m(t, r)))
+            for a, t in enumerate(times)
+            for c, r in enumerate(radii)]   # (max tail mass, r, t, m(t, r))
 
     best = None
     for a1 in a1_grid:
-        cg_all = max((mass * math.exp(min(a1 * mval, 700.0))
-                      for mass, r, t, mval in entries), default=0.0)
+        cg_all = max(mass * math.exp(min(a1 * mval, 700.0))
+                     for mass, r, t, mval in grid)
         if cg_all <= gauss_cap:
             best = {"a1": a1, "c_gauss": cg_all, "c_jump": 0.0}
             break
@@ -505,10 +510,10 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
         phi_inv = {float(t): scales.phi.inverse(float(t)) for t in times}
         phij_inv = {t: scales.phi_j.inverse(t) for t in phi_inv}
         c_gauss = max((mass * math.exp(min(a1 * mval, 700.0))
-                       for mass, r, t, mval in entries
+                       for mass, r, t, mval in grid
                        if r <= 2.0 * phi_inv[t]), default=0.0)
         c_jump = max((mass * (r / phij_inv[t]) ** eta
-                      for mass, r, t, mval in entries
+                      for mass, r, t, mval in grid
                       if r > 2.0 * phi_inv[t]), default=0.0)
         best = {"a1": a1, "c_gauss": c_gauss, "c_jump": c_jump}
     c1 = max(best["c_jump"], best["c_gauss"])
@@ -520,7 +525,7 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
                    "eta_within_beta1_phij": True},
         ranges={"radii": list(map(float, radii)),
                 "times": [float(table.times[i]) for i in keep],
-                "instances": len(entries)},
+                "instances": instances},
     )
 
 

@@ -373,18 +373,29 @@ def _symmetrise(K):
     return K
 
 
+def _semigroup_product(B, rates, t):
+    """B exp(-rates t) B^T as one GEMM, before it is symmetrised."""
+    return (B * np.exp(-rates * t)) @ B.T
+
+
 def _semigroup_kernels(B, rates, times):
     """Symmetrised kernels B exp(-rates t) B^T, one per time."""
-    return [_symmetrise((B * np.exp(-rates * t)) @ B.T) for t in times]
+    return [_symmetrise(_semigroup_product(B, rates, t)) for t in times]
+
+
+def _kernel_times(times):
+    """``times`` as a tuple of floats; FormError unless each is positive."""
+    times = tuple(float(t) for t in times)
+    if any(t <= 0.0 for t in times):
+        raise FormError("kernel times must be positive")
+    return times
 
 
 def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     """Heat kernel table by spectral functional calculus; ``domain`` gives
     the Dirichlet kernel p^D by deleting rows and columns outside the domain
     (killing on exit)."""
-    times = tuple(float(t) for t in times)
-    if any(t <= 0.0 for t in times):
-        raise FormError("kernel times must be positive")
+    times = _kernel_times(times)
     idx = None if domain is None else np.asarray(domain, dtype=int)
     if idx is not None and len(idx) == 0:
         raise FormError("empty Dirichlet domain")
@@ -396,14 +407,23 @@ def kernel_blocks(form: DirichletForm, times, blocks) -> list:
     """Slices of the global heat kernel: ``out[b][i]`` is K[rows, cols] at
     ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``.
 
-    Each kernel is computed whole one time at a time, sliced and dropped,
-    so one n x n kernel is alive at a time."""
+    One product M = B exp(-lam t) B^T is alive at a time, and only the
+    blocks are symmetrised: K[r, c] = (M[r, c] + M[c, r]) / 2 is the
+    element ``heat_kernel`` holds, since the sum commutes.  A block whose
+    ``rows`` is its ``cols`` is gathered once and symmetrised in place."""
+    lam, B = form.spectral()
     out = [[] for _ in blocks]
-    for t in times:
-        K = heat_kernel(form, [t]).kernels[0]
+    for t in _kernel_times(times):
+        M = _semigroup_product(B, lam, t)
         for slabs, (rows, cols) in zip(out, blocks):
-            slabs.append(K[np.ix_(rows, cols)])
-        del K    # before the next kernel is computed
+            if rows is cols:
+                slabs.append(_symmetrise(M[np.ix_(rows, rows)]))
+                continue
+            K = M[np.ix_(rows, cols)]
+            K += M[np.ix_(cols, rows)].T
+            K *= 0.5
+            slabs.append(K)
+        del M    # before the next product is computed
     return out
 
 
@@ -441,7 +461,12 @@ def truncate(form: DirichletForm, rho: float) -> DirichletForm:
     removed."""
     if rho <= 0.0:
         raise FormError("truncation radius must be positive")
-    jump = None if form.jump is None else JumpKernel(form.truncated_jump(rho))
+    jump = None
+    if form.jump is not None:
+        # the kernel's own copy of the symmetric J, cut by the symmetric
+        # metric in place: the same matrix as symmetrising a cut copy
+        jump = JumpKernel(form.jump.matrix)
+        jump.matrix[form.space.metric > rho] = 0.0
     return DirichletForm(form.space, form.w_edges, jump)
 
 

@@ -407,20 +407,40 @@ class ChainReport:
 
 
 def _min_max_steps(space, x, y, max_n):
-    """Exact minimal max-step over n-step chains x -> y for n = 1..max_n,
-    by one dynamic programme restricted to the metric ellipse around the
-    pair: entry n - 1 is read after the n-th step."""
-    d = space.metric[x, y]
-    sel = np.nonzero(space.metric[x] + space.metric[y] <= 3.0 * d + 1e-9)[0]
-    sub = space.metric[np.ix_(sel, sel)]
-    pos = {int(p): i for i, p in enumerate(sel)}
-    f = np.full(len(sel), np.inf)
-    f[pos[x]] = 0.0
-    steps = []
-    for _ in range(max_n):
-        f = np.min(np.maximum(f[:, None], sub), axis=0)
-        steps.append(float(f[pos[y]]))
-    return steps
+    """Exact minimal max-step over n-step chains x -> y inside the metric
+    ellipse around the pair, for n = 1..max_n (entry n - 1).
+
+    The chains meet in the middle: F[a](z) is the least max-step of a-step
+    chains from x to z, G[b](z) that of b-step chains from z into y (both
+    inf off the ellipse), and the best (a + b)-step chain has max-step
+    min_z max(F[a](z), G[b](z)).  One sweep over blocks of metric rows
+    takes F and G one step further, so ``max_n`` = 6 needs two sweeps and
+    ``max_n`` <= 2 none.  Only min and max are taken, so every entry equals
+    that of the forward programme f <- min_z max(f(z), d(z, .)) exactly."""
+    D = space.metric
+    inside = D[x] + D[y] <= 3.0 * D[x, y] + 1e-9
+    sel, outside = np.nonzero(inside)[0], ~inside
+    G0 = np.full(space.n, np.inf)
+    G0[y] = 0.0
+    F = [None, np.maximum(0.0, D[x])]
+    G = [G0, np.maximum(D[:, y], 0.0)]
+    F[1][outside] = G[1][outside] = np.inf
+    buf = np.empty((_ROWS, space.n))
+    for a in range(2, (max_n + 1) // 2 + 1):
+        f, g = F[-1], G[-1]
+        F.append(np.full(space.n, np.inf))
+        if 2 * a <= max_n:
+            G.append(np.full(space.n, np.inf))
+        for i in range(0, len(sel), _ROWS):
+            z = sel[i:i + _ROWS]
+            rows = D[z]
+            step = np.maximum(rows, f[z, None], out=buf[:len(z)])
+            np.minimum(F[a], step.min(axis=0), out=F[a])
+            if len(G) > a:
+                G[a][z] = np.maximum(rows, g, out=step).min(axis=1)
+        F[a][outside] = np.inf
+    return [float(np.maximum(F[(k + 1) // 2], G[k // 2]).min())
+            for k in range(1, max_n + 1)]
 
 
 def chain_check(space: MetricMeasureSpace, samples: int = 40,

@@ -385,6 +385,8 @@ class TestMain:
         ({"scales": {"phi_c": [{"break": 0, "exp": 2, "coef": 1}],
                      "phi_j": [{"break": 0, "exp": 1}]}},
          "pieces of finite reals"),
+        ({"check_params": {"phi": {"mode": "fulll"}}},
+         "check_params.phi.mode must be one of"),
     ])
     def test_misspelt_or_out_of_range_config_rejected_at_validate(
             self, tmp_path, capsys, change, message):

@@ -5,9 +5,11 @@ The configs run in one child process with single-threaded BLAS, the setting
 the digests were recorded with: ``z1_mini``, ``phi_counterexample``,
 ``gasket_walk``, ``z1_alpha1`` and ``gasket_subordination`` as shipped
 (between them every check but ``pc_equivalence``, on lattices and the
-gasket), and the benchmark's ``z1_all_512`` config restricted to
-``pc_equivalence``.  The test skips when numpy, scipy or the
-OpenBLAS build differ from the recorded environment, whose bits may differ.
+gasket), the benchmark's ``z1_all_512`` config restricted to
+``pc_equivalence``, and ``z2_alpha1`` restricted to ``chain`` (its n = 1024
+lattice holds most of the chain sweep's time).  The test skips when numpy,
+scipy or the OpenBLAS build differ from the recorded environment, whose
+bits may differ.
 The benchmark's files are read, never written.
 """
 
@@ -38,6 +40,8 @@ from workloads import z1_all
 
 sources = {name: name for name in sys.argv[1:]}
 sources["z1_all_512"] = {**z1_all(512), "checks": ["pc_equivalence"]}
+sources["z2_alpha1"] = {**cli.load_config("z2_alpha1").raw,
+                        "checks": ["chain"]}
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
     for key, source in sources.items():
@@ -71,3 +75,4 @@ def test_fast_configs_reproduce_golden_digests():
         moved = sorted(name for name, d in checks.items() if d != want[name])
         assert not moved, f"{key}: digests moved for {moved}"
     assert set(got["digests"]["z1_all_512"]) == {"pc_equivalence"}
+    assert set(got["digests"]["z2_alpha1"]) == {"chain"}

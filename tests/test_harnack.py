@@ -189,20 +189,21 @@ class TestSharedFlows:
         assert np.array_equal(rep.witness["worst"]["trace_plus"], tp)
 
     def test_one_kernel_table_per_window_times(self, mini, monkeypatch):
-        # each window time's kernel is computed exactly once per run of
-        # consecutive cylinders with equal sample times, one time per call
+        # each window time's kernel product is computed exactly once per
+        # run of consecutive cylinders with equal sample times
         form, scales, cyls = mini
         calls = []
+        product = form_mod._semigroup_product
 
-        def counting(*args, **kwargs):
-            calls.append(tuple(args[1]))
-            return heat_kernel(*args, **kwargs)
+        def counting(B, rates, t):
+            calls.append((t,))
+            return product(B, rates, t)
 
         def window_times(cyl):
             t_minus, t_plus = harnack._flow_times(scales, cyl, 5)
             return [(t,) for t in t_minus + t_plus]
 
-        monkeypatch.setattr(form_mod, "heat_kernel", counting)
+        monkeypatch.setattr(form_mod, "_semigroup_product", counting)
         check_phi(form, scales, cyls[:3], mode="necessary")
         assert calls == window_times(cyls[0])
         calls.clear()

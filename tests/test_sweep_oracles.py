@@ -4,7 +4,8 @@ per time, per dilation and per entry, and the block-streamed NDL and Meyer
 sweeps against copies of the loops that sliced whole kernel tables.  The
 Meyer bisection on row maxima, the generalized-capacity sweep with one
 capacity solve per family and the batched chain-lower bases are held to the
-same copies of the whole-matrix, per-kappa and per-triple loops.
+same copies of the whole-matrix, per-kappa and per-triple loops, and the
+meet-in-the-middle chain programme to the forward one it replaced.
 Outputs must be equal, not close: the rewrites move computations, they do
 not change them."""
 
@@ -15,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from formlab.cli import (SuiteContext, _build_scales, _gcap_families,
                          _jsonable, load_config, run_suite)
@@ -24,13 +27,13 @@ from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
                                chain_lower_check, check_pc_equivalence,
                                diag_checks, fit_hk, tail_probability_check,
                                usable_times)
-from formlab.form import (JumpKernel, assemble, heat_kernel, meyer_check,
-                          truncate)
+from formlab.form import (JumpKernel, assemble, heat_kernel, kernel_blocks,
+                          meyer_check, truncate)
 from formlab.functionals import (ConditionReport, capacity, check_gcap,
                                  fit_jpsi, generalized_capacity)
 from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
-from formlab.space import chain_check
+from formlab.space import _min_max_steps, build_space, chain_check
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
 
@@ -301,6 +304,21 @@ def old_min_max_step(space, x, y, n):
     return float(f[pos[y]])
 
 
+def forward_min_max_steps(space, x, y, max_n):
+    # one forward programme over the gathered ellipse, all n at once
+    d = space.metric[x, y]
+    sel = np.nonzero(space.metric[x] + space.metric[y] <= 3.0 * d + 1e-9)[0]
+    sub = space.metric[np.ix_(sel, sel)]
+    pos = {int(p): i for i, p in enumerate(sel)}
+    f = np.full(len(sel), np.inf)
+    f[pos[x]] = 0.0
+    steps = []
+    for _ in range(max_n):
+        f = np.min(np.maximum(f[:, None], sub), axis=0)
+        steps.append(float(f[pos[y]]))
+    return steps
+
+
 def old_chain_check(space, samples=40, seed=0x5EED, max_n=6):
     rng = np.random.RandomState(seed)
     pts = space.interior()
@@ -548,6 +566,19 @@ def test_tail_probability_equals_loop_formulas(ctx, a1_grid, gauss_cap):
     same_report(rep, want)
 
 
+def test_tail_probability_default_grid_equals_loop_formulas():
+    # the default radii and margin, on the lattice the benchmark sweeps
+    ctx = SuiteContext(load_config("z1_alpha1"))
+    space = ctx.space
+    radii = np.unique(np.geomspace(1.0, max(2.0, space.interior_margin),
+                                   5)) + 0.5
+    rep = tail_probability_check(ctx.table, ctx.scales, space)
+    want = old_tail_probability(ctx.table, ctx.scales, space, radii,
+                                (1.0, 0.5, 0.25, 0.125, 0.0625), 1e6)
+    assert rep.ranges["instances"] > 0
+    same_report(rep, want)
+
+
 def test_chain_lower_equals_loop_formulas(ctx):
     rep = chain_lower_check(ctx.table, ctx.scales, ctx.space, c0=1.5,
                             m_cap=40.0)
@@ -618,6 +649,46 @@ def test_chain_check_equals_loop_formulas(ctx):
     rep = chain_check(ctx.space, samples=12)
     worst, count = old_chain_check(ctx.space, samples=12)
     assert (rep.constant, rep.samples) == (worst, count)
+
+
+def test_chain_check_equals_loop_formulas_on_a_2d_lattice():
+    # l1 distances on a square lattice tie between many chains
+    space = build_space("lattice_box", dim=2, side=16, margin=3)
+    rep = chain_check(space, samples=12)
+    worst, count = old_chain_check(space, samples=12)
+    assert count > 0
+    assert (rep.constant, rep.samples) == (worst, count)
+
+
+@st.composite
+def metric_pairs(draw):
+    # asymmetric or symmetric matrices with zero diagonal, ties from a few
+    # repeated values, zero off-diagonals, and x == y at times
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                      st.floats(0.0, 8.0))
+    D = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n)),
+                 dtype=float).reshape(n, n) + 0.0   # no -0.0
+    if draw(st.booleans()):
+        D = np.minimum(D, D.T)
+    np.fill_diagonal(D, 0.0)
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return D, x, y, draw(st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(metric_pairs())
+def test_meet_in_the_middle_equals_forward_programme(case):
+    D, x, y, max_n = case
+    space = type("Space", (), {"metric": D, "n": len(D)})
+    try:
+        want = forward_min_max_steps(space, x, y, max_n)
+    except KeyError:
+        assume(False)   # x or y off its own ellipse: no forward entry
+    got = _min_max_steps(space, x, y, max_n)
+    assert np.array(got).view(np.int64).tolist() == \
+        np.array(want).view(np.int64).tolist()
 
 
 def test_fit_jpsi_equals_loop_formulas(ctx):
@@ -800,14 +871,20 @@ def test_diag_checks_compute_each_distinct_time_once(monkeypatch):
     ctx = SuiteContext(load_config("z1_mini"))
     table, form = ctx.table, ctx.form
     calls = {"global": [], "dirichlet": []}
-    engine = heat_kernel
+    engine, blocks = heat_kernel, kernel_blocks
 
     def counted(form, times, domain=None):
         calls["global" if domain is None else "dirichlet"].append(list(times))
         return engine(form, times, domain=domain)
 
+    def counted_blocks(form, times, slices):
+        # one global product per listed time
+        calls["global"].append(list(times))
+        return blocks(form, times, slices)
+
     monkeypatch.setattr(formlab.form, "heat_kernel", counted)
     monkeypatch.setattr(envelopes, "heat_kernel", counted)
+    monkeypatch.setattr(envelopes, "kernel_blocks", counted_blocks)
     rep = diag_checks(table, ctx.scales, ctx.space, form, ndl_radii=(4.0, 8.0))
     times = [r["t"] for r in rep.rows]
     global_times = [t for ts in calls["global"] for t in ts]
