@@ -399,9 +399,8 @@ def _chk_tail_probability(ctx, **kw):
 
 
 @check("chain_lower", chain_lower_check)
-def _chk_chain_lower(ctx, times=None, **kw):
-    table = ctx.table if times is None else heat_kernel(ctx.form, times)
-    return chain_lower_check(table, ctx.scales, ctx.space, **kw)
+def _chk_chain_lower(ctx, **kw):
+    return chain_lower_check(ctx.table, ctx.scales, ctx.space, **kw)
 
 
 @check("phi", check_phi)
@@ -425,13 +424,11 @@ def _chk_regularity(ctx, radii=None, **kw):
                             seed=ctx.cfg.seed, **kw)
 
 
-@check("meyer", meyer_check, "kernels")
+@check("meyer", meyer_check)
 def _chk_meyer(ctx, rho_grid=None, **kw):
     rhos = rho_grid or ctx.radii
-    kernels = ctx.table.kernels[:3]
-    fits = {f"c1(rho={rho:g})": meyer_check(ctx.form, ctx.scales, rho,
-                                            ctx.times[:3], kernels=kernels,
-                                            **kw)["c1"] for rho in rhos}
+    c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3], **kw)
+    fits = {f"c1(rho={rho:g})": c1 for rho, c1 in zip(rhos, c1s)}
     vals = list(fits.values())
     ok = all(np.isfinite(v) for v in vals)
     return ConditionReport(

@@ -167,24 +167,27 @@ class JumpKernel:
         return cls(J)
 
 
-# jump kind -> builder; a jump config sets exactly the builder's parameters
-# but those the suite supplies
-JUMPS = {"none": lambda space: None, "stable_like": JumpKernel.stable_like,
-         "power_law": JumpKernel.power_law,
-         "two_regime": JumpKernel.two_regime}
+# jump kinds: none or a ``JumpKernel`` builder, looked up when called; a
+# jump config sets exactly its parameters but those the suite supplies
+JUMPS = ("none", "stable_like", "power_law", "two_regime")
 _SUPPLIED = ("space", "psi", "seed")
 
 
+def _no_jump(space):
+    return None
+
+
 def check_jump(jump: dict):
-    """(kind, params) of a jump config.  Raises FormError on an unknown kind,
-    params that do not ``bind`` to its builder, a negative coeff, cmin or
-    cmax outside 0 < cmin <= cmax, a regime_break that is not positive, and
-    a regime_break ** (beta - alpha) that overflows a float."""
+    """(builder, params) of a jump config.  Raises FormError on an unknown
+    kind, params that do not ``bind`` to its builder, a negative coeff, cmin
+    or cmax outside 0 < cmin <= cmax, a regime_break that is not positive,
+    and a regime_break ** (beta - alpha) that overflows a float."""
     params = dict(jump)
     kind = params.pop("kind", "none")
     if not isinstance(kind, str) or kind not in JUMPS:
         raise FormError(f"unknown jump kind {kind!r}")
-    bind(parameters(JUMPS[kind], _SUPPLIED), params, f"jump kind {kind!r}",
+    build = _no_jump if kind == "none" else getattr(JumpKernel, kind)
+    bind(parameters(build, _SUPPLIED), params, f"jump kind {kind!r}",
          FormError, show=str)
     if params.get("coeff", 1.0) < 0.0:
         raise FormError("jump coeff must be nonnegative")
@@ -198,14 +201,13 @@ def check_jump(jump: dict):
         except OverflowError:
             raise FormError("jump regime_break ** (beta - alpha) overflows "
                             "a float") from None
-    return kind, params
+    return build, params
 
 
 def build_jump(jump: dict, space: MetricMeasureSpace, psi, seed: int):
     """The jump kernel a jump config describes on ``space``, None for kind
     none; ``psi`` and ``seed`` go to the builders that take them."""
-    kind, params = check_jump(jump)
-    build = JUMPS[kind]
+    build, params = check_jump(jump)
     supplied = dict(zip(_SUPPLIED, (space, psi, seed)))
     return build(**{k: v for k, v in supplied.items()
                     if k in parameters(build)}, **params)
@@ -475,8 +477,6 @@ def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
     over the supplied test functions."""
     trunc = truncate(form, rho)
     phi_rho = scales.phi(rho)
-    if isinstance(fns, np.ndarray) and fns.ndim == 1:
-        fns = [fns]
     c0 = 0.0
     for u in fns:
         gapv = form.energy(u) - trunc.energy(u)
@@ -486,54 +486,54 @@ def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
     return c0
 
 
-def meyer_check(form: DirichletForm, scales, rho: float, times,
-                margin=None, kernels=None) -> dict:
+def meyer_check(form: DirichletForm, scales, rhos, times,
+                margin=None) -> list:
     """Smallest c1 with
     p(t,x,y) <= q^(rho)(t,x,y) + c1 t / (V(x,rho) phi_j(rho)) exp(c1 t / phi(rho))
-    over interior (t, x, y), found by bisection (the right side is monotone
-    increasing in c1).  ``kernels`` are the untruncated p(t) at ``times``
-    when the caller holds them already."""
-    space = form.space
-    interior = space.interior(margin)
+    over interior (t, x, y), one per rho of ``rhos``, by bisection.  One
+    interior block of p(t) serves every rho, beside one truncated form."""
+    interior = form.space.interior(margin)
     block = [(interior, interior)]
-    if kernels is None:
-        (P,) = kernel_blocks(form, times, block)
-    else:
-        P = [K[np.ix_(interior, interior)] for K in kernels]
-    # row maxima of p - q^(rho) on the interior block: the bound below is
-    # constant along a row and rounding is monotone, so the largest
-    # fl(p - q - bound) of a row is fl(rowmax - bound)
-    (diffs,) = kernel_blocks(truncate(form, rho), times, block)
-    rowmax = []
-    for p, diff in zip(P, diffs):
-        np.subtract(p, diff, out=diff)
-        rowmax.append(diff.max(axis=1))
-    del P, diffs
-    phi_rho = scales.phi(rho)
-    phij_rho = scales.phi_j(rho)
-    Vphij = space.volumes(interior, rho) * phij_rho
+    (P,) = kernel_blocks(form, times, block)
+    c1s = []
+    for rho in rhos:
+        # row maxima of p - q^(rho) on the interior block: the bound below
+        # is constant along a row and rounding is monotone, so the largest
+        # fl(p - q - bound) of a row is fl(rowmax - bound)
+        (diffs,) = kernel_blocks(truncate(form, rho), times, block)
+        rowmax = [np.subtract(p, q, out=q).max(axis=1)
+                  for p, q in zip(P, diffs)]
+        del diffs
+        phi_rho = scales.phi(rho)
+        Vphij = form.space.volumes(interior, rho) * scales.phi_j(rho)
 
-    def excess(c1):
-        worst = -np.inf
-        for t, top in zip(times, rowmax):
-            bound = c1 * t / Vphij * math.exp(c1 * t / phi_rho)
-            worst = max(worst, float((top - bound).max()))
-        return worst
+        def excess(c1):
+            worst = -np.inf
+            for t, top in zip(times, rowmax):
+                bound = c1 * t / Vphij * math.exp(c1 * t / phi_rho)
+                worst = max(worst, float((top - bound).max()))
+            return worst
 
+        c1s.append(_least_root(excess))
+    return c1s
+
+
+def _least_root(excess):
+    """Least c1 >= 0 with an increasing excess(c1) <= 0; inf past 1e12."""
     if excess(0.0) <= 0.0:
-        return {"c1": 0.0, "rho": rho}
+        return 0.0
     lo, hi = 0.0, 1.0
     while excess(hi) > 0.0:
         hi *= 2.0
         if hi > 1e12:
-            return {"c1": math.inf, "rho": rho}
+            return math.inf
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return {"c1": hi, "rho": rho}
+    return hi
 
 
 # -- subordination -------------------------------------------------------------
@@ -561,10 +561,11 @@ def subordinate_intensity(form: DirichletForm, gamma: float) -> np.ndarray:
     if not (0.0 < gamma <= 1.0):
         raise FormError("gamma must lie in (0, 1]")
     lam, B = _spectral_basis(form)
-    # symmetrised (-L)^gamma, expressed as kernel against mu x mu
-    intensity = -((B * lam ** gamma) @ B.T)
+    # symmetrised (-L)^gamma, expressed as kernel against mu x mu, in place
+    intensity = (B * lam ** gamma) @ B.T
+    np.negative(intensity, out=intensity)
     np.fill_diagonal(intensity, 0.0)
-    return np.maximum(0.5 * (intensity + intensity.T), 0.0)
+    return np.maximum(_symmetrise(intensity), 0.0, out=intensity)
 
 
 def subordinate_intensity_quadrature(form: DirichletForm, gamma: float,
@@ -620,15 +621,12 @@ def exit_stats(form: DirichletForm, ball_idx, times) -> ExitStats:
         mean = np.linalg.solve(A_B, mu_B)
     except np.linalg.LinAlgError as exc:
         raise FormError("singular restriction in exit_stats") from exc
-    table = heat_kernel(form, [t for t in times if t > 0.0], domain=idx)
-    surv = np.empty((len(times), len(idx)))
-    j = 0
+    kernels = iter(heat_kernel(form, [t for t in times if t > 0.0],
+                               domain=idx).kernels)
+    surv = np.ones((len(times), len(idx)))
     for i, t in enumerate(times):
-        if t <= 0.0:
-            surv[i] = 1.0
-        else:
-            surv[i] = table.kernels[j] @ mu_B
-            j += 1
+        if t > 0.0:
+            surv[i] = next(kernels) @ mu_B
     return ExitStats(idx, mean, tuple(times), np.clip(surv, 0.0, 1.0))
 
 

@@ -177,10 +177,12 @@ class TestSuite:
         assert b1 == b2
 
     def test_threads_match_serial(self, monkeypatch):
-        # kernel, meyer and subordination all read the global spectrum, and
-        # meyer the shared table; under threads each must still be computed
-        # once (subordination's one-time kernel is no table build)
-        checks = ["kernel", "meyer", "subordination", "volume", "fk"]
+        # kernel, meyer, subordination, hk and hk_minus all read the global
+        # spectrum, and hk and hk_minus the shared table; under threads each
+        # must still be computed once (subordination's one-time kernel is
+        # no table build)
+        checks = ["kernel", "meyer", "subordination", "hk", "hk_minus",
+                  "volume", "fk"]
         s1 = run_suite(validate_config(mini_cfg(checks=checks)))
         cfg = validate_config(mini_cfg(checks=checks))
         ref = cli.SuiteContext(cfg)
@@ -215,7 +217,8 @@ class TestSuite:
         )
 
     def test_kernel_and_subordination_build_no_table(self, monkeypatch):
-        # both compute the kernel one time at a time: the shared table of
+        # kernel and subordination compute the kernel one time at a time,
+        # meyer and regularity read blocks of it: the shared table of
         # len(times) kernels is built only for checks that read it
         table = cli.SuiteContext.table
         reads = []
@@ -226,11 +229,11 @@ class TestSuite:
 
         monkeypatch.setattr(cli.SuiteContext, "table",
                             property(counting_table))
-        checks = ["kernel", "subordination", "volume"]
+        checks = ["kernel", "subordination", "meyer", "regularity", "volume"]
         suite = run_suite(validate_config(mini_cfg(checks=checks)))
         assert reads == []
         assert [rep.verdict for rep in suite.reports.values()] == [
-            "certified"] * 3
+            "certified"] * len(checks)
 
     def test_dominance_alone_needs_no_spectrum(self, monkeypatch):
         # the dominance map reads the envelopes only: no kernel, no eigh
@@ -387,6 +390,8 @@ class TestMain:
          "pieces of finite reals"),
         ({"check_params": {"phi": {"mode": "fulll"}}},
          "check_params.phi.mode must be one of"),
+        ({"check_params": {"chain_lower": {"times": [1.0, 2.0]}}},
+         "unknown check_params.chain_lower keys: ['times']"),
     ])
     def test_misspelt_or_out_of_range_config_rejected_at_validate(
             self, tmp_path, capsys, change, message):

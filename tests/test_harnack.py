@@ -311,3 +311,14 @@ class TestRegularity:
                                eps=0.5, max_centers=1)
         assert rep.verdict == "failed"
         assert "no usable family" in rep.notes
+
+    def test_no_usable_center_computes_no_kernel(self, monkeypatch):
+        # the heat-flow columns are computed for the usable centres only:
+        # singleton cores leave none, so no kernel product runs
+        sp, form = z1(side=33, margin=4, with_jump=False)
+        products = []
+        monkeypatch.setattr(form_mod, "_semigroup_product",
+                            lambda *args: products.append(args))
+        rep = check_regularity(form, diffusion_triple(), radii=[1.5],
+                               eps=0.5, max_centers=1)
+        assert rep.verdict == "failed" and products == []

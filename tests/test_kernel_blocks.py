@@ -16,7 +16,7 @@ from formlab.cli import SuiteContext, _chk_kernel, validate_config
 from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
                           heat_kernel, kernel_blocks, kernel_certificates,
                           meyer_check, truncate)
-from formlab.harnack import CylinderSpec, check_phi
+from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import build_space
 
@@ -219,19 +219,33 @@ def test_check_phi_holds_one_transient_kernel():
     assert peak <= 4 * n * n * 8
 
 
-@pytest.mark.parametrize("given", [False, True])
-def test_meyer_check_holds_one_transient_kernel(given):
-    # the truncated form and its basis (3 n^2), one kernel in the making
-    # (2 n^2) and the interior slices measure about 6.3 n^2 doubles;
-    # holding the three truncated kernels as well needs more than 9 n^2
+def test_meyer_check_holds_one_transient_kernel():
+    # one truncated form and its basis (3 n^2), one kernel in the making
+    # (2 n^2), the interior blocks and the space's ball-volume table measure
+    # about 7.3 n^2 doubles; keeping the previous rho's truncated form
+    # alive adds 3 n^2
     n = 256
     sp, form = z1(side=n, margin=64)
     form.spectral()
     times = [0.5, 1.0, 2.0]
-    kernels = heat_kernel(form, times).kernels if given else None
-    peak = traced_peak(lambda: meyer_check(form, alpha1_triple(), 8.0, times,
-                                           kernels=kernels))
+    peak = traced_peak(lambda: meyer_check(form, alpha1_triple(),
+                                           [4.0, 8.0, 16.0], times))
     assert peak <= 8 * n * n * 8
+
+
+def test_check_regularity_reads_columns_not_kernels():
+    # one product and its GEMM operand (2 n^2) and the n x 8 columns of
+    # each centre measure about 2.3 n^2 doubles; the 4 window kernels of a
+    # whole table are 4 n^2.  The pair lists grow with the core ball, so
+    # the radius is small
+    n = 256
+    sp, form = z1(side=n, margin=64)
+    form.spectral()
+    reps = []
+    peak = traced_peak(lambda: reps.append(
+        check_regularity(form, alpha1_triple(), radii=[8.0])))
+    assert len(reps[0].rows) == 2
+    assert peak <= 3 * n * n * 8
 
 
 def test_kernel_certificates_drop_each_temporary():

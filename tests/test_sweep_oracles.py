@@ -1,7 +1,8 @@
 """The hoisted envelope, tail, chain and J-psi sweeps against in-test copies
 of the loop formulas they replaced, which recompute every geometric piece
-per time, per dilation and per entry, and the block-streamed NDL and Meyer
-sweeps against copies of the loops that sliced whole kernel tables.  The
+per time, per dilation and per entry, and the block-streamed NDL, Meyer and
+regularity sweeps against copies of the loops that sliced whole kernel
+tables.  The
 Meyer bisection on row maxima, the generalized-capacity sweep with one
 capacity solve per family and the batched chain-lower bases are held to the
 same copies of the whole-matrix, per-kappa and per-triple loops, and the
@@ -31,6 +32,8 @@ from formlab.form import (JumpKernel, assemble, heat_kernel, kernel_blocks,
                           meyer_check, truncate)
 from formlab.functionals import (ConditionReport, capacity, check_gcap,
                                  fit_jpsi, generalized_capacity)
+from formlab.harnack import (_theta_fit, _window_times, check_regularity,
+                             harmonic_solve)
 from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
 from formlab.space import _min_max_steps, build_space, chain_check
@@ -405,11 +408,10 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
     return c_uhkd, c_nl, c_ndl, mono_defect, ndl_rows
 
 
-def old_meyer_check(form, scales, rho, times, kernels=None):
+def old_meyer_check(form, scales, rho, times):
     space = form.space
     interior = space.interior()
-    if kernels is None:
-        kernels = heat_kernel(form, times).kernels
+    kernels = heat_kernel(form, times).kernels
     truncated = heat_kernel(truncate(form, rho), times).kernels
     block = np.ix_(interior, interior)
     diffs = [(P - Qk)[block] for P, Qk in zip(kernels, truncated)]
@@ -439,6 +441,91 @@ def old_meyer_check(form, scales, rho, times, kernels=None):
         else:
             hi = mid
     return {"c1": hi, "rho": rho}
+
+
+def old_check_regularity(form, scales, radii, eps=0.5,
+                         theta_grid=(1.0, 0.5, 0.25, 0.125), c_cap=32.0,
+                         n_window_times=4, max_centers=2, seed=0x5EED):
+    space = form.space
+    rng = np.random.RandomState(seed)
+    ehr_pairs_by_fn, phr_pairs_by_fn, rows = [], [], []
+    for r in radii:
+        centers = space.spread_centers(r, max_centers)
+        if len(centers) == 0:
+            continue
+        # caloric family: global heat flows sampled in the last window
+        phi_r = scales.phi(r)
+        ts = _window_times(phi_r - scales.phi(eps * r), phi_r, n_window_times)
+        table = heat_kernel(form, ts)
+        for x0 in map(int, centers):
+            B = space.ball(x0, r)
+            ext = np.setdiff1d(np.arange(form.n), B)
+            if len(ext) == 0:
+                continue
+            core = [p for p in B if space.metric[x0, p] < eps * r]
+            if len(core) < 2:
+                continue
+            # harmonic Poisson columns for a sample of exterior atoms
+            picks = ext[rng.choice(len(ext), size=min(12, len(ext)),
+                                   replace=False)]
+            for z in picks:
+                data = np.zeros(form.n)
+                data[z] = 1.0
+                u = harmonic_solve(form, B, data)
+                supu = float(np.abs(u).max())
+                ehr_pairs_by_fn.append([
+                    (abs(u[p] - u[q]), space.metric[p, q] / r, supu)
+                    for i, p in enumerate(core) for q in core[i + 1:]])
+            zs = np.arange(form.n)[rng.choice(form.n, size=min(8, form.n),
+                                              replace=False)]
+            for z in zs:
+                traces = np.stack([K[:, z] * form.mu[z] for K in table.kernels])
+                supu = float(np.abs(traces).max())
+                prs = []
+                for a in range(len(ts)):
+                    for b in range(a, len(ts)):
+                        for i, p in enumerate(core):
+                            for q in core[i:]:
+                                if a == b and p == q:
+                                    continue
+                                sep = (scales.phi.inverse(abs(ts[a] - ts[b]))
+                                       if a != b else 0.0)
+                                sep = (sep + space.metric[p, q]) / r
+                                prs.append((abs(traces[a, p] - traces[b, q]),
+                                            sep, supu))
+                phr_pairs_by_fn.append(prs)
+            rows.append({"x0": x0, "r": r, "n_core": len(core)})
+
+    def family_fit(groups):
+        theta_fam, c_fam = 1.0, 0.0
+        for prs in groups:
+            theta, c = _theta_fit(prs, theta_grid, c_cap)
+            if theta is None:
+                return None, math.inf
+            theta_fam = min(theta_fam, theta)
+            c_fam = max(c_fam, c)
+        return theta_fam, c_fam
+
+    if not ehr_pairs_by_fn or not phr_pairs_by_fn:
+        return ConditionReport(
+            "PHR/EHR", "failed",
+            ranges={"radii": list(map(float, radii))},
+            notes="no usable family: every core ball at eps*r has fewer "
+                  "than two points",
+        )
+    theta_e, c_e = family_fit(ehr_pairs_by_fn)
+    theta_p, c_p = family_fit(phr_pairs_by_fn)
+    ok = theta_e is not None and theta_p is not None
+    return ConditionReport(
+        "PHR/EHR", "certified" if ok else "failed",
+        constants={"theta_EHR": theta_e, "c_EHR": c_e,
+                   "theta_PHR": theta_p, "c_PHR": c_p,
+                   "eps": eps, "c_cap": c_cap},
+        ranges={"radii": list(map(float, radii)),
+                "ehr_functions": len(ehr_pairs_by_fn),
+                "phr_functions": len(phr_pairs_by_fn)},
+        rows=rows,
+    )
 
 
 def old_generalized_capacity(form, f, A, B, kappa=1.0, x0=None, radii=None):
@@ -717,13 +804,23 @@ def test_meyer_check_equals_full_kernel_loop(ctx):
     form = (ctx.form if ctx.form.jump is not None else
             assemble(space, 1.0, JumpKernel.power_law(space, alpha=1.0)))
     times = ctx.times[:3]
-    kernels = heat_kernel(form, times).kernels
-    for rho in ctx.radii:
-        want = old_meyer_check(form, ctx.scales, rho, times)
-        assert want["c1"] > 0.0
-        assert meyer_check(form, ctx.scales, rho, times) == want
-        assert meyer_check(form, ctx.scales, rho, times,
-                           kernels=kernels) == want
+    rhos = [*ctx.radii, 2.0 * ctx.radii[-1]]
+    want = [old_meyer_check(form, ctx.scales, rho, times)["c1"]
+            for rho in rhos]
+    assert len(want) == 3 and all(c1 > 0.0 for c1 in want)
+    assert meyer_check(form, ctx.scales, rhos, times) == want
+
+
+@pytest.mark.parametrize("name,radii", [("gasket_walk", [4.0]),
+                                        ("z1_alpha1", [8.0])])
+def test_regularity_equals_whole_kernel_loop(name, radii):
+    # gasket_walk's configured radii and z1_alpha1's phi_R
+    ctx = SuiteContext(load_config(name))
+    kw = {"max_centers": min(2, ctx.max_centers), "seed": ctx.cfg.seed}
+    rep = check_regularity(ctx.form, ctx.scales, radii, **kw)
+    want = old_check_regularity(ctx.form, ctx.scales, radii, **kw)
+    assert rep.verdict == "certified" and len(rep.rows) == 2
+    same_report(rep, want)
 
 
 def test_fit_hk_sweeps_each_row_once(monkeypatch):
