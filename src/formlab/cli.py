@@ -147,9 +147,12 @@ def _build_scales(cfg: ExperimentConfig) -> ScaleTriple:
 
 class SuiteContext:
     """Space, scales and form, built once, and the shared global kernel
-    table at ``times``, built on its first read: checks that need the kernel
-    at one time or a few compute it themselves, so a suite whose checks
-    never read ``table`` never holds ``len(times)`` n x n kernels."""
+    table at ``times``, built on its first read.  When a configured check
+    reads ``table``, the form keeps the kernels at ``times``: each is
+    computed once, where it is first read, and ``kernel``, ``meyer``,
+    ``diag`` and ``subordination`` read the kept kernel at a table time
+    instead of recomputing it.  A suite whose checks never read ``table``
+    keeps nothing and never holds ``len(times)`` n x n kernels."""
 
     def __init__(self, cfg: ExperimentConfig, thin: int = 1):
         self.cfg = cfg
@@ -160,6 +163,8 @@ class SuiteContext:
                                cfg.seed)
         self.form = assemble(self.space, cfg.local_weight, self.jump)
         self._grids(**cfg.grids)
+        if TABLE_READERS.intersection(cfg.checks):
+            self.form.keep(self.times)
         self._table = None
         self._table_lock = threading.Lock()
         self._family = None
@@ -204,14 +209,17 @@ class SuiteContext:
 
 CHECKS = {}   # check name -> check(ctx, **params)
 _FORWARDS = {}   # check -> (callee its **kw goes to, callee params it fixes)
+TABLE_READERS = set()   # names of the checks whose body reads ``ctx.table``
 
 
 def check(name, callee=None, *fixed):
     """Register a check under ``name``.  A check that takes ``**kw`` names
     the ``callee`` it forwards them to and the callee parameters it fixes
-    itself."""
+    itself.  A check whose code names ``table`` is a table reader."""
     def register(fn):
         CHECKS[name] = fn
+        if "table" in inspect.unwrap(fn).__code__.co_names:
+            TABLE_READERS.add(name)
         if callee is not None:
             _FORWARDS[fn] = (callee, fixed)
         return fn

@@ -250,6 +250,9 @@ class DirichletForm:
         self._sqmu = np.sqrt(space.mu)
         self._spec = None
         self._spec_lock = threading.Lock()
+        self._keep = frozenset()   # times whose global kernel is kept
+        self._kept = {}            # kept time -> its read-only kernel
+        self._kept_lock = threading.Lock()
         sym_err = float(_row_asymmetry(A).max())
         if sym_err > 1e-12 * max(_abs_max(A), 1e-300):
             raise FormError(f"generator lost mu-symmetry: {sym_err}")
@@ -288,6 +291,12 @@ class DirichletForm:
                 B /= self._sqmu[:, None]
                 self._spec = (np.maximum(lam, 0.0), B)
         return self._spec
+
+    def keep(self, times):
+        """Keep the global kernels at ``times``: each is computed on its
+        first read, once, and then served read-only to every reader of
+        ``heat_kernel`` or ``kernel_blocks``."""
+        self._keep = self._keep | frozenset(_kernel_times(times))
 
     # energy-measure primitives used by the condition checks
 
@@ -393,13 +402,31 @@ def _kernel_times(times):
     return times
 
 
+def _global_kernel(form, t):
+    """The whole global kernel p(t).  A time the form keeps is computed
+    once, however many threads ask, and served read-only from then on; any
+    other time is computed for this caller alone."""
+    lam, B = form.spectral()
+    if t not in form._keep:
+        return _symmetrise(_semigroup_product(B, lam, t))
+    with form._kept_lock:
+        if t not in form._kept:
+            K = _symmetrise(_semigroup_product(B, lam, t))
+            K.flags.writeable = False
+            form._kept[t] = K
+        return form._kept[t]
+
+
 def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     """Heat kernel table by spectral functional calculus; ``domain`` gives
     the Dirichlet kernel p^D by deleting rows and columns outside the domain
-    (killing on exit)."""
+    (killing on exit).  A global kernel at a time the form keeps is the
+    kept, read-only array."""
     times = _kernel_times(times)
-    idx = None if domain is None else np.asarray(domain, dtype=int)
-    if idx is not None and len(idx) == 0:
+    if domain is None:
+        return HeatKernelTable(times, [_global_kernel(form, t) for t in times])
+    idx = np.asarray(domain, dtype=int)
+    if len(idx) == 0:
         raise FormError("empty Dirichlet domain")
     lam, B = _spectral_basis(form, idx)
     return HeatKernelTable(times, _semigroup_kernels(B, lam, times))
@@ -409,13 +436,20 @@ def kernel_blocks(form: DirichletForm, times, blocks) -> list:
     """Slices of the global heat kernel: ``out[b][i]`` is K[rows, cols] at
     ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``.
 
-    One product M = B exp(-lam t) B^T is alive at a time, and only the
-    blocks are symmetrised: K[r, c] = (M[r, c] + M[c, r]) / 2 is the
-    element ``heat_kernel`` holds, since the sum commutes.  A block whose
-    ``rows`` is its ``cols`` is gathered once and symmetrised in place."""
+    At a time the form keeps, each block is gathered from the kept kernel.
+    At any other time one product M = B exp(-lam t) B^T is alive at a time
+    and only the blocks are symmetrised: K[r, c] = (M[r, c] + M[c, r]) / 2
+    is the element ``heat_kernel`` holds, since the sum commutes.  A block
+    whose ``rows`` is its ``cols`` is gathered once and symmetrised in
+    place."""
     lam, B = form.spectral()
     out = [[] for _ in blocks]
     for t in _kernel_times(times):
+        if t in form._keep:
+            K = _global_kernel(form, t)
+            for slabs, (rows, cols) in zip(out, blocks):
+                slabs.append(K[np.ix_(rows, cols)])
+            continue
         M = _semigroup_product(B, lam, t)
         for slabs, (rows, cols) in zip(out, blocks):
             if rows is cols:
@@ -435,7 +469,8 @@ def kernel_certificates(form: DirichletForm, times) -> dict:
 
     CK is checked against a freshly computed half-time kernel:
     p(t) == integral p(t/2, x, y) p(t/2, y, z) mu(dy).  One time at a time,
-    so at most three n x n arrays are alive beyond the spectrum.
+    so at most three n x n arrays are alive beyond the spectrum and the
+    kernels the form keeps; a kept p(t) is read, not recomputed.
     """
     mu = form.mu
     sym = mass = ck = 0.0

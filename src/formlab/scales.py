@@ -351,30 +351,40 @@ def legendre_sup(triple: ScaleTriple, r, t_val: float, c0: float = 1.0):
     los = grid[np.maximum(k - 1, 0)].tolist()
     his = grid[np.minimum(k + 1, len(grid) - 1)].tolist()
 
-    p_breaks = [p[0] for p in phi_c.pieces]
-    p_coeff = [p[1] for p in phi_c.pieces]
-    p_exp = [p[2] for p in phi_c.pieces]
+    breaks = [p[0] for p in phi_c.pieces]
+    pieces = [(p[1], p[2]) for p in phi_c.pieces]
     ct = c0 * t_val
+    exp, log, bisect_right = math.exp, math.log, bisect.bisect_right
+    golden = _GOLDEN
+
+    def g(r1, s):
+        c, e = pieces[bisect_right(breaks, s) - 1]
+        return r1 / s - ct / (c * s ** e)
+
     out = []
     for r1, g_k, lo, hi in zip(rs.tolist(), on_grid, los, his):
-        def g(s):
-            i = bisect.bisect_right(p_breaks, s) - 1
-            return r1 / s - ct / (p_coeff[i] * s ** p_exp[i])
-
-        a, b = math.log(lo), math.log(hi)
-        c_pt = b - _GOLDEN * (b - a)
-        d_pt = a + _GOLDEN * (b - a)
-        fc, fd = g(math.exp(c_pt)), g(math.exp(d_pt))
-        while (b - a) > 1e-12:
+        a, b = log(lo), log(hi)
+        w = b - a
+        c_pt = b - golden * w
+        d_pt = a + golden * w
+        fc, fd = g(r1, exp(c_pt)), g(r1, exp(d_pt))
+        while w > 1e-12:
+            # g inlined: its call would cost as much as the step
             if fc >= fd:
                 b, d_pt, fd = d_pt, c_pt, fc
-                c_pt = b - _GOLDEN * (b - a)
-                fc = g(math.exp(c_pt))
+                w = b - a
+                c_pt = b - golden * w
+                s = exp(c_pt)
+                c, e = pieces[bisect_right(breaks, s) - 1]
+                fc = r1 / s - ct / (c * s ** e)
             else:
                 a, c_pt, fc = c_pt, d_pt, fd
-                d_pt = a + _GOLDEN * (b - a)
-                fd = g(math.exp(d_pt))
-        refined = max(g_k, g(math.exp(0.5 * (a + b))))
+                w = b - a
+                d_pt = a + golden * w
+                s = exp(d_pt)
+                c, e = pieces[bisect_right(breaks, s) - 1]
+                fd = r1 / s - ct / (c * s ** e)
+        refined = max(g_k, g(r1, exp(0.5 * (a + b))))
         out.append(max(_legendre_closed_form(phi_c, r1, t_val, c0), refined, 0.0))
     return out[0] if scalar else np.array(out)
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import sys
 
@@ -180,15 +181,30 @@ class TestSuite:
         # kernel, meyer, subordination, hk and hk_minus all read the global
         # spectrum, and hk and hk_minus the shared table; under threads each
         # must still be computed once (subordination's one-time kernel is
-        # no table build)
+        # no table build), and so must the product of each table time,
+        # which kernel, meyer, subordination and the table all read
         checks = ["kernel", "meyer", "subordination", "hk", "hk_minus",
                   "volume", "fk"]
-        s1 = run_suite(validate_config(mini_cfg(checks=checks)))
         cfg = validate_config(mini_cfg(checks=checks))
         ref = cli.SuiteContext(cfg)
         S_ref = ref.form.sym_generator()
+        lam_ref = ref.form.spectral()[0]
+        real_product = form_mod._semigroup_product
+        products = []
+
+        def counting_product(B, rates, t):
+            if rates.shape == lam_ref.shape and np.array_equal(rates,
+                                                               lam_ref):
+                products.append(t)
+            return real_product(B, rates, t)
+
+        monkeypatch.setattr(form_mod, "_semigroup_product", counting_product)
+        s1 = run_suite(cfg)
+        serial = list(products)
+        assert all(serial.count(t) == 1 for t in ref.times)
         real_kernel, real_eigh = cli.heat_kernel, form_mod.eigh
         tables, spectra = [], []
+        products.clear()
 
         def counting_kernel(form, times, *args, **kwargs):
             tables.append(times)
@@ -209,6 +225,7 @@ class TestSuite:
             sys.setswitchinterval(switch)
         assert [list(times) for times in tables].count(ref.times) == 1
         assert len(spectra) == 1
+        assert sorted(products) == sorted(serial)
         for rep in (s1, s2):
             rep.report["provenance"].pop("timestamp")
             rep.report["provenance"].pop("wall_time_s")
@@ -229,11 +246,39 @@ class TestSuite:
 
         monkeypatch.setattr(cli.SuiteContext, "table",
                             property(counting_table))
+        real_keep = form_mod.DirichletForm.keep
+        keeps = []
+
+        def counting_keep(form, times):
+            keeps.append(times)
+            return real_keep(form, times)
+
+        # and without a table reader the form keeps no kernel
+        monkeypatch.setattr(form_mod.DirichletForm, "keep", counting_keep)
         checks = ["kernel", "subordination", "meyer", "regularity", "volume"]
         suite = run_suite(validate_config(mini_cfg(checks=checks)))
-        assert reads == []
+        assert reads == [] and keeps == []
         assert [rep.verdict for rep in suite.reports.values()] == [
             "certified"] * len(checks)
+
+    def test_table_readers_are_read_from_the_code(self, monkeypatch):
+        assert cli.TABLE_READERS == {"hk", "hk_minus", "uhk_weak", "diag",
+                                     "tail_probability", "chain_lower"}
+        ctx = cli.SuiteContext(load_config("z1_mini"))
+        assert ctx.form._keep == set(ctx.times)
+        # a check registered through a wrapper is read through it
+        monkeypatch.setattr(cli, "CHECKS", dict(cli.CHECKS))
+        monkeypatch.setattr(cli, "TABLE_READERS", set(cli.TABLE_READERS))
+
+        def reader(ctx):
+            return ctx.table
+
+        @functools.wraps(reader)
+        def wrapper(ctx):
+            return reader(ctx)
+
+        cli.check("wrapped_reader")(wrapper)
+        assert "wrapped_reader" in cli.TABLE_READERS
 
     def test_dominance_alone_needs_no_spectrum(self, monkeypatch):
         # the dominance map reads the envelopes only: no kernel, no eigh

@@ -6,13 +6,15 @@ are held bit-equal to in-test copies of the whole-matrix formulas and to
 traced memory bounds of their own."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scipy.linalg import eigh
 
-from formlab.cli import SuiteContext, _chk_kernel, validate_config
+from formlab.cli import (SuiteContext, _chk_kernel, load_config,
+                         validate_config)
 from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
                           heat_kernel, kernel_blocks, kernel_certificates,
                           meyer_check, truncate)
@@ -84,6 +86,53 @@ def test_kernel_blocks_equal_slices_on_the_gasket():
     for slabs, (rows, cols) in zip(got, blocks):
         for slab, K in zip(slabs, table.kernels):
             assert np.array_equal(slab, K[np.ix_(rows, cols)])
+
+
+def unkept_form(name):
+    """(form, times) of a bundled config with no check, so nothing kept."""
+    ctx = SuiteContext(replace(load_config(name), checks=[]))
+    return ctx.form, ctx.times
+
+
+@pytest.mark.parametrize("name", ["z1_mini", "gasket_walk"])
+def test_kept_blocks_equal_the_product_path(name):
+    # at a kept time every block is gathered from the kept kernel, which
+    # must give the bits the product path symmetrises block by block
+    form, times = unkept_form(name)
+    sp = form.space
+    times = times[:3]
+    rng = np.random.RandomState(5)
+    interior = sp.interior()
+    blocks = [(interior, interior),
+              (rng.permutation(sp.n)[:40], rng.permutation(sp.n)[:25]),
+              (np.arange(sp.n), interior[::3])]
+    if name == "gasket_walk":
+        assert sp.n == 366
+        blocks += gasket_blocks(sp)
+    want = kernel_blocks(form, times, blocks)
+    assert form._kept == {}
+    form.keep(times)
+    got = kernel_blocks(form, times, blocks)
+    assert sorted(form._kept) == sorted(map(float, times))
+    for got_slabs, want_slabs in zip(got, want):
+        for g, w in zip(got_slabs, want_slabs):
+            assert g.flags.writeable
+            assert np.array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
+
+
+def test_table_kernels_are_read_only_and_shared():
+    ctx = SuiteContext(load_config("z1_mini"))
+    K = ctx.table.kernels[0]
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        K *= 2.0
+    # every later reader of a table time gets the one kept array
+    assert heat_kernel(ctx.form, [ctx.times[0]]).kernels[0] is K
+    # a time the form does not keep is computed for its caller alone
+    half = heat_kernel(ctx.form, [ctx.times[0] / 2.0]).kernels[0]
+    assert half.flags.writeable and ctx.times[0] / 2.0 not in ctx.form._kept
 
 
 def test_stable_like_constant_field_equals_full_field():

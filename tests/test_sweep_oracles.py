@@ -14,6 +14,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -932,6 +933,37 @@ def test_legendre_rows_equal_scalar_sweep(name):
         want = [old_legendre_sup(triple, d, t) for d in ds]
         assert legendre_sup(triple, ds, t).tolist() == want
         assert legendre_sup(triple, ds[7], t) == want[7]
+
+
+def refinement_bracket(phi_c, r, t):
+    """The grid bracket that ``legendre_sup`` refines for (r, t)."""
+    grid, phi_grid = _log_grid(phi_c, t)
+    k = int(np.argmax(r / grid - t / phi_grid))
+    return grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(exps=st.lists(st.floats(1.2, 3.5), min_size=2, max_size=4),
+       log_t=st.floats(-2.0, 2.0), log_r=st.floats(-2.0, 2.0),
+       data=st.data())
+def test_legendre_rows_equal_scalar_sweep_across_breaks(exps, log_t, log_r,
+                                                        data):
+    # a multi-piece phi_c with its breaks inside the refinement bracket of
+    # (r, t), so the golden-section search crosses pieces
+    t, r = 10.0 ** log_t, 10.0 ** log_r
+    lo, hi = refinement_bracket(ScaleFunction.single_power(exps[0]), r, t)
+    fracs = data.draw(st.lists(st.floats(0.01, 0.99), min_size=len(exps) - 1,
+                               max_size=len(exps) - 1, unique=True))
+    breaks = sorted(lo * (hi / lo) ** u for u in fracs)
+    assume(all(b1 < b2 for b1, b2 in zip(breaks, breaks[1:])))
+    phi_c = ScaleFunction.from_exponents(exps, breaks, normalize=False)
+    lo, hi = refinement_bracket(phi_c, r, t)
+    assume(any(lo < b < hi for b in breaks))
+    rs = np.array([r, 0.5 * r, 2.0 * r])
+    want = [old_legendre_sup(SimpleNamespace(phi_c=phi_c), x, t) for x in rs]
+    assert legendre_sup(phi_c, rs, t).tolist() == want
+    assert legendre_sup(phi_c, r, t) == want[0]
 
 
 def test_float_path_inverse_and_m_equal_numpy_0d():
