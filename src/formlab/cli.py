@@ -50,6 +50,7 @@ from .space import (MAX_TIMES, SpaceError, bind, build_space, chain_check,
 
 OK_VERDICTS = {"certified", "certified-for-family", "one-sided-certificate"}
 MODES = ("necessary", "full")
+HK_MODES = ("HK", "UHK", "HK_local")   # hk's; the other two are checks
 
 
 class ConfigError(ValueError):
@@ -125,16 +126,18 @@ def validate_config(data: dict) -> ExperimentConfig:
             bind(named, cfg.check_params.get(name, {}),
                  f"check_params.{name}", ConfigError,
                  required=name in cfg.checks)
-    phi_mode = cfg.check_params.get("phi", {}).get("mode")
-    if phi_mode is not None and phi_mode not in MODES:
-        raise ConfigError(f"check_params.phi.mode must be one of {MODES}, "
-                          f"got {phi_mode!r}")
+    hk_mode = cfg.check_params.get("hk", {}).get("mode", "HK")
+    if hk_mode not in HK_MODES:
+        raise ConfigError(f"check_params.hk.mode must be one of {HK_MODES}, "
+                          f"got {hk_mode!r}")
     bind(parameters(ScaleTriple), cfg.scales, "scales", ConfigError)
     # refuse what the builders would refuse, without building anything
     try:
         space_size(**cfg.space)
         check_jump(cfg.jump)
         _build_scales(cfg)
+        if "phi_j" in cfg.check_params.get("jpsi_alt", {}):
+            ScaleFunction.from_config(cfg.check_params["jpsi_alt"]["phi_j"])
     except (SpaceError, FormError, ScaleError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -285,10 +288,10 @@ def _chk_kernel(ctx):
                                    "method": "spectral"})
 
 
-@check("fk", check_fk, "max_centers")
+@check("fk", check_fk, "max_centers", "seed")
 def _chk_fk(ctx, **kw):
     return check_fk(ctx.form, ctx.scales, ctx.radii,
-                    max_centers=ctx.max_centers, **kw)
+                    max_centers=ctx.max_centers, seed=ctx.cfg.seed, **kw)
 
 
 @check("pi", check_pi, "max_centers")
@@ -351,17 +354,18 @@ def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0):
     )
 
 
-@check("hk", fit_hk)
+@check("hk", fit_hk, "indicator")
 def _chk_hk(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, **kw)
 
 
-@check("hk_minus", fit_hk, "mode")
+@check("hk_minus", fit_hk, "mode", "upper_dilations", "lower_dilations")
 def _chk_hk_minus(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK_minus", **kw)
 
 
-@check("uhk_weak", fit_hk, "mode")
+@check("uhk_weak", fit_hk, "mode", "upper_dilations", "lower_dilations",
+       "indicator")
 def _chk_uhk_weak(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, mode="UHK_weak", **kw)
 
@@ -411,10 +415,10 @@ def _chk_chain_lower(ctx, **kw):
     return chain_lower_check(ctx.table, ctx.scales, ctx.space, **kw)
 
 
-@check("phi", check_phi)
-def _chk_phi(ctx, R=None, mode=None, **kw):
+@check("phi", check_phi, "mode")
+def _chk_phi(ctx, R: list[float] | None = None, **kw):
     radii = ctx.phi_R if R is None else R
-    mode = ctx.cfg.mode if mode is None else mode
+    mode = ctx.cfg.mode
     n_centers = 1 if mode == "full" else min(3, ctx.max_centers)
     cyls = [CylinderSpec(x0=int(x), R=float(r)) for r in radii
             for x in ctx.space.spread_centers(5.0 * float(r), n_centers)]
@@ -425,7 +429,7 @@ def _chk_phi(ctx, R=None, mode=None, **kw):
 
 
 @check("regularity", check_regularity, "seed")
-def _chk_regularity(ctx, radii=None, **kw):
+def _chk_regularity(ctx, radii: list[float] | None = None, **kw):
     kw.setdefault("max_centers", min(2, ctx.max_centers))
     return check_regularity(ctx.form, ctx.scales,
                             ctx.phi_R if radii is None else radii,
@@ -433,7 +437,7 @@ def _chk_regularity(ctx, radii=None, **kw):
 
 
 @check("meyer", meyer_check)
-def _chk_meyer(ctx, rho_grid=None, **kw):
+def _chk_meyer(ctx, rho_grid: list[float] | None = None, **kw):
     rhos = rho_grid or ctx.radii
     c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3], **kw)
     fits = {f"c1(rho={rho:g})": c1 for rho, c1 in zip(rhos, c1s)}
@@ -448,7 +452,7 @@ def _chk_meyer(ctx, rho_grid=None, **kw):
 
 
 @check("gap")
-def _chk_gap(ctx, rho_grid=None):
+def _chk_gap(ctx, rho_grid: list[float] | None = None):
     rhos = rho_grid or ctx.radii
     fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho,
                                           ctx.family) for rho in rhos}

@@ -177,9 +177,11 @@ def check_pc_equivalence(scales: ScaleTriple, n_per_axis: int = 40,
 
 
 def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
-           mode: str = "HK", margin=None, upper_dilations=(1.0, 2.0, 4.0),
-           lower_dilations=(1.0, 0.5, 0.25), indicator: float = 1.0,
-           boundary_cap: float = 0.01) -> ConditionReport:
+           mode: str = "HK", margin=None,
+           upper_dilations: tuple[float, ...] = (1.0, 2.0, 4.0),
+           lower_dilations: tuple[float, ...] = (1.0, 0.5, 0.25),
+           indicator: float = 1.0, boundary_cap: float = 0.01
+           ) -> ConditionReport:
     """Fit the smallest upper and largest lower constants of the requested
     sandwich over interior triples of the kernel table.
 
@@ -322,7 +324,8 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
 
 
 def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
-                form: DirichletForm, ndl_radii=(8.0, 16.0), eps: float = 0.25,
+                form: DirichletForm,
+                ndl_radii: tuple[float, ...] = (8.0, 16.0), eps: float = 0.25,
                 nl_constant: float = 1.0, margin=None,
                 boundary_cap: float = 0.01) -> ConditionReport:
     """UHKD, NL and NDL constants, the last from Dirichlet kernels on a ball
@@ -449,8 +452,9 @@ def dominance_map(scales: ScaleTriple, space, t: float,
 
 
 def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
-                           radii=None, margin=None,
-                           a1_grid=(1.0, 0.5, 0.25, 0.125, 0.0625),
+                           radii: list[float] | None = None, margin=None,
+                           a1_grid: tuple[float, ...] = (1.0, 0.5, 0.25,
+                                                         0.125, 0.0625),
                            gauss_cap: float = 1e6,
                            boundary_cap: float = 0.05) -> ConditionReport:
     """Fit (eta, a1, c_jump, c_gauss) making

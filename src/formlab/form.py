@@ -359,12 +359,9 @@ class HeatKernelTable:
     kernels: list
 
 
-def _spectral_basis(form, idx=None):
-    """(lam, B) with B = Q / sqrt(mu), so that a function psi of -L has the
-    kernel B diag(psi(lam)) B^T against mu; ``idx`` restricts to a
-    Dirichlet domain."""
-    if idx is None:
-        return form.spectral()
+def _spectral_basis(form, idx):
+    """(lam, B) of the Dirichlet restriction to ``idx``, with B = Q / sqrt(mu)
+    as in ``DirichletForm.spectral``."""
     lam, Q = eigh(form.sym_generator(idx))
     return np.maximum(lam, 0.0), Q / form._sqmu[idx][:, None]
 
@@ -582,7 +579,7 @@ def subordinate(form: DirichletForm, b: float, gamma: float, times
         raise FormError("gamma must lie in (0, 1]")
     if b < 0.0:
         raise FormError("drift must be nonnegative")
-    lam, B = _spectral_basis(form)
+    lam, B = form.spectral()
     times = tuple(map(float, times))
     return HeatKernelTable(times, _semigroup_kernels(B, b * lam + lam ** gamma,
                                                      times))
@@ -595,7 +592,7 @@ def subordinate_intensity(form: DirichletForm, gamma: float) -> np.ndarray:
     the form convention).  The drift contributes only locally."""
     if not (0.0 < gamma <= 1.0):
         raise FormError("gamma must lie in (0, 1]")
-    lam, B = _spectral_basis(form)
+    lam, B = form.spectral()
     # symmetrised (-L)^gamma, expressed as kernel against mu x mu, in place
     intensity = (B * lam ** gamma) @ B.T
     np.negative(intensity, out=intensity)
@@ -611,7 +608,7 @@ def subordinate_intensity_quadrature(form: DirichletForm, gamma: float,
     Independent of the Bernstein identity: the integrand uses only the base
     heat kernel, and the integral is done numerically (u = v^2 substitution
     below u = 1 to tame the endpoint)."""
-    lam, B = _spectral_basis(form)
+    lam, B = form.spectral()
     cnu = gamma / gamma_fn(1.0 - gamma)
     out = np.empty(len(pairs))
     for k, (x, y) in enumerate(pairs):

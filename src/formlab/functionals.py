@@ -124,7 +124,8 @@ def _subsets_of_ball(space, x0, r, seed=SEED):
     return subs
 
 
-def check_fk(form: DirichletForm, scales, radii, nu_grid=(0.25, 0.5, 0.75, 1.0),
+def check_fk(form: DirichletForm, scales, radii,
+             nu_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
              max_centers=4, seed=SEED) -> ConditionReport:
     """Fit the largest C per nu making
     lambda1(D) >= C / phi(r) (V(x,r)/mu(D))^nu over sampled (ball, subset)
@@ -141,7 +142,7 @@ def check_fk(form: DirichletForm, scales, radii, nu_grid=(0.25, 0.5, 0.75, 1.0),
                          "V": V, "muD": muD, "phi_r": scales.phi(r)})
     table = {}
     witness = {}
-    for nu in nu_grid:
+    for nu in dict.fromkeys([*nu_grid, 0.5]):   # the headline nu always
         best, arg = math.inf, None
         for row in rows:
             c = row["lambda1"] * row["phi_r"] / (row["V"] / row["muD"]) ** nu
@@ -204,7 +205,8 @@ def poincare(form: DirichletForm, scales, x0: int, r: float, kappa: float = 1.0)
     return float(lam) / scales.phi(r), None
 
 
-def check_pi(form: DirichletForm, scales, radii, kappas=(1.0, 2.0),
+def check_pi(form: DirichletForm, scales, radii,
+             kappas: tuple[float, ...] = (1.0, 2.0),
              max_centers=4) -> ConditionReport:
     space = form.space
     rows = []
@@ -302,7 +304,7 @@ def generalized_capacity(form: DirichletForm, f, A, B, kappa: float = 1.0,
 
 
 def check_gcap(form: DirichletForm, scales, families, test_fns,
-               kappas=(1.0, 2.0)) -> ConditionReport:
+               kappas: tuple[float, ...] = (1.0, 2.0)) -> ConditionReport:
     """One-sided certificate for the generalized capacity inequality: the
     candidate cut-offs witness E(f^2 phi, phi) <= C/phi(r) int_B f^2 dmu.
     The capacity solve is made once per family and each kappa-free
@@ -381,7 +383,7 @@ def _cs_terms(form, x0, R, r, C0, fns, Jm):
 
 
 def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
-             rho_grid=None) -> ConditionReport:
+             rho_grid: list[float] | None = None) -> ConditionReport:
     """Cut-off Sobolev certificate with radial ramp cut-offs.
 
     For C1 in {0, 1} reports the smallest C2 so that
@@ -427,7 +429,8 @@ def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
 # -- exit-time conditions ---------------------------------------------------------
 
 
-def check_exit(form: DirichletForm, scales, radii, time_fracs=(0.25, 0.5, 1.0),
+def check_exit(form: DirichletForm, scales, radii,
+               time_fracs: tuple[float, ...] = (0.25, 0.5, 1.0),
                max_centers=5) -> ConditionReport:
     """Two-sided constant for E_phi and the EP_{phi,<=} constant over an
     (x, r, t) grid."""

@@ -110,7 +110,6 @@ class CaloricFamily:
     n_atoms: int
     sup_minus: np.ndarray
     inf_plus: np.ndarray
-    skipped: int
     worst: dict = field(default_factory=dict)
     samples_minus: list | None = None    # per Q- time: (ball_R x atoms)
     samples_plus: list | None = None
@@ -160,7 +159,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
         nm = len(t_minus)
         sup_m = flows[:nm].max(axis=(0, 1))
         inf_p = flows[nm:].min(axis=(0, 1))
-        fam = CaloricFamily("necessary", len(atoms), sup_m, inf_p, 0)
+        fam = CaloricFamily("necessary", len(atoms), sup_m, inf_p)
         k = int(np.nanargmax(np.where(inf_p > FLOOR, sup_m / np.maximum(inf_p, FLOOR), -np.inf)))
         fam.worst = {"atom": int(atoms[k]),
                      "trace_minus": flows[:nm, :, k].tolist(),
@@ -189,17 +188,16 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     lam, Q = eigh(form.sym_generator(B_cyl))
     lam = np.maximum(lam, 1e-14)
     sq = form._sqmu[B_cyl]
-    Bq = Q / sq[:, None]
     Cq = Q * sq[:, None]
     e_h = np.exp(-lam * h)
-    phi_h = (1.0 - e_h) / lam
-    # step operators: u <- E u + F (coupling @ u_ext)
+    # atoms in eigen-coordinates W = Cq^T u, so u = Bq W with Bq = Q / sq
+    # (Cq^T Bq = I); a step is W <- e_h W + phi_h Cq^T (coupling @ u_ext)
     coupling = -(form.A[np.ix_(B_cyl, ext)] / form.mu[B_cyl][:, None])
+    inflow = ((1.0 - e_h) / lam)[:, None] * (Cq.T @ coupling)
 
     n_atoms = nb + n_side
-    U = np.zeros((nb, n_atoms))
-    U[:, :nb] = np.eye(nb)               # bottom atoms: delta data at t0
-    src = np.zeros((nb, n_atoms))
+    W = np.zeros((nb, n_atoms))
+    W[:, :nb] = Cq.T                     # bottom atoms: delta data at t0
 
     # the distinct rounded sample times, in order
     rec_m = list(dict.fromkeys(round(t, 12) for t in t_minus))
@@ -209,18 +207,19 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
         sample_steps.setdefault(int(round(t / h)), []).append(t)
 
     posR = np.array([int(np.nonzero(B_cyl == p)[0][0]) for p in ball_R])
+    Bq_R = Q[posR] / sq[posR][:, None]
     samples = {}
     for k in range(1, n_sub + 1):
         t_mid = (k - 0.5) * h
         interval = min(int(t_mid / horizon * n_atom_intervals),
                        n_atom_intervals - 1)
-        src[:] = 0.0
+        W *= e_h[:, None]
         lo = nb + interval * len(ext)
-        src[:, lo:lo + len(ext)] = coupling
-        U = Bq @ (e_h[:, None] * (Cq.T @ U)) + Bq @ (phi_h[:, None] * (Cq.T @ src))
+        W[:, lo:lo + len(ext)] += inflow
         if k in sample_steps:
+            U_R = Bq_R @ W
             for t in sample_steps[k]:
-                samples[t] = U[posR].copy()
+                samples[t] = U_R
 
     sup_m = np.full(n_atoms, -np.inf)
     inf_p = np.full(n_atoms, np.inf)
@@ -228,9 +227,8 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
         sup_m = np.maximum(sup_m, samples[t].max(axis=0))
     for t in rec_p:
         inf_p = np.minimum(inf_p, samples[t].min(axis=0))
-    dead = (sup_m <= FLOOR) & (inf_p <= FLOOR)
     fam = CaloricFamily("full", n_atoms, np.maximum(sup_m, 0.0),
-                        np.maximum(inf_p, 0.0), int(dead.sum()))
+                        np.maximum(inf_p, 0.0))
     if keep_samples:
         fam.samples_minus = [samples[t] for t in rec_m]
         fam.samples_plus = [samples[t] for t in rec_p]
@@ -326,7 +324,8 @@ def _theta_fit(pairs, theta_grid, cap):
 
 
 def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
-                     theta_grid=(1.0, 0.5, 0.25, 0.125), c_cap: float = 32.0,
+                     theta_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
+                     c_cap: float = 32.0,
                      n_window_times: int = 4, max_centers: int = 2,
                      seed: int = 0x5EED) -> ConditionReport:
     """Fitted Hoelder exponents and constants.

@@ -276,15 +276,10 @@ class ScaleTriple:
                for (b, c, e), end in zip(phi_j.pieces, ends) if end > 1.0]))
 
     def m(self, t, r):
-        """Sub-Gaussian exponent m(t, r) = r / bar_phi_c^{-1}(t / r);
-        float for a float or int pair with r != 0, computed in floats."""
-        if isinstance(t, (float, int)) and isinstance(r, (float, int)) and r:
-            r = float(r)
-            return r / self.bar_phi_c.inverse(float(t) / r)
-        r_arr = np.asarray(r, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        out = r_arr / self.bar_phi_c.inverse(t_arr / r_arr)
-        return float(out) if np.isscalar(r) and np.isscalar(t) else out
+        """Sub-Gaussian exponent m(t, r) = r / bar_phi_c^{-1}(t / r) of a
+        float or int pair, computed in floats; 0.0 at r = 0."""
+        r = float(r)
+        return r / self.bar_phi_c.inverse(float(t) / r) if r else 0.0
 
 
 def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):
@@ -292,24 +287,16 @@ def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):
     best = 0.0  # the s -> infinity limit
     pieces = phi_c.pieces
     for i, (b, c, e) in enumerate(pieces):
-        lo = b if b > 0.0 else None
         hi = pieces[i + 1][0] if i + 1 < len(pieces) else None
-
-        def g(s):
-            return r / s - c0 * t / (c * s ** e)
-
-        cands = []
-        if lo is not None and lo > 0.0:
-            cands.append(lo)
+        cands = [b] if b > 0.0 else []
         if hi is not None:
             cands.append(hi)
         if abs(e - 1.0) > 1e-14:
             s_star = (e * c0 * t / (c * r)) ** (1.0 / (e - 1.0))
-            inside = (lo is None or s_star >= lo) and (hi is None or s_star <= hi)
-            if inside and s_star > 0.0:
+            if s_star >= b and (hi is None or s_star <= hi) and s_star > 0.0:
                 cands.append(s_star)
         for s in cands:
-            val = g(s)
+            val = r / s - c0 * t / (c * s ** e)
             if val > best:
                 best = val
     return best
@@ -317,13 +304,10 @@ def _legendre_closed_form(phi_c: ScaleFunction, r: float, t: float, c0: float):
 
 def _log_grid(phi_c: ScaleFunction, t_val: float):
     """``legendre_sup``'s 512-point log grid around phi_c^{-1}(t) and phi_c
-    on it, read-only."""
+    on it."""
     center = phi_c.inverse(t_val)
     grid = np.geomspace(center * 1e-8, center * 1e8, 512)
-    phi_grid = phi_c(grid)
-    grid.flags.writeable = False
-    phi_grid.flags.writeable = False
-    return grid, phi_grid
+    return grid, phi_c(grid)
 
 
 def legendre_sup(triple: ScaleTriple, r, t_val: float, c0: float = 1.0):

@@ -61,13 +61,16 @@ def _real(v):
             and -math.inf < v < math.inf)
 
 
-# annotation -> (what a value must be, test); a default of None takes None too
+# annotation -> (what a value must be, test); a default of None takes None too;
+# a JSON list sets a tuple-valued parameter
+_REALS = ("a nonempty list of finite reals",
+          lambda v: isinstance(v, list) and v and all(map(_real, v)))
 _TYPES = {"int": ("an integer", lambda v: _real(v) and isinstance(v, int)),
           "float": ("a finite real", _real),
           "str": ("a string", lambda v: isinstance(v, str)),
           "dict": ("an object", lambda v: isinstance(v, dict)),
-          "list[float]": ("a nonempty list of finite reals", lambda v:
-                          isinstance(v, list) and v and all(map(_real, v))),
+          "list[float]": _REALS,
+          "tuple[float, ...]": _REALS,
           "list[str]": ("a list of strings", lambda v: isinstance(v, list)
                         and all(isinstance(x, str) for x in v))}
 
@@ -348,7 +351,8 @@ class VolumeReport:
     n_centers: int
 
 
-def volume_report(space: MetricMeasureSpace, radii=None) -> VolumeReport:
+def volume_report(space: MetricMeasureSpace,
+                  radii: list[float] | None = None) -> VolumeReport:
     """Fit doubling / reverse-doubling constants and the exponent sandwich
     over interior centers.
 

@@ -11,7 +11,7 @@ import formlab.envelopes as envelopes
 import formlab.form as form_mod
 from formlab.cli import (ConfigError, load_config, main, render_report,
                          run_suite, validate_config)
-from formlab.functionals import ConditionReport
+from formlab.functionals import ConditionReport, check_fk
 from formlab.space import build_space
 
 
@@ -341,6 +341,36 @@ class TestGeometrySuites:
         assert 0.0 < cl["c6"] < 1.0
 
 
+class TestFK:
+    @staticmethod
+    def fk_report(**change):
+        cfg = load_config({**mini_cfg(**change), "checks": ["fk"]})
+        return run_suite(cfg).reports["fk"]
+
+    def test_fk_follows_the_config_seed(self):
+        def random_rows(rep):
+            return [r for r in rep.rows if r["subset"] == "random"]
+
+        seven, usual = self.fk_report(seed=7), self.fk_report(seed=24301)
+        assert random_rows(seven) and random_rows(seven) != random_rows(usual)
+        others = [[r for r in rep.rows if r["subset"] != "random"]
+                  for rep in (seven, usual)]
+        assert others[0] == others[1]
+        # 24301 is check_fk's own default, which fk drew from before it
+        # read the config seed
+        ctx = cli.SuiteContext(load_config("z1_mini"))
+        want = check_fk(ctx.form, ctx.scales, ctx.radii,
+                        max_centers=ctx.max_centers)
+        assert (usual.to_dict(), usual.rows) == (want.to_dict(), want.rows)
+
+    def test_fk_reports_the_headline_nu_off_its_grid(self):
+        rep = self.fk_report(check_params={"fk": {"nu_grid": [0.25]}})
+        assert rep.verdict == "certified"
+        assert sorted(rep.constants) == ["C", "C(nu=0.25)", "C(nu=0.5)",
+                                         "nu"]
+        assert rep.constants["C"] == rep.constants["C(nu=0.5)"] > 0.0
+
+
 class TestMain:
     def test_validate_command(self, capsys):
         assert main(["--config", "z1_mini", "validate"]) == 0
@@ -434,9 +464,29 @@ class TestMain:
                      "phi_j": [{"break": 0, "exp": 1}]}},
          "pieces of finite reals"),
         ({"check_params": {"phi": {"mode": "fulll"}}},
-         "check_params.phi.mode must be one of"),
+         "unknown check_params.phi keys: ['mode']"),
         ({"check_params": {"chain_lower": {"times": [1.0, 2.0]}}},
          "unknown check_params.chain_lower keys: ['times']"),
+        # settings no check reads: the top-level mode is phi's, fk draws
+        # from the config seed, and the hk modes that are checks of their
+        # own ignore dilations or the indicator
+        ({"check_params": {"hk_minus": {"upper_dilations": [1.0]}}},
+         "unknown check_params.hk_minus keys: ['upper_dilations']"),
+        ({"check_params": {"uhk_weak": {"indicator": 2.0}}},
+         "unknown check_params.uhk_weak keys: ['indicator']"),
+        ({"check_params": {"hk": {"indicator": 2.0}}},
+         "unknown check_params.hk keys: ['indicator']"),
+        ({"check_params": {"hk": {"mode": "HK_minus"}}},
+         "check_params.hk.mode must be one of"),
+        ({"check_params": {"hk": {"mode": "bogus"}}},
+         "check_params.hk.mode must be one of"),
+        ({"check_params": {"fk": {"seed": 7}}},
+         "unknown check_params.fk keys: ['seed']"),
+        ({"check_params": {"hk": {"upper_dilations": [1.0, "x"]}}},
+         "list of finite reals 'upper_dilations'"),
+        ({"check_params": {"jpsi_alt": {"phi_j": [{"break": 0,
+                                                    "exp": -1.0}]}}},
+         "exponents must be positive"),
     ])
     def test_misspelt_or_out_of_range_config_rejected_at_validate(
             self, tmp_path, capsys, change, message):

@@ -62,6 +62,26 @@ def test_every_check_parameter_set_resolves():
                 inspect.signature(fn).parameters, (name, fixed_name)
 
 
+def test_settable_check_parameters_pinned():
+    # the hk modes that are checks of their own, phi and fk take no
+    # setting they would ignore or that shadows the config's mode and seed
+    assert {name: sorted(check_parameters(cli.CHECKS[name]))
+            for name in ("hk", "hk_minus", "uhk_weak", "phi", "fk")} == {
+        "hk": ["boundary_cap", "lower_dilations", "margin", "mode",
+               "upper_dilations"],
+        "hk_minus": ["boundary_cap", "indicator", "margin"],
+        "uhk_weak": ["boundary_cap", "margin"],
+        "phi": ["R", "n_atom_intervals", "n_window_times", "thin"],
+        "fk": ["nu_grid"],
+    }
+    assert sum(len(check_parameters(fn)) for fn in cli.CHECKS.values()) == 58
+    assert cli.HK_MODES == ("HK", "UHK", "HK_local")
+    for mode in cli.HK_MODES:
+        data = bundled("z1_mini")
+        data["check_params"] = {"hk": {"mode": mode}}
+        assert validate_config(data).check_params["hk"]["mode"] == mode
+
+
 def only_wrapped(fn):
     def wrapper(*args, **kwargs):
         return fn(*args, **kwargs)
