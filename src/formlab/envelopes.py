@@ -60,8 +60,12 @@ class _EnvelopeGrid:
 
     @cached_property
     def _unique(self):
-        uq, inv = np.unique(self.d, return_inverse=True)
-        return uq, inv, uq > 0.0
+        """(u, inv, u > 0): the distinct distances and, per pair, the index
+        of its distance in u; found by a search rather than by
+        ``np.unique``'s inverse, whose argsort holds several copies of
+        ``d`` at once."""
+        uq = np.unique(self.d)
+        return uq, np.searchsorted(uq, self.d), uq > 0.0
 
     @cached_property
     def Vd(self):
@@ -74,14 +78,18 @@ class _EnvelopeGrid:
         uq, inv, pos = self._unique
         phij_u = np.ones_like(uq)
         phij_u[pos] = self.scales.phi_j(uq[pos])
-        return self.Vd * phij_u[inv].reshape(self.d.shape)
+        return self.Vd * phij_u[inv]
+
+    def m_unique(self, td):
+        """m(td, u) at the distinct distances u of ``_unique``, 0 at u = 0."""
+        uq, _, pos = self._unique
+        m_u = np.zeros_like(uq)
+        m_u[pos] = uq[pos] / self.scales.bar_phi_c.inverse(td / uq[pos])
+        return m_u
 
     def m(self, td):
         """m(td, d(x, y)) on the grid, 0 on the diagonal."""
-        uq, inv, pos = self._unique
-        m_u = np.zeros_like(uq)
-        m_u[pos] = uq[pos] / self.scales.bar_phi_c.inverse(td / uq[pos])
-        return m_u[inv].reshape(self.d.shape)
+        return self.m_unique(td)[self._unique[1]]
 
 
 def _envelope_arrays(grid, t, dilation=1.0):
@@ -564,43 +572,47 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     if not np.isfinite(space.metric).all():
         return ConditionReport("chain-lower", "failed",
                                notes="disconnected space, skipped")
+    # each sweep reads K only at the pairs it selects, by index
     grid = _EnvelopeGrid(scales, space, xs, xs)
+    uq, inv, _ = grid._unique
     # near-diagonal constant c5
     c5 = math.inf
     for t, i in zip(times, keep):
         K = table.kernels[i]
         Vc = space.volumes(xs, scales.phi_c.inverse(t))
-        near = grid.d <= scales.phi_c.inverse(t)
-        vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
-        if vals.size:
-            c5 = min(c5, float(vals.min()))
+        ii, jj = np.nonzero(grid.d <= scales.phi_c.inverse(t))
+        if len(ii):
+            c5 = min(c5, float((K[xs[ii], xs[jj]] * Vc[ii]).min()))
     if not np.isfinite(c5) or c5 <= 0.0:
         return ConditionReport("chain-lower", "failed",
                                notes="no near-diagonal reference")
     c6 = 1.0
-    used = 0
-    triples = []   # (t, m, base) of every selected triple, in sweep order
+    cols = []   # (t, m, base) arrays of the selected triples, in sweep order
     for t, i in zip(times, keep):
         K = table.kernels[i]
         Vc = space.volumes(xs, scales.phi_c.inverse(t))
-        mvals = grid.m(t)
-        sel = (grid.d >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)
-        K_sub = K[np.ix_(xs, xs)]
-        floor = FLOOR_REL * float(K.max())
-        ii, jj = np.nonzero(sel & (K_sub > floor))
-        ratio = K_sub[ii, jj] * Vc[ii] / c5
-        m_sel = mvals[ii, jj]
+        m_u = grid.m_unique(t)
+        sel = (uq >= c0 * scales.phi_c.inverse(t)) & (m_u <= m_cap)
+        ii, jj = np.nonzero(sel[inv])
+        K_sel = K[xs[ii], xs[jj]]
+        hit = K_sel > FLOOR_REL * float(K.max())
+        ii, jj, K_sel = ii[hit], jj[hit], K_sel[hit]
+        ratio = K_sel * Vc[ii] / c5
+        m_sel = m_u[inv[ii, jj]]
         inv_m = 1.0 / m_sel
+        base = np.empty(len(ii))
         for lo in range(0, len(ii), _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            bases = _pow(ratio[part].tolist(), inv_m[part].tolist())
-            triples.extend(zip(repeat(t), m_sel[part].tolist(), bases))
-            c6 = min(c6, *bases)
-        used += len(ii)
+            base[part] = _pow(ratio[part].tolist(), inv_m[part].tolist())
+        c6 = float(np.min(base, initial=c6))
+        cols.append((np.broadcast_to(t, base.shape), m_sel, base))
+    used = sum(len(m) for _, m, _ in cols)
     # every triple enters c6; the rows keep one in ``stride``
     stride = max(1, math.ceil(used / RATIO_ROWS))
+    t_s, m_s, base_s = (np.concatenate(c)[::stride].tolist()
+                        for c in zip(*cols))
     rows = [{"t": t, "m": m, "base": base}
-            for t, m, base in triples[::stride]]
+            for t, m, base in zip(t_s, m_s, base_s)]
     verdict = "certified" if (used and 0.0 < c6) else "failed"
     return ConditionReport(
         "chain-lower", verdict,

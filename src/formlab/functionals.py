@@ -70,6 +70,13 @@ def ball_family(space: MetricMeasureSpace, radii, reach_factor=1.0,
             for x in space.spread_centers(reach_factor * r, max_centers)]
 
 
+def _no_ball(condition, radii, **ranges):
+    """The failed report of a check that found no instance to sweep."""
+    return ConditionReport(condition, "failed",
+                           ranges={"radii": list(map(float, radii)), **ranges},
+                           notes="no ball of the family fits the space")
+
+
 def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
     """Standard test family: delta bumps, radial tents, low-frequency
     eigenvectors of the local part, and seeded signed random functions."""
@@ -140,6 +147,8 @@ def check_fk(form: DirichletForm, scales, radii,
             muD = float(space.mu[D].sum())
             rows.append({"x0": x0, "r": r, "subset": name, "lambda1": lam,
                          "V": V, "muD": muD, "phi_r": scales.phi(r)})
+    if not rows:
+        return _no_ball("FK(phi)", radii)
     table = {}
     witness = {}
     for nu in dict.fromkeys([*nu_grid, 0.5]):   # the headline nu always
@@ -221,6 +230,8 @@ def check_pi(form: DirichletForm, scales, radii,
                 infinite = bad
             if np.isfinite(c) and c > worst["C"]:
                 worst = {"C": c, "x0": x0, "r": r, "kappa": kappa}
+    if not rows or {r["kappa"] for r in rows} != set(kappas):
+        return _no_ball("PI(phi)", radii, kappas=list(kappas))
     if infinite is not None:
         return ConditionReport("PI(phi)", "failed", constants={"C": math.inf},
                                witness=infinite, rows=rows)
@@ -458,6 +469,8 @@ def check_exit(form: DirichletForm, scales, radii,
         for t, srow in zip(times, st.survival):
             p_exit = 1.0 - float(srow[center])
             c_ep = max(c_ep, p_exit * phi_r / t)
+    if not rows:
+        return _no_ball("E_phi", radii)
     return ConditionReport(
         "E_phi", "certified" if np.isfinite(c1) else "failed",
         constants={"c1": c1, "c_EP": c_ep},

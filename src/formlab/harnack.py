@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import groupby, repeat
 
 import numpy as np
 from scipy.linalg import eigh
 
+from .envelopes import _pow
 from .form import DirichletForm, heat_kernel, kernel_blocks
 from .functionals import ConditionReport
 
@@ -307,16 +308,17 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
 # -- Hoelder regularity -------------------------------------------------------------
 
 
-def _theta_fit(pairs, theta_grid, cap):
-    """pairs: list of (|du|, normalized separation, sup|u|); returns the
-    largest theta whose fitted c stays under the cap, with that c."""
+def _theta_fit(fn, theta_grid, cap):
+    """fn: (|du|, normalized separation, sup|u|) of one function, the first
+    two arrays over its point pairs; returns the largest theta whose fitted
+    c stays under the cap, with that c."""
+    du, sep, supu = fn
+    pos = (sep > 0.0) & (supu > FLOOR)
+    du, sep = du[pos], sep[pos].tolist()
     best = (None, math.inf)
     for theta in sorted(theta_grid, reverse=True):
-        c = 0.0
-        for du, sep, supu in pairs:
-            if supu <= FLOOR or sep <= 0.0:
-                continue
-            c = max(c, du / (sep ** theta * supu))
+        powed = np.array(_pow(sep, repeat(theta)))
+        c = float(np.fmax.reduce(du / (powed * supu), initial=0.0))
         if c <= cap:
             return theta, c
         best = (theta, c)
@@ -337,7 +339,7 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
     """
     space = form.space
     rng = np.random.RandomState(seed)
-    ehr_pairs_by_fn, phr_pairs_by_fn, rows = [], [], []
+    ehr_fns, phr_fns, rows = [], [], []   # (|du|, sep, sup|u|) per function
     for r in radii:
         centers = space.spread_centers(r, max_centers)
         if len(centers) == 0:
@@ -345,26 +347,30 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
         # caloric family: global heat flows sampled in the last window
         phi_r = scales.phi(r)
         ts = _window_times(phi_r - scales.phi(eps * r), phi_r, n_window_times)
+        # time pairs a <= b with the lag phi^{-1}(|t_a - t_b|) between them
+        ta, tb = np.triu_indices(len(ts))
+        lag = np.array([scales.phi.inverse(abs(ts[a] - ts[b])) if a != b
+                        else 0.0 for a, b in zip(ta.tolist(), tb.tolist())])
         drawn = []   # (core, zs) of each usable centre
         for x0 in map(int, centers):
             B = space.ball(x0, r)
             ext = np.setdiff1d(np.arange(form.n), B)
             if len(ext) == 0:
                 continue
-            core = [p for p in B if space.metric[x0, p] < eps * r]
+            core = B[space.metric[x0, B] < eps * r]
             if len(core) < 2:
                 continue
             # harmonic Poisson columns for a sample of exterior atoms
             picks = ext[rng.choice(len(ext), size=min(12, len(ext)),
                                    replace=False)]
+            p, q = (core[k] for k in np.triu_indices(len(core), 1))
+            sep = space.metric[p, q] / r
             for z in picks:
                 data = np.zeros(form.n)
                 data[z] = 1.0
                 u = harmonic_solve(form, B, data)
-                supu = float(np.abs(u).max())
-                ehr_pairs_by_fn.append([
-                    (abs(u[p] - u[q]), space.metric[p, q] / r, supu)
-                    for p, q in combinations(core, 2)])
+                ehr_fns.append((np.abs(u[p] - u[q]), sep,
+                                float(np.abs(u).max())))
             zs = rng.choice(form.n, size=min(8, form.n), replace=False)
             drawn.append((core, zs))
             rows.append({"x0": x0, "r": r, "n_core": len(core)})
@@ -374,39 +380,34 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
         columns = kernel_blocks(form, ts, [(np.arange(form.n), zs)
                                            for _, zs in drawn])
         for (core, zs), slabs in zip(drawn, columns):
+            # point pairs p <= q: (a, a) with (p, p) has sep 0 and is skipped
+            p, q = (core[k] for k in np.triu_indices(len(core)))
+            sep = ((lag[:, None] + space.metric[p, q]) / r).ravel()
             for j, z in enumerate(zs):
                 traces = np.stack([K[:, j] * form.mu[z] for K in slabs])
-                supu = float(np.abs(traces).max())
-                prs = []
-                for a, b in combinations_with_replacement(range(len(ts)), 2):
-                    for p, q in combinations_with_replacement(core, 2):
-                        if a == b and p == q:
-                            continue
-                        lag = (scales.phi.inverse(abs(ts[a] - ts[b]))
-                               if a != b else 0.0)
-                        prs.append((abs(traces[a, p] - traces[b, q]),
-                                    (lag + space.metric[p, q]) / r, supu))
-                phr_pairs_by_fn.append(prs)
+                phr_fns.append((
+                    np.abs(traces[ta][:, p] - traces[tb][:, q]).ravel(), sep,
+                    float(np.abs(traces).max())))
 
     def family_fit(groups):
         theta_fam, c_fam = 1.0, 0.0
-        for prs in groups:
-            theta, c = _theta_fit(prs, theta_grid, c_cap)
+        for fn in groups:
+            theta, c = _theta_fit(fn, theta_grid, c_cap)
             if theta is None:
                 return None, math.inf
             theta_fam = min(theta_fam, theta)
             c_fam = max(c_fam, c)
         return theta_fam, c_fam
 
-    if not ehr_pairs_by_fn or not phr_pairs_by_fn:
+    if not ehr_fns or not phr_fns:
         return ConditionReport(
             "PHR/EHR", "failed",
             ranges={"radii": list(map(float, radii))},
             notes="no usable family: every core ball at eps*r has fewer "
                   "than two points",
         )
-    theta_e, c_e = family_fit(ehr_pairs_by_fn)
-    theta_p, c_p = family_fit(phr_pairs_by_fn)
+    theta_e, c_e = family_fit(ehr_fns)
+    theta_p, c_p = family_fit(phr_fns)
     ok = theta_e is not None and theta_p is not None
     return ConditionReport(
         "PHR/EHR", "certified" if ok else "failed",
@@ -414,7 +415,7 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
                    "theta_PHR": theta_p, "c_PHR": c_p,
                    "eps": eps, "c_cap": c_cap},
         ranges={"radii": list(map(float, radii)),
-                "ehr_functions": len(ehr_pairs_by_fn),
-                "phr_functions": len(phr_pairs_by_fn)},
+                "ehr_functions": len(ehr_fns),
+                "phr_functions": len(phr_fns)},
         rows=rows,
     )

@@ -18,23 +18,31 @@ _CHUNK = 8192   # rows or rects per write
 def svg_heatmap(labels, path, cell: int = 4, title: str = "dominance map"):
     """Categorical heatmap of dominance labels (0 diagonal, 1 gaussian,
     2 jump).  All three region classes are always declared in the legend.
-    The rects are written one class and one bounded batch at a time."""
+    Each horizontal run of equal labels is one rect; the rects are written
+    one class and one bounded batch at a time."""
     labels = np.asarray(labels)
     h, w = labels.shape
     width = w * cell + 160
     height = max(h * cell, 70) + 30
+    # a run starts at each row's first cell and wherever the label changes
+    starts = np.ones((h, w), dtype=bool)
+    starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
+    ys, xs = np.nonzero(starts)
+    lengths = np.diff(ys * w + xs, append=h * w)
+    kinds = labels[ys, xs]
     with open(path, "w") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                  f'height="{height}">\n<title>{title}</title>\n')
         for k, name in enumerate(DOMINANCE_CLASSES):
             fh.write(f'<g class="region-{name}">\n')
-            rect = (f'<rect x="{{}}" y="{{}}" width="{cell}" height="{cell}" '
+            rect = (f'<rect x="{{}}" y="{{}}" width="{{}}" height="{cell}" '
                     f'fill="{DOMINANCE_COLORS[name]}"/>\n')
-            ys, xs = np.nonzero(labels == k)
-            for lo in range(0, len(ys), _CHUNK):
-                part = slice(lo, lo + _CHUNK)
+            sel = np.nonzero(kinds == k)[0]
+            for lo in range(0, len(sel), _CHUNK):
+                part = sel[lo:lo + _CHUNK]
                 fh.write("".join(map(rect.format, (xs[part] * cell).tolist(),
-                                     (ys[part] * cell).tolist())))
+                                     (ys[part] * cell).tolist(),
+                                     (lengths[part] * cell).tolist())))
             fh.write("</g>\n")
         for k, name in enumerate(DOMINANCE_CLASSES):
             y0 = 20 + 18 * k

@@ -11,7 +11,7 @@ import formlab.envelopes as envelopes
 import formlab.form as form_mod
 from formlab.cli import (ConfigError, load_config, main, render_report,
                          run_suite, validate_config)
-from formlab.functionals import ConditionReport, check_fk
+from formlab.functionals import ConditionReport, check_fk, check_pi
 from formlab.space import build_space
 
 
@@ -369,6 +369,56 @@ class TestFK:
         assert sorted(rep.constants) == ["C", "C(nu=0.25)", "C(nu=0.5)",
                                          "nu"]
         assert rep.constants["C"] == rep.constants["C(nu=0.5)"] > 0.0
+
+
+class TestEmptyBallFamily:
+    # no ball of radius 100 fits the 128-point line: a check over no
+    # instance fails instead of erroring or certifying a vacuous constant
+    @pytest.mark.parametrize("name,condition", [("fk", "FK(phi)"),
+                                                ("pi", "PI(phi)"),
+                                                ("exit", "E_phi")])
+    def test_no_ball_fits(self, name, condition):
+        grids = {**mini_cfg()["grids"], "radii": [100.0]}
+        cfg = load_config({**mini_cfg(grids=grids), "checks": [name]})
+        rep = run_suite(cfg).reports[name]
+        assert (rep.condition, rep.verdict) == (condition, "failed")
+        assert rep.notes == "no ball of the family fits the space"
+        assert rep.constants == {} and rep.rows == []
+        assert rep.ranges["radii"] == [100.0]
+
+    def test_pi_fails_when_one_dilation_has_no_ball(self):
+        # radius 40 fits the line undilated, not at kappa = 2
+        ctx = cli.SuiteContext(load_config("z1_mini"))
+        rep = check_pi(ctx.form, ctx.scales, [40.0], kappas=(1.0, 2.0))
+        assert rep.verdict == "failed"
+        assert rep.notes == "no ball of the family fits the space"
+        assert rep.ranges["kappas"] == [1.0, 2.0]
+        assert check_pi(ctx.form, ctx.scales, [40.0],
+                        kappas=(1.0,)).verdict == "certified"
+
+
+class TestCheckFailures:
+    @staticmethod
+    def report(name, **change):
+        cfg = load_config({**mini_cfg(**change), "checks": [name]})
+        return run_suite(cfg).reports[name]
+
+    def test_tail_ujs_fails_over_its_spread_cap(self):
+        usual = self.report("tail_ujs")
+        spread = usual.constants["J_phij_spread"]
+        assert usual.verdict == "certified" and 1.0 < spread < 8.0
+        rep = self.report("tail_ujs",
+                          check_params={"tail_ujs": {"spread_cap": 1.0}})
+        assert rep.verdict == "failed"
+        assert rep.notes == ("two-sided comparability spread over cap 1.0")
+        assert rep.constants == {**usual.constants, "spread_cap": 1.0}
+
+    def test_phi_fails_when_no_cylinder_fits(self):
+        # B(x, 5 R) must clear the truncation set of the 128-point line
+        rep = self.report("phi", check_params={"phi": {"R": [20.0]}})
+        assert (rep.condition, rep.verdict) == ("PHI(phi)", "failed")
+        assert rep.notes == "no cylinder fits the space"
+        assert rep.constants == {} and rep.rows == []
 
 
 class TestMain:

@@ -64,6 +64,25 @@ class TestAssembly:
         assert 0.2 <= c1 <= 1.0 <= c2 <= 5.0
         assert np.abs(kern.matrix - kern.matrix.T).max() == 0.0
 
+    def test_two_regime_joins_two_power_laws_at_the_break(self):
+        # coeff d^-(1+alpha) up to the break, coeff b^(beta-alpha)
+        # d^-(1+beta) above it: the two agree at d = b
+        sp = build_space("lattice_box", dim=1, side=33, margin=0)
+        kern = JumpKernel.two_regime(sp, alpha=1.0, beta=0.5,
+                                     regime_break=8.0, coeff=2.0)
+        d = sp.metric[0, 1:]
+        want = np.where(d <= 8.0, 2.0 * d ** -2.0,
+                        2.0 * 8.0 ** -0.5 * d ** -1.5)
+        assert np.allclose(kern.matrix[0, 1:], want, rtol=1e-14, atol=0.0)
+        assert 2.0 * 8.0 ** -0.5 * 8.0 ** -1.5 == pytest.approx(
+            kern.matrix[0, 8], rel=1e-14)
+        assert np.diag(kern.matrix).max() == 0.0
+        assert np.array_equal(kern.matrix, kern.matrix.T)
+        built = build_jump({"kind": "two_regime", "alpha": 1.0, "beta": 0.5,
+                            "regime_break": 8.0, "coeff": 2.0}, sp,
+                           ScaleFunction.single_power(1.0), 7)
+        assert np.array_equal(built.matrix, kern.matrix)
+
     def test_build_jump_calls_the_builder_on_the_class(self, monkeypatch):
         # a wrapper installed on JumpKernel after import, as a tracer
         # installs one, is the builder that build_jump calls

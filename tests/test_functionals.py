@@ -103,6 +103,22 @@ class TestPoincare:
         c, bad = poincare(form, alpha1_triple(), 0, 2.0, 6.0)
         assert c == np.inf and bad is not None
 
+    def test_check_pi_fails_on_a_disconnected_dilated_ball(self):
+        # B(0, 2) = {0, 1} is connected; its 6-fold dilation takes in the
+        # unreachable point 2, so the kappa = 6 constant is infinite
+        metric = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 10.0],
+                           [10.0, 10.0, 0.0]])
+        sp = MetricMeasureSpace(metric, np.ones(3), edges=[(0, 1)])
+        form = assemble(sp, 1.0, None)
+        rep = check_pi(form, alpha1_triple(), [2.0], kappas=(1.0, 6.0),
+                       max_centers=1)
+        assert rep.verdict == "failed"
+        assert rep.constants == {"C": math.inf}
+        assert rep.witness == {"x0": 0, "r": 2.0,
+                               "reason": "disconnected dilated ball"}
+        assert [(r["kappa"], math.isfinite(r["C"])) for r in rep.rows] == [
+            (1.0, True), (6.0, False)]
+
     def test_shrinking_dilation_rejected(self):
         # the energy ball must contain the mass ball
         sp, form = z1(side=33, margin=4)

@@ -291,8 +291,8 @@ class TestRegularity:
         # a constant member contributes zero increments at any theta
         sp, form = z1(side=33, margin=4, with_jump=False)
         from formlab.harnack import _theta_fit
-        pairs = [(0.0, 0.3, 1.0), (0.0, 0.7, 1.0)]
-        theta, c = _theta_fit(pairs, (1.0, 0.5), cap=32.0)
+        fn = (np.zeros(2), np.array([0.3, 0.7]), 1.0)
+        theta, c = _theta_fit(fn, (1.0, 0.5), cap=32.0)
         assert theta == 1.0 and c == 0.0
 
     def test_single_usable_center_visited_once(self):

@@ -1,10 +1,12 @@
-"""The column-wise CSV writer and the batched SVG heatmap against in-test
-copies of the row-by-row writers they replaced: the bytes must be equal for
-every row the old writer already wrote correctly.  Numpy scalars and cells
-that need quoting are the two places where the bytes change on purpose."""
+"""The column-wise CSV writer against an in-test copy of the row-by-row
+writer it replaced: the bytes must be equal for every row the old writer
+already wrote correctly.  Numpy scalars and cells that need quoting are the
+two places where the bytes change on purpose.  The SVG heatmap is read back
+into the label grid its rects paint."""
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,40 +34,6 @@ def old_write_rows_csv(rows, path):
         for r in flat:
             fh.write(",".join(old_cell(r.get(k)) for k in keys) + "\n")
     return True
-
-
-def old_svg_heatmap(labels, path, cell=4, title="dominance map"):
-    labels = np.asarray(labels)
-    h, w = labels.shape
-    width = w * cell + 160
-    height = max(h * cell, 70) + 30
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}">',
-        f'<title>{title}</title>',
-    ]
-    for k, name in enumerate(DOMINANCE_CLASSES):
-        parts.append(f'<g class="region-{name}">')
-        ys, xs = np.nonzero(labels == k)
-        for y, x in zip(ys, xs):
-            parts.append(
-                f'<rect x="{x * cell}" y="{y * cell}" width="{cell}" '
-                f'height="{cell}" fill="{DOMINANCE_COLORS[name]}"/>'
-            )
-        parts.append("</g>")
-    for k, name in enumerate(DOMINANCE_CLASSES):
-        y0 = 20 + 18 * k
-        parts.append(
-            f'<rect x="{w * cell + 12}" y="{y0}" width="12" height="12" '
-            f'fill="{DOMINANCE_COLORS[name]}" class="legend-{name}"/>'
-        )
-        parts.append(
-            f'<text x="{w * cell + 30}" y="{y0 + 11}" font-size="12" '
-            f'font-family="monospace">{name}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
 
 
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-320, 0.1, -2.5e300]
@@ -129,11 +97,46 @@ def test_cells_quoted_as_rfc4180(tmp_path):
     assert _cell('b,"c"') == '"b,""c"""'
 
 
+RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" '
+                  r'height="(\d+)" fill="(#[0-9a-f]{6})"/>')
+
+
+def rasterise(svg, shape, cell):
+    """The label grid the region rects of ``svg`` paint, -1 where none
+    does; each rect must be ``cell`` high, cover whole cells and paint
+    cells no other rect paints."""
+    grid = np.full(shape, -1)
+    groups = re.findall(r'<g class="region-(\w+)">\n(.*?)</g>', svg, re.S)
+    assert [name for name, _ in groups] == list(DOMINANCE_CLASSES)
+    for k, (name, body) in enumerate(groups):
+        rects = RECT.findall(body)
+        assert len(rects) == body.count("<rect")
+        for x, y, width, height, fill in rects:
+            x, y, width = int(x), int(y), int(width)
+            assert int(height) == cell and fill == DOMINANCE_COLORS[name]
+            assert x % cell == y % cell == width % cell == 0 and width > 0
+            row = grid[y // cell, x // cell:(x + width) // cell]
+            assert row.size == width // cell and (row == -1).all()
+            row[:] = k
+    return grid
+
+
 @pytest.mark.parametrize("shape,cell", [((1, 1), 4), ((37, 53), 4),
-                                        ((160, 160), 3)])
-def test_svg_heatmap_bytes_equal_part_list(tmp_path, shape, cell):
+                                        ((200, 200), 3)])
+def test_svg_heatmap_rasterises_to_labels(tmp_path, shape, cell):
+    # the 200 x 200 map has more runs of each class than one write batch
     labels = np.random.RandomState(shape[0]).randint(0, 3, size=shape)
     labels[0, 0] = 2
-    svg_heatmap(labels, tmp_path / "new.svg", cell=cell, title="t=0.5")
-    old_svg_heatmap(labels, tmp_path / "old.svg", cell=cell, title="t=0.5")
-    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+    path = tmp_path / "map.svg"
+    svg_heatmap(labels, path, cell=cell, title="t=0.5")
+    svg = path.read_text()
+    assert (rasterise(svg, shape, cell) == labels).all()
+    # one rect per horizontal run: no two rects of a row could merge
+    runs = shape[0] + int((labels[:, 1:] != labels[:, :-1]).sum())
+    assert svg.count("<rect") == runs + len(DOMINANCE_CLASSES)   # + legend
+    h, w = shape
+    assert svg.startswith(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * cell + 160}" '
+        f'height="{max(h * cell, 70) + 30}">\n<title>t=0.5</title>\n')
+    for name in DOMINANCE_CLASSES:
+        assert f'class="legend-{name}"' in svg

@@ -24,6 +24,20 @@ class TestBuilders:
         center = 40
         assert sp.volume(center, 1.5) == 5.0   # von Neumann neighbourhood
 
+    def test_lattice_l2_metric_is_euclidean(self):
+        # the same points and edges as l1, at Euclidean distances
+        sp = build_space("lattice_box", dim=2, side=5, metric="l2")
+        l1 = build_space("lattice_box", dim=2, side=5)
+        diff = sp.coords[:, None, :] - sp.coords[None, :, :]
+        assert np.array_equal(sp.metric, np.sqrt((diff ** 2).sum(axis=2)))
+        assert sp.metric[0, 3 * 5 + 4] == 5.0   # (0, 0) to (3, 4)
+        assert np.array_equal(sp.edges, l1.edges)
+        assert (sp.metric <= l1.metric).all()
+        assert sp.volume(12, 1.5) == 9.0   # the 3 x 3 block around (2, 2)
+        line = build_space("lattice_box", dim=1, side=9, metric="l2")
+        assert np.array_equal(line.metric,
+                              build_space("lattice_box", dim=1, side=9).metric)
+
     def test_lattice_edges_and_a_single_point(self):
         # each point joined to its successor along each axis, in order of
         # point, then axis; a one-point box has no edge and assembles

@@ -448,6 +448,21 @@ def old_meyer_check(form, scales, rho, times):
     return {"c1": hi, "rho": rho}
 
 
+def old_theta_fit(pairs, theta_grid, cap):
+    """pairs: list of (|du|, normalized separation, sup|u|)."""
+    best = (None, math.inf)
+    for theta in sorted(theta_grid, reverse=True):
+        c = 0.0
+        for du, sep, supu in pairs:
+            if supu <= FLOOR or sep <= 0.0:
+                continue
+            c = max(c, du / (sep ** theta * supu))
+        if c <= cap:
+            return theta, c
+        best = (theta, c)
+    return best
+
+
 def old_check_regularity(form, scales, radii, eps=0.5,
                          theta_grid=(1.0, 0.5, 0.25, 0.125), c_cap=32.0,
                          n_window_times=4, max_centers=2, seed=0x5EED):
@@ -504,7 +519,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
     def family_fit(groups):
         theta_fam, c_fam = 1.0, 0.0
         for prs in groups:
-            theta, c = _theta_fit(prs, theta_grid, c_cap)
+            theta, c = old_theta_fit(prs, theta_grid, c_cap)
             if theta is None:
                 return None, math.inf
             theta_fam = min(theta_fam, theta)
@@ -681,6 +696,23 @@ def test_chain_lower_equals_loop_formulas(ctx):
     assert canon(rep.rows) == canon(rows)
 
 
+def test_chain_lower_floor_excludes_as_loop(monkeypatch):
+    # without jumps the kernel at far pairs falls below the resolvable
+    # floor, which drops those triples from the fit and the rows alike
+    sp = build_space("lattice_box", dim=1, side=65, margin=8)
+    table = heat_kernel(assemble(sp, 1.0, None), [1.0, 2.0, 4.0])
+    scales = ScaleTriple(ScaleFunction.single_power(2.0),
+                         ScaleFunction.single_power(1.0))
+    rep = chain_lower_check(table, scales, sp, c0=1.0, m_cap=200.0)
+    c5, c6, used, rows = old_chain_lower(table, scales, sp, 1.0, 200.0)
+    assert rep.constants == {"c5": c5, "c6": c6}
+    assert rep.ranges["triples"] == used
+    assert canon(rep.rows) == canon(rows)
+    monkeypatch.setattr(envelopes, "FLOOR_REL", 0.0)
+    unfloored = chain_lower_check(table, scales, sp, c0=1.0, m_cap=200.0)
+    assert unfloored.ranges["triples"] > used
+
+
 def test_chain_lower_bases_overflow_as_numpy_scalars():
     xs, ys = [2.0, 0.5, 3.0, 1.0], [2000.0, 3.0, 0.25, 1e300]
     with np.errstate(over="ignore"):
@@ -826,6 +858,47 @@ def test_regularity_equals_whole_kernel_loop(name, radii):
     want = old_check_regularity(ctx.form, ctx.scales, radii, **kw)
     assert rep.verdict == "certified" and len(rep.rows) == 2
     same_report(rep, want)
+
+
+_seps = st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf]),
+                  st.floats(1e-3, 8.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 4.0), _seps), max_size=12),
+       st.sampled_from([1.0, FLOOR, 0.0, 1e-3, math.nan]),
+       st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.9]), max_size=4),
+       st.floats(0.0, 64.0))
+def test_theta_fit_on_arrays_equals_pair_loop(pairs, supu, theta_grid, cap):
+    # one function's pairs as arrays, fitted as the per-tuple loop fitted
+    # them: separations and sup|u| at or below the floor are skipped
+    du = np.array([d for d, _ in pairs])
+    sep = np.array([s for _, s in pairs])
+    got = _theta_fit((du, sep, supu), theta_grid, cap)
+    want = old_theta_fit([(d, s, supu) for d, s in pairs], theta_grid, cap)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["gasket_walk", "z1_mini"])
+def test_envelope_grid_distance_index_equals_unique_inverse(name):
+    # the searched index of each pair's distance is np.unique's inverse,
+    # also where the distances hold inf and -0.0
+    ctx = SuiteContext(load_config(name))
+    xs = ctx.space.interior()
+    grid = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs[::-1])
+    grid.d[0, :3] = [math.inf, -0.0, math.inf]
+    uq, inv, pos = grid._unique
+    want_uq, want_inv = np.unique(grid.d, return_inverse=True)
+    assert np.array_equal(uq, want_uq) and np.array_equal(pos, want_uq > 0.0)
+    assert np.array_equal(inv.ravel(), want_inv.ravel())
+    assert np.array_equal(uq[inv], grid.d)
+    # m on the grid is m at the distinct distances, gathered per pair
+    grid, t = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs), ctx.times[2]
+    want_uq, want_inv = np.unique(grid.d, return_inverse=True)
+    pos = want_uq > 0.0
+    m_u = np.zeros_like(want_uq)
+    m_u[pos] = want_uq[pos] / ctx.scales.bar_phi_c.inverse(t / want_uq[pos])
+    assert np.array_equal(grid.m(t), m_u[want_inv].reshape(grid.d.shape))
 
 
 def test_fit_hk_sweeps_each_row_once(monkeypatch):
