@@ -665,7 +665,14 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="rewrite an existing report.json "
                                           "key-sorted (no CSV or SVG)")
     p_rep.add_argument("report_path")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if min(args.threads, args.grid_thin) < 1:
+            parser.error("--threads and --grid-thin must be at least 1")
+    except SystemExit as exc:
+        if exc.code:    # a usage error; exit 2 means unexpected verdicts
+            return 3
+        raise           # --help
 
     try:
         if args.command == "report":

@@ -50,7 +50,9 @@ class _EnvelopeGrid:
 
     Built once per check call and dropped when it returns: the pair
     distances ``d``, their unique values with the inverse map, V(x, d(x, y))
-    and V(x, d) phi_j(d).  Each piece is computed on first use."""
+    and V(x, d) phi_j(d).  Each piece is computed on first use; a factor of
+    the distance alone is evaluated on the distinct distances and gathered
+    per pair."""
 
     def __init__(self, scales, space, xs, ys):
         self.scales = scales
@@ -72,13 +74,17 @@ class _EnvelopeGrid:
         """V(x, d(x,y)) per pair."""
         return self.space.volumes(self.xs[:, None], self.d)
 
+    def denom(self, f):
+        """V(x, d) f(d) per pair, with f(0) read as 1."""
+        uq, inv, pos = self._unique
+        f_u = np.ones_like(uq)
+        f_u[pos] = f(uq[pos])
+        return self.Vd * f_u[inv]
+
     @cached_property
     def jump_denom(self):
-        """V(x, d) phi_j(d) per pair, with phi_j(0) read as 1."""
-        uq, inv, pos = self._unique
-        phij_u = np.ones_like(uq)
-        phij_u[pos] = self.scales.phi_j(uq[pos])
-        return self.Vd * phij_u[inv]
+        """V(x, d) phi_j(d) per pair."""
+        return self.denom(self.scales.phi_j)
 
     def m_unique(self, td):
         """m(td, u) at the distinct distances u of ``_unique``, 0 at u = 0."""
@@ -87,44 +93,48 @@ class _EnvelopeGrid:
         m_u[pos] = uq[pos] / self.scales.bar_phi_c.inverse(td / uq[pos])
         return m_u
 
-    def m(self, td):
-        """m(td, d(x, y)) on the grid, 0 on the diagonal."""
-        return self.m_unique(td)[self._unique[1]]
+    def local_profile(self, td):
+        """(Vc, pc) at the dilated time td: V(x, phi_c^{-1}(td)) per x and
+        exp(-m(td, d)) / Vc per pair, the exponential taken on the distinct
+        distances."""
+        Vc = self.space.volumes(self.xs, self.scales.phi_c.inverse(td))
+        with np.errstate(over="ignore"):
+            e_u = np.exp(-np.minimum(self.m_unique(td), 700.0))
+        return Vc, e_u[self._unique[1]] / Vc[:, None]
+
+    def jump_profile(self, t):
+        """(Vj, pj) at time t: V(x, phi_j^{-1}(t)) per x and
+        1/Vj ^ t/(V(x, d) phi_j(d)) per pair; no dilation enters it."""
+        Vj = self.space.volumes(self.xs, self.scales.phi_j.inverse(t))
+        denom = self.jump_denom
+        far = np.empty_like(denom)
+        np.divide(t, denom, out=far, where=denom > 0.0)
+        far[denom <= 0.0] = np.inf
+        return Vj, np.minimum(1.0 / Vj[:, None], far)
 
 
 def _envelope_arrays(grid, t, dilation=1.0):
-    """Vectorised envelope pieces on the grid's xs x ys pairs at one time.
+    """Every envelope piece on the grid's xs x ys pairs at one time.
 
-    Returns dict with Vc, Vj, Vphi (per x), pc, pj (len(xs) x len(ys)),
-    exploiting the discreteness of the metric through a unique-distance
-    lookup for m(t, d) and phi_j(d).  Per check (held by ``grid``): d and
-    V(x, d) phi_j(d); per time and dilation: m, the V(x, r) lookups, pc and
-    pj."""
-    scales, V = grid.scales, grid.space.volumes
-    td = t * dilation
-    m_grid = grid.m(td)
-    Vc = V(grid.xs, scales.phi_c.inverse(td))
-    Vj = V(grid.xs, scales.phi_j.inverse(t))
-    Vphi = V(grid.xs, scales.phi.inverse(t))
-
-    with np.errstate(over="ignore"):
-        pc = np.exp(-np.minimum(m_grid, 700.0)) / Vc[:, None]
-    denom = grid.jump_denom
-    far = np.empty_like(denom)
-    np.divide(t, denom, out=far, where=denom > 0.0)
-    far[denom <= 0.0] = np.inf
-    pj = np.minimum(1.0 / Vj[:, None], far)
+    Returns dict with Vc, Vj, Vphi (per x), pc, pj (len(xs) x len(ys)).  The
+    sweeps take the pieces they need from the grid instead: per check (held
+    by ``grid``) d and V(x, d) phi_j(d); per time Vj, pj and Vphi; per time
+    and dilation Vc, pc and the sandwich; per distinct distance m(t, d),
+    exp(-m), phi_j(d) and phi(d)."""
+    Vc, pc = grid.local_profile(t * dilation)
+    Vj, pj = grid.jump_profile(t)
+    Vphi = grid.space.volumes(grid.xs, grid.scales.phi.inverse(t))
     return {"Vc": Vc, "Vj": Vj, "Vphi": Vphi, "pc": pc, "pj": pj}
 
 
-def _sandwich(env, with_jump):
+def _sandwich(Vc, pc, jump=None):
     """The profile a sandwich constant multiplies: the local profile plus
-    the jump profile, capped by the on-diagonal values, or the local
-    profile alone when ``with_jump`` is false."""
-    if not with_jump:
-        return np.minimum((1.0 / env["Vc"])[:, None], env["pc"])
-    return np.minimum(np.minimum(1.0 / env["Vc"], 1.0 / env["Vj"])[:, None],
-                      env["pc"] + env["pj"])
+    the jump profile ``jump`` = (Vj, pj), capped by the on-diagonal values,
+    or the local profile alone when ``jump`` is None."""
+    if jump is None:
+        return np.minimum((1.0 / Vc)[:, None], pc)
+    Vj, pj = jump
+    return np.minimum(np.minimum(1.0 / Vc, 1.0 / Vj)[:, None], pc + pj)
 
 
 def envelope_ratio_rows(times, xs, up, low):
@@ -208,7 +218,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     thin = slice(None, None, max(1, int(math.sqrt(total / RATIO_ROWS))))
     c1 = c2 = c3 = c4 = c0 = math.nan
     excluded = 0
-    with_jump = mode in ("HK", "HK_minus", "UHK", "UHK_weak")
+    with_jump = mode in ("HK", "HK_minus", "UHK")
     uppers = upper_dilations if mode in ("HK", "UHK", "HK_local") else ()
     lowers = lower_dilations if mode in ("HK", "HK_local") else ()
     grid = _EnvelopeGrid(scales, space, xs, xs)
@@ -223,11 +233,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                 "ratio": float(ratio[a, b])}
 
     if mode == "UHK_weak":
-        d = grid.d
-        phi_d = np.ones_like(d)
-        pos = d > 0.0
-        phi_d[pos] = scales.phi(d[pos])
-        weak_denom = grid.Vd * phi_d
+        weak_denom = grid.denom(scales.phi)
 
     # One sweep over the times; each dilation keeps its own running
     # [extreme ratio, excluded triples, witness, thinned ratios], filled in
@@ -236,6 +242,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     # and nan in the thinned ratios.
     up_acc = [[0.0, 0, None, []] for _ in uppers]
     lo_acc = [[math.inf, 0, None, []] for _ in lowers]
+    # each distinct dilation's sandwich serves its upper and lower fits
+    sweeps = {}
+    for acc, dil, upper in [*zip(up_acc, uppers, repeat(True)),
+                            *zip(lo_acc, lowers, repeat(False))]:
+        sweeps.setdefault(dil, []).append((acc, upper))
     weak_worst = 0.0
     minus = [math.inf, 0, None]
     for i in keep:
@@ -243,32 +254,33 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         K = table.kernels[i][np.ix_(xs, xs)]
         fl = FLOOR_REL * float(table.kernels[i].max())
         K_ok = K > fl
-        # upper dilations, then lower ones; a lower profile under the
-        # floor also excludes the triple
-        for acc, dil, upper in [*zip(up_acc, uppers, repeat(True)),
-                                *zip(lo_acc, lowers, repeat(False))]:
-            P = _sandwich(_envelope_arrays(grid, t, dilation=dil), with_jump)
+        under = int((~K_ok).sum())   # the upper fits exclude these alone
+        jump = grid.jump_profile(t) if with_jump else None
+        # a lower profile under the floor also excludes the triple
+        for dil, fits in sweeps.items():
+            P = _sandwich(*grid.local_profile(t * dil), jump)
             ratio = K / P
-            ok = K_ok if upper else (P > fl) & K_ok
-            acc[1] += int((~ok).sum())
-            acc[3].append(np.where(ok[thin, thin], ratio[thin, thin],
-                                   math.nan))
-            if ok.any():
-                cand = _extreme(ratio, ok, t, pick_max=upper)
-                if (cand["ratio"] > acc[0] if upper
-                        else cand["ratio"] < acc[0]):
-                    acc[0], acc[2] = cand["ratio"], cand
+            for acc, upper in fits:
+                ok = K_ok if upper else (P > fl) & K_ok
+                acc[1] += under if upper else int((~ok).sum())
+                acc[3].append(np.where(ok[thin, thin], ratio[thin, thin],
+                                       math.nan))
+                if ok.any():
+                    cand = _extreme(ratio, ok, t, pick_max=upper)
+                    if (cand["ratio"] > acc[0] if upper
+                            else cand["ratio"] < acc[0]):
+                        acc[0], acc[2] = cand["ratio"], cand
         if mode == "UHK_weak":
             Vphi = space.volumes(xs, scales.phi.inverse(t))
-            far = np.full_like(d, np.inf)
+            far = np.full_like(weak_denom, np.inf)
             np.divide(t, weak_denom, out=far, where=weak_denom > 0.0)
             U = np.minimum((1.0 / Vphi)[:, None], far)
             if K_ok.any():
                 weak_worst = max(weak_worst, float((K[K_ok] / U[K_ok]).max()))
         elif mode == "HK_minus":
-            env = _envelope_arrays(grid, t)
+            Vphi = space.volumes(xs, scales.phi.inverse(t))
             near = grid.d <= indicator * scales.phi.inverse(t)
-            L = np.where(near, (1.0 / env["Vphi"])[:, None], env["pj"])
+            L = np.where(near, (1.0 / Vphi)[:, None], jump[1])
             ok = (L > fl) & K_ok
             minus[1] += int((~ok).sum())
             if ok.any():

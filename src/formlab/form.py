@@ -607,15 +607,19 @@ def subordinate_intensity_quadrature(form: DirichletForm, gamma: float,
 
     Independent of the Bernstein identity: the integrand uses only the base
     heat kernel, and the integral is done numerically (u = v^2 substitution
-    below u = 1 to tame the endpoint)."""
+    below u = 1 to tame the endpoint).  The pairs share their nodes u, so
+    e^{-lam u} is computed once per distinct node."""
     lam, B = form.spectral()
     cnu = gamma / gamma_fn(1.0 - gamma)
     out = np.empty(len(pairs))
+    decay = {}
     for k, (x, y) in enumerate(pairs):
         cxy = B[x] * B[y]
 
         def q_of(u):
-            return float(cxy @ np.exp(-lam * u))
+            if u not in decay:
+                decay[u] = np.exp(-lam * u)
+            return float(cxy @ decay[u])
 
         def g_small(v):
             u = v * v

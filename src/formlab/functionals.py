@@ -232,18 +232,17 @@ def check_pi(form: DirichletForm, scales, radii,
                 worst = {"C": c, "x0": x0, "r": r, "kappa": kappa}
     if not rows or {r["kappa"] for r in rows} != set(kappas):
         return _no_ball("PI(phi)", radii, kappas=list(kappas))
+    ranges = {"radii": list(map(float, radii)), "kappas": list(kappas)}
     if infinite is not None:
         return ConditionReport("PI(phi)", "failed", constants={"C": math.inf},
-                               witness=infinite, rows=rows)
+                               witness=infinite, ranges=ranges, rows=rows)
     return ConditionReport(
         "PI(phi)", "certified",
         constants={"C": worst["C"],
                    **{f"C(kappa={k})": max((r["C"] for r in rows
                                             if r["kappa"] == k), default=0.0)
                       for k in kappas}},
-        witness=worst,
-        ranges={"radii": list(map(float, radii)), "kappas": list(kappas)},
-        rows=rows,
+        witness=worst, ranges=ranges, rows=rows,
     )
 
 

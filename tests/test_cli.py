@@ -571,6 +571,26 @@ class TestMain:
         assert main(["validate"]) == 3
         assert "--config is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--config", "z1_mini", "--mode", "bogus", "suite"],
+        ["--config", "z1_mini", "--no-such-flag", "suite"],
+        ["--config", "z1_mini"],
+        ["--config", "z1_mini", "--threads", "-3", "suite"],
+        ["--config", "z1_mini", "--threads", "0", "suite"],
+        ["--config", "z1_mini", "--grid-thin", "0", "suite"],
+        ["--config", "z1_mini", "--threads", "two", "suite"],
+    ])
+    def test_usage_error_exit_code(self, argv, capsys):
+        # exit 2 means unexpected verdicts; a usage error runs no check
+        assert main(argv) == 3
+        assert "usage: formlab" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: formlab" in capsys.readouterr().out
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(mini_cfg(checks=["volume"])))

@@ -118,6 +118,8 @@ class TestPoincare:
                                "reason": "disconnected dilated ball"}
         assert [(r["kappa"], math.isfinite(r["C"])) for r in rep.rows] == [
             (1.0, True), (6.0, False)]
+        # the swept radii and kappas are reported, as on a certified run
+        assert rep.ranges == {"radii": [2.0], "kappas": [1.0, 6.0]}
 
     def test_shrinking_dilation_rejected(self):
         # the energy ball must contain the mass ball

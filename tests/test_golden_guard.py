@@ -6,7 +6,8 @@ the digests were recorded with: ``z1_mini``, ``phi_counterexample``,
 ``gasket_walk``, ``z1_alpha1`` and ``gasket_subordination`` as shipped
 (between them every check but ``pc_equivalence``, on lattices and the
 gasket), the benchmark's ``z1_all_512`` config restricted to
-``pc_equivalence``, and ``z2_alpha1`` restricted to ``chain`` (its n = 1024
+``pc_equivalence`` and the envelope and quadrature sweeps (``hk``,
+``hk_minus``, ``uhk_weak``, ``dominance`` and ``subordination``), and ``z2_alpha1`` restricted to ``chain`` (its n = 1024
 lattice holds most of the chain sweep's time).  The test skips when numpy,
 scipy or the OpenBLAS build differ from the recorded environment, whose
 bits may differ.
@@ -39,7 +40,9 @@ from worker import environment
 from workloads import z1_all
 
 sources = {name: name for name in sys.argv[1:]}
-sources["z1_all_512"] = {**z1_all(512), "checks": ["pc_equivalence"]}
+sources["z1_all_512"] = {**z1_all(512), "checks": [
+    "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
+    "subordination"]}
 sources["z2_alpha1"] = {**cli.load_config("z2_alpha1").raw,
                         "checks": ["chain"]}
 digests = {}
@@ -74,5 +77,7 @@ def test_fast_configs_reproduce_golden_digests():
         want = golden["reports"][key]["checks"]
         moved = sorted(name for name, d in checks.items() if d != want[name])
         assert not moved, f"{key}: digests moved for {moved}"
-    assert set(got["digests"]["z1_all_512"]) == {"pc_equivalence"}
+    assert set(got["digests"]["z1_all_512"]) == {
+        "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
+        "subordination"}
     assert set(got["digests"]["z2_alpha1"]) == {"chain"}

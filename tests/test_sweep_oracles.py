@@ -1,16 +1,17 @@
 """The hoisted envelope, tail, chain and J-psi sweeps against in-test copies
 of the loop formulas they replaced, which recompute every geometric piece
-per time, per dilation and per entry, and the block-streamed NDL, Meyer and
-regularity sweeps against copies of the loops that sliced whole kernel
-tables.  The
-Meyer bisection on row maxima, the generalized-capacity sweep with one
-capacity solve per family and the batched chain-lower bases are held to the
-same copies of the whole-matrix, per-kappa and per-triple loops, and the
-meet-in-the-middle chain programme to the forward one it replaced.
-Outputs must be equal, not close: the rewrites move computations, they do
-not change them.  The one exception is FULL-mode caloric stepping, which
-now steps in eigen-coordinates instead of projecting there and back on
-every step: it is held to its old loop within 1e-11 relative."""
+per time, per dilation and per entry, the subordination quadrature with
+nodes shared across pairs against the per-pair one, and the block-streamed
+NDL, Meyer and regularity sweeps against copies of the loops that sliced
+whole kernel tables.  The Meyer bisection on row maxima, the
+generalized-capacity sweep with one capacity solve per family and the
+batched chain-lower bases are held to the same copies of the whole-matrix,
+per-kappa and per-triple loops, and the meet-in-the-middle chain programme
+to the forward one it replaced.  Outputs must be equal, not close: the
+rewrites move computations, they do not change them.  The one exception is
+FULL-mode caloric stepping, which now steps in eigen-coordinates instead of
+projecting there and back on every step: it is held to its old loop within
+1e-11 relative."""
 
 import bisect
 import json
@@ -20,7 +21,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import eigh
+from scipy.special import gamma as gamma_fn
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +36,8 @@ from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
                                diag_checks, fit_hk, tail_probability_check,
                                usable_times)
 from formlab.form import (JumpKernel, assemble, heat_kernel, kernel_blocks,
-                          meyer_check, truncate)
+                          meyer_check, subordinate_intensity_quadrature,
+                          truncate)
 from formlab.functionals import (ConditionReport, capacity, check_gcap,
                                  fit_jpsi, generalized_capacity)
 from formlab.harnack import (FLOOR, CylinderSpec, _flow_times, _theta_fit,
@@ -892,13 +896,95 @@ def test_envelope_grid_distance_index_equals_unique_inverse(name):
     assert np.array_equal(uq, want_uq) and np.array_equal(pos, want_uq > 0.0)
     assert np.array_equal(inv.ravel(), want_inv.ravel())
     assert np.array_equal(uq[inv], grid.d)
-    # m on the grid is m at the distinct distances, gathered per pair
+    # m at the distinct distances, gathered per pair, is m on the grid
     grid, t = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs), ctx.times[2]
     want_uq, want_inv = np.unique(grid.d, return_inverse=True)
     pos = want_uq > 0.0
     m_u = np.zeros_like(want_uq)
     m_u[pos] = want_uq[pos] / ctx.scales.bar_phi_c.inverse(t / want_uq[pos])
-    assert np.array_equal(grid.m(t), m_u[want_inv].reshape(grid.d.shape))
+    assert np.array_equal(grid.m_unique(t), m_u)
+    assert np.array_equal(grid.m_unique(t)[grid._unique[1]],
+                          m_u[want_inv].reshape(grid.d.shape))
+
+
+@pytest.mark.parametrize("mode", ["HK", "UHK", "HK_minus"])
+def test_fit_hk_builds_the_jump_profile_once_per_time(ctx, mode,
+                                                      monkeypatch):
+    # the jump profile does not depend on the dilation: one
+    # V(x, phi_j^{-1}(t)) per usable time, not one per time and dilation
+    phi_j = ctx.scales.phi_j
+    assert phi_j is not ctx.scales.phi_c and phi_j is not ctx.scales.phi
+    calls = []
+    inverse = ScaleFunction.inverse
+
+    def counted(self, v):
+        if self is phi_j:
+            calls.append(float(v))
+        return inverse(self, v)
+
+    monkeypatch.setattr(ScaleFunction, "inverse", counted)
+    rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode)
+    assert len(rep.ranges["times_used"]) > 1
+    assert calls == rep.ranges["times_used"]
+
+
+def old_subordinate_intensity_quadrature(form, gamma, pairs):
+    """The per-pair quadrature: e^{-lam u} afresh at every integrand call."""
+    lam, B = form.spectral()
+    cnu = gamma / gamma_fn(1.0 - gamma)
+    out = np.empty(len(pairs))
+    for k, (x, y) in enumerate(pairs):
+        cxy = B[x] * B[y]
+
+        def q_of(u):
+            return float(cxy @ np.exp(-lam * u))
+
+        def g_small(v):
+            u = v * v
+            return q_of(u) * cnu * u ** (-1.0 - gamma) * 2.0 * v
+
+        def g_large(u):
+            return q_of(u) * cnu * u ** (-1.0 - gamma)
+
+        i1, _ = quad(g_small, 0.0, 1.0, limit=200)
+        i2, _ = quad(g_large, 1.0, np.inf, limit=200)
+        out[k] = i1 + i2
+    return out
+
+
+def subordination_pairs(ctx, n_pairs=40):
+    """The pairs the ``subordination`` check draws."""
+    rng = np.random.RandomState(ctx.cfg.seed)
+    interior = ctx.space.interior()
+    return [tuple(map(int, rng.choice(interior, 2, replace=False)))
+            for _ in range(n_pairs)]
+
+
+@pytest.mark.parametrize("name", ["gasket_subordination", "z1_mini"])
+def test_quadrature_with_shared_nodes_equals_per_pair_quadrature(name):
+    ctx = SuiteContext(load_config(name))
+    pairs = subordination_pairs(ctx)
+    got = subordinate_intensity_quadrature(ctx.form, 0.5, pairs)
+    want = old_subordinate_intensity_quadrature(ctx.form, 0.5, pairs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_quadrature_exponentiates_each_node_once(monkeypatch):
+    # the pairs share their quadrature nodes u: e^{-lam u} once per node
+    ctx = SuiteContext(load_config("z1_mini"))
+    lam, _ = ctx.form.spectral()
+    nodes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x) == lam.shape:
+            nodes.append(np.asarray(x).tobytes())
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    subordinate_intensity_quadrature(ctx.form, 0.5, subordination_pairs(ctx))
+    calls, distinct = len(nodes), len(set(nodes))
+    assert calls == distinct > 0
 
 
 def test_fit_hk_sweeps_each_row_once(monkeypatch):
