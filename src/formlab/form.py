@@ -28,7 +28,8 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma as gamma_fn
 
-from .space import _ROWS, MetricMeasureSpace, bind, parameters
+from .space import (_ROWS, _TILE, MetricMeasureSpace, _row_asymmetry,
+                    bind, parameters)
 
 __all__ = [
     "FormError",
@@ -56,19 +57,6 @@ class FormError(ValueError):
     """Invalid form construction or query."""
 
 
-_TILE = 128   # side of the tiles that mirror an n x n matrix in place
-
-
-def _row_asymmetry(M):
-    """Row maxima of |M - M^T|, one block of rows at a time, without an
-    n x n temporary."""
-    out = np.empty(len(M))
-    for i in range(0, len(M), _ROWS):
-        d = M[i:i + _ROWS] - M[:, i:i + _ROWS].T
-        np.abs(d, out=d).max(axis=1, out=out[i:i + _ROWS])
-    return out
-
-
 def _abs_max(M):
     """max |M| without the n x n temporary of ``np.abs(M).max()``."""
     return max(float(M.max()), -float(M.min()))
@@ -93,7 +81,10 @@ def _mirror_upper(M):
 
 @dataclass
 class JumpKernel:
-    """Symmetric jump intensity J(x, y) >= 0 with zero diagonal."""
+    """Symmetric jump intensity J(x, y) >= 0 with zero diagonal: its own
+    copy of ``matrix``, symmetrised unless it already is exactly symmetric.
+    Raises FormError, naming the first worst pair, on an asymmetry above
+    1e-12 of max |J|, and on a negative entry."""
 
     matrix: np.ndarray
 
@@ -110,38 +101,28 @@ class JumpKernel:
             )
         if any((J[i:i + _ROWS] < 0.0).any() for i in range(0, len(J), _ROWS)):
             raise FormError("jump intensities must be nonnegative")
-        J = _symmetrise(J.copy())
+        # symmetrising an exactly symmetric J would write each entry back
+        J = J.copy()
+        if asym.max() != 0.0:
+            _symmetrise(J)
         np.fill_diagonal(J, 0.0)
         self.matrix = J
 
     @classmethod
     def stable_like(cls, space: MetricMeasureSpace, psi, coeff: float = 1.0,
                     cmin: float = 1.0, cmax: float = 1.0, seed: int = 0x5EED):
-        """J(x,y) = c(x,y) / (sqrt(V(x,d) V(y,d)) psi(d)).
+        """J(x,y) = c(x,y) / (sqrt(V(x,d) V(y,d)) psi(d)) with d = d(x, y)
+        and closed-ball volumes V(x, d) = V(x, d + 1e-9).
 
         The geometric mean keeps J exactly symmetric; c(x,y) is a seeded
-        symmetric field in [cmin, cmax] (constant when cmin == cmax)."""
-        n = space.n
-        d = space.metric
-        # closed-ball volume at d(x, y)
-        V = space.volumes(np.arange(n)[:, None], d + 1e-9)
-        c_field = None
-        if cmin != cmax:
-            rng = np.random.RandomState(seed)
-            c_field = _mirror_upper(rng.uniform(cmin, cmax, size=(n, n)))
-        # one block of rows at a time over the off-diagonal pairs
-        J = np.zeros((n, n))
-        for i in range(0, n, _ROWS):
-            rows = slice(i, i + _ROWS)
-            b = min(_ROWS, n - i)
-            off = np.ones((b, n), dtype=bool)
-            off[np.arange(b), np.arange(i, i + b)] = False
-            Vo = V[rows][off]
-            psid = psi(d[rows][off])
-            c = cmin if c_field is None else c_field[rows][off]
-            J[rows][off] = coeff * c / (np.sqrt(Vo * V[:, rows].T[off]) * psid)
-        del V, c_field   # before the kernel makes its own copy of J
-        return cls(J)
+        symmetric field in [cmin, cmax] (constant when cmin == cmax).  J
+        depends on a pair only through d and the volumes, so psi and the
+        radius d + 1e-9 are taken once per distinct distance u[k] of the
+        space's ball table (u, C), and each block of rows reads V(x, d) at
+        C[x, shift[k]]; the metric's exact symmetry makes C[y, shift[k]]
+        the volume V(y, d(y, x))."""
+        return cls(_stable_like_matrix(space, psi, coeff, cmin, cmax,
+                                       seed))
 
     @classmethod
     def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: float = 1.0):
@@ -165,6 +146,43 @@ class JumpKernel:
         J[small] = coeff * d[small] ** (-(1.0 + alpha))
         J[large] = coeff * regime_break ** (beta - alpha) * d[large] ** (-(1.0 + beta))
         return cls(J)
+
+
+def _stable_like_matrix(space, psi, coeff, cmin, cmax, seed):
+    """The matrix of ``JumpKernel.stable_like``, whose every temporary is
+    gone before the kernel copies it."""
+    n = space.n
+    d = space.metric
+    u, C = space.ball_table()
+    shift = np.searchsorted(u, u + 1e-9)
+    # u[0] = 0 is the diagonal's distance, whose J is zeroed
+    psi_u = np.concatenate(([1.0], psi(u[1:])))
+    c_field = None
+    if cmin != cmax:
+        rng = np.random.RandomState(seed)
+        c_field = _mirror_upper(rng.uniform(cmin, cmax, size=(n, n)))
+    # where row y of C starts in its flat view; the indices below are
+    # in range, so "clip" mode takes into ``out`` without a copy
+    width = C.shape[1]
+    at_y = np.arange(0, n * width, width)
+    flat = C.ravel()
+    J = np.empty((n, n))
+    Vy_buf, den_buf = np.empty((2, _ROWS, n))
+    at_buf = np.empty((_ROWS, n), dtype=np.intp)
+    for i in range(0, n, _ROWS):
+        rows = slice(i, i + _ROWS)
+        k = np.searchsorted(u, d[rows])
+        s = shift.take(k)
+        Vy, den, at = Vy_buf[:len(k)], den_buf[:len(k)], at_buf[:len(k)]
+        flat.take(np.add(s, at_y, out=at), out=Vy, mode="clip")
+        flat.take(np.add(s, at_y[rows, None], out=at), out=den, mode="clip")
+        den *= Vy
+        np.sqrt(den, out=den)
+        den *= psi_u.take(k, out=Vy, mode="clip")
+        c = cmin if c_field is None else c_field[rows]
+        np.divide(coeff * c, den, out=J[rows])
+    np.fill_diagonal(J, 0.0)
+    return J
 
 
 # jump kinds: none or a ``JumpKernel`` builder, looked up when called; a

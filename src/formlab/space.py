@@ -39,6 +39,7 @@ MAX_POINTS = 4096
 # the cap on grids.n_times: the kernel table holds n_times n x n kernels
 MAX_TIMES = 64
 _ROWS = 32   # rows per block of the n x n sweeps here and in ``form``
+_TILE = 128  # side of the tiles that compare or mirror an n x n matrix
 
 
 class SpaceError(ValueError):
@@ -51,6 +52,61 @@ def _check_size(n):
             f"capacity exceeded: {n} points > {MAX_POINTS} supported by "
             "the dense metric representation"
         )
+
+
+def _row_asymmetry(M):
+    """Row maxima of |M - M^T| (NaN where a row meets one), reading each
+    pair once: an upper-triangle tile, compared with its mirror, gives its
+    rows their maxima and its columns theirs, as |a - b| = |b - a|.  A tile
+    holds no more entries than a block of ``_ROWS`` rows, and every tile
+    reuses one buffer."""
+    n = len(M)
+    side = max(1, min(_TILE, math.isqrt(_ROWS * n)))
+    out = np.zeros(n)
+    buf = np.empty(min(side, n) ** 2)
+    for i in range(0, n, side):
+        rows = slice(i, i + side)
+        for j in range(i, n, side):
+            cols = slice(j, j + side)
+            a = M[rows, cols]
+            d = np.subtract(a, M[cols, rows].T,
+                            out=buf[:a.size].reshape(a.shape))
+            np.abs(d, out=d)
+            np.maximum(out[rows], d.max(axis=1), out=out[rows])
+            if j > i:
+                np.maximum(out[cols], d.max(axis=0), out=out[cols])
+    return out
+
+
+def _check_metric(metric):
+    """Raise SpaceError, naming a pair, unless ``metric`` is 0 on the
+    diagonal, > 0 off it (+inf allowed) and exactly symmetric."""
+    n = len(metric)
+    zero = np.diagonal(metric) == 0.0
+    if not zero.all():
+        i = int(np.argmin(zero))
+        raise SpaceError(f"metric is not 0 on the diagonal: d({i}, {i}) = "
+                         f"{float(metric[i, i])!r}")
+    for i in range(0, n, _ROWS):
+        pos = metric[i:i + _ROWS] > 0.0
+        # the diagonal is 0, so a row holds n - 1 positive entries at most
+        if np.count_nonzero(pos) < len(pos) * (n - 1):
+            pos[np.arange(len(pos)), np.arange(i, i + len(pos))] = True
+            x, y = (int(v) for v in np.argwhere(~pos)[0])
+            x += i
+            raise SpaceError(f"metric is not positive off the diagonal: "
+                             f"d({x}, {y}) = {float(metric[x, y])!r}")
+    # a row meeting two infinite distances reads NaN (inf - inf), so only
+    # the rows that read 0 are known to be symmetric
+    with np.errstate(invalid="ignore"):
+        asym = _row_asymmetry(metric)
+    for x in np.flatnonzero(asym != 0.0):
+        differ = np.flatnonzero(metric[x] != metric[:, x])
+        if differ.size:
+            x, y = int(x), int(differ[0])
+            raise SpaceError(f"metric is not symmetric: d({x}, {y}) = "
+                             f"{float(metric[x, y])!r}, d({y}, {x}) = "
+                             f"{float(metric[y, x])!r}")
 
 
 # -- config binding ----------------------------------------------------------
@@ -108,8 +164,10 @@ def bind(named: dict, params, what: str, error=ValueError, show=repr,
 
 
 class MetricMeasureSpace:
-    """Finite point set with a symmetric metric, positive measure, nearest
-    neighbour edges, and a designated truncation boundary."""
+    """Finite point set with a metric, positive measure, nearest neighbour
+    edges, and a designated truncation boundary.  The metric must be 0 on
+    the diagonal, positive off it (+inf between disconnected points) and
+    exactly symmetric; the triangle inequality is not checked."""
 
     def __init__(self, metric, mu, edges=None, coords=None, boundary=None,
                  interior_margin=0.0):
@@ -118,6 +176,7 @@ class MetricMeasureSpace:
             raise SpaceError("metric must be a square matrix")
         n = metric.shape[0]
         _check_size(n)
+        _check_metric(metric)
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (n,) or np.any(mu <= 0.0):
             raise SpaceError("mu must be positive with one entry per point")
@@ -148,18 +207,22 @@ class MetricMeasureSpace:
 
     def volumes(self, x, radii) -> np.ndarray:
         """V(x, r) for centres ``x`` broadcast against ``radii``, by one
-        gather from the space's ball-volume table (``_ball_table``, built on
-        the first call; safe from several threads): ``volumes(xs[:, None],
-        d)`` reads row i of ``d`` at centre xs[i].  Raises SpaceError on a
-        NaN radius."""
+        gather from the space's ball-volume table (``ball_table``):
+        ``volumes(xs[:, None], d)`` reads row i of ``d`` at centre xs[i].
+        Raises SpaceError on a NaN radius."""
         r = np.asarray(radii, dtype=float)
         if np.isnan(r).any():
             raise SpaceError("volume radius is NaN")
+        u, C = self.ball_table()
+        return C[x, np.searchsorted(u, r, side="left")]
+
+    def ball_table(self):
+        """The space's ball-volume table (u, C) of ``_ball_table``, built on
+        the first call; safe from several threads."""
         with self._balls_lock:
             if self._balls is None:
                 self._balls = _ball_table(self.metric, self.mu)
-        u, C = self._balls
-        return C[x, np.searchsorted(u, r, side="left")]
+        return self._balls
 
     def interior(self, margin=None) -> np.ndarray:
         """Centers whose ball of radius ``margin`` (default
@@ -192,9 +255,12 @@ class MetricMeasureSpace:
 def _ball_table(metric, mu):
     """(u, C): the sorted distinct distances u (K of them) and the n x
     (K + 1) cumulative ball masses C[x, j] = mu{y : d(x, y) < u[j]}, with
-    C[x, K] = mu(X), so that V(x, r) = C[x, searchsorted(u, r)].  Built in
-    blocks of rows; raises SpaceError when C would hold more entries than on
-    a 1-d lattice at ``MAX_POINTS``."""
+    C[x, K] = mu(X), so that V(x, r) = C[x, searchsorted(u, r)].  As u
+    holds every distance (u[0] = 0, the diagonal's), a factor of the
+    distance alone needs evaluating on u only, and a radius d(x, y) + h
+    only once per entry of u (``JumpKernel.stable_like``).  Built in blocks
+    of rows; raises SpaceError when C would hold more entries than on a 1-d
+    lattice at ``MAX_POINTS``."""
     n = len(metric)
     u = functools.reduce(np.union1d, (metric[i:i + _ROWS]
                                       for i in range(0, n, _ROWS)), ())
@@ -217,23 +283,45 @@ def _ball_table(metric, mu):
 # -- builders --------------------------------------------------------------
 
 
-def _lattice_box(dim: int, side: int, metric: str = "l1",
-                 margin: float | None = None):
+def _lattice(dim: int, side: int, metric: str):
+    """(metric, coords, edges) of the lattice box {0, ..., side - 1}^dim
+    with its l1 or l2 metric.  Point i has the coordinates of i in base
+    ``side``, so a pair of points (i, j) splits into 2 dim coordinates, axis
+    a's at positions a and dim + a; the per-axis terms |x_a - y_a| (squared
+    for l2) add into the metric one axis at a time, in axis order."""
     n = side ** dim
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
-    if metric == "l1":
-        dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
-        dist = dist.astype(float)
-    else:
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff.astype(float) ** 2).sum(axis=2))
+    x = np.arange(side, dtype=float)
+    dist = np.empty((n, n))
+    # one axis's |x_a - y_a|, which is the metric itself when dim is 1
+    step = dist if dim == 1 else np.empty((side, side))
+    np.abs(np.subtract.outer(x, x, out=step), out=step)
+    if dim > 1:
+        if metric == "l2":
+            step *= step
+        pairs = dist.reshape((side,) * (2 * dim))
+        for a in range(dim):
+            shape = [1] * (2 * dim)
+            shape[a] = shape[dim + a] = side
+            if a == 0:
+                pairs[...] = step.reshape(shape)
+            else:
+                pairs += step.reshape(shape)
+        if metric == "l2":
+            np.sqrt(dist, out=dist)
     # point i and its successor along an axis, in order of i, then axis
     i, ax = np.nonzero(coords < side - 1)
     edges = np.column_stack([i, i + side ** (dim - 1 - ax)])
+    return dist, coords, edges
+
+
+def _lattice_box(dim: int, side: int, metric: str = "l1",
+                 margin: float | None = None):
+    dist, coords, edges = _lattice(dim, side, metric)
     boundary = ((coords == 0) | (coords == side - 1)).any(axis=1)
     if margin is None:
         margin = side / 8.0
-    return MetricMeasureSpace(dist, np.ones(n), edges=edges,
+    return MetricMeasureSpace(dist, np.ones(len(dist)), edges=edges,
                               coords=coords, boundary=boundary,
                               interior_margin=margin)
 
@@ -242,16 +330,17 @@ def _halfspace_lattice(side: int, metric: str = "l1",
                        margin: float | None = None):
     """2-d box whose bottom edge y = 0 is a genuine reflecting boundary; only
     the three cut faces count as truncation."""
-    sp = _lattice_box(2, side, metric=metric, margin=margin)
-    coords = sp.coords
+    dist, coords, edges = _lattice(2, side, metric)
     boundary = (
         (coords[:, 0] == 0)
         | (coords[:, 0] == side - 1)
         | (coords[:, 1] == side - 1)
     )
-    return MetricMeasureSpace(sp.metric, sp.mu, edges=sp.edges, coords=coords,
-                              boundary=boundary,
-                              interior_margin=sp.interior_margin)
+    if margin is None:
+        margin = side / 8.0
+    return MetricMeasureSpace(dist, np.ones(len(dist)), edges=edges,
+                              coords=coords, boundary=boundary,
+                              interior_margin=margin)
 
 
 def _gasket(level: int, margin: float | None = None):

@@ -208,6 +208,73 @@ def old_cs_constants(form, scales, families, test_fns, rho_grid, C0=1.0):
     return out
 
 
+def per_rho_cs_terms(form, x0, R, r, C0, fns, Jm):
+    """``_cs_terms`` as it was: every truncation radius recomputes the
+    local terms and both jump products from a truncated copy of J."""
+    space = form.space
+    mu = space.mu
+    d0 = space.metric[x0]
+    B2 = space.ball(x0, R + r)
+    B3 = space.ball(x0, R + (1.0 + C0) * r)
+    ramp = np.clip((R + r - d0) / r, 0.0, 1.0)
+    ramp[d0 >= R + r] = 0.0
+    gamma_ramp = form.local_champ(ramp)[B3]
+    ramp2 = ramp[B2] ** 2
+    if Jm is not None:
+        dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
+        J3, mu3 = Jm[B3], np.outer(mu[B3], mu)
+        J23, mu23 = Jm[np.ix_(B2, B3)], np.outer(mu[B2], mu[B3])
+    out = []
+    for f in fns:
+        f = np.asarray(f, dtype=float)
+        fsq = f[B3] ** 2
+        lhs = float(np.sum(fsq * gamma_ramp))
+        rt1 = float(np.sum(ramp2 * form.local_champ(f)[B2]))
+        if Jm is not None:
+            lhs += float(np.sum(fsq[:, None] * dphi2 * J3 * mu3))
+            dfb = (f[B2][:, None] - f[B3][None, :]) ** 2
+            rt1 += float(np.sum(ramp2[:, None] * dfb * J23 * mu23))
+        out.append((lhs, rt1, float(np.sum(fsq * mu[B3]))))
+    return out
+
+
+def per_rho_check_cs(form, scales, families, test_fns, C0, rho_grid):
+    """(constants, rows, witness) of ``check_cs`` as it was, one pass of
+    ``per_rho_cs_terms`` per truncation radius."""
+    rows = []
+    fitted = {0.0: 0.0, 1.0: 0.0}
+    witness = {}
+    Jm = None if form.jump is None else form.jump.matrix
+    for x0, R, r in families:
+        phi_r = scales.phi(r)
+        terms = per_rho_cs_terms(form, x0, R, r, C0, test_fns, Jm)
+        for fi, (lhs, rt1, mass) in enumerate(terms):
+            if mass <= 0.0:
+                continue
+            for c1 in (0.0, 1.0):
+                c2 = max(0.0, (lhs - c1 * rt1) * phi_r / mass)
+                rows.append({"x0": x0, "R": R, "r": r, "fn": fi,
+                             "C1": c1, "C2": c2, "rho": None})
+                if c2 > fitted[c1]:
+                    fitted[c1] = c2
+                    if c1 == 1.0:
+                        witness = {"x0": x0, "R": R, "r": r, "fn": fi}
+    trunc = {}
+    for rho in rho_grid:
+        Jr = form.truncated_jump(rho)
+        worst = 0.0
+        for x0, R, r in families:
+            phi_rr = scales.phi(min(r, rho))
+            for lhs, rt1, mass in per_rho_cs_terms(form, x0, R, r, C0,
+                                                   test_fns, Jr):
+                if mass > 0.0:
+                    worst = max(worst, (lhs - rt1) * phi_rr / mass)
+        trunc[f"C2(rho={rho:g})"] = max(0.0, worst)
+    constants = {"C0": C0, "C1": 1.0, "C2": fitted[1.0],
+                 "C2(C1=0)": fitted[0.0], **trunc}
+    return constants, rows, witness
+
+
 def old_local_energy_within(form, f, idx):
     mask = np.zeros(form.n, dtype=bool)
     mask[idx] = True
@@ -268,6 +335,27 @@ def test_check_cs_constants(ctx):
     rep = check_cs(form, ctx.scales, fams, fns, rho_grid=rho_grid)
     assert rep.constants == old_cs_constants(form, ctx.scales, fams, fns,
                                              rho_grid)
+
+
+@pytest.mark.parametrize("name", ["z1_mini", "z1_alpha1"])
+def test_check_cs_shares_jump_products_across_radii(name):
+    # an unsorted grid with a repeated radius, with and without jumps; the
+    # products formed once and cut radius by radius give the same bits
+    ctx = SuiteContext(load_config(name))
+    fns = function_family(ctx.form, seed=ctx.cfg.seed)
+    fams = _gcap_families(ctx)
+    top = max(ctx.radii)
+    rho_grid = [top, 0.5 * top, 3.0, 2.0 * top, top, 1.0]
+    no_jump = assemble(ctx.space, ctx.cfg.local_weight, None)
+    for form in (ctx.form, no_jump):
+        rep = check_cs(form, ctx.scales, fams, fns, C0=1.5,
+                       rho_grid=rho_grid)
+        constants, rows, witness = per_rho_check_cs(
+            form, ctx.scales, fams, fns, 1.5, rho_grid)
+        assert list(rep.constants.items()) == list(constants.items())
+        assert rep.rows == rows
+        assert rep.witness == witness
+        assert rep.ranges == {"instances": len(rows)}
 
 
 def test_truncated_form_jump(ctx):

@@ -211,6 +211,37 @@ def test_setup_constructors_equal_whole_matrix_formulas(side, cmax):
     assert np.array_equal(got_B, Q / form._sqmu[:, None])
 
 
+@pytest.mark.parametrize("kind,params,cmax", [
+    ("lattice_box", {"dim": 2, "side": 13}, 2.5),
+    ("lattice_box", {"dim": 2, "side": 9, "metric": "l2"}, 0.5),
+    ("halfspace_lattice", {"side": 11}, 2.5),
+    ("gasket", {"level": 4}, 0.5),
+    ("gasket", {"level": 3}, 2.5)])
+def test_stable_like_equals_whole_matrix_formula(kind, params, cmax):
+    # many pairs at each distance, a two-piece psi, and the c field
+    sp = build_space(kind, **params)
+    psi = ScaleFunction([(0.0, 1.0, 1.5), (4.0, 4.0, 0.5)])
+    kern = JumpKernel.stable_like(sp, psi, coeff=1.3, cmin=0.5, cmax=cmax)
+    J = old_stable_like(sp, psi, 1.3, 0.5, cmax)
+    assert np.array_equal(kern.matrix, old_jump_matrix(J))
+
+
+def test_jump_kernel_symmetrises_only_an_asymmetric_input():
+    # an exactly symmetric J comes back as an equal copy; one within the
+    # tolerance is symmetrised
+    rng = np.random.RandomState(5)
+    J = rng.uniform(0.5, 1.0, size=(150, 150))
+    J = 0.5 * (J + J.T)
+    np.fill_diagonal(J, 0.0)
+    kern = JumpKernel(J)
+    assert np.array_equal(kern.matrix, J)
+    assert not np.shares_memory(kern.matrix, J)
+    J[3, 140] *= 1.0 + 1e-14
+    kern = JumpKernel(J)
+    assert np.array_equal(kern.matrix, old_jump_matrix(J))
+    assert kern.matrix[3, 140] == kern.matrix[140, 3] != J[3, 140]
+
+
 def test_asymmetric_jump_names_the_first_worst_pair():
     rng = np.random.RandomState(2)
     J = rng.uniform(0.5, 1.0, size=(70, 70))
@@ -332,12 +363,17 @@ def test_setup_constructors_hold_no_whole_matrix_temporaries():
     # traced peak above base in n^2 doubles at n = 256; the whole-matrix
     # formulas measure 8.1 (stable_like), 2.1 (jump kernel), 4.0 (form),
     # 3.2 (spectrum) and 5.0 (truncation), and a truncation that copies
-    # the cut matrix twice 2.8
+    # the cut matrix twice 2.8.  stable_like holds the ball table (1.0 on
+    # this 1-d lattice), its J and the kernel's copy: 3.04, and 4.15 with
+    # its n x n volume and psi(d) temporaries.  A 2-d lattice space holds
+    # its metric: 1.42, and 4.0 with the n x n x dim integer differences.
     n = 256
     sp = build_space("lattice_box", dim=1, side=n, margin=16)
     psi = ScaleFunction.single_power(1.0)
     unit = n * n * 8
-    assert traced_peak(lambda: JumpKernel.stable_like(sp, psi)) <= 4.5 * unit
+    assert traced_peak(lambda: build_space("lattice_box", dim=2,
+                                           side=16)) <= 1.75 * unit
+    assert traced_peak(lambda: JumpKernel.stable_like(sp, psi)) <= 3.25 * unit
     kern = JumpKernel.stable_like(sp, psi)
     J = kern.matrix.copy()
     assert traced_peak(lambda: JumpKernel(J)) <= 2.0 * unit

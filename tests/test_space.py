@@ -5,8 +5,26 @@ import pytest
 
 from formlab.form import assemble
 from formlab.space import (MAX_POINTS, MetricMeasureSpace, SpaceError,
-                           build_space, chain_check, space_size,
-                           volume_report)
+                           _lattice, _row_asymmetry, build_space, chain_check,
+                           space_size, volume_report)
+
+
+def old_lattice_metric(dim, side, metric):
+    """The whole-array lattice metric: n x n x dim integer differences."""
+    coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
+    diff = coords[:, None, :] - coords[None, :, :]
+    if metric == "l1":
+        return np.abs(diff).sum(axis=2).astype(float)
+    return np.sqrt((diff.astype(float) ** 2).sum(axis=2))
+
+
+def old_row_asymmetry(M):
+    """Row maxima of |M - M^T| over blocks of whole rows."""
+    out = np.empty(len(M))
+    for i in range(0, len(M), 32):
+        d = M[i:i + 32] - M[:, i:i + 32].T
+        np.abs(d, out=d).max(axis=1, out=out[i:i + 32])
+    return out
 
 
 class TestBuilders:
@@ -86,12 +104,36 @@ class TestBuilders:
         # the cap the form, its eigenbasis and validate_config share
         assert MAX_POINTS == 4096
         for n in (MAX_POINTS, MAX_POINTS + 1):
-            metric = np.zeros((n, n))
+            metric = np.ones((n, n))
+            np.fill_diagonal(metric, 0.0)
             if n > MAX_POINTS:
                 with pytest.raises(SpaceError, match="capacity"):
                     MetricMeasureSpace(metric, np.ones(n))
             else:
                 assert MetricMeasureSpace(metric, np.ones(n)).n == n
+
+    @pytest.mark.parametrize("dim,side", [(1, 1), (1, 300), (2, 1), (2, 7),
+                                          (2, 33), (3, 2), (3, 9)])
+    @pytest.mark.parametrize("metric", ["l1", "l2"])
+    def test_lattice_metric_equals_whole_array_formula(self, dim, side,
+                                                       metric):
+        dist = _lattice(dim, side, metric)[0]
+        assert np.array_equal(dist, old_lattice_metric(dim, side, metric))
+        assert not np.signbit(dist).any()
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_tiled_row_asymmetry_equals_row_blocks(self, n):
+        rng = np.random.RandomState(n)
+        M = rng.standard_normal((n, n))
+        assert np.array_equal(_row_asymmetry(M), old_row_asymmetry(M))
+        M = 0.5 * (M + M.T)
+        M[n // 2, n // 3] += 1.0
+        assert np.array_equal(_row_asymmetry(M), old_row_asymmetry(M))
+        M[n - 1, n // 4] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = _row_asymmetry(M)
+        assert np.array_equal(got, old_row_asymmetry(M), equal_nan=True)
+        assert np.isnan(got[n - 1]) and np.isnan(got[n // 4])
 
     def test_halfspace_boundary(self):
         sp = build_space("halfspace_lattice", side=16)
@@ -136,6 +178,52 @@ class TestBuilders:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == sp.n + 1
         assert lines[0] == "id,x0,x1,mu"
+
+
+class TestMetricRefusals:
+    """A space refuses a matrix that is not a metric on its face, naming
+    a pair; +inf (disconnected points) is allowed."""
+
+    def refuse(self, metric, match):
+        with pytest.raises(SpaceError, match=match):
+            MetricMeasureSpace(metric, np.ones(len(metric)))
+
+    def test_asymmetric(self):
+        self.refuse([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]],
+                    r"not symmetric: d\(0, 2\) = 2.0, d\(2, 0\) = 2.5")
+
+    def test_asymmetric_beside_infinite_pairs(self):
+        # rows meeting inf - inf read NaN in the tiled asymmetry
+        inf = np.inf
+        self.refuse([[0.0, inf, 1.0], [inf, 0.0, 2.0], [1.0, 3.0, 0.0]],
+                    r"not symmetric: d\(1, 2\) = 2.0, d\(2, 1\) = 3.0")
+        self.refuse([[0.0, inf, 1.0], [2.0, 0.0, inf], [1.0, inf, 0.0]],
+                    r"not symmetric: d\(0, 1\) = inf, d\(1, 0\) = 2.0")
+
+    def test_nonzero_diagonal(self):
+        self.refuse([[0.0, 1.0], [1.0, 0.5]],
+                    r"not 0 on the diagonal: d\(1, 1\) = 0.5")
+        self.refuse([[np.nan, 1.0], [1.0, 0.0]],
+                    r"not 0 on the diagonal: d\(0, 0\) = nan")
+
+    def test_zero_off_diagonal(self):
+        # two points at distance 0, where stable_like divides by zero
+        self.refuse([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                    r"not positive off the diagonal: d\(0, 1\) = 0.0")
+
+    def test_negative_off_diagonal(self):
+        self.refuse([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]],
+                    r"not positive off the diagonal: d\(0, 2\) = -1.0")
+
+    def test_nan_off_diagonal(self):
+        n = 40   # the bad pair sits in the second block of rows
+        metric = np.ones((n, n))
+        np.fill_diagonal(metric, 0.0)
+        metric[38, 35] = metric[35, 38] = np.nan
+        self.refuse(metric, r"not positive off the diagonal: "
+                            r"d\(35, 38\) = nan")
+        metric[38, 35] = metric[35, 38] = -np.inf
+        self.refuse(metric, r"d\(35, 38\) = -inf")
 
 
 class TestVolumeReport:
