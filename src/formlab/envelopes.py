@@ -48,38 +48,32 @@ RATIO_ROWS = 2000   # row budget of the thinned ratio table of HK and HK_local
 class _EnvelopeGrid:
     """The time-independent geometry of one xs x ys envelope sweep.
 
-    Built once per check call and dropped when it returns: the pair
-    distances ``d``, their unique values with the inverse map, V(x, d(x, y))
-    and V(x, d) phi_j(d).  Each piece is computed on first use; a factor of
-    the distance alone is evaluated on the distinct distances and gathered
-    per pair."""
+    Built once per check call and dropped when it returns: per pair the
+    rank k of its distance in the space's distinct distances u and the
+    distance d = u[k], V(x, d(x, y)) read from the ball table by rank, and
+    V(x, d) phi_j(d).  A factor of the distance alone is evaluated at the
+    positive distances the pairs meet and gathered per pair by rank."""
 
     def __init__(self, scales, space, xs, ys):
         self.scales = scales
         self.space = space
         self.xs = np.asarray(xs)
-        self.d = space.metric[np.ix_(xs, ys)]
+        self.k = space.R[np.ix_(xs, ys)]
+        self.d = space.u[self.k]
+        # the ranks of the positive distances some pair meets
+        self.met = np.bincount(self.k.ravel(), minlength=len(space.u)) > 0
+        self.met[0] = False
 
-    @cached_property
-    def _unique(self):
-        """(u, inv, u > 0): the distinct distances and, per pair, the index
-        of its distance in u; found by a search rather than by
-        ``np.unique``'s inverse, whose argsort holds several copies of
-        ``d`` at once."""
-        uq = np.unique(self.d)
-        return uq, np.searchsorted(uq, self.d), uq > 0.0
-
-    @cached_property
-    def Vd(self):
-        """V(x, d(x,y)) per pair."""
-        return self.space.volumes(self.xs[:, None], self.d)
+    def radial(self, f, elsewhere):
+        """f at the met distances of u, ``elsewhere`` at the others."""
+        f_u = np.full(len(self.met), elsewhere)
+        f_u[self.met] = f(self.space.u[self.met])
+        return f_u
 
     def denom(self, f):
         """V(x, d) f(d) per pair, with f(0) read as 1."""
-        uq, inv, pos = self._unique
-        f_u = np.ones_like(uq)
-        f_u[pos] = f(uq[pos])
-        return self.Vd * f_u[inv]
+        return (self.space.C[self.xs[:, None], self.k]
+                * self.radial(f, 1.0)[self.k])
 
     @cached_property
     def jump_denom(self):
@@ -87,11 +81,9 @@ class _EnvelopeGrid:
         return self.denom(self.scales.phi_j)
 
     def m_unique(self, td):
-        """m(td, u) at the distinct distances u of ``_unique``, 0 at u = 0."""
-        uq, _, pos = self._unique
-        m_u = np.zeros_like(uq)
-        m_u[pos] = uq[pos] / self.scales.bar_phi_c.inverse(td / uq[pos])
-        return m_u
+        """m(td, u) at the met distances u, 0 elsewhere."""
+        return self.radial(
+            lambda d: d / self.scales.bar_phi_c.inverse(td / d), 0.0)
 
     def local_profile(self, td):
         """(Vc, pc) at the dilated time td: V(x, phi_c^{-1}(td)) per x and
@@ -100,7 +92,7 @@ class _EnvelopeGrid:
         Vc = self.space.volumes(self.xs, self.scales.phi_c.inverse(td))
         with np.errstate(over="ignore"):
             e_u = np.exp(-np.minimum(self.m_unique(td), 700.0))
-        return Vc, e_u[self._unique[1]] / Vc[:, None]
+        return Vc, e_u[self.k] / Vc[:, None]
 
     def jump_profile(self, t):
         """(Vj, pj) at time t: V(x, phi_j^{-1}(t)) per x and
@@ -111,20 +103,6 @@ class _EnvelopeGrid:
         np.divide(t, denom, out=far, where=denom > 0.0)
         far[denom <= 0.0] = np.inf
         return Vj, np.minimum(1.0 / Vj[:, None], far)
-
-
-def _envelope_arrays(grid, t, dilation=1.0):
-    """Every envelope piece on the grid's xs x ys pairs at one time.
-
-    Returns dict with Vc, Vj, Vphi (per x), pc, pj (len(xs) x len(ys)).  The
-    sweeps take the pieces they need from the grid instead: per check (held
-    by ``grid``) d and V(x, d) phi_j(d); per time Vj, pj and Vphi; per time
-    and dilation Vc, pc and the sandwich; per distinct distance m(t, d),
-    exp(-m), phi_j(d) and phi(d)."""
-    Vc, pc = grid.local_profile(t * dilation)
-    Vj, pj = grid.jump_profile(t)
-    Vphi = grid.space.volumes(grid.xs, grid.scales.phi.inverse(t))
-    return {"Vc": Vc, "Vj": Vj, "Vphi": Vphi, "pc": pc, "pj": pj}
 
 
 def _sandwich(Vc, pc, jump=None):
@@ -391,9 +369,8 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
             for t in ts:
                 KB, KF = KB_t[t], KF_BB[t]
                 rad = eps * scales.phi.inverse(t)
-                core = [p for p in B if space.metric[x0, p] < max(rad, 1e-12)]
-                if not core:
-                    core = [x0]
+                core = (B[space.dist(x0, B) < max(rad, 1e-12)].tolist()
+                        or [x0])
                 ci = [posB[p] for p in core]
                 Vx0 = space.volume(x0, scales.phi.inverse(t))
                 sub = KB[np.ix_(ci, ci)]
@@ -445,10 +422,11 @@ def dominance_map(scales: ScaleTriple, space, t: float,
     """
     xs = space.interior(margin)
     grid = _EnvelopeGrid(scales, space, xs, xs)
-    env = _envelope_arrays(grid, t)
+    _, pc = grid.local_profile(t)
+    _, pj = grid.jump_profile(t)
     d = grid.d
     diag_edge = scales.phi_c.inverse(t)
-    labels = np.where(env["pj"] >= env["pc"], 2, 1).astype(np.int8)
+    labels = np.where(pj >= pc, 2, 1).astype(np.int8)
     labels[d <= diag_edge] = 0
     crossover = np.fmin.reduce(np.where(labels == 2, d, np.nan), axis=1,
                                initial=np.nan)
@@ -511,7 +489,7 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
     for b, x in enumerate(centers):
         rows = np.stack([table.kernels[i][x] for i in keep])
         for c, r in enumerate(radii):
-            outside = space.metric[x] >= r
+            outside = space.R[x] >= space.rank(r)
             mass = rows.compress(outside, axis=1) * space.mu[outside]
             tail[:, b, c] = mass.sum(axis=1)
     # each bound below is mass times a factor >= 0 of (t, r) alone, and
@@ -581,12 +559,11 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     xs = space.interior(margin)
     keep = usable_times(table, space)
     times = [table.times[i] for i in keep]
-    if not np.isfinite(space.metric).all():
+    if np.isinf(space.u[-1]):
         return ConditionReport("chain-lower", "failed",
                                notes="disconnected space, skipped")
     # each sweep reads K only at the pairs it selects, by index
     grid = _EnvelopeGrid(scales, space, xs, xs)
-    uq, inv, _ = grid._unique
     # near-diagonal constant c5
     c5 = math.inf
     for t, i in zip(times, keep):
@@ -604,13 +581,13 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
         K = table.kernels[i]
         Vc = space.volumes(xs, scales.phi_c.inverse(t))
         m_u = grid.m_unique(t)
-        sel = (uq >= c0 * scales.phi_c.inverse(t)) & (m_u <= m_cap)
-        ii, jj = np.nonzero(sel[inv])
+        sel = (space.u >= c0 * scales.phi_c.inverse(t)) & (m_u <= m_cap)
+        ii, jj = np.nonzero(sel[grid.k])
         K_sel = K[xs[ii], xs[jj]]
         hit = K_sel > FLOOR_REL * float(K.max())
         ii, jj, K_sel = ii[hit], jj[hit], K_sel[hit]
         ratio = K_sel * Vc[ii] / c5
-        m_sel = m_u[inv[ii, jj]]
+        m_sel = m_u[grid.k[ii, jj]]
         inv_m = 1.0 / m_sel
         base = np.empty(len(ii))
         for lo in range(0, len(ii), _CHUNK):

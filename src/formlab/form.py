@@ -118,8 +118,8 @@ class JumpKernel:
         symmetric field in [cmin, cmax] (constant when cmin == cmax).  J
         depends on a pair only through d and the volumes, so psi and the
         radius d + 1e-9 are taken once per distinct distance u[k] of the
-        space's ball table (u, C), and each block of rows reads V(x, d) at
-        C[x, shift[k]]; the metric's exact symmetry makes C[y, shift[k]]
+        space, and each block of rows reads V(x, d) at C[x, shift[k]] of
+        its ball table C; the metric's exact symmetry makes C[y, shift[k]]
         the volume V(y, d(y, x))."""
         return cls(_stable_like_matrix(space, psi, coeff, cmin, cmax,
                                        seed))
@@ -127,36 +127,29 @@ class JumpKernel:
     @classmethod
     def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: float = 1.0):
         """Translation-invariant J(x,y) = coeff * d(x,y)^{-(1+alpha)}."""
-        d = space.metric
-        off = ~np.eye(space.n, dtype=bool)
-        J = np.zeros_like(d)
-        J[off] = coeff * d[off] ** (-(1.0 + alpha))
-        return cls(J)
+        return cls(space.radial(lambda d: coeff * d ** (-(1.0 + alpha)),
+                                0.0)[space.R])
 
     @classmethod
     def two_regime(cls, space: MetricMeasureSpace, alpha: float, beta: float,
                    regime_break: float, coeff: float = 1.0):
         """d^{-(1+alpha)} below the regime break, matched continuously to
         break^{beta-alpha} d^{-(1+beta)} above it."""
-        d = space.metric
-        off = ~np.eye(space.n, dtype=bool)
-        J = np.zeros_like(d)
-        small = off & (d <= regime_break)
-        large = off & (d > regime_break)
-        J[small] = coeff * d[small] ** (-(1.0 + alpha))
-        J[large] = coeff * regime_break ** (beta - alpha) * d[large] ** (-(1.0 + beta))
-        return cls(J)
+        def f(d):
+            return np.where(d <= regime_break, coeff * d ** (-(1.0 + alpha)),
+                            coeff * regime_break ** (beta - alpha)
+                            * d ** (-(1.0 + beta)))
+        return cls(space.radial(f, 0.0)[space.R])
 
 
 def _stable_like_matrix(space, psi, coeff, cmin, cmax, seed):
     """The matrix of ``JumpKernel.stable_like``, whose every temporary is
     gone before the kernel copies it."""
     n = space.n
-    d = space.metric
-    u, C = space.ball_table()
+    u, R, C = space.u, space.R, space.C
     shift = np.searchsorted(u, u + 1e-9)
     # u[0] = 0 is the diagonal's distance, whose J is zeroed
-    psi_u = np.concatenate(([1.0], psi(u[1:])))
+    psi_u = space.radial(psi, 1.0)
     c_field = None
     if cmin != cmax:
         rng = np.random.RandomState(seed)
@@ -171,7 +164,7 @@ def _stable_like_matrix(space, psi, coeff, cmin, cmax, seed):
     at_buf = np.empty((_ROWS, n), dtype=np.intp)
     for i in range(0, n, _ROWS):
         rows = slice(i, i + _ROWS)
-        k = np.searchsorted(u, d[rows])
+        k = R[rows]
         s = shift.take(k)
         Vy, den, at = Vy_buf[:len(k)], den_buf[:len(k)], at_buf[:len(k)]
         flat.take(np.add(s, at_y, out=at), out=Vy, mode="clip")
@@ -354,7 +347,7 @@ class DirichletForm:
         if self.jump is None:
             return None
         J = self.jump.matrix.copy()
-        J[self.space.metric > rho] = 0.0
+        J[self.space.R >= self.space.rank(rho, "right")] = 0.0
         return J
 
 
@@ -516,9 +509,9 @@ def truncate(form: DirichletForm, rho: float) -> DirichletForm:
     jump = None
     if form.jump is not None:
         # the kernel's own copy of the symmetric J, cut by the symmetric
-        # metric in place: the same matrix as symmetrising a cut copy
+        # ranks in place: the same matrix as symmetrising a cut copy
         jump = JumpKernel(form.jump.matrix)
-        jump.matrix[form.space.metric > rho] = 0.0
+        jump.matrix[form.space.R >= form.space.rank(rho, "right")] = 0.0
     return DirichletForm(form.space, form.w_edges, jump)
 
 

@@ -94,7 +94,7 @@ def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
         fns.append(e)
     r_tent = max(space.interior_margin, 2.0)
     for x in picks:
-        fns.append(np.maximum(0.0, 1.0 - space.metric[x] / r_tent))
+        fns.append(np.maximum(0.0, 1.0 - space.dist(x) / r_tent))
     sq = np.sqrt(space.mu)
     S_loc = form.local_laplacian() / np.outer(sq, sq)
     k = min(n_eigs + 1, n)
@@ -119,7 +119,7 @@ def lambda1(form: DirichletForm, D) -> float:
 
 def _subsets_of_ball(space, x0, r, seed=SEED):
     B = space.ball(x0, r)
-    order = B[np.argsort(space.metric[x0][B], kind="stable")]
+    order = B[np.argsort(space.R[x0, B], kind="stable")]
     rng = np.random.RandomState(seed)
     subs = {"full": B, "half": order[: max(1, len(order) // 2)],
             "sparse": order[::4] if len(order) >= 4 else order}
@@ -277,7 +277,7 @@ def _gcap_cutoffs(form: DirichletForm, A, B, x0=None, radii=None):
     cutoffs = [eq]
     if x0 is not None and radii is not None:
         r_in, r_out = radii
-        d = form.space.metric[x0]
+        d = form.space.dist(x0)
         ramp = np.clip((r_out - d) / max(r_out - r_in, 1e-12), 0.0, 1.0)
         ramp[d >= r_out] = 0.0
         cutoffs.append(ramp)
@@ -369,7 +369,7 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
     as every factor is finite and nonnegative."""
     space = form.space
     mu = space.mu
-    d0 = space.metric[x0]
+    d0 = space.dist(x0)
     B2 = space.ball(x0, R + r)
     B3 = space.ball(x0, R + (1.0 + C0) * r)
     ramp = np.clip((R + r - d0) / r, 0.0, 1.0)
@@ -381,7 +381,7 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
         dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
         J3, mu3 = J[B3], np.outer(mu[B3], mu)
         J23, mu23 = J[np.ix_(B2, B3)], np.outer(mu[B2], mu[B3])
-        d3, d23 = space.metric[B3], space.metric[np.ix_(B2, B3)]
+        k3, k23 = space.R[B3], space.R[np.ix_(B2, B3)]
     out = []
     for f in fns:
         f = np.asarray(f, dtype=float)
@@ -399,8 +399,9 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
             sides = []
             for rho in (None, *rhos):
                 if rho is not None:
-                    left[d3 > rho] = 0.0
-                    right[d23 > rho] = 0.0
+                    k = space.rank(rho, "right")
+                    left[k3 >= k] = 0.0
+                    right[k23 >= k] = 0.0
                 sides.append((lhs + float(np.sum(left)),
                               rt1 + float(np.sum(right))))
         out.append((float(np.sum(fsq * mu[B3])), sides))
@@ -499,7 +500,7 @@ def fit_jpsi(form: DirichletForm, psi, margin=None):
     space = form.space
     interior = space.interior(margin)
     block = np.ix_(interior, interior)
-    d = space.metric[block]
+    d = space.dist(*block)
     mask = d > 0.0
     V = space.volumes(interior[:, None], d + 1e-9)[mask]
     dists = d[mask]
@@ -537,7 +538,7 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
     c_tail = 0.0
     witness = {}
     for x0, r in ball_family(space, radii, reach_factor=1.0, max_centers=6):
-        outside = space.metric[x0] >= r
+        outside = space.R[x0] >= space.rank(r)
         T = float(np.sum(J[x0][outside] * space.mu[outside]))
         c = T * scales.phi_j(r)
         rows.append({"x0": x0, "r": r, "tail": T, "c": c})
@@ -551,7 +552,7 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
     tested = 0
     for _ in range(n_pairs):
         x, y = rng.choice(interior, size=2, replace=False)
-        dxy = space.metric[x, y]
+        dxy = space.dist(x, y)
         if dxy <= 1.0:
             continue
         for r in np.unique(np.floor(np.geomspace(1.0, dxy / 2.0, 3))):

@@ -357,14 +357,14 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
             ext = np.setdiff1d(np.arange(form.n), B)
             if len(ext) == 0:
                 continue
-            core = B[space.metric[x0, B] < eps * r]
+            core = B[space.dist(x0, B) < eps * r]
             if len(core) < 2:
                 continue
             # harmonic Poisson columns for a sample of exterior atoms
             picks = ext[rng.choice(len(ext), size=min(12, len(ext)),
                                    replace=False)]
             p, q = (core[k] for k in np.triu_indices(len(core), 1))
-            sep = space.metric[p, q] / r
+            sep = space.dist(p, q) / r
             for z in picks:
                 data = np.zeros(form.n)
                 data[z] = 1.0
@@ -382,7 +382,7 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
         for (core, zs), slabs in zip(drawn, columns):
             # point pairs p <= q: (a, a) with (p, p) has sep 0 and is skipped
             p, q = (core[k] for k in np.triu_indices(len(core)))
-            sep = ((lag[:, None] + space.metric[p, q]) / r).ravel()
+            sep = ((lag[:, None] + space.dist(p, q)) / r).ravel()
             for j, z in enumerate(zs):
                 traces = np.stack([K[:, j] * form.mu[z] for K in slabs])
                 phr_fns.append((

@@ -5,8 +5,10 @@ boxes, the Sierpinski gasket graph, a reflected half-space lattice).  Every
 condition downstream is asserted only on balls staying clear of the
 truncation boundary, controlled by ``interior_margin``: a point is usable at
 enlargement radius R when its distance to the truncation set is at least R.
-Ball membership is strict: B(x, r) = {y : d(x, y) < r}.  Every volume
-V(x, r) = mu(B(x, r)) is one lookup in a table built once per space.
+Ball membership is strict: B(x, r) = {y : d(x, y) < r}.  A space holds
+its metric as ranks: u, its K sorted distinct distances, and R, the n x n
+ranks with u[R] the metric.  Every volume V(x, r) = mu(B(x, r)) is one
+lookup in a table built from R with the space.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import functools
 import inspect
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -34,7 +35,7 @@ __all__ = [
     "chain_check",
 ]
 
-# the point cap: dense n x n metric, jump matrix, form and eigenbasis
+# the point cap: dense n x n ranks, jump matrix, form and eigenbasis
 MAX_POINTS = 4096
 # the cap on grids.n_times: the kernel table holds n_times n x n kernels
 MAX_TIMES = 64
@@ -78,35 +79,49 @@ def _row_asymmetry(M):
     return out
 
 
-def _check_metric(metric):
-    """Raise SpaceError, naming a pair, unless ``metric`` is 0 on the
-    diagonal, > 0 off it (+inf allowed) and exactly symmetric."""
+def _ranks(metric):
+    """(u, R) of a metric matrix: its sorted distinct entries u and the
+    ranks R with u[R] == metric, both found in blocks of rows."""
     n = len(metric)
-    zero = np.diagonal(metric) == 0.0
+    blocks = [metric[i:i + _ROWS] for i in range(0, n, _ROWS)]
+    u = functools.reduce(np.union1d, blocks, np.empty(0))
+    R = np.empty((n, n), np.min_scalar_type(len(u)))
+    for i, block in zip(range(0, n, _ROWS), blocks):
+        R[i:i + _ROWS] = np.searchsorted(u, block)
+    return u, R
+
+
+def _check_metric(u, R):
+    """Raise SpaceError, naming a pair, unless the metric u[R] is 0 on the
+    diagonal, > 0 off it (+inf allowed) and exactly symmetric."""
+    n = len(R)
+    diagonal = np.diagonal(R)
+    zero = u[diagonal] == 0.0
     if not zero.all():
         i = int(np.argmin(zero))
         raise SpaceError(f"metric is not 0 on the diagonal: d({i}, {i}) = "
-                         f"{float(metric[i, i])!r}")
+                         f"{float(u[diagonal[i]])!r}")
+    # the positive distances: the ranks above 0's and below a NaN's, which
+    # sorts last
+    low, high = np.searchsorted(u, [0.0, np.inf], side="right")
     for i in range(0, n, _ROWS):
-        pos = metric[i:i + _ROWS] > 0.0
+        k = R[i:i + _ROWS]
+        pos = (k >= low) & (k < high)
         # the diagonal is 0, so a row holds n - 1 positive entries at most
         if np.count_nonzero(pos) < len(pos) * (n - 1):
             pos[np.arange(len(pos)), np.arange(i, i + len(pos))] = True
             x, y = (int(v) for v in np.argwhere(~pos)[0])
             x += i
             raise SpaceError(f"metric is not positive off the diagonal: "
-                             f"d({x}, {y}) = {float(metric[x, y])!r}")
-    # a row meeting two infinite distances reads NaN (inf - inf), so only
-    # the rows that read 0 are known to be symmetric
-    with np.errstate(invalid="ignore"):
-        asym = _row_asymmetry(metric)
-    for x in np.flatnonzero(asym != 0.0):
-        differ = np.flatnonzero(metric[x] != metric[:, x])
-        if differ.size:
-            x, y = int(x), int(differ[0])
-            raise SpaceError(f"metric is not symmetric: d({x}, {y}) = "
-                             f"{float(metric[x, y])!r}, d({y}, {x}) = "
-                             f"{float(metric[y, x])!r}")
+                             f"d({x}, {y}) = {float(u[R[x, y]])!r}")
+    # an upper-triangle tile against its mirror, then the first pair
+    tiles = ((slice(i, i + _TILE), slice(j, j + _TILE))
+             for i in range(0, n, _TILE) for j in range(i, n, _TILE))
+    if any((R[a, b] != R[b, a].T).any() for a, b in tiles):
+        x, y = (int(v) for v in np.argwhere(R != R.T)[0])
+        raise SpaceError(f"metric is not symmetric: d({x}, {y}) = "
+                         f"{float(u[R[x, y]])!r}, d({y}, {x}) = "
+                         f"{float(u[R[y, x]])!r}")
 
 
 # -- config binding ----------------------------------------------------------
@@ -167,21 +182,31 @@ class MetricMeasureSpace:
     """Finite point set with a metric, positive measure, nearest neighbour
     edges, and a designated truncation boundary.  The metric must be 0 on
     the diagonal, positive off it (+inf between disconnected points) and
-    exactly symmetric; the triangle inequality is not checked."""
+    exactly symmetric; the triangle inequality is not checked.
+
+    ``metric`` is an n x n matrix, or a pair (u, R) from a builder.  The
+    space holds u, the K sorted distinct distances (u[0] = 0, the
+    diagonal's), the n x n ranks R with u[R] the metric, in the least
+    unsigned type that holds K, and the ball table C of ``_ball_table``."""
 
     def __init__(self, metric, mu, edges=None, coords=None, boundary=None,
                  interior_margin=0.0):
-        metric = np.asarray(metric, dtype=float)
-        if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
-            raise SpaceError("metric must be a square matrix")
-        n = metric.shape[0]
-        _check_size(n)
-        _check_metric(metric)
+        if not (isinstance(metric, tuple) and len(metric) == 2
+                and np.ndim(metric[1]) == 2):
+            metric = np.asarray(metric, dtype=float)
+            if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
+                raise SpaceError("metric must be a square matrix")
+            _check_size(len(metric))
+            metric = _ranks(metric)
+        u, R = metric
+        n = len(R)
+        _check_metric(u, R)
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (n,) or np.any(mu <= 0.0):
             raise SpaceError("mu must be positive with one entry per point")
         self.n = n
-        self.metric = metric
+        self.u, self.R = u, R
+        self.C = _ball_table(R, mu, len(u))
         self.mu = mu
         self.coords = None if coords is None else np.asarray(coords)
         self.edges = (np.zeros((0, 2), dtype=int) if edges is None
@@ -189,16 +214,36 @@ class MetricMeasureSpace:
         self.boundary = bnd = (np.zeros(n, dtype=bool) if boundary is None
                                else np.asarray(boundary))
         self.interior_margin = float(interior_margin)
-        self.dist_to_boundary = (metric[:, bnd].min(axis=1) if bnd.any()
+        self.dist_to_boundary = (u[R[:, bnd].min(axis=1)] if bnd.any()
                                  else np.full(n, np.inf))
-        self._balls = None
-        self._balls_lock = threading.Lock()
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The n x n float metric u[R], computed on each read."""
+        return self.u[self.R]
 
     # -- queries ----------------------------------------------------------
 
+    def dist(self, x, y=slice(None)):
+        """d(x, y) = u[R[x, y]], indexed as the metric is."""
+        return self.u[self.R[x, y]]
+
+    def rank(self, r, side="left"):
+        """The ranks of the distances below r (``side`` left) or at most r
+        (right) are those below ``rank(r, side)``."""
+        return np.searchsorted(self.u, r, side=side)
+
+    def radial(self, f, at_zero):
+        """A function of the distance on u: ``at_zero`` at u[0] = 0 and
+        f(u[1:]) at the positive distances, gathered per pair by R."""
+        return np.concatenate(([at_zero], f(self.u[1:])))
+
     def ball(self, x: int, r: float) -> np.ndarray:
-        """Indices of B(x, r) = {y : d(x, y) < r}."""
-        return np.nonzero(self.metric[x] < r)[0]
+        """Indices of B(x, r) = {y : d(x, y) < r}.  Raises SpaceError on a
+        NaN radius."""
+        if np.isnan(r):
+            raise SpaceError("ball radius is NaN")
+        return np.nonzero(self.R[x] < self.rank(r))[0]
 
     def volume(self, x, r):
         """V(x, r): a float for one centre, an array for an index array."""
@@ -207,22 +252,13 @@ class MetricMeasureSpace:
 
     def volumes(self, x, radii) -> np.ndarray:
         """V(x, r) for centres ``x`` broadcast against ``radii``, by one
-        gather from the space's ball-volume table (``ball_table``):
-        ``volumes(xs[:, None], d)`` reads row i of ``d`` at centre xs[i].
-        Raises SpaceError on a NaN radius."""
+        gather from the ball table C: ``volumes(xs[:, None], d)`` reads
+        row i of ``d`` at centre xs[i].  Raises SpaceError on a NaN
+        radius."""
         r = np.asarray(radii, dtype=float)
         if np.isnan(r).any():
             raise SpaceError("volume radius is NaN")
-        u, C = self.ball_table()
-        return C[x, np.searchsorted(u, r, side="left")]
-
-    def ball_table(self):
-        """The space's ball-volume table (u, C) of ``_ball_table``, built on
-        the first call; safe from several threads."""
-        with self._balls_lock:
-            if self._balls is None:
-                self._balls = _ball_table(self.metric, self.mu)
-        return self._balls
+        return self.C[x, self.rank(r)]
 
     def interior(self, margin=None) -> np.ndarray:
         """Centers whose ball of radius ``margin`` (default
@@ -252,19 +288,13 @@ class MetricMeasureSpace:
                 fh.write(",".join(row) + "\n")
 
 
-def _ball_table(metric, mu):
-    """(u, C): the sorted distinct distances u (K of them) and the n x
-    (K + 1) cumulative ball masses C[x, j] = mu{y : d(x, y) < u[j]}, with
-    C[x, K] = mu(X), so that V(x, r) = C[x, searchsorted(u, r)].  As u
-    holds every distance (u[0] = 0, the diagonal's), a factor of the
-    distance alone needs evaluating on u only, and a radius d(x, y) + h
-    only once per entry of u (``JumpKernel.stable_like``).  Built in blocks
-    of rows; raises SpaceError when C would hold more entries than on a 1-d
-    lattice at ``MAX_POINTS``."""
-    n = len(metric)
-    u = functools.reduce(np.union1d, (metric[i:i + _ROWS]
-                                      for i in range(0, n, _ROWS)), ())
-    K = len(u)
+def _ball_table(R, mu, K):
+    """The n x (K + 1) cumulative ball masses C[x, j] = mu{y : d(x, y) <
+    u[j]} of a space with ranks R into its K distinct distances u, with
+    C[x, K] = mu(X), so that V(x, r) = C[x, searchsorted(u, r)].  Built in
+    blocks of rows; raises SpaceError when C would hold more entries than
+    on a 1-d lattice at ``MAX_POINTS``."""
+    n = len(R)
     if n * (K + 1) > MAX_POINTS * (MAX_POINTS + 1):
         raise SpaceError(f"capacity exceeded: the ball-volume table of {n} "
                          f"points would hold {n} x {K + 1} entries")
@@ -272,75 +302,63 @@ def _ball_table(metric, mu):
     for i in range(0, n, _ROWS):
         b = min(_ROWS, n - i)
         # the mass at distance u[j] from row x of the block, in bin x K + j
-        k = np.searchsorted(u, metric[i:i + b])
-        k += (K * np.arange(b))[:, None]
+        k = R[i:i + b] + (K * np.arange(b))[:, None]
         mass = np.bincount(k.ravel(), np.broadcast_to(mu, (b, n)).ravel(),
                            b * K)
         np.cumsum(mass.reshape(b, K), axis=1, out=C[i:i + b, 1:])
-    return u, C
+    return C
 
 
 # -- builders --------------------------------------------------------------
 
 
-def _lattice(dim: int, side: int, metric: str):
-    """(metric, coords, edges) of the lattice box {0, ..., side - 1}^dim
-    with its l1 or l2 metric.  Point i has the coordinates of i in base
-    ``side``, so a pair of points (i, j) splits into 2 dim coordinates, axis
-    a's at positions a and dim + a; the per-axis terms |x_a - y_a| (squared
-    for l2) add into the metric one axis at a time, in axis order."""
+def _lattice(dim: int, side: int, metric: str, margin, cut):
+    """The lattice box {0, ..., side - 1}^dim with its l1 or l2 metric and
+    the truncation set ``cut(coords)``.  Point i has the coordinates of i
+    in base ``side``, so a pair of points (i, j) splits into 2 dim
+    coordinates, axis a's at positions a and dim + a; the per-axis terms
+    |x_a - y_a| (squared for l2) add into the pair's integer sum one axis
+    at a time, in axis order.  An l1 sum is the rank of the distance
+    itself, as u = 0, 1, ..., dim (side - 1); the l2 metric is the root of
+    its sum."""
     n = side ** dim
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
-    x = np.arange(side, dtype=float)
-    dist = np.empty((n, n))
-    # one axis's |x_a - y_a|, which is the metric itself when dim is 1
-    step = dist if dim == 1 else np.empty((side, side))
-    np.abs(np.subtract.outer(x, x, out=step), out=step)
-    if dim > 1:
-        if metric == "l2":
-            step *= step
-        pairs = dist.reshape((side,) * (2 * dim))
-        for a in range(dim):
-            shape = [1] * (2 * dim)
-            shape[a] = shape[dim + a] = side
-            if a == 0:
-                pairs[...] = step.reshape(shape)
-            else:
-                pairs += step.reshape(shape)
-        if metric == "l2":
-            np.sqrt(dist, out=dist)
+    power = 1 if metric == "l1" else 2
+    top = dim * (side - 1) ** power
+    # one axis's |x_a - y_a| (squared for l2): row i reads a window sliding
+    # over the terms of side - 1 - i, ..., 1, 0, 1, ..., i
+    terms = np.abs(np.arange(1 - side, side)) ** power
+    step = np.lib.stride_tricks.sliding_window_view(
+        terms.astype(np.min_scalar_type(top + 1)), side)[::-1]
+    sums = np.zeros((n, n), step.dtype)
+    pairs = sums.reshape((side,) * (2 * dim))
+    for a in range(dim):
+        shape = [1] * (2 * dim)
+        shape[a] = shape[dim + a] = side
+        pairs += step.reshape(shape)
+    dist = ((np.arange(top + 1.0), sums) if metric == "l1"
+            else np.sqrt(sums, dtype=float))
     # point i and its successor along an axis, in order of i, then axis
     i, ax = np.nonzero(coords < side - 1)
     edges = np.column_stack([i, i + side ** (dim - 1 - ax)])
-    return dist, coords, edges
+    return MetricMeasureSpace(
+        dist, np.ones(n), edges=edges, coords=coords, boundary=cut(coords),
+        interior_margin=side / 8.0 if margin is None else margin)
 
 
 def _lattice_box(dim: int, side: int, metric: str = "l1",
                  margin: float | None = None):
-    dist, coords, edges = _lattice(dim, side, metric)
-    boundary = ((coords == 0) | (coords == side - 1)).any(axis=1)
-    if margin is None:
-        margin = side / 8.0
-    return MetricMeasureSpace(dist, np.ones(len(dist)), edges=edges,
-                              coords=coords, boundary=boundary,
-                              interior_margin=margin)
+    return _lattice(dim, side, metric, margin,
+                    lambda c: ((c == 0) | (c == side - 1)).any(axis=1))
 
 
 def _halfspace_lattice(side: int, metric: str = "l1",
                        margin: float | None = None):
     """2-d box whose bottom edge y = 0 is a genuine reflecting boundary; only
     the three cut faces count as truncation."""
-    dist, coords, edges = _lattice(2, side, metric)
-    boundary = (
-        (coords[:, 0] == 0)
-        | (coords[:, 0] == side - 1)
-        | (coords[:, 1] == side - 1)
-    )
-    if margin is None:
-        margin = side / 8.0
-    return MetricMeasureSpace(dist, np.ones(len(dist)), edges=edges,
-                              coords=coords, boundary=boundary,
-                              interior_margin=margin)
+    return _lattice(2, side, metric, margin,
+                    lambda c: (c[:, 0] == 0) | (c[:, 0] == side - 1)
+                    | (c[:, 1] == side - 1))
 
 
 def _gasket(level: int, margin: float | None = None):
@@ -366,7 +384,11 @@ def _gasket(level: int, margin: float | None = None):
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    dist = shortest_path(adj, method="D", unweighted=True)
+    # the hop counts, which take every value from 0 to the diameter, are
+    # the ranks of the distances
+    hops = shortest_path(adj, method="D", unweighted=True)
+    K = int(hops.max()) + 1
+    ranks = (np.arange(K, dtype=float), hops.astype(np.min_scalar_type(K)))
     lattice = np.array(verts, dtype=float)
     coords = np.column_stack(
         [lattice[:, 0] + 0.5 * lattice[:, 1], lattice[:, 1] * (math.sqrt(3) / 2)]
@@ -376,7 +398,7 @@ def _gasket(level: int, margin: float | None = None):
         boundary[index[corner]] = True
     if margin is None:
         margin = scale / 8.0
-    return MetricMeasureSpace(dist, np.ones(n), edges=edges, coords=coords,
+    return MetricMeasureSpace(ranks, np.ones(n), edges=edges, coords=coords,
                               boundary=boundary, interior_margin=margin)
 
 
@@ -506,33 +528,37 @@ def _min_max_steps(space, x, y, max_n):
     The chains meet in the middle: F[a](z) is the least max-step of a-step
     chains from x to z, G[b](z) that of b-step chains from z into y (both
     inf off the ellipse), and the best (a + b)-step chain has max-step
-    min_z max(F[a](z), G[b](z)).  One sweep over blocks of metric rows
-    takes F and G one step further, so ``max_n`` = 6 needs two sweeps and
-    ``max_n`` <= 2 none.  Only min and max are taken, so every entry equals
-    that of the forward programme f <- min_z max(f(z), d(z, .)) exactly."""
-    D = space.metric
-    inside = D[x] + D[y] <= 3.0 * D[x, y] + 1e-9
+    min_z max(F[a](z), G[b](z)).  One sweep over blocks of rows of the
+    ranks takes F and G one step further, so ``max_n`` = 6 needs two sweeps
+    and ``max_n`` <= 2 none.  Only min and max are taken, which commute
+    with the increasing map from rank to distance, so the programme runs
+    on ranks, with K standing for inf, and every entry equals that of the
+    forward programme f <- min_z max(f(z), d(z, .)) exactly."""
+    R, u = space.R, space.u
+    K = len(u)
+    inside = u[R[x]] + u[R[y]] <= 3.0 * u[R[x, y]] + 1e-9
     sel, outside = np.nonzero(inside)[0], ~inside
-    G0 = np.full(space.n, np.inf)
-    G0[y] = 0.0
-    F = [None, np.maximum(0.0, D[x])]
-    G = [G0, np.maximum(D[:, y], 0.0)]
-    F[1][outside] = G[1][outside] = np.inf
-    buf = np.empty((_ROWS, space.n))
+    G0 = np.full(space.n, K, R.dtype)
+    G0[y] = 0
+    F = [None, R[x].copy()]
+    G = [G0, R[:, y].copy()]
+    F[1][outside] = G[1][outside] = K
+    buf = np.empty((_ROWS, space.n), R.dtype)
     for a in range(2, (max_n + 1) // 2 + 1):
         f, g = F[-1], G[-1]
-        F.append(np.full(space.n, np.inf))
+        F.append(np.full(space.n, K, R.dtype))
         if 2 * a <= max_n:
-            G.append(np.full(space.n, np.inf))
+            G.append(np.full(space.n, K, R.dtype))
         for i in range(0, len(sel), _ROWS):
             z = sel[i:i + _ROWS]
-            rows = D[z]
+            rows = R[z]
             step = np.maximum(rows, f[z, None], out=buf[:len(z)])
             np.minimum(F[a], step.min(axis=0), out=F[a])
             if len(G) > a:
                 G[a][z] = np.maximum(rows, g, out=step).min(axis=1)
-        F[a][outside] = np.inf
-    return [float(np.maximum(F[(k + 1) // 2], G[k // 2]).min())
+        F[a][outside] = K
+    u_inf = np.append(u, np.inf)
+    return [float(u_inf[np.maximum(F[(k + 1) // 2], G[k // 2]).min()])
             for k in range(1, max_n + 1)]
 
 
@@ -540,10 +566,9 @@ def chain_check(space: MetricMeasureSpace, samples: int = 40,
                 seed: int = 0x5EED, max_n: int = 6) -> ChainReport:
     """Fit the chain-condition constant: the smallest C found such that every
     sampled (x, y, n) admits a chain with steps <= C d(x, y) / n."""
-    finite = np.isfinite(space.metric)
-    if not finite.all():
-        bad = np.argwhere(~finite)
-        return ChainReport(math.inf, 0, (int(bad[0, 0]), int(bad[0, 1])))
+    if np.isinf(space.u[-1]):
+        x, y = np.argwhere(space.R == len(space.u) - 1)[0]
+        return ChainReport(math.inf, 0, (int(x), int(y)))
     rng = np.random.RandomState(seed)
     pts = space.interior()
     if len(pts) < 2:
@@ -552,7 +577,7 @@ def chain_check(space: MetricMeasureSpace, samples: int = 40,
     count = 0
     for _ in range(samples):
         x, y = rng.choice(pts, size=2, replace=False)
-        d = space.metric[x, y]
+        d = space.dist(x, y)
         if d <= 0.0:
             continue
         top = min(max_n, int(d))

@@ -5,10 +5,10 @@ import pytest
 
 import formlab.envelopes as envelopes
 from formlab.cli import SuiteContext, load_config
-from formlab.envelopes import (_EnvelopeGrid, _envelope_arrays,
-                               chain_lower_check, check_pc_equivalence,
-                               diag_checks, dominance_map, fit_hk,
-                               tail_probability_check, usable_times)
+from formlab.envelopes import (_EnvelopeGrid, chain_lower_check,
+                               check_pc_equivalence, diag_checks,
+                               dominance_map, fit_hk, tail_probability_check,
+                               usable_times)
 from formlab.form import JumpKernel, assemble, heat_kernel
 from formlab.scales import ScaleFunction, ScaleTriple, legendre_sup
 from formlab.space import build_space
@@ -30,9 +30,18 @@ def model(side=128, margin=32, with_jump=True):
     return sp, assemble(sp, 1.0, jump)
 
 
+def envelope_arrays(grid, t, dilation=1.0):
+    """Every envelope piece on the grid's pairs at one time: Vc, Vj, Vphi
+    per x and pc, pj per pair."""
+    Vc, pc = grid.local_profile(t * dilation)
+    Vj, pj = grid.jump_profile(t)
+    Vphi = grid.space.volumes(grid.xs, grid.scales.phi.inverse(t))
+    return {"Vc": Vc, "Vj": Vj, "Vphi": Vphi, "pc": pc, "pj": pj}
+
+
 def one_row(tr, sp, x, ys, t):
     """The envelope pieces from center x to each of ys at time t."""
-    return _envelope_arrays(_EnvelopeGrid(tr, sp, [x], list(ys)), t)
+    return envelope_arrays(_EnvelopeGrid(tr, sp, [x], list(ys)), t)
 
 
 class TestEnvelopeEval:
@@ -114,16 +123,15 @@ class TestFitHK:
         params = fit_hk(table, tr, sp, mode="HK").constants
         xs = sp.interior()
         keep = usable_times(table, sp)
-        from formlab.envelopes import _envelope_arrays, _EnvelopeGrid
         grid = _EnvelopeGrid(tr, sp, xs, xs)
         for i in keep:
             t = times[i]
             K = table.kernels[i][np.ix_(xs, xs)]
-            up = _envelope_arrays(grid, t, dilation=params["c4"])
+            up = envelope_arrays(grid, t, dilation=params["c4"])
             U = np.minimum(np.minimum(1.0 / up["Vc"], 1.0 / up["Vj"])[:, None],
                            up["pc"] + up["pj"])
             assert np.all(K <= params["c3"] * U * (1 + 1e-9))
-            lo = _envelope_arrays(grid, t, dilation=params["c2"])
+            lo = envelope_arrays(grid, t, dilation=params["c2"])
             L = np.minimum(np.minimum(1.0 / lo["Vc"], 1.0 / lo["Vj"])[:, None],
                            lo["pc"] + lo["pj"])
             floor = 1e-13 * table.kernels[i].max()

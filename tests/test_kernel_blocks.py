@@ -141,9 +141,10 @@ def test_stable_like_constant_field_equals_full_field():
     got = JumpKernel.stable_like(sp, psi, coeff=1.7, cmin=0.3, cmax=0.3)
     n = sp.n
     off = ~np.eye(n, dtype=bool)
-    V = np.array([sp.volumes(x, sp.metric[x] + 1e-9) for x in range(n)])
-    psid = np.ones_like(sp.metric)
-    psid[off] = psi(sp.metric[off])
+    d = sp.metric
+    V = np.array([sp.volumes(x, d[x] + 1e-9) for x in range(n)])
+    psid = np.ones_like(d)
+    psid[off] = psi(d[off])
     want = np.zeros((n, n))
     want[off] = (1.7 * np.full((n, n), 0.3)[off]
                  / (np.sqrt(V[off] * V.T[off]) * psid[off]))
@@ -224,6 +225,43 @@ def test_stable_like_equals_whole_matrix_formula(kind, params, cmax):
     kern = JumpKernel.stable_like(sp, psi, coeff=1.3, cmin=0.5, cmax=cmax)
     J = old_stable_like(sp, psi, 1.3, 0.5, cmax)
     assert np.array_equal(kern.matrix, old_jump_matrix(J))
+
+
+def old_power_law(space, alpha, coeff):
+    d = space.metric
+    off = ~np.eye(space.n, dtype=bool)
+    J = np.zeros_like(d)
+    J[off] = coeff * d[off] ** (-(1.0 + alpha))
+    return J
+
+
+def old_two_regime(space, alpha, beta, regime_break, coeff):
+    d = space.metric
+    off = ~np.eye(space.n, dtype=bool)
+    J = np.zeros_like(d)
+    small = off & (d <= regime_break)
+    large = off & (d > regime_break)
+    J[small] = coeff * d[small] ** (-(1.0 + alpha))
+    J[large] = (coeff * regime_break ** (beta - alpha)
+                * d[large] ** (-(1.0 + beta)))
+    return J
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("lattice_box", {"dim": 1, "side": 300}),
+    ("lattice_box", {"dim": 2, "side": 13}),
+    ("lattice_box", {"dim": 2, "side": 9, "metric": "l2"}),
+    ("gasket", {"level": 4})])
+def test_power_laws_equal_whole_matrix_formulas(kind, params):
+    # f taken on the distinct distances and gathered by rank, against the
+    # pow over every pair
+    sp = build_space(kind, **params)
+    for alpha, coeff in ((1.0, 1.0), (0.5, 2.5)):
+        got = JumpKernel.power_law(sp, alpha, coeff).matrix
+        assert np.array_equal(got, old_power_law(sp, alpha, coeff))
+    for brk in (1.0, 2.5, 4.0):
+        got = JumpKernel.two_regime(sp, 0.5, 1.5, brk, 1.3).matrix
+        assert np.array_equal(got, old_two_regime(sp, 0.5, 1.5, brk, 1.3))
 
 
 def test_jump_kernel_symmetrises_only_an_asymmetric_input():

@@ -81,3 +81,12 @@ def test_detector_on_synthetic_package():
     # that references it back, and an import is not a reference
     assert unreached(sources) == [("a", "dead"), ("a", "recursive"),
                                   ("b", "caller")]
+
+
+def test_no_module_reads_the_float_metric():
+    # distances are held as ranks into the distinct distances; the float
+    # ``metric`` is computed on each read, for tests and export only
+    reads = [f"{p.stem}:{node.lineno}" for p in SOURCES
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "metric"]
+    assert reads == []

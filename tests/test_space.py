@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from formlab.form import assemble
+from formlab.envelopes import _EnvelopeGrid, chain_lower_check
+from formlab.form import JumpKernel, assemble, heat_kernel
+from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import (MAX_POINTS, MetricMeasureSpace, SpaceError,
-                           _lattice, _row_asymmetry, build_space, chain_check,
+                           _ranks, _row_asymmetry, build_space, chain_check,
                            space_size, volume_report)
 
 
-def old_lattice_metric(dim, side, metric):
-    """The whole-array lattice metric: n x n x dim integer differences."""
+def old_lattice_metric(dim, side, metric, rows=slice(None)):
+    """Rows of the whole-array lattice metric: integer differences."""
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
-    diff = coords[:, None, :] - coords[None, :, :]
+    diff = coords[rows, None, :] - coords[None, :, :]
     if metric == "l1":
         return np.abs(diff).sum(axis=2).astype(float)
     return np.sqrt((diff.astype(float) ** 2).sum(axis=2))
@@ -112,14 +116,20 @@ class TestBuilders:
             else:
                 assert MetricMeasureSpace(metric, np.ones(n)).n == n
 
-    @pytest.mark.parametrize("dim,side", [(1, 1), (1, 300), (2, 1), (2, 7),
-                                          (2, 33), (3, 2), (3, 9)])
+    # sides at the bounds of the rank types: K = 255 and 256 in 1-d
+    @pytest.mark.parametrize("dim,side", [
+        (1, 1), (1, 128), (1, 129), (1, 255), (1, 256), (1, 257), (1, 300),
+        (2, 1), (2, 7), (2, 33), (2, 64), (3, 2), (3, 9), (3, 16)])
     @pytest.mark.parametrize("metric", ["l1", "l2"])
     def test_lattice_metric_equals_whole_array_formula(self, dim, side,
                                                        metric):
-        dist = _lattice(dim, side, metric)[0]
-        assert np.array_equal(dist, old_lattice_metric(dim, side, metric))
-        assert not np.signbit(dist).any()
+        sp = build_space("lattice_box", dim=dim, side=side, metric=metric)
+        assert sp.R.dtype == np.min_scalar_type(len(sp.u))
+        assert np.all(np.diff(sp.u) > 0.0) and not np.signbit(sp.u).any()
+        # every row up to n = 1023, else every 8th and the last one
+        rows = np.r_[0:sp.n:max(1, sp.n // 512), sp.n - 1]
+        assert np.array_equal(sp.dist(rows),
+                              old_lattice_metric(dim, side, metric, rows))
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_tiled_row_asymmetry_equals_row_blocks(self, n):
@@ -224,6 +234,65 @@ class TestMetricRefusals:
                             r"d\(35, 38\) = nan")
         metric[38, 35] = metric[35, 38] = -np.inf
         self.refuse(metric, r"d\(35, 38\) = -inf")
+
+
+@st.composite
+def ranked_matrices(draw):
+    # ties from a few repeated values, +inf, and neither symmetry nor a zero
+    # diagonal
+    n = draw(st.integers(1, 9))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5, np.inf]),
+                      st.floats(0.0, 10.0))
+    return np.array(draw(st.lists(value, min_size=n * n, max_size=n * n)),
+                    dtype=float).reshape(n, n) + 0.0   # no -0.0
+
+
+@settings(deadline=None)
+@given(ranked_matrices())
+def test_ranks_index_the_distinct_distances(metric):
+    u, R = _ranks(metric)
+    assert np.all(np.diff(u) > 0.0)
+    assert R.dtype == np.min_scalar_type(len(u))
+    assert np.array_equal(u[R], metric)
+
+
+def test_nan_radius_refused():
+    sp = build_space("lattice_box", dim=1, side=16)
+    for query in (sp.ball, sp.volume):
+        with pytest.raises(SpaceError, match="NaN"):
+            query(3, math.nan)
+
+
+def test_two_components():
+    # paths of 6 and 5 points, at infinite distance from each other
+    a, b = np.arange(6.0), np.arange(5.0)
+    metric = np.full((11, 11), np.inf)
+    metric[:6, :6] = np.abs(a[:, None] - a)
+    metric[6:, 6:] = np.abs(b[:, None] - b)
+    edges = [(i, i + 1) for i in (0, 1, 2, 3, 4, 6, 7, 8, 9)]
+    sp = MetricMeasureSpace(metric, np.ones(11), edges=edges)
+    assert np.isinf(sp.u[-1]) and np.array_equal(sp.metric, metric)
+    # the chain condition names the first disconnected pair
+    rep = chain_check(sp)
+    assert (rep.constant, rep.samples, rep.witness) == (math.inf, 0, (0, 6))
+    # no jump crosses between the components
+    psi = ScaleFunction.single_power(1.0)
+    for kern in (JumpKernel.power_law(sp, alpha=1.0),
+                 JumpKernel.stable_like(sp, psi)):
+        assert not kern.matrix[:6, 6:].any()
+        assert (kern.matrix[:6, :6][~np.eye(6, dtype=bool)] > 0.0).all()
+    # a profile with its centres in one component meets no inf
+    scales = ScaleTriple(ScaleFunction.single_power(2.0), psi)
+    grid = _EnvelopeGrid(scales, sp, np.arange(1, 5), np.arange(6))
+    t = 2.0
+    Vc, pc = grid.local_profile(t)
+    want = np.array([[math.exp(-min(scales.m(t, d), 700.0)) for d in row]
+                     for row in metric[1:5, :6]]) / Vc[:, None]
+    assert np.array_equal(pc, want)
+    # the chained lower bound skips a disconnected space
+    table = heat_kernel(assemble(sp, 1.0, None), [0.5, 1.0])
+    rep = chain_lower_check(table, scales, sp)
+    assert rep.verdict == "failed" and "disconnected" in rep.notes
 
 
 class TestVolumeReport:

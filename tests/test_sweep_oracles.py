@@ -45,7 +45,8 @@ from formlab.harnack import (FLOOR, CylinderSpec, _flow_times, _theta_fit,
                              check_regularity, harmonic_solve)
 from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
-from formlab.space import _min_max_steps, build_space, chain_check
+from formlab.space import (_min_max_steps, _ranks, build_space,
+                           chain_check)
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
 
@@ -229,6 +230,7 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
 
 
 def old_tail_probability(table, scales, space, radii, a1_grid, gauss_cap):
+    D = space.metric
     xs = space.interior(space.interior_margin)
     keep = usable_times(table, space, 0.05)
     eta = min(scales.phi_j.exponents)
@@ -239,7 +241,7 @@ def old_tail_probability(table, scales, space, radii, a1_grid, gauss_cap):
         for x in xs:
             if space.dist_to_boundary[x] < max(radii):
                 continue
-            drow = space.metric[x]
+            drow = D[x]
             for r in radii:
                 outside = drow >= r
                 mass = float((K[x][outside] * space.mu[outside]).sum())
@@ -274,6 +276,7 @@ def old_tail_probability(table, scales, space, radii, a1_grid, gauss_cap):
 
 
 def old_chain_lower(table, scales, space, c0, m_cap):
+    D = space.metric
     xs = space.interior(space.interior_margin)
     keep = usable_times(table, space)
     times = [table.times[i] for i in keep]
@@ -281,7 +284,7 @@ def old_chain_lower(table, scales, space, c0, m_cap):
     for t, i in zip(times, keep):
         K = table.kernels[i]
         Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
-        near = space.metric[np.ix_(xs, xs)] <= scales.phi_c.inverse(t)
+        near = D[np.ix_(xs, xs)] <= scales.phi_c.inverse(t)
         vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
         if vals.size:
             c5 = min(c5, float(vals.min()))
@@ -289,7 +292,7 @@ def old_chain_lower(table, scales, space, c0, m_cap):
     for t, i in zip(times, keep):
         K = table.kernels[i]
         Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
-        d_sub = space.metric[np.ix_(xs, xs)]
+        d_sub = D[np.ix_(xs, xs)]
         mvals = old_envelope_arrays(scales, space, t, xs, xs)["m"]
         sel = (d_sub >= c0 * scales.phi_c.inverse(t)) & (mvals <= m_cap)
         K_sub = K[np.ix_(xs, xs)]
@@ -304,10 +307,10 @@ def old_chain_lower(table, scales, space, c0, m_cap):
     return c5, c6, used, rows[::max(1, math.ceil(used / RATIO_ROWS))]
 
 
-def old_min_max_step(space, x, y, n):
-    d = space.metric[x, y]
-    sel = np.nonzero(space.metric[x] + space.metric[y] <= 3.0 * d + 1e-9)[0]
-    sub = space.metric[np.ix_(sel, sel)]
+def old_min_max_step(D, x, y, n):
+    d = D[x, y]
+    sel = np.nonzero(D[x] + D[y] <= 3.0 * d + 1e-9)[0]
+    sub = D[np.ix_(sel, sel)]
     pos = {int(p): i for i, p in enumerate(sel)}
     f = np.full(len(sel), np.inf)
     f[pos[x]] = 0.0
@@ -332,16 +335,17 @@ def forward_min_max_steps(space, x, y, max_n):
 
 
 def old_chain_check(space, samples=40, seed=0x5EED, max_n=6):
+    D = space.metric
     rng = np.random.RandomState(seed)
     pts = space.interior()
     worst, count = 1.0, 0
     for _ in range(samples):
         x, y = rng.choice(pts, size=2, replace=False)
-        d = space.metric[x, y]
+        d = D[x, y]
         if d <= 0.0:
             continue
         for n in range(2, min(max_n, int(d)) + 1):
-            step = old_min_max_step(space, int(x), int(y), n)
+            step = old_min_max_step(D, int(x), int(y), n)
             worst = max(worst, step * n / d)
             count += 1
     return worst, count
@@ -349,12 +353,13 @@ def old_chain_check(space, samples=40, seed=0x5EED, max_n=6):
 
 def old_fit_jpsi(form, psi):
     space = form.space
+    D = space.metric
     interior = space.interior(space.interior_margin)
     J = form.jump.matrix
     per_d = {}
     c1, c2 = math.inf, 0.0
     for x in interior:
-        d = space.metric[x][interior]
+        d = D[x][interior]
         mask = d > 0.0
         V = space.volumes(x, d[mask] + 1e-9)
         ratio = J[x][interior][mask] * V * psi(d[mask])
@@ -370,6 +375,7 @@ def old_fit_jpsi(form, psi):
 
 def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
                     eps=0.25, nl_constant=1.0):
+    D = space.metric
     xs = space.interior()
     keep = usable_times(table, space, 0.01)
     c_uhkd = 0.0
@@ -402,7 +408,7 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
             posB = {int(p): k for k, p in enumerate(B)}
             for t, KB, KF in zip(ts, tabB.kernels, full.kernels):
                 rad = eps * scales.phi.inverse(t)
-                core = [p for p in B if space.metric[x0, p] < max(rad, 1e-12)]
+                core = [p for p in B if D[x0, p] < max(rad, 1e-12)]
                 if not core:
                     core = [x0]
                 ci = [posB[p] for p in core]
@@ -471,6 +477,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
                          theta_grid=(1.0, 0.5, 0.25, 0.125), c_cap=32.0,
                          n_window_times=4, max_centers=2, seed=0x5EED):
     space = form.space
+    D = space.metric
     rng = np.random.RandomState(seed)
     ehr_pairs_by_fn, phr_pairs_by_fn, rows = [], [], []
     for r in radii:
@@ -486,7 +493,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
             ext = np.setdiff1d(np.arange(form.n), B)
             if len(ext) == 0:
                 continue
-            core = [p for p in B if space.metric[x0, p] < eps * r]
+            core = [p for p in B if D[x0, p] < eps * r]
             if len(core) < 2:
                 continue
             # harmonic Poisson columns for a sample of exterior atoms
@@ -498,7 +505,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
                 u = harmonic_solve(form, B, data)
                 supu = float(np.abs(u).max())
                 ehr_pairs_by_fn.append([
-                    (abs(u[p] - u[q]), space.metric[p, q] / r, supu)
+                    (abs(u[p] - u[q]), D[p, q] / r, supu)
                     for i, p in enumerate(core) for q in core[i + 1:]])
             zs = np.arange(form.n)[rng.choice(form.n, size=min(8, form.n),
                                               replace=False)]
@@ -514,7 +521,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
                                     continue
                                 sep = (scales.phi.inverse(abs(ts[a] - ts[b]))
                                        if a != b else 0.0)
-                                sep = (sep + space.metric[p, q]) / r
+                                sep = (sep + D[p, q]) / r
                                 prs.append((abs(traces[a, p] - traces[b, q]),
                                             sep, supu))
                 phr_pairs_by_fn.append(prs)
@@ -809,7 +816,8 @@ def metric_pairs(draw):
 @given(metric_pairs())
 def test_meet_in_the_middle_equals_forward_programme(case):
     D, x, y, max_n = case
-    space = type("Space", (), {"metric": D, "n": len(D)})
+    u, R = _ranks(D)
+    space = type("Space", (), {"metric": D, "n": len(D), "u": u, "R": R})
     try:
         want = forward_min_max_steps(space, x, y, max_n)
     except KeyError:
@@ -885,25 +893,23 @@ def test_theta_fit_on_arrays_equals_pair_loop(pairs, supu, theta_grid, cap):
 
 @pytest.mark.parametrize("name", ["gasket_walk", "z1_mini"])
 def test_envelope_grid_distance_index_equals_unique_inverse(name):
-    # the searched index of each pair's distance is np.unique's inverse,
-    # also where the distances hold inf and -0.0
+    # each pair's rank into the space's distances u picks its distance, and
+    # the met positive ranks are np.unique's positive distances of the grid
     ctx = SuiteContext(load_config(name))
-    xs = ctx.space.interior()
+    xs, u = ctx.space.interior(), ctx.space.u
     grid = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs[::-1])
-    grid.d[0, :3] = [math.inf, -0.0, math.inf]
-    uq, inv, pos = grid._unique
-    want_uq, want_inv = np.unique(grid.d, return_inverse=True)
-    assert np.array_equal(uq, want_uq) and np.array_equal(pos, want_uq > 0.0)
-    assert np.array_equal(inv.ravel(), want_inv.ravel())
-    assert np.array_equal(uq[inv], grid.d)
+    d = ctx.space.metric[np.ix_(xs, xs[::-1])]
+    want_uq = np.unique(d)
+    assert np.array_equal(grid.d, d) and np.array_equal(u[grid.k], d)
+    assert np.array_equal(u[grid.met], want_uq[want_uq > 0.0])
     # m at the distinct distances, gathered per pair, is m on the grid
     grid, t = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs), ctx.times[2]
     want_uq, want_inv = np.unique(grid.d, return_inverse=True)
     pos = want_uq > 0.0
     m_u = np.zeros_like(want_uq)
     m_u[pos] = want_uq[pos] / ctx.scales.bar_phi_c.inverse(t / want_uq[pos])
-    assert np.array_equal(grid.m_unique(t), m_u)
-    assert np.array_equal(grid.m_unique(t)[grid._unique[1]],
+    assert np.array_equal(grid.m_unique(t)[grid.met], m_u[pos])
+    assert np.array_equal(grid.m_unique(t)[grid.k],
                           m_u[want_inv].reshape(grid.d.shape))
 
 
@@ -988,8 +994,8 @@ def test_quadrature_exponentiates_each_node_once(monkeypatch):
 
 
 def test_fit_hk_sweeps_each_row_once(monkeypatch):
-    # V(x, d(x, y)) is t-independent: one batched lookup over all centres
-    # per call, not one per time and dilation
+    # V(x, d(x, y)) is t-independent: read from the ball table by rank
+    # once per call, with no volume lookup over the pairs
     ctx = SuiteContext(load_config("z1_mini"))
     space = ctx.space
     table = ctx.table
@@ -1002,13 +1008,8 @@ def test_fit_hk_sweeps_each_row_once(monkeypatch):
 
     monkeypatch.setattr(space, "volumes", counted)
     fit_hk(table, ctx.scales, space, mode="HK")
-    xs = space.interior()
-    keep = usable_times(table, space)
-    assert len(keep) > 1
-    pair_calls = [(x, r) for x, r in calls if np.ndim(r) == 2]
-    assert len(pair_calls) == 1
-    x, r = pair_calls[0]
-    assert np.array_equal(np.ravel(x), xs) and np.shape(r) == (len(xs),) * 2
+    assert len(usable_times(table, space)) > 1
+    assert calls and not [r for _, r in calls if np.ndim(r) == 2]
 
 
 def test_legendre_grid_memo_equals_fresh_grid():

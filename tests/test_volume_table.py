@@ -6,8 +6,6 @@ on a random positive measure it agrees within the rounding of an n-term
 sum."""
 
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -21,17 +19,17 @@ BUNDLED = ("z1_alpha1", "phi_counterexample", "z1_mini",
            "gasket_subordination", "gasket_walk", "z2_alpha1", "halfspace")
 
 
-def old_volume(space, x, r):
-    """The masked sum."""
-    return float(space.mu[space.metric[x] < r].sum())
+def old_volume(mu, row, r):
+    """The masked sum over one metric row."""
+    return float(mu[row < r].sum())
 
 
-def old_volumes(space, x, radii):
-    """The sorted sweep of one row."""
-    order = np.argsort(space.metric[x], kind="stable")
-    d_sorted = space.metric[x][order]
-    c_sorted = np.concatenate([[0.0], np.cumsum(space.mu[order])])
-    k = np.searchsorted(d_sorted, np.asarray(radii, dtype=float), side="left")
+def old_volumes(mu, row, radii):
+    """The sorted sweep of one metric row."""
+    order = np.argsort(row, kind="stable")
+    c_sorted = np.concatenate([[0.0], np.cumsum(mu[order])])
+    k = np.searchsorted(row[order], np.asarray(radii, dtype=float),
+                        side="left")
     return c_sorted[k]
 
 
@@ -50,7 +48,8 @@ def test_table_bit_equal_to_both_formulas_on_shipped_spaces(name, space):
     d = space.metric
     # the pair volumes, open and closed, as fit_hk and stable_like read them
     for radii in (d, d + 1e-9):
-        want = np.array([old_volumes(space, x, radii[x]) for x in range(n)])
+        want = np.array([old_volumes(space.mu, d[x], radii[x])
+                         for x in range(n)])
         assert np.array_equal(space.volumes(everyone, radii), want)
     # scalar radii between and at the distances, per centre
     radii = np.unique(np.concatenate([[0.5, 1.5, 2.5, 4.0, 8.5, 1e9],
@@ -58,13 +57,13 @@ def test_table_bit_equal_to_both_formulas_on_shipped_spaces(name, space):
     xs = np.unique(np.linspace(0, n - 1, 25).round().astype(int))
     got = space.volumes(xs[:, None], radii)
     for i, x in enumerate(xs):
-        assert np.array_equal(got[i], old_volumes(space, x, radii))
+        assert np.array_equal(got[i], old_volumes(space.mu, d[x], radii))
         for j, r in enumerate(radii):
             v = space.volume(int(x), float(r))
-            assert type(v) is float and v == old_volume(space, x, r)
+            assert type(v) is float and v == old_volume(space.mu, d[x], r)
             assert v == got[i, j]
     assert np.array_equal(space.volume(xs, 2.5),
-                          [old_volume(space, x, 2.5) for x in xs])
+                          [old_volume(space.mu, d[x], 2.5) for x in xs])
 
 
 def test_random_measure_within_n_eps():
@@ -79,10 +78,10 @@ def test_random_measure_within_n_eps():
     bound = 2 * n * np.finfo(float).eps
     got = sp.volumes(np.arange(n)[:, None], metric + 1e-9)
     for x in range(n):
-        want = old_volumes(sp, x, metric[x] + 1e-9)
+        want = old_volumes(mu, metric[x], metric[x] + 1e-9)
         assert np.all(np.abs(got[x] - want) <= bound * want)
         for r in (0.7, 3.3, 12.0):
-            want = old_volume(sp, x, r)
+            want = old_volume(mu, metric[x], r)
             assert abs(sp.volume(x, r) - want) <= bound * want
 
 
@@ -114,9 +113,8 @@ def test_table_over_the_cap_refused(monkeypatch):
     rng = np.random.RandomState(0)
     pts = rng.uniform(size=(10, 2))
     metric = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
-    sp = MetricMeasureSpace(metric, np.ones(10))   # 46 distinct distances
     with pytest.raises(SpaceError, match="capacity exceeded"):
-        sp.volume(0, 1.0)
+        MetricMeasureSpace(metric, np.ones(10))   # 46 distinct distances
 
 
 @pytest.mark.parametrize("kind,params", [
@@ -124,49 +122,20 @@ def test_table_over_the_cap_refused(monkeypatch):
     ("lattice_box", {"dim": 2, "side": 32}),     # K = 63
 ])
 def test_table_memory(kind, params):
-    sp = build_space(kind, **params)
-    n = sp.n
-    K = len(np.unique(sp.metric))
-    table = n * (K + 1) * 8 + K * 8
+    # a space keeps its ranks, distances and ball table beside its O(n)
+    # arrays, and builds them with no n x n float temporary
+    build_space(kind, **params)   # the binding caches, filled once
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        sp.volume(0, 1.0)
-        kept, peak = (v - base for v in tracemalloc.get_traced_memory())
+        sp = build_space(kind, **params)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= table + 4096
-    assert peak <= table + n * n * 8
-
-
-def test_first_lookups_from_many_threads_build_one_table(monkeypatch):
-    sp = build_space("lattice_box", dim=2, side=24)
-    builds = []
-    build = space_mod._ball_table
-
-    def counted(metric, mu):
-        builds.append(1)
-        return build(metric, mu)
-
-    monkeypatch.setattr(space_mod, "_ball_table", counted)
-    want = np.array([old_volume(sp, x, 5.5) for x in range(sp.n)])
-    results = []
-    start = threading.Barrier(8)
-
-    def lookup():
-        start.wait(timeout=30)
-        results.append(sp.volumes(np.arange(sp.n), 5.5))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lookup) for _ in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert len(builds) == 1 and len(results) == 8
-    assert all(np.array_equal(r, want) for r in results)
+    n = sp.n
+    assert sp.R.dtype == np.min_scalar_type(len(sp.u))
+    assert not [name for name, a in vars(sp).items()
+                if np.ndim(a) == 2 and a.shape == (n, n) and a.dtype == float]
+    held = sum(a.nbytes for a in (sp.u, sp.R, sp.C, sp.mu, sp.coords,
+                                  sp.edges, sp.boundary, sp.dist_to_boundary))
+    assert kept <= held + 4096
+    assert peak <= held + 4 * n * n
