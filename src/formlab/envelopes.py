@@ -64,16 +64,10 @@ class _EnvelopeGrid:
         self.met = np.bincount(self.k.ravel(), minlength=len(space.u)) > 0
         self.met[0] = False
 
-    def radial(self, f, elsewhere):
-        """f at the met distances of u, ``elsewhere`` at the others."""
-        f_u = np.full(len(self.met), elsewhere)
-        f_u[self.met] = f(self.space.u[self.met])
-        return f_u
-
     def denom(self, f):
         """V(x, d) f(d) per pair, with f(0) read as 1."""
         return (self.space.C[self.xs[:, None], self.k]
-                * self.radial(f, 1.0)[self.k])
+                * self.space.radial(f, 1.0, self.met)[self.k])
 
     @cached_property
     def jump_denom(self):
@@ -82,8 +76,8 @@ class _EnvelopeGrid:
 
     def m_unique(self, td):
         """m(td, u) at the met distances u, 0 elsewhere."""
-        return self.radial(
-            lambda d: d / self.scales.bar_phi_c.inverse(td / d), 0.0)
+        return self.space.radial(
+            lambda d: d / self.scales.bar_phi_c.inverse(td / d), 0.0, self.met)
 
     def local_profile(self, td):
         """(Vc, pc) at the dilated time td: V(x, phi_c^{-1}(td)) per x and
@@ -488,8 +482,8 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
     tail = np.empty((len(times), len(centers), len(radii)))
     for b, x in enumerate(centers):
         rows = np.stack([table.kernels[i][x] for i in keep])
-        for c, r in enumerate(radii):
-            outside = space.R[x] >= space.rank(r)
+        for c, outside in enumerate(
+                space.beyond(np.reshape(radii, (-1, 1)), x, closed=True)):
             mass = rows.compress(outside, axis=1) * space.mu[outside]
             tail[:, b, c] = mass.sum(axis=1)
     # each bound below is mass times a factor >= 0 of (t, r) alone, and

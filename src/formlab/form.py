@@ -347,7 +347,7 @@ class DirichletForm:
         if self.jump is None:
             return None
         J = self.jump.matrix.copy()
-        J[self.space.R >= self.space.rank(rho, "right")] = 0.0
+        J[self.space.beyond(rho)] = 0.0
         return J
 
 
@@ -511,7 +511,7 @@ def truncate(form: DirichletForm, rho: float) -> DirichletForm:
         # the kernel's own copy of the symmetric J, cut by the symmetric
         # ranks in place: the same matrix as symmetrising a cut copy
         jump = JumpKernel(form.jump.matrix)
-        jump.matrix[form.space.R >= form.space.rank(rho, "right")] = 0.0
+        jump.matrix[form.space.beyond(rho)] = 0.0
     return DirichletForm(form.space, form.w_edges, jump)
 
 

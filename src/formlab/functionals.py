@@ -119,7 +119,7 @@ def lambda1(form: DirichletForm, D) -> float:
 
 def _subsets_of_ball(space, x0, r, seed=SEED):
     B = space.ball(x0, r)
-    order = B[np.argsort(space.R[x0, B], kind="stable")]
+    order = B[np.argsort(space.dist(x0, B), kind="stable")]
     rng = np.random.RandomState(seed)
     subs = {"full": B, "half": order[: max(1, len(order) // 2)],
             "sparse": order[::4] if len(order) >= 4 else order}
@@ -381,7 +381,7 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
         dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
         J3, mu3 = J[B3], np.outer(mu[B3], mu)
         J23, mu23 = J[np.ix_(B2, B3)], np.outer(mu[B2], mu[B3])
-        k3, k23 = space.R[B3], space.R[np.ix_(B2, B3)]
+        d3, d23 = space.dist(B3), space.dist(B2[:, None], B3)
     out = []
     for f in fns:
         f = np.asarray(f, dtype=float)
@@ -399,9 +399,8 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
             sides = []
             for rho in (None, *rhos):
                 if rho is not None:
-                    k = space.rank(rho, "right")
-                    left[k3 >= k] = 0.0
-                    right[k23 >= k] = 0.0
+                    left[d3 > rho] = 0.0
+                    right[d23 > rho] = 0.0
                 sides.append((lhs + float(np.sum(left)),
                               rt1 + float(np.sum(right))))
         out.append((float(np.sum(fsq * mu[B3])), sides))
@@ -538,7 +537,7 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
     c_tail = 0.0
     witness = {}
     for x0, r in ball_family(space, radii, reach_factor=1.0, max_centers=6):
-        outside = space.R[x0] >= space.rank(r)
+        outside = space.beyond(r, x0, closed=True)
         T = float(np.sum(J[x0][outside] * space.mu[outside]))
         c = T * scales.phi_j(r)
         rows.append({"x0": x0, "r": r, "tail": T, "c": c})

@@ -103,7 +103,7 @@ def _check_metric(u, R):
                          f"{float(u[diagonal[i]])!r}")
     # the positive distances: the ranks above 0's and below a NaN's, which
     # sorts last
-    low, high = np.searchsorted(u, [0.0, np.inf], side="right")
+    low, high = np.searchsorted(u, [0.0, np.inf], side="right").tolist()
     for i in range(0, n, _ROWS):
         k = R[i:i + _ROWS]
         pos = (k >= low) & (k < high)
@@ -184,22 +184,29 @@ class MetricMeasureSpace:
     the diagonal, positive off it (+inf between disconnected points) and
     exactly symmetric; the triangle inequality is not checked.
 
-    ``metric`` is an n x n matrix, or a pair (u, R) from a builder.  The
-    space holds u, the K sorted distinct distances (u[0] = 0, the
+    The space holds u, the K sorted distinct distances (u[0] = 0, the
     diagonal's), the n x n ranks R with u[R] the metric, in the least
     unsigned type that holds K, and the ball table C of ``_ball_table``."""
 
     def __init__(self, metric, mu, edges=None, coords=None, boundary=None,
                  interior_margin=0.0):
-        if not (isinstance(metric, tuple) and len(metric) == 2
-                and np.ndim(metric[1]) == 2):
-            metric = np.asarray(metric, dtype=float)
-            if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
-                raise SpaceError("metric must be a square matrix")
-            _check_size(len(metric))
-            metric = _ranks(metric)
-        u, R = metric
+        metric = np.asarray(metric, dtype=float)
+        if metric.ndim != 2 or metric.shape[0] != metric.shape[1]:
+            raise SpaceError("metric must be a square matrix")
+        _check_size(len(metric))
+        self._hold(*_ranks(metric), mu, edges, coords, boundary,
+                   interior_margin)
+
+    @classmethod
+    def _from_ranks(cls, u, R, mu, **kw):
+        """A builder's space of metric u[R] (u increasing, R < len(u))."""
+        space = cls.__new__(cls)
+        space._hold(u, R, mu, **kw)
+        return space
+
+    def _hold(self, u, R, mu, edges, coords, boundary, interior_margin):
         n = len(R)
+        _check_size(n)
         _check_metric(u, R)
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (n,) or np.any(mu <= 0.0):
@@ -228,22 +235,26 @@ class MetricMeasureSpace:
         """d(x, y) = u[R[x, y]], indexed as the metric is."""
         return self.u[self.R[x, y]]
 
-    def rank(self, r, side="left"):
-        """The ranks of the distances below r (``side`` left) or at most r
-        (right) are those below ``rank(r, side)``."""
-        return np.searchsorted(self.u, r, side=side)
+    def radial(self, f, elsewhere, where=slice(1, None)):
+        """A function of the distance on u, to be gathered per pair by R:
+        f(u[where]) at ``where`` (every positive distance by default) and
+        ``elsewhere`` at the other distances."""
+        f_u = np.full(len(self.u), float(elsewhere))
+        f_u[where] = f(self.u[where])
+        return f_u
 
-    def radial(self, f, at_zero):
-        """A function of the distance on u: ``at_zero`` at u[0] = 0 and
-        f(u[1:]) at the positive distances, gathered per pair by R."""
-        return np.concatenate(([at_zero], f(self.u[1:])))
+    def beyond(self, r, at=..., closed=False):
+        """The mask d(x, y) > r (>= r if ``closed``) over the pairs R[at],
+        by default every pair, broadcast against an array r."""
+        k = self.u.searchsorted(r, "left" if closed else "right")
+        return self.R[at] >= k.astype(self.R.dtype)   # intp would widen R
 
     def ball(self, x: int, r: float) -> np.ndarray:
         """Indices of B(x, r) = {y : d(x, y) < r}.  Raises SpaceError on a
         NaN radius."""
         if np.isnan(r):
             raise SpaceError("ball radius is NaN")
-        return np.nonzero(self.R[x] < self.rank(r))[0]
+        return np.nonzero(self.R[x] < int(self.u.searchsorted(r)))[0]
 
     def volume(self, x, r):
         """V(x, r): a float for one centre, an array for an index array."""
@@ -258,7 +269,7 @@ class MetricMeasureSpace:
         r = np.asarray(radii, dtype=float)
         if np.isnan(r).any():
             raise SpaceError("volume radius is NaN")
-        return self.C[x, self.rank(r)]
+        return self.C[x, self.u.searchsorted(r)]
 
     def interior(self, margin=None) -> np.ndarray:
         """Centers whose ball of radius ``margin`` (default
@@ -336,14 +347,14 @@ def _lattice(dim: int, side: int, metric: str, margin, cut):
         shape = [1] * (2 * dim)
         shape[a] = shape[dim + a] = side
         pairs += step.reshape(shape)
-    dist = ((np.arange(top + 1.0), sums) if metric == "l1"
-            else np.sqrt(sums, dtype=float))
     # point i and its successor along an axis, in order of i, then axis
     i, ax = np.nonzero(coords < side - 1)
     edges = np.column_stack([i, i + side ** (dim - 1 - ax)])
-    return MetricMeasureSpace(
-        dist, np.ones(n), edges=edges, coords=coords, boundary=cut(coords),
-        interior_margin=side / 8.0 if margin is None else margin)
+    kw = dict(mu=np.ones(n), edges=edges, coords=coords, boundary=cut(coords),
+              interior_margin=side / 8.0 if margin is None else margin)
+    if metric == "l2":
+        return MetricMeasureSpace(np.sqrt(sums, dtype=float), **kw)
+    return MetricMeasureSpace._from_ranks(np.arange(top + 1.0), sums, **kw)
 
 
 def _lattice_box(dim: int, side: int, metric: str = "l1",
@@ -388,7 +399,6 @@ def _gasket(level: int, margin: float | None = None):
     # the ranks of the distances
     hops = shortest_path(adj, method="D", unweighted=True)
     K = int(hops.max()) + 1
-    ranks = (np.arange(K, dtype=float), hops.astype(np.min_scalar_type(K)))
     lattice = np.array(verts, dtype=float)
     coords = np.column_stack(
         [lattice[:, 0] + 0.5 * lattice[:, 1], lattice[:, 1] * (math.sqrt(3) / 2)]
@@ -396,10 +406,10 @@ def _gasket(level: int, margin: float | None = None):
     boundary = np.zeros(n, dtype=bool)
     for corner in ((0, 0), (scale, 0), (0, scale)):
         boundary[index[corner]] = True
-    if margin is None:
-        margin = scale / 8.0
-    return MetricMeasureSpace(ranks, np.ones(n), edges=edges, coords=coords,
-                              boundary=boundary, interior_margin=margin)
+    return MetricMeasureSpace._from_ranks(
+        np.arange(K, dtype=float), hops.astype(np.min_scalar_type(K)),
+        np.ones(n), edges=edges, coords=coords, boundary=boundary,
+        interior_margin=scale / 8.0 if margin is None else margin)
 
 
 # space kind -> builder; a space config sets exactly its parameters

@@ -14,12 +14,13 @@ from formlab.space import (MAX_POINTS, MetricMeasureSpace, SpaceError,
 
 
 def old_lattice_metric(dim, side, metric, rows=slice(None)):
-    """Rows of the whole-array lattice metric: integer differences."""
+    """Rows of the whole-array lattice metric: integer differences, one
+    axis at a time."""
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
-    diff = coords[rows, None, :] - coords[None, :, :]
+    diff = [coords[rows, a, None] - coords[None, :, a] for a in range(dim)]
     if metric == "l1":
-        return np.abs(diff).sum(axis=2).astype(float)
-    return np.sqrt((diff.astype(float) ** 2).sum(axis=2))
+        return sum(map(np.abs, diff)).astype(float)
+    return np.sqrt(sum(d.astype(float) ** 2 for d in diff))
 
 
 def old_row_asymmetry(M):
@@ -126,10 +127,11 @@ class TestBuilders:
         sp = build_space("lattice_box", dim=dim, side=side, metric=metric)
         assert sp.R.dtype == np.min_scalar_type(len(sp.u))
         assert np.all(np.diff(sp.u) > 0.0) and not np.signbit(sp.u).any()
-        # every row up to n = 1023, else every 8th and the last one
-        rows = np.r_[0:sp.n:max(1, sp.n // 512), sp.n - 1]
-        assert np.array_equal(sp.dist(rows),
-                              old_lattice_metric(dim, side, metric, rows))
+        # every row, in blocks of 256 that bound the formula's memory
+        for i in range(0, sp.n, 256):
+            rows = slice(i, i + 256)
+            assert np.array_equal(sp.dist(rows),
+                                  old_lattice_metric(dim, side, metric, rows))
 
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
     def test_tiled_row_asymmetry_equals_row_blocks(self, n):
@@ -263,14 +265,46 @@ def test_nan_radius_refused():
             query(3, math.nan)
 
 
-def test_two_components():
-    # paths of 6 and 5 points, at infinite distance from each other
+def two_paths():
+    """Paths of 6 and 5 points, at infinite distance from each other."""
     a, b = np.arange(6.0), np.arange(5.0)
     metric = np.full((11, 11), np.inf)
     metric[:6, :6] = np.abs(a[:, None] - a)
     metric[6:, 6:] = np.abs(b[:, None] - b)
     edges = [(i, i + 1) for i in (0, 1, 2, 3, 4, 6, 7, 8, 9)]
-    sp = MetricMeasureSpace(metric, np.ones(11), edges=edges)
+    return metric, MetricMeasureSpace(metric, np.ones(11), edges=edges)
+
+
+def gasket_3():
+    sp = build_space("gasket", level=3)
+    return sp.metric, sp
+
+
+@pytest.mark.parametrize("build", [two_paths, gasket_3],
+                         ids=["two_paths", "gasket_3"])
+def test_beyond_and_radial_equal_the_metric_formulas(build):
+    metric, sp = build()
+    ix = np.ix_([0, 2, 7], [1, 3, 6, 9])
+    for r in (-1.0, 0.0, 1.0, 1.5, 2.0, 4.0, 100.0, math.inf):
+        assert np.array_equal(sp.beyond(r), metric > r)
+        assert np.array_equal(sp.beyond(r, closed=True), metric >= r)
+        assert np.array_equal(sp.beyond(r, 3), metric[3] > r)
+        assert np.array_equal(sp.beyond(r, ix, closed=True), metric[ix] >= r)
+    radii = np.array([[0.5], [1.0], [3.0], [math.inf]])
+    assert np.array_equal(sp.beyond(radii, 7, closed=True), metric[7] >= radii)
+    with np.errstate(divide="ignore"):
+        f = sp.radial(np.reciprocal, 7.0)
+        assert np.array_equal(f[sp.R], np.where(metric > 0, 1.0 / metric,
+                                                7.0))
+    met = np.zeros(len(sp.u), bool)
+    met[1::2] = True
+    g = sp.radial(np.sqrt, -1.0, met)
+    assert np.array_equal(g[met], np.sqrt(sp.u[met]))
+    assert (g[~met] == -1.0).all()
+
+
+def test_two_components():
+    metric, sp = two_paths()
     assert np.isinf(sp.u[-1]) and np.array_equal(sp.metric, metric)
     # the chain condition names the first disconnected pair
     rep = chain_check(sp)
