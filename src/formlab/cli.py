@@ -364,10 +364,9 @@ def _chk_hk_minus(ctx, **kw):
     return fit_hk(ctx.table, ctx.scales, ctx.space, mode="HK_minus", **kw)
 
 
-@check("uhk_weak", fit_hk, "mode", "upper_dilations", "lower_dilations",
-       "indicator")
-def _chk_uhk_weak(ctx, **kw):
-    return fit_hk(ctx.table, ctx.scales, ctx.space, mode="UHK_weak", **kw)
+@check("uhk_weak")
+def _chk_uhk_weak(ctx):
+    return fit_hk(ctx.table, ctx.scales, ctx.space, mode="UHK_weak")
 
 
 @check("diag", diag_checks)
@@ -387,11 +386,11 @@ def _chk_pc_equiv(ctx, **kw):
     )
 
 
-@check("dominance", dominance_map)
-def _chk_dominance(ctx, t=None, **kw):
+@check("dominance")
+def _chk_dominance(ctx, t=None):
     if t is None:
         t = float(ctx.times[0])
-    dm = dominance_map(ctx.scales, ctx.space, t, **kw)
+    dm = dominance_map(ctx.scales, ctx.space, t)
     cross = dm.crossover[np.isfinite(dm.crossover)]
     return ConditionReport(
         "dominance-map", "certified",
@@ -428,18 +427,18 @@ def _chk_phi(ctx, R: list[float] | None = None, **kw):
     return check_phi(ctx.form, ctx.scales, cyls, mode=mode, **kw)
 
 
-@check("regularity", check_regularity, "seed")
+@check("regularity", check_regularity, "seed", "max_centers")
 def _chk_regularity(ctx, radii: list[float] | None = None, **kw):
-    kw.setdefault("max_centers", min(2, ctx.max_centers))
     return check_regularity(ctx.form, ctx.scales,
                             ctx.phi_R if radii is None else radii,
+                            max_centers=min(2, ctx.max_centers),
                             seed=ctx.cfg.seed, **kw)
 
 
-@check("meyer", meyer_check)
-def _chk_meyer(ctx, rho_grid: list[float] | None = None, **kw):
+@check("meyer")
+def _chk_meyer(ctx, rho_grid: list[float] | None = None):
     rhos = rho_grid or ctx.radii
-    c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3], **kw)
+    c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3])
     fits = {f"c1(rho={rho:g})": c1 for rho, c1 in zip(rhos, c1s)}
     vals = list(fits.values())
     ok = all(np.isfinite(v) for v in vals)

@@ -167,13 +167,12 @@ def check_pc_equivalence(scales: ScaleTriple, n_per_axis: int = 40,
 
 
 def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
-           mode: str = "HK", margin=None,
+           mode: str = "HK",
            upper_dilations: tuple[float, ...] = (1.0, 2.0, 4.0),
            lower_dilations: tuple[float, ...] = (1.0, 0.5, 0.25),
-           indicator: float = 1.0, boundary_cap: float = 0.01
-           ) -> ConditionReport:
+           indicator: float = 1.0) -> ConditionReport:
     """Fit the smallest upper and largest lower constants of the requested
-    sandwich over interior triples of the kernel table.
+    sandwich over ``space.interior()`` at the kernel table's usable times.
 
     modes: ``HK`` (full sandwich), ``HK_minus`` (indicator lower bound),
     ``UHK`` (upper only), ``UHK_weak`` (rough upper with phi in both slots),
@@ -183,8 +182,8 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     one stride over both centers to about ``RATIO_ROWS`` rows, nan wherever
     the fit excludes the triple.
     """
-    xs = space.interior(margin)
-    keep = usable_times(table, space, boundary_cap)
+    xs = space.interior()
+    keep = usable_times(table, space)
     times = [float(table.times[i]) for i in keep]
     total = max(len(keep) * len(xs) * len(xs), 1)
     thin = slice(None, None, max(1, int(math.sqrt(total / RATIO_ROWS))))
@@ -318,12 +317,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
 def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                 form: DirichletForm,
                 ndl_radii: tuple[float, ...] = (8.0, 16.0), eps: float = 0.25,
-                nl_constant: float = 1.0, margin=None,
-                boundary_cap: float = 0.01) -> ConditionReport:
+                nl_constant: float = 1.0) -> ConditionReport:
     """UHKD, NL and NDL constants, the last from Dirichlet kernels on a ball
     family; domain monotonicity p >= p^B is re-verified on the NDL grid."""
-    xs = space.interior(margin)
-    keep = usable_times(table, space, boundary_cap)
+    xs = space.interior()
+    keep = usable_times(table, space)
     c_uhkd, c_nl = 0.0, math.inf
     grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
@@ -405,8 +403,7 @@ class DominanceMap:
     log_ratio: float
 
 
-def dominance_map(scales: ScaleTriple, space, t: float,
-                  margin=None) -> DominanceMap:
+def dominance_map(scales: ScaleTriple, space, t: float) -> DominanceMap:
     """Label every interior pair by the largest envelope branch at time t and
     locate the empirical Gaussian-to-jump crossover distance per center.
 
@@ -414,7 +411,7 @@ def dominance_map(scales: ScaleTriple, space, t: float,
     phi_c^{-1}(t): the bracket constants c3, c4 are fitted from the
     empirical crossovers with the two theoretical log exponents.
     """
-    xs = space.interior(margin)
+    xs = space.interior()
     grid = _EnvelopeGrid(scales, space, xs, xs)
     _, pc = grid.local_profile(t)
     _, pj = grid.jump_profile(t)
@@ -444,16 +441,16 @@ def dominance_map(scales: ScaleTriple, space, t: float,
 
 
 def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
-                           radii: list[float] | None = None, margin=None,
+                           radii: list[float] | None = None,
                            a1_grid: tuple[float, ...] = (1.0, 0.5, 0.25,
                                                          0.125, 0.0625),
-                           gauss_cap: float = 1e6,
-                           boundary_cap: float = 0.05) -> ConditionReport:
+                           gauss_cap: float = 1e6) -> ConditionReport:
     """Fit (eta, a1, c_jump, c_gauss) making
 
     mass(B(x,r)^c) <= c_jump (phi_j^{-1}(t)/r)^eta + c_gauss exp(-a1 m(t, r))
 
-    hold over the (x, r, t) grid, with eta = beta1(phi_j).
+    hold over the (x, r, t) grid, with eta = beta1(phi_j), the times usable
+    at a 5% boundary-mass cap and default radii up to the space's margin.
 
     Two certified branches: when some grid a1 lets the exponential term cover
     every tail alone (diffusion-only control) the jump coefficient is exactly
@@ -461,11 +458,10 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
     the exponential coefficient is pinned on the near region, where the
     bound is anyway dominated by bounded exponents.
     """
-    margin = space.interior_margin if margin is None else margin
-    xs = space.interior(margin)
-    keep = usable_times(table, space, boundary_cap)
+    xs = space.interior()
+    keep = usable_times(table, space, 0.05)
     if radii is None:
-        top = max(2.0, margin)
+        top = max(2.0, space.interior_margin)
         radii = np.unique(np.geomspace(1.0, top, 5)) + 0.5
     eta = min(scales.phi_j.exponents)
 
@@ -541,8 +537,7 @@ def _pow(xs, ys):
 
 
 def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
-                      c0: float = 2.0, margin=None,
-                      m_cap: float = 30.0) -> ConditionReport:
+                      c0: float = 2.0, m_cap: float = 30.0) -> ConditionReport:
     """Fit (c5, c6) in p(t,x,y) >= c5 c6^{m(t,d)} / V(x, phi_c^{-1}(t)) over
     triples with d >= c0 phi_c^{-1}(t) in the locally dominated regime.
 
@@ -550,7 +545,7 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     is the largest ratio base certified over the grid.  The rows hold
     (t, m, base) of every ``stride``-th selected triple in sweep order, the
     stride keeping them within ``RATIO_ROWS``."""
-    xs = space.interior(margin)
+    xs = space.interior()
     keep = usable_times(table, space)
     times = [table.times[i] for i in keep]
     if np.isinf(space.u[-1]):

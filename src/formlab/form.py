@@ -529,13 +529,12 @@ def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
     return c0
 
 
-def meyer_check(form: DirichletForm, scales, rhos, times,
-                margin=None) -> list:
+def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
     """Smallest c1 with
     p(t,x,y) <= q^(rho)(t,x,y) + c1 t / (V(x,rho) phi_j(rho)) exp(c1 t / phi(rho))
     over interior (t, x, y), one per rho of ``rhos``, by bisection.  One
     interior block of p(t) serves every rho, beside one truncated form."""
-    interior = form.space.interior(margin)
+    interior = form.space.interior()
     block = [(interior, interior)]
     (P,) = kernel_blocks(form, times, block)
     c1s = []

@@ -493,11 +493,11 @@ def check_exit(form: DirichletForm, scales, radii,
 # -- jump tail, UJS, two-sided J_psi ----------------------------------------------
 
 
-def fit_jpsi(form: DirichletForm, psi, margin=None):
+def fit_jpsi(form: DirichletForm, psi):
     """Two-sided comparability fit of J against 1/(V(x,d) psi(d)) over
     interior ordered pairs; returns (c1, c2, per-distance table)."""
     space = form.space
-    interior = space.interior(margin)
+    interior = space.interior()
     block = np.ix_(interior, interior)
     d = space.dist(*block)
     mask = d > 0.0

@@ -330,8 +330,8 @@ def _lattice(dim: int, side: int, metric: str, margin, cut):
     coordinates, axis a's at positions a and dim + a; the per-axis terms
     |x_a - y_a| (squared for l2) add into the pair's integer sum one axis
     at a time, in axis order.  An l1 sum is the rank of the distance
-    itself, as u = 0, 1, ..., dim (side - 1); the l2 metric is the root of
-    its sum."""
+    itself, as u = 0, 1, ..., dim (side - 1); an l2 distance is the root of
+    its sum, and its rank is read from a table over the sums."""
     n = side ** dim
     coords = np.indices((side,) * dim).reshape(dim, -1).T.astype(int)
     power = 1 if metric == "l1" else 2
@@ -353,7 +353,11 @@ def _lattice(dim: int, side: int, metric: str, margin, cut):
     kw = dict(mu=np.ones(n), edges=edges, coords=coords, boundary=cut(coords),
               interior_margin=side / 8.0 if margin is None else margin)
     if metric == "l2":
-        return MetricMeasureSpace(np.sqrt(sums, dtype=float), **kw)
+        # corner 0's row meets every offset, so every sum the pairs meet
+        met = np.bincount(sums[0], minlength=top + 1) > 0
+        u = np.sqrt(np.flatnonzero(met), dtype=float)
+        rank = (np.cumsum(met) - 1).astype(np.min_scalar_type(len(u)))
+        return MetricMeasureSpace._from_ranks(u, rank[sums], **kw)
     return MetricMeasureSpace._from_ranks(np.arange(top + 1.0), sums, **kw)
 
 

@@ -144,20 +144,41 @@ class TestSuite:
         lines = (tmp_path / "ratios_fk.csv").read_text().strip().splitlines()
         assert len(lines) == len(fk_rows) + 1
 
-    @pytest.mark.parametrize("params", [{"margin": 40},
-                                        {"boundary_cap": 0.001}])
-    def test_hk_rows_follow_the_fit_grid(self, params, monkeypatch):
-        # the rows come from the fit's own sweep: its centers at its
-        # margin, its usable times at its boundary cap
+    def test_hk_rows_follow_the_fit_grid(self, monkeypatch):
+        # the rows come from the fit's own sweep: its centers, the space's
+        # interior at the space's margin, and its usable times
         monkeypatch.setattr(envelopes, "RATIO_ROWS", 10 ** 9)
-        cfg = validate_config(mini_cfg(checks=["hk"],
-                                       check_params={"hk": params}))
+        data = mini_cfg(checks=["hk"])
+        data["space"]["margin"] = 40
+        cfg = validate_config(data)
         rep = run_suite(cfg).reports["hk"]
-        xs = build_space(**cfg.space).interior(params.get("margin"))
+        xs = build_space(**cfg.space).interior()
         times = rep.ranges["times_used"]
+        assert times
         assert [r["t"] for r in rep.rows[::len(xs) ** 2]] == times
         assert [(r["x"], r["y"]) for r in rep.rows] == [
             (x, y) for _ in times for x in xs.tolist() for y in xs.tolist()]
+
+    def test_hk_cannot_sweep_past_the_truncation_guard(self, monkeypatch):
+        # a margin of hk's own, 0, would sweep all 128 points at times
+        # judged on the space's interior, where the boundary mass of its
+        # centres reaches 15% at t = 1: it is refused
+        data = mini_cfg(checks=["hk"], check_params={"hk": {"margin": 0}})
+        with pytest.raises(ConfigError,
+                           match=r"unknown check_params.hk keys: \['margin'\]"):
+            validate_config(data)
+        monkeypatch.setattr(envelopes, "RATIO_ROWS", 10 ** 9)
+        ctx = cli.SuiteContext(validate_config(mini_cfg(checks=["hk"])))
+        rep = cli.CHECKS["hk"](ctx)
+        xs = ctx.space.interior()
+        assert sorted({r["x"] for r in rep.rows}) == xs.tolist()
+        bnd = np.nonzero(ctx.space.boundary)[0]
+        times = list(ctx.table.times)
+        assert rep.ranges["times_used"]
+        for t in rep.ranges["times_used"]:
+            K = ctx.table.kernels[times.index(t)]
+            mass = (K[np.ix_(xs, bnd)] * ctx.space.mu[bnd]).sum(axis=1)
+            assert mass.max() < 0.01
 
     def test_dominance_svg_three_classes(self, suite, tmp_path):
         render_report(suite, tmp_path)
@@ -537,6 +558,9 @@ class TestMain:
         ({"check_params": {"jpsi_alt": {"phi_j": [{"break": 0,
                                                     "exp": -1.0}]}}},
          "exponents must be positive"),
+        # the truncation guard is the space's margin and fixed caps
+        ({"check_params": {"diag": {"boundary_cap": 1.0}}},
+         "unknown check_params.diag keys: ['boundary_cap']"),
     ])
     def test_misspelt_or_out_of_range_config_rejected_at_validate(
             self, tmp_path, capsys, change, message):

@@ -67,19 +67,39 @@ def test_settable_check_parameters_pinned():
     # setting they would ignore or that shadows the config's mode and seed
     assert {name: sorted(check_parameters(cli.CHECKS[name]))
             for name in ("hk", "hk_minus", "uhk_weak", "phi", "fk")} == {
-        "hk": ["boundary_cap", "lower_dilations", "margin", "mode",
-               "upper_dilations"],
-        "hk_minus": ["boundary_cap", "indicator", "margin"],
-        "uhk_weak": ["boundary_cap", "margin"],
+        "hk": ["lower_dilations", "mode", "upper_dilations"],
+        "hk_minus": ["indicator"],
+        "uhk_weak": [],
         "phi": ["R", "n_atom_intervals", "n_window_times", "thin"],
         "fk": ["nu_grid"],
     }
-    assert sum(len(check_parameters(fn)) for fn in cli.CHECKS.values()) == 58
+    assert sum(len(check_parameters(fn)) for fn in cli.CHECKS.values()) == 44
+    # the truncation guard is the space's: its margin and fixed caps
+    for fn in cli.CHECKS.values():
+        assert not {"margin", "boundary_cap"} & set(check_parameters(fn))
     assert cli.HK_MODES == ("HK", "UHK", "HK_local")
     for mode in cli.HK_MODES:
         data = bundled("z1_mini")
         data["check_params"] = {"hk": {"mode": mode}}
         assert validate_config(data).check_params["hk"]["mode"] == mode
+
+
+REMOVED = [("hk", "margin"), ("hk", "boundary_cap"),
+           ("hk_minus", "margin"), ("hk_minus", "boundary_cap"),
+           ("uhk_weak", "margin"), ("uhk_weak", "boundary_cap"),
+           ("diag", "margin"), ("diag", "boundary_cap"),
+           ("dominance", "margin"), ("tail_probability", "margin"),
+           ("tail_probability", "boundary_cap"), ("chain_lower", "margin"),
+           ("meyer", "margin"), ("regularity", "max_centers")]
+
+
+@pytest.mark.parametrize("name,key", REMOVED)
+def test_removed_check_parameters_refused(name, key):
+    data = bundled("z1_mini")
+    data["check_params"] = {name: {key: 1}}
+    with pytest.raises(cli.ConfigError) as err:
+        validate_config(data)
+    assert str(err.value) == f"unknown check_params.{name} keys: ['{key}']"
 
 
 def only_wrapped(fn):

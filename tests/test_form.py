@@ -59,7 +59,7 @@ class TestAssembly:
         sp = build_space("lattice_box", dim=1, side=33, margin=0)
         psi = ScaleFunction.single_power(1.0)
         kern = JumpKernel.stable_like(sp, psi, cmin=0.5, cmax=2.0)
-        c1, c2, _ = fit_jpsi(assemble(sp, 1.0, kern), psi, margin=0)
+        c1, c2, _ = fit_jpsi(assemble(sp, 1.0, kern), psi)
         # c(x,y) in [0.5, 2] times the volume symmetrisation spread
         assert 0.2 <= c1 <= 1.0 <= c2 <= 5.0
         assert np.abs(kern.matrix - kern.matrix.T).max() == 0.0
