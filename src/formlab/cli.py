@@ -39,9 +39,9 @@ from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
 from .form import (FormError, assemble, build_jump, check_jump, gap_check,
                    heat_kernel, kernel_certificates, meyer_check, subordinate,
                    subordinate_intensity, subordinate_intensity_quadrature)
-from .functionals import (ConditionReport, ball_family, check_cs, check_exit,
-                          check_fk, check_gcap, check_pi, fit_jpsi,
-                          function_family, tail_and_ujs)
+from .functionals import (ConditionReport, _no_ball, ball_family, check_cs,
+                          check_exit, check_fk, check_gcap, check_pi,
+                          fit_jpsi, function_family, tail_and_ujs)
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleError, ScaleFunction, ScaleTriple
@@ -100,7 +100,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     kind, ``scales`` to ``ScaleTriple``, ``grids`` to ``SuiteContext._grids``
     and each ``check_params`` entry to ``check_parameters`` of its check
     (required ones only for configured checks).  Then the values must be
-    in the range the builders take."""
+    in the range the builders take, and ``hk`` may not fit the jump-free
+    ``HK_local`` sandwich to a form with a jump part."""
     bind(parameters(ExperimentConfig), data, "config", ConfigError)
     cfg = ExperimentConfig(**data)
     cfg.local_weight = float(cfg.local_weight)
@@ -140,6 +141,10 @@ def validate_config(data: dict) -> ExperimentConfig:
             ScaleFunction.from_config(cfg.check_params["jpsi_alt"]["phi_j"])
     except (SpaceError, FormError, ScaleError) as exc:
         raise ConfigError(str(exc)) from exc
+    if (hk_mode == "HK_local" and cfg.jump.get("kind", "none") != "none"
+            and cfg.jump.get("coeff", 1.0) > 0.0):
+        raise ConfigError("check_params.hk.mode HK_local is the bound of a "
+                          "diffusion without jumps; this form has a jump part")
     return cfg
 
 
@@ -422,8 +427,7 @@ def _chk_phi(ctx, R: list[float] | None = None, **kw):
     cyls = [CylinderSpec(x0=int(x), R=float(r)) for r in radii
             for x in ctx.space.spread_centers(5.0 * float(r), n_centers)]
     if not cyls:
-        return ConditionReport("PHI(phi)", "failed",
-                               notes="no cylinder fits the space")
+        return _no_ball("PHI(phi)", "no cylinder fits the space")
     return check_phi(ctx.form, ctx.scales, cyls, mode=mode, **kw)
 
 

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .form import DirichletForm, HeatKernelTable, heat_kernel, kernel_blocks
-from .functionals import ConditionReport
+from .functionals import ConditionReport, _no_ball
 from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 FLOOR_REL = 1e-13
+NO_TIME = ("no usable time window: no point is interior, or their boundary "
+           "mass is over its cap at the first table time")
 RATIO_ROWS = 2000   # row budget of the thinned ratio table of HK and HK_local
 
 
@@ -125,19 +127,20 @@ def envelope_ratio_rows(times, xs, up, low):
 
 def usable_times(table: HeatKernelTable, space, cap: float = 0.01):
     """Largest prefix of the time grid for which the mass reaching the
-    truncation boundary stays below ``cap`` for every interior point.
+    truncation boundary stays below ``cap`` for every interior point (none
+    when no point is interior).
 
     Prefix semantics matter: at very large t the kernel is near uniform and
     the boundary mass can dip back under the cap even though the truncation
     already dominates, so the sweep stops at the first failing time."""
     bnd = np.nonzero(space.boundary)[0]
     interior = space.interior()
-    if len(bnd) == 0 or len(interior) == 0:
+    if len(bnd) == 0:
         return list(range(len(table.times)))
     keep = []
     for i, K in enumerate(table.kernels):
         mass = (K[np.ix_(interior, bnd)] * space.mu[bnd][None, :]).sum(axis=1)
-        if float(mass.max()) >= cap:
+        if len(interior) == 0 or float(mass.max()) >= cap:
             break
         keep.append(i)
     return keep
@@ -184,8 +187,10 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     """
     xs = space.interior()
     keep = usable_times(table, space)
+    if not keep:
+        return _no_ball(f"{mode}(phi_c,phi_j)", NO_TIME, times_used=[])
     times = [float(table.times[i]) for i in keep]
-    total = max(len(keep) * len(xs) * len(xs), 1)
+    total = len(keep) * len(xs) * len(xs)
     thin = slice(None, None, max(1, int(math.sqrt(total / RATIO_ROWS))))
     c1 = c2 = c3 = c4 = c0 = math.nan
     excluded = 0
@@ -300,7 +305,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     lower_ok = (mode in ("UHK", "UHK_weak") or (np.isfinite(c1) and c1 > 0.0)
                 or (np.isfinite(c0) and c0 > 0.0))
     upper_ok = mode == "HK_minus" or (np.isfinite(c3) and c3 < math.inf)
-    verdict = "certified" if (lower_ok and upper_ok and keep) else "failed"
+    verdict = "certified" if (lower_ok and upper_ok) else "failed"
     rows = (envelope_ratio_rows(times, xs[thin], up_rows, lo_rows)
             if mode in ("HK", "HK_local") else [])
     return ConditionReport(
@@ -322,6 +327,9 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
     family; domain monotonicity p >= p^B is re-verified on the NDL grid."""
     xs = space.interior()
     keep = usable_times(table, space)
+    if not keep:
+        return _no_ball("UHKD/NL/NDL", NO_TIME,
+                        ndl_radii=list(map(float, ndl_radii)))
     c_uhkd, c_nl = 0.0, math.inf
     grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
@@ -467,10 +475,12 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
 
     times = [table.times[i] for i in keep]
     centers = [x for x in xs if space.dist_to_boundary[x] >= max(radii)]
+    if not times or not centers:
+        return _no_ball("tail-probability",
+                        "no usable (x, r, t) grid" if times else NO_TIME,
+                        radii=list(map(float, radii)),
+                        times=list(map(float, times)))
     instances = len(times) * len(centers) * len(radii)
-    if not instances:
-        return ConditionReport("tail-probability", "failed",
-                               notes="no usable (x, r, t) grid")
     # tail mass per (t, center, r): each ball complement is cut once and
     # summed at every time in one go, over one C-contiguous row per time
     # (``compress`` keeps C order, a mask index does not: a strided sum
@@ -549,8 +559,9 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     keep = usable_times(table, space)
     times = [table.times[i] for i in keep]
     if np.isinf(space.u[-1]):
-        return ConditionReport("chain-lower", "failed",
-                               notes="disconnected space, skipped")
+        return _no_ball("chain-lower", "disconnected space, skipped")
+    if not keep:
+        return _no_ball("chain-lower", NO_TIME, times=[])
     # each sweep reads K only at the pairs it selects, by index
     grid = _EnvelopeGrid(scales, space, xs, xs)
     # near-diagonal constant c5
@@ -562,8 +573,8 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
         if len(ii):
             c5 = min(c5, float((K[xs[ii], xs[jj]] * Vc[ii]).min()))
     if not np.isfinite(c5) or c5 <= 0.0:
-        return ConditionReport("chain-lower", "failed",
-                               notes="no near-diagonal reference")
+        return _no_ball("chain-lower", "no near-diagonal reference",
+                        times=list(map(float, times)))
     c6 = 1.0
     cols = []   # (t, m, base) arrays of the selected triples, in sweep order
     for t, i in zip(times, keep):

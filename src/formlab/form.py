@@ -48,7 +48,6 @@ __all__ = [
     "subordinate_intensity",
     "subordinate_intensity_quadrature",
     "exit_stats",
-    "energy_and_champ",
     "kernel_certificates",
 ]
 
@@ -267,7 +266,6 @@ class DirichletForm:
         sym_err = float(_row_asymmetry(A).max())
         if sym_err > 1e-12 * max(_abs_max(A), 1e-300):
             raise FormError(f"generator lost mu-symmetry: {sym_err}")
-        self.symmetry_defect = sym_err
 
     @property
     def n(self):
@@ -276,10 +274,6 @@ class DirichletForm:
     def energy(self, f, g=None):
         g = f if g is None else g
         return float(np.asarray(f) @ self.A @ np.asarray(g))
-
-    def generator_matrix(self):
-        """Dense matrix of L acting on functions."""
-        return -(self.A / self.mu[:, None])
 
     def sym_generator(self, idx=None):
         """S = Mu^{-1/2} A Mu^{-1/2}; spec(S) >= 0 and p(t) is built from it.
@@ -340,15 +334,6 @@ class DirichletForm:
         np.subtract.at(L, (pe[:, 0], pe[:, 1]), w)
         np.subtract.at(L, (pe[:, 1], pe[:, 0]), w)
         return L
-
-    def truncated_jump(self, rho):
-        """J with the jumps of range > rho removed, the jump kernel of the
-        rho-truncated form E^(rho); None without a jump part."""
-        if self.jump is None:
-            return None
-        J = self.jump.matrix.copy()
-        J[self.space.beyond(rho)] = 0.0
-        return J
 
 
 def assemble(space: MetricMeasureSpace, local_weights, jump: JumpKernel | None
@@ -675,27 +660,3 @@ def exit_stats(form: DirichletForm, ball_idx, times) -> ExitStats:
             surv[i] = next(kernels) @ mu_B
     return ExitStats(idx, mean, tuple(times), np.clip(surv, 0.0, 1.0))
 
-
-# -- energy measures -----------------------------------------------------------
-
-
-def energy_and_champ(form: DirichletForm, f, rho: float | None = None):
-    """Energy value and per-point energy measures.
-
-    Returns (E(f,f), gamma_c, gamma_j, gamma_j_rho) where gamma_c(x) =
-    1/2 sum_y w(x,y)(f(x)-f(y))^2 is a plain measure mass and gamma_j(x) =
-    sum_y (f(x)-f(y))^2 J(x,y) mu(y) is a density against mu, so that
-    sum_x gamma_c(x) + sum_x gamma_j(x) mu(x) = E(f, f).
-    """
-    f = np.asarray(f, dtype=float)
-    gamma_c = form.local_champ(f)
-    gamma_j = np.zeros(form.n)
-    gamma_j_rho = None
-    if form.jump is not None:
-        diff2 = (f[:, None] - f[None, :]) ** 2
-        gamma_j = (diff2 * form.jump.matrix * form.mu[None, :]).sum(axis=1)
-        if rho is not None:
-            gamma_j_rho = (diff2 * form.truncated_jump(rho)
-                           * form.mu[None, :]).sum(axis=1)
-    energy = form.energy(f)
-    return energy, gamma_c, gamma_j, gamma_j_rho

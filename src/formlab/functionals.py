@@ -70,11 +70,12 @@ def ball_family(space: MetricMeasureSpace, radii, reach_factor=1.0,
             for x in space.spread_centers(reach_factor * r, max_centers)]
 
 
-def _no_ball(condition, radii, **ranges):
-    """The failed report of a check that found no instance to sweep."""
-    return ConditionReport(condition, "failed",
-                           ranges={"radii": list(map(float, radii)), **ranges},
-                           notes="no ball of the family fits the space")
+def _no_ball(condition, notes="no ball of the family fits the space",
+             **ranges):
+    """The failed report of a check that swept no instance: no constants
+    and no rows, the ranges it was given and a note naming the empty family
+    or time window.  A constant fitted over nothing certifies nothing."""
+    return ConditionReport(condition, "failed", ranges=ranges, notes=notes)
 
 
 def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
@@ -148,7 +149,7 @@ def check_fk(form: DirichletForm, scales, radii,
             rows.append({"x0": x0, "r": r, "subset": name, "lambda1": lam,
                          "V": V, "muD": muD, "phi_r": scales.phi(r)})
     if not rows:
-        return _no_ball("FK(phi)", radii)
+        return _no_ball("FK(phi)", radii=list(map(float, radii)))
     table = {}
     witness = {}
     for nu in dict.fromkeys([*nu_grid, 0.5]):   # the headline nu always
@@ -230,9 +231,9 @@ def check_pi(form: DirichletForm, scales, radii,
                 infinite = bad
             if np.isfinite(c) and c > worst["C"]:
                 worst = {"C": c, "x0": x0, "r": r, "kappa": kappa}
-    if not rows or {r["kappa"] for r in rows} != set(kappas):
-        return _no_ball("PI(phi)", radii, kappas=list(kappas))
     ranges = {"radii": list(map(float, radii)), "kappas": list(kappas)}
+    if not rows or {r["kappa"] for r in rows} != set(kappas):
+        return _no_ball("PI(phi)", **ranges)
     if infinite is not None:
         return ConditionReport("PI(phi)", "failed", constants={"C": math.inf},
                                witness=infinite, ranges=ranges, rows=rows)
@@ -348,8 +349,10 @@ def check_gcap(form: DirichletForm, scales, families, test_fns,
                     fitted[kappa] = c
                     if kappa == min(kappas):
                         witness = {"x0": x0, "R": R, "r": r, "fn": fi, "C": c}
+    if not rows:
+        return _no_ball("Gcap(phi)", instances=0)
     consts = {f"C(kappa={k})": v for k, v in fitted.items()}
-    consts["C"] = min(fitted.values()) if fitted else math.inf
+    consts["C"] = min(fitted.values())
     return ConditionReport(
         "Gcap(phi)", "one-sided-certificate", constants=consts,
         witness=witness, ranges={"instances": len(rows)}, rows=rows,
@@ -440,6 +443,8 @@ def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
                         witness = {"x0": x0, "R": R, "r": r, "fn": fi}
             for i, phi_i, (lhs_i, rt1_i) in zip(order, phi_rr, cut):
                 worst[i] = max(worst[i], (lhs_i - rt1_i) * phi_i / mass)
+    if not rows:
+        return _no_ball("CS(phi)", instances=0)
     trunc = {f"C2(rho={rho:g})": max(0.0, w) for rho, w in zip(grid, worst)}
     return ConditionReport(
         "CS(phi)", "one-sided-certificate",
@@ -482,7 +487,7 @@ def check_exit(form: DirichletForm, scales, radii,
             p_exit = 1.0 - float(srow[center])
             c_ep = max(c_ep, p_exit * phi_r / t)
     if not rows:
-        return _no_ball("E_phi", radii)
+        return _no_ball("E_phi", radii=list(map(float, radii)))
     return ConditionReport(
         "E_phi", "certified" if np.isfinite(c1) else "failed",
         constants={"c1": c1, "c_EP": c_ep},

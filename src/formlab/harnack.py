@@ -24,7 +24,7 @@ from scipy.linalg import eigh
 
 from .envelopes import _pow
 from .form import DirichletForm, heat_kernel, kernel_blocks
-from .functionals import ConditionReport
+from .functionals import ConditionReport, _no_ball
 
 __all__ = [
     "HarnackError",
@@ -400,12 +400,9 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
         return theta_fam, c_fam
 
     if not ehr_fns or not phr_fns:
-        return ConditionReport(
-            "PHR/EHR", "failed",
-            ranges={"radii": list(map(float, radii))},
-            notes="no usable family: every core ball at eps*r has fewer "
-                  "than two points",
-        )
+        return _no_ball("PHR/EHR", "no usable family: every core ball at "
+                        "eps*r has fewer than two points",
+                        radii=list(map(float, radii)))
     theta_e, c_e = family_fit(ehr_fns)
     theta_p, c_p = family_fit(phr_fns)
     ok = theta_e is not None and theta_p is not None

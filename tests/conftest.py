@@ -9,7 +9,8 @@ def _expm_kernels(form, times):
     tables."""
     kernels = []
     for t in times:
-        K = expm_multiply(t * form.generator_matrix(), np.diag(1.0 / form.mu))
+        K = expm_multiply(-t * (form.A / form.mu[:, None]),
+                          np.diag(1.0 / form.mu))
         kernels.append(0.5 * (K + K.T))
     return kernels
 

@@ -397,15 +397,22 @@ class TestEmptyBallFamily:
     # instance fails instead of erroring or certifying a vacuous constant
     @pytest.mark.parametrize("name,condition", [("fk", "FK(phi)"),
                                                 ("pi", "PI(phi)"),
-                                                ("exit", "E_phi")])
+                                                ("exit", "E_phi"),
+                                                ("gcap", "Gcap(phi)"),
+                                                ("cs", "CS(phi)")])
     def test_no_ball_fits(self, name, condition):
         grids = {**mini_cfg()["grids"], "radii": [100.0]}
         cfg = load_config({**mini_cfg(grids=grids), "checks": [name]})
-        rep = run_suite(cfg).reports[name]
+        suite = run_suite(cfg)
+        rep = suite.reports[name]
         assert (rep.condition, rep.verdict) == (condition, "failed")
         assert rep.notes == "no ball of the family fits the space"
         assert rep.constants == {} and rep.rows == []
-        assert rep.ranges["radii"] == [100.0]
+        if name in ("gcap", "cs"):   # they record instances, not radii
+            assert rep.ranges == {"instances": 0}
+        else:
+            assert rep.ranges["radii"] == [100.0]
+        assert not suite.report["all_ok"]
 
     def test_pi_fails_when_one_dilation_has_no_ball(self):
         # radius 40 fits the line undilated, not at kappa = 2
@@ -416,6 +423,21 @@ class TestEmptyBallFamily:
         assert rep.ranges["kappas"] == [1.0, 2.0]
         assert check_pi(ctx.form, ctx.scales, [40.0],
                         kappas=(1.0,)).verdict == "certified"
+
+
+class TestEmptyTimeWindow:
+    # with the space's margin 0 the boundary points are interior, and their
+    # boundary mass is over the cap at the first table time: a table check
+    # fails and reports no constant, as no time produced one
+    @pytest.mark.parametrize("name", ["hk", "hk_minus", "uhk_weak", "diag",
+                                      "chain_lower", "tail_probability"])
+    def test_no_usable_time(self, name):
+        space = {**mini_cfg()["space"], "margin": 0}
+        cfg = load_config({**mini_cfg(space=space), "checks": [name]})
+        rep = run_suite(cfg).reports[name]
+        assert rep.verdict == "failed"
+        assert rep.notes.startswith("no usable time window")
+        assert rep.constants == {} and rep.rows == []
 
 
 class TestCheckFailures:
@@ -561,6 +583,9 @@ class TestMain:
         # the truncation guard is the space's margin and fixed caps
         ({"check_params": {"diag": {"boundary_cap": 1.0}}},
          "unknown check_params.diag keys: ['boundary_cap']"),
+        # HK_local is the sandwich of a diffusion without jumps
+        ({"check_params": {"hk": {"mode": "HK_local"}}},
+         "HK_local is the bound of a diffusion without jumps"),
     ])
     def test_misspelt_or_out_of_range_config_rejected_at_validate(
             self, tmp_path, capsys, change, message):
@@ -571,6 +596,12 @@ class TestMain:
         assert main(["--config", str(p), "validate"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("jump", [
+        {"kind": "none"}, {"kind": "power_law", "alpha": 1.0, "coeff": 0.0}])
+    def test_hk_local_accepted_without_a_jump_part(self, jump):
+        hk_local = {"hk": {"mode": "HK_local"}}
+        validate_config(mini_cfg(check_params=hk_local, jump=jump))
 
     def test_check_command_binds_only_its_own_required_params(self, capsys):
         # phi_counterexample configures jpsi_alt with its phi_j; checking

@@ -79,7 +79,8 @@ def test_settable_check_parameters_pinned():
         assert not {"margin", "boundary_cap"} & set(check_parameters(fn))
     assert cli.HK_MODES == ("HK", "UHK", "HK_local")
     for mode in cli.HK_MODES:
-        data = bundled("z1_mini")
+        # HK_local, a diffusion's sandwich, needs a form without jumps
+        data = bundled("gasket_walk" if mode == "HK_local" else "z1_mini")
         data["check_params"] = {"hk": {"mode": mode}}
         assert validate_config(data).check_params["hk"]["mode"] == mode
 
@@ -113,7 +114,7 @@ def test_schema_survives_wrapped_checks(monkeypatch):
     data = bundled("z1_alpha1")
     data["checks"] = ["pc_equivalence", "hk", "jpsi_alt"]
     data["check_params"] = {"pc_equivalence": {"n_per_axis": 100},
-                            "hk": {"mode": "HK_local"},
+                            "hk": {"mode": "UHK"},
                             "jpsi_alt": {"phi_j": data["scales"]["phi_j"]}}
     before = {name: check_parameters(fn) for name, fn in cli.CHECKS.items()}
     monkeypatch.setattr(cli, "CHECKS", {name: only_wrapped(fn)
@@ -122,7 +123,7 @@ def test_schema_survives_wrapped_checks(monkeypatch):
             for name, fn in cli.CHECKS.items()} == before
     assert validate_config(copy.deepcopy(data)).check_params == \
         data["check_params"]
-    data["check_params"]["hk"] = {"modee": "HK_local"}
+    data["check_params"]["hk"] = {"modee": "UHK"}
     with pytest.raises(cli.ConfigError, match="modee"):
         validate_config(data)
 

@@ -1,8 +1,8 @@
 """The form's energy primitives (``local_champ``, ``local_laplacian``,
-``truncated_jump``, ``sym_generator(idx)``) against in-test copies of the
-hand-written code they replaced: the dense conductance matrix W, the
-``poincare`` edge loop, the per-call truncations and Gamma_c copies, and the
-full-then-sliced symmetrised generator.  On the bundled configs outputs must
+``sym_generator(idx)``) against in-test copies of the hand-written code
+they replaced: the dense conductance matrix W, the ``poincare`` edge loop,
+the per-call truncations and Gamma_c copies, and the full-then-sliced
+symmetrised generator.  On the bundled configs outputs must
 be equal, not close; on random small spaces the energy identities must hold
 to rounding."""
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from formlab.cli import SuiteContext, _gcap_families, load_config
-from formlab.form import JumpKernel, assemble, energy_and_champ, truncate
+from formlab.form import JumpKernel, assemble, truncate
 from formlab.functionals import (ball_family, check_cs, function_family,
                                  poincare)
 from formlab.space import MetricMeasureSpace
@@ -135,19 +135,25 @@ def old_gamma_c(form, f):
     return gamma_c
 
 
-def old_energy_and_champ(form, f, rho=None):
-    f = np.asarray(f, dtype=float)
-    gamma_c = old_gamma_c(form, f)
-    gamma_j = np.zeros(form.n)
-    gamma_j_rho = None
-    if form.jump is not None:
-        diff2 = (f[:, None] - f[None, :]) ** 2
-        gamma_j = (diff2 * form.jump.matrix * form.mu[None, :]).sum(axis=1)
-        if rho is not None:
-            Jr = form.jump.matrix.copy()
-            Jr[form.space.metric > rho] = 0.0
-            gamma_j_rho = (diff2 * Jr * form.mu[None, :]).sum(axis=1)
-    return form.energy(f), gamma_c, gamma_j, gamma_j_rho
+def truncated_jump(form, rho):
+    """J with the jumps of range > rho removed, the jump kernel of the
+    rho-truncated form; None without a jump part."""
+    if form.jump is None:
+        return None
+    Jr = form.jump.matrix.copy()
+    Jr[form.space.metric > rho] = 0.0
+    return Jr
+
+
+def jump_champ(form, f, rho=None):
+    """The jump energy measure Gamma_j(f, f) as a density against mu,
+    sum_y (f(x) - f(y))^2 J(x, y) mu(y), with J cut at range rho if given;
+    zero without a jump part."""
+    if form.jump is None:
+        return np.zeros(form.n)
+    J = form.jump.matrix if rho is None else truncated_jump(form, rho)
+    diff2 = (f[:, None] - f[None, :]) ** 2
+    return (diff2 * J * form.mu[None, :]).sum(axis=1)
 
 
 def old_cs_terms(form, x0, R, r, C0, f, rho=None):
@@ -261,7 +267,7 @@ def per_rho_check_cs(form, scales, families, test_fns, C0, rho_grid):
                         witness = {"x0": x0, "R": R, "r": r, "fn": fi}
     trunc = {}
     for rho in rho_grid:
-        Jr = form.truncated_jump(rho)
+        Jr = truncated_jump(form, rho)
         worst = 0.0
         for x0, R, r in families:
             phi_rr = scales.phi(min(r, rho))
@@ -316,15 +322,10 @@ def test_function_family(ctx):
     assert all(np.array_equal(a, b) for a, b in zip(new, old))
 
 
-def test_energy_and_champ(ctx):
+def test_local_champ(ctx):
     form = ctx.form
     for f in function_family(form, seed=ctx.cfg.seed):
-        for rho in (None, max(ctx.radii), 2.0 * max(ctx.radii)):
-            new = energy_and_champ(form, f, rho=rho)
-            old = old_energy_and_champ(form, f, rho=rho)
-            assert new[0] == old[0]
-            for a, b in zip(new[1:], old[1:]):
-                assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(form.local_champ(f), old_gamma_c(form, f))
 
 
 def test_check_cs_constants(ctx):
@@ -365,9 +366,7 @@ def test_truncated_form_jump(ctx):
     if form.jump is None:
         assert trunc.jump is None
         return
-    Jr = form.jump.matrix.copy()
-    Jr[form.space.metric > rho] = 0.0
-    assert np.array_equal(trunc.jump.matrix, Jr)
+    assert np.array_equal(trunc.jump.matrix, truncated_jump(form, rho))
 
 
 # -- identities on random small spaces -----------------------------------------
@@ -402,14 +401,15 @@ def small_forms(draw):
 @given(small_forms())
 def test_energy_measure_sums_to_energy(case):
     form, f, _, rho = case
-    e, gc, gj, gjr = energy_and_champ(form, f, rho=rho)
+    e, gc = form.energy(f), form.local_champ(f)
     # rounding bound of f @ A @ f, whose terms may cancel
     tol = 1e-12 * (np.abs(f) @ np.abs(form.A) @ np.abs(f)) + 1e-300
-    assert gc.sum() + (gj * form.mu).sum() == pytest.approx(e, abs=tol)
+    jump = (jump_champ(form, f) * form.mu).sum()
+    assert gc.sum() + jump == pytest.approx(e, abs=tol)
     # the rho-truncated measure sums to the truncated form's energy
     te = truncate(form, rho).energy(f)
-    jr = 0.0 if gjr is None else (gjr * form.mu).sum()
-    assert gc.sum() + jr == pytest.approx(te, abs=tol)
+    jump_rho = (jump_champ(form, f, rho) * form.mu).sum()
+    assert gc.sum() + jump_rho == pytest.approx(te, abs=tol)
 
 
 @settings(max_examples=60, deadline=None)

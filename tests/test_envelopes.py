@@ -115,6 +115,16 @@ class TestFitHK:
         assert rep.verdict == "certified"
         assert rep.constants["c3"] / rep.constants["c1"] <= 200.0
 
+    def test_no_interior_point_certifies_nothing(self):
+        # a margin wider than the line leaves no interior point, so no time
+        # is usable; an upper-only fit over no triple would certify c3 = 0
+        sp, form = model(side=9, margin=100, with_jump=False)
+        table = heat_kernel(form, [0.5, 1.0])
+        assert len(sp.interior()) == 0 and usable_times(table, sp) == []
+        rep = fit_hk(table, diffusion_triple(), sp, mode="UHK")
+        assert (rep.verdict, rep.constants) == ("failed", {})
+        assert rep.notes == envelopes.NO_TIME
+
     def test_posthoc_sandwich_holds(self):
         sp, form = model(side=129, margin=32)
         tr = alpha1_triple()

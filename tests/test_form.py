@@ -6,9 +6,9 @@ import pytest
 
 from formlab.cli import SuiteContext, load_config
 from formlab.form import (FormError, JumpKernel, assemble, build_jump,
-                          energy_and_champ, exit_stats, gap_check,
-                          heat_kernel, kernel_certificates, meyer_check,
-                          subordinate, subordinate_intensity,
+                          exit_stats, gap_check, heat_kernel,
+                          kernel_certificates, meyer_check, subordinate,
+                          subordinate_intensity,
                           subordinate_intensity_quadrature, truncate)
 from formlab.functionals import fit_jpsi
 from formlab.scales import ScaleFunction, ScaleTriple
@@ -30,7 +30,7 @@ class TestAssembly:
     def test_path_laplacian_stencil(self):
         sp = build_space("lattice_box", dim=1, side=3, margin=0)
         form = assemble(sp, 1.0, None)
-        L = form.generator_matrix()
+        L = -(form.A / form.mu[:, None])
         assert np.allclose(L.sum(axis=1), 0.0)
         assert L[1, 1] == pytest.approx(-2.0)
 
@@ -111,7 +111,7 @@ class TestAssembly:
         sp.mu = mu
         form = assemble(sp, 1.0, JumpKernel.power_law(sp, alpha=0.8))
         rng = np.random.RandomState(5)
-        L = form.generator_matrix()
+        L = -(form.A / form.mu[:, None])
         for _ in range(20):
             f, g = rng.standard_normal((2, sp.n))
             lhs = np.sum((L @ f) * g * mu)
@@ -336,10 +336,18 @@ class TestExitStats:
             heat_kernel(form, [1.0, -0.5])
 
 
+def jump_champ(form, f):
+    """Gamma_j(f, f) as a density against mu:
+    sum_y (f(x) - f(y))^2 J(x, y) mu(y)."""
+    return ((f[:, None] - f[None, :]) ** 2 * form.jump.matrix
+            * form.mu[None, :]).sum(axis=1)
+
+
 class TestEnergyMeasures:
     def test_constant_vanishes(self):
         _, form = z1(side=17, margin=0)
-        e, gc, gj, _ = energy_and_champ(form, np.full(form.n, 3.7))
+        f = np.full(form.n, 3.7)
+        e, gc, gj = form.energy(f), form.local_champ(f), jump_champ(form, f)
         assert e == pytest.approx(0.0, abs=1e-12)
         assert np.abs(gc).max() == 0.0
         assert np.abs(gj).max() < 1e-15
@@ -348,7 +356,8 @@ class TestEnergyMeasures:
         sp, form = z1(side=17, margin=0)
         delta = np.zeros(sp.n)
         delta[8] = 1.0
-        e, gc, gj, _ = energy_and_champ(form, delta)
+        e = form.energy(delta)
+        gc, gj = form.local_champ(delta), jump_champ(form, delta)
         assert gc.sum() + (gj * sp.mu).sum() == pytest.approx(e, rel=1e-12)
         # local part concentrates on the point and its neighbours
         assert set(np.nonzero(gc)[0]) == {7, 8, 9}

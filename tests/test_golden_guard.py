@@ -8,11 +8,12 @@ the digests were recorded with: ``z1_mini``, ``phi_counterexample``,
 gasket), the benchmark's ``z1_all_512`` config restricted to
 ``pc_equivalence`` and the envelope and quadrature sweeps (``hk``,
 ``hk_minus``, ``uhk_weak``, ``dominance`` and ``subordination``),
-``z2_alpha1`` restricted to ``chain`` and ``tail_ujs``, and ``halfspace``
-restricted to ``tail_ujs``.  The two n = 1024 lattices hold most of the
-chain sweep's time, and ``tail_ujs`` reads their ``stable_like`` jump
-kernels, directly and through ``fit_jpsi``; only ``halfspace`` has a
-random c field.  The test skips when numpy, scipy or the OpenBLAS build
+``z2_alpha1`` restricted to ``chain``, ``tail_ujs``, ``gcap``, ``fk``,
+``pi`` and ``exit``, and ``halfspace`` restricted to ``tail_ujs``.  The two
+n = 1024 lattices hold most of the chain sweep's time, and ``tail_ujs``
+reads their ``stable_like`` jump kernels, directly and through
+``fit_jpsi``; the ball-family checks run on the n = 1024 stable-like
+lattice as well; only ``halfspace`` has a random c field.  The test skips when numpy, scipy or the OpenBLAS build
 differ from the recorded environment, whose bits may differ.  The
 benchmark's files are read, never written.
 """
@@ -47,7 +48,8 @@ sources["z1_all_512"] = {**z1_all(512), "checks": [
     "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
     "subordination"]}
 sources["z2_alpha1"] = {**cli.load_config("z2_alpha1").raw,
-                        "checks": ["chain", "tail_ujs"]}
+                        "checks": ["chain", "tail_ujs", "gcap", "fk", "pi",
+                                   "exit"]}
 sources["halfspace"] = {**cli.load_config("halfspace").raw,
                         "checks": ["tail_ujs"]}
 digests = {}
@@ -85,5 +87,6 @@ def test_fast_configs_reproduce_golden_digests():
     assert set(got["digests"]["z1_all_512"]) == {
         "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
         "subordination"}
-    assert set(got["digests"]["z2_alpha1"]) == {"chain", "tail_ujs"}
+    assert set(got["digests"]["z2_alpha1"]) == {"chain", "tail_ujs", "gcap",
+                                                "fk", "pi", "exit"}
     assert set(got["digests"]["halfspace"]) == {"tail_ujs"}

@@ -20,7 +20,7 @@ from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
                           meyer_check, truncate)
 from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
-from formlab.space import build_space
+from formlab.space import _row_asymmetry, build_space
 
 
 def alpha1_triple():
@@ -205,7 +205,8 @@ def test_setup_constructors_equal_whole_matrix_formulas(side, cmax):
     A, sym_err = old_energy_matrix(sp, np.full(len(sp.edges), 0.7),
                                    kern.matrix)
     assert np.array_equal(form.A, A)
-    assert form.symmetry_defect == sym_err
+    # the defect the form's mu-symmetry check reads
+    assert float(_row_asymmetry(form.A).max()) == sym_err
     lam, Q = eigh(A / np.outer(form._sqmu, form._sqmu))
     got_lam, got_B = form.spectral()
     assert np.array_equal(got_lam, np.maximum(lam, 0.0))

@@ -1,7 +1,8 @@
-"""Every name a formlab module exports through ``__all__`` must be reached
-from the package itself: referenced somewhere in ``src/formlab`` outside its
-own definition.  An export that no check, report or other export reaches
-is code with no verdict behind it; it is deleted, or kept in
+"""Every name a formlab module exports through ``__all__``, and every
+public method, property and field of its classes, must be reached from the
+package itself: referenced somewhere in ``src/formlab`` outside its own
+definition.  An export or member that no check, report or other code
+reaches is code with no verdict behind it; it is deleted, or kept in
 ``LIBRARY_API`` with the reason it stays.  Read with ``ast`` only."""
 
 import ast
@@ -11,13 +12,30 @@ import formlab
 
 SOURCES = sorted(Path(formlab.__file__).parent.glob("*.py"))
 
-# exported on purpose although no code in the package calls them
+# kept on purpose although no code in the package reads them: exports by
+# name, class members as "Class.name"
 LIBRARY_API = {
     "generalized_capacity": "the single-kappa generalized capacity of one "
                             "(f, A, B); check_gcap shares its helpers",
-    "energy_and_champ": "E(f, f) with its per-point energy measures; the "
-                        "Gamma-identity tests exercise local_champ and "
-                        "truncated_jump through it",
+    "MetricMeasureSpace.metric": "the float metric u[R], computed on each "
+                                 "read for tests and export; no module "
+                                 "reads it",
+    "ScaleFunction.single_power": "the scale c r^e; configs give pieces, "
+                                  "tests and callers one power",
+    "ScaleFunction.from_exponents": "a scale from its exponents and breaks, "
+                                    "with continuous coefficients",
+    "PowerBounds.c1": "the certified constants of the exponent window; "
+                      "dominance_map reads only beta1 and beta2",
+    "PowerBounds.c2": "as c1",
+    "CrossoverResult.reason": "why a crossover is degenerate; dominance_map "
+                              "reads the root, the flag and log_ratio",
+    "CrossoverResult.residual": "the relative residual of the root",
+    "CrossoverResult.bracket": "the log-bracket at the root",
+    "CaloricFamily.samples_minus": "FULL mode's per-time samples on "
+                                   "B(x0, R), kept on request "
+                                   "(keep_samples); check_phi does not "
+                                   "read them",
+    "CaloricFamily.samples_plus": "as samples_minus",
 }
 
 
@@ -54,6 +72,68 @@ def unreached(sources):
             for name in exported(tree) if name not in used]
 
 
+def members(tree):
+    """{"Class.name": definition} of each public method, property and
+    field of the module's classes, and of each public attribute their
+    methods assign on ``self`` (definition None: a write is no read)."""
+    found = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                found[f"{cls.name}.{name}"] = node
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and not node.attr.startswith("_")):
+                found.setdefault(f"{cls.name}.{node.attr}", None)
+    return found
+
+
+def member_reads(tree):
+    """(name, node) of each attribute read, and of each string listed in a
+    tuple, list or set display: ``JUMPS`` and ``ConditionReport.to_dict``
+    look members up by such names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx,
+                                                              ast.Store):
+            yield node.attr, node
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            for elt in node.elts:
+                if isinstance(elt, ast.Constant) and isinstance(elt.value,
+                                                                str):
+                    yield elt.value, elt
+
+
+def unread_members(sources):
+    """(module, "Class.name") of each class member that no read in
+    ``sources`` names, reads inside the member's own definition not
+    counted.  Matched by name: a read of any object's ``.name`` counts."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = {}
+    for tree in trees.values():
+        for name, node in member_reads(tree):
+            reads.setdefault(name, []).append(node)
+    found = []
+    for mod, tree in trees.items():
+        for key, defn in members(tree).items():
+            own = set() if defn is None else set(map(id, ast.walk(defn)))
+            if all(id(node) in own
+                   for node in reads.get(key.split(".")[1], [])):
+                found.append((mod, key))
+    return found
+
+
 def test_every_export_is_reached_or_library_api():
     found = unreached({p.stem: p.read_text() for p in SOURCES})
     names = {name for _, name in found}
@@ -61,7 +141,15 @@ def test_every_export_is_reached_or_library_api():
     assert not dead, f"exports nothing in src/formlab reaches: {dead}"
     # a library name that the package starts to reach, or that is gone,
     # leaves the list
-    assert sorted(set(LIBRARY_API) - names) == []
+    assert sorted({k for k in LIBRARY_API if "." not in k} - names) == []
+
+
+def test_every_member_is_read_or_library_api():
+    found = unread_members({p.stem: p.read_text() for p in SOURCES})
+    keys = {key for _, key in found}
+    dead = [f"{mod}:{key}" for mod, key in found if key not in LIBRARY_API]
+    assert not dead, f"class members nothing in src/formlab reads: {dead}"
+    assert sorted({k for k in LIBRARY_API if "." in k} - keys) == []
 
 
 def test_detector_on_synthetic_package():
@@ -81,6 +169,30 @@ def test_detector_on_synthetic_package():
     # that references it back, and an import is not a reference
     assert unreached(sources) == [("a", "dead"), ("a", "recursive"),
                                   ("b", "caller")]
+
+
+def test_member_detector_on_synthetic_package():
+    sources = {
+        "a": ("KINDS = ('build',)\n"
+              "class Kit:\n"
+              "    size: int\n"
+              "    note: str\n"
+              "    def __init__(self):\n"
+              "        self.count = 0\n"
+              "        self.spare = 1\n"
+              "        self._hidden = 2\n"
+              "    def build(self):\n        return self.size\n"
+              "    def loop(self):\n        return self.loop()\n"
+              "    @property\n    def weight(self):\n        return 1\n"),
+        "b": ("def use(kit):\n"
+              "    kit.count += 1\n"
+              "    return kit.weight, {'note': 1}\n"),
+    }
+    # ``size`` is read in ``build``, ``build`` by name through KINDS and
+    # ``weight`` in b; ``loop`` reads only itself, a dict key is no read,
+    # and ``count`` and ``spare`` are only written (``+=`` writes back)
+    assert unread_members(sources) == [("a", "Kit.note"), ("a", "Kit.loop"),
+                                       ("a", "Kit.count"), ("a", "Kit.spare")]
 
 
 def test_no_module_reads_the_float_metric():
