@@ -331,22 +331,23 @@ def _chk_exit(ctx, **kw):
 
 
 @check("tail_ujs", tail_and_ujs, "seed")
-def _chk_tail_ujs(ctx, spread_cap=8.0, **kw):
-    rep = tail_and_ujs(ctx.form, ctx.scales, ctx.radii, seed=ctx.cfg.seed, **kw)
-    if rep.constants.get("J_phij_spread", math.inf) > spread_cap:
-        rep.verdict = "failed"
-        rep.notes = (rep.notes + " two-sided comparability spread over "
-                     f"cap {spread_cap}").strip()
-    rep.constants["spread_cap"] = spread_cap
-    return rep
+def _chk_tail_ujs(ctx, **kw):
+    if ctx.form.jump is None:
+        return _no_ball("J-tail/UJS", "the form has no jump part",
+                        radii=ctx.radii)
+    return tail_and_ujs(ctx.form, ctx.scales, ctx.radii, seed=ctx.cfg.seed,
+                        **kw)
 
 
 @check("jpsi_alt")
 def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0):
-    psi = ScaleFunction.from_config(phi_j)
-    c1, c2, table = fit_jpsi(ctx.form, psi)
+    if ctx.form.jump is None:
+        return _no_ball("J_psi-alt", "the form has no jump part", pieces=phi_j)
+    c1, c2, table = fit_jpsi(ctx.form, ScaleFunction.from_config(phi_j))
+    if not table:
+        return _no_ball("J_psi-alt", "no pair of interior points", pieces=phi_j)
     spread = c2 / c1 if c1 > 0 else math.inf
-    plateau = max((row["max_ratio"] for row in table), default=math.inf)
+    plateau = max(row["max_ratio"] for row in table)
     rows = [{"d": row["d"], "max_ratio": row["max_ratio"],
              "violation": plateau / row["max_ratio"]} for row in table]
     verdict = "failed" if spread > spread_cap else "certified"

@@ -425,34 +425,33 @@ def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     return HeatKernelTable(times, _semigroup_kernels(B, lam, times))
 
 
+def _product_blocks(B, rates, t, blocks):
+    """The ``(rows, cols)`` blocks of the symmetrised B exp(-rates t) B^T:
+    (M[r, c] + M[c, r]) / 2 of one product M, gone on return, which is the
+    element ``_symmetrise`` gives, since the sum commutes."""
+    M = _semigroup_product(B, rates, t)
+    out = [M[np.ix_(rows, cols)] for rows, cols in blocks]
+    for K, (rows, cols) in zip(out, blocks):
+        K += M[np.ix_(cols, rows)].T
+        K *= 0.5
+    return out
+
+
 def kernel_blocks(form: DirichletForm, times, blocks) -> list:
     """Slices of the global heat kernel: ``out[b][i]`` is K[rows, cols] at
-    ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``.
-
-    At a time the form keeps, each block is gathered from the kept kernel.
-    At any other time one product M = B exp(-lam t) B^T is alive at a time
-    and only the blocks are symmetrised: K[r, c] = (M[r, c] + M[c, r]) / 2
-    is the element ``heat_kernel`` holds, since the sum commutes.  A block
-    whose ``rows`` is its ``cols`` is gathered once and symmetrised in
-    place."""
+    ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``, gathered from
+    the kept kernel at a time the form keeps and from ``_product_blocks``,
+    one product at a time, at any other."""
     lam, B = form.spectral()
     out = [[] for _ in blocks]
     for t in _kernel_times(times):
         if t in form._keep:
             K = _global_kernel(form, t)
-            for slabs, (rows, cols) in zip(out, blocks):
-                slabs.append(K[np.ix_(rows, cols)])
-            continue
-        M = _semigroup_product(B, lam, t)
-        for slabs, (rows, cols) in zip(out, blocks):
-            if rows is cols:
-                slabs.append(_symmetrise(M[np.ix_(rows, rows)]))
-                continue
-            K = M[np.ix_(rows, cols)]
-            K += M[np.ix_(cols, rows)].T
-            K *= 0.5
-            slabs.append(K)
-        del M    # before the next product is computed
+            slabs = [K[np.ix_(rows, cols)] for rows, cols in blocks]
+        else:
+            slabs = _product_blocks(B, lam, t, blocks)
+        for kept, slab in zip(out, slabs):
+            kept.append(slab)
     return out
 
 
@@ -518,7 +517,8 @@ def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
     """Smallest c1 with
     p(t,x,y) <= q^(rho)(t,x,y) + c1 t / (V(x,rho) phi_j(rho)) exp(c1 t / phi(rho))
     over interior (t, x, y), one per rho of ``rhos``, by bisection.  One
-    interior block of p(t) serves every rho, beside one truncated form."""
+    interior block of p(t) serves every rho.  Of the truncated form only
+    its spectrum is kept, and one block of q^(rho) is alive at a time."""
     interior = form.space.interior()
     block = [(interior, interior)]
     (P,) = kernel_blocks(form, times, block)
@@ -527,10 +527,13 @@ def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
         # row maxima of p - q^(rho) on the interior block: the bound below
         # is constant along a row and rounding is monotone, so the largest
         # fl(p - q - bound) of a row is fl(rowmax - bound)
-        (diffs,) = kernel_blocks(truncate(form, rho), times, block)
-        rowmax = [np.subtract(p, q, out=q).max(axis=1)
-                  for p, q in zip(P, diffs)]
-        del diffs
+        lam, B = truncate(form, rho).spectral()
+        rowmax = []
+        for t, p in zip(times, P):
+            (q,) = _product_blocks(B, lam, t, block)
+            rowmax.append(np.subtract(p, q, out=q).max(axis=1))
+            del q    # before the next product is computed
+        del lam, B
         phi_rho = scales.phi(rho)
         Vphij = form.space.volumes(interior, rho) * scales.phi_j(rho)
 

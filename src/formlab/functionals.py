@@ -500,43 +500,47 @@ def check_exit(form: DirichletForm, scales, radii,
 
 def fit_jpsi(form: DirichletForm, psi):
     """Two-sided comparability fit of J against 1/(V(x,d) psi(d)) over
-    interior ordered pairs; returns (c1, c2, per-distance table)."""
+    interior ordered pairs; returns (c1, c2, per-distance table).  A pair
+    reads V(x, d + 1e-9) and psi(d) by the rank of d in the space's distinct
+    distances, as ``JumpKernel.stable_like`` does."""
     space = form.space
-    interior = space.interior()
+    u, interior = space.u, space.interior()
     block = np.ix_(interior, interior)
-    d = space.dist(*block)
-    mask = d > 0.0
-    V = space.volumes(interior[:, None], d + 1e-9)[mask]
-    dists = d[mask]
-    ratios = form.jump.matrix[block][mask] * V * psi(dists)
-    # the extremes, overall and per distance; fmin/fmax skip a nan ratio
-    c1 = float(np.fmin.reduce(ratios, initial=math.inf))
-    c2 = float(np.fmax.reduce(ratios, initial=0.0))
-    uq, inv = np.unique(dists, return_inverse=True)
-    lo_u = np.full(len(uq), math.inf)
-    hi_u = np.zeros(len(uq))
-    np.fmin.at(lo_u, inv, ratios)
-    np.fmax.at(hi_u, inv, ratios)
+    k = space.R[block]
+    mask = k > 0
+    V = space.C[interior[:, None], u.searchsorted(u + 1e-9)[k]][mask]
+    k = k[mask]
+    ratios = form.jump.matrix[block][mask] * V * space.radial(psi, 1.0)[k]
+    # the extremes per distance, then overall; fmin/fmax skip a nan ratio
+    lo_u = np.full(len(u), math.inf)
+    hi_u = np.zeros(len(u))
+    np.fmin.at(lo_u, k, ratios)
+    np.fmax.at(hi_u, k, ratios)
     per_d = {}
-    for dd, lo_d, hi_d in zip(uq, lo_u, hi_u):
-        key = round(float(dd), 9)
+    for r in np.unique(k):
+        key = round(float(u[r]), 9)
         lo, hi = per_d.get(key, (math.inf, 0.0))
-        per_d[key] = (min(lo, float(lo_d)), max(hi, float(hi_d)))
+        per_d[key] = (min(lo, float(lo_u[r])), max(hi, float(hi_u[r])))
     table = [{"d": k, "min_ratio": v[0], "max_ratio": v[1]}
              for k, v in sorted(per_d.items())]
-    return c1, c2, table
+    return float(lo_u.min()), float(hi_u.max()), table
 
 
 def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
-                 seed=SEED) -> ConditionReport:
+                 seed=SEED, spread_cap=8.0) -> ConditionReport:
     """Fits the jump-tail constant (integral of J over ball complements
     against 1/phi_j(r)), the UJS constant, and the two-sided J_{phi_j}
-    comparability."""
+    comparability, whose spread c2/c1 fails over ``spread_cap``; fails with
+    no constants over no interior pair."""
     space = form.space
     if form.jump is None:
         return ConditionReport("J-tail/UJS", "certified",
                                constants={"c_tail": 0.0, "c_UJS": 0.0},
                                notes="no jump part")
+    interior = space.interior()
+    if len(interior) < 2:
+        return _no_ball("J-tail/UJS", "no pair of interior points",
+                        radii=list(map(float, radii)))
     J = form.jump.matrix
     rows = []
     c_tail = 0.0
@@ -551,7 +555,6 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
             witness = {"x0": x0, "r": r, "tail": T}
 
     rng = np.random.RandomState(seed)
-    interior = space.interior()
     c_ujs = 0.0
     tested = 0
     for _ in range(n_pairs):
@@ -573,13 +576,17 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
         if math.isinf(c_ujs):
             break   # J vanishes on a ball: UJS fails, the sweep ends here
     c1j, c2j, per_d = fit_jpsi(form, scales.phi_j)
-    verdict = "certified" if np.isfinite(c_ujs) and np.isfinite(c_tail) else "failed"
+    spread = c2j / c1j if c1j > 0 else math.inf
+    over = spread > spread_cap
+    ok = np.isfinite(c_ujs) and np.isfinite(c_tail) and not over
     return ConditionReport(
-        "J-tail/UJS", verdict,
+        "J-tail/UJS", "certified" if ok else "failed",
         constants={"c_tail": c_tail, "c_UJS": c_ujs,
                    "J_phij_lower": c1j, "J_phij_upper": c2j,
-                   "J_phij_spread": c2j / c1j if c1j > 0 else math.inf},
+                   "J_phij_spread": spread, "spread_cap": spread_cap},
         witness=witness,
         ranges={"radii": list(map(float, radii)), "ujs_instances": tested},
         rows=rows + [{"jpsi": per_d}],
+        notes=(f"two-sided comparability spread over cap {spread_cap}"
+               if over else ""),
     )

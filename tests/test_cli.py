@@ -414,6 +414,30 @@ class TestEmptyBallFamily:
             assert rep.ranges["radii"] == [100.0]
         assert not suite.report["all_ok"]
 
+    # the jump fits sweep the interior pairs of a jump kernel: with the
+    # space's margin 1000 no point of the line is interior, and a jump-free
+    # form has no kernel.  Either fit fails with no constants and a note
+    # naming the cause
+    @pytest.mark.parametrize("name,condition,ranges", [
+        ("tail_ujs", "J-tail/UJS", {"radii": [4.0, 8.0]}),
+        ("jpsi_alt", "J_psi-alt", {"pieces": mini_cfg()["scales"]["phi_j"]})])
+    @pytest.mark.parametrize("change,note", [
+        ({"space": {**mini_cfg()["space"], "margin": 1000}},
+         "no pair of interior points"),
+        ({"jump": {"kind": "none"}}, "the form has no jump part")])
+    def test_jump_fit_without_pairs(self, name, condition, ranges, change,
+                                    note):
+        alt = {"jpsi_alt": {"phi_j": mini_cfg()["scales"]["phi_j"]}}
+        cfg = load_config({**mini_cfg(**change), "checks": [name],
+                           "check_params": alt})
+        suite = run_suite(cfg)
+        rep = suite.reports[name]
+        assert (rep.condition, rep.verdict) == (condition, "failed")
+        assert rep.notes == note
+        assert rep.constants == {} and rep.rows == []
+        assert rep.ranges == ranges
+        assert not suite.report["all_ok"]
+
     def test_pi_fails_when_one_dilation_has_no_ball(self):
         # radius 40 fits the line undilated, not at kappa = 2
         ctx = cli.SuiteContext(load_config("z1_mini"))

@@ -14,6 +14,7 @@ projecting there and back on every step: it is held to its old loop within
 1e-11 relative."""
 
 import bisect
+import importlib.resources
 import json
 import math
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from formlab.space import (_min_max_steps, _ranks, build_space,
                            chain_check)
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
+CONFIGS = importlib.resources.files("formlab.configs")
 
 
 def canon(obj):
@@ -369,6 +371,33 @@ def old_fit_jpsi(form, psi):
             key = round(float(dd), 9)
             lo, hi = per_d.get(key, (math.inf, 0.0))
             per_d[key] = (min(lo, float(rr)), max(hi, float(rr)))
+    return c1, c2, [{"d": k, "min_ratio": v[0], "max_ratio": v[1]}
+                    for k, v in sorted(per_d.items())]
+
+
+def float_fit_jpsi(form, psi):
+    # the fit on float distances: V(x, d + 1e-9) searched per pair, psi
+    # taken per pair and the per-distance table keyed by np.unique
+    space = form.space
+    interior = space.interior()
+    block = np.ix_(interior, interior)
+    d = space.dist(*block)
+    mask = d > 0.0
+    V = space.volumes(interior[:, None], d + 1e-9)[mask]
+    dists = d[mask]
+    ratios = form.jump.matrix[block][mask] * V * psi(dists)
+    c1 = float(np.fmin.reduce(ratios, initial=math.inf))
+    c2 = float(np.fmax.reduce(ratios, initial=0.0))
+    uq, inv = np.unique(dists, return_inverse=True)
+    lo_u = np.full(len(uq), math.inf)
+    hi_u = np.zeros(len(uq))
+    np.fmin.at(lo_u, inv, ratios)
+    np.fmax.at(hi_u, inv, ratios)
+    per_d = {}
+    for dd, lo_d, hi_d in zip(uq, lo_u, hi_u):
+        key = round(float(dd), 9)
+        lo, hi = per_d.get(key, (math.inf, 0.0))
+        per_d[key] = (min(lo, float(lo_d)), max(hi, float(hi_d)))
     return c1, c2, [{"d": k, "min_ratio": v[0], "max_ratio": v[1]}
                     for k, v in sorted(per_d.items())]
 
@@ -833,6 +862,24 @@ def test_fit_jpsi_equals_loop_formulas(ctx):
             assemble(space, 1.0, JumpKernel.power_law(space, alpha=1.0)))
     for psi in (ctx.scales.phi_j, ScaleFunction.single_power(0.5)):
         assert canon(fit_jpsi(form, psi)) == canon(old_fit_jpsi(form, psi))
+
+
+@pytest.mark.parametrize("name", [
+    name for name in sorted(p.stem for p in CONFIGS.iterdir()
+                            if p.name.endswith(".json"))
+    if load_config(name).jump.get("kind", "none") != "none"])
+def test_fit_jpsi_on_ranks_equals_float_distances(name):
+    # every bundled jump config, with its phi_j, another power and the
+    # alternative scale of its jpsi_alt
+    cfg = load_config(name)
+    ctx = SuiteContext(cfg)
+    psis = [ctx.scales.phi_j, ScaleFunction.single_power(0.5)]
+    if "jpsi_alt" in cfg.check_params:
+        psis.append(ScaleFunction.from_config(
+            cfg.check_params["jpsi_alt"]["phi_j"]))
+    for psi in psis:
+        assert canon(fit_jpsi(ctx.form, psi)) == \
+            canon(float_fit_jpsi(ctx.form, psi))
 
 
 def test_diag_checks_equal_full_kernel_loops(ctx):
