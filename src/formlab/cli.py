@@ -39,16 +39,17 @@ from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
 from .form import (FormError, assemble, build_jump, check_jump, gap_check,
                    heat_kernel, kernel_certificates, meyer_check, subordinate,
                    subordinate_intensity, subordinate_intensity_quadrature)
-from .functionals import (ConditionReport, _no_ball, ball_family, check_cs,
-                          check_exit, check_fk, check_gcap, check_pi,
-                          fit_jpsi, function_family, tail_and_ujs)
+from .functionals import (ERRORED, KINDS, ConditionReport, _no_ball,
+                          ball_family, check_cs, check_exit, check_fk,
+                          check_gcap, check_pi, fit_jpsi, function_family,
+                          tail_and_ujs)
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleError, ScaleFunction, ScaleTriple
 from .space import (MAX_TIMES, SpaceError, bind, build_space, chain_check,
                     parameters, space_size, volume_report)
 
-OK_VERDICTS = {"certified", "certified-for-family", "one-sided-certificate"}
+OK_VERDICTS = set(KINDS.values())
 MODES = ("necessary", "full")
 HK_MODES = ("HK", "UHK", "HK_local")   # hk's; the other two are checks
 
@@ -257,40 +258,34 @@ def check_parameters(fn):
 @check("volume", volume_report)
 def _chk_volume(ctx, **kw):
     vr = volume_report(ctx.space, **kw)
-    verdict = "certified" if np.isfinite(vr.C_mu) else "failed"
     return ConditionReport(
-        "VD/RVD", verdict,
+        "VD/RVD",
         constants={"C_mu": vr.C_mu, "l_mu": vr.l_mu, "c_mu": vr.c_mu,
                    "rvd": vr.rvd_passes, "d1": vr.d1, "d2": vr.d2,
                    "c_tilde": vr.c_tilde, "C_tilde": vr.C_tilde},
         ranges={"radius_range": list(vr.radius_range),
                 "n_centers": vr.n_centers},
         notes="RVD verdict applies to the restricted radius range only",
-    )
+    ).judge(C_mu=np.isfinite)
 
 
 @check("chain", chain_check, "seed")
 def _chk_chain(ctx, samples=30, **kw):
     cr = chain_check(ctx.space, samples=samples // ctx.thin + 1,
                      seed=ctx.cfg.seed, **kw)
-    verdict = "certified" if np.isfinite(cr.constant) else "failed"
-    return ConditionReport("chain-condition", verdict,
-                           constants={"C": cr.constant},
+    return ConditionReport("chain-condition", constants={"C": cr.constant},
                            witness={} if cr.witness is None else
                            {"disconnected_pair": list(cr.witness)},
-                           ranges={"samples": cr.samples})
+                           ranges={"samples": cr.samples}).judge(C=np.isfinite)
 
 
 @check("kernel")
 def _chk_kernel(ctx):
     certs = kernel_certificates(ctx.form, ctx.times)
-    ok = (certs["symmetry"] < 1e-10 and certs["chapman_kolmogorov"] < 1e-10
-          and certs["unit_mass"] < 1e-10)
-    return ConditionReport("kernel-exactness",
-                           "certified" if ok else "failed",
-                           constants=certs,
-                           ranges={"times": list(ctx.times),
-                                   "method": "spectral"})
+    return ConditionReport(
+        "kernel-exactness", constants=certs,
+        ranges={"times": list(ctx.times), "method": "spectral"},
+    ).judge(**dict.fromkeys(certs, lambda err: err < 1e-10))
 
 
 @check("fk", check_fk, "max_centers", "seed")
@@ -332,9 +327,6 @@ def _chk_exit(ctx, **kw):
 
 @check("tail_ujs", tail_and_ujs, "seed")
 def _chk_tail_ujs(ctx, **kw):
-    if ctx.form.jump is None:
-        return _no_ball("J-tail/UJS", "the form has no jump part",
-                        radii=ctx.radii)
     return tail_and_ujs(ctx.form, ctx.scales, ctx.radii, seed=ctx.cfg.seed,
                         **kw)
 
@@ -350,14 +342,13 @@ def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0):
     plateau = max(row["max_ratio"] for row in table)
     rows = [{"d": row["d"], "max_ratio": row["max_ratio"],
              "violation": plateau / row["max_ratio"]} for row in table]
-    verdict = "failed" if spread > spread_cap else "certified"
     return ConditionReport(
-        "J_psi-alt", verdict,
+        "J_psi-alt",
         constants={"c1": c1, "c2": c2, "spread": spread,
                    "spread_cap": spread_cap},
         ranges={"pieces": phi_j}, rows=rows,
         notes="two-sided comparability against the alternative scale",
-    )
+    ).judge(spread=lambda s: not s > spread_cap)
 
 
 @check("hk", fit_hk, "indicator")
@@ -386,10 +377,10 @@ def _chk_pc_equiv(ctx, **kw):
     kw.setdefault("n_per_axis", max(10, 30 // ctx.thin))
     out = check_pc_equivalence(ctx.scales, **kw)
     return ConditionReport(
-        "pc-equivalence", "certified",
+        "pc-equivalence",
         constants={k: v for k, v in out.items() if k != "grid"},
         ranges=out["grid"],
-    )
+    ).judge("unbounded")
 
 
 @check("dominance")
@@ -399,7 +390,7 @@ def _chk_dominance(ctx, t=None):
     dm = dominance_map(ctx.scales, ctx.space, t)
     cross = dm.crossover[np.isfinite(dm.crossover)]
     return ConditionReport(
-        "dominance-map", "certified",
+        "dominance-map",
         constants={"t": dm.t, "diag_edge": dm.diag_edge,
                    "crossover_min": float(cross.min()) if cross.size else math.nan,
                    "crossover_max": float(cross.max()) if cross.size else math.nan,
@@ -407,7 +398,7 @@ def _chk_dominance(ctx, t=None):
                    "r_star": dm.r_star, "degenerate_root": dm.degenerate},
         ranges={"centers": int(len(dm.xs))},
         labels=dm.labels,
-    )
+    ).judge("unbounded")
 
 
 @check("tail_probability", tail_probability_check)
@@ -446,13 +437,12 @@ def _chk_meyer(ctx, rho_grid: list[float] | None = None):
     c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3])
     fits = {f"c1(rho={rho:g})": c1 for rho, c1 in zip(rhos, c1s)}
     vals = list(fits.values())
-    ok = all(np.isfinite(v) for v in vals)
     return ConditionReport(
-        "meyer-decomposition", "certified" if ok else "failed",
+        "meyer-decomposition",
         constants={**fits, "max_over_min": (max(vals) / min(vals))
                    if min(vals) > 0 else math.inf},
         ranges={"rhos": list(map(float, rhos))},
-    )
+    ).judge(**dict.fromkeys(fits, np.isfinite))
 
 
 @check("gap")
@@ -461,9 +451,9 @@ def _chk_gap(ctx, rho_grid: list[float] | None = None):
     fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho,
                                           ctx.family) for rho in rhos}
     return ConditionReport(
-        "truncation-gap", "certified",
+        "truncation-gap",
         constants=fits, ranges={"rhos": list(map(float, rhos))},
-    )
+    ).judge("unbounded")
 
 
 @check("subordination")
@@ -480,13 +470,13 @@ def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01):
                         times=[ctx.times[0]])
     base = heat_kernel(ctx.form, [ctx.times[0]]).kernels[0]
     id_err = float(np.abs(ident.kernels[0] - base).max())
-    ok = rel <= tol and id_err <= 1e-8
     return ConditionReport(
-        "subordination", "certified" if ok else "failed",
+        "subordination",
         constants={"b": b, "gamma": gamma, "quadrature_rel_err": rel,
                    "identity_case_err": id_err},
         ranges={"pairs": len(pairs)},
-    )
+    ).judge(quadrature_rel_err=lambda err: err <= tol,
+            identity_case_err=lambda err: err <= 1e-8)
 
 
 # cross-consistency rules: (premise check, expected checks, policy).
@@ -519,7 +509,7 @@ def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
             return CHECKS[name](ctx, **params)
         except Exception as exc:  # marked errored, suite continues
             return ConditionReport(
-                name, "errored", notes=f"{type(exc).__name__}: {exc}",
+                name, ERRORED, notes=f"{type(exc).__name__}: {exc}",
                 rows=[{"traceback": traceback.format_exc(limit=3)}])
 
     if threads > 1:
@@ -611,7 +601,7 @@ def render_report(suite: SuiteReport, out_dir):
         svg_curves(series, path, title="worst caloric function")
         written.append(path)
     hk = suite.reports.get("hk")
-    rows = [] if hk is None or hk.verdict == "errored" else hk.rows
+    rows = [] if hk is None or hk.verdict == ERRORED else hk.rows
     if rows:
         t_last = max(r["t"] for r in rows)
         sel = [r for r in rows if r["t"] == t_last]

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .form import DirichletForm, HeatKernelTable, heat_kernel, kernel_blocks
-from .functionals import ConditionReport, _no_ball
+from .functionals import ConditionReport, _no_ball, positive
 from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
 
 __all__ = [
@@ -302,18 +302,19 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
               "indicator": indicator if mode == "HK_minus" else math.nan}
     consts = {k: v for k, v in fitted.items()
               if isinstance(v, float) and np.isfinite(v)}
-    lower_ok = (mode in ("UHK", "UHK_weak") or (np.isfinite(c1) and c1 > 0.0)
-                or (np.isfinite(c0) and c0 > 0.0))
-    upper_ok = mode == "HK_minus" or (np.isfinite(c3) and c3 < math.inf)
-    verdict = "certified" if (lower_ok and upper_ok) else "failed"
-    rows = (envelope_ratio_rows(times, xs[thin], up_rows, lo_rows)
-            if mode in ("HK", "HK_local") else [])
+    # the fitted sides: an upper c3 unless HK_minus, a positive lower c1 in
+    # the two-sided modes and c0 in HK_minus
+    bound = {"c0": positive} if mode == "HK_minus" else {"c3": np.isfinite}
+    rows = []
+    if mode in ("HK", "HK_local"):
+        bound["c1"] = positive
+        rows = envelope_ratio_rows(times, xs[thin], up_rows, lo_rows)
     return ConditionReport(
-        f"{mode}(phi_c,phi_j)", verdict, constants=consts,
+        f"{mode}(phi_c,phi_j)", constants=consts,
         witness=witnesses,
         ranges={"times_used": times, "excluded_triples": excluded},
         rows=rows,
-    )
+    ).judge(**bound)
 
 
 # -- diagonal conditions -------------------------------------------------------------
@@ -378,20 +379,17 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                 mono_defect = max(mono_defect, float((KB - KF).max()))
                 ndl_rows.append({"x0": x0, "r": r, "t": t,
                                  "c1": float(sub.min()) * Vx0})
-    nl_ok = np.isfinite(c_nl) and c_nl > 0.0
-    ndl_ok = np.isfinite(c_ndl) and c_ndl > 0.0
     # NDL forces NL through domain monotonicity p >= p^B, checked above
     consistent = mono_defect <= 1e-12
-    verdict = "certified" if (c_uhkd < math.inf and nl_ok and ndl_ok) else "failed"
     return ConditionReport(
-        "UHKD/NL/NDL", verdict,
+        "UHKD/NL/NDL",
         constants={"c_UHKD": c_uhkd, "c_NL": c_nl, "nl_region": nl_constant,
                    "c_NDL": c_ndl, "eps": eps,
                    "domain_monotonicity_defect": mono_defect,
                    "ndl_implies_nl": bool(consistent)},
         ranges={"ndl_radii": list(map(float, ndl_radii))},
         rows=ndl_rows,
-    )
+    ).judge(c_UHKD=lambda c: c < math.inf, c_NL=positive, c_NDL=positive)
 
 
 # -- dominance map -------------------------------------------------------------------
@@ -519,16 +517,15 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
                       if r > 2.0 * phi_inv[t]), default=0.0)
         best = {"a1": a1, "c_gauss": c_gauss, "c_jump": c_jump}
     c1 = max(best["c_jump"], best["c_gauss"])
-    verdict = "certified" if np.isfinite(c1) else "failed"
     return ConditionReport(
-        "tail-probability", verdict,
+        "tail-probability",
         constants={"eta": eta, "a1": best["a1"], "c1": c1,
                    "c_jump": best["c_jump"], "c_gauss": best["c_gauss"],
                    "eta_within_beta1_phij": True},
         ranges={"radii": list(map(float, radii)),
                 "times": [float(table.times[i]) for i in keep],
                 "instances": instances},
-    )
+    ).judge(c1=np.isfinite)
 
 
 # -- chaining lower bound ----------------------------------------------------------------
@@ -602,11 +599,9 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
                         for c in zip(*cols))
     rows = [{"t": t, "m": m, "base": base}
             for t, m, base in zip(t_s, m_s, base_s)]
-    verdict = "certified" if (used and 0.0 < c6) else "failed"
     return ConditionReport(
-        "chain-lower", verdict,
-        constants={"c5": c5, "c6": c6},
+        "chain-lower", constants={"c5": c5, "c6": c6},
         ranges={"triples": used, "m_cap": m_cap,
                 "times": list(map(float, times))},
         rows=rows,
-    )
+    ).judge(triples=positive, c6=positive)

@@ -39,13 +39,26 @@ __all__ = [
 SEED = 0x5EED
 
 
+# verdict kind -> the verdict of a report whose bound holds; a report whose
+# bound fails is "failed", whatever its kind.  An unbounded check declares
+# no bound, so its report always reads "certified".
+KINDS = {"certificate": "certified", "one-sided": "one-sided-certificate",
+         "for-family": "certified-for-family", "unbounded": "certified"}
+ERRORED = "errored"   # run_suite's verdict for a check that raised
+
+
+def positive(value):
+    """The bound of a constant that must be finite and above zero."""
+    return np.isfinite(value) and value > 0.0
+
+
 @dataclass
 class ConditionReport:
     """Per-condition verdict with the fitted constants and the worst-case
     witness configuration."""
 
     condition: str
-    verdict: str                       # certified | failed | one-sided-certificate
+    verdict: str = ""                  # set by ``judge``, or ERRORED
     constants: dict = field(default_factory=dict)
     witness: dict = field(default_factory=dict)
     ranges: dict = field(default_factory=dict)
@@ -57,6 +70,17 @@ class ConditionReport:
         return {k: getattr(self, k) for k in ("condition", "verdict",
                                               "constants", "witness",
                                               "ranges", "notes")}
+
+    def judge(self, kind="certificate", **bound):
+        """Set the verdict by the one rule and return the report: the
+        ``KINDS`` verdict of ``kind`` when each test of ``bound`` holds of
+        the constant, or else the range, that it names, and "failed"
+        otherwise.  A name the report lacks reads nan."""
+        values = {**self.ranges, **self.constants}
+        holds = all(test(values.get(name, math.nan))
+                    for name, test in bound.items())
+        self.verdict = KINDS[kind] if holds else "failed"
+        return self
 
 
 # -- shared families -----------------------------------------------------------
@@ -74,8 +98,10 @@ def _no_ball(condition, notes="no ball of the family fits the space",
              **ranges):
     """The failed report of a check that swept no instance: no constants
     and no rows, the ranges it was given and a note naming the empty family
-    or time window.  A constant fitted over nothing certifies nothing."""
-    return ConditionReport(condition, "failed", ranges=ranges, notes=notes)
+    or time window.  A constant fitted over nothing certifies nothing: the
+    bound of at least one instance fails on it."""
+    return ConditionReport(condition, ranges=ranges,
+                           notes=notes).judge(instances=positive)
 
 
 def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
@@ -161,15 +187,12 @@ def check_fk(form: DirichletForm, scales, radii,
         table[f"C(nu={nu})"] = best
         if nu == 0.5:
             witness = {k: arg[k] for k in ("x0", "r", "subset", "lambda1")}
-    C = table["C(nu=0.5)"]
-    verdict = "certified" if (np.isfinite(C) and C > 0.0) else "failed"
     return ConditionReport(
-        "FK(phi)", verdict,
-        constants={"C": C, "nu": 0.5, **table},
+        "FK(phi)", constants={"C": table["C(nu=0.5)"], "nu": 0.5, **table},
         witness=witness,
         ranges={"radii": list(map(float, radii)), "instances": len(rows)},
         rows=rows,
-    )
+    ).judge(C=positive)
 
 
 # -- Poincare --------------------------------------------------------------------
@@ -234,17 +257,14 @@ def check_pi(form: DirichletForm, scales, radii,
     ranges = {"radii": list(map(float, radii)), "kappas": list(kappas)}
     if not rows or {r["kappa"] for r in rows} != set(kappas):
         return _no_ball("PI(phi)", **ranges)
+    consts = {"C": worst["C"],
+              **{f"C(kappa={k})": max((r["C"] for r in rows
+                                       if r["kappa"] == k), default=0.0)
+                 for k in kappas}}
     if infinite is not None:
-        return ConditionReport("PI(phi)", "failed", constants={"C": math.inf},
-                               witness=infinite, ranges=ranges, rows=rows)
-    return ConditionReport(
-        "PI(phi)", "certified",
-        constants={"C": worst["C"],
-                   **{f"C(kappa={k})": max((r["C"] for r in rows
-                                            if r["kappa"] == k), default=0.0)
-                      for k in kappas}},
-        witness=worst, ranges=ranges, rows=rows,
-    )
+        consts, worst = {"C": math.inf}, infinite
+    return ConditionReport("PI(phi)", constants=consts, witness=worst,
+                           ranges=ranges, rows=rows).judge(C=np.isfinite)
 
 
 # -- capacity --------------------------------------------------------------------
@@ -354,9 +374,9 @@ def check_gcap(form: DirichletForm, scales, families, test_fns,
     consts = {f"C(kappa={k})": v for k, v in fitted.items()}
     consts["C"] = min(fitted.values())
     return ConditionReport(
-        "Gcap(phi)", "one-sided-certificate", constants=consts,
+        "Gcap(phi)", constants=consts,
         witness=witness, ranges={"instances": len(rows)}, rows=rows,
-    )
+    ).judge("one-sided")
 
 
 # -- cut-off Sobolev -------------------------------------------------------------
@@ -447,11 +467,11 @@ def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
         return _no_ball("CS(phi)", instances=0)
     trunc = {f"C2(rho={rho:g})": max(0.0, w) for rho, w in zip(grid, worst)}
     return ConditionReport(
-        "CS(phi)", "one-sided-certificate",
+        "CS(phi)",
         constants={"C0": C0, "C1": 1.0, "C2": fitted[1.0],
                    "C2(C1=0)": fitted[0.0], **trunc},
         witness=witness, ranges={"instances": len(rows)}, rows=rows,
-    )
+    ).judge("one-sided")
 
 
 # -- exit-time conditions ---------------------------------------------------------
@@ -489,10 +509,9 @@ def check_exit(form: DirichletForm, scales, radii,
     if not rows:
         return _no_ball("E_phi", radii=list(map(float, radii)))
     return ConditionReport(
-        "E_phi", "certified" if np.isfinite(c1) else "failed",
-        constants={"c1": c1, "c_EP": c_ep},
+        "E_phi", constants={"c1": c1, "c_EP": c_ep},
         witness=witness, ranges={"radii": list(map(float, radii))}, rows=rows,
-    )
+    ).judge(c1=np.isfinite)
 
 
 # -- jump tail, UJS, two-sided J_psi ----------------------------------------------
@@ -531,16 +550,14 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
     """Fits the jump-tail constant (integral of J over ball complements
     against 1/phi_j(r)), the UJS constant, and the two-sided J_{phi_j}
     comparability, whose spread c2/c1 fails over ``spread_cap``; fails with
-    no constants over no interior pair."""
+    no constants on a jump-free form or over no interior pair."""
     space = form.space
+    ranges = {"radii": list(map(float, radii))}
     if form.jump is None:
-        return ConditionReport("J-tail/UJS", "certified",
-                               constants={"c_tail": 0.0, "c_UJS": 0.0},
-                               notes="no jump part")
+        return _no_ball("J-tail/UJS", "the form has no jump part", **ranges)
     interior = space.interior()
     if len(interior) < 2:
-        return _no_ball("J-tail/UJS", "no pair of interior points",
-                        radii=list(map(float, radii)))
+        return _no_ball("J-tail/UJS", "no pair of interior points", **ranges)
     J = form.jump.matrix
     rows = []
     c_tail = 0.0
@@ -575,18 +592,15 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
             tested += 1
         if math.isinf(c_ujs):
             break   # J vanishes on a ball: UJS fails, the sweep ends here
-    c1j, c2j, per_d = fit_jpsi(form, scales.phi_j)
+    c1j, c2j, _ = fit_jpsi(form, scales.phi_j)
     spread = c2j / c1j if c1j > 0 else math.inf
-    over = spread > spread_cap
-    ok = np.isfinite(c_ujs) and np.isfinite(c_tail) and not over
     return ConditionReport(
-        "J-tail/UJS", "certified" if ok else "failed",
+        "J-tail/UJS",
         constants={"c_tail": c_tail, "c_UJS": c_ujs,
                    "J_phij_lower": c1j, "J_phij_upper": c2j,
                    "J_phij_spread": spread, "spread_cap": spread_cap},
-        witness=witness,
-        ranges={"radii": list(map(float, radii)), "ujs_instances": tested},
-        rows=rows + [{"jpsi": per_d}],
+        witness=witness, ranges={**ranges, "ujs_instances": tested}, rows=rows,
         notes=(f"two-sided comparability spread over cap {spread_cap}"
-               if over else ""),
-    )
+               if spread > spread_cap else ""),
+    ).judge(c_tail=np.isfinite, c_UJS=np.isfinite,
+            J_phij_spread=lambda s: not s > spread_cap)

@@ -277,7 +277,7 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
     """
     rows = []
     C6 = 0.0
-    witness = {}
+    witness, fit = {}, {}   # fit: C6 and its grid, once every family is alive
     for cyl, fam in zip(cylinders, _families(form, scales, cylinders, mode,
                                              n_window_times, thin,
                                              n_atom_intervals)):
@@ -287,22 +287,20 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
                                      & (fam.inf_plus <= FLOOR)):
             reason = ("caloric family vanished on Q+" if alive.size == 0
                       else "positive mass on Q- with vanishing Q+")
-            return ConditionReport("PHI(phi)", "failed", witness={
-                "x0": cyl.x0, "R": cyl.R, "reason": reason})
+            witness = {"x0": cyl.x0, "R": cyl.R, "reason": reason}
+            break   # reported with no C6: the bound fails
         c = float(alive.max())
         rows.append({"x0": cyl.x0, "R": cyl.R, "C6": c,
                      "atoms": fam.n_atoms, "mode": fam.mode})
         if c > C6:
             C6 = c
             witness = {"x0": cyl.x0, "R": cyl.R, "worst": fam.worst}
-    label = "certified" if mode == "full" else "certified-for-family"
-    return ConditionReport(
-        "PHI(phi)", label if np.isfinite(C6) else "failed",
-        constants={"C6": C6, "C1..C5": list(cylinders[0].constants)},
-        witness=witness,
-        ranges={"cylinders": [(c.x0, c.R) for c in cylinders], "mode": mode},
-        rows=rows,
-    )
+    else:
+        fit = {"constants": {"C6": C6, "C1..C5": list(cylinders[0].constants)},
+               "ranges": {"cylinders": [(c.x0, c.R) for c in cylinders],
+                          "mode": mode}, "rows": rows}
+    return ConditionReport("PHI(phi)", witness=witness, **fit).judge(
+        "certificate" if mode == "full" else "for-family", C6=np.isfinite)
 
 
 # -- Hoelder regularity -------------------------------------------------------------
@@ -405,9 +403,8 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
                         radii=list(map(float, radii)))
     theta_e, c_e = family_fit(ehr_fns)
     theta_p, c_p = family_fit(phr_fns)
-    ok = theta_e is not None and theta_p is not None
     return ConditionReport(
-        "PHR/EHR", "certified" if ok else "failed",
+        "PHR/EHR",
         constants={"theta_EHR": theta_e, "c_EHR": c_e,
                    "theta_PHR": theta_p, "c_PHR": c_p,
                    "eps": eps, "c_cap": c_cap},
@@ -415,4 +412,5 @@ def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
                 "ehr_functions": len(ehr_fns),
                 "phr_functions": len(phr_fns)},
         rows=rows,
-    )
+    ).judge(**dict.fromkeys(("theta_EHR", "theta_PHR"),
+                            lambda theta: theta is not None))

@@ -692,6 +692,29 @@ class TestMain:
         p.write_text(json.dumps(cfg))
         assert main(["--config", str(p), "suite"]) == 2
 
+    @pytest.mark.parametrize("change,deviations", [
+        # both rules bind tail_ujs, failed as expected over its cap 0.5
+        ({"checks": ["hk_minus", "phi", "tail_ujs", "pi", "gcap", "diag"],
+          "check_params": {"tail_ujs": {"spread_cap": 0.5}},
+          "expect": {"tail_ujs": "failed"}},
+         [{"check": "tail_ujs", "reason": "verdict failed"}] * 2),
+        # the strict rule lists each expected check that did not run
+        ({"checks": ["hk_minus"]},
+         [{"check": name, "reason": "not configured"}
+          for name in cli.CROSS_EXPECTED])])
+    def test_cross_matrix_deviation_exit_code(self, tmp_path, capsys,
+                                              change, deviations):
+        # every verdict is acceptable or expected: the deviations alone
+        # flag exit code 2
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(mini_cfg(**change)))
+        assert main(["--config", str(p), "suite"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        outcome = out[:len(change["checks"])]
+        assert all(line.endswith(" [ok]") for line in outcome)
+        assert out[len(outcome):] == [f"cross-matrix deviation: {dev}"
+                                      for dev in deviations]
+
     def test_suite_with_output(self, tmp_path, capsys):
         cfg = mini_cfg(checks=["kernel", "volume"])
         p = tmp_path / "cfg.json"

@@ -318,10 +318,12 @@ class TestTailUJS:
         assert reps[0].ranges["ujs_instances"] == reps[1].ranges["ujs_instances"]
 
     def test_no_jump_form(self):
+        # a jump-free form has no tail to fit: the empty-sweep report
         sp, form = z1(side=33, with_jump=False)
-        rep = tail_and_ujs(form, alpha1_triple(), [4.0])
-        assert rep.verdict == "certified"
-        assert rep.constants["c_tail"] == 0.0
+        rep = tail_and_ujs(form, alpha1_triple(), [4])
+        assert (rep.verdict, rep.constants, rep.rows) == ("failed", {}, [])
+        assert rep.notes == "the form has no jump part"
+        assert rep.ranges == {"radii": [4.0]}
 
 
 class TestFamilies:
