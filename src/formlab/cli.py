@@ -101,8 +101,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     kind, ``scales`` to ``ScaleTriple``, ``grids`` to ``SuiteContext._grids``
     and each ``check_params`` entry to ``check_parameters`` of its check
     (required ones only for configured checks).  Then the values must be
-    in the range the builders take, and ``hk`` may not fit the jump-free
-    ``HK_local`` sandwich to a form with a jump part."""
+    in the range the builders and checks take, and ``hk`` may not fit the
+    jump-free ``HK_local`` sandwich to a form with a jump part."""
     bind(parameters(ExperimentConfig), data, "config", ConfigError)
     cfg = ExperimentConfig(**data)
     cfg.local_weight = float(cfg.local_weight)
@@ -128,6 +128,10 @@ def validate_config(data: dict) -> ExperimentConfig:
             bind(named, cfg.check_params.get(name, {}),
                  f"check_params.{name}", ConfigError,
                  required=name in cfg.checks)
+    for name, params in cfg.check_params.items():
+        if any(rho <= 0.0 for rho in params.get("rho_grid") or ()):
+            raise ConfigError(f"check_params.{name}.rho_grid needs positive "
+                              f"radii, got {params['rho_grid']!r}")
     hk_mode = cfg.check_params.get("hk", {}).get("mode", "HK")
     if hk_mode not in HK_MODES:
         raise ConfigError(f"check_params.hk.mode must be one of {HK_MODES}, "
@@ -436,11 +440,10 @@ def _chk_meyer(ctx, rho_grid: list[float] | None = None):
     rhos = rho_grid or ctx.radii
     c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3])
     fits = {f"c1(rho={rho:g})": c1 for rho, c1 in zip(rhos, c1s)}
-    vals = list(fits.values())
     return ConditionReport(
         "meyer-decomposition",
-        constants={**fits, "max_over_min": (max(vals) / min(vals))
-                   if min(vals) > 0 else math.inf},
+        constants={**fits, "max_over_min": (max(c1s) / min(c1s))
+                   if min(c1s) > 0 else math.inf},
         ranges={"rhos": list(map(float, rhos))},
     ).judge(**dict.fromkeys(fits, np.isfinite))
 

@@ -41,7 +41,6 @@ __all__ = [
     "check_jump",
     "heat_kernel",
     "kernel_blocks",
-    "truncate",
     "gap_check",
     "meyer_check",
     "subordinate",
@@ -230,7 +229,6 @@ class DirichletForm:
     """E = local conductance part + symmetric jump part, no killing."""
 
     def __init__(self, space: MetricMeasureSpace, w_edges, jump: JumpKernel | None):
-        n = space.n
         self.space = space
         edges = space.edges
         if np.isscalar(w_edges):
@@ -244,18 +242,14 @@ class DirichletForm:
         self.jump = jump
 
         # energy matrix: E(f, g) = f @ A @ g, built in place from K = J mu mu
-        i, j = edges[:, 0], edges[:, 1]
         if jump is None:
-            A = np.zeros((n, n))
+            A = np.zeros((space.n, space.n))
         else:
             A = np.outer(space.mu, space.mu)
             A *= jump.matrix
-        K_edges = A[i, j]
+        self._K_edges = A[edges[:, 0], edges[:, 1]]
         A *= -2.0
-        A[i, j] = A[j, i] = -(w_edges + 2.0 * K_edges)
-        np.fill_diagonal(A, 0.0)
-        A[np.diag_indices(n)] = -A.sum(axis=1)
-        self.A = A
+        self.A = self._close(A, self._K_edges)
         self.mu = space.mu
         self._sqmu = np.sqrt(space.mu)
         self._spec = None
@@ -271,30 +265,42 @@ class DirichletForm:
     def n(self):
         return self.space.n
 
-    def energy(self, f, g=None):
-        g = f if g is None else g
-        return float(np.asarray(f) @ self.A @ np.asarray(g))
+    def energy(self, f):
+        return float(np.asarray(f) @ self.A @ np.asarray(f))
+
+    def _close(self, A, K_edges):
+        """-(w + 2K) on the edges and -(row sum) on the diagonal of A."""
+        i, j = self.space.edges.T
+        A[i, j] = A[j, i] = -(self.w_edges + 2.0 * K_edges)
+        np.fill_diagonal(A, 0.0)
+        A[np.diag_indices(len(A))] = -A.sum(axis=1)
+        return A
+
+    def truncated(self, rho):
+        """The energy matrix A^(rho) of the rho-truncated form
+        E^(rho) <= E, the jumps of range > rho removed, derived in place
+        from a copy of ``A``: scaling by 0.0 keeps the -0.0 of assembly."""
+        if rho <= 0.0:
+            raise FormError("truncation radius must be positive")
+        A = self.A.copy()
+        np.multiply(A, 0.0, out=A, where=self.space.beyond(rho))
+        cut = self.space.beyond(rho, at=tuple(self.space.edges.T))
+        return self._close(A, np.where(cut, 0.0, self._K_edges))
 
     def sym_generator(self, idx=None):
         """S = Mu^{-1/2} A Mu^{-1/2}; spec(S) >= 0 and p(t) is built from it.
         ``idx`` gives only the block S[idx, idx], the generator of the
         Dirichlet restriction to idx."""
         if idx is None:
-            # Fortran order, which eigh reads without a copy
-            S = np.outer(self._sqmu, self._sqmu).T
-            return np.divide(self.A, S, out=S)
+            return self.A / np.outer(self._sqmu, self._sqmu)
         sq = self._sqmu[idx]
         return self.A[np.ix_(idx, idx)] / np.outer(sq, sq)
 
     def spectral(self):
-        """(lam, B): the clamped eigenvalues of S and its eigenvectors Q
-        scaled to B = Q / sqrt(mu), computed once; safe to call from several
-        threads."""
+        """``_eigenbasis`` of S, computed once; safe from several threads."""
         with self._spec_lock:
             if self._spec is None:
-                lam, B = eigh(self.sym_generator(), overwrite_a=True)
-                B /= self._sqmu[:, None]
-                self._spec = (np.maximum(lam, 0.0), B)
+                self._spec = _eigenbasis(self.sym_generator(), self._sqmu)
         return self._spec
 
     def keep(self, times):
@@ -355,11 +361,14 @@ class HeatKernelTable:
     kernels: list
 
 
-def _spectral_basis(form, idx):
-    """(lam, B) of the Dirichlet restriction to ``idx``, with B = Q / sqrt(mu)
-    as in ``DirichletForm.spectral``."""
-    lam, Q = eigh(form.sym_generator(idx))
-    return np.maximum(lam, 0.0), Q / form._sqmu[idx][:, None]
+def _eigenbasis(S, sqmu):
+    """(lam, B) of a symmetrised generator S over the masses sqmu ** 2: its
+    clamped eigenvalues and eigenvectors Q scaled to B = Q / sqrt(mu).  The
+    module's one ``eigh`` overwrites S.T, the same exactly symmetric matrix
+    in the Fortran order it reads without a copy."""
+    lam, B = eigh(S.T, overwrite_a=True)
+    B /= sqmu[:, None]
+    return np.maximum(lam, 0.0), B
 
 
 def _symmetrise(K):
@@ -421,7 +430,7 @@ def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
     idx = np.asarray(domain, dtype=int)
     if len(idx) == 0:
         raise FormError("empty Dirichlet domain")
-    lam, B = _spectral_basis(form, idx)
+    lam, B = _eigenbasis(form.sym_generator(idx), form._sqmu[idx])
     return HeatKernelTable(times, _semigroup_kernels(B, lam, times))
 
 
@@ -485,29 +494,16 @@ def kernel_certificates(form: DirichletForm, times) -> dict:
 # -- truncation and Meyer decomposition --------------------------------------
 
 
-def truncate(form: DirichletForm, rho: float) -> DirichletForm:
-    """The rho-truncated form E^(rho) <= E: the jumps of range > rho
-    removed."""
-    if rho <= 0.0:
-        raise FormError("truncation radius must be positive")
-    jump = None
-    if form.jump is not None:
-        # the kernel's own copy of the symmetric J, cut by the symmetric
-        # ranks in place: the same matrix as symmetrising a cut copy
-        jump = JumpKernel(form.jump.matrix)
-        jump.matrix[form.space.beyond(rho)] = 0.0
-    return DirichletForm(form.space, form.w_edges, jump)
-
-
 def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
     """Fit the smallest c0 with E(u,u) - E^(rho)(u,u) <= c0 ||u||_2^2 / phi(rho)
     over the supplied test functions."""
-    trunc = truncate(form, rho)
+    A_rho = form.truncated(rho)
     phi_rho = scales.phi(rho)
     c0 = 0.0
     for u in fns:
-        gapv = form.energy(u) - trunc.energy(u)
-        nrm = float(np.sum(np.asarray(u) ** 2 * form.mu))
+        u = np.asarray(u)
+        gapv = form.energy(u) - float(u @ A_rho @ u)
+        nrm = float(np.sum(u ** 2 * form.mu))
         if nrm > 0.0:
             c0 = max(c0, gapv * phi_rho / nrm)
     return c0
@@ -519,15 +515,16 @@ def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
     over interior (t, x, y), one per rho of ``rhos``, by bisection.  One
     interior block of p(t) serves every rho.  Of the truncated form only
     its spectrum is kept, and one block of q^(rho) is alive at a time."""
-    interior = form.space.interior()
+    interior, sq = form.space.interior(), form._sqmu
     block = [(interior, interior)]
     (P,) = kernel_blocks(form, times, block)
     c1s = []
     for rho in rhos:
+        # the truncated S, whose A^(rho) is gone before the eigh
+        lam, B = _eigenbasis(form.truncated(rho) / np.outer(sq, sq), sq)
         # row maxima of p - q^(rho) on the interior block: the bound below
         # is constant along a row and rounding is monotone, so the largest
         # fl(p - q - bound) of a row is fl(rowmax - bound)
-        lam, B = truncate(form, rho).spectral()
         rowmax = []
         for t, p in zip(times, P):
             (q,) = _product_blocks(B, lam, t, block)

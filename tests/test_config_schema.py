@@ -103,6 +103,24 @@ def test_removed_check_parameters_refused(name, key):
     assert str(err.value) == f"unknown check_params.{name} keys: ['{key}']"
 
 
+@pytest.mark.parametrize("name,grid", [("meyer", [0.0, 4.0]),
+                                       ("gap", [-2.0]), ("cs", [-3.0])])
+def test_nonpositive_truncation_radius_refused(tmp_path, name, grid):
+    # before the run, not as an errored check and exit 2 midway through it
+    data = bundled("z1_mini")
+    data["check_params"] = {name: {"rho_grid": grid}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        assert main(["--config", str(path), "validate"]) == 3
+    assert err.getvalue() == (f"config error: check_params.{name}.rho_grid "
+                              f"needs positive radii, got {grid!r}\n")
+    data["check_params"][name]["rho_grid"] = [0.5, 4.0]
+    assert validate_config(data).check_params[name]["rho_grid"] == [0.5, 4.0]
+
+
 def only_wrapped(fn):
     def wrapper(*args, **kwargs):
         return fn(*args, **kwargs)

@@ -1,8 +1,9 @@
 """The form's energy primitives (``local_champ``, ``local_laplacian``,
-``sym_generator(idx)``) against in-test copies of the hand-written code
-they replaced: the dense conductance matrix W, the ``poincare`` edge loop,
-the per-call truncations and Gamma_c copies, and the full-then-sliced
-symmetrised generator.  On the bundled configs outputs must
+``sym_generator(idx)``, ``truncated``) against in-test copies of the
+hand-written code they replaced: the dense conductance matrix W, the
+``poincare`` edge loop, the per-call truncations and Gamma_c copies, the
+full-then-sliced symmetrised generator, and the truncated form assembled
+anew from a cut copy of J.  On the bundled configs outputs must
 be equal, not close; on random small spaces the energy identities must hold
 to rounding."""
 
@@ -15,10 +16,14 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from formlab.cli import SuiteContext, _gcap_families, load_config
-from formlab.form import JumpKernel, assemble, truncate
+from formlab.form import JumpKernel, assemble
 from formlab.functionals import (ball_family, check_cs, function_family,
                                  poincare)
 from formlab.space import MetricMeasureSpace
+
+
+BUNDLED = ("z1_alpha1", "phi_counterexample", "z1_mini",
+           "gasket_subordination", "gasket_walk", "z2_alpha1", "halfspace")
 
 
 @pytest.fixture(scope="module", params=["z1_mini", "gasket_walk"])
@@ -143,6 +148,14 @@ def truncated_jump(form, rho):
     Jr = form.jump.matrix.copy()
     Jr[form.space.metric > rho] = 0.0
     return Jr
+
+
+def truncated_form(form, rho):
+    """The rho-truncated form assembled anew, a second validated form with
+    the jump kernel ``truncated_jump``."""
+    Jr = truncated_jump(form, rho)
+    return assemble(form.space, form.w_edges,
+                    None if Jr is None else JumpKernel(Jr))
 
 
 def jump_champ(form, f, rho=None):
@@ -359,14 +372,15 @@ def test_check_cs_shares_jump_products_across_radii(name):
         assert rep.ranges == {"instances": len(rows)}
 
 
-def test_truncated_form_jump(ctx):
-    form = ctx.form
-    rho = max(ctx.radii)
-    trunc = truncate(form, rho)
-    if form.jump is None:
-        assert trunc.jump is None
-        return
-    assert np.array_equal(trunc.jump.matrix, truncated_jump(form, rho))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_truncated_form_jump(name):
+    # the generator cut in place from A is the reassembled form's, to the
+    # sign of every zero, at the config's radii, below its edges' length
+    # and past its diameter
+    ctx = SuiteContext(load_config(name))
+    for rho in [*ctx.radii, 0.5, 1.0, 1e9]:
+        assert (ctx.form.truncated(rho).tobytes()
+                == truncated_form(ctx.form, rho).A.tobytes()), rho
 
 
 # -- identities on random small spaces -----------------------------------------
@@ -406,8 +420,11 @@ def test_energy_measure_sums_to_energy(case):
     tol = 1e-12 * (np.abs(f) @ np.abs(form.A) @ np.abs(f)) + 1e-300
     jump = (jump_champ(form, f) * form.mu).sum()
     assert gc.sum() + jump == pytest.approx(e, abs=tol)
-    # the rho-truncated measure sums to the truncated form's energy
-    te = truncate(form, rho).energy(f)
+    # the truncated generator is the reassembled cut form's, bit for bit,
+    # and the rho-truncated measure sums to its energy
+    A_rho = form.truncated(rho)
+    assert A_rho.tobytes() == truncated_form(form, rho).A.tobytes()
+    te = float(f @ A_rho @ f)
     jump_rho = (jump_champ(form, f, rho) * form.mu).sum()
     assert gc.sum() + jump_rho == pytest.approx(te, abs=tol)
 

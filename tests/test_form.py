@@ -9,10 +9,11 @@ from formlab.form import (FormError, JumpKernel, assemble, build_jump,
                           exit_stats, gap_check, heat_kernel,
                           kernel_certificates, meyer_check, subordinate,
                           subordinate_intensity,
-                          subordinate_intensity_quadrature, truncate)
+                          subordinate_intensity_quadrature)
 from formlab.functionals import fit_jpsi
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import build_space
+from test_energy_oracles import truncated_form
 
 
 def z1(side=65, margin=None, alpha=1.0, with_jump=True):
@@ -174,7 +175,8 @@ class TestTruncation:
         delta = np.zeros(sp.n)
         delta[x] = 1.0
         for rho in (4.0, 8.0, 16.0):
-            gap = form.energy(delta) - truncate(form, rho).energy(delta)
+            gap = form.energy(delta) - float(
+                delta @ form.truncated(rho) @ delta)
             direct = 2.0 * sum(
                 abs(k - x) ** (-1 - alpha) for k in range(sp.n)
                 if abs(k - x) > rho
@@ -185,7 +187,7 @@ class TestTruncation:
     def test_gap_monotone_in_rho(self):
         sp, form = z1(side=65, margin=0)
         u = np.cos(np.arange(sp.n) / 5.0)
-        gaps = [form.energy(u) - truncate(form, rho).energy(u)
+        gaps = [form.energy(u) - float(u @ form.truncated(rho) @ u)
                 for rho in (2.0, 4.0, 8.0, 16.0)]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -216,7 +218,7 @@ class TestMeyer:
         t = 0.05   # t << phi(rho): exp factor within 20% of 1
         (c1,) = meyer_check(form, tr, rhos=[rho], times=[t])
         P = heat_kernel(form, [t]).kernels[0]
-        Q = heat_kernel(truncate(form, rho), [t]).kernels[0]
+        Q = heat_kernel(truncated_form(form, rho), [t]).kernels[0]
         interior = sp.interior()
         for x in interior[::4]:
             V = sp.volume(int(x), rho)

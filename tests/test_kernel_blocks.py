@@ -17,7 +17,7 @@ from formlab.cli import (SuiteContext, _chk_kernel, load_config,
                          validate_config)
 from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
                           heat_kernel, kernel_blocks, kernel_certificates,
-                          meyer_check, truncate)
+                          meyer_check)
 from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import _row_asymmetry, build_space
@@ -387,11 +387,13 @@ def test_kernel_check_peak_does_not_grow_with_n_times():
 def test_setup_constructors_hold_no_whole_matrix_temporaries():
     # traced peak above base in n^2 doubles at n = 256; the whole-matrix
     # formulas measure 8.1 (stable_like), 2.1 (jump kernel), 4.0 (form),
-    # 3.2 (spectrum) and 5.0 (truncation), and a truncation that copies
-    # the cut matrix twice 2.8.  stable_like holds the ball table (1.0 on
-    # this 1-d lattice), its J and the kernel's copy: 3.04, and 4.15 with
-    # its n x n volume and psi(d) temporaries.  A 2-d lattice space holds
-    # its metric: 1.42, and 4.0 with the n x n x dim integer differences.
+    # 3.2 (spectrum) and 5.0 (truncation).  A truncated form reassembled
+    # from a cut copy of J measures 2.39; the truncated generator cut in
+    # place from one copy of A, beside the cut mask, 1.13.  stable_like
+    # holds the ball table (1.0 on this 1-d lattice), its J and the
+    # kernel's copy: 3.04, and 4.15 with its n x n volume and psi(d)
+    # temporaries.  A 2-d lattice space holds its metric: 1.42, and 4.0
+    # with the n x n x dim integer differences.
     n = 256
     sp = build_space("lattice_box", dim=1, side=n, margin=16)
     psi = ScaleFunction.single_power(1.0)
@@ -405,18 +407,20 @@ def test_setup_constructors_hold_no_whole_matrix_temporaries():
     assert traced_peak(lambda: assemble(sp, 1.0, kern)) <= 2.0 * unit
     form = assemble(sp, 1.0, kern)
     assert traced_peak(form.spectral) <= 2.5 * unit
-    assert traced_peak(lambda: truncate(form, 8.0)) <= 2.5 * unit
+    assert traced_peak(lambda: form.truncated(8.0)) <= 1.5 * unit
 
 
 def test_meyer_check_holds_one_transient_kernel():
     # traced peak above base in n^2 doubles at n = 256: the interior blocks
-    # of p (3 x 0.25), and the truncated form's J and A beside the two
-    # n x n arrays of its eigh (4.2), measure 4.9; a truncated form held
-    # through the products, with the three p - q blocks it makes, 6.3
+    # of p (3 x 0.25) beside one product's B, its scaled copy and the
+    # product measure 3.78; A^(rho) is gone before the eigh of S.  A
+    # truncated form's J and A beside the two n x n arrays of its eigh
+    # measured 4.94, A^(rho) held through the eigh 3.94, and a truncated
+    # form held through the products, with its three p - q blocks, 6.3
     n = 256
     sp, form = z1(side=n, margin=64)
     form.spectral()
     times = [0.5, 1.0, 2.0]
     peak = traced_peak(lambda: meyer_check(form, alpha1_triple(),
                                            [4.0, 8.0, 16.0], times))
-    assert peak <= 5.5 * n * n * 8
+    assert peak <= 4.25 * n * n * 8

@@ -3,7 +3,9 @@ public method, property and field of its classes, must be reached from the
 package itself: referenced somewhere in ``src/formlab`` outside its own
 definition.  An export or member that no check, report or other code
 reaches is code with no verdict behind it; it is deleted, or kept in
-``LIBRARY_API`` with the reason it stays.  Read with ``ast`` only."""
+``LIBRARY_API`` with the reason it stays.  A config gets one form: the
+package builds a ``DirichletForm`` only in ``assemble`` and a
+``JumpKernel`` only in its builders.  Read with ``ast`` only."""
 
 import ast
 from pathlib import Path
@@ -202,3 +204,74 @@ def test_no_module_reads_the_float_metric():
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "metric"]
     assert reads == []
+
+
+# the one place each form type is built, by the dotted name of the
+# enclosing class and function; ``cls(`` inside JumpKernel builds one
+BUILT_IN = {"DirichletForm": {"assemble"},
+            "JumpKernel": {"JumpKernel.stable_like", "JumpKernel.power_law",
+                           "JumpKernel.two_regime"}}
+
+
+def constructions(sources):
+    """(module, scope, type) of each call in ``sources`` that builds a
+    ``DirichletForm`` or ``JumpKernel`` outside ``BUILT_IN``, by bare or
+    dotted name; scope is the dotted enclosing class and function, empty
+    at module level."""
+    found = []
+
+    def visit(node, mod, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                name = (fn.id if isinstance(fn, ast.Name) else
+                        fn.attr if isinstance(fn, ast.Attribute) else None)
+                if name == "cls" and scope[:1] == ("JumpKernel",):
+                    name = "JumpKernel"
+                where = ".".join(scope)
+                if name in BUILT_IN and where not in BUILT_IN[name]:
+                    found.append((mod, where, name))
+            visit(child, mod, inner)
+
+    for mod, src in sources.items():
+        visit(ast.parse(src), mod, ())
+    return found
+
+
+def test_one_form_per_config():
+    # a truncation, restriction or copy derives its matrix from the form
+    # it has; it does not build and validate a second form
+    assert constructions({p.stem: p.read_text() for p in SOURCES}) == []
+
+
+def test_construction_detector_on_synthetic_package():
+    sources = {
+        "a": ("class JumpKernel:\n"
+              "    @classmethod\n"
+              "    def power_law(cls, s):\n        return cls(s)\n"
+              "    @classmethod\n"
+              "    def rebuilt(cls, m):\n        return cls(m)\n"
+              "    def copy(self):\n        return JumpKernel(self.m)\n"
+              "class Scale:\n"
+              "    @classmethod\n"
+              "    def one(cls):\n        return cls(1)\n"
+              "def assemble(s, w, j):\n    return DirichletForm(s, w, j)\n"
+              "def truncate(f, r):\n"
+              "    return DirichletForm(f.s, 0, JumpKernel(f.m))\n"
+              "make = lambda s: JumpKernel(s)\n"),
+        "b": ("import a\n"
+              "def cut(f):\n    return a.DirichletForm(f.s, 0, None)\n"),
+    }
+    # the builder and ``assemble`` are the allowed sites; ``cls(`` builds
+    # a JumpKernel only inside its class, and a dotted name counts
+    assert constructions(sources) == [
+        ("a", "JumpKernel.rebuilt", "JumpKernel"),
+        ("a", "JumpKernel.copy", "JumpKernel"),
+        ("a", "truncate", "DirichletForm"),
+        ("a", "truncate", "JumpKernel"),
+        ("a", "", "JumpKernel"),
+        ("b", "cut", "DirichletForm")]

@@ -37,8 +37,7 @@ from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
                                diag_checks, fit_hk, tail_probability_check,
                                usable_times)
 from formlab.form import (JumpKernel, assemble, heat_kernel, kernel_blocks,
-                          meyer_check, subordinate_intensity_quadrature,
-                          truncate)
+                          meyer_check, subordinate_intensity_quadrature)
 from formlab.functionals import (ConditionReport, capacity, check_gcap,
                                  fit_jpsi, generalized_capacity)
 from formlab.harnack import (FLOOR, CylinderSpec, _flow_times, _theta_fit,
@@ -48,6 +47,7 @@ from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
 from formlab.space import (_min_max_steps, _ranks, build_space,
                            chain_check)
+from test_energy_oracles import truncated_form
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
 CONFIGS = importlib.resources.files("formlab.configs")
@@ -456,7 +456,7 @@ def old_meyer_check(form, scales, rho, times):
     space = form.space
     interior = space.interior()
     kernels = heat_kernel(form, times).kernels
-    truncated = heat_kernel(truncate(form, rho), times).kernels
+    truncated = heat_kernel(truncated_form(form, rho), times).kernels
     block = np.ix_(interior, interior)
     diffs = [(P - Qk)[block] for P, Qk in zip(kernels, truncated)]
     phi_rho = scales.phi(rho)
