@@ -42,12 +42,13 @@ from .form import (FormError, assemble, build_jump, check_jump, gap_check,
 from .functionals import (ERRORED, KINDS, ConditionReport, _no_ball,
                           ball_family, check_cs, check_exit, check_fk,
                           check_gcap, check_pi, fit_jpsi, function_family,
-                          tail_and_ujs)
+                          positive, tail_and_ujs)
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleError, ScaleFunction, ScaleTriple
-from .space import (MAX_TIMES, SpaceError, bind, build_space, chain_check,
-                    parameters, space_size, volume_report)
+from .space import (Count, Fraction, NonNegative, Positive, Seed, SpaceError,
+                    TimeCount, bind, build_space, chain_check, parameters,
+                    space_size, volume_report)
 
 OK_VERDICTS = set(KINDS.values())
 MODES = ("necessary", "full")
@@ -64,13 +65,13 @@ class ExperimentConfig:
     space: dict
     scales: dict
     jump: dict = field(default_factory=lambda: {"kind": "none"})
-    local_weight: float = 1.0
+    local_weight: NonNegative = 1.0
     checks: list[str] = field(default_factory=list)
     check_params: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
     expect: dict = field(default_factory=dict)
     mode: str = "necessary"
-    seed: int = 0x5EED
+    seed: Seed = 0x5EED
     out: str | None = None
 
     @property
@@ -96,52 +97,42 @@ def load_config(source) -> ExperimentConfig:
 
 def validate_config(data: dict) -> ExperimentConfig:
     """The config ``data`` describes, or ConfigError.  Each part must
-    ``bind`` to the signature that reads it: the top level to
-    ``ExperimentConfig``, ``space`` and ``jump`` to the builder of their
-    kind, ``scales`` to ``ScaleTriple``, ``grids`` to ``SuiteContext._grids``
-    and each ``check_params`` entry to ``check_parameters`` of its check
-    (required ones only for configured checks).  Then the values must be
-    in the range the builders and checks take, and ``hk`` may not fit the
-    jump-free ``HK_local`` sandwich to a form with a jump part."""
+    ``bind`` to the signature that reads it, whose annotations state each
+    value's type and range: the top level to ``ExperimentConfig``, ``space``
+    and ``jump`` to their kind's builder, ``scales`` to ``_build_scales``,
+    ``grids`` to ``SuiteContext._grids`` and each ``check_params`` entry to
+    its check's ``check_parameters`` (required ones for configured checks).
+    Beyond that: known modes, distinct ``rho_grid`` labels, relations the
+    builders take, and no jump-free ``HK_local`` ``hk`` on a jump form."""
     bind(parameters(ExperimentConfig), data, "config", ConfigError)
     cfg = ExperimentConfig(**data)
     cfg.local_weight = float(cfg.local_weight)
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.local_weight < 0.0:
-        raise ConfigError(f"local_weight must be nonnegative, got "
-                          f"{cfg.local_weight!r}")
-    if not 0 <= cfg.seed < 2 ** 32:
-        raise ConfigError(f"seed must be in [0, 2**32), got {cfg.seed}")
     bad = [c for c in [*cfg.checks, *cfg.check_params, *cfg.expect]
            if c not in CHECKS]
     if bad:
         raise ConfigError(f"unknown checks: {bad}; known: {sorted(CHECKS)}")
     bind(parameters(SuiteContext._grids, ("self",)), cfg.grids, "grids",
          ConfigError)
-    if cfg.grids.get("n_times", 0) > MAX_TIMES:
-        raise ConfigError(f"grids.n_times must be at most {MAX_TIMES}, got "
-                          f"{cfg.grids['n_times']}")
     for name in dict.fromkeys([*cfg.checks, *cfg.check_params]):
-        named = check_parameters(CHECKS[name])
-        if named is not None:
-            bind(named, cfg.check_params.get(name, {}),
-                 f"check_params.{name}", ConfigError,
-                 required=name in cfg.checks)
+        bind(check_parameters(CHECKS[name]), cfg.check_params.get(name, {}),
+             f"check_params.{name}", ConfigError, required=name in cfg.checks)
     for name, params in cfg.check_params.items():
-        if any(rho <= 0.0 for rho in params.get("rho_grid") or ()):
-            raise ConfigError(f"check_params.{name}.rho_grid needs positive "
-                              f"radii, got {params['rho_grid']!r}")
+        labels = [f"{rho:g}" for rho in params.get("rho_grid") or ()]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"check_params.{name}.rho_grid needs radii that "
+                              f"differ in 6 digits, got {params['rho_grid']}")
     hk_mode = cfg.check_params.get("hk", {}).get("mode", "HK")
     if hk_mode not in HK_MODES:
         raise ConfigError(f"check_params.hk.mode must be one of {HK_MODES}, "
                           f"got {hk_mode!r}")
-    bind(parameters(ScaleTriple), cfg.scales, "scales", ConfigError)
+    bind(parameters(_build_scales), cfg.scales, "scales", ConfigError)
     # refuse what the builders would refuse, without building anything
     try:
         space_size(**cfg.space)
         check_jump(cfg.jump)
-        _build_scales(cfg)
+        _build_scales(**cfg.scales)
         if "phi_j" in cfg.check_params.get("jpsi_alt", {}):
             ScaleFunction.from_config(cfg.check_params["jpsi_alt"]["phi_j"])
     except (SpaceError, FormError, ScaleError) as exc:
@@ -153,9 +144,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _build_scales(cfg: ExperimentConfig) -> ScaleTriple:
-    return ScaleTriple(**{name: ScaleFunction.from_config(spec)
-                          for name, spec in cfg.scales.items()})
+def _build_scales(phi_c: list[dict], phi_j: list[dict]) -> ScaleTriple:
+    """The scales of a config's ``scales``, whose keys are these parameters."""
+    return ScaleTriple(ScaleFunction.from_config(phi_c),
+                       ScaleFunction.from_config(phi_j))
 
 
 class SuiteContext:
@@ -170,7 +162,7 @@ class SuiteContext:
     def __init__(self, cfg: ExperimentConfig, thin: int = 1):
         self.cfg = cfg
         self.thin = max(1, int(thin))
-        self.scales = _build_scales(cfg)
+        self.scales = _build_scales(**cfg.scales)
         self.space = build_space(**cfg.space)
         self.jump = build_jump(cfg.jump, self.space, self.scales.phi_j,
                                cfg.seed)
@@ -183,8 +175,8 @@ class SuiteContext:
         self._family = None
         self._family_lock = threading.Lock()
 
-    def _grids(self, n_times: int = 24, radii: list[float] | None = None,
-               max_centers: int = 4, phi_R: list[float] | None = None):
+    def _grids(self, n_times: TimeCount = 24, radii: list[Positive] | None = None,
+               max_centers: Count = 4, phi_R: list[Positive] | None = None):
         """Read the config's ``grids``, whose keys are these parameters."""
         t_lo = self.scales.phi(1.0)
         t_hi = self.scales.phi(max(self.space.interior_margin, 2.0))
@@ -243,18 +235,15 @@ def check(name, callee=None, *fixed):
 def check_parameters(fn):
     """The parameters ``check_params`` may set for the check ``fn``, by
     name: those the check names, and through its ``**kw`` the optional
-    parameters of its callee that it does not fix.  None for a ``**kw``
-    with no declared callee, which takes any key.  Read through
-    ``inspect``, so a wrapper that sets ``__wrapped__`` resolves like the
-    check it wraps."""
+    parameters of its callee that it does not fix.  KeyError for a
+    ``**kw`` with no declared callee, which would take any key.  Read
+    through ``inspect``, so a wrapper that sets ``__wrapped__`` resolves
+    like the check it wraps."""
     own = parameters(fn, ("ctx",))
     if all(p.kind is not p.VAR_KEYWORD
            for p in inspect.signature(fn).parameters.values()):
         return own
-    forward = _FORWARDS.get(inspect.unwrap(fn))
-    if forward is None:
-        return None
-    callee, fixed = forward
+    callee, fixed = _FORWARDS[inspect.unwrap(fn)]
     return {**{n: p for n, p in parameters(callee, fixed).items()
                if p.default is not p.empty}, **own}
 
@@ -274,13 +263,13 @@ def _chk_volume(ctx, **kw):
 
 
 @check("chain", chain_check, "seed")
-def _chk_chain(ctx, samples=30, **kw):
+def _chk_chain(ctx, samples: Count = 30, **kw):
     cr = chain_check(ctx.space, samples=samples // ctx.thin + 1,
                      seed=ctx.cfg.seed, **kw)
-    return ConditionReport("chain-condition", constants={"C": cr.constant},
-                           witness={} if cr.witness is None else
-                           {"disconnected_pair": list(cr.witness)},
-                           ranges={"samples": cr.samples}).judge(C=np.isfinite)
+    return ConditionReport(
+        "chain-condition", constants={"C": cr.constant},
+        witness={} if cr.witness is None else {"disconnected_pair": list(cr.witness)},
+        ranges={"samples": cr.samples}).judge(C=np.isfinite, samples=positive)
 
 
 @check("kernel")
@@ -336,7 +325,7 @@ def _chk_tail_ujs(ctx, **kw):
 
 
 @check("jpsi_alt")
-def _chk_jpsi_alt(ctx, phi_j, spread_cap=4.0):
+def _chk_jpsi_alt(ctx, phi_j: list[dict], spread_cap: Positive = 4.0):
     if ctx.form.jump is None:
         return _no_ball("J_psi-alt", "the form has no jump part", pieces=phi_j)
     c1, c2, table = fit_jpsi(ctx.form, ScaleFunction.from_config(phi_j))
@@ -388,10 +377,8 @@ def _chk_pc_equiv(ctx, **kw):
 
 
 @check("dominance")
-def _chk_dominance(ctx, t=None):
-    if t is None:
-        t = float(ctx.times[0])
-    dm = dominance_map(ctx.scales, ctx.space, t)
+def _chk_dominance(ctx, t: Positive | None = None):
+    dm = dominance_map(ctx.scales, ctx.space, float(ctx.times[0]) if t is None else t)
     cross = dm.crossover[np.isfinite(dm.crossover)]
     return ConditionReport(
         "dominance-map",
@@ -416,7 +403,7 @@ def _chk_chain_lower(ctx, **kw):
 
 
 @check("phi", check_phi, "mode")
-def _chk_phi(ctx, R: list[float] | None = None, **kw):
+def _chk_phi(ctx, R: list[Positive] | None = None, **kw):
     radii = ctx.phi_R if R is None else R
     mode = ctx.cfg.mode
     n_centers = 1 if mode == "full" else min(3, ctx.max_centers)
@@ -428,7 +415,7 @@ def _chk_phi(ctx, R: list[float] | None = None, **kw):
 
 
 @check("regularity", check_regularity, "seed", "max_centers")
-def _chk_regularity(ctx, radii: list[float] | None = None, **kw):
+def _chk_regularity(ctx, radii: list[Positive] | None = None, **kw):
     return check_regularity(ctx.form, ctx.scales,
                             ctx.phi_R if radii is None else radii,
                             max_centers=min(2, ctx.max_centers),
@@ -436,7 +423,7 @@ def _chk_regularity(ctx, radii: list[float] | None = None, **kw):
 
 
 @check("meyer")
-def _chk_meyer(ctx, rho_grid: list[float] | None = None):
+def _chk_meyer(ctx, rho_grid: list[Positive] | None = None):
     rhos = rho_grid or ctx.radii
     c1s = meyer_check(ctx.form, ctx.scales, rhos, ctx.times[:3])
     fits = {f"c1(rho={rho:g})": c1 for rho, c1 in zip(rhos, c1s)}
@@ -449,7 +436,7 @@ def _chk_meyer(ctx, rho_grid: list[float] | None = None):
 
 
 @check("gap")
-def _chk_gap(ctx, rho_grid: list[float] | None = None):
+def _chk_gap(ctx, rho_grid: list[Positive] | None = None):
     rhos = rho_grid or ctx.radii
     fits = {f"c0(rho={rho:g})": gap_check(ctx.form, ctx.scales, rho,
                                           ctx.family) for rho in rhos}
@@ -460,7 +447,8 @@ def _chk_gap(ctx, rho_grid: list[float] | None = None):
 
 
 @check("subordination")
-def _chk_subordination(ctx, b=1.0, gamma=0.5, n_pairs=40, tol=0.01):
+def _chk_subordination(ctx, b: NonNegative = 1.0, gamma: Fraction = 0.5,
+                       n_pairs: Count = 40, tol: Positive = 0.01):
     rng = np.random.RandomState(ctx.cfg.seed)
     interior = ctx.space.interior()
     pairs = [tuple(map(int, rng.choice(interior, 2, replace=False)))

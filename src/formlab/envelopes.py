@@ -26,6 +26,7 @@ import numpy as np
 from .form import DirichletForm, HeatKernelTable, heat_kernel, kernel_blocks
 from .functionals import ConditionReport, _no_ball, positive
 from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
+from .space import Count, Decades, Positive
 
 __all__ = [
     "check_pc_equivalence",
@@ -149,8 +150,8 @@ def usable_times(table: HeatKernelTable, space, cap: float = 0.01):
 # -- Legendre vs m(t,r) equivalence ------------------------------------------------
 
 
-def check_pc_equivalence(scales: ScaleTriple, n_per_axis: int = 40,
-                         decades: float = 6.0, c0: float = 1.0) -> dict:
+def check_pc_equivalence(scales: ScaleTriple, n_per_axis: Count = 40,
+                         decades: Decades = 6.0, c0: Positive = 1.0) -> dict:
     """Sandwich constants between the Legendre form and the m(t, r) form of
     the local envelope exponent over a log (t, d) grid."""
     ts = np.geomspace(10 ** (-decades / 2), 10 ** (decades / 2), n_per_axis)
@@ -171,9 +172,9 @@ def check_pc_equivalence(scales: ScaleTriple, n_per_axis: int = 40,
 
 def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
            mode: str = "HK",
-           upper_dilations: tuple[float, ...] = (1.0, 2.0, 4.0),
-           lower_dilations: tuple[float, ...] = (1.0, 0.5, 0.25),
-           indicator: float = 1.0) -> ConditionReport:
+           upper_dilations: tuple[Positive, ...] = (1.0, 2.0, 4.0),
+           lower_dilations: tuple[Positive, ...] = (1.0, 0.5, 0.25),
+           indicator: Positive = 1.0) -> ConditionReport:
     """Fit the smallest upper and largest lower constants of the requested
     sandwich over ``space.interior()`` at the kernel table's usable times.
 
@@ -322,8 +323,8 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
 
 def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                 form: DirichletForm,
-                ndl_radii: tuple[float, ...] = (8.0, 16.0), eps: float = 0.25,
-                nl_constant: float = 1.0) -> ConditionReport:
+                ndl_radii: tuple[Positive, ...] = (8.0, 16.0), eps: Positive = 0.25,
+                nl_constant: Positive = 1.0) -> ConditionReport:
     """UHKD, NL and NDL constants, the last from Dirichlet kernels on a ball
     family; domain monotonicity p >= p^B is re-verified on the NDL grid."""
     xs = space.interior()
@@ -447,10 +448,10 @@ def dominance_map(scales: ScaleTriple, space, t: float) -> DominanceMap:
 
 
 def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
-                           radii: list[float] | None = None,
-                           a1_grid: tuple[float, ...] = (1.0, 0.5, 0.25,
-                                                         0.125, 0.0625),
-                           gauss_cap: float = 1e6) -> ConditionReport:
+                           radii: list[Positive] | None = None,
+                           a1_grid: tuple[Positive, ...] = (1.0, 0.5, 0.25,
+                                                            0.125, 0.0625),
+                           gauss_cap: Positive = 1e6) -> ConditionReport:
     """Fit (eta, a1, c_jump, c_gauss) making
 
     mass(B(x,r)^c) <= c_jump (phi_j^{-1}(t)/r)^eta + c_gauss exp(-a1 m(t, r))
@@ -544,7 +545,7 @@ def _pow(xs, ys):
 
 
 def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
-                      c0: float = 2.0, m_cap: float = 30.0) -> ConditionReport:
+                      c0: Positive = 2.0, m_cap: Positive = 30.0) -> ConditionReport:
     """Fit (c5, c6) in p(t,x,y) >= c5 c6^{m(t,d)} / V(x, phi_c^{-1}(t)) over
     triples with d >= c0 phi_c^{-1}(t) in the locally dominated regime.
 

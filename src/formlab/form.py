@@ -28,8 +28,8 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import gamma as gamma_fn
 
-from .space import (_ROWS, _TILE, MetricMeasureSpace, _row_asymmetry,
-                    bind, parameters)
+from .space import (_ROWS, _TILE, MetricMeasureSpace, NonNegative, Positive,
+                    _row_asymmetry, bind, parameters)
 
 __all__ = [
     "FormError",
@@ -107,8 +107,8 @@ class JumpKernel:
         self.matrix = J
 
     @classmethod
-    def stable_like(cls, space: MetricMeasureSpace, psi, coeff: float = 1.0,
-                    cmin: float = 1.0, cmax: float = 1.0, seed: int = 0x5EED):
+    def stable_like(cls, space: MetricMeasureSpace, psi, coeff: NonNegative = 1.0,
+                    cmin: Positive = 1.0, cmax: Positive = 1.0, seed: int = 0x5EED):
         """J(x,y) = c(x,y) / (sqrt(V(x,d) V(y,d)) psi(d)) with d = d(x, y)
         and closed-ball volumes V(x, d) = V(x, d + 1e-9).
 
@@ -123,14 +123,14 @@ class JumpKernel:
                                        seed))
 
     @classmethod
-    def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: float = 1.0):
+    def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: NonNegative = 1.0):
         """Translation-invariant J(x,y) = coeff * d(x,y)^{-(1+alpha)}."""
         return cls(space.radial(lambda d: coeff * d ** (-(1.0 + alpha)),
                                 0.0)[space.R])
 
     @classmethod
     def two_regime(cls, space: MetricMeasureSpace, alpha: float, beta: float,
-                   regime_break: float, coeff: float = 1.0):
+                   regime_break: Positive, coeff: NonNegative = 1.0):
         """d^{-(1+alpha)} below the regime break, matched continuously to
         break^{beta-alpha} d^{-(1+beta)} above it."""
         def f(d):
@@ -188,9 +188,9 @@ def _no_jump(space):
 
 def check_jump(jump: dict):
     """(builder, params) of a jump config.  Raises FormError on an unknown
-    kind, params that do not ``bind`` to its builder, a negative coeff, cmin
-    or cmax outside 0 < cmin <= cmax, a regime_break that is not positive,
-    and a regime_break ** (beta - alpha) that overflows a float."""
+    kind, params that do not ``bind`` to its builder (which holds each to
+    the range its annotation names), cmin > cmax, and a regime_break **
+    (beta - alpha) that overflows a float."""
     params = dict(jump)
     kind = params.pop("kind", "none")
     if not isinstance(kind, str) or kind not in JUMPS:
@@ -198,12 +198,8 @@ def check_jump(jump: dict):
     build = _no_jump if kind == "none" else getattr(JumpKernel, kind)
     bind(parameters(build, _SUPPLIED), params, f"jump kind {kind!r}",
          FormError, show=str)
-    if params.get("coeff", 1.0) < 0.0:
-        raise FormError("jump coeff must be nonnegative")
-    if not 0.0 < params.get("cmin", 1.0) <= params.get("cmax", 1.0):
+    if params.get("cmin", 1.0) > params.get("cmax", 1.0):
         raise FormError("need 0 < cmin <= cmax")
-    if params.get("regime_break", 1.0) <= 0.0:
-        raise FormError("jump regime_break must be positive")
     if kind == "two_regime":
         try:
             float(params["regime_break"]) ** (params["beta"] - params["alpha"])

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
 from .form import DirichletForm, exit_stats
-from .space import MetricMeasureSpace
+from .space import Count, Dilation, Fraction, MetricMeasureSpace, Positive
 
 __all__ = [
     "ConditionReport",
@@ -159,7 +159,7 @@ def _subsets_of_ball(space, x0, r, seed=SEED):
 
 
 def check_fk(form: DirichletForm, scales, radii,
-             nu_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
+             nu_grid: tuple[Fraction, ...] = (0.25, 0.5, 0.75, 1.0),
              max_centers=4, seed=SEED) -> ConditionReport:
     """Fit the largest C per nu making
     lambda1(D) >= C / phi(r) (V(x,r)/mu(D))^nu over sampled (ball, subset)
@@ -239,7 +239,7 @@ def poincare(form: DirichletForm, scales, x0: int, r: float, kappa: float = 1.0)
 
 
 def check_pi(form: DirichletForm, scales, radii,
-             kappas: tuple[float, ...] = (1.0, 2.0),
+             kappas: tuple[Dilation, ...] = (1.0, 2.0),
              max_centers=4) -> ConditionReport:
     space = form.space
     rows = []
@@ -335,7 +335,7 @@ def generalized_capacity(form: DirichletForm, f, A, B, kappa: float = 1.0,
 
 
 def check_gcap(form: DirichletForm, scales, families, test_fns,
-               kappas: tuple[float, ...] = (1.0, 2.0)) -> ConditionReport:
+               kappas: tuple[Dilation, ...] = (1.0, 2.0)) -> ConditionReport:
     """One-sided certificate for the generalized capacity inequality: the
     candidate cut-offs witness E(f^2 phi, phi) <= C/phi(r) int_B f^2 dmu.
     The capacity solve is made once per family and each kappa-free
@@ -430,8 +430,8 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
     return out
 
 
-def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
-             rho_grid: list[float] | None = None) -> ConditionReport:
+def check_cs(form: DirichletForm, scales, families, test_fns, C0: Positive = 1.0,
+             rho_grid: list[Positive] | None = None) -> ConditionReport:
     """Cut-off Sobolev certificate with radial ramp cut-offs.
 
     For C1 in {0, 1} reports the smallest C2 so that
@@ -478,7 +478,7 @@ def check_cs(form: DirichletForm, scales, families, test_fns, C0: float = 1.0,
 
 
 def check_exit(form: DirichletForm, scales, radii,
-               time_fracs: tuple[float, ...] = (0.25, 0.5, 1.0),
+               time_fracs: tuple[Positive, ...] = (0.25, 0.5, 1.0),
                max_centers=5) -> ConditionReport:
     """Two-sided constant for E_phi and the EP_{phi,<=} constant over an
     (x, r, t) grid."""
@@ -545,8 +545,8 @@ def fit_jpsi(form: DirichletForm, psi):
     return float(lo_u.min()), float(hi_u.max()), table
 
 
-def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
-                 seed=SEED, spread_cap=8.0) -> ConditionReport:
+def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs: Count = 60,
+                 seed=SEED, spread_cap: Positive = 8.0) -> ConditionReport:
     """Fits the jump-tail constant (integral of J over ball complements
     against 1/phi_j(r)), the UJS constant, and the two-sided J_{phi_j}
     comparability, whose spread c2/c1 fails over ``spread_cap``; fails with
@@ -602,5 +602,5 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs=60,
         witness=witness, ranges={**ranges, "ujs_instances": tested}, rows=rows,
         notes=(f"two-sided comparability spread over cap {spread_cap}"
                if spread > spread_cap else ""),
-    ).judge(c_tail=np.isfinite, c_UJS=np.isfinite,
+    ).judge(c_tail=np.isfinite, c_UJS=np.isfinite, ujs_instances=positive,
             J_phij_spread=lambda s: not s > spread_cap)

@@ -25,6 +25,7 @@ from scipy.linalg import eigh
 from .envelopes import _pow
 from .form import DirichletForm, heat_kernel, kernel_blocks
 from .functionals import ConditionReport, _no_ball
+from .space import Count, Fraction, Positive
 
 __all__ = [
     "HarnackError",
@@ -267,8 +268,8 @@ def _families(form, scales, cylinders, mode, n_window_times, thin,
 
 
 def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
-              n_window_times: int = 5, thin: int = 1,
-              n_atom_intervals: int = 8) -> ConditionReport:
+              n_window_times: Count = 5, thin: Count = 1,
+              n_atom_intervals: Count = 8) -> ConditionReport:
     """Fit C6 = sup over the caloric family of sup_{Q-} u / inf_{Q+} u.
 
     In FULL mode on small cylinders this bounds every nonnegative caloric
@@ -323,10 +324,10 @@ def _theta_fit(fn, theta_grid, cap):
     return best
 
 
-def check_regularity(form: DirichletForm, scales, radii, eps: float = 0.5,
-                     theta_grid: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
-                     c_cap: float = 32.0,
-                     n_window_times: int = 4, max_centers: int = 2,
+def check_regularity(form: DirichletForm, scales, radii, eps: Fraction = 0.5,
+                     theta_grid: tuple[Fraction, ...] = (1.0, 0.5, 0.25, 0.125),
+                     c_cap: Positive = 32.0,
+                     n_window_times: Count = 4, max_centers: int = 2,
                      seed: int = 0x5EED) -> ConditionReport:
     """Fitted Hoelder exponents and constants.
 

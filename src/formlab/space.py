@@ -17,6 +17,7 @@ import functools
 import inspect
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -126,24 +127,54 @@ def _check_metric(u, R):
 
 # -- config binding ----------------------------------------------------------
 
+# aliases whose names state the range of a config value
+Positive = NonNegative = Dilation = Fraction = Decades = float
+Count = Seed = TimeCount = Dim = int
+Metric = str
 
-def _real(v):
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+def _real(v, kind=numbers.Real):
+    return (isinstance(v, kind) and not isinstance(v, bool)
             and -math.inf < v < math.inf)
 
 
-# annotation -> (what a value must be, test); a default of None takes None too;
-# a JSON list sets a tuple-valued parameter
-_REALS = ("a nonempty list of finite reals",
-          lambda v: isinstance(v, list) and v and all(map(_real, v)))
-_TYPES = {"int": ("an integer", lambda v: _real(v) and isinstance(v, int)),
-          "float": ("a finite real", _real),
+# annotation -> (what a value must be, test); ``checks`` may be empty
+_TYPES = {"float": ("a finite real", _real),
+          "Positive": ("a positive real", lambda v: _real(v) and v > 0),
+          "NonNegative": ("a nonnegative real", lambda v: _real(v) and v >= 0),
+          "Dilation": ("a real >= 1", lambda v: _real(v) and v >= 1),
+          "Fraction": ("a real in (0, 1]", lambda v: _real(v) and 0 < v <= 1),
+          # a grid over 10 ** (+-decades / 2) whose powers stay finite
+          "Decades": ("a real in (0, 100]", lambda v: _real(v) and 0 < v <= 100),
+          "Count": ("a positive integer", lambda v: _real(v, int) and v >= 1),
+          "Seed": ("an integer in [0, 2**32)",
+                   lambda v: _real(v, int) and 0 <= v < 2 ** 32),
+          "TimeCount": (f"an integer in [1, {MAX_TIMES}]",
+                        lambda v: _real(v, int) and 1 <= v <= MAX_TIMES),
+          "Dim": ("an integer in {1, 2, 3}", lambda v: _real(v, int) and 0 < v < 4),
+          "Metric": ("a string in {'l1', 'l2'}", lambda v: v in ("l1", "l2")),
           "str": ("a string", lambda v: isinstance(v, str)),
           "dict": ("an object", lambda v: isinstance(v, dict)),
-          "list[float]": _REALS,
-          "tuple[float, ...]": _REALS,
           "list[str]": ("a list of strings", lambda v: isinstance(v, list)
                         and all(isinstance(x, str) for x in v))}
+
+
+def rule(annotation: str):
+    """(what a value must be, test) of an annotation: a key of ``_TYPES``,
+    ``list[T]`` or ``tuple[T, ...]`` of one (a nonempty list of T), or
+    either with `` | None`` (None too); TypeError on any other."""
+    name = annotation.removesuffix(" | None")
+    each = re.fullmatch(r"(?:list|tuple)\[(\w+)(?:, \.\.\.)?\]", name)
+    if name in _TYPES:
+        kind, test = _TYPES[name]
+    elif each and each[1] in _TYPES:
+        one, of = _TYPES[each[1]]
+        plural = re.sub(r"^an? (.*?(real|integer|object|string))", r"\1s", one)
+        kind, test = f"a nonempty list of {plural}", lambda v: (
+            isinstance(v, (list, tuple)) and v and all(map(of, v)))
+    else:
+        raise TypeError(f"bind knows no annotation {annotation!r}")
+    return kind, lambda v: bool(name != annotation and v is None or test(v))
 
 
 @functools.cache
@@ -160,7 +191,7 @@ def bind(named: dict, params, what: str, error=ValueError, show=repr,
          required=True):
     """Raise ``error`` unless the dict ``params`` binds to the parameters
     ``named``: each key names one, each one without a default is given
-    (if ``required``), and each value has the type its annotation names."""
+    (if ``required``), and each value passes the ``rule`` of its annotation."""
     if not isinstance(params, dict):
         raise error(f"{what} must be an object, got {params!r}")
     unknown = sorted(set(params) - set(named))
@@ -171,10 +202,8 @@ def bind(named: dict, params, what: str, error=ValueError, show=repr,
     if missing:
         raise error(f"{what} needs {', '.join(map(show, missing))}")
     for name, value in params.items():
-        p = named[name]
-        kind, ok = _TYPES.get(str(p.annotation).removesuffix(" | None"),
-                              ("", None))
-        if ok and not ok(value) and not (value is None and p.default is None):
+        kind, ok = rule(str(named[name].annotation))
+        if not ok(value):
             raise error(f"{what} needs {kind} {show(name)}, got {value!r}")
 
 
@@ -361,14 +390,14 @@ def _lattice(dim: int, side: int, metric: str, margin, cut):
     return MetricMeasureSpace._from_ranks(np.arange(top + 1.0), sums, **kw)
 
 
-def _lattice_box(dim: int, side: int, metric: str = "l1",
-                 margin: float | None = None):
+def _lattice_box(dim: Dim, side: Count, metric: Metric = "l1",
+                 margin: NonNegative | None = None):
     return _lattice(dim, side, metric, margin,
                     lambda c: ((c == 0) | (c == side - 1)).any(axis=1))
 
 
-def _halfspace_lattice(side: int, metric: str = "l1",
-                       margin: float | None = None):
+def _halfspace_lattice(side: Count, metric: Metric = "l1",
+                       margin: NonNegative | None = None):
     """2-d box whose bottom edge y = 0 is a genuine reflecting boundary; only
     the three cut faces count as truncation."""
     return _lattice(2, side, metric, margin,
@@ -376,7 +405,7 @@ def _halfspace_lattice(side: int, metric: str = "l1",
                     | (c[:, 1] == side - 1))
 
 
-def _gasket(level: int, margin: float | None = None):
+def _gasket(level: Count, margin: NonNegative | None = None):
     scale = 2 ** level
     tris = [((0, 0), (scale, 0), (0, scale))]
     for _ in range(level):
@@ -429,30 +458,17 @@ def build_space(kind: str, **params) -> MetricMeasureSpace:
 
 def space_size(kind: str | None = None, **params) -> int:
     """Point count of ``build_space(kind, **params)``, found without
-    building anything.  Raises SpaceError on a missing or unknown kind,
-    params that do not ``bind`` to the kind's builder, a lattice dim outside
-    {1, 2, 3}, a side below 1, a level below 0, a lattice metric other than
-    l1 or l2, and a count over ``MAX_POINTS``."""
+    building anything.  SpaceError on a missing or unknown kind, params
+    that do not ``bind`` to its builder, and a count over ``MAX_POINTS``."""
     if kind is None:
         raise SpaceError("space needs 'kind'")
     if not isinstance(kind, str) or kind not in SPACES:
         raise SpaceError(f"unknown space kind {kind!r}")
     bind(parameters(SPACES[kind]), params, f"{kind} space", SpaceError)
-    if kind == "gasket":
-        level = params["level"]
-        if level < 0:
-            raise SpaceError(f"gasket level must be at least 0, got {level}")
-        # 3 ** level itself takes long to compute for a huge level
-        n = 3 * (3 ** level + 1) // 2 if level <= 40 else math.inf
+    if kind == "gasket":   # 3 ** level itself takes long for a huge level
+        n = 3 * (3 ** params["level"] + 1) // 2 if params["level"] <= 40 else math.inf
     else:
-        dim, side = params.get("dim", 2), params["side"]
-        if dim not in (1, 2, 3):
-            raise SpaceError("lattice_box supports dim in {1, 2, 3}")
-        if side < 1:
-            raise SpaceError(f"lattice side must be at least 1, got {side}")
-        if params.get("metric", "l1") not in ("l1", "l2"):
-            raise SpaceError("lattice metric must be 'l1' or 'l2'")
-        n = side ** dim
+        n = params["side"] ** params.get("dim", 2)
     _check_size(n)
     return n
 
@@ -477,7 +493,7 @@ class VolumeReport:
 
 
 def volume_report(space: MetricMeasureSpace,
-                  radii: list[float] | None = None) -> VolumeReport:
+                  radii: list[Positive] | None = None) -> VolumeReport:
     """Fit doubling / reverse-doubling constants and the exponent sandwich
     over interior centers.
 
@@ -577,7 +593,7 @@ def _min_max_steps(space, x, y, max_n):
 
 
 def chain_check(space: MetricMeasureSpace, samples: int = 40,
-                seed: int = 0x5EED, max_n: int = 6) -> ChainReport:
+                seed: int = 0x5EED, max_n: Count = 6) -> ChainReport:
     """Fit the chain-condition constant: the smallest C found such that every
     sampled (x, y, n) admits a chain with steps <= C d(x, y) / n."""
     if np.isinf(space.u[-1]):
@@ -592,8 +608,6 @@ def chain_check(space: MetricMeasureSpace, samples: int = 40,
     for _ in range(samples):
         x, y = rng.choice(pts, size=2, replace=False)
         d = space.dist(x, y)
-        if d <= 0.0:
-            continue
         top = min(max_n, int(d))
         if top < 2:
             continue

@@ -101,7 +101,7 @@ class TestSuite:
 
     def test_rendered_csvs_parse_back(self, suite, tmp_path, monkeypatch):
         # an errored check's traceback holds commas, quotes and newlines
-        def broken(ctx, **kw):
+        def broken(ctx, phi_j: list[dict]):
             raise RuntimeError('deliberate, "quoted" failure')
 
         data = mini_cfg(checks=["jpsi_alt"])
@@ -438,6 +438,21 @@ class TestEmptyBallFamily:
         assert rep.ranges == ranges
         assert not suite.report["all_ok"]
 
+    # the line of side 8 with margin 3 has the interior {3, 4}: its one
+    # pair is 1 apart, too close for a UJS ball, and with max_n 1 no chain
+    # of two steps is sampled.  Each fitted its constant over no instance
+    # (c_UJS 0.0, C 1.0) and certified it
+    @pytest.mark.parametrize("name,params,count", [
+        ("tail_ujs", {}, "ujs_instances"),
+        ("chain", {"max_n": 1}, "samples")])
+    def test_sweep_over_no_instance_fails(self, name, params, count):
+        space = {"kind": "lattice_box", "dim": 1, "side": 8, "margin": 3}
+        cfg = load_config({**mini_cfg(space=space), "checks": [name],
+                           "check_params": {name: params}})
+        rep = run_suite(cfg).reports[name]
+        assert build_space(**space).interior().tolist() == [3, 4]
+        assert (rep.ranges[count], rep.verdict) == (0, "failed")
+
     def test_pi_fails_when_one_dilation_has_no_ball(self):
         # radius 40 fits the line undilated, not at kappa = 2
         ctx = cli.SuiteContext(load_config("z1_mini"))
@@ -539,12 +554,12 @@ class TestMain:
          "integer 'side'"),
         ("jump", {"kind": "power_law", "alpha": "x"}, "real alpha"),
         ("space", {"kind": "lattice_box", "dim": 1, "side": 0},
-         "side must be at least 1"),
+         "positive integer 'side'"),
         ("space", {"kind": "gasket", "level": -1},
-         "level must be at least 0"),
+         "positive integer 'level'"),
         ("jump", {"kind": "two_regime", "alpha": 1.0, "beta": 1e9,
                   "regime_break": 8}, "overflows"),
-        ("grids", {"n_times": 10 ** 9}, "n_times must be at most"),
+        ("grids", {"n_times": 10 ** 9}, "integer in [1, 64] 'n_times'"),
     ])
     def test_unbuildable_config_rejected_at_validate(self, tmp_path, capsys,
                                                       key, value, message):
@@ -566,17 +581,17 @@ class TestMain:
         ({"check_params": {"hk": {"modee": "HK"}}},
          "unknown check_params.hk keys: ['modee']"),
         ({"grids": {"n_time": 5}}, "unknown grids keys: ['n_time']"),
-        ({"grids": {"radii": [4, "8"]}}, "list of finite reals 'radii'"),
-        ({"grids": {"radii": []}}, "nonempty list of finite reals"),
+        ({"grids": {"radii": [4, "8"]}}, "list of positive reals 'radii'"),
+        ({"grids": {"radii": []}}, "nonempty list of positive reals"),
         ({"mode": "fulll"}, "mode must be one of"),
-        ({"local_weight": -1}, "local_weight must be nonnegative"),
-        ({"seed": -1}, "seed must be in"),
+        ({"local_weight": -1}, "nonnegative real 'local_weight'"),
+        ({"seed": -1}, "integer in [0, 2**32) 'seed'"),
         ({"expect": {"nosuch": "failed"}}, "unknown checks: ['nosuch']"),
         ({"check_params": {"nosuch": {}}}, "unknown checks: ['nosuch']"),
         ({"jump": {"kind": "stable_like", "cmin": 2.0, "cmax": 1.0}},
          "0 < cmin <= cmax"),
         ({"jump": {"kind": "power_law", "alpha": 1.0, "coeff": -1.0}},
-         "coeff must be nonnegative"),
+         "nonnegative real coeff"),
         ({"scales": {"phi_c": [{"break": 0, "exp": 2, "coef": 1}],
                      "phi_j": [{"break": 0, "exp": 1}]}},
          "pieces of finite reals"),
@@ -600,7 +615,7 @@ class TestMain:
         ({"check_params": {"fk": {"seed": 7}}},
          "unknown check_params.fk keys: ['seed']"),
         ({"check_params": {"hk": {"upper_dilations": [1.0, "x"]}}},
-         "list of finite reals 'upper_dilations'"),
+         "list of positive reals 'upper_dilations'"),
         ({"check_params": {"jpsi_alt": {"phi_j": [{"break": 0,
                                                     "exp": -1.0}]}}},
          "exponents must be positive"),

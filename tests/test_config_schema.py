@@ -8,13 +8,19 @@ of the builders and checks that consume the config.
   ``__wrapped__``;
 - a Hypothesis fuzz over mutated bundled configs: each mutant either
   validates, builds its ``SuiteContext`` and binds every check's params, or
-  ``validate`` exits 3 with a ``config error:`` line.
+  ``validate`` exits 3 with a ``config error:`` line;
+- one rule for every settable value: each parameter ``validate`` binds
+  carries an annotation ``space.rule`` knows, which names its type and
+  range, and its default is in that range; values out of range exit 3 at
+  ``validate``, and a check given a number that validates runs without
+  erroring.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import inspect
 import io
 import json
@@ -25,7 +31,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import formlab.cli as cli
-from formlab.cli import SuiteContext, check_parameters, main, validate_config
+from formlab import form
+from formlab.cli import (SuiteContext, check_parameters, main, run_suite,
+                         validate_config)
+from formlab.space import SPACES, Count, bind, parameters, rule
 
 BUNDLED = ("z1_alpha1", "phi_counterexample", "z1_mini",
            "gasket_subordination", "gasket_walk", "z2_alpha1", "halfspace")
@@ -115,8 +124,9 @@ def test_nonpositive_truncation_radius_refused(tmp_path, name, grid):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         assert main(["--config", str(path), "validate"]) == 3
-    assert err.getvalue() == (f"config error: check_params.{name}.rho_grid "
-                              f"needs positive radii, got {grid!r}\n")
+    assert err.getvalue() == (f"config error: check_params.{name} needs a "
+                              f"nonempty list of positive reals 'rho_grid', "
+                              f"got {grid!r}\n")
     data["check_params"][name]["rho_grid"] = [0.5, 4.0]
     assert validate_config(data).check_params[name]["rho_grid"] == [0.5, 4.0]
 
@@ -252,3 +262,170 @@ def test_mutated_bundled_configs(config_path, data):
     if code:
         assert code == 3 and err.getvalue().startswith("config error:"), \
             err.getvalue()
+
+
+# -- one rule for every settable value -----------------------------------------
+
+
+def bound_signatures():
+    """(where, parameters, defaults) of each signature ``validate`` binds a
+    config part to; ``defaults`` holds the values of dataclass factories."""
+    made = {f.name: f.default_factory()
+            for f in dataclasses.fields(cli.ExperimentConfig)
+            if f.default_factory is not dataclasses.MISSING}
+    yield "config", parameters(cli.ExperimentConfig), made
+    yield "grids", parameters(SuiteContext._grids, ("self",)), {}
+    yield "scales", parameters(cli._build_scales), {}
+    for kind, build in SPACES.items():
+        yield f"space.{kind}", parameters(build), {}
+    for kind in form.JUMPS:
+        build = getattr(form.JumpKernel, kind, form._no_jump)
+        yield f"jump.{kind}", parameters(build, form._SUPPLIED), {}
+    for name, fn in cli.CHECKS.items():
+        yield f"check_params.{name}", check_parameters(fn), {}
+
+
+SIGNATURES = list(bound_signatures())
+
+
+@pytest.mark.parametrize("where,named,defaults", SIGNATURES,
+                         ids=[where for where, *_ in SIGNATURES])
+def test_every_bound_parameter_states_its_range(where, named, defaults):
+    for name, p in named.items():
+        # TypeError unless bind can check the annotation
+        kind, ok = rule(str(p.annotation))
+        default = defaults.get(name, p.default)
+        if default is not p.empty:
+            assert ok(default), f"{where}.{name}: {default!r} is not {kind}"
+
+
+def test_bind_refuses_a_schema_it_cannot_check():
+    def takes(a: Count, b=1, c: complex = 1j):
+        return a, b, c
+
+    # neither an unannotated parameter nor an unknown annotation passes
+    for key in ("b", "c"):
+        with pytest.raises(TypeError, match="bind knows no annotation"):
+            bind(parameters(takes), {"a": 1, key: 2}, "takes")
+    bind(parameters(takes), {"a": 1}, "takes")
+
+
+@pytest.mark.parametrize("annotation,passes,fails", [
+    ("Positive", [1e-300, 2, 1e9], [0, -1, True, "1", float("inf"),
+                                     float("nan")]),
+    ("NonNegative", [0, 0.5], [-1e-300, None]),
+    ("Dilation", [1, 2.5], [0.999]),
+    ("Fraction", [1e-9, 1], [0, 1.0000001]),
+    ("Count", [1, 10 ** 9], [0, 1.0, True, -1]),
+    ("Seed", [0, 2 ** 32 - 1], [-1, 2 ** 32]),
+    ("TimeCount", [1, 64], [0, 65]),
+    ("Decades", [6, 100], [0, 100.5]),
+    ("Dim", [1, 3], [0, 4, 2.0]),
+    ("Metric", ["l1", "l2"], ["linf", ["l1"]]),
+    ("list[Positive] | None", [None, [1], [1, 2.5]], [[], [0], [1, "2"], 1]),
+    ("tuple[Fraction, ...]", [[0.5], (1.0, 0.5)], [[2], []]),
+    ("list[str]", [[], ["kernel"]], [["kernel", 1], "kernel"]),
+    ("str | None", [None, "out"], [1]),
+])
+def test_rule_holds_each_alias_to_its_range(annotation, passes, fails):
+    kind, ok = rule(annotation)
+    assert all(ok(v) for v in passes), kind
+    assert not any(ok(v) for v in fails), kind
+
+
+def one_check(name, **params):
+    """``z1_mini`` running the one check ``name`` with ``params``."""
+    data = bundled("z1_mini")
+    if name == "jpsi_alt":
+        params = {"phi_j": data["scales"]["phi_j"], **params}
+    data.update(checks=[name], check_params={name: params})
+    return data
+
+
+def validate(path, data):
+    """(exit code, stderr) of ``formlab validate`` on ``data``."""
+    path.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(["--config", str(path), "validate"]), err.getvalue()
+
+
+# (check, parameter, value): each passed ``validate`` before its parameter
+# stated its range, and then
+REFUSED = [
+    # ... had no type check at all and errored
+    ("chain", "samples", "many"), ("subordination", "gamma", "half"),
+    ("dominance", "t", "x"), ("jpsi_alt", "spread_cap", "4"),
+    # ... errored midway
+    ("phi", "n_window_times", 0), ("regularity", "n_window_times", 0),
+    ("pi", "kappas", [0.5]), ("diag", "eps", -1),
+    ("subordination", "gamma", 1.5), ("tail_probability", "radii", [-3]),
+    # ... certified over nothing or over a meaningless range
+    ("chain", "samples", -5), ("chain", "max_n", 0),
+    ("tail_ujs", "n_pairs", 0), ("pc_equivalence", "n_per_axis", 0),
+    ("exit", "time_fracs", [-1]), ("fk", "nu_grid", [-1]),
+    ("gcap", "kappas", [0.5]), ("hk_minus", "indicator", -1),
+    # ... failed at run time
+    ("chain_lower", "m_cap", -1),
+]
+
+
+@pytest.mark.parametrize("name,key,value", REFUSED)
+def test_out_of_range_check_parameter_refused(tmp_path, name, key, value):
+    path = tmp_path / "cfg.json"
+    code, err = validate(path, one_check(name, **{key: value}))
+    assert code == 3
+    assert err.startswith(f"config error: check_params.{name} needs "), err
+    assert err.endswith(f" '{key}', got {value!r}\n"), err
+    # the check validates with its default: the value is refused
+    assert validate(path, one_check(name)) == (0, "")
+
+
+def test_rho_labels_must_differ(tmp_path):
+    # meyer, gap and cs key a constant by f"{rho:g}": 4.0000001 would
+    # report its constant under the label of 4.0
+    path = tmp_path / "cfg.json"
+    for name in ("meyer", "gap", "cs"):
+        code, err = validate(path, one_check(name, rho_grid=[4.0, 4.0000001]))
+        assert (code, err) == (3, f"config error: check_params.{name}.rho_grid "
+                               "needs radii that differ in 6 digits, got "
+                               "[4.0, 4.0000001]\n")
+        assert validate(path, one_check(name, rho_grid=[4.0, 4.00001])) == \
+            (0, "")
+
+
+# the check parameters that take numbers, with whether they take a list
+NUMERIC = [(name, key, "list" in kind) for name, fn in cli.CHECKS.items()
+           for key, p in check_parameters(fn).items()
+           for kind in [rule(str(p.annotation))[0]]
+           if "string" not in kind and "object" not in kind]
+
+
+@st.composite
+def check_numbers(draw):
+    name, key, listed = draw(st.sampled_from(NUMERIC))
+    number = draw(st.sampled_from(OUT_OF_RANGE))
+    return name, key, number, [number] if listed else number
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=check_numbers())
+def test_check_number_refused_or_run_clean(config_path, drawn):
+    name, key, number, value = drawn
+    data = one_check(name, **{key: value})
+    code, err = validate(config_path, data)
+    if code:
+        assert code == 3 and err.startswith("config error:"), err
+        return
+    kind = rule(str(check_parameters(cli.CHECKS[name])[key].annotation))[0]
+    if "integer" in kind and number == 10 ** 9:
+        # a count of 10**9 is in range and sets only how long the check
+        # runs: 10**9 chain samples take hours
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_suite(validate_config(data)).reports[name]
+    assert rep.verdict != "errored", rep.notes

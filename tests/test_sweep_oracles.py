@@ -1126,8 +1126,8 @@ def old_m(triple, t, r):
 
 F = ScaleFunction
 TRIPLES = {
-    "z1_alpha1": lambda: _build_scales(load_config("z1_alpha1")),
-    "gasket_walk": lambda: _build_scales(load_config("gasket_walk")),
+    "z1_alpha1": lambda: _build_scales(**load_config("z1_alpha1").scales),
+    "gasket_walk": lambda: _build_scales(**load_config("gasket_walk").scales),
     "two_piece": lambda: ScaleTriple(F.from_exponents([2.5, 2.0], [4.0]),
                                      F.single_power(1.0)),
 }
