@@ -102,8 +102,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     and ``jump`` to their kind's builder, ``scales`` to ``_build_scales``,
     ``grids`` to ``SuiteContext._grids`` and each ``check_params`` entry to
     its check's ``check_parameters`` (required ones for configured checks).
-    Beyond that: known modes, distinct ``rho_grid`` labels, relations the
-    builders take, and no jump-free ``HK_local`` ``hk`` on a jump form."""
+    Beyond that: known modes, distinct labels of the radii that key a
+    check's constants (``rho_grid``; ``grids.radii`` for ``meyer`` and
+    ``gap`` without one), relations the builders take, and no jump-free
+    ``HK_local`` ``hk`` on a jump form."""
     bind(parameters(ExperimentConfig), data, "config", ConfigError)
     cfg = ExperimentConfig(**data)
     cfg.local_weight = float(cfg.local_weight)
@@ -116,13 +118,17 @@ def validate_config(data: dict) -> ExperimentConfig:
     bind(parameters(SuiteContext._grids, ("self",)), cfg.grids, "grids",
          ConfigError)
     for name in dict.fromkeys([*cfg.checks, *cfg.check_params]):
-        bind(check_parameters(CHECKS[name]), cfg.check_params.get(name, {}),
-             f"check_params.{name}", ConfigError, required=name in cfg.checks)
-    for name, params in cfg.check_params.items():
-        labels = [f"{rho:g}" for rho in params.get("rho_grid") or ()]
+        params = cfg.check_params.get(name, {})
+        bind(check_parameters(CHECKS[name]), params, f"check_params.{name}",
+             ConfigError, required=name in cfg.checks)
+        # meyer and gap without a rho_grid key their constants by radii
+        where, rhos = f"check_params.{name}.rho_grid", params.get("rho_grid")
+        if not rhos and name in ("meyer", "gap") and name in cfg.checks:
+            where, rhos = "grids.radii", cfg.grids.get("radii")
+        labels = [f"{rho:g}" for rho in rhos or ()]
         if len(set(labels)) < len(labels):
-            raise ConfigError(f"check_params.{name}.rho_grid needs radii that "
-                              f"differ in 6 digits, got {params['rho_grid']}")
+            raise ConfigError(f"{where} needs radii that differ in 6 digits, "
+                              f"got {rhos}")
     hk_mode = cfg.check_params.get("hk", {}).get("mode", "HK")
     if hk_mode not in HK_MODES:
         raise ConfigError(f"check_params.hk.mode must be one of {HK_MODES}, "

@@ -104,9 +104,9 @@ def _no_ball(condition, notes="no ball of the family fits the space",
                            notes=notes).judge(instances=positive)
 
 
-def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
-    """Standard test family: delta bumps, radial tents, low-frequency
-    eigenvectors of the local part, and seeded signed random functions."""
+def function_family(form: DirichletForm, seed=SEED):
+    """Standard test family: three delta bumps, three radial tents, eight
+    low eigenvectors of the local part and four seeded random functions."""
     space = form.space
     n = space.n
     rng = np.random.RandomState(seed)
@@ -124,11 +124,11 @@ def function_family(form: DirichletForm, count_random=4, n_eigs=8, seed=SEED):
         fns.append(np.maximum(0.0, 1.0 - space.dist(x) / r_tent))
     sq = np.sqrt(space.mu)
     S_loc = form.local_laplacian() / np.outer(sq, sq)
-    k = min(n_eigs + 1, n)
+    k = min(9, n)
     _, vecs = eigh(S_loc, subset_by_index=[0, k - 1])
     for j in range(1, k):
         fns.append(vecs[:, j] / sq)
-    for _ in range(count_random):
+    for _ in range(4):
         fns.append(rng.standard_normal(n))
     return fns
 

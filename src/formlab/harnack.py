@@ -3,7 +3,7 @@
 A caloric function on a space-time cylinder solves du/dt = L u inside the
 spatial ball with prescribed exterior data.  Two family modes:
 
-* NECESSARY: global heat flows u_z(t, x) = p(t - t0, x, z) mu(z), caloric on
+* NECESSARY: global heat flows u_z(t, x) = p(t, x, z) mu(z), caloric on
   every cylinder.  Cheap; its worst Harnack ratio is a necessary condition.
 * FULL: one caloric function per exterior space-time atom (the columns of
   the discrete parabolic Poisson kernel), evolved by exact exponential
@@ -52,14 +52,14 @@ class CylinderSpec:
     """Space-time cylinder for the parabolic Harnack inequality.
 
     With phi the combined scale, the caloric domain is
-    (t0, t0 + phi(C4 R)) x B(x0, C5 R) and the windows are
-    Q- = (t0 + phi(C1 R), t0 + phi(C2 R)) x B(x0, R),
-    Q+ = (t0 + phi(C3 R), t0 + phi(C4 R)) x B(x0, R).
+    (0, phi(C4 R)) x B(x0, C5 R) and the windows are
+    Q- = (phi(C1 R), phi(C2 R)) x B(x0, R),
+    Q+ = (phi(C3 R), phi(C4 R)) x B(x0, R).
+    The semigroup is time-homogeneous, so the cylinder starts at time 0.
     """
 
     x0: int
     R: float
-    t0: float = 0.0
     constants: tuple = (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def __post_init__(self):
@@ -71,12 +71,12 @@ class CylinderSpec:
         C1, C2, C3, C4, _ = self.constants
         phi = scales.phi
         return (
-            (self.t0 + phi(C1 * self.R), self.t0 + phi(C2 * self.R)),
-            (self.t0 + phi(C3 * self.R), self.t0 + phi(C4 * self.R)),
+            (phi(C1 * self.R), phi(C2 * self.R)),
+            (phi(C3 * self.R), phi(C4 * self.R)),
         )
 
     def horizon(self, scales):
-        return self.t0 + scales.phi(self.constants[3] * self.R)
+        return scales.phi(self.constants[3] * self.R)
 
     def ball_radius(self):
         return self.constants[4] * self.R
@@ -128,10 +128,10 @@ def _window_times(lo, hi, k=5):
 
 
 def _flow_times(scales, cyl: CylinderSpec, n_window_times: int):
-    """Q- and Q+ sample times of a cylinder, measured from t0."""
+    """Q- and Q+ sample times of a cylinder."""
     (qm_lo, qm_hi), (qp_lo, qp_hi) = cyl.windows(scales)
-    return ([t - cyl.t0 for t in _window_times(qm_lo, qm_hi, n_window_times)],
-            [t - cyl.t0 for t in _window_times(qp_lo, qp_hi, n_window_times)])
+    return (_window_times(qm_lo, qm_hi, n_window_times),
+            _window_times(qp_lo, qp_hi, n_window_times))
 
 
 def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
@@ -184,7 +184,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     if n_side > FULL_CAP_ATOMS:
         raise HarnackError(f"FULL mode capped at {FULL_CAP_ATOMS} atoms")
 
-    horizon = cyl.horizon(scales) - cyl.t0
+    horizon = cyl.horizon(scales)
     n_sub = 256
     h = horizon / n_sub
     lam, Q = eigh(form.sym_generator(B_cyl))
@@ -199,7 +199,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
 
     n_atoms = nb + n_side
     W = np.zeros((nb, n_atoms))
-    W[:, :nb] = Cq.T                     # bottom atoms: delta data at t0
+    W[:, :nb] = Cq.T                     # bottom atoms: delta data at time 0
 
     # the distinct rounded sample times, in order
     rec_m = list(dict.fromkeys(round(t, 12) for t in t_minus))
@@ -244,7 +244,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
 def _families(form, scales, cylinders, mode, n_window_times, thin,
               n_atom_intervals):
     """The caloric family of each cylinder in turn.  In NECESSARY mode a run
-    of consecutive cylinders with equal sample times (same R, t0 and
+    of consecutive cylinders with equal sample times (same R and
     constants) shares one pass over the global kernels at those times: each
     kernel is sliced to every cylinder's B(x0, R) x atoms block and dropped."""
     atoms = np.arange(0, form.n, thin)

@@ -13,17 +13,18 @@ import numpy as np
 DOMINANCE_CLASSES = ("diagonal", "gaussian", "jump")
 DOMINANCE_COLORS = {"diagonal": "#1f3b70", "gaussian": "#2e8b57", "jump": "#d2691e"}
 _CHUNK = 8192   # rows or rects per write
+CELL = 4        # side of a heatmap cell, px
 
 
-def svg_heatmap(labels, path, cell: int = 4, title: str = "dominance map"):
+def svg_heatmap(labels, path, title: str = "dominance map"):
     """Categorical heatmap of dominance labels (0 diagonal, 1 gaussian,
-    2 jump).  All three region classes are always declared in the legend.
+    2 jump), ``CELL`` px a cell, with all three classes in the legend.
     Each horizontal run of equal labels is one rect; the rects are written
     one class and one bounded batch at a time."""
     labels = np.asarray(labels)
     h, w = labels.shape
-    width = w * cell + 160
-    height = max(h * cell, 70) + 30
+    width = w * CELL + 160
+    height = max(h * CELL, 70) + 30
     # a run starts at each row's first cell and wherever the label changes
     starts = np.ones((h, w), dtype=bool)
     starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
@@ -35,54 +36,49 @@ def svg_heatmap(labels, path, cell: int = 4, title: str = "dominance map"):
                  f'height="{height}">\n<title>{title}</title>\n')
         for k, name in enumerate(DOMINANCE_CLASSES):
             fh.write(f'<g class="region-{name}">\n')
-            rect = (f'<rect x="{{}}" y="{{}}" width="{{}}" height="{cell}" '
+            rect = (f'<rect x="{{}}" y="{{}}" width="{{}}" height="{CELL}" '
                     f'fill="{DOMINANCE_COLORS[name]}"/>\n')
             sel = np.nonzero(kinds == k)[0]
             for lo in range(0, len(sel), _CHUNK):
                 part = sel[lo:lo + _CHUNK]
-                fh.write("".join(map(rect.format, (xs[part] * cell).tolist(),
-                                     (ys[part] * cell).tolist(),
-                                     (lengths[part] * cell).tolist())))
+                fh.write("".join(map(rect.format, (xs[part] * CELL).tolist(),
+                                     (ys[part] * CELL).tolist(),
+                                     (lengths[part] * CELL).tolist())))
             fh.write("</g>\n")
         for k, name in enumerate(DOMINANCE_CLASSES):
             y0 = 20 + 18 * k
             fh.write(
-                f'<rect x="{w * cell + 12}" y="{y0}" width="12" height="12" '
+                f'<rect x="{w * CELL + 12}" y="{y0}" width="12" height="12" '
                 f'fill="{DOMINANCE_COLORS[name]}" class="legend-{name}"/>\n'
-                f'<text x="{w * cell + 30}" y="{y0 + 11}" font-size="12" '
+                f'<text x="{w * CELL + 30}" y="{y0 + 11}" font-size="12" '
                 f'font-family="monospace">{name}</text>\n'
             )
         fh.write("</svg>\n")
 
 
-def svg_curves(series, path, title: str = "curves", width: int = 520,
-               height: int = 320, logy: bool = True):
-    """Polyline plot; ``series`` is a list of (label, xs, ys)."""
+def svg_curves(series, path, title: str = "curves"):
+    """520 x 320 log10-y polyline plot of (label, xs, ys) ``series``."""
+    width, height = 520, 320
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}">',
         f'<title>{title}</title>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    pts_all = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-               if np.isfinite(y) and (not logy or y > 0.0)]
+    curves = [[(x, np.log10(y)) for x, y in zip(xs, ys)
+               if np.isfinite(y) and y > 0.0] for _, xs, ys in series]
+    pts_all = [p for curve in curves for p in curve]
     if pts_all:
-        xv = [p[0] for p in pts_all]
-        yv = [np.log10(p[1]) if logy else p[1] for p in pts_all]
+        xv, yv = zip(*pts_all)
         x0, x1 = min(xv), max(xv)
         y0, y1 = min(yv), max(yv)
         x1 = x1 if x1 > x0 else x0 + 1.0
         y1 = y1 if y1 > y0 else y0 + 1.0
         colors = ["#1f3b70", "#d2691e", "#2e8b57", "#8b1f70", "#707070"]
-        for k, (label, xs, ys) in enumerate(series):
-            pts = []
-            for x, y in zip(xs, ys):
-                if not np.isfinite(y) or (logy and y <= 0.0):
-                    continue
-                yy = np.log10(y) if logy else y
-                px = 40 + (x - x0) / (x1 - x0) * (width - 60)
-                py = height - 25 - (yy - y0) / (y1 - y0) * (height - 50)
-                pts.append(f"{px:.2f},{py:.2f}")
+        for k, ((label, _, _), curve) in enumerate(zip(series, curves)):
+            pts = [f"{40 + (x - x0) / (x1 - x0) * (width - 60):.2f},"
+                   f"{height - 25 - (y - y0) / (y1 - y0) * (height - 50):.2f}"
+                   for x, y in curve]
             col = colors[k % len(colors)]
             if pts:
                 parts.append(

@@ -106,11 +106,10 @@ class ScaleFunction:
         return f
 
     @classmethod
-    def from_config(cls, spec, normalize: bool = True) -> "ScaleFunction":
-        """Load from a list of ``{"break":, "coeff":, "exp":}`` dicts.
-
-        When ``normalize`` the result is rescaled so that phi(1) = 1, with a
-        warning if that actually changed anything.
+    def from_config(cls, spec) -> "ScaleFunction":
+        """Load from a list of ``{"break":, "coeff":, "exp":}`` dicts,
+        rescaled so that phi(1) = 1, with a warning if that actually changed
+        anything.
         """
         if not (isinstance(spec, list) and all(
                 isinstance(d, dict) and {"break", "exp"} <= d.keys() <= _KEYS
@@ -125,14 +124,13 @@ class ScaleFunction:
             f = cls(pieces)
         except OverflowError:
             raise ScaleError(f"scale pieces overflow a float: {spec!r}") from None
-        if normalize:
-            v1 = f(1.0)
-            if abs(v1 - 1.0) > 1e-12:
-                warnings.warn(
-                    f"scale rescaled by {1.0 / v1:g} to enforce phi(1) = 1",
-                    stacklevel=2,
-                )
-                f = f.scaled(1.0 / v1)
+        v1 = f(1.0)
+        if abs(v1 - 1.0) > 1e-12:
+            warnings.warn(
+                f"scale rescaled by {1.0 / v1:g} to enforce phi(1) = 1",
+                stacklevel=2,
+            )
+            f = f.scaled(1.0 / v1)
         return f
 
     def scaled(self, factor: float) -> "ScaleFunction":
@@ -194,14 +192,15 @@ class PowerBounds:
     c2: float
 
 
-def power_bounds(f: ScaleFunction, grid_per_decade: int = 16) -> PowerBounds:
+def power_bounds(f: ScaleFunction) -> PowerBounds:
     """Exact beta1/beta2 from the piece exponents; c1, c2 certified by an
-    exhaustive ratio sweep over all breakpoint pairs and a log grid."""
+    exhaustive ratio sweep over all breakpoint pairs and a log grid of 16
+    points a decade."""
     beta1 = min(f.exponents)
     beta2 = max(f.exponents)
     bmax = max([b for b, _, _ in f.pieces] + [1.0])
     lo, hi = bmax * 1e-3, bmax * 1e3
-    grid = np.geomspace(lo, hi, int(grid_per_decade * math.log10(hi / lo)) + 2)
+    grid = np.geomspace(lo, hi, int(16 * math.log10(hi / lo)) + 2)
     grid = np.unique(np.concatenate([grid, [b for b, _, _ in f.pieces if b > 0]]))
     vals = f(grid)
     ratio = vals[None, :] / vals[:, None]
@@ -375,7 +374,7 @@ def legendre_sup(triple: ScaleTriple, r, t_val: float, c0: float = 1.0):
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Root of exp(C* m(t, r)) = c* r / phi_j^{-1}(t) plus the log-bracket
+    """Root of exp(m(t, r)) = r / phi_j^{-1}(t) plus the log-bracket
     constants fitted at the root."""
 
     r_star: float | None
@@ -388,31 +387,25 @@ class CrossoverResult:
     bracket: tuple[float, float] | None
 
 
-def crossover_radius(
-    triple: ScaleTriple,
-    t_val: float,
-    constants: tuple[float, float] = (1.0, 1.0),
-    bracket_cap: float = 1e12,
-) -> CrossoverResult:
+def crossover_radius(triple: ScaleTriple, t_val: float) -> CrossoverResult:
     """Crossover radius separating Gaussian-dominated from jump-dominated
     off-diagonal behaviour at time ``t_val`` < 1.
 
-    Bisects g(r) = C* m(t, r) - log(c* r / phi_j^{-1}(t)) on
-    [phi_c^{-1}(t), cap * phi_c^{-1}(t)].  When the scales have not separated
+    Bisects g(r) = m(t, r) - log(r / phi_j^{-1}(t)) on
+    [phi_c^{-1}(t), 1e12 phi_c^{-1}(t)].  When the scales have not separated
     enough for a sign change the result is flagged degenerate.
     """
     if not (0.0 < t_val < 1.0):
         raise ScaleError("crossover is defined for t in (0, 1)")
-    c_star, c_low = float(constants[0]), float(constants[1])
     inv_c = triple.phi_c.inverse(t_val)
     inv_j = triple.phi_j.inverse(t_val)
     ratio = inv_c / inv_j
     log_ratio = math.log(ratio) if ratio > 1.0 else 0.0
 
     def g(r):
-        return c_star * triple.m(t_val, r) - math.log(c_low * r / inv_j)
+        return triple.m(t_val, r) - math.log(r / inv_j)
 
-    lo, hi = inv_c, bracket_cap * inv_c
+    lo, hi = inv_c, 1e12 * inv_c
     if ratio <= 1.0 + 1e-12 or g(lo) >= 0.0 or g(hi) <= 0.0:
         return CrossoverResult(
             None, True, "degenerate: scales coincide", math.inf, log_ratio,
@@ -427,8 +420,8 @@ def crossover_radius(
         if hi / lo - 1.0 < 1e-14:
             break
     r_star = math.sqrt(lo * hi)
-    lhs = math.exp(c_star * triple.m(t_val, r_star))
-    rhs = c_low * r_star / inv_j
+    lhs = math.exp(triple.m(t_val, r_star))
+    rhs = r_star / inv_j
     residual = abs(lhs - rhs) / rhs
     pb = power_bounds(triple.phi_c)
     e_lo = (pb.beta1 - 1.0) / pb.beta2

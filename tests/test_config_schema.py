@@ -396,6 +396,23 @@ def test_rho_labels_must_differ(tmp_path):
             (0, "")
 
 
+def test_radii_labels_must_differ_where_meyer_and_gap_key_them(tmp_path):
+    # without a rho_grid, meyer and gap key their constants by grids.radii
+    path = tmp_path / "cfg.json"
+    for name in ("meyer", "gap"):
+        data = one_check(name)
+        data["grids"]["radii"] = [4.0, 4.0000001]
+        assert validate(path, data) == (
+            3, "config error: grids.radii needs radii that differ in 6 "
+               "digits, got [4.0, 4.0000001]\n")
+        data["check_params"][name]["rho_grid"] = [4.0, 8.0]
+        assert validate(path, data) == (0, "")
+    # fk keys no constant by a radius
+    data = one_check("fk")
+    data["grids"]["radii"] = [4.0, 4.0000001]
+    assert validate(path, data) == (0, "")
+
+
 # the check parameters that take numbers, with whether they take a list
 NUMERIC = [(name, key, "list" in kind) for name, fn in cli.CHECKS.items()
            for key, p in check_parameters(fn).items()

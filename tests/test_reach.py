@@ -8,6 +8,8 @@ package builds a ``DirichletForm`` only in ``assemble`` and a
 ``JumpKernel`` only in its builders.  Read with ``ast`` only."""
 
 import ast
+import inspect
+import math
 from pathlib import Path
 
 import formlab
@@ -38,6 +40,18 @@ LIBRARY_API = {
                                    "(keep_samples); check_phi does not "
                                    "read them",
     "CaloricFamily.samples_plus": "as samples_minus",
+    # defaulted parameters, as "function(parameter)"
+    "main(argv)": "the command line's arguments; the script entry point "
+                  "reads sys.argv, tests pass a list",
+    "caloric_poisson(keep_samples)": "keeps FULL mode's per-time samples; "
+                                     "see CaloricFamily.samples_minus",
+    "MetricMeasureSpace.__init__(edges)": "a custom space from a metric "
+                                          "matrix; the builders pass ranks "
+                                          "through _from_ranks, tests build "
+                                          "their own spaces",
+    "MetricMeasureSpace.__init__(coords)": "as edges",
+    "MetricMeasureSpace.__init__(boundary)": "as edges",
+    "MetricMeasureSpace.__init__(interior_margin)": "as edges",
 }
 
 
@@ -143,7 +157,8 @@ def test_every_export_is_reached_or_library_api():
     assert not dead, f"exports nothing in src/formlab reaches: {dead}"
     # a library name that the package starts to reach, or that is gone,
     # leaves the list
-    assert sorted({k for k in LIBRARY_API if "." not in k} - names) == []
+    assert sorted({k for k in LIBRARY_API
+                   if "." not in k and "(" not in k} - names) == []
 
 
 def test_every_member_is_read_or_library_api():
@@ -151,7 +166,156 @@ def test_every_member_is_read_or_library_api():
     keys = {key for _, key in found}
     dead = [f"{mod}:{key}" for mod, key in found if key not in LIBRARY_API]
     assert not dead, f"class members nothing in src/formlab reads: {dead}"
-    assert sorted({k for k in LIBRARY_API if "." in k} - keys) == []
+    assert sorted({k for k in LIBRARY_API
+                   if "." in k and "(" not in k} - keys) == []
+
+
+def defaulted(tree):
+    """(function, parameter, position) of each parameter with a default of
+    each function and method of the module, nested ones too.  The function
+    is its dotted name (``Class.method``, ``outer.inner``); the position is
+    the index of a positional parameter among those a call passes, the
+    instance or class of a method not counted, and None for a keyword-only
+    one."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                positional = a.posonlyargs + a.args
+                skip = 1 if in_class and not static else 0
+                name = ".".join(scope + (child.name,))
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((name, arg.arg, i - skip))
+                found.extend((name, arg.arg, None) for arg, default
+                             in zip(a.kwonlyargs, a.kw_defaults)
+                             if default is not None)
+                visit(child, scope + (child.name,), False)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, (), False)
+    return found
+
+
+def calls(trees):
+    """{name: [(positional count, keywords)]} of every call in ``trees``, by
+    the name it calls: a bare name or an attribute's, ``cls`` read as its
+    class.  A call of a class is listed under ``Class.__init__``; a
+    starred positional counts as every position, and a ``**`` mapping
+    passes no name."""
+    found = {}
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = (fn.id if isinstance(fn, ast.Name) else
+                        fn.attr if isinstance(fn, ast.Attribute) else None)
+                if name == "cls" and cls is not None:
+                    name = cls
+                if name is not None:
+                    starred = any(isinstance(a, ast.Starred)
+                                  for a in child.args)
+                    found.setdefault(name, []).append((
+                        math.inf if starred else len(child.args),
+                        {k.arg for k in child.keywords}))
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else cls)
+
+    classes = set()
+    for tree in trees:
+        visit(tree, None)
+        classes |= {n.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ClassDef)}
+    for name in classes & set(found):
+        found[f"{name}.__init__"] = found.pop(name)
+    return found
+
+
+def unset_defaults(sources, exempt=()):
+    """(module, "function(parameter)") of each defaulted parameter that no
+    call in ``sources`` passes, by keyword or by position, in a function
+    whose dotted name is not in ``exempt``.  An approximation: calls are
+    matched to a function by its last name only (``__init__`` by its
+    class), so a call of another function or method of that name counts
+    too and a dead default can pass; a parameter set only through a
+    ``**`` mapping, ``getattr`` or a callback reads as unset."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    made = calls(trees.values())
+    found = []
+    for mod, tree in trees.items():
+        for fn, param, pos in defaulted(tree):
+            last = fn.split(".")[-1]
+            key = fn if last == "__init__" else last
+            if fn in exempt or any(
+                    param in keywords or pos is not None and pos < n
+                    for n, keywords in made.get(key, ())):
+                continue
+            found.append((mod, f"{fn}({param})"))
+    return found
+
+
+def config_bound():
+    """Dotted names of the functions a config binds: the ``space.SPACES``
+    builders, the ``JumpKernel`` builders of ``form.JUMPS``,
+    ``cli._build_scales``, ``ExperimentConfig`` and ``SuiteContext._grids``,
+    and each check and the callee whose parameters
+    ``cli.check_parameters`` offers through its ``**kw``."""
+    from formlab import cli, form, space
+    fns = [*space.SPACES.values(), cli._build_scales, cli.SuiteContext._grids,
+           *(getattr(form.JumpKernel, kind) for kind in form.JUMPS
+             if kind != "none")]
+    for check in cli.CHECKS.values():
+        # the (callee, fixed) that check_parameters reads for a **kw check
+        fns += [check, *cli._FORWARDS.get(inspect.unwrap(check), ())[:1]]
+    names = {inspect.unwrap(fn).__qualname__ for fn in fns}
+    return names | {f"{cli.ExperimentConfig.__qualname__}.__init__"}
+
+
+def test_every_default_is_set_bound_or_library_api():
+    # a default that no call sets and no config binds is a constant with
+    # a knob: it becomes the constant, or stays in LIBRARY_API with a reason
+    found = unset_defaults({p.stem: p.read_text() for p in SOURCES},
+                           config_bound() | set(LIBRARY_API))
+    keys = {key for _, key in found}
+    dead = [f"{mod}:{key}" for mod, key in found if key not in LIBRARY_API]
+    assert not dead, f"defaults no call or config sets: {dead}"
+    assert sorted({k for k in LIBRARY_API if "(" in k} - keys) == []
+
+
+def test_default_detector_on_synthetic_package():
+    sources = {
+        "a": ("def f(x, y=1, *, z=2):\n    return x\n"
+              "def g(a, b=1, c=2):\n    return f(a, z=b)\n"
+              "def bound(p=0):\n    return p\n"
+              "class K:\n"
+              "    def __init__(self, m, n=1):\n        self.m = m\n"
+              "    def meth(self, u, v=0, w=0):\n        return K(u)\n"
+              "    @classmethod\n"
+              "    def make(cls, s=1):\n        return cls(s, 2)\n"
+              "    @staticmethod\n"
+              "    def st(q=1, r=2):\n        return q\n"
+              "    def outer(self, h=0):\n"
+              "        def inner(k=1):\n            return k\n"
+              "        return inner(*self.m)\n"),
+        "b": ("from a import K, g\n"
+              "def use(k):\n"
+              "    return k.meth(1, 2), K.st(0), g(1, 2, 3), K.make(**{})\n"),
+    }
+    # ``f``'s y is passed by no call; g's b and c by position, K's n by
+    # ``cls(s, 2)``, meth's v by position after self; ``st`` is static, so
+    # K.st(0) passes q, not r; a starred call passes every position, and a
+    # ``**`` mapping passes nothing; ``bound`` is exempt
+    assert unset_defaults(sources, {"bound"}) == [
+        ("a", "f(y)"), ("a", "K.meth(w)"), ("a", "K.make(s)"),
+        ("a", "K.st(r)"), ("a", "K.outer(h)")]
 
 
 def test_detector_on_synthetic_package():

@@ -2,7 +2,8 @@
 writer it replaced: the bytes must be equal for every row the old writer
 already wrote correctly.  Numpy scalars and cells that need quoting are the
 two places where the bytes change on purpose.  The SVG heatmap is read back
-into the label grid its rects paint."""
+into the label grid its rects paint, and the curve plot is held to the bytes
+of its earlier point-by-point loop on a log y axis."""
 
 import csv
 import math
@@ -11,8 +12,9 @@ import re
 import numpy as np
 import pytest
 
-from formlab.render import (DOMINANCE_CLASSES, DOMINANCE_COLORS, _CHUNK,
-                            _cell, svg_heatmap, write_rows_csv)
+from formlab.render import (CELL, DOMINANCE_CLASSES, DOMINANCE_COLORS,
+                            _CHUNK, _cell, svg_curves, svg_heatmap,
+                            write_rows_csv)
 
 
 def old_cell(v):
@@ -101,6 +103,63 @@ RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" '
                   r'height="(\d+)" fill="(#[0-9a-f]{6})"/>')
 
 
+def old_svg_curves(series, path, title):
+    width, height = 520, 320
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}">',
+        f'<title>{title}</title>',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    ]
+    pts_all = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
+               if np.isfinite(y) and y > 0.0]
+    if pts_all:
+        xv = [p[0] for p in pts_all]
+        yv = [np.log10(p[1]) for p in pts_all]
+        x0, x1 = min(xv), max(xv)
+        y0, y1 = min(yv), max(yv)
+        x1 = x1 if x1 > x0 else x0 + 1.0
+        y1 = y1 if y1 > y0 else y0 + 1.0
+        colors = ["#1f3b70", "#d2691e", "#2e8b57", "#8b1f70", "#707070"]
+        for k, (label, xs, ys) in enumerate(series):
+            pts = []
+            for x, y in zip(xs, ys):
+                if not np.isfinite(y) or y <= 0.0:
+                    continue
+                yy = np.log10(y)
+                px = 40 + (x - x0) / (x1 - x0) * (width - 60)
+                py = height - 25 - (yy - y0) / (y1 - y0) * (height - 50)
+                pts.append(f"{px:.2f},{py:.2f}")
+            col = colors[k % len(colors)]
+            if pts:
+                parts.append(
+                    f'<polyline points="{" ".join(pts)}" fill="none" '
+                    f'stroke="{col}" stroke-width="1.5"/>'
+                )
+            parts.append(
+                f'<text x="45" y="{18 + 14 * k}" font-size="11" '
+                f'font-family="monospace" fill="{col}">{label}</text>'
+            )
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+@pytest.mark.parametrize("series", [
+    [],
+    [("flat", [0, 1], [2.0, 2.0])],
+    [("dropped", [0, 1, 2], [0.0, -1.0, math.nan])],
+    [("a", np.arange(len(SPECIAL)), np.array(SPECIAL)),
+     ("b", [0.5, 1.5, 2.5], [1e-12, 3.0, math.inf]),
+     ("empty", [], [])] * 2,
+])
+def test_svg_curves_bytes_equal_point_loop(tmp_path, series):
+    svg_curves(series, tmp_path / "new.svg", title="t")
+    old_svg_curves(series, tmp_path / "old.svg", title="t")
+    assert ((tmp_path / "new.svg").read_bytes()
+            == (tmp_path / "old.svg").read_bytes())
+
+
 def rasterise(svg, shape, cell):
     """The label grid the region rects of ``svg`` paint, -1 where none
     does; each rect must be ``cell`` high, cover whole cells and paint
@@ -121,22 +180,25 @@ def rasterise(svg, shape, cell):
     return grid
 
 
-@pytest.mark.parametrize("shape,cell", [((1, 1), 4), ((37, 53), 4),
-                                        ((200, 200), 3)])
-def test_svg_heatmap_rasterises_to_labels(tmp_path, shape, cell):
-    # the 200 x 200 map has more runs of each class than one write batch
+@pytest.mark.parametrize("shape", [(1, 1), (37, 53), (200, 200)])
+def test_svg_heatmap_rasterises_to_labels(tmp_path, shape):
     labels = np.random.RandomState(shape[0]).randint(0, 3, size=shape)
     labels[0, 0] = 2
+    if shape == (200, 200):
+        # more runs of each class than one write batch
+        starts = np.ones(shape, dtype=bool)
+        starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
+        assert np.bincount(labels[starts]).min() > _CHUNK
     path = tmp_path / "map.svg"
-    svg_heatmap(labels, path, cell=cell, title="t=0.5")
+    svg_heatmap(labels, path, title="t=0.5")
     svg = path.read_text()
-    assert (rasterise(svg, shape, cell) == labels).all()
+    assert (rasterise(svg, shape, CELL) == labels).all()
     # one rect per horizontal run: no two rects of a row could merge
     runs = shape[0] + int((labels[:, 1:] != labels[:, :-1]).sum())
     assert svg.count("<rect") == runs + len(DOMINANCE_CLASSES)   # + legend
     h, w = shape
     assert svg.startswith(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * cell + 160}" '
-        f'height="{max(h * cell, 70) + 30}">\n<title>t=0.5</title>\n')
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * CELL + 160}" '
+        f'height="{max(h * CELL, 70) + 30}">\n<title>t=0.5</title>\n')
     for name in DOMINANCE_CLASSES:
         assert f'class="legend-{name}"' in svg

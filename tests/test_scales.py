@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestLegendre:
 class TestCrossover:
     def test_bisection_residual(self):
         tr = alpha1_triple()
-        out = crossover_radius(tr, 1e-4, (1.0, 1.0))
+        out = crossover_radius(tr, 1e-4)
         assert not out.degenerate
         assert out.residual < 1e-10
         # oracle: monotone bisection on the defining equation
@@ -249,7 +250,9 @@ class TestConstruction:
     def test_config_roundtrip(self):
         f = ScaleFunction.from_exponents([0.5, 1.5], [32.0])
         spec = [{"break": b, "coeff": c, "exp": e} for b, c, e in f.pieces]
-        g = ScaleFunction.from_config(spec, normalize=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # f(1) = 1: nothing is rescaled
+            g = ScaleFunction.from_config(spec)
         for r in (0.3, 1.0, 7.0, 200.0):
             assert g(r) == pytest.approx(f(r), rel=1e-12)
 

@@ -1255,7 +1255,7 @@ def old_full_caloric(form, scales, cyl, n_atom_intervals=8, n_window_times=5):
     nb = len(B_cyl)
     ext = np.setdiff1d(np.arange(form.n), B_cyl)
     n_side = len(ext) * n_atom_intervals
-    horizon = cyl.horizon(scales) - cyl.t0
+    horizon = cyl.horizon(scales)
     n_sub = 256
     h = horizon / n_sub
     lam, Q = eigh(form.sym_generator(B_cyl))
