@@ -28,7 +28,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +46,11 @@ from .functionals import (ERRORED, KINDS, ConditionReport, _no_ball,
 from .harnack import CylinderSpec, check_phi, check_regularity
 from .render import svg_curves, svg_heatmap, write_rows_csv
 from .scales import ScaleError, ScaleFunction, ScaleTriple
-from .space import (Count, Fraction, NonNegative, Positive, Seed, SpaceError,
-                    TimeCount, bind, build_space, chain_check, parameters,
-                    space_size, volume_report)
+from .space import (Count, Fraction, HKMode, Mode, NonNegative, Positive,
+                    Seed, SpaceError, TimeCount, bind, build_space,
+                    chain_check, parameters, space_size, volume_report)
 
 OK_VERDICTS = set(KINDS.values())
-MODES = ("necessary", "full")
-HK_MODES = ("HK", "UHK", "HK_local")   # hk's; the other two are checks
 
 
 class ConfigError(ValueError):
@@ -70,7 +68,7 @@ class ExperimentConfig:
     check_params: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
     expect: dict = field(default_factory=dict)
-    mode: str = "necessary"
+    mode: Mode = "necessary"
     seed: Seed = 0x5EED
     out: str | None = None
 
@@ -102,15 +100,13 @@ def validate_config(data: dict) -> ExperimentConfig:
     and ``jump`` to their kind's builder, ``scales`` to ``_build_scales``,
     ``grids`` to ``SuiteContext._grids`` and each ``check_params`` entry to
     its check's ``check_parameters`` (required ones for configured checks).
-    Beyond that: known modes, distinct labels of the radii that key a
-    check's constants (``rho_grid``; ``grids.radii`` for ``meyer`` and
-    ``gap`` without one), relations the builders take, and no jump-free
-    ``HK_local`` ``hk`` on a jump form."""
+    Beyond that: distinct labels of the radii that key a check's constants
+    (``rho_grid``; ``grids.radii`` for ``meyer`` and ``gap`` without one),
+    relations the builders take, and no jump-free ``HK_local`` ``hk`` on a
+    jump form."""
     bind(parameters(ExperimentConfig), data, "config", ConfigError)
     cfg = ExperimentConfig(**data)
     cfg.local_weight = float(cfg.local_weight)
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     bad = [c for c in [*cfg.checks, *cfg.check_params, *cfg.expect]
            if c not in CHECKS]
     if bad:
@@ -129,10 +125,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         if len(set(labels)) < len(labels):
             raise ConfigError(f"{where} needs radii that differ in 6 digits, "
                               f"got {rhos}")
-    hk_mode = cfg.check_params.get("hk", {}).get("mode", "HK")
-    if hk_mode not in HK_MODES:
-        raise ConfigError(f"check_params.hk.mode must be one of {HK_MODES}, "
-                          f"got {hk_mode!r}")
     bind(parameters(_build_scales), cfg.scales, "scales", ConfigError)
     # refuse what the builders would refuse, without building anything
     try:
@@ -143,7 +135,8 @@ def validate_config(data: dict) -> ExperimentConfig:
             ScaleFunction.from_config(cfg.check_params["jpsi_alt"]["phi_j"])
     except (SpaceError, FormError, ScaleError) as exc:
         raise ConfigError(str(exc)) from exc
-    if (hk_mode == "HK_local" and cfg.jump.get("kind", "none") != "none"
+    if (cfg.check_params.get("hk", {}).get("mode") == "HK_local"
+            and cfg.jump.get("kind", "none") != "none"
             and cfg.jump.get("coeff", 1.0) > 0.0):
         raise ConfigError("check_params.hk.mode HK_local is the bound of a "
                           "diffusion without jumps; this form has a jump part")
@@ -165,9 +158,8 @@ class SuiteContext:
     instead of recomputing it.  A suite whose checks never read ``table``
     keeps nothing and never holds ``len(times)`` n x n kernels."""
 
-    def __init__(self, cfg: ExperimentConfig, thin: int = 1):
+    def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.thin = max(1, int(thin))
         self.scales = _build_scales(**cfg.scales)
         self.space = build_space(**cfg.space)
         self.jump = build_jump(cfg.jump, self.space, self.scales.phi_j,
@@ -186,13 +178,12 @@ class SuiteContext:
         """Read the config's ``grids``, whose keys are these parameters."""
         t_lo = self.scales.phi(1.0)
         t_hi = self.scales.phi(max(self.space.interior_margin, 2.0))
-        self.times = list(np.geomspace(t_lo, max(t_hi, 2.0 * t_lo),
-                                       max(3, n_times // self.thin)))
+        self.times = list(np.geomspace(t_lo, max(t_hi, 2.0 * t_lo), n_times))
         if radii is None:
             top = max(self.space.interior_margin, 4.0)
             radii = [top / 4.0, top / 2.0, top]
         self.radii = [float(r) for r in radii]
-        self.max_centers = max(2, max_centers // self.thin)
+        self.max_centers = max_centers
         self.phi_R = [self.radii[0]] if phi_R is None else phi_R
 
     @property
@@ -269,9 +260,8 @@ def _chk_volume(ctx, **kw):
 
 
 @check("chain", chain_check, "seed")
-def _chk_chain(ctx, samples: Count = 30, **kw):
-    cr = chain_check(ctx.space, samples=samples // ctx.thin + 1,
-                     seed=ctx.cfg.seed, **kw)
+def _chk_chain(ctx, **kw):
+    cr = chain_check(ctx.space, seed=ctx.cfg.seed, **kw)
     return ConditionReport(
         "chain-condition", constants={"C": cr.constant},
         witness={} if cr.witness is None else {"disconnected_pair": list(cr.witness)},
@@ -311,11 +301,12 @@ def _chk_gcap(ctx, **kw):
     return check_gcap(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw)
 
 
-@check("cs", check_cs)
-def _chk_cs(ctx, **kw):
+@check("cs", check_cs, "rho_grid")
+def _chk_cs(ctx, rho_grid: list[Positive] | None = None, **kw):
     fns = ctx.family
-    kw.setdefault("rho_grid", [max(ctx.radii), 2.0 * max(ctx.radii)])
-    return check_cs(ctx.form, ctx.scales, _gcap_families(ctx), fns, **kw)
+    top = max(ctx.radii)
+    return check_cs(ctx.form, ctx.scales, _gcap_families(ctx), fns,
+                    rho_grid=rho_grid or [top, 2.0 * top], **kw)
 
 
 @check("exit", check_exit, "max_centers")
@@ -350,9 +341,9 @@ def _chk_jpsi_alt(ctx, phi_j: list[dict], spread_cap: Positive = 4.0):
     ).judge(spread=lambda s: not s > spread_cap)
 
 
-@check("hk", fit_hk, "indicator")
-def _chk_hk(ctx, **kw):
-    return fit_hk(ctx.table, ctx.scales, ctx.space, **kw)
+@check("hk", fit_hk, "indicator", "mode")
+def _chk_hk(ctx, mode: HKMode = "HK", **kw):
+    return fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode, **kw)
 
 
 @check("hk_minus", fit_hk, "mode", "upper_dilations", "lower_dilations")
@@ -366,14 +357,13 @@ def _chk_uhk_weak(ctx):
 
 
 @check("diag", diag_checks)
-def _chk_diag(ctx, **kw):
-    kw.setdefault("ndl_radii", ctx.radii[:2])
-    return diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form, **kw)
+def _chk_diag(ctx, ndl_radii: list[Positive] | None = None, **kw):
+    return diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form,
+                       ndl_radii or ctx.radii[:2], **kw)
 
 
 @check("pc_equivalence", check_pc_equivalence)
 def _chk_pc_equiv(ctx, **kw):
-    kw.setdefault("n_per_axis", max(10, 30 // ctx.thin))
     out = check_pc_equivalence(ctx.scales, **kw)
     return ConditionReport(
         "pc-equivalence",
@@ -492,12 +482,9 @@ class SuiteReport:
     reports: dict[str, ConditionReport]   # check name -> its report
 
 
-def run_suite(cfg: ExperimentConfig, thin: int = 1, threads: int = 1,
-              mode: str | None = None) -> SuiteReport:
+def run_suite(cfg: ExperimentConfig, threads: int = 1) -> SuiteReport:
     t_start = time.time()
-    if mode:
-        cfg = replace(cfg, mode=mode)
-    ctx = SuiteContext(cfg, thin=thin)
+    ctx = SuiteContext(cfg)
     checks = list(cfg.checks)   # an empty list yields an empty report
 
     def run_one(name):
@@ -604,13 +591,13 @@ def render_report(suite: SuiteReport, out_dir):
         sel = [r for r in rows if r["t"] == t_last]
         xs_centers = sorted({r["x"] for r in sel})
         x_mid = xs_centers[len(xs_centers) // 2]
-        curve = sorted(((abs(r["y"] - x_mid), r) for r in sel
-                        if r["x"] == x_mid), key=lambda c: c[0])
-        ds = [c[0] for c in curve]
+        curve = sorted((r for r in sel if r["x"] == x_mid),
+                       key=lambda r: r["d"])
+        ds = [r["d"] for r in curve]
         path = out / "envelope_ratio.svg"
         svg_curves(
-            [("kernel/upper", ds, [c[1]["kernel_over_upper"] for c in curve]),
-             ("kernel/lower", ds, [c[1]["kernel_over_lower"] for c in curve])],
+            [("kernel/upper", ds, [r["kernel_over_upper"] for r in curve]),
+             ("kernel/lower", ds, [r["kernel_over_lower"] for r in curve])],
             path, title=f"envelope ratios at t={t_last:g}",
         )
         written.append(path)
@@ -644,9 +631,6 @@ def main(argv=None) -> int:
                         help="config path or bundled name")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--grid-thin", type=int, default=1,
-                        help="divide grid densities by this factor")
-    parser.add_argument("--mode", choices=MODES, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", help="validate the config and exit")
     sub.add_parser("build", help="build the space/form, export the point CSV")
@@ -658,8 +642,8 @@ def main(argv=None) -> int:
     p_rep.add_argument("report_path")
     try:
         args = parser.parse_args(argv)
-        if min(args.threads, args.grid_thin) < 1:
-            parser.error("--threads and --grid-thin must be at least 1")
+        if args.threads < 1:
+            parser.error("--threads must be at least 1")
     except SystemExit as exc:
         if exc.code:    # a usage error; exit 2 means unexpected verdicts
             return 3
@@ -682,7 +666,7 @@ def main(argv=None) -> int:
             print(f"config {cfg.name} valid ({cfg.hash()})")
             return 0
         if args.command == "build":
-            ctx = SuiteContext(cfg, thin=args.grid_thin)
+            ctx = SuiteContext(cfg)
             out = Path(args.out or cfg.out or ".")
             out.mkdir(parents=True, exist_ok=True)
             ctx.space.export_points_csv(out / "points.csv")
@@ -691,8 +675,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "check":
             cfg = validate_config({**vars(cfg), "checks": [args.check_name]})
-        suite = run_suite(cfg, thin=args.grid_thin, threads=args.threads,
-                          mode=args.mode)
+        suite = run_suite(cfg, threads=args.threads)
         out_dir = args.out or cfg.out
         if out_dir:
             render_report(suite, out_dir)

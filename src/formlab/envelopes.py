@@ -112,17 +112,18 @@ def _sandwich(Vc, pc, jump=None):
     return np.minimum(np.minimum(1.0 / Vc, 1.0 / Vj)[:, None], pc + pj)
 
 
-def envelope_ratio_rows(times, xs, up, low):
-    """Rows (t, x, y, kernel/upper, kernel/lower) of a ratio table on the
-    centers ``xs``: ``up[k]`` and ``low[k]`` hold the ratios at
-    ``times[k]``, nan where the fit excludes the triple."""
-    ids = xs.tolist()
+def envelope_ratio_rows(times, xs, d, up, low):
+    """Rows (t, x, y, d(x, y), kernel/upper, kernel/lower) of a ratio table
+    on the centers ``xs`` with pair distances ``d``: ``up[k]`` and
+    ``low[k]`` hold the ratios at ``times[k]``, nan where the fit excludes
+    the triple."""
+    ids, d = xs.tolist(), d.tolist()
     rows = []
     for t, up_t, low_t in zip(times, up, low):
-        for x, up_x, low_x in zip(ids, up_t.tolist(), low_t.tolist()):
-            rows.extend({"t": t, "x": x, "y": y, "kernel_over_upper": u,
-                         "kernel_over_lower": v}
-                        for y, u, v in zip(ids, up_x, low_x))
+        for x, d_x, up_x, low_x in zip(ids, d, up_t.tolist(), low_t.tolist()):
+            rows.extend({"t": t, "x": x, "y": y, "d": dist,
+                         "kernel_over_upper": u, "kernel_over_lower": v}
+                        for y, dist, u, v in zip(ids, d_x, up_x, low_x))
     return rows
 
 
@@ -150,7 +151,7 @@ def usable_times(table: HeatKernelTable, space, cap: float = 0.01):
 # -- Legendre vs m(t,r) equivalence ------------------------------------------------
 
 
-def check_pc_equivalence(scales: ScaleTriple, n_per_axis: Count = 40,
+def check_pc_equivalence(scales: ScaleTriple, n_per_axis: Count = 30,
                          decades: Decades = 6.0, c0: Positive = 1.0) -> dict:
     """Sandwich constants between the Legendre form and the m(t, r) form of
     the local envelope exponent over a log (t, d) grid."""
@@ -309,7 +310,8 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     rows = []
     if mode in ("HK", "HK_local"):
         bound["c1"] = positive
-        rows = envelope_ratio_rows(times, xs[thin], up_rows, lo_rows)
+        rows = envelope_ratio_rows(times, xs[thin], grid.d[thin, thin],
+                                   up_rows, lo_rows)
     return ConditionReport(
         f"{mode}(phi_c,phi_j)", constants=consts,
         witness=witnesses,
@@ -322,8 +324,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
 
 
 def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
-                form: DirichletForm,
-                ndl_radii: tuple[Positive, ...] = (8.0, 16.0), eps: Positive = 0.25,
+                form: DirichletForm, ndl_radii, eps: Positive = 0.25,
                 nl_constant: Positive = 1.0) -> ConditionReport:
     """UHKD, NL and NDL constants, the last from Dirichlet kernels on a ball
     family; domain monotonicity p >= p^B is re-verified on the NDL grid."""

@@ -25,7 +25,7 @@ from scipy.linalg import eigh
 from .envelopes import _pow
 from .form import DirichletForm, heat_kernel, kernel_blocks
 from .functionals import ConditionReport, _no_ball
-from .space import Count, Fraction, Positive
+from .space import Count, Fraction, Mode, Positive
 
 __all__ = [
     "HarnackError",
@@ -135,9 +135,9 @@ def _flow_times(scales, cyl: CylinderSpec, n_window_times: int):
 
 
 def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
-                    mode: str = "necessary", n_atom_intervals: int = 8,
-                    n_window_times: int = 5, thin: int = 1,
-                    keep_samples: bool = False, blocks=None) -> CaloricFamily:
+                    mode: Mode = "necessary", n_atom_intervals: int = 8,
+                    n_window_times: int = 5, keep_samples: bool = False,
+                    blocks=None) -> CaloricFamily:
     """Produce the caloric family for a cylinder and record its Q-/Q+ extrema.
 
     FULL mode solves the backward parabolic problem per exterior space-time
@@ -152,7 +152,7 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
 
     if mode == "necessary":
-        atoms = np.arange(0, form.n, thin)
+        atoms = np.arange(form.n)
         if blocks is None:
             (blocks,) = kernel_blocks(form, t_minus + t_plus,
                                       [(ball_R, atoms)])
@@ -241,13 +241,13 @@ def caloric_poisson(form: DirichletForm, scales, cyl: CylinderSpec,
     return fam
 
 
-def _families(form, scales, cylinders, mode, n_window_times, thin,
+def _families(form, scales, cylinders, mode, n_window_times,
               n_atom_intervals):
     """The caloric family of each cylinder in turn.  In NECESSARY mode a run
     of consecutive cylinders with equal sample times (same R and
     constants) shares one pass over the global kernels at those times: each
     kernel is sliced to every cylinder's B(x0, R) x atoms block and dropped."""
-    atoms = np.arange(0, form.n, thin)
+    atoms = np.arange(form.n)
 
     def flow_times(cyl):
         t_minus, t_plus = _flow_times(scales, cyl, n_window_times)
@@ -263,12 +263,12 @@ def _families(form, scales, cylinders, mode, n_window_times, thin,
         for cyl, blocks in zip(run, cyl_blocks):
             yield caloric_poisson(form, scales, cyl, mode=mode,
                                   n_atom_intervals=n_atom_intervals,
-                                  n_window_times=n_window_times, thin=thin,
+                                  n_window_times=n_window_times,
                                   blocks=blocks)
 
 
-def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
-              n_window_times: Count = 5, thin: Count = 1,
+def check_phi(form: DirichletForm, scales, cylinders, mode: Mode = "necessary",
+              n_window_times: Count = 5,
               n_atom_intervals: Count = 8) -> ConditionReport:
     """Fit C6 = sup over the caloric family of sup_{Q-} u / inf_{Q+} u.
 
@@ -280,7 +280,7 @@ def check_phi(form: DirichletForm, scales, cylinders, mode: str = "necessary",
     C6 = 0.0
     witness, fit = {}, {}   # fit: C6 and its grid, once every family is alive
     for cyl, fam in zip(cylinders, _families(form, scales, cylinders, mode,
-                                             n_window_times, thin,
+                                             n_window_times,
                                              n_atom_intervals)):
         ratios = fam.ratios()
         alive = ratios[np.isfinite(ratios)]

@@ -130,7 +130,7 @@ def _check_metric(u, R):
 # aliases whose names state the range of a config value
 Positive = NonNegative = Dilation = Fraction = Decades = float
 Count = Seed = TimeCount = Dim = int
-Metric = str
+Metric = Mode = HKMode = str
 
 
 def _real(v, kind=numbers.Real):
@@ -153,6 +153,12 @@ _TYPES = {"float": ("a finite real", _real),
                         lambda v: _real(v, int) and 1 <= v <= MAX_TIMES),
           "Dim": ("an integer in {1, 2, 3}", lambda v: _real(v, int) and 0 < v < 4),
           "Metric": ("a string in {'l1', 'l2'}", lambda v: v in ("l1", "l2")),
+          # phi's caloric family; hk's sandwich (HK_minus and UHK_weak are
+          # the checks hk_minus and uhk_weak)
+          "Mode": ("a string in {'necessary', 'full'}",
+                   lambda v: v in ("necessary", "full")),
+          "HKMode": ("a string in {'HK', 'UHK', 'HK_local'}",
+                     lambda v: v in ("HK", "UHK", "HK_local")),
           "str": ("a string", lambda v: isinstance(v, str)),
           "dict": ("an object", lambda v: isinstance(v, dict)),
           "list[str]": ("a list of strings", lambda v: isinstance(v, list)
@@ -592,7 +598,7 @@ def _min_max_steps(space, x, y, max_n):
             for k in range(1, max_n + 1)]
 
 
-def chain_check(space: MetricMeasureSpace, samples: int = 40,
+def chain_check(space: MetricMeasureSpace, samples: Count = 31,
                 seed: int = 0x5EED, max_n: Count = 6) -> ChainReport:
     """Fit the chain-condition constant: the smallest C found such that every
     sampled (x, y, n) admits a chain with steps <= C d(x, y) / n."""

@@ -12,7 +12,7 @@ import formlab.form as form_mod
 from formlab.cli import (ConfigError, load_config, main, render_report,
                          run_suite, validate_config)
 from formlab.functionals import ConditionReport, check_fk, check_pi
-from formlab.space import build_space
+from formlab.space import build_space, chain_check
 
 
 def mini_cfg(**overrides):
@@ -392,6 +392,63 @@ class TestFK:
         assert rep.constants["C"] == rep.constants["C(nu=0.5)"] > 0.0
 
 
+class TestSettingsRunAsStated:
+    # the value a config states is the value that runs: no grid floor, and
+    # no wrapper default other than the one check_parameters shows
+    @staticmethod
+    def report(name, **change):
+        cfg = load_config({**mini_cfg(**change), "checks": [name]})
+        return run_suite(cfg).reports[name]
+
+    def test_n_times_is_the_table_length(self):
+        grids = {**mini_cfg()["grids"], "n_times": 2}
+        rep = self.report("kernel", grids=grids)
+        assert len(rep.ranges["times"]) == 2
+
+    def test_max_centers_is_the_centres_per_radius(self):
+        grids = {**mini_cfg()["grids"], "max_centers": 1}
+        rep = self.report("fk", grids=grids)
+        centres = {}
+        for row in rep.rows:
+            centres.setdefault(row["r"], set()).add(row["x0"])
+        assert sorted(centres) == grids["radii"]
+        assert all(len(xs) == 1 for xs in centres.values())
+
+    def test_null_rho_grid_reads_as_the_default(self):
+        usual = self.report("cs")
+        null = self.report("cs", check_params={"cs": {"rho_grid": None}})
+        assert "C2(rho=16)" in usual.constants
+        assert null.constants == usual.constants
+
+    def test_chain_draws_the_configured_samples(self):
+        space, seed = build_space(**mini_cfg()["space"]), mini_cfg()["seed"]
+        printed = cli.check_parameters(cli.CHECKS["chain"])["samples"].default
+        for samples, change in ((5, {"samples": 5}), (printed, {})):
+            rep = self.report("chain", check_params={"chain": change})
+            want = chain_check(space, samples=samples, seed=seed)
+            assert (rep.constants["C"], rep.ranges["samples"]) == \
+                (want.constant, want.samples)
+        # one draw more adds triples: the count tells the draws apart
+        assert chain_check(space, samples=5, seed=seed).samples < \
+            chain_check(space, samples=6, seed=seed).samples
+
+
+def test_envelope_curve_runs_along_the_distance(tmp_path):
+    # off a line the index difference |y - x| is not the distance: the
+    # curve is drawn in order of d(x, y), so here its ratios fall steadily
+    rows = [{"t": 1.0, "x": 5, "y": y, "d": d, "kernel_over_upper": k,
+             "kernel_over_lower": k}
+            for y, d, k in [(3, 4.0, 0.1), (5, 0.0, 1.0), (6, 9.0, 0.01),
+                            (9, 2.0, 0.5)]]
+    hk = ConditionReport("HK(phi_c,phi_j)", "certified", rows=rows)
+    render_report(cli.SuiteReport({}, {"hk": hk}), tmp_path)
+    svg = (tmp_path / "envelope_ratio.svg").read_text()
+    points = svg.split('points="')[1].split('"')[0].split()
+    xs, ys = zip(*(map(float, p.split(",")) for p in points))
+    assert list(xs) == sorted(xs) and list(ys) == sorted(ys)
+    assert len(set(xs)) == len(xs) == 4
+
+
 class TestEmptyBallFamily:
     # no ball of radius 100 fits the 128-point line: a check over no
     # instance fails instead of erroring or certifying a vacuous constant
@@ -514,8 +571,7 @@ class TestMain:
         assert (tmp_path / "points.csv").exists()
 
     def test_single_check(self, capsys):
-        assert main(["--config", "z1_mini", "--grid-thin", "2",
-                     "check", "volume"]) == 0
+        assert main(["--config", "z1_mini", "check", "volume"]) == 0
 
     def test_unknown_check_exit_code(self, capsys):
         assert main(["--config", "z1_mini", "check", "nope"]) == 3
@@ -583,7 +639,8 @@ class TestMain:
         ({"grids": {"n_time": 5}}, "unknown grids keys: ['n_time']"),
         ({"grids": {"radii": [4, "8"]}}, "list of positive reals 'radii'"),
         ({"grids": {"radii": []}}, "nonempty list of positive reals"),
-        ({"mode": "fulll"}, "mode must be one of"),
+        ({"mode": "fulll"},
+         "config needs a string in {'necessary', 'full'} 'mode'"),
         ({"local_weight": -1}, "nonnegative real 'local_weight'"),
         ({"seed": -1}, "integer in [0, 2**32) 'seed'"),
         ({"expect": {"nosuch": "failed"}}, "unknown checks: ['nosuch']"),
@@ -609,9 +666,9 @@ class TestMain:
         ({"check_params": {"hk": {"indicator": 2.0}}},
          "unknown check_params.hk keys: ['indicator']"),
         ({"check_params": {"hk": {"mode": "HK_minus"}}},
-         "check_params.hk.mode must be one of"),
+         "check_params.hk needs a string in {'HK', 'UHK', 'HK_local'} 'mode'"),
         ({"check_params": {"hk": {"mode": "bogus"}}},
-         "check_params.hk.mode must be one of"),
+         "check_params.hk needs a string in {'HK', 'UHK', 'HK_local'} 'mode'"),
         ({"check_params": {"fk": {"seed": 7}}},
          "unknown check_params.fk keys: ['seed']"),
         ({"check_params": {"hk": {"upper_dilations": [1.0, "x"]}}},
@@ -645,8 +702,8 @@ class TestMain:
     def test_check_command_binds_only_its_own_required_params(self, capsys):
         # phi_counterexample configures jpsi_alt with its phi_j; checking
         # another check alone keeps that entry, which still binds
-        assert main(["--config", "phi_counterexample", "--grid-thin", "2",
-                     "check", "volume"]) == 0
+        assert main(["--config", "phi_counterexample", "check",
+                     "volume"]) == 0
 
     def test_jpsi_alt_without_scale_rejected_at_validate(self, tmp_path,
                                                           capsys):
@@ -673,6 +730,9 @@ class TestMain:
         ["--config", "z1_mini", "--threads", "0", "suite"],
         ["--config", "z1_mini", "--grid-thin", "0", "suite"],
         ["--config", "z1_mini", "--threads", "two", "suite"],
+        # the config's mode and grids are the only settings of each
+        ["--config", "z1_mini", "--mode", "full", "suite"],
+        ["--config", "z1_mini", "--grid-thin", "2", "suite"],
     ])
     def test_usage_error_exit_code(self, argv, capsys):
         # exit 2 means unexpected verdicts; a usage error runs no check

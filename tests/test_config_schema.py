@@ -79,15 +79,16 @@ def test_settable_check_parameters_pinned():
         "hk": ["lower_dilations", "mode", "upper_dilations"],
         "hk_minus": ["indicator"],
         "uhk_weak": [],
-        "phi": ["R", "n_atom_intervals", "n_window_times", "thin"],
+        "phi": ["R", "n_atom_intervals", "n_window_times"],
         "fk": ["nu_grid"],
     }
-    assert sum(len(check_parameters(fn)) for fn in cli.CHECKS.values()) == 44
+    assert sum(len(check_parameters(fn)) for fn in cli.CHECKS.values()) == 43
     # the truncation guard is the space's: its margin and fixed caps
     for fn in cli.CHECKS.values():
         assert not {"margin", "boundary_cap"} & set(check_parameters(fn))
-    assert cli.HK_MODES == ("HK", "UHK", "HK_local")
-    for mode in cli.HK_MODES:
+    # hk_minus and uhk_weak are checks of their own
+    assert rule("HKMode")[0] == "a string in {'HK', 'UHK', 'HK_local'}"
+    for mode in ("HK", "UHK", "HK_local"):
         # HK_local, a diffusion's sandwich, needs a form without jumps
         data = bundled("gasket_walk" if mode == "HK_local" else "z1_mini")
         data["check_params"] = {"hk": {"mode": mode}}
@@ -326,6 +327,8 @@ def test_bind_refuses_a_schema_it_cannot_check():
     ("tuple[Fraction, ...]", [[0.5], (1.0, 0.5)], [[2], []]),
     ("list[str]", [[], ["kernel"]], [["kernel", 1], "kernel"]),
     ("str | None", [None, "out"], [1]),
+    ("Mode", ["necessary", "full"], ["fulll", None]),
+    ("HKMode", ["HK", "UHK", "HK_local"], ["HK_minus", "UHK_weak"]),
 ])
 def test_rule_holds_each_alias_to_its_range(annotation, passes, fails):
     kind, ok = rule(annotation)

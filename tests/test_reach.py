@@ -439,3 +439,50 @@ def test_construction_detector_on_synthetic_package():
         ("a", "truncate", "JumpKernel"),
         ("a", "", "JumpKernel"),
         ("b", "cut", "DirichletForm")]
+
+
+def kw_rewrites(source):
+    """Names of the ``@check`` functions of ``source`` that use their
+    ``**kw`` other than by passing it on as ``**kw``.  A ``setdefault``,
+    subscript or ``pop`` runs a value other than the callee default that
+    ``cli.check_parameters`` shows; a default of the check's own goes in
+    its signature."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or fn.args.kwarg is None):
+            continue
+        names = [d.args[0].value for d in fn.decorator_list
+                 if isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                 and d.func.id == "check" and d.args
+                 and isinstance(d.args[0], ast.Constant)]
+        kw = fn.args.kwarg.arg
+        passed = {id(k.value) for k in ast.walk(fn)
+                  if isinstance(k, ast.keyword) and k.arg is None}
+        if any(isinstance(n, ast.Name) and n.id == kw and id(n) not in passed
+               for n in ast.walk(fn)):
+            found.extend(names)
+    return found
+
+
+def test_checks_pass_their_kw_on_unchanged():
+    cli = Path(formlab.__file__).parent / "cli.py"
+    assert kw_rewrites(cli.read_text()) == []
+
+
+def test_kw_rewrite_detector_on_synthetic_module():
+    source = ("@check('plain', f)\ndef a(ctx, **kw):\n    return f(**kw)\n"
+              "@check('own', f)\ndef b(ctx, r=None, **kw):\n"
+              "    return f(r or 1, **kw)\n"
+              "@check('default', f)\ndef c(ctx, **kw):\n"
+              "    kw.setdefault('r', 1)\n    return f(**kw)\n"
+              "@check('read', f)\ndef d(ctx, **kw):\n"
+              "    return f(kw['r'], **kw)\n"
+              "@check('popped', f)\ndef e(ctx, **opts):\n"
+              "    opts.pop('r', None)\n    return f(**opts)\n"
+              "@check('whole', f)\ndef g(ctx, **kw):\n    return f(kw)\n"
+              "def helper(**kw):\n    kw.setdefault('r', 1)\n"
+              "    return f(**kw)\n")
+    # only a check's **kw counts, under any name, and passing it on as
+    # **kw is its one allowed use
+    assert kw_rewrites(source) == ["default", "read", "popped", "whole"]

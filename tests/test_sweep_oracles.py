@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from formlab.cli import (SuiteContext, _build_scales, _gcap_families,
-                         _jsonable, load_config, run_suite)
+                         _jsonable, load_config)
 import formlab.envelopes as envelopes
 import formlab.form
 from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
@@ -693,6 +693,7 @@ def old_ratio_rows(ctx, mode, params, max_rows):
                 low = (K[a, b] / L[a, b] if kept and L[a, b] > floor
                        else math.nan)
                 rows.append({"t": float(t), "x": int(x), "y": int(y),
+                             "d": float(ctx.space.dist(x, y)),
                              "kernel_over_upper": float(up),
                              "kernel_over_lower": float(low)})
     return rows
@@ -1230,18 +1231,6 @@ def test_diag_checks_compute_each_distinct_time_once(monkeypatch):
     assert sorted(global_times) == sorted(set(times))
     for ts in calls["dirichlet"]:
         assert len(ts) == len(set(ts))
-
-
-def test_run_suite_mode_override_leaves_config_alone():
-    cfg = load_config("z1_mini")
-    cfg.checks = ["volume"]
-    before = cfg.hash()
-    suite = run_suite(cfg, mode="full")
-    assert cfg.mode == "necessary"
-    assert cfg.hash() == before
-    recorded = suite.report["provenance"]["config_hash"]
-    cfg.mode = "full"
-    assert recorded == cfg.hash() != before
 
 
 def old_full_caloric(form, scales, cyl, n_atom_intervals=8, n_window_times=5):
