@@ -89,27 +89,34 @@ class _EnvelopeGrid:
         Vc = self.space.volumes(self.xs, self.scales.phi_c.inverse(td))
         with np.errstate(over="ignore"):
             e_u = np.exp(-np.minimum(self.m_unique(td), 700.0))
-        return Vc, e_u[self.k] / Vc[:, None]
+        pc = e_u[self.k]
+        pc /= Vc[:, None]
+        return Vc, pc
 
     def jump_profile(self, t):
         """(Vj, pj) at time t: V(x, phi_j^{-1}(t)) per x and
         1/Vj ^ t/(V(x, d) phi_j(d)) per pair; no dilation enters it."""
         Vj = self.space.volumes(self.xs, self.scales.phi_j.inverse(t))
-        denom = self.jump_denom
-        far = np.empty_like(denom)
-        np.divide(t, denom, out=far, where=denom > 0.0)
-        far[denom <= 0.0] = np.inf
-        return Vj, np.minimum(1.0 / Vj[:, None], far)
+        return Vj, _capped(Vj, t, self.jump_denom)
+
+
+def _capped(V, t, denom):
+    """1/V ^ t/denom per pair, read as 1/V where denom is not positive."""
+    far = np.full_like(denom, np.inf)
+    np.divide(t, denom, out=far, where=denom > 0.0)
+    return np.minimum((1.0 / V)[:, None], far, out=far)
 
 
 def _sandwich(Vc, pc, jump=None):
     """The profile a sandwich constant multiplies: the local profile plus
     the jump profile ``jump`` = (Vj, pj), capped by the on-diagonal values,
-    or the local profile alone when ``jump`` is None."""
+    or the local profile alone when ``jump`` is None.  It is built in pc,
+    which the caller gives up; pj is read only."""
     if jump is None:
-        return np.minimum((1.0 / Vc)[:, None], pc)
+        return np.minimum((1.0 / Vc)[:, None], pc, out=pc)
     Vj, pj = jump
-    return np.minimum(np.minimum(1.0 / Vc, 1.0 / Vj)[:, None], pc + pj)
+    pc += pj
+    return np.minimum(np.minimum(1.0 / Vc, 1.0 / Vj)[:, None], pc, out=pc)
 
 
 def envelope_ratio_rows(times, xs, d, up, low):
@@ -234,12 +241,14 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         K_ok = K > fl
         under = int((~K_ok).sum())   # the upper fits exclude these alone
         jump = grid.jump_profile(t) if with_jump else None
-        # a lower profile under the floor also excludes the triple
         for dil, fits in sweeps.items():
             P = _sandwich(*grid.local_profile(t * dil), jump)
-            ratio = K / P
+            # a lower profile under the floor also excludes the triple
+            low_ok = (None if all(upper for _, upper in fits)
+                      else (P > fl) & K_ok)
+            ratio = np.divide(K, P, out=P)
             for acc, upper in fits:
-                ok = K_ok if upper else (P > fl) & K_ok
+                ok = K_ok if upper else low_ok
                 acc[1] += under if upper else int((~ok).sum())
                 acc[3].append(np.where(ok[thin, thin], ratio[thin, thin],
                                        math.nan))
@@ -249,12 +258,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                             else cand["ratio"] < acc[0]):
                         acc[0], acc[2] = cand["ratio"], cand
         if mode == "UHK_weak":
-            Vphi = space.volumes(xs, scales.phi.inverse(t))
-            far = np.full_like(weak_denom, np.inf)
-            np.divide(t, weak_denom, out=far, where=weak_denom > 0.0)
-            U = np.minimum((1.0 / Vphi)[:, None], far)
+            U = _capped(space.volumes(xs, scales.phi.inverse(t)), t,
+                        weak_denom)
             if K_ok.any():
-                weak_worst = max(weak_worst, float((K[K_ok] / U[K_ok]).max()))
+                ratio = np.divide(K, U, out=U)
+                weak_worst = max(weak_worst, float(ratio[K_ok].max()))
         elif mode == "HK_minus":
             Vphi = space.volumes(xs, scales.phi.inverse(t))
             near = grid.d <= indicator * scales.phi.inverse(t)
@@ -262,7 +270,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
             ok = (L > fl) & K_ok
             minus[1] += int((~ok).sum())
             if ok.any():
-                cand = _extreme(K / L, ok, t, pick_max=False)
+                cand = _extreme(np.divide(K, L, out=L), ok, t, pick_max=False)
                 if cand["ratio"] < minus[0]:
                     minus[0], minus[2] = cand["ratio"], cand
 
@@ -342,7 +350,8 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
         near = grid.d <= nl_constant * scales.phi.inverse(t)
         K = table.kernels[i][np.ix_(xs, xs)]
-        vals = (K * Vphi[:, None])[near]
+        K *= Vphi[:, None]
+        vals = K[near]
         if vals.size:
             c_nl = min(c_nl, float(vals.min()))
 

@@ -467,7 +467,8 @@ def kernel_certificates(form: DirichletForm, times) -> dict:
     CK is checked against a freshly computed half-time kernel:
     p(t) == integral p(t/2, x, y) p(t/2, y, z) mu(dy).  One time at a time,
     so at most three n x n arrays are alive beyond the spectrum and the
-    kernels the form keeps; a kept p(t) is read, not recomputed.
+    kernels the form keeps; a kept p(t) is read, not recomputed.  The
+    tiled symmetry and |CK| maxima form no n x n temporary.
     """
     mu = form.mu
     sym = mass = ck = 0.0
@@ -476,13 +477,10 @@ def kernel_certificates(form: DirichletForm, times) -> dict:
         d = (half * mu[None, :]) @ half
         del half
         K = heat_kernel(form, [t]).kernels[0]
-        # |K - K^T| is formed in place and dropped before the mass row sums
-        s = K - K.T
-        sym = max(sym, float(np.abs(s, out=s).max()))
-        del s
+        sym = max(sym, float(_row_asymmetry(K).max()))
         mass = max(mass, float(np.abs((K * mu[None, :]).sum(axis=1) - 1.0).max()))
         d -= K
-        ck = max(ck, float(np.abs(d, out=d).max() / max(K.max(), 1e-300)))
+        ck = max(ck, float(_abs_max(d) / max(K.max(), 1e-300)))
         del d, K    # before the next time's kernels are computed
     return {"symmetry": sym, "chapman_kolmogorov": ck, "unit_mass": mass}
 
@@ -516,8 +514,9 @@ def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
     (P,) = kernel_blocks(form, times, block)
     c1s = []
     for rho in rhos:
-        # the truncated S, whose A^(rho) is gone before the eigh
-        lam, B = _eigenbasis(form.truncated(rho) / np.outer(sq, sq), sq)
+        S = form.truncated(rho)    # A^(rho), divided in place into S
+        lam, B = _eigenbasis(np.divide(S, np.outer(sq, sq), out=S), sq)
+        del S
         # row maxima of p - q^(rho) on the interior block: the bound below
         # is constant along a row and rounding is monotone, so the largest
         # fl(p - q - bound) of a row is fl(rowmax - bound)

@@ -387,9 +387,10 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
     function, with the radial ramp cut-off of B(x0, R) in B(x0, R + r):
     sides[0] is (LHS, RT1) with the form's jump kernel, and sides[1 + i]
     with its jumps of range > rhos[i] removed, for ``rhos`` in descending
-    order.  Each jump product is formed once; a smaller rho zeroes more of
-    its entries, which gives the truncated kernel's product bit for bit,
-    as every factor is finite and nonnegative."""
+    order.  Each jump product is formed once, in an array the family
+    reuses; a smaller rho zeroes more of its entries, which gives the
+    truncated kernel's product bit for bit, as every factor is finite and
+    nonnegative."""
     space = form.space
     mu = space.mu
     d0 = space.dist(x0)
@@ -404,7 +405,10 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
         dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
         J3, mu3 = J[B3], np.outer(mu[B3], mu)
         J23, mu23 = J[np.ix_(B2, B3)], np.outer(mu[B2], mu[B3])
-        d3, d23 = space.dist(B3), space.dist(B2[:, None], B3)
+        cuts = [(space.beyond(rho, at=B3),
+                 space.beyond(rho, at=np.ix_(B2, B3))) for rho in rhos]
+        # ((f^2 dphi^2) J) mu and ((ramp^2 df^2) J) mu, in their order
+        left, right = np.empty_like(J3), np.empty_like(J23)
     out = []
     for f in fns:
         f = np.asarray(f, dtype=float)
@@ -416,14 +420,19 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
         if J is None:
             sides = [(lhs, rt1)] * (1 + len(rhos))
         else:
-            left = fsq[:, None] * dphi2 * J3 * mu3
-            dfb = (f[B2][:, None] - f[B3][None, :]) ** 2
-            right = ramp2[:, None] * dfb * J23 * mu23
+            np.multiply(fsq[:, None], dphi2, out=left)
+            left *= J3
+            left *= mu3
+            np.subtract(f[B2][:, None], f[B3][None, :], out=right)
+            right *= right
+            right *= ramp2[:, None]
+            right *= J23
+            right *= mu23
             sides = []
-            for rho in (None, *rhos):
-                if rho is not None:
-                    left[d3 > rho] = 0.0
-                    right[d23 > rho] = 0.0
+            for cut in (None, *cuts):
+                if cut is not None:
+                    left[cut[0]] = 0.0
+                    right[cut[1]] = 0.0
                 sides.append((lhs + float(np.sum(left)),
                               rt1 + float(np.sum(right))))
         out.append((float(np.sum(fsq * mu[B3])), sides))

@@ -328,7 +328,8 @@ def legendre_sup(triple: ScaleTriple, r, t_val: float, c0: float = 1.0):
     phi_c = triple.phi_c if isinstance(triple, ScaleTriple) else triple
 
     grid, phi_grid = _log_grid(phi_c, float(t_val))
-    gvals = rs[:, None] / grid - c0 * t_val / phi_grid
+    gvals = rs[:, None] / grid
+    gvals -= c0 * t_val / phi_grid
     k = np.argmax(gvals, axis=1)
     on_grid = gvals[np.arange(len(rs)), k].tolist()
     los = grid[np.maximum(k - 1, 0)].tolist()

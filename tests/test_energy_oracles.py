@@ -8,6 +8,7 @@ be equal, not close; on random small spaces the energy identities must hold
 to rounding."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from formlab.cli import SuiteContext, _gcap_families, load_config
-from formlab.form import JumpKernel, assemble
+from formlab.form import JumpKernel, assemble, build_jump
 from formlab.functionals import (ball_family, check_cs, function_family,
                                  poincare)
 from formlab.space import MetricMeasureSpace
@@ -29,6 +30,26 @@ BUNDLED = ("z1_alpha1", "phi_counterexample", "z1_mini",
 @pytest.fixture(scope="module", params=["z1_mini", "gasket_walk"])
 def ctx(request):
     return SuiteContext(load_config(request.param))
+
+
+def context(name):
+    """The SuiteContext of a bundled config; ``weighted_<config>`` moves it
+    to the same points, edges and boundary with mu(i) = 1 + 0.5 sin^2(i).
+    Every bundled measure is uniform, and a product by mu = 1 is exact in
+    any order; on this measure it is not, so only such a space shows that
+    a sweep keeps its products' order."""
+    base = name.removeprefix("weighted_")
+    if base == name:
+        return SuiteContext(load_config(name))
+    ctx = SuiteContext(replace(load_config(base), checks=[]))
+    sp, cfg = ctx.space, ctx.cfg
+    mu = 1.0 + 0.5 * np.sin(np.arange(sp.n)) ** 2
+    ctx.space = MetricMeasureSpace(sp.metric, mu, edges=sp.edges,
+                                   coords=sp.coords, boundary=sp.boundary,
+                                   interior_margin=sp.interior_margin)
+    ctx.jump = build_jump(cfg.jump, ctx.space, ctx.scales.phi_j, cfg.seed)
+    ctx.form = assemble(ctx.space, cfg.local_weight, ctx.jump)
+    return ctx
 
 
 # -- the replaced code ----------------------------------------------------------
@@ -351,11 +372,11 @@ def test_check_cs_constants(ctx):
                                              rho_grid)
 
 
-@pytest.mark.parametrize("name", ["z1_mini", "z1_alpha1"])
+@pytest.mark.parametrize("name", ["z1_mini", "z1_alpha1", "weighted_z1_mini"])
 def test_check_cs_shares_jump_products_across_radii(name):
     # an unsorted grid with a repeated radius, with and without jumps; the
     # products formed once and cut radius by radius give the same bits
-    ctx = SuiteContext(load_config(name))
+    ctx = context(name)
     fns = function_family(ctx.form, seed=ctx.cfg.seed)
     fams = _gcap_families(ctx)
     top = max(ctx.radii)

@@ -8,13 +8,15 @@ the digests were recorded with: ``z1_mini``, ``phi_counterexample``,
 gasket), the benchmark's ``z1_all_512`` config restricted to
 ``pc_equivalence``, the envelope and quadrature sweeps (``hk``,
 ``hk_minus``, ``uhk_weak``, ``dominance`` and ``subordination``), the
-Meyer decomposition (``meyer``) and the jump fits (``jpsi_alt`` and
-``tail_ujs``), ``z2_alpha1`` restricted to ``chain``, ``tail_ujs``,
-``gcap``, ``fk``, ``pi`` and ``exit``, and ``halfspace`` restricted to
-``tail_ujs``.  The two n = 1024 lattices hold most of the chain sweep's
-time, and ``tail_ujs`` reads their ``stable_like`` jump kernels, directly
-and through ``fit_jpsi``; the ball-family checks run on the n = 1024
-stable-like lattice as well; only ``halfspace`` has a random c field.  The
+Meyer decomposition (``meyer``), the jump fits (``jpsi_alt`` and
+``tail_ujs``) and the cut-off Sobolev sweep (``cs``), ``z2_alpha1``
+restricted to ``chain``, ``tail_ujs``, ``gcap``, ``fk``, ``pi``, ``exit``
+and ``kernel``, and ``halfspace`` restricted to ``tail_ujs``.  The two
+n = 1024 lattices hold most of the chain sweep's time, and ``tail_ujs``
+reads their ``stable_like`` jump kernels, directly and through
+``fit_jpsi``; the ball-family checks run on the n = 1024 stable-like
+lattice as well, and ``kernel`` there reads symmetry in more than one
+tile; only ``halfspace`` has a random c field.  The
 test skips when numpy, scipy or the OpenBLAS build differ from the recorded
 environment, whose bits may differ.  The benchmark's files are read, never
 written.
@@ -48,10 +50,10 @@ from workloads import z1_all
 sources = {name: name for name in sys.argv[1:]}
 sources["z1_all_512"] = {**z1_all(512), "checks": [
     "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
-    "subordination", "meyer", "jpsi_alt", "tail_ujs"]}
+    "subordination", "meyer", "jpsi_alt", "tail_ujs", "cs"]}
 sources["z2_alpha1"] = {**cli.load_config("z2_alpha1").raw,
                         "checks": ["chain", "tail_ujs", "gcap", "fk", "pi",
-                                   "exit"]}
+                                   "exit", "kernel"]}
 sources["halfspace"] = {**cli.load_config("halfspace").raw,
                         "checks": ["tail_ujs"]}
 digests = {}
@@ -88,7 +90,7 @@ def test_fast_configs_reproduce_golden_digests():
         assert not moved, f"{key}: digests moved for {moved}"
     assert set(got["digests"]["z1_all_512"]) == {
         "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
-        "subordination", "meyer", "jpsi_alt", "tail_ujs"}
+        "subordination", "meyer", "jpsi_alt", "tail_ujs", "cs"}
     assert set(got["digests"]["z2_alpha1"]) == {"chain", "tail_ujs", "gcap",
-                                                "fk", "pi", "exit"}
+                                                "fk", "pi", "exit", "kernel"}
     assert set(got["digests"]["halfspace"]) == {"tail_ujs"}

@@ -5,6 +5,7 @@ constructors (jump kernel, form, spectrum, truncation) run in place; they
 are held bit-equal to in-test copies of the whole-matrix formulas and to
 traced memory bounds of their own."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -13,11 +14,12 @@ import pytest
 
 from scipy.linalg import eigh
 
-from formlab.cli import (SuiteContext, _chk_kernel, load_config,
+from formlab.cli import (SuiteContext, _chk_cs, _chk_kernel, load_config,
                          validate_config)
-from formlab.form import (FormError, JumpKernel, _symmetrise, assemble,
-                          heat_kernel, kernel_blocks, kernel_certificates,
-                          meyer_check)
+from formlab.envelopes import fit_hk
+from formlab.form import (FormError, JumpKernel, _abs_max, _symmetrise,
+                          assemble, heat_kernel, kernel_blocks,
+                          kernel_certificates, meyer_check)
 from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import _row_asymmetry, build_space
@@ -363,6 +365,56 @@ def test_kernel_certificates_drop_each_temporary():
     form.spectral()
     peak = traced_peak(lambda: kernel_certificates(form, [0.5, 1.0, 2.0]))
     assert peak <= 3.5 * n * n * 8
+
+
+def same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+@pytest.mark.parametrize("n", [1, 5, 127, 129, 300])
+def test_certificate_maxima_equal_whole_matrix_ones(n):
+    # kernel_certificates reads symmetry and CK through these two: on a
+    # random, a nearly symmetric and a NaN-holding matrix they give
+    # np.abs(M - M.T).max() and np.abs(M).max() bit for bit, NaN for NaN
+    M = np.random.RandomState(n).standard_normal((n, n))
+    near = 0.5 * (M + M.T)
+    near[n // 2, n // 3] += 1e-13
+    holed = M.copy()
+    holed[n - 1, n // 4] = np.nan
+    for A in (M, near, holed):
+        with np.errstate(invalid="ignore"):
+            got = (float(_row_asymmetry(A).max()), _abs_max(A))
+            want = (np.abs(A - A.T).max(), np.abs(A).max())
+        assert all(map(same_bits, got, want)), (got, want)
+    assert math.isnan(_abs_max(holed)) and math.isnan(_row_asymmetry(holed).max())
+
+
+def test_check_cs_fills_two_product_arrays_per_family():
+    # traced peak above base in n^2 doubles on z1_alpha1 (n = 256), whose
+    # largest family has |B3| = 127 and |B2| = 95: dphi^2, J and mu x mu
+    # on B3 x X (3 x 0.50), J and mu x mu on B2 x B3 (2 x 0.18), the two
+    # product arrays the functions share (0.50 + 0.18), the truncation
+    # masks (0.17) and the rows measure 3.12.  A fresh array per product
+    # and the distances beside them measured 4.55
+    ctx = SuiteContext(load_config("z1_alpha1"))
+    n = ctx.space.n
+    ctx.family
+    peak = traced_peak(lambda: _chk_cs(ctx))
+    assert peak <= 3.5 * n * n * 8
+
+
+def test_fit_hk_builds_each_sandwich_in_place():
+    # traced peak above base in interior^2 doubles on z1_alpha1 (192
+    # interior centres): the pair distances, the jump denominator, K, the
+    # jump profile, the sandwich P, which then holds K / P, and the
+    # extreme search's masked copy (6), with the pair ranks and the masks
+    # 7.0, and the ratio rows of RATIO_ROWS (2000) entries 1.6 more: 8.57.
+    # A fresh sum, cap and K / P beside P measured 10.14
+    ctx = SuiteContext(load_config("z1_alpha1"))
+    m = len(ctx.space.interior())
+    table = ctx.table
+    peak = traced_peak(lambda: fit_hk(table, ctx.scales, ctx.space, mode="HK"))
+    assert peak <= 9.25 * m * m * 8
 
 
 def test_kernel_check_peak_does_not_grow_with_n_times():

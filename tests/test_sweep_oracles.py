@@ -47,7 +47,7 @@ from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
 from formlab.space import (_min_max_steps, _ranks, build_space,
                            chain_check)
-from test_energy_oracles import truncated_form
+from test_energy_oracles import context, truncated_form
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
 CONFIGS = importlib.resources.files("formlab.configs")
@@ -64,7 +64,7 @@ def same_report(a, b):
 
 @pytest.fixture(scope="module", params=["z1_mini", "gasket_walk"])
 def ctx(request):
-    return SuiteContext(load_config(request.param))
+    return context(request.param)
 
 
 # -- the replaced formulas ----------------------------------------------------
@@ -646,6 +646,8 @@ def old_check_gcap(form, scales, families, test_fns, kappas):
     # reversed, so that ties between dilations resolve differently
     {"upper_dilations": (4.0, 2.0, 1.0), "lower_dilations": (0.25, 0.5, 1.0)},
 ])
+@pytest.mark.parametrize("ctx", ["z1_mini", "gasket_walk", "weighted_z1_mini"],
+                         indirect=True)
 def test_fit_hk_equals_loop_formulas(ctx, mode, dilations):
     rep = fit_hk(ctx.table, ctx.scales, ctx.space, mode=mode, **dilations)
     want, witnesses = old_fit_hk(ctx.table, ctx.scales, ctx.space, mode,
