@@ -52,20 +52,27 @@ class _EnvelopeGrid:
     """The time-independent geometry of one xs x ys envelope sweep.
 
     Built once per check call and dropped when it returns: per pair the
-    rank k of its distance in the space's distinct distances u and the
-    distance d = u[k], V(x, d(x, y)) read from the ball table by rank, and
-    V(x, d) phi_j(d).  A factor of the distance alone is evaluated at the
-    positive distances the pairs meet and gathered per pair by rank."""
+    rank k of its distance d = u[k] in the space's sorted distinct
+    distances u, V(x, d(x, y)) read from the ball table by rank, and
+    V(x, d) phi_j(d).  No float distance is stored: a factor of the
+    distance alone is evaluated at the positive distances the pairs meet
+    and gathered per pair by rank, and a mask d <= r is read from the
+    ranks (``within``)."""
 
     def __init__(self, scales, space, xs, ys):
         self.scales = scales
         self.space = space
         self.xs = np.asarray(xs)
         self.k = space.R[np.ix_(xs, ys)]
-        self.d = space.u[self.k]
         # the ranks of the positive distances some pair meets
         self.met = np.bincount(self.k.ravel(), minlength=len(space.u)) > 0
         self.met[0] = False
+
+    def within(self, r):
+        """The mask d(x, y) <= r per pair: u is sorted, so it is the mask
+        of the ranks below that of the first distance past r."""
+        top = self.space.u.searchsorted(r, "right")
+        return self.k < top.astype(self.k.dtype)   # intp would widen k
 
     def denom(self, f):
         """V(x, d) f(d) per pair, with f(0) read as 1."""
@@ -211,8 +218,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     witnesses = {}
 
     def _extreme(ratio, ok, t, pick_max):
-        masked = np.where(ok, ratio, -np.inf if pick_max else np.inf)
-        flat = int(np.argmax(masked) if pick_max else np.argmin(masked))
+        # the ratio is masked in place outside ok: a later fit reads it
+        # only inside its own ok, which lies inside this one (a dilation's
+        # upper fits come first, and a lower ok lies inside K_ok)
+        np.copyto(ratio, -np.inf if pick_max else np.inf, where=~ok)
+        flat = int(np.argmax(ratio) if pick_max else np.argmin(ratio))
         a, b = np.unravel_index(flat, ratio.shape)
         return {"t": float(t), "x": int(xs[a]), "y": int(xs[b]),
                 "ratio": float(ratio[a, b])}
@@ -234,7 +244,11 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         sweeps.setdefault(dil, []).append((acc, upper))
     weak_worst = 0.0
     minus = [math.inf, 0, None]
-    for i in keep:
+
+    def sweep(i):
+        """Fold the usable time table.times[i] into every fit; the arrays
+        of this time are gone when it returns."""
+        nonlocal weak_worst
         t = table.times[i]
         K = table.kernels[i][np.ix_(xs, xs)]
         fl = FLOOR_REL * float(table.kernels[i].max())
@@ -257,6 +271,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                     if (cand["ratio"] > acc[0] if upper
                             else cand["ratio"] < acc[0]):
                         acc[0], acc[2] = cand["ratio"], cand
+            del P, ratio    # before the next dilation's sandwich
         if mode == "UHK_weak":
             U = _capped(space.volumes(xs, scales.phi.inverse(t)), t,
                         weak_denom)
@@ -264,15 +279,21 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
                 ratio = np.divide(K, U, out=U)
                 weak_worst = max(weak_worst, float(ratio[K_ok].max()))
         elif mode == "HK_minus":
+            # the indicator profile, in the buffer of the jump profile,
+            # which no fit of this mode reads
+            L = jump[1]
             Vphi = space.volumes(xs, scales.phi.inverse(t))
-            near = grid.d <= indicator * scales.phi.inverse(t)
-            L = np.where(near, (1.0 / Vphi)[:, None], jump[1])
+            np.copyto(L, (1.0 / Vphi)[:, None],
+                      where=grid.within(indicator * scales.phi.inverse(t)))
             ok = (L > fl) & K_ok
             minus[1] += int((~ok).sum())
             if ok.any():
                 cand = _extreme(np.divide(K, L, out=L), ok, t, pick_max=False)
                 if cand["ratio"] < minus[0]:
                     minus[0], minus[2] = cand["ratio"], cand
+
+    for i in keep:
+        sweep(i)
 
     # upper fit: the dilation with the smallest worst ratio; the rows keep
     # the first dilation's ratios when no dilation is fitted
@@ -318,8 +339,9 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     rows = []
     if mode in ("HK", "HK_local"):
         bound["c1"] = positive
-        rows = envelope_ratio_rows(times, xs[thin], grid.d[thin, thin],
-                                   up_rows, lo_rows)
+        rows = envelope_ratio_rows(times, xs[thin],
+                                   space.u[grid.k[thin, thin]], up_rows,
+                                   lo_rows)
     return ConditionReport(
         f"{mode}(phi_c,phi_j)", constants=consts,
         witness=witnesses,
@@ -348,12 +370,11 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
         Vphi = space.volumes(xs, scales.phi.inverse(t))
         diag = table.kernels[i][xs, xs]
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
-        near = grid.d <= nl_constant * scales.phi.inverse(t)
+        near = grid.within(nl_constant * scales.phi.inverse(t))
         K = table.kernels[i][np.ix_(xs, xs)]
         K *= Vphi[:, None]
-        vals = K[near]
-        if vals.size:
-            c_nl = min(c_nl, float(vals.min()))
+        c_nl = min(c_nl, float(np.min(K, where=near, initial=math.inf)))
+    del grid, near, K   # before the NDL products
 
     c_ndl, mono_defect = math.inf, 0.0
     ndl_rows = []
@@ -432,12 +453,14 @@ def dominance_map(scales: ScaleTriple, space, t: float) -> DominanceMap:
     grid = _EnvelopeGrid(scales, space, xs, xs)
     _, pc = grid.local_profile(t)
     _, pj = grid.jump_profile(t)
-    d = grid.d
     diag_edge = scales.phi_c.inverse(t)
     labels = np.where(pj >= pc, 2, 1).astype(np.int8)
-    labels[d <= diag_edge] = 0
-    crossover = np.fmin.reduce(np.where(labels == 2, d, np.nan), axis=1,
-                               initial=np.nan)
+    labels[grid.within(diag_edge)] = 0
+    # per center the least distance labelled 2, u at the least such rank
+    # as u is sorted, and nan where none is
+    first = np.min(grid.k, axis=1, where=labels == 2,
+                   initial=len(space.u))
+    crossover = np.append(space.u, np.nan)[first]
     cross = crossover[np.isfinite(crossover)]
     c3 = c4 = r_star = None
     log_ratio, degenerate = 0.0, True
@@ -577,7 +600,7 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     for t, i in zip(times, keep):
         K = table.kernels[i]
         Vc = space.volumes(xs, scales.phi_c.inverse(t))
-        ii, jj = np.nonzero(grid.d <= scales.phi_c.inverse(t))
+        ii, jj = np.nonzero(grid.within(scales.phi_c.inverse(t)))
         if len(ii):
             c5 = min(c5, float((K[xs[ii], xs[jj]] * Vc[ii]).min()))
     if not np.isfinite(c5) or c5 <= 0.0:

@@ -337,6 +337,20 @@ class DirichletForm:
         np.subtract.at(L, (pe[:, 1], pe[:, 0]), w)
         return L
 
+    def jump_laplacian(self, idx):
+        """Jump Laplacian over the pairs with both ends in ``idx``, indexed
+        by position in ``idx``: f @ L @ f is the jump energy of f inside
+        idx.  Off the diagonal -2 K and on it 2 (row sum of K), with
+        K = J mu mu on idx x idx; zero on a form without jumps."""
+        idx = np.asarray(idx, dtype=int)
+        if self.jump is None:
+            return np.zeros((len(idx), len(idx)))
+        mu = self.mu[idx]
+        K = self.jump.matrix[np.ix_(idx, idx)] * np.outer(mu, mu)
+        L = -2.0 * K
+        L[np.diag_indices(len(idx))] = 2.0 * K.sum(axis=1)
+        return L
+
 
 def assemble(space: MetricMeasureSpace, local_weights, jump: JumpKernel | None
              ) -> DirichletForm:
@@ -506,12 +520,18 @@ def gap_check(form: DirichletForm, scales, rho: float, fns) -> float:
 def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
     """Smallest c1 with
     p(t,x,y) <= q^(rho)(t,x,y) + c1 t / (V(x,rho) phi_j(rho)) exp(c1 t / phi(rho))
-    over interior (t, x, y), one per rho of ``rhos``, by bisection.  One
-    interior block of p(t) serves every rho.  Of the truncated form only
-    its spectrum is kept, and one block of q^(rho) is alive at a time."""
+    over interior (t, x, y), one per rho of ``rhos``, by bisection.  At a
+    time the form keeps, the interior block of p(t) is gathered from the
+    kept kernel after the product of q^(rho) is gone; at any other time
+    it is computed once and held for every rho.  Of the truncated form
+    only its spectrum is kept, and one block of q^(rho) is alive at a
+    time."""
     interior, sq = form.space.interior(), form._sqmu
     block = [(interior, interior)]
-    (P,) = kernel_blocks(form, times, block)
+    times = _kernel_times(times)
+    unkept = [t for t in times if t not in form._keep]
+    (held,) = kernel_blocks(form, unkept, block)
+    held = dict(zip(unkept, held))
     c1s = []
     for rho in rhos:
         S = form.truncated(rho)    # A^(rho), divided in place into S
@@ -521,10 +541,11 @@ def meyer_check(form: DirichletForm, scales, rhos, times) -> list:
         # is constant along a row and rounding is monotone, so the largest
         # fl(p - q - bound) of a row is fl(rowmax - bound)
         rowmax = []
-        for t, p in zip(times, P):
+        for t in times:
             (q,) = _product_blocks(B, lam, t, block)
+            p = held[t] if t in held else kernel_blocks(form, [t], block)[0][0]
             rowmax.append(np.subtract(p, q, out=q).max(axis=1))
-            del q    # before the next product is computed
+            del p, q    # before the next product is computed
         del lam, B
         phi_rho = scales.phi(rho)
         Vphij = form.space.volumes(interior, rho) * scales.phi_j(rho)

@@ -219,11 +219,7 @@ def poincare(form: DirichletForm, scales, x0: int, r: float, kappa: float = 1.0)
     N[np.ix_(sel, sel)] = np.diag(muB) - np.outer(muB, muB) / muB.sum()
 
     D = form.local_laplacian(Bk)
-    if form.jump is not None:
-        K = form.jump.matrix[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
-        Kl = -2.0 * K
-        Kl[np.diag_indices(m)] = 2.0 * K.sum(axis=1)
-        D += Kl
+    D += form.jump_laplacian(Bk)
 
     # orthonormal basis of the complement of constants
     ones = np.ones((m, 1)) / math.sqrt(m)

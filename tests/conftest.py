@@ -1,6 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
+
+
+def traced(fn):
+    """(fn(), traced bytes it leaves, peak traced bytes while it runs), both
+    above the level at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+        return out, kept - base, peak - base
+    finally:
+        tracemalloc.stop()
+
+
+def traced_peak(fn):
+    """Peak traced bytes above the level at the call."""
+    return traced(fn)[2]
 
 
 def _expm_kernels(form, times):

@@ -282,6 +282,40 @@ class TestSuite:
         assert [rep.verdict for rep in suite.reports.values()] == [
             "certified"] * len(checks)
 
+    def test_no_table_suite_computes_each_product_once(self, monkeypatch):
+        # with no table reader the form keeps no kernel, so a check that
+        # reads a global kernel at several places computes it itself: each
+        # check must still compute each global product once (meyer holds
+        # its p blocks across every rho rather than recomputing them)
+        checks = ["kernel", "subordination", "meyer", "regularity", "volume"]
+        cfg = validate_config(mini_cfg(checks=checks))
+        lam_ref = cli.SuiteContext(cfg).form.spectral()[0]
+        real_product = form_mod._semigroup_product
+        running, products = [None], []
+
+        def counting_product(B, rates, t):
+            if rates.shape == lam_ref.shape and np.array_equal(rates,
+                                                               lam_ref):
+                products.append((running[0], t))
+            return real_product(B, rates, t)
+
+        def tagged(name, check):
+            def run(ctx, **kw):
+                running[0] = name
+                return check(ctx, **kw)
+            return run
+
+        monkeypatch.setattr(form_mod, "_semigroup_product", counting_product)
+        monkeypatch.setattr(cli, "CHECKS", {name: tagged(name, check)
+                                            for name, check in
+                                            cli.CHECKS.items()})
+        suite = run_suite(cfg)
+        assert all(rep.verdict == "certified"
+                   for rep in suite.reports.values())
+        assert {name for name, _ in products} == {
+            "kernel", "subordination", "meyer", "regularity"}
+        assert len(set(products)) == len(products)
+
     def test_table_readers_are_read_from_the_code(self, monkeypatch):
         assert cli.TABLE_READERS == {"hk", "hk_minus", "uhk_weak", "diag",
                                      "tail_probability", "chain_lower"}

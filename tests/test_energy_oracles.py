@@ -1,7 +1,8 @@
 """The form's energy primitives (``local_champ``, ``local_laplacian``,
-``sym_generator(idx)``, ``truncated``) against in-test copies of the
-hand-written code they replaced: the dense conductance matrix W, the
-``poincare`` edge loop, the per-call truncations and Gamma_c copies, the
+``jump_laplacian``, ``sym_generator(idx)``, ``truncated``) against in-test
+copies of the hand-written code they replaced: the dense conductance matrix
+W, the ``poincare`` edge loop and restricted jump block, the per-call
+truncations and Gamma_c copies, the
 full-then-sliced symmetrised generator, and the truncated form assembled
 anew from a cut copy of J.  On the bundled configs outputs must
 be equal, not close; on random small spaces the energy identities must hold
@@ -89,6 +90,16 @@ def old_loop_laplacian(form, Bk):
             D[ia, ib] -= w
             D[ib, ia] -= w
     return D
+
+
+def old_jump_laplacian(form, Bk):
+    """``poincare``'s hand-built restricted jump Laplacian."""
+    space = form.space
+    m = len(Bk)
+    K = form.jump.matrix[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
+    Kl = -2.0 * K
+    Kl[np.diag_indices(m)] = 2.0 * K.sum(axis=1)
+    return Kl
 
 
 def old_poincare(form, scales, x0, r, kappa=1.0):
@@ -341,6 +352,18 @@ def test_local_laplacian_keeps_edge_loop_order(ctx):
                               old_loop_laplacian(form, Bk))
 
 
+@pytest.mark.parametrize("name", ["z1_mini", "weighted_z1_mini", "halfspace",
+                                  "gasket_walk"])
+def test_jump_laplacian_equals_hand_built_block(name):
+    # gasket_walk has no jump part, and its block is zero
+    form = context(name).form
+    for x0, r in ball_family(form.space, [4.0, 8.0], reach_factor=2.0):
+        Bk = form.space.ball(x0, 2.0 * r)
+        want = (np.zeros((len(Bk), len(Bk))) if form.jump is None
+                else old_jump_laplacian(form, Bk))
+        assert form.jump_laplacian(Bk).tobytes() == want.tobytes()
+
+
 def test_poincare(ctx):
     form = ctx.form
     for kappa in (1.0, 2.0):
@@ -460,6 +483,24 @@ def test_local_laplacian_is_restricted_energy(case):
     tol = 1e-12 * (np.abs(fi) @ np.abs(L) @ np.abs(fi)) + 1e-300
     assert fi @ L @ fi == pytest.approx(old_local_energy_within(form, f, idx),
                                         abs=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_forms())
+def test_jump_laplacian_is_restricted_energy(case):
+    # f @ L @ f is the jump energy of f over the ordered pairs inside idx
+    form, f, idx, _ = case
+    L = form.jump_laplacian(idx)
+    fi = f[idx]
+    if form.jump is None:
+        assert np.array_equal(L, np.zeros((len(idx), len(idx))))
+        return
+    assert L.tobytes() == old_jump_laplacian(form, idx).tobytes()
+    K = form.jump.matrix[np.ix_(idx, idx)] * np.outer(form.mu[idx],
+                                                      form.mu[idx])
+    want = float((K * (fi[:, None] - fi[None, :]) ** 2).sum())
+    tol = 1e-12 * (np.abs(fi) @ np.abs(L) @ np.abs(fi)) + 1e-300
+    assert fi @ L @ fi == pytest.approx(want, abs=tol)
 
 
 @settings(max_examples=60, deadline=None)

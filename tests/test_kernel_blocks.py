@@ -6,7 +6,6 @@ are held bit-equal to in-test copies of the whole-matrix formulas and to
 traced memory bounds of their own."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +13,8 @@ import pytest
 
 from scipy.linalg import eigh
 
-from formlab.cli import (SuiteContext, _chk_cs, _chk_kernel, load_config,
+from formlab.cli import (SuiteContext, _chk_cs, _chk_diag, _chk_kernel,
+                         _chk_meyer, _chk_subordination, load_config,
                          validate_config)
 from formlab.envelopes import fit_hk
 from formlab.form import (FormError, JumpKernel, _abs_max, _symmetrise,
@@ -23,6 +23,7 @@ from formlab.form import (FormError, JumpKernel, _abs_max, _symmetrise,
 from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import _row_asymmetry, build_space
+from conftest import traced_peak
 
 
 def alpha1_triple():
@@ -304,17 +305,6 @@ def test_asymmetric_jump_names_the_first_worst_pair():
 # -- traced memory -------------------------------------------------------------
 
 
-def traced_peak(fn):
-    """Peak traced bytes above the level at the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_kernel_blocks_hold_one_product_at_a_time():
     # the product and its GEMM operand are the only n x n arrays: a
     # symmetrised whole kernel or the previous time's product adds an n^2
@@ -403,18 +393,80 @@ def test_check_cs_fills_two_product_arrays_per_family():
     assert peak <= 3.5 * n * n * 8
 
 
-def test_fit_hk_builds_each_sandwich_in_place():
-    # traced peak above base in interior^2 doubles on z1_alpha1 (192
-    # interior centres): the pair distances, the jump denominator, K, the
-    # jump profile, the sandwich P, which then holds K / P, and the
-    # extreme search's masked copy (6), with the pair ranks and the masks
-    # 7.0, and the ratio rows of RATIO_ROWS (2000) entries 1.6 more: 8.57.
-    # A fresh sum, cap and K / P beside P measured 10.14
+@pytest.fixture(scope="module")
+def alpha1():
+    """z1_alpha1 (n = 256, 192 interior points) as a check after
+    ``kernel`` finds it: its table kept and filled, its spectrum built."""
     ctx = SuiteContext(load_config("z1_alpha1"))
-    m = len(ctx.space.interior())
-    table = ctx.table
-    peak = traced_peak(lambda: fit_hk(table, ctx.scales, ctx.space, mode="HK"))
-    assert peak <= 9.25 * m * m * 8
+    ctx.table
+    ctx.form.spectral()
+    return ctx
+
+
+def test_fit_hk_builds_each_sandwich_in_place(alpha1):
+    # traced peak above base in interior^2 doubles on z1_alpha1: the pair
+    # ranks (0.25), the jump denominator, K, the jump profile and one
+    # dilation's sandwich P, which then holds K / P and is masked in place
+    # by the extreme search (4), the masks (3 x 0.125) and the thinned
+    # ratios of the six fits (0.3) measure 5.26; the ratio rows of
+    # RATIO_ROWS (2000) entries (1.6) are built after the sweep's arrays
+    # are gone.  The float distances, the masked copy, the previous
+    # dilation's sandwich and the rows stacked on the last time's arrays
+    # measured 8.57
+    m = len(alpha1.space.interior())
+    peak = traced_peak(lambda: fit_hk(alpha1.table, alpha1.scales,
+                                      alpha1.space, mode="HK"))
+    assert peak <= 5.75 * m * m * 8
+
+
+def test_fit_hk_minus_builds_its_profile_in_the_jump_profile(alpha1):
+    # traced peak above base in interior^2 doubles on z1_alpha1: the pair
+    # ranks (0.25), the jump denominator, K and the jump profile, which
+    # then holds the indicator profile and K / L (3), and the masks
+    # (4 x 0.125) measure 3.88.  A fresh indicator profile beside the jump
+    # profile, the float distances and the extreme search's masked copy
+    # measured 7.10
+    m = len(alpha1.space.interior())
+    peak = traced_peak(lambda: fit_hk(alpha1.table, alpha1.scales,
+                                      alpha1.space, mode="HK_minus"))
+    assert peak <= 4.5 * m * m * 8
+
+
+def test_diag_checks_drop_the_nl_sweep_before_the_ndl_products(alpha1):
+    # traced peak above base in n^2 doubles on z1_alpha1: an NDL product
+    # and its GEMM operand (2) beside the NDL blocks and Dirichlet kernels
+    # (0.3) measure 2.30; the NL sweep's K, mask and pair ranks are gone
+    # by then.  The float distances, K[near], and the last K and mask
+    # alive through the NDL products measured 3.67
+    n = alpha1.space.n
+    peak = traced_peak(lambda: _chk_diag(alpha1))
+    assert peak <= 2.75 * n * n * 8
+
+
+def test_meyer_gathers_kept_blocks_after_each_product(alpha1):
+    # traced peak above base in n^2 doubles on z1_alpha1, every time kept:
+    # the truncated spectrum's B (1) beside one product and its GEMM
+    # operand (2), then the q block with its mirrored gather (0.4),
+    # measure 3.40; the p block, gathered from the kept kernel once the
+    # product is gone, raises no peak.  The three interior blocks of p
+    # held across every rho (3 x 0.56) measured 5.09
+    n = alpha1.space.n
+    assert set(alpha1.times[:3]) <= alpha1.form._keep
+    peak = traced_peak(lambda: _chk_meyer(alpha1))
+    assert peak <= 3.75 * n * n * 8
+
+
+def test_subordination_drops_the_intensity(alpha1):
+    # traced peak above base in n^2 doubles on z1_alpha1: the intensity
+    # and its GEMM operand (2), the intensity dropped once its pair
+    # values are read, then the identity case's kernel and its GEMM
+    # operand (2), whose |ident - base| against the kept kernel is taken
+    # in ident's buffer, measure 2.03.  The intensity alive beside the
+    # identity case and ident - base with its absolute value measured 4.02
+    n = alpha1.space.n
+    assert alpha1.times[0] in alpha1.form._keep
+    peak = traced_peak(lambda: _chk_subordination(alpha1))
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_kernel_check_peak_does_not_grow_with_n_times():

@@ -34,8 +34,8 @@ import formlab.envelopes as envelopes
 import formlab.form
 from formlab.envelopes import (FLOOR_REL, RATIO_ROWS, _EnvelopeGrid, _pow,
                                chain_lower_check, check_pc_equivalence,
-                               diag_checks, fit_hk, tail_probability_check,
-                               usable_times)
+                               diag_checks, dominance_map, fit_hk,
+                               tail_probability_check, usable_times)
 from formlab.form import (JumpKernel, assemble, heat_kernel, kernel_blocks,
                           meyer_check, subordinate_intensity_quadrature)
 from formlab.functionals import (ConditionReport, capacity, check_gcap,
@@ -45,8 +45,8 @@ from formlab.harnack import (FLOOR, CylinderSpec, _flow_times, _theta_fit,
                              check_regularity, harmonic_solve)
 from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
-from formlab.space import (_min_max_steps, _ranks, build_space,
-                           chain_check)
+from formlab.space import (MetricMeasureSpace, _min_max_steps, _ranks,
+                           build_space, chain_check)
 from test_energy_oracles import context, truncated_form
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
@@ -409,13 +409,12 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
     keep = usable_times(table, space, 0.01)
     c_uhkd = 0.0
     c_nl = math.inf
-    grid = _EnvelopeGrid(scales, space, xs, xs)
     for i in keep:
         t = table.times[i]
         Vphi = old_volumes_at(space, xs, scales.phi.inverse(t))
         diag = table.kernels[i][xs, xs]
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
-        near = grid.d <= nl_constant * scales.phi.inverse(t)
+        near = D[np.ix_(xs, xs)] <= nl_constant * scales.phi.inverse(t)
         K = table.kernels[i][np.ix_(xs, xs)]
         vals = (K * Vphi[:, None])[near]
         if vals.size:
@@ -729,6 +728,8 @@ def test_tail_probability_default_grid_equals_loop_formulas():
     same_report(rep, want)
 
 
+@pytest.mark.parametrize("ctx", ["z1_mini", "gasket_walk", "weighted_z1_mini"],
+                         indirect=True)
 def test_chain_lower_equals_loop_formulas(ctx):
     rep = chain_lower_check(ctx.table, ctx.scales, ctx.space, c0=1.5,
                             m_cap=40.0)
@@ -737,6 +738,49 @@ def test_chain_lower_equals_loop_formulas(ctx):
     assert rep.constants == {"c5": c5, "c6": c6}
     assert rep.ranges["triples"] == used
     assert canon(rep.rows) == canon(rows)
+
+
+def unbounded_line(side):
+    """A 1-d lattice with mu(i) = 1 + 0.5 sin^2(i) and no truncation set:
+    every point is interior and every time usable, so a radius may pass
+    the largest distance u[-1]."""
+    sp = build_space("lattice_box", dim=1, side=side)
+    mu = 1.0 + 0.5 * np.sin(np.arange(sp.n)) ** 2
+    return MetricMeasureSpace(sp.metric, mu, edges=sp.edges)
+
+
+def test_rank_masks_past_the_last_distance():
+    # every pair is interior, the farthest at u[-1]: at the last time
+    # phi_c^{-1}(t) passes u[-1], so every pair is near the diagonal for
+    # chain-lower's c5 and none is far enough for its c6, and every pair
+    # is in the dominance map's diagonal region; diag's NL radius at
+    # nl_constant 1e6 passes u[-1] at every time
+    sp = unbounded_line(24)
+    scales = ScaleTriple(ScaleFunction.single_power(2.0),
+                         ScaleFunction.single_power(1.0))
+    far = scales.phi_c(2.0 * sp.u[-1])
+    form = assemble(sp, 1.0, JumpKernel.power_law(sp, 1.0))
+    table = heat_kernel(form, [1.0, 4.0, far])
+    assert usable_times(table, sp) == [0, 1, 2]
+    rep = chain_lower_check(table, scales, sp, c0=1.5, m_cap=40.0)
+    c5, c6, used, rows = old_chain_lower(table, scales, sp, 1.5, 40.0)
+    assert used > 0
+    assert rep.constants == {"c5": c5, "c6": c6}
+    assert rep.ranges["triples"] == used
+    assert canon(rep.rows) == canon(rows)
+    rep = diag_checks(table, scales, sp, form, ndl_radii=(4.0,),
+                      nl_constant=1e6)
+    assert 1e6 * scales.phi.inverse(1.0) > sp.u[-1]
+    c_uhkd, c_nl, c_ndl, defect, rows = old_diag_checks(
+        table, scales, sp, form, ndl_radii=(4.0,), nl_constant=1e6)
+    assert (rep.constants["c_UHKD"], rep.constants["c_NL"],
+            rep.constants["c_NDL"]) == (c_uhkd, c_nl, c_ndl)
+    for t in (1.0, far):
+        dm = dominance_map(scales, sp, t)
+        labels, crossover = old_dominance_map(scales, sp, t)
+        assert dm.labels.tobytes() == labels.tobytes()
+        assert dm.crossover.tobytes() == crossover.tobytes()
+    assert (dm.labels == 0).all()
 
 
 def test_chain_lower_floor_excludes_as_loop(monkeypatch):
@@ -885,17 +929,67 @@ def test_fit_jpsi_on_ranks_equals_float_distances(name):
             canon(float_fit_jpsi(ctx.form, psi))
 
 
+@pytest.mark.parametrize("ctx", ["z1_mini", "gasket_walk", "weighted_z1_mini"],
+                         indirect=True)
 def test_diag_checks_equal_full_kernel_loops(ctx):
+    # at nl_constant 1e6 the NL radius passes the largest distance u[-1]
     radii = (4.0, 8.0)
-    rep = diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form,
-                      ndl_radii=radii)
-    c_uhkd, c_nl, c_ndl, defect, rows = old_diag_checks(
-        ctx.table, ctx.scales, ctx.space, ctx.form, ndl_radii=radii)
-    assert rows
-    assert (rep.constants["c_UHKD"], rep.constants["c_NL"],
-            rep.constants["c_NDL"]) == (c_uhkd, c_nl, c_ndl)
-    assert rep.constants["domain_monotonicity_defect"] == defect
-    assert canon(rep.rows) == canon(rows)
+    assert 1e6 * ctx.scales.phi.inverse(ctx.table.times[0]) > ctx.space.u[-1]
+    for nl_constant in (1.0, 1e6):
+        rep = diag_checks(ctx.table, ctx.scales, ctx.space, ctx.form,
+                          ndl_radii=radii, nl_constant=nl_constant)
+        c_uhkd, c_nl, c_ndl, defect, rows = old_diag_checks(
+            ctx.table, ctx.scales, ctx.space, ctx.form, ndl_radii=radii,
+            nl_constant=nl_constant)
+        assert rows
+        assert (rep.constants["c_UHKD"], rep.constants["c_NL"],
+                rep.constants["c_NDL"]) == (c_uhkd, c_nl, c_ndl)
+        assert rep.constants["domain_monotonicity_defect"] == defect
+        assert canon(rep.rows) == canon(rows)
+
+
+def old_dominance_map(scales, space, t):
+    """dominance_map's labels and crossovers on the float distances."""
+    xs = space.interior()
+    grid = _EnvelopeGrid(scales, space, xs, xs)
+    _, pc = grid.local_profile(t)
+    _, pj = grid.jump_profile(t)
+    d = space.metric[np.ix_(xs, xs)]
+    labels = np.where(pj >= pc, 2, 1).astype(np.int8)
+    labels[d <= scales.phi_c.inverse(t)] = 0
+    crossover = np.fmin.reduce(np.where(labels == 2, d, np.nan), axis=1,
+                               initial=np.nan)
+    return labels, crossover
+
+
+@pytest.mark.parametrize("ctx", ["z1_mini", "gasket_walk", "weighted_z1_mini"],
+                         indirect=True)
+def test_dominance_map_equals_float_distance_copy(ctx):
+    # the check's time, a time below 1 (the crossover bracket) and one
+    # whose diagonal edge passes the largest distance u[-1]
+    far = ctx.scales.phi_c(2.0 * ctx.space.u[-1])
+    for t in (float(ctx.times[0]), 0.5, far):
+        dm = dominance_map(ctx.scales, ctx.space, t)
+        labels, crossover = old_dominance_map(ctx.scales, ctx.space, t)
+        assert dm.labels.tobytes() == labels.tobytes()
+        assert dm.crossover.tobytes() == crossover.tobytes()
+    assert (dm.labels == 0).all() and np.isnan(dm.crossover).all()
+
+
+def test_grid_masks_equal_float_masks(ctx):
+    # d <= r from the ranks, at, between, below and past the distances u,
+    # on the fixture's space and on one of two components (u[-1] = inf)
+    split = np.full((5, 5), np.inf)
+    split[:3, :3] = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    split[3:, 3:] = [[0, 1.5], [1.5, 0]]
+    for sp in (ctx.space, MetricMeasureSpace(split, np.ones(5))):
+        xs = np.arange(sp.n)
+        grid = _EnvelopeGrid(ctx.scales, sp, xs, xs[::-1])
+        d = sp.metric[np.ix_(xs, xs[::-1])]
+        u = sp.u[np.isfinite(sp.u)]
+        for r in [-1.0, 0.0, *u, *(u[:-1] + np.diff(u) / 2), 2.0 * u[-1],
+                  math.inf]:
+            assert np.array_equal(grid.within(r), d <= r), r
 
 
 def test_meyer_check_equals_full_kernel_loop(ctx):
@@ -950,17 +1044,18 @@ def test_envelope_grid_distance_index_equals_unique_inverse(name):
     grid = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs[::-1])
     d = ctx.space.metric[np.ix_(xs, xs[::-1])]
     want_uq = np.unique(d)
-    assert np.array_equal(grid.d, d) and np.array_equal(u[grid.k], d)
+    assert np.array_equal(u[grid.k], d)
     assert np.array_equal(u[grid.met], want_uq[want_uq > 0.0])
     # m at the distinct distances, gathered per pair, is m on the grid
     grid, t = _EnvelopeGrid(ctx.scales, ctx.space, xs, xs), ctx.times[2]
-    want_uq, want_inv = np.unique(grid.d, return_inverse=True)
+    d = ctx.space.metric[np.ix_(xs, xs)]
+    want_uq, want_inv = np.unique(d, return_inverse=True)
     pos = want_uq > 0.0
     m_u = np.zeros_like(want_uq)
     m_u[pos] = want_uq[pos] / ctx.scales.bar_phi_c.inverse(t / want_uq[pos])
     assert np.array_equal(grid.m_unique(t)[grid.met], m_u[pos])
     assert np.array_equal(grid.m_unique(t)[grid.k],
-                          m_u[want_inv].reshape(grid.d.shape))
+                          m_u[want_inv].reshape(d.shape))
 
 
 @pytest.mark.parametrize("mode", ["HK", "UHK", "HK_minus"])

@@ -6,7 +6,6 @@ on a random positive measure it agrees within the rounding of an n-term
 sum."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import pytest
 import formlab.space as space_mod
 from formlab.cli import load_config
 from formlab.space import MetricMeasureSpace, SpaceError, build_space
+from conftest import traced
 
 BUNDLED = ("z1_alpha1", "phi_counterexample", "z1_mini",
            "gasket_subordination", "gasket_walk", "z2_alpha1", "halfspace")
@@ -125,12 +125,7 @@ def test_table_memory(kind, params):
     # a space keeps its ranks, distances and ball table beside its O(n)
     # arrays, and builds them with no n x n float temporary
     build_space(kind, **params)   # the binding caches, filled once
-    tracemalloc.start()
-    try:
-        sp = build_space(kind, **params)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sp, kept, peak = traced(lambda: build_space(kind, **params))
     n = sp.n
     assert sp.R.dtype == np.min_scalar_type(len(sp.u))
     assert not [name for name, a in vars(sp).items()
