@@ -36,9 +36,10 @@ import numpy as np
 from . import __version__
 from .envelopes import (chain_lower_check, check_pc_equivalence, diag_checks,
                         dominance_map, fit_hk, tail_probability_check)
-from .form import (FormError, assemble, build_jump, check_jump, gap_check,
-                   heat_kernel, kernel_certificates, meyer_check, subordinate,
-                   subordinate_intensity, subordinate_intensity_quadrature)
+from .form import (FormError, _pack, assemble, build_jump, check_jump,
+                   gap_check, heat_kernel, kernel_certificates, meyer_check,
+                   subordinate, subordinate_intensity,
+                   subordinate_intensity_quadrature)
 from .functionals import (ERRORED, KINDS, ConditionReport, _no_ball,
                           ball_family, check_cs, check_exit, check_fk,
                           check_gcap, check_pi, fit_jpsi, function_family,
@@ -152,14 +153,16 @@ def _build_scales(phi_c: list[dict], phi_j: list[dict]) -> ScaleTriple:
 class SuiteContext:
     """Space, scales and form, built once, and the shared global kernel
     table at ``times``, built on its first read.  When a configured check
-    reads ``table``, the form keeps the kernels at ``times``: each is
-    computed once, where it is first read, and ``kernel``, ``meyer``,
-    ``diag`` and ``subordination`` read the kept kernel at a table time
-    instead of recomputing it, and hold no copy of it beyond the blocks
-    they read (``meyer`` gathers its block after each product of its
-    own).  A suite whose checks never read ``table`` keeps nothing and
-    never holds ``len(times)`` n x n kernels; each check still computes
-    each global kernel it reads once."""
+    reads ``table``, the form keeps the kernels at ``times``, each as its
+    packed upper triangle, n(n+1)/2 doubles: each is computed once, where
+    it is first read (``kernel`` packs the whole kernel it certifies),
+    and ``meyer``, ``diag`` and ``subordination`` read the kept kernel at
+    a table time instead of recomputing it.  Every reader goes through
+    the table's accessors and holds no unpacked copy of it beyond the
+    blocks, rows and diagonals it reads (``meyer`` gathers its block
+    after each product of its own).  A suite whose checks never read
+    ``table`` keeps nothing and never holds ``len(times)`` kernels; each
+    check still computes each global kernel it reads once."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -459,8 +462,11 @@ def _chk_subordination(ctx, b: NonNegative = 1.0, gamma: Fraction = 0.5,
     rel = float(np.max(np.abs(quadv - specv) / np.maximum(specv, 1e-300)))
     (ident,) = subordinate(ctx.form, b=0.0, gamma=1.0 - 1e-12,
                            times=[ctx.times[0]]).kernels
-    base = heat_kernel(ctx.form, [ctx.times[0]]).kernels[0]
-    # |ident - base| in ident's own buffer
+    base = heat_kernel(ctx.form, [ctx.times[0]]).upper(0)
+    # |ident - base| over the upper triangles, which hold the maximum as
+    # both kernels are exactly symmetric, with ident packed in its own
+    # buffer
+    ident = _pack(ident, out=ident.reshape(-1)[:len(base)])
     id_err = float(np.abs(np.subtract(ident, base, out=ident),
                           out=ident).max())
     return ConditionReport(

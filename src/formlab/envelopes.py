@@ -23,10 +23,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .form import DirichletForm, HeatKernelTable, heat_kernel, kernel_blocks
+from .form import DirichletForm, PackedKernelTable, heat_kernel, kernel_blocks
 from .functionals import ConditionReport, _no_ball, positive
 from .scales import ScaleTriple, crossover_radius, legendre_sup, power_bounds
-from .space import Count, Decades, Positive
+from .space import _ROWS, Count, Decades, Positive
 
 __all__ = [
     "check_pc_equivalence",
@@ -107,6 +107,12 @@ class _EnvelopeGrid:
         return Vj, _capped(Vj, t, self.jump_denom)
 
 
+def _excluded(ok):
+    """The triples outside the mask ``ok``, counted without forming its
+    inverse."""
+    return ok.size - int(np.count_nonzero(ok))
+
+
 def _capped(V, t, denom):
     """1/V ^ t/denom per pair, read as 1/V where denom is not positive."""
     far = np.full_like(denom, np.inf)
@@ -141,7 +147,7 @@ def envelope_ratio_rows(times, xs, d, up, low):
     return rows
 
 
-def usable_times(table: HeatKernelTable, space, cap: float = 0.01):
+def usable_times(table: PackedKernelTable, space, cap: float = 0.01):
     """Largest prefix of the time grid for which the mass reaching the
     truncation boundary stays below ``cap`` for every interior point (none
     when no point is interior).
@@ -154,8 +160,9 @@ def usable_times(table: HeatKernelTable, space, cap: float = 0.01):
     if len(bnd) == 0:
         return list(range(len(table.times)))
     keep = []
-    for i, K in enumerate(table.kernels):
-        mass = (K[np.ix_(interior, bnd)] * space.mu[bnd][None, :]).sum(axis=1)
+    to_bnd = table.block(*np.ix_(interior, bnd))
+    for i in range(len(table.times)):
+        mass = (to_bnd(i) * space.mu[bnd][None, :]).sum(axis=1)
         if len(interior) == 0 or float(mass.max()) >= cap:
             break
         keep.append(i)
@@ -185,7 +192,7 @@ def check_pc_equivalence(scales: ScaleTriple, n_per_axis: Count = 30,
 # -- two-sided fits -----------------------------------------------------------------
 
 
-def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
+def fit_hk(table: PackedKernelTable, scales: ScaleTriple, space,
            mode: str = "HK",
            upper_dilations: tuple[Positive, ...] = (1.0, 2.0, 4.0),
            lower_dilations: tuple[Positive, ...] = (1.0, 0.5, 0.25),
@@ -214,6 +221,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
     uppers = upper_dilations if mode in ("HK", "UHK", "HK_local") else ()
     lowers = lower_dilations if mode in ("HK", "HK_local") else ()
     grid = _EnvelopeGrid(scales, space, xs, xs)
+    xs_block = table.block(*np.ix_(xs, xs))
 
     witnesses = {}
 
@@ -250,10 +258,10 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
         of this time are gone when it returns."""
         nonlocal weak_worst
         t = table.times[i]
-        K = table.kernels[i][np.ix_(xs, xs)]
-        fl = FLOOR_REL * float(table.kernels[i].max())
+        K = xs_block(i)
+        fl = FLOOR_REL * table.max(i)
         K_ok = K > fl
-        under = int((~K_ok).sum())   # the upper fits exclude these alone
+        under = _excluded(K_ok)   # the upper fits exclude these alone
         jump = grid.jump_profile(t) if with_jump else None
         for dil, fits in sweeps.items():
             P = _sandwich(*grid.local_profile(t * dil), jump)
@@ -263,7 +271,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
             ratio = np.divide(K, P, out=P)
             for acc, upper in fits:
                 ok = K_ok if upper else low_ok
-                acc[1] += under if upper else int((~ok).sum())
+                acc[1] += under if upper else _excluded(ok)
                 acc[3].append(np.where(ok[thin, thin], ratio[thin, thin],
                                        math.nan))
                 if ok.any():
@@ -286,7 +294,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
             np.copyto(L, (1.0 / Vphi)[:, None],
                       where=grid.within(indicator * scales.phi.inverse(t)))
             ok = (L > fl) & K_ok
-            minus[1] += int((~ok).sum())
+            minus[1] += _excluded(ok)
             if ok.any():
                 cand = _extreme(np.divide(K, L, out=L), ok, t, pick_max=False)
                 if cand["ratio"] < minus[0]:
@@ -353,7 +361,7 @@ def fit_hk(table: HeatKernelTable, scales: ScaleTriple, space,
 # -- diagonal conditions -------------------------------------------------------------
 
 
-def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
+def diag_checks(table: PackedKernelTable, scales: ScaleTriple, space,
                 form: DirichletForm, ndl_radii, eps: Positive = 0.25,
                 nl_constant: Positive = 1.0) -> ConditionReport:
     """UHKD, NL and NDL constants, the last from Dirichlet kernels on a ball
@@ -365,16 +373,16 @@ def diag_checks(table: HeatKernelTable, scales: ScaleTriple, space,
                         ndl_radii=list(map(float, ndl_radii)))
     c_uhkd, c_nl = 0.0, math.inf
     grid = _EnvelopeGrid(scales, space, xs, xs)
+    xs_diag, xs_block = table.diag(xs), table.block(*np.ix_(xs, xs))
     for i in keep:
         t = table.times[i]
         Vphi = space.volumes(xs, scales.phi.inverse(t))
-        diag = table.kernels[i][xs, xs]
-        c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
+        c_uhkd = max(c_uhkd, float((xs_diag(i) * Vphi).max()))
         near = grid.within(nl_constant * scales.phi.inverse(t))
-        K = table.kernels[i][np.ix_(xs, xs)]
+        K = xs_block(i)
         K *= Vphi[:, None]
         c_nl = min(c_nl, float(np.min(K, where=near, initial=math.inf)))
-    del grid, near, K   # before the NDL products
+    del grid, near, K, xs_block   # before the NDL products
 
     c_ndl, mono_defect = math.inf, 0.0
     ndl_rows = []
@@ -480,7 +488,7 @@ def dominance_map(scales: ScaleTriple, space, t: float) -> DominanceMap:
 # -- tail probability (two-term) -------------------------------------------------------
 
 
-def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
+def tail_probability_check(table: PackedKernelTable, scales: ScaleTriple, space,
                            radii: list[Positive] | None = None,
                            a1_grid: tuple[Positive, ...] = (1.0, 0.5, 0.25,
                                                             0.125, 0.0625),
@@ -516,14 +524,20 @@ def tail_probability_check(table: HeatKernelTable, scales: ScaleTriple, space,
     # tail mass per (t, center, r): each ball complement is cut once and
     # summed at every time in one go, over one C-contiguous row per time
     # (``compress`` keeps C order, a mask index does not: a strided sum
-    # would add in another order than the sum of one row)
+    # would add in another order than the sum of one row).  The rows of
+    # a block of centers are gathered per time through one index map.
     tail = np.empty((len(times), len(centers), len(radii)))
-    for b, x in enumerate(centers):
-        rows = np.stack([table.kernels[i][x] for i in keep])
-        for c, outside in enumerate(
-                space.beyond(np.reshape(radii, (-1, 1)), x, closed=True)):
-            mass = rows.compress(outside, axis=1) * space.mu[outside]
-            tail[:, b, c] = mass.sum(axis=1)
+    for lo in range(0, len(centers), _ROWS):
+        block = centers[lo:lo + _ROWS]
+        at = table.rows(block)
+        stack = np.empty((len(block), len(keep), table.n))
+        for k, i in enumerate(keep):
+            stack[:, k] = at(i)
+        for b, (x, rows) in enumerate(zip(block, stack), lo):
+            for c, outside in enumerate(
+                    space.beyond(np.reshape(radii, (-1, 1)), x, closed=True)):
+                mass = rows.compress(outside, axis=1) * space.mu[outside]
+                tail[:, b, c] = mass.sum(axis=1)
     # each bound below is mass times a factor >= 0 of (t, r) alone, and
     # rounding is monotone, so its largest value over the centres is that
     # of the largest mass: the fit runs over the (t, r) grid
@@ -577,7 +591,7 @@ def _pow(xs, ys):
         return [float(np.float64(x) ** y) for x, y in zip(xs, ys)]
 
 
-def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
+def chain_lower_check(table: PackedKernelTable, scales: ScaleTriple, space,
                       c0: Positive = 2.0, m_cap: Positive = 30.0) -> ConditionReport:
     """Fit (c5, c6) in p(t,x,y) >= c5 c6^{m(t,d)} / V(x, phi_c^{-1}(t)) over
     triples with d >= c0 phi_c^{-1}(t) in the locally dominated regime.
@@ -598,24 +612,23 @@ def chain_lower_check(table: HeatKernelTable, scales: ScaleTriple, space,
     # near-diagonal constant c5
     c5 = math.inf
     for t, i in zip(times, keep):
-        K = table.kernels[i]
         Vc = space.volumes(xs, scales.phi_c.inverse(t))
         ii, jj = np.nonzero(grid.within(scales.phi_c.inverse(t)))
         if len(ii):
-            c5 = min(c5, float((K[xs[ii], xs[jj]] * Vc[ii]).min()))
+            K_sel = table.block(xs[ii], xs[jj])(i)
+            c5 = min(c5, float((K_sel * Vc[ii]).min()))
     if not np.isfinite(c5) or c5 <= 0.0:
         return _no_ball("chain-lower", "no near-diagonal reference",
                         times=list(map(float, times)))
     c6 = 1.0
     cols = []   # (t, m, base) arrays of the selected triples, in sweep order
     for t, i in zip(times, keep):
-        K = table.kernels[i]
         Vc = space.volumes(xs, scales.phi_c.inverse(t))
         m_u = grid.m_unique(t)
         sel = (space.u >= c0 * scales.phi_c.inverse(t)) & (m_u <= m_cap)
         ii, jj = np.nonzero(sel[grid.k])
-        K_sel = K[xs[ii], xs[jj]]
-        hit = K_sel > FLOOR_REL * float(K.max())
+        K_sel = table.block(xs[ii], xs[jj])(i)
+        hit = K_sel > FLOOR_REL * table.max(i)
         ii, jj, K_sel = ii[hit], jj[hit], K_sel[hit]
         ratio = K_sel * Vc[ii] / c5
         m_sel = m_u[grid.k[ii, jj]]

@@ -36,6 +36,7 @@ __all__ = [
     "JumpKernel",
     "DirichletForm",
     "HeatKernelTable",
+    "PackedKernelTable",
     "ExitStats",
     "assemble",
     "check_jump",
@@ -251,7 +252,7 @@ class DirichletForm:
         self._spec = None
         self._spec_lock = threading.Lock()
         self._keep = frozenset()   # times whose global kernel is kept
-        self._kept = {}            # kept time -> its read-only kernel
+        self._kept = {}            # kept time -> its read-only packed kernel
         self._kept_lock = threading.Lock()
         sym_err = float(_row_asymmetry(A).max())
         if sym_err > 1e-12 * max(_abs_max(A), 1e-300):
@@ -301,8 +302,8 @@ class DirichletForm:
 
     def keep(self, times):
         """Keep the global kernels at ``times``: each is computed on its
-        first read, once, and then served read-only to every reader of
-        ``heat_kernel`` or ``kernel_blocks``."""
+        first read, once, and then served as its read-only packed upper
+        triangle to every reader of ``heat_kernel`` or ``kernel_blocks``."""
         self._keep = self._keep | frozenset(_kernel_times(times))
 
     # energy-measure primitives used by the condition checks
@@ -364,11 +365,93 @@ def assemble(space: MetricMeasureSpace, local_weights, jump: JumpKernel | None
 
 @dataclass
 class HeatKernelTable:
-    """p(t, x, y) on a time grid; the kernels of a Dirichlet restriction are
-    indexed by the domain's points."""
+    """Whole kernels on a time grid: those of a Dirichlet restriction,
+    indexed by the domain's points, and those of ``subordinate``."""
 
     times: tuple
     kernels: list
+
+
+def _row_starts(n):
+    """Where row i of an n x n matrix's row-major upper triangle starts,
+    for i = 0..n; the last is its length n(n+1)/2."""
+    i = np.arange(n + 1)
+    return i * n - i * (i - 1) // 2
+
+
+def _pack(K, out=None):
+    """The row-major upper triangle of K, each row slice K[i, i:] copied
+    whole into ``out`` (a new array when None), which may be K's own flat
+    buffer: a row moves to no later place, so none is overwritten before
+    it is read."""
+    starts = _row_starts(len(K)).tolist()
+    if out is None:
+        out = np.empty(starts[-1])
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        out[a:b] = K[i, i:]
+    return out
+
+
+def _unpack(P):
+    """The whole symmetric matrix whose packed upper triangle is P: the
+    row slices copied back, the lower triangle mirrored from them."""
+    n = int(np.sqrt(2 * len(P)))    # n(n+1)/2 = len(P)
+    starts = _row_starts(n).tolist()
+    K = np.empty((n, n))
+    for i, (a, b) in enumerate(zip(starts, starts[1:])):
+        K[i, i:] = P[a:b]
+    return _mirror_upper(K)
+
+
+def _packed_index(n, rows, cols):
+    """Where K[rows, cols] lies in the packed upper triangle of an n x n
+    symmetric K, rows and cols broadcast as numpy's indexing broadcasts
+    them: at start[min(i, j)] + |i - j|.  As int32, half the bytes of an
+    intp map; n(n+1)/2 < 2**31 for every n <= ``MAX_POINTS``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    lead = (_row_starts(n)[:-1] - np.arange(n)).astype(np.int32)
+    ends = np.minimum(rows, cols)
+    at = lead.take(ends)                    # start[i] - i at i = min
+    np.maximum(rows, cols, out=ends)
+    return np.add(at, ends, out=at, casting="unsafe")
+
+
+@dataclass
+class PackedKernelTable:
+    """The global heat kernel p(t, x, y) on a time grid, each kernel kept
+    as its row-major upper triangle, n(n+1)/2 doubles: every global kernel
+    is exactly symmetric.  It is read through its accessors alone; each
+    builds its index map once and returns a function of the time's index
+    that gathers the entries there, so a reader reuses one map at every
+    time.  Every value is a stored entry, so a read equals the slice of
+    the whole kernel bit for bit."""
+
+    times: tuple
+    n: int
+    kernels: list
+
+    def block(self, rows, cols):
+        """i -> K_i[rows, cols], rows and cols broadcast together: the
+        block of ``np.ix_(rows, cols)``, or scattered (x, y) pairs."""
+        at = _packed_index(self.n, rows, cols)
+        return lambda i: self.kernels[i].take(at)
+
+    def rows(self, xs):
+        """i -> K_i[xs, :]."""
+        return self.block(np.asarray(xs)[:, None], np.arange(self.n))
+
+    def diag(self, xs):
+        """i -> K_i[xs, xs], the diagonal entries at xs."""
+        return self.block(xs, xs)
+
+    def max(self, i):
+        """max K_i, which the upper triangle holds."""
+        return float(self.kernels[i].max())
+
+    def upper(self, i):
+        """K_i's packed upper triangle, read-only at a kept time."""
+        return self.kernels[i]
 
 
 def _eigenbasis(S, sqmu):
@@ -415,28 +498,36 @@ def _kernel_times(times):
 
 
 def _global_kernel(form, t):
-    """The whole global kernel p(t).  A time the form keeps is computed
-    once, however many threads ask, and served read-only from then on; any
-    other time is computed for this caller alone."""
+    """The whole global kernel p(t), computed for this caller alone."""
     lam, B = form.spectral()
+    return _symmetrise(_semigroup_product(B, lam, t))
+
+
+def _packed_kernel(form, t):
+    """p(t)'s packed upper triangle (``_pack``).  A time the form keeps is
+    computed and packed once, however many threads ask, and served
+    read-only from then on; any other time is packed for this caller
+    alone."""
     if t not in form._keep:
-        return _symmetrise(_semigroup_product(B, lam, t))
+        return _pack(_global_kernel(form, t))
     with form._kept_lock:
         if t not in form._kept:
-            K = _symmetrise(_semigroup_product(B, lam, t))
-            K.flags.writeable = False
-            form._kept[t] = K
+            P = _pack(_global_kernel(form, t))
+            P.flags.writeable = False
+            form._kept[t] = P
         return form._kept[t]
 
 
-def heat_kernel(form: DirichletForm, times, domain=None) -> HeatKernelTable:
-    """Heat kernel table by spectral functional calculus; ``domain`` gives
-    the Dirichlet kernel p^D by deleting rows and columns outside the domain
-    (killing on exit).  A global kernel at a time the form keeps is the
-    kept, read-only array."""
+def heat_kernel(form: DirichletForm, times, domain=None
+                ) -> PackedKernelTable | HeatKernelTable:
+    """Heat kernel table by spectral functional calculus: the global
+    ``PackedKernelTable``, whose kernel at a time the form keeps is the
+    kept, read-only array, or with ``domain`` the whole Dirichlet kernels
+    p^D, rows and columns outside the domain deleted (killing on exit)."""
     times = _kernel_times(times)
     if domain is None:
-        return HeatKernelTable(times, [_global_kernel(form, t) for t in times])
+        return PackedKernelTable(times, form.n,
+                                 [_packed_kernel(form, t) for t in times])
     idx = np.asarray(domain, dtype=int)
     if len(idx) == 0:
         raise FormError("empty Dirichlet domain")
@@ -459,14 +550,19 @@ def _product_blocks(B, rates, t, blocks):
 def kernel_blocks(form: DirichletForm, times, blocks) -> list:
     """Slices of the global heat kernel: ``out[b][i]`` is K[rows, cols] at
     ``times[i]`` for the b-th ``(rows, cols)`` of ``blocks``, gathered from
-    the kept kernel at a time the form keeps and from ``_product_blocks``,
-    one product at a time, at any other."""
+    the kept kernel at a time the form keeps, through index maps built
+    once per call, and from ``_product_blocks``, one product at a time, at
+    any other."""
     lam, B = form.spectral()
     out = [[] for _ in blocks]
+    maps = None
     for t in _kernel_times(times):
         if t in form._keep:
-            K = _global_kernel(form, t)
-            slabs = [K[np.ix_(rows, cols)] for rows, cols in blocks]
+            if maps is None:
+                maps = [_packed_index(form.n, *np.ix_(rows, cols))
+                        for rows, cols in blocks]
+            K = _packed_kernel(form, t)
+            slabs = [K.take(at) for at in maps]
         else:
             slabs = _product_blocks(B, lam, t, blocks)
         for kept, slab in zip(out, slabs):
@@ -481,18 +577,23 @@ def kernel_certificates(form: DirichletForm, times) -> dict:
     CK is checked against a freshly computed half-time kernel:
     p(t) == integral p(t/2, x, y) p(t/2, y, z) mu(dy).  One time at a time,
     so at most three n x n arrays are alive beyond the spectrum and the
-    kernels the form keeps; a kept p(t) is read, not recomputed.  The
-    tiled symmetry and |CK| maxima form no n x n temporary.
+    kernels the form keeps.  A kept p(t) is read from the global table,
+    never computed twice, and unpacked whole for the certificates; any
+    other p(t) is computed whole for this caller.  The tiled symmetry,
+    the row-block masses and the |CK| maximum form no n x n temporary.
     """
     mu = form.mu
     sym = mass = ck = 0.0
-    for t in times:
-        half = heat_kernel(form, [t / 2.0]).kernels[0]
+    for t in _kernel_times(times):
+        half = _global_kernel(form, t / 2.0)
         d = (half * mu[None, :]) @ half
         del half
-        K = heat_kernel(form, [t]).kernels[0]
+        K = (_unpack(heat_kernel(form, [t]).upper(0)) if t in form._keep
+             else _global_kernel(form, t))
         sym = max(sym, float(_row_asymmetry(K).max()))
-        mass = max(mass, float(np.abs((K * mu[None, :]).sum(axis=1) - 1.0).max()))
+        for i in range(0, len(K), _ROWS):
+            rows = (K[i:i + _ROWS] * mu[None, :]).sum(axis=1)
+            mass = max(mass, float(np.abs(rows - 1.0).max()))
         d -= K
         ck = max(ck, float(_abs_max(d) / max(K.max(), 1e-300)))
         del d, K    # before the next time's kernels are computed

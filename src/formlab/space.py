@@ -38,7 +38,8 @@ __all__ = [
 
 # the point cap: dense n x n ranks, jump matrix, form and eigenbasis
 MAX_POINTS = 4096
-# the cap on grids.n_times: the kernel table holds n_times n x n kernels
+# the cap on grids.n_times: the kernel table holds n_times kernels of
+# n(n+1)/2 doubles each
 MAX_TIMES = 64
 _ROWS = 32   # rows per block of the n x n sweeps here and in ``form``
 _TILE = 128  # side of the tiles that compare or mirror an n x n matrix

@@ -23,6 +23,13 @@ def traced_peak(fn):
     return traced(fn)[2]
 
 
+def whole(table):
+    """The whole kernels of a global table, read row by row through its
+    ``rows`` accessor: the oracles' copy of what the readers gather."""
+    at = table.rows(np.arange(table.n))
+    return [at(i) for i in range(len(table.times))]
+
+
 def _expm_kernels(form, times):
     """Independent oracle for the heat kernel: p(t) = exp(t L) Mu^{-1} by
     the exponential action on the generator, symmetrised like the spectral

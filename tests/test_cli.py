@@ -13,6 +13,7 @@ from formlab.cli import (ConfigError, load_config, main, render_report,
                          run_suite, validate_config)
 from formlab.functionals import ConditionReport, check_fk, check_pi
 from formlab.space import build_space, chain_check
+from conftest import whole
 
 
 def mini_cfg(**overrides):
@@ -176,7 +177,7 @@ class TestSuite:
         times = list(ctx.table.times)
         assert rep.ranges["times_used"]
         for t in rep.ranges["times_used"]:
-            K = ctx.table.kernels[times.index(t)]
+            K = whole(ctx.table)[times.index(t)]
             mass = (K[np.ix_(xs, bnd)] * ctx.space.mu[bnd]).sum(axis=1)
             assert mass.max() < 0.01
 

@@ -12,6 +12,7 @@ from formlab.envelopes import (_EnvelopeGrid, chain_lower_check,
 from formlab.form import JumpKernel, assemble, heat_kernel
 from formlab.scales import ScaleFunction, ScaleTriple, legendre_sup
 from formlab.space import build_space
+from conftest import whole
 
 
 def alpha1_triple():
@@ -134,9 +135,10 @@ class TestFitHK:
         xs = sp.interior()
         keep = usable_times(table, sp)
         grid = _EnvelopeGrid(tr, sp, xs, xs)
+        kernels = whole(table)
         for i in keep:
             t = times[i]
-            K = table.kernels[i][np.ix_(xs, xs)]
+            K = kernels[i][np.ix_(xs, xs)]
             up = envelope_arrays(grid, t, dilation=params["c4"])
             U = np.minimum(np.minimum(1.0 / up["Vc"], 1.0 / up["Vj"])[:, None],
                            up["pc"] + up["pj"])
@@ -144,7 +146,7 @@ class TestFitHK:
             lo = envelope_arrays(grid, t, dilation=params["c2"])
             L = np.minimum(np.minimum(1.0 / lo["Vc"], 1.0 / lo["Vj"])[:, None],
                            lo["pc"] + lo["pj"])
-            floor = 1e-13 * table.kernels[i].max()
+            floor = 1e-13 * kernels[i].max()
             ok = L > floor
             assert np.all(K[ok] >= params["c1"] * L[ok] * (1 - 1e-9))
 
@@ -234,7 +236,7 @@ class TestDiagChecks:
         table = heat_kernel(form, [0.5])
         # B = all of M: Dirichlet kernel equals the global kernel
         KB = heat_kernel(form, [0.5], domain=np.arange(3)).kernels[0]
-        assert np.allclose(KB, table.kernels[0])
+        assert np.allclose(KB, whole(table)[0])
 
     def test_ndl_stability_across_radii(self):
         sp, form = model(side=256, margin=32)
@@ -296,7 +298,7 @@ class TestTailProbability:
         # r <= phi^{-1}(t): the tail bound holds with c = e^{a1 m}
         tr = alpha1_triple()
         sp, form = model(side=65, margin=8)
-        K = heat_kernel(form, [4.0]).kernels[0]
+        (K,) = whole(heat_kernel(form, [4.0]))
         x = 32
         r = 2.0   # below phi^{-1}(4) = 4
         mass = K[x][sp.metric[x] >= r].sum()

@@ -13,6 +13,7 @@ from formlab.form import (FormError, JumpKernel, assemble, build_jump,
 from formlab.functionals import fit_jpsi
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import build_space
+from conftest import whole
 from test_energy_oracles import truncated_form
 
 
@@ -123,7 +124,7 @@ class TestAssembly:
 class TestHeatKernel:
     def test_identity_limit(self):
         _, form = z1(side=33, margin=0)
-        K = heat_kernel(form, [1e-6]).kernels[0]
+        (K,) = whole(heat_kernel(form, [1e-6]))
         defect = np.abs(K * form.mu[None, :] - np.eye(form.n)).max()
         assert defect < 1e-4
 
@@ -145,13 +146,13 @@ class TestHeatKernel:
         _, form = z1(side=64, margin=0)
         ts = [0.5, 2.0]
         spec = heat_kernel(form, ts)
-        for A, B in zip(spec.kernels, expm_kernels(form, ts)):
+        for A, B in zip(whole(spec), expm_kernels(form, ts)):
             assert np.abs(A - B).max() < 1e-8
 
     def test_domain_monotonicity(self):
         sp, form = z1(side=33, margin=0)
         rng = np.random.RandomState(6)
-        full = heat_kernel(form, [1.0]).kernels[0]
+        (full,) = whole(heat_kernel(form, [1.0]))
         for _ in range(5):
             D = np.sort(rng.choice(sp.n, size=rng.randint(5, 20),
                                    replace=False))
@@ -217,8 +218,8 @@ class TestMeyer:
         rho = 8.0
         t = 0.05   # t << phi(rho): exp factor within 20% of 1
         (c1,) = meyer_check(form, tr, rhos=[rho], times=[t])
-        P = heat_kernel(form, [t]).kernels[0]
-        Q = heat_kernel(truncated_form(form, rho), [t]).kernels[0]
+        (P,) = whole(heat_kernel(form, [t]))
+        (Q,) = whole(heat_kernel(truncated_form(form, rho), [t]))
         interior = sp.interior()
         for x in interior[::4]:
             V = sp.volume(int(x), rho)
@@ -231,7 +232,7 @@ class TestSubordination:
         g = build_space("gasket", level=3)
         form = assemble(g, 1.0, None)
         out = subordinate(form, b=0.0, gamma=1.0 - 1e-12, times=[0.7])
-        base = heat_kernel(form, [0.7]).kernels[0]
+        (base,) = whole(heat_kernel(form, [0.7]))
         assert np.abs(out.kernels[0] - base).max() < 1e-8
 
     def test_semigroup_property(self):

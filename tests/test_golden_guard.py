@@ -8,8 +8,10 @@ the digests were recorded with: ``z1_mini``, ``phi_counterexample``,
 gasket), the benchmark's ``z1_all_512`` config restricted to
 ``pc_equivalence``, the envelope and quadrature sweeps (``hk``,
 ``hk_minus``, ``uhk_weak``, ``dominance`` and ``subordination``), the
-Meyer decomposition (``meyer``), the jump fits (``jpsi_alt`` and
-``tail_ujs``) and the cut-off Sobolev sweep (``cs``), ``z2_alpha1``
+Meyer decomposition (``meyer``), the other readers of the packed kernel
+table (``diag``, ``tail_probability`` and ``chain_lower``), the jump fits
+(``jpsi_alt`` and ``tail_ujs``) and the cut-off Sobolev sweep (``cs``), so
+every table reader is held at n = 512, ``z2_alpha1``
 restricted to ``chain``, ``tail_ujs``, ``gcap``, ``fk``, ``pi``, ``exit``
 and ``kernel``, and ``halfspace`` restricted to ``tail_ujs``.  The two
 n = 1024 lattices hold most of the chain sweep's time, and ``tail_ujs``
@@ -50,7 +52,8 @@ from workloads import z1_all
 sources = {name: name for name in sys.argv[1:]}
 sources["z1_all_512"] = {**z1_all(512), "checks": [
     "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
-    "subordination", "meyer", "jpsi_alt", "tail_ujs", "cs"]}
+    "subordination", "meyer", "diag", "tail_probability", "chain_lower",
+    "jpsi_alt", "tail_ujs", "cs"]}
 sources["z2_alpha1"] = {**cli.load_config("z2_alpha1").raw,
                         "checks": ["chain", "tail_ujs", "gcap", "fk", "pi",
                                    "exit", "kernel"]}
@@ -90,7 +93,8 @@ def test_fast_configs_reproduce_golden_digests():
         assert not moved, f"{key}: digests moved for {moved}"
     assert set(got["digests"]["z1_all_512"]) == {
         "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
-        "subordination", "meyer", "jpsi_alt", "tail_ujs", "cs"}
+        "subordination", "meyer", "diag", "tail_probability", "chain_lower",
+        "jpsi_alt", "tail_ujs", "cs"}
     assert set(got["digests"]["z2_alpha1"]) == {"chain", "tail_ujs", "gcap",
                                                 "fk", "pi", "exit", "kernel"}
     assert set(got["digests"]["halfspace"]) == {"tail_ujs"}

@@ -9,6 +9,7 @@ from formlab.harnack import (CylinderSpec, HarnackError, caloric_poisson,
                              check_phi, check_regularity, harmonic_solve)
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import build_space
+from conftest import whole
 
 
 def alpha1_triple():
@@ -61,7 +62,7 @@ class TestCaloric:
         cyl = CylinderSpec(x0=32, R=2.0)
         fam = caloric_poisson(form, tr, cyl, mode="necessary")
         table = heat_kernel(form, [cyl.windows(tr)[0][0]])
-        mass = table.kernels[0] @ form.mu
+        mass = whole(table)[0] @ form.mu
         assert np.abs(mass - 1.0).max() < 1e-10
         ratios = fam.ratios()
         assert np.nanmax(ratios) >= 1.0 - 1e-9
@@ -112,7 +113,7 @@ class TestCaloric:
         sp, form = z1(side=33, margin=4)
         L = -(form.A / form.mu[:, None])
         t, h = 1.0, 1e-5
-        Ks = heat_kernel(form, [t - h, t, t + h]).kernels
+        Ks = whole(heat_kernel(form, [t - h, t, t + h]))
         z = 16
         dudt = (Ks[2][:, z] - Ks[0][:, z]) / (2 * h)
         lu = L @ Ks[1][:, z]
@@ -141,8 +142,9 @@ def necessary_oracle(form, scales, cyl, n_window_times=5):
     ball_R = form.space.ball(cyl.x0, cyl.R)
     atoms = np.arange(form.n)
     nm = len(t_minus)
-    stack_m = np.stack(table.kernels[:nm])
-    stack_p = np.stack(table.kernels[nm:])
+    kernels = whole(table)
+    stack_m = np.stack(kernels[:nm])
+    stack_p = np.stack(kernels[nm:])
     sup_m = (stack_m[:, :, atoms][:, ball_R, :] * form.mu[atoms]).max(axis=(0, 1))
     inf_p = (stack_p[:, :, atoms][:, ball_R, :] * form.mu[atoms]).min(axis=(0, 1))
     ratio = np.where(inf_p > 1e-300, sup_m / np.maximum(inf_p, 1e-300), -np.inf)

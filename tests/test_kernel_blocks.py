@@ -1,9 +1,10 @@
-"""The blocks primitive of the kernel engine: bit-equal slices of the full
-kernels, an in-place symmetrisation bit-equal to the two-temporary one, and
-traced memory bounds for the consumers that stream through it.  The set-up
-constructors (jump kernel, form, spectrum, truncation) run in place; they
-are held bit-equal to in-test copies of the whole-matrix formulas and to
-traced memory bounds of their own."""
+"""The blocks primitive of the kernel engine and the packed global table:
+bit-equal slices of the full kernels through ``kernel_blocks`` and through
+the table's accessors, an in-place symmetrisation bit-equal to the
+two-temporary one, and traced memory bounds for the consumers that stream
+through them.  The set-up constructors (jump kernel, form, spectrum,
+truncation) run in place; they are held bit-equal to in-test copies of the
+whole-matrix formulas and to traced memory bounds of their own."""
 
 import math
 from dataclasses import replace
@@ -13,17 +14,19 @@ import pytest
 
 from scipy.linalg import eigh
 
+import formlab.form as form_mod
 from formlab.cli import (SuiteContext, _chk_cs, _chk_diag, _chk_kernel,
                          _chk_meyer, _chk_subordination, load_config,
                          validate_config)
 from formlab.envelopes import fit_hk
-from formlab.form import (FormError, JumpKernel, _abs_max, _symmetrise,
-                          assemble, heat_kernel, kernel_blocks,
+from formlab.form import (FormError, JumpKernel, _abs_max, _global_kernel,
+                          _symmetrise, assemble, heat_kernel, kernel_blocks,
                           kernel_certificates, meyer_check)
 from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import _row_asymmetry, build_space
 from conftest import traced_peak
+from test_energy_oracles import context
 
 
 def alpha1_triple():
@@ -54,11 +57,11 @@ def test_kernel_blocks_equal_slices_of_full_kernels():
               (rng.choice(n, 9, replace=False), rng.choice(n, 5, replace=False)),
               (np.array([2]), np.array([2]))]
     got = kernel_blocks(form, times, blocks)
-    table = heat_kernel(form, times)
+    full = [_global_kernel(form, t) for t in times]
     assert len(got) == len(blocks)
     for slabs, (rows, cols) in zip(got, blocks):
         assert len(slabs) == len(times)
-        for slab, K in zip(slabs, table.kernels):
+        for slab, K in zip(slabs, full):
             assert np.array_equal(slab, K[np.ix_(rows, cols)])
 
 
@@ -85,9 +88,9 @@ def test_kernel_blocks_equal_slices_on_the_gasket():
     times = [0.5, 2.0, 9.0]
     blocks = gasket_blocks(sp)
     got = kernel_blocks(form, times, blocks)
-    table = heat_kernel(form, times)
+    full = [_global_kernel(form, t) for t in times]
     for slabs, (rows, cols) in zip(got, blocks):
-        for slab, K in zip(slabs, table.kernels):
+        for slab, K in zip(slabs, full):
             assert np.array_equal(slab, K[np.ix_(rows, cols)])
 
 
@@ -124,18 +127,93 @@ def test_kept_blocks_equal_the_product_path(name):
             assert g.tobytes() == w.tobytes()
 
 
-def test_table_kernels_are_read_only_and_shared():
+def test_table_kernels_are_read_only_and_shared(monkeypatch):
+    # each kept kernel is one read-only packed upper triangle of
+    # n(n+1)/2 doubles, the array every reader of its time reads
     ctx = SuiteContext(load_config("z1_mini"))
-    K = ctx.table.kernels[0]
+    n, t0 = ctx.space.n, ctx.times[0]
+    K = ctx.table.upper(0)
+    assert K.shape == (n * (n + 1) // 2,)
     with pytest.raises(ValueError):
-        K[0, 0] = 1.0
+        K[0] = 1.0
     with pytest.raises(ValueError):
         K *= 2.0
-    # every later reader of a table time gets the one kept array
-    assert heat_kernel(ctx.form, [ctx.times[0]]).kernels[0] is K
-    # a time the form does not keep is computed for its caller alone
-    half = heat_kernel(ctx.form, [ctx.times[0] / 2.0]).kernels[0]
-    assert half.flags.writeable and ctx.times[0] / 2.0 not in ctx.form._kept
+    assert all(k is ctx.form._kept[t]
+               for k, t in zip(ctx.table.kernels, ctx.table.times))
+    # every later reader of a table time gets the one kept array: the
+    # table, the kernel check and kernel_blocks compute nothing more
+    assert heat_kernel(ctx.form, [t0]).upper(0) is K
+    computed = []
+    engine = form_mod._global_kernel
+    monkeypatch.setattr(form_mod, "_global_kernel",
+                        lambda form, t: computed.append(t) or engine(form, t))
+    kernel_certificates(ctx.form, [t0])
+    kernel_blocks(ctx.form, [t0], [(np.arange(3), np.arange(n))])
+    assert computed == [t0 / 2.0]
+    assert ctx.form._kept[t0] is K
+    # a time the form does not keep is packed for its caller alone
+    half = heat_kernel(ctx.form, [t0 / 2.0]).upper(0)
+    assert half.flags.writeable and t0 / 2.0 not in ctx.form._kept
+
+
+def same_bytes(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("name", ["z1_mini", "gasket_walk",
+                                  "weighted_z1_mini"])
+def test_packed_accessors_equal_slices_of_the_full_kernel(name):
+    # blocks, rows, diagonals, scattered pairs and max() read through the
+    # table equal the slices of the whole symmetrised kernel bit for bit,
+    # on a kept table (z1_mini, and the gasket at n = 366, where smaller
+    # products lost bits) and a table packed per call on a non-uniform mu
+    ctx = context(name)
+    sp, n = ctx.space, ctx.space.n
+    table = ctx.table
+    assert bool(ctx.form._kept) == (name != "weighted_z1_mini")
+    rng = np.random.RandomState(7)
+    interior = sp.interior()
+    mixed, other = rng.permutation(n)[:40], rng.permutation(n)[:25]
+    xs, ys = rng.randint(0, n, 300), rng.randint(0, n, 300)
+    reads = [
+        (table.block(*np.ix_(interior, interior)),
+         lambda K: K[np.ix_(interior, interior)]),
+        (table.block(*np.ix_(mixed, other)), lambda K: K[np.ix_(mixed, other)]),
+        (table.block(*np.ix_([9, 3, 9], [n - 1, 0])),
+         lambda K: K[np.ix_([9, 3, 9], [n - 1, 0])]),
+        (table.rows(mixed), lambda K: K[mixed]),
+        (table.rows(np.arange(n)), lambda K: K),
+        (table.diag(interior), lambda K: K[interior, interior]),
+        (table.block(xs, ys), lambda K: K[xs, ys]),
+    ]
+    for i, t in enumerate(table.times):
+        K = _global_kernel(ctx.form, t)
+        for read, want in reads:
+            assert same_bytes(read(i), want(K))
+        assert table.max(i).hex() == float(K.max()).hex()
+        # the kept triangle is read-only and the one array of its time
+        P = table.upper(i)
+        assert P.shape == (n * (n + 1) // 2,)
+        if t in ctx.form._kept:
+            assert P is ctx.form._kept[t] and not P.flags.writeable
+
+
+def test_kept_table_holds_packed_triangles_only():
+    # at n = 256 with 8 table times the kept arrays are 8 upper triangles
+    n = 256
+    ctx = SuiteContext(validate_config({
+        "name": "z1_256", "jump": {"kind": "power_law", "alpha": 1.0},
+        "space": {"kind": "lattice_box", "dim": 1, "side": n, "margin": 32},
+        "scales": {"phi_c": [{"break": 0, "coeff": 1, "exp": 2}],
+                   "phi_j": [{"break": 0, "coeff": 1, "exp": 1}]},
+        "grids": {"n_times": 8}, "checks": ["hk", "kernel", "meyer"]}))
+    _chk_kernel(ctx)
+    ctx.table
+    _chk_meyer(ctx)
+    assert len(ctx.form._kept) == 8
+    assert sum(K.nbytes for K in ctx.form._kept.values()) == (
+        8 * n * (n + 1) // 2 * 8)
 
 
 def test_stable_like_constant_field_equals_full_field():
@@ -347,7 +425,8 @@ def test_check_regularity_reads_columns_not_kernels():
 
 def test_kernel_certificates_drop_each_temporary():
     # a half-time kernel, its mu-scaled copy and their product, then the
-    # product beside the kernel and one temporary of it: keeping the half
+    # product beside the kernel, whose masses are summed a block of rows
+    # at a time, measure 3.00 (3.13 with K * mu whole): keeping the half
     # kernel, the last product, K or |K - K^T| alive into the next step or
     # time adds an n^2
     n = 256
@@ -396,7 +475,8 @@ def test_check_cs_fills_two_product_arrays_per_family():
 @pytest.fixture(scope="module")
 def alpha1():
     """z1_alpha1 (n = 256, 192 interior points) as a check after
-    ``kernel`` finds it: its table kept and filled, its spectrum built."""
+    ``kernel`` finds it: its packed table kept and filled, its spectrum
+    built.  The kept triangles lie below each traced base."""
     ctx = SuiteContext(load_config("z1_alpha1"))
     ctx.table
     ctx.form.spectral()
@@ -404,15 +484,18 @@ def alpha1():
 
 
 def test_fit_hk_builds_each_sandwich_in_place(alpha1):
-    # traced peak above base in interior^2 doubles on z1_alpha1: the pair
-    # ranks (0.25), the jump denominator, K, the jump profile and one
+    # traced peak above base in interior^2 doubles on z1_alpha1, reading
+    # the packed table: the pair ranks (0.25), the int32 index map of the
+    # interior block, built once for every time (0.5), the jump
+    # denominator, K gathered through it, the jump profile and one
     # dilation's sandwich P, which then holds K / P and is masked in place
     # by the extreme search (4), the masks (3 x 0.125) and the thinned
-    # ratios of the six fits (0.3) measure 5.26; the ratio rows of
-    # RATIO_ROWS (2000) entries (1.6) are built after the sweep's arrays
-    # are gone.  The float distances, the masked copy, the previous
-    # dilation's sandwich and the rows stacked on the last time's arrays
-    # measured 8.57
+    # ratios of the six fits (0.3) measure 5.67; the excluded triples are
+    # counted without an inverse mask.  The ratio rows of RATIO_ROWS
+    # (2000) entries (1.6) are built after the sweep's arrays are gone.
+    # With a whole kept kernel and no map it measured 5.26; the float
+    # distances, the masked copy, the previous dilation's sandwich and the
+    # rows stacked on the last time's arrays measured 8.57
     m = len(alpha1.space.interior())
     peak = traced_peak(lambda: fit_hk(alpha1.table, alpha1.scales,
                                       alpha1.space, mode="HK"))
@@ -420,12 +503,13 @@ def test_fit_hk_builds_each_sandwich_in_place(alpha1):
 
 
 def test_fit_hk_minus_builds_its_profile_in_the_jump_profile(alpha1):
-    # traced peak above base in interior^2 doubles on z1_alpha1: the pair
-    # ranks (0.25), the jump denominator, K and the jump profile, which
-    # then holds the indicator profile and K / L (3), and the masks
-    # (4 x 0.125) measure 3.88.  A fresh indicator profile beside the jump
-    # profile, the float distances and the extreme search's masked copy
-    # measured 7.10
+    # traced peak above base in interior^2 doubles on z1_alpha1, reading
+    # the packed table: the pair ranks (0.25), the index map of the
+    # interior block (0.5), the jump denominator, K and the jump profile,
+    # which then holds the indicator profile and K / L (3), and the masks
+    # measure 4.16 (3.88 from a whole kept kernel).  A fresh indicator
+    # profile beside the jump profile, the float distances and the extreme
+    # search's masked copy measured 7.10
     m = len(alpha1.space.interior())
     peak = traced_peak(lambda: fit_hk(alpha1.table, alpha1.scales,
                                       alpha1.space, mode="HK_minus"))
@@ -433,11 +517,12 @@ def test_fit_hk_minus_builds_its_profile_in_the_jump_profile(alpha1):
 
 
 def test_diag_checks_drop_the_nl_sweep_before_the_ndl_products(alpha1):
-    # traced peak above base in n^2 doubles on z1_alpha1: an NDL product
-    # and its GEMM operand (2) beside the NDL blocks and Dirichlet kernels
-    # (0.3) measure 2.30; the NL sweep's K, mask and pair ranks are gone
-    # by then.  The float distances, K[near], and the last K and mask
-    # alive through the NDL products measured 3.67
+    # traced peak above base in n^2 doubles on z1_alpha1, reading the
+    # packed table: an NDL product and its GEMM operand (2) beside the NDL
+    # blocks and Dirichlet kernels (0.3) measure 2.33; the NL sweep's K,
+    # its index map, mask and pair ranks are gone by then.  The float
+    # distances, K[near], and the last K and mask alive through the NDL
+    # products measured 3.67
     n = alpha1.space.n
     peak = traced_peak(lambda: _chk_diag(alpha1))
     assert peak <= 2.75 * n * n * 8
@@ -447,8 +532,8 @@ def test_meyer_gathers_kept_blocks_after_each_product(alpha1):
     # traced peak above base in n^2 doubles on z1_alpha1, every time kept:
     # the truncated spectrum's B (1) beside one product and its GEMM
     # operand (2), then the q block with its mirrored gather (0.4),
-    # measure 3.40; the p block, gathered from the kept kernel once the
-    # product is gone, raises no peak.  The three interior blocks of p
+    # measure 3.40; the p block, gathered from the kept triangle through
+    # an index map once the product is gone, raises no peak.  The three interior blocks of p
     # held across every rho (3 x 0.56) measured 5.09
     n = alpha1.space.n
     assert set(alpha1.times[:3]) <= alpha1.form._keep
@@ -460,8 +545,9 @@ def test_subordination_drops_the_intensity(alpha1):
     # traced peak above base in n^2 doubles on z1_alpha1: the intensity
     # and its GEMM operand (2), the intensity dropped once its pair
     # values are read, then the identity case's kernel and its GEMM
-    # operand (2), whose |ident - base| against the kept kernel is taken
-    # in ident's buffer, measure 2.03.  The intensity alive beside the
+    # operand (2), packed in its own buffer, whose |ident - base| against
+    # the kept triangle is taken there, measure 2.03; no unpacked copy of
+    # the base is formed.  The intensity alive beside the
     # identity case and ident - base with its absolute value measured 4.02
     n = alpha1.space.n
     assert alpha1.times[0] in alpha1.form._keep

@@ -47,6 +47,7 @@ from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
 from formlab.space import (MetricMeasureSpace, _min_max_steps, _ranks,
                            build_space, chain_check)
+from conftest import whole
 from test_energy_oracles import context, truncated_form
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
@@ -125,6 +126,7 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
                lower_dilations=(1.0, 0.5, 0.25), indicator=1.0):
     xs = space.interior(space.interior_margin)
     keep = usable_times(table, space, 0.01)
+    kernels = whole(table)
     params = OldParams()
     params.grid = {"times": [float(table.times[i]) for i in keep],
                    "n_centers": int(len(xs))}
@@ -154,9 +156,9 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
             worst, exc_u, wit = 0.0, 0, None
             for i in keep:
                 t = table.times[i]
-                K = table.kernels[i][np.ix_(xs, xs)]
+                K = kernels[i][np.ix_(xs, xs)]
                 U = capped(old_envelope_arrays(scales, space, t, xs, xs, c4))
-                ok = K > floors(table.kernels[i])
+                ok = K > floors(kernels[i])
                 exc_u += int((~ok).sum())
                 if ok.any():
                     cand = _extreme(K / U, ok, t, pick_max=True)
@@ -172,7 +174,7 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
         worst = 0.0
         for i in keep:
             t = table.times[i]
-            K = table.kernels[i][np.ix_(xs, xs)]
+            K = kernels[i][np.ix_(xs, xs)]
             env = old_envelope_arrays(scales, space, t, xs, xs)
             d = env["d"]
             phi_d = np.ones_like(d)
@@ -182,7 +184,7 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
             denom = env["Vd"] * phi_d
             np.divide(t, denom, out=far, where=denom > 0.0)
             U = np.minimum((1.0 / env["Vphi"])[:, None], far)
-            ok = K > floors(table.kernels[i])
+            ok = K > floors(kernels[i])
             if ok.any():
                 worst = max(worst, float((K[ok] / U[ok]).max()))
         params.c3 = worst
@@ -193,9 +195,9 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
             best, exc, wit = math.inf, 0, None
             for i in keep:
                 t = table.times[i]
-                K = table.kernels[i][np.ix_(xs, xs)]
+                K = kernels[i][np.ix_(xs, xs)]
                 L = capped(old_envelope_arrays(scales, space, t, xs, xs, c2))
-                fl = floors(table.kernels[i])
+                fl = floors(kernels[i])
                 ok = (L > fl) & (K > fl)
                 exc += int((~ok).sum())
                 if ok.any():
@@ -212,11 +214,11 @@ def old_fit_hk(table, scales, space, mode, upper_dilations=(1.0, 2.0, 4.0),
         best, exc = math.inf, 0
         for i in keep:
             t = table.times[i]
-            K = table.kernels[i][np.ix_(xs, xs)]
+            K = kernels[i][np.ix_(xs, xs)]
             env = old_envelope_arrays(scales, space, t, xs, xs)
             near = env["d"] <= indicator * scales.phi.inverse(t)
             L = np.where(near, (1.0 / env["Vphi"])[:, None], env["pj"])
-            fl = floors(table.kernels[i])
+            fl = floors(kernels[i])
             ok = (L > fl) & (K > fl)
             exc += int((~ok).sum())
             if ok.any():
@@ -235,11 +237,12 @@ def old_tail_probability(table, scales, space, radii, a1_grid, gauss_cap):
     D = space.metric
     xs = space.interior(space.interior_margin)
     keep = usable_times(table, space, 0.05)
+    kernels = whole(table)
     eta = min(scales.phi_j.exponents)
     entries = []
     for i in keep:
         t = table.times[i]
-        K = table.kernels[i]
+        K = kernels[i]
         for x in xs:
             if space.dist_to_boundary[x] < max(radii):
                 continue
@@ -281,10 +284,11 @@ def old_chain_lower(table, scales, space, c0, m_cap):
     D = space.metric
     xs = space.interior(space.interior_margin)
     keep = usable_times(table, space)
+    kernels = whole(table)
     times = [table.times[i] for i in keep]
     c5 = math.inf
     for t, i in zip(times, keep):
-        K = table.kernels[i]
+        K = kernels[i]
         Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
         near = D[np.ix_(xs, xs)] <= scales.phi_c.inverse(t)
         vals = (K[np.ix_(xs, xs)] * Vc[:, None])[near]
@@ -292,7 +296,7 @@ def old_chain_lower(table, scales, space, c0, m_cap):
             c5 = min(c5, float(vals.min()))
     c6, used, rows = 1.0, 0, []
     for t, i in zip(times, keep):
-        K = table.kernels[i]
+        K = kernels[i]
         Vc = old_volumes_at(space, xs, scales.phi_c.inverse(t))
         d_sub = D[np.ix_(xs, xs)]
         mvals = old_envelope_arrays(scales, space, t, xs, xs)["m"]
@@ -407,15 +411,16 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
     D = space.metric
     xs = space.interior()
     keep = usable_times(table, space, 0.01)
+    kernels = whole(table)
     c_uhkd = 0.0
     c_nl = math.inf
     for i in keep:
         t = table.times[i]
         Vphi = old_volumes_at(space, xs, scales.phi.inverse(t))
-        diag = table.kernels[i][xs, xs]
+        diag = kernels[i][xs, xs]
         c_uhkd = max(c_uhkd, float((diag * Vphi).max()))
         near = D[np.ix_(xs, xs)] <= nl_constant * scales.phi.inverse(t)
-        K = table.kernels[i][np.ix_(xs, xs)]
+        K = kernels[i][np.ix_(xs, xs)]
         vals = (K * Vphi[:, None])[near]
         if vals.size:
             c_nl = min(c_nl, float(vals.min()))
@@ -434,7 +439,7 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
             B = space.ball(x0, r)
             tabB = heat_kernel(form, ts, domain=B)
             posB = {int(p): k for k, p in enumerate(B)}
-            for t, KB, KF in zip(ts, tabB.kernels, full.kernels):
+            for t, KB, KF in zip(ts, tabB.kernels, whole(full)):
                 rad = eps * scales.phi.inverse(t)
                 core = [p for p in B if D[x0, p] < max(rad, 1e-12)]
                 if not core:
@@ -454,8 +459,8 @@ def old_diag_checks(table, scales, space, form, ndl_radii=(8.0, 16.0),
 def old_meyer_check(form, scales, rho, times):
     space = form.space
     interior = space.interior()
-    kernels = heat_kernel(form, times).kernels
-    truncated = heat_kernel(truncated_form(form, rho), times).kernels
+    kernels = whole(heat_kernel(form, times))
+    truncated = whole(heat_kernel(truncated_form(form, rho), times))
     block = np.ix_(interior, interior)
     diffs = [(P - Qk)[block] for P, Qk in zip(kernels, truncated)]
     phi_rho = scales.phi(rho)
@@ -515,7 +520,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
         # caloric family: global heat flows sampled in the last window
         phi_r = scales.phi(r)
         ts = _window_times(phi_r - scales.phi(eps * r), phi_r, n_window_times)
-        table = heat_kernel(form, ts)
+        kernels = whole(heat_kernel(form, ts))
         for x0 in map(int, centers):
             B = space.ball(x0, r)
             ext = np.setdiff1d(np.arange(form.n), B)
@@ -538,7 +543,7 @@ def old_check_regularity(form, scales, radii, eps=0.5,
             zs = np.arange(form.n)[rng.choice(form.n, size=min(8, form.n),
                                               replace=False)]
             for z in zs:
-                traces = np.stack([K[:, z] * form.mu[z] for K in table.kernels])
+                traces = np.stack([K[:, z] * form.mu[z] for K in kernels])
                 supu = float(np.abs(traces).max())
                 prs = []
                 for a in range(len(ts)):
@@ -670,12 +675,13 @@ def test_envelope_ratio_rows_equal_loop_formulas(ctx, monkeypatch):
 def old_ratio_rows(ctx, mode, params, max_rows):
     xs = ctx.space.interior()
     keep = usable_times(ctx.table, ctx.space)
+    kernels = whole(ctx.table)
     stride = max(1, int(math.sqrt(len(keep) * len(xs) ** 2 / max_rows)))
     xs = xs[::stride]
     rows = []
     for i in keep:
         t = ctx.table.times[i]
-        K = ctx.table.kernels[i][np.ix_(xs, xs)]
+        K = kernels[i][np.ix_(xs, xs)]
         env = {c: old_envelope_arrays(ctx.scales, ctx.space, t, xs, xs, c)
                for c in (params["c4"], params["c2"])}
         if mode == "HK_local":
@@ -686,7 +692,7 @@ def old_ratio_rows(ctx, mode, params, max_rows):
                                           1.0 / e["Vj"])[:, None],
                                e["pc"] + e["pj"])
                     for e in (env[params["c4"]], env[params["c2"]]))
-        floor = FLOOR_REL * float(ctx.table.kernels[i].max())
+        floor = FLOOR_REL * float(kernels[i].max())
         for a, x in enumerate(xs):
             for b, y in enumerate(xs):
                 kept = K[a, b] > floor

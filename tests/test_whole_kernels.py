@@ -1,11 +1,13 @@
-"""Whole global heat kernels are computed only where a whole kernel is read.
-A check that reads blocks, rows or columns of p(t) gets them from
-``form.kernel_blocks``, which holds one product at a time; a call of
-``heat_kernel`` without ``domain`` elsewhere in ``src/formlab`` is a second
-path to the same entries at n x n per time.  Every whole global kernel comes
-from one engine site, ``form._global_kernel``, which ``kernel_blocks``
-reaches only at the times the form keeps.  Read with ``ast``, and the last
-by counting calls."""
+"""Global heat kernels are computed only where a whole kernel or the
+shared table is read.  A check that reads blocks, rows or columns of p(t)
+gets them from ``form.kernel_blocks``, which holds one product at a time;
+a call of ``heat_kernel`` without ``domain`` elsewhere in ``src/formlab`` is
+a second path to the same entries at n(n+1)/2 per time.  Every whole global
+kernel comes from one engine site, ``form._global_kernel``, which
+``kernel_blocks`` reaches only at the times the form keeps, through the
+packing of ``_packed_kernel``.  Outside ``form.py`` a global table is read
+through its accessors alone, never by subscripting its packed kernels.
+Read with ``ast``, and the engine's reach by counting calls."""
 
 import ast
 from pathlib import Path
@@ -19,24 +21,30 @@ from formlab.space import build_space
 
 SOURCES = sorted(Path(formlab.__file__).parent.glob("*.py"))
 
-# the functions that read whole global kernels, and why
+# the functions that read global tables, and why
 WHOLE_KERNEL_READERS = {
     "SuiteContext.table": "the shared table: hk, hk_minus, uhk_weak, diag, "
-                          "tail_probability and chain_lower read whole "
-                          "kernels of it",
+                          "tail_probability and chain_lower read blocks, "
+                          "rows and diagonals of every kernel of it",
     "kernel_certificates": "symmetry, unit mass and Chapman-Kolmogorov read "
-                           "every entry of p(t) and of p(t/2)",
-    "_chk_subordination": "the identity case compares the whole subordinate "
-                          "kernel with the whole base kernel",
+                           "every entry of p(t), unpacked from the kept "
+                           "kernel at a time the form keeps",
+    "_chk_subordination": "the identity case compares every entry of the "
+                          "subordinate kernel with the base kernel",
 }
 
 
 # the callers of the engine's one whole-kernel site, and why
 ENGINE_CALLERS = {
-    "heat_kernel": "a global table is one whole kernel per time",
-    "kernel_blocks": "at a kept time the blocks are gathered from the kept "
-                     "kernel",
+    "_packed_kernel": "a global table's kernel is packed from the whole "
+                      "kernel, once at a time the form keeps",
+    "kernel_certificates": "CK multiplies two whole kernels at t/2, and "
+                           "reads a whole p(t) the form does not keep",
 }
+
+# the whole-kernel tables whose ``kernels`` a module may read
+WHOLE_TABLES = {"heat_kernel": "with a domain, Dirichlet kernels",
+                "subordinate": "subordinate kernels"}
 
 
 def global_kernel_callers(sources, callee="heat_kernel"):
@@ -121,3 +129,46 @@ def test_detector_on_synthetic_package():
     # no call
     assert global_kernel_callers(sources) == [
         ("a", "<module>"), ("a", "Ctx.table"), ("a", "outer.inner")]
+
+
+def direct_kernel_reads(sources):
+    """Sorted (module, line) of each ``.kernels`` read outside ``form``
+    that is not on a ``WHOLE_TABLES`` call: a read of a global table's
+    packed kernels past its accessors."""
+    found = set()
+    for mod, src in sources.items():
+        if mod == "form":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if not (isinstance(node, ast.Attribute) and node.attr == "kernels"):
+                continue
+            call = node.value
+            name = None
+            if isinstance(call, ast.Call):
+                fn = call.func
+                name = (fn.id if isinstance(fn, ast.Name) else
+                        fn.attr if isinstance(fn, ast.Attribute) else None)
+            dirichlet = isinstance(call, ast.Call) and (
+                len(call.args) >= 3
+                or any(k.arg == "domain" for k in call.keywords))
+            if name == "subordinate" or (name == "heat_kernel" and dirichlet):
+                continue
+            found.add((mod, node.lineno))
+    return sorted(found)
+
+
+def test_global_tables_are_read_through_their_accessors():
+    assert direct_kernel_reads({p.stem: p.read_text()
+                                for p in SOURCES}) == []
+    sources = {
+        "a": ("def f(ctx, form, B):\n"
+              "    K = ctx.table.kernels[0]\n"
+              "    for P in heat_kernel(form, [1.0]).kernels:\n"
+              "        pass\n"
+              "    KB = heat_kernel(form, [1.0], domain=B).kernels\n"
+              "    KD = heat_kernel(form, [1.0], B).kernels\n"
+              "    (S,) = subordinate(form, 0.0, 1.0, [1.0]).kernels\n"
+              "    return ctx.table.block(B, B)(0)\n"),
+        "form": "def g(table):\n    return table.kernels[0]\n",
+    }
+    assert direct_kernel_reads(sources) == [("a", 2), ("a", 3)]
