@@ -19,6 +19,7 @@ precision on every space formlab builds (n <= ``space.MAX_POINTS``).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -78,17 +79,19 @@ def _mirror_upper(M):
 # -- jump kernels ------------------------------------------------------------
 
 
-@dataclass
 class JumpKernel:
-    """Symmetric jump intensity J(x, y) >= 0 with zero diagonal: its own
-    copy of ``matrix``, symmetrised unless it already is exactly symmetric.
-    Raises FormError, naming the first worst pair, on an asymmetry above
-    1e-12 of max |J|, and on a negative entry."""
+    """Symmetric jump intensity J(x, y) >= 0 with zero diagonal, held as
+    its read-only row-major upper triangle ``packed``, n(n+1)/2 doubles
+    (row x's J[x, x:] at ``_row_starts(n)[x]``), and read through ``block``
+    and ``rows``: every value is a stored entry, so a read equals the
+    slice of the whole matrix bit for bit.  A whole ``matrix`` is packed
+    after its checks, symmetrised unless it already is exactly symmetric:
+    FormError, naming the first worst pair, on an asymmetry above 1e-12 of
+    max |J|, and on a negative entry.  The builders write the triangle
+    directly, so their J is exactly symmetric."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        J = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix):
+        J = np.asarray(matrix, dtype=float)
         asym = _row_asymmetry(J)
         if asym.max() > 1e-12 * max(_abs_max(J), 1e-300):
             # the first worst pair in row-major order
@@ -101,11 +104,35 @@ class JumpKernel:
         if any((J[i:i + _ROWS] < 0.0).any() for i in range(0, len(J), _ROWS)):
             raise FormError("jump intensities must be nonnegative")
         # symmetrising an exactly symmetric J would write each entry back
-        J = J.copy()
         if asym.max() != 0.0:
-            _symmetrise(J)
-        np.fill_diagonal(J, 0.0)
-        self.matrix = J
+            J = _symmetrise(J.copy())
+        self._hold(_pack(J))
+
+    @classmethod
+    def _upper(cls, packed):
+        """The kernel whose packed upper triangle a builder wrote."""
+        kern = cls.__new__(cls)
+        kern._hold(packed)
+        return kern
+
+    def _hold(self, packed):
+        """Keep ``packed``, its diagonal zeroed, read-only; FormError on a
+        negative entry (fmin skips a nan, as a comparison does)."""
+        self.n = n = int(np.sqrt(2 * len(packed)))    # n(n+1)/2 entries
+        packed[_row_starts(n)[:-1]] = 0.0
+        if np.fmin.reduce(packed) < 0.0:
+            raise FormError("jump intensities must be nonnegative")
+        packed.flags.writeable = False
+        self.packed = packed
+
+    def block(self, rows, cols):
+        """J[rows, cols], rows and cols broadcast together: the block of
+        ``np.ix_(rows, cols)``, scattered (x, y) pairs, or one entry."""
+        return self.packed.take(_packed_index(self.n, rows, cols))
+
+    def rows(self, xs):
+        """J[xs, :]: one row for a single xs."""
+        return self.block(np.asarray(xs)[..., None], np.arange(self.n))
 
     @classmethod
     def stable_like(cls, space: MetricMeasureSpace, psi, coeff: NonNegative = 1.0,
@@ -120,14 +147,14 @@ class JumpKernel:
         space, and each block of rows reads V(x, d) at C[x, shift[k]] of
         its ball table C; the metric's exact symmetry makes C[y, shift[k]]
         the volume V(y, d(y, x))."""
-        return cls(_stable_like_matrix(space, psi, coeff, cmin, cmax,
-                                       seed))
+        return cls._upper(_stable_like_upper(space, psi, coeff, cmin, cmax,
+                                             seed))
 
     @classmethod
     def power_law(cls, space: MetricMeasureSpace, alpha: float, coeff: NonNegative = 1.0):
         """Translation-invariant J(x,y) = coeff * d(x,y)^{-(1+alpha)}."""
-        return cls(space.radial(lambda d: coeff * d ** (-(1.0 + alpha)),
-                                0.0)[space.R])
+        return cls._upper(_radial_upper(
+            space, lambda d: coeff * d ** (-(1.0 + alpha))))
 
     @classmethod
     def two_regime(cls, space: MetricMeasureSpace, alpha: float, beta: float,
@@ -138,43 +165,60 @@ class JumpKernel:
             return np.where(d <= regime_break, coeff * d ** (-(1.0 + alpha)),
                             coeff * regime_break ** (beta - alpha)
                             * d ** (-(1.0 + beta)))
-        return cls(space.radial(f, 0.0)[space.R])
+        return cls._upper(_radial_upper(space, f))
 
 
-def _stable_like_matrix(space, psi, coeff, cmin, cmax, seed):
-    """The matrix of ``JumpKernel.stable_like``, whose every temporary is
-    gone before the kernel copies it."""
+def _radial_upper(space, f):
+    """The packed upper triangle of f(d(x, y)), f taken on the distinct
+    distances (``radial``, 0 on the diagonal) and gathered at the ranks of
+    each row's R[x, x:]."""
+    f_u = space.radial(f, 0.0)
+    starts = _row_starts(space.n).tolist()
+    P = np.empty(starts[-1])
+    for x, (a, b) in enumerate(zip(starts, starts[1:])):
+        f_u.take(space.R[x, x:], out=P[a:b], mode="clip")
+    return P
+
+
+def _stable_like_upper(space, psi, coeff, cmin, cmax, seed):
+    """The packed upper triangle of ``JumpKernel.stable_like``: each block
+    of rows computes its columns from the block's first row on, and keeps
+    each row x's J[x, x:].  The c field is drawn a block of rows at a time
+    from one stream, the draws of the whole n x n field; its upper
+    triangle is c(x, y), mirrored below."""
     n = space.n
     u, R, C = space.u, space.R, space.C
     shift = np.searchsorted(u, u + 1e-9)
     # u[0] = 0 is the diagonal's distance, whose J is zeroed
     psi_u = space.radial(psi, 1.0)
-    c_field = None
-    if cmin != cmax:
-        rng = np.random.RandomState(seed)
-        c_field = _mirror_upper(rng.uniform(cmin, cmax, size=(n, n)))
+    rng = None if cmin == cmax else np.random.RandomState(seed)
     # where row y of C starts in its flat view; the indices below are
     # in range, so "clip" mode takes into ``out`` without a copy
     width = C.shape[1]
     at_y = np.arange(0, n * width, width)
     flat = C.ravel()
-    J = np.empty((n, n))
-    Vy_buf, den_buf = np.empty((2, _ROWS, n))
-    at_buf = np.empty((_ROWS, n), dtype=np.intp)
+    starts = _row_starts(n).tolist()
+    P = np.empty(starts[-1])
+    Vy_buf, den_buf = np.empty((2, _ROWS * n))
+    at_buf = np.empty(_ROWS * n, dtype=np.intp)
     for i in range(0, n, _ROWS):
         rows = slice(i, i + _ROWS)
-        k = R[rows]
+        k = R[rows, i:]
+        shape = k.shape
+        Vy, den, at = (buf[:k.size].reshape(shape)
+                       for buf in (Vy_buf, den_buf, at_buf))
         s = shift.take(k)
-        Vy, den, at = Vy_buf[:len(k)], den_buf[:len(k)], at_buf[:len(k)]
-        flat.take(np.add(s, at_y, out=at), out=Vy, mode="clip")
+        flat.take(np.add(s, at_y[i:], out=at), out=Vy, mode="clip")
         flat.take(np.add(s, at_y[rows, None], out=at), out=den, mode="clip")
         den *= Vy
         np.sqrt(den, out=den)
         den *= psi_u.take(k, out=Vy, mode="clip")
-        c = cmin if c_field is None else c_field[rows]
-        np.divide(coeff * c, den, out=J[rows])
-    np.fill_diagonal(J, 0.0)
-    return J
+        c = cmin if rng is None else rng.uniform(cmin, cmax,
+                                                 size=(shape[0], n))[:, i:]
+        np.divide(coeff * c, den, out=den)
+        for r, x in enumerate(range(i, i + shape[0])):
+            P[starts[x]:starts[x + 1]] = den[r, r:]
+    return P
 
 
 # jump kinds: none or a ``JumpKernel`` builder, looked up when called; a
@@ -239,11 +283,8 @@ class DirichletForm:
         self.jump = jump
 
         # energy matrix: E(f, g) = f @ A @ g, built in place from K = J mu mu
-        if jump is None:
-            A = np.zeros((space.n, space.n))
-        else:
-            A = np.outer(space.mu, space.mu)
-            A *= jump.matrix
+        A = (np.zeros((space.n, space.n)) if jump is None
+             else _jump_energy(jump, space.mu))
         self._K_edges = A[edges[:, 0], edges[:, 1]]
         A *= -2.0
         self.A = self._close(A, self._K_edges)
@@ -347,10 +388,26 @@ class DirichletForm:
         if self.jump is None:
             return np.zeros((len(idx), len(idx)))
         mu = self.mu[idx]
-        K = self.jump.matrix[np.ix_(idx, idx)] * np.outer(mu, mu)
+        K = self.jump.block(*np.ix_(idx, idx)) * np.outer(mu, mu)
         L = -2.0 * K
         L[np.diag_indices(len(idx))] = 2.0 * K.sum(axis=1)
         return L
+
+
+def _jump_energy(jump, mu):
+    """K = outer(mu, mu) * J: mu[x] mu[y] over a block of rows from its
+    first row on, each row's K[x, x:] times the packed row of J, and the
+    upper triangle mirrored below, where (mu[y] mu[x]) J[y, x] is the same
+    product, as J is exactly symmetric and a product commutes."""
+    n = jump.n
+    K = np.empty((n, n))
+    starts = _row_starts(n).tolist()
+    for i in range(0, n, _ROWS):
+        np.multiply(mu[i:i + _ROWS, None], mu[i:], out=K[i:i + _ROWS, i:])
+        for x in range(i, min(i + _ROWS, n)):
+            row = K[x, x:]
+            np.multiply(row, jump.packed[starts[x]:starts[x + 1]], out=row)
+    return _mirror_upper(K)
 
 
 def assemble(space: MetricMeasureSpace, local_weights, jump: JumpKernel | None
@@ -403,6 +460,14 @@ def _unpack(P):
     return _mirror_upper(K)
 
 
+@functools.cache
+def _leads(n):
+    """start[i] - i for i < n as int32, shared and read-only."""
+    lead = (_row_starts(n)[:-1] - np.arange(n)).astype(np.int32)
+    lead.flags.writeable = False
+    return lead
+
+
 def _packed_index(n, rows, cols):
     """Where K[rows, cols] lies in the packed upper triangle of an n x n
     symmetric K, rows and cols broadcast as numpy's indexing broadcasts
@@ -410,9 +475,10 @@ def _packed_index(n, rows, cols):
     intp map; n(n+1)/2 < 2**31 for every n <= ``MAX_POINTS``."""
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    lead = (_row_starts(n)[:-1] - np.arange(n)).astype(np.int32)
-    ends = np.minimum(rows, cols)
-    at = lead.take(ends)                    # start[i] - i at i = min
+    lead = _leads(n)
+    # a 0-d index gives numpy scalars, which cannot be written in place
+    ends = np.asarray(np.minimum(rows, cols))
+    at = np.asarray(lead.take(ends))        # start[i] - i at i = min
     np.maximum(rows, cols, out=ends)
     return np.add(at, ends, out=at, casting="unsafe")
 

@@ -396,11 +396,13 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
     ramp[d0 >= R + r] = 0.0
     gamma_ramp = form.local_champ(ramp)[B3]
     ramp2 = ramp[B2] ** 2
-    J = None if form.jump is None else form.jump.matrix
-    if J is not None:
+    jump = form.jump
+    if jump is not None:
         dphi2 = (ramp[B3][:, None] - ramp[None, :]) ** 2
-        J3, mu3 = J[B3], np.outer(mu[B3], mu)
-        J23, mu23 = J[np.ix_(B2, B3)], np.outer(mu[B2], mu[B3])
+        J3, mu3 = jump.rows(B3), np.outer(mu[B3], mu)
+        # B2 lies in B3, and J[B2, B3] is read from J3's rows
+        J23 = J3[np.ix_(np.searchsorted(B3, B2), B3)]
+        mu23 = np.outer(mu[B2], mu[B3])
         cuts = [(space.beyond(rho, at=B3),
                  space.beyond(rho, at=np.ix_(B2, B3))) for rho in rhos]
         # ((f^2 dphi^2) J) mu and ((ramp^2 df^2) J) mu, in their order
@@ -413,7 +415,7 @@ def _cs_terms(form, x0, R, r, C0, fns, rhos):
         lhs = float(np.sum(fsq * gamma_ramp))
         # right side term 1: int_{B2} ramp^2 dGamma(f, f)
         rt1 = float(np.sum(ramp2 * form.local_champ(f)[B2]))
-        if J is None:
+        if jump is None:
             sides = [(lhs, rt1)] * (1 + len(rhos))
         else:
             np.multiply(fsq[:, None], dphi2, out=left)
@@ -534,7 +536,7 @@ def fit_jpsi(form: DirichletForm, psi):
     mask = k > 0
     V = space.C[interior[:, None], u.searchsorted(u + 1e-9)[k]][mask]
     k = k[mask]
-    ratios = form.jump.matrix[block][mask] * V * space.radial(psi, 1.0)[k]
+    ratios = form.jump.block(*block)[mask] * V * space.radial(psi, 1.0)[k]
     # the extremes per distance, then overall; fmin/fmax skip a nan ratio
     lo_u = np.full(len(u), math.inf)
     hi_u = np.zeros(len(u))
@@ -563,13 +565,14 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs: Count = 60,
     interior = space.interior()
     if len(interior) < 2:
         return _no_ball("J-tail/UJS", "no pair of interior points", **ranges)
-    J = form.jump.matrix
+    jump = form.jump
     rows = []
     c_tail = 0.0
     witness = {}
-    for x0, r in ball_family(space, radii, reach_factor=1.0, max_centers=6):
+    family = ball_family(space, radii, reach_factor=1.0, max_centers=6)
+    for (x0, r), Jx in zip(family, jump.rows([x0 for x0, _ in family])):
         outside = space.beyond(r, x0, closed=True)
-        T = float(np.sum(J[x0][outside] * space.mu[outside]))
+        T = float(np.sum(Jx[outside] * space.mu[outside]))
         c = T * scales.phi_j(r)
         rows.append({"x0": x0, "r": r, "tail": T, "c": c})
         if c > c_tail:
@@ -577,10 +580,12 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs: Count = 60,
             witness = {"x0": x0, "r": r, "tail": T}
 
     rng = np.random.RandomState(seed)
+    pairs = [rng.choice(interior, size=2, replace=False)
+             for _ in range(n_pairs)]
     c_ujs = 0.0
     tested = 0
-    for _ in range(n_pairs):
-        x, y = rng.choice(interior, size=2, replace=False)
+    # J[:, y] is row y, as J is symmetric
+    for (x, y), Jy in zip(pairs, jump.rows([y for _, y in pairs])):
         dxy = space.dist(x, y)
         if dxy <= 1.0:
             continue
@@ -588,12 +593,12 @@ def tail_and_ujs(form: DirichletForm, scales, radii, n_pairs: Count = 60,
             if r < 1.0:
                 continue
             Bx = space.ball(int(x), r + 1e-9)
-            avg = (float(np.sum(J[Bx, y] * space.mu[Bx]))
+            avg = (float(np.sum(Jy[Bx] * space.mu[Bx]))
                    / space.volume(int(x), r + 1e-9))
             if avg <= 0.0:
                 c_ujs = math.inf
                 break
-            c_ujs = max(c_ujs, J[x, y] / avg)
+            c_ujs = max(c_ujs, Jy[x] / avg)
             tested += 1
         if math.isinf(c_ujs):
             break   # J vanishes on a ball: UJS fails, the sweep ends here

@@ -36,7 +36,8 @@ __all__ = [
     "chain_check",
 ]
 
-# the point cap: dense n x n ranks, jump matrix, form and eigenbasis
+# the point cap: dense n x n ranks, form and eigenbasis, and the jump
+# kernel's n(n+1)/2 packed doubles
 MAX_POINTS = 4096
 # the cap on grids.n_times: the kernel table holds n_times kernels of
 # n(n+1)/2 doubles each

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+from formlab.form import _unpack
+
 
 def traced(fn):
     """(fn(), traced bytes it leaves, peak traced bytes while it runs), both
@@ -28,6 +30,14 @@ def whole(table):
     ``rows`` accessor: the oracles' copy of what the readers gather."""
     at = table.rows(np.arange(table.n))
     return [at(i) for i in range(len(table.times))]
+
+
+def whole_jump(form):
+    """The whole jump matrix J of a form, or of a jump kernel given
+    itself, unpacked from its packed upper triangle: the oracles' copy,
+    which reads J past the accessors the readers use."""
+    jump = getattr(form, "jump", form)
+    return _unpack(jump.packed)
 
 
 def _expm_kernels(form, times):

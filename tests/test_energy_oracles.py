@@ -22,6 +22,7 @@ from formlab.form import JumpKernel, assemble, build_jump
 from formlab.functionals import (ball_family, check_cs, function_family,
                                  poincare)
 from formlab.space import MetricMeasureSpace
+from conftest import whole_jump
 
 
 BUNDLED = ("z1_alpha1", "phi_counterexample", "z1_mini",
@@ -69,7 +70,7 @@ def old_A(form):
     n = form.n
     K = np.zeros((n, n))
     if form.jump is not None:
-        K = form.jump.matrix * np.outer(form.mu, form.mu)
+        K = whole_jump(form) * np.outer(form.mu, form.mu)
     A = -(old_W(form) + 2.0 * K)
     np.fill_diagonal(A, 0.0)
     A[np.diag_indices(n)] = -A.sum(axis=1)
@@ -96,7 +97,7 @@ def old_jump_laplacian(form, Bk):
     """``poincare``'s hand-built restricted jump Laplacian."""
     space = form.space
     m = len(Bk)
-    K = form.jump.matrix[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
+    K = whole_jump(form)[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
     Kl = -2.0 * K
     Kl[np.diag_indices(m)] = 2.0 * K.sum(axis=1)
     return Kl
@@ -116,7 +117,7 @@ def old_poincare(form, scales, x0, r, kappa=1.0):
     N[np.ix_(sel, sel)] = np.diag(muB) - np.outer(muB, muB) / muB.sum()
     D = old_loop_laplacian(form, Bk)
     if form.jump is not None:
-        K = form.jump.matrix[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
+        K = whole_jump(form)[np.ix_(Bk, Bk)] * np.outer(space.mu[Bk], space.mu[Bk])
         Kl = -2.0 * K
         Kl[np.diag_indices(m)] = 2.0 * K.sum(axis=1)
         D += Kl
@@ -177,7 +178,7 @@ def truncated_jump(form, rho):
     rho-truncated form; None without a jump part."""
     if form.jump is None:
         return None
-    Jr = form.jump.matrix.copy()
+    Jr = whole_jump(form).copy()
     Jr[form.space.metric > rho] = 0.0
     return Jr
 
@@ -196,7 +197,7 @@ def jump_champ(form, f, rho=None):
     zero without a jump part."""
     if form.jump is None:
         return np.zeros(form.n)
-    J = form.jump.matrix if rho is None else truncated_jump(form, rho)
+    J = whole_jump(form) if rho is None else truncated_jump(form, rho)
     diff2 = (f[:, None] - f[None, :]) ** 2
     return (diff2 * J * form.mu[None, :]).sum(axis=1)
 
@@ -211,7 +212,7 @@ def old_cs_terms(form, x0, R, r, C0, f, rho=None):
     f = np.asarray(f, dtype=float)
     Jm = None
     if form.jump is not None:
-        Jm = form.jump.matrix
+        Jm = whole_jump(form)
         if rho is not None:
             Jm = Jm.copy()
             Jm[space.metric > rho] = 0.0
@@ -295,7 +296,7 @@ def per_rho_check_cs(form, scales, families, test_fns, C0, rho_grid):
     rows = []
     fitted = {0.0: 0.0, 1.0: 0.0}
     witness = {}
-    Jm = None if form.jump is None else form.jump.matrix
+    Jm = None if form.jump is None else whole_jump(form)
     for x0, R, r in families:
         phi_r = scales.phi(r)
         terms = per_rho_cs_terms(form, x0, R, r, C0, test_fns, Jm)
@@ -496,7 +497,7 @@ def test_jump_laplacian_is_restricted_energy(case):
         assert np.array_equal(L, np.zeros((len(idx), len(idx))))
         return
     assert L.tobytes() == old_jump_laplacian(form, idx).tobytes()
-    K = form.jump.matrix[np.ix_(idx, idx)] * np.outer(form.mu[idx],
+    K = whole_jump(form)[np.ix_(idx, idx)] * np.outer(form.mu[idx],
                                                       form.mu[idx])
     want = float((K * (fi[:, None] - fi[None, :]) ** 2).sum())
     tol = 1e-12 * (np.abs(fi) @ np.abs(L) @ np.abs(fi)) + 1e-300

@@ -13,7 +13,7 @@ from formlab.form import (FormError, JumpKernel, assemble, build_jump,
 from formlab.functionals import fit_jpsi
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import build_space
-from conftest import whole
+from conftest import whole, whole_jump
 from test_energy_oracles import truncated_form
 
 
@@ -41,7 +41,7 @@ class TestAssembly:
         x = 16
         delta = np.zeros(sp.n)
         delta[x] = 1.0
-        J = form.jump.matrix
+        J = whole_jump(form)
         # direct summation oracle: edges at x plus ordered jump pairs
         w_sum = 2.0      # two unit edges at an interior point
         expect = w_sum + 2.0 * J[x].sum()
@@ -64,7 +64,7 @@ class TestAssembly:
         c1, c2, _ = fit_jpsi(assemble(sp, 1.0, kern), psi)
         # c(x,y) in [0.5, 2] times the volume symmetrisation spread
         assert 0.2 <= c1 <= 1.0 <= c2 <= 5.0
-        assert np.abs(kern.matrix - kern.matrix.T).max() == 0.0
+        assert np.abs(whole_jump(kern) - whole_jump(kern).T).max() == 0.0
 
     def test_two_regime_joins_two_power_laws_at_the_break(self):
         # coeff d^-(1+alpha) up to the break, coeff b^(beta-alpha)
@@ -75,15 +75,15 @@ class TestAssembly:
         d = sp.metric[0, 1:]
         want = np.where(d <= 8.0, 2.0 * d ** -2.0,
                         2.0 * 8.0 ** -0.5 * d ** -1.5)
-        assert np.allclose(kern.matrix[0, 1:], want, rtol=1e-14, atol=0.0)
+        assert np.allclose(whole_jump(kern)[0, 1:], want, rtol=1e-14, atol=0.0)
         assert 2.0 * 8.0 ** -0.5 * 8.0 ** -1.5 == pytest.approx(
-            kern.matrix[0, 8], rel=1e-14)
-        assert np.diag(kern.matrix).max() == 0.0
-        assert np.array_equal(kern.matrix, kern.matrix.T)
+            whole_jump(kern)[0, 8], rel=1e-14)
+        assert np.diag(whole_jump(kern)).max() == 0.0
+        assert np.array_equal(whole_jump(kern), whole_jump(kern).T)
         built = build_jump({"kind": "two_regime", "alpha": 1.0, "beta": 0.5,
                             "regime_break": 8.0, "coeff": 2.0}, sp,
                            ScaleFunction.single_power(1.0), 7)
-        assert np.array_equal(built.matrix, kern.matrix)
+        assert np.array_equal(whole_jump(built), whole_jump(kern))
 
     def test_build_jump_calls_the_builder_on_the_class(self, monkeypatch):
         # a wrapper installed on JumpKernel after import, as a tracer
@@ -105,7 +105,7 @@ class TestAssembly:
         assert [sorted(kw) for kw in calls] == [["cmin", "psi", "seed",
                                                  "space"]]
         want = real(JumpKernel, sp, psi, cmin=0.5, seed=7)
-        assert np.array_equal(jump.matrix, want.matrix)
+        assert np.array_equal(whole_jump(jump), whole_jump(want))
 
     def test_generator_mu_symmetry(self):
         sp = build_space("gasket", level=3)
@@ -342,7 +342,7 @@ class TestExitStats:
 def jump_champ(form, f):
     """Gamma_j(f, f) as a density against mu:
     sum_y (f(x) - f(y))^2 J(x, y) mu(y)."""
-    return ((f[:, None] - f[None, :]) ** 2 * form.jump.matrix
+    return ((f[:, None] - f[None, :]) ** 2 * whole_jump(form)
             * form.mu[None, :]).sum(axis=1)
 
 
@@ -368,7 +368,7 @@ class TestEnergyMeasures:
     def test_cauchy_schwarz_random_trials(self):
         sp, form = z1(side=21, margin=0)
         rng = np.random.RandomState(7)
-        J = form.jump.matrix
+        J = whole_jump(form)
         edges = sp.edges
 
         def gamma_pointwise(u, v):

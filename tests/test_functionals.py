@@ -10,6 +10,7 @@ from formlab.functionals import (ball_family, capacity, check_cs, check_exit,
                                  tail_and_ujs, function_family)
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import MetricMeasureSpace, build_space
+from conftest import whole_jump
 
 
 def alpha1_triple():
@@ -135,7 +136,7 @@ class TestPoincare:
         s = 3.7
         sp2, _ = z1(side=33, margin=4)
         sp2.mu = sp2.mu * s
-        form2 = assemble(sp2, s, JumpKernel(form.jump.matrix / s))
+        form2 = assemble(sp2, s, JumpKernel(whole_jump(form) / s))
         c1, _ = poincare(form2, tr, 16, 4.0, 2.0)
         assert c1 == pytest.approx(c0, rel=1e-9)
 

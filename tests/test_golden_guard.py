@@ -10,15 +10,17 @@ gasket), the benchmark's ``z1_all_512`` config restricted to
 ``hk_minus``, ``uhk_weak``, ``dominance`` and ``subordination``), the
 Meyer decomposition (``meyer``), the other readers of the packed kernel
 table (``diag``, ``tail_probability`` and ``chain_lower``), the jump fits
-(``jpsi_alt`` and ``tail_ujs``) and the cut-off Sobolev sweep (``cs``), so
-every table reader is held at n = 512, ``z2_alpha1``
+(``jpsi_alt`` and ``tail_ujs``), the cut-off Sobolev sweep (``cs``) and
+the Poincare check (``pi``), so every table reader and every reader of
+the packed jump kernel is held at n = 512, ``z2_alpha1``
 restricted to ``chain``, ``tail_ujs``, ``gcap``, ``fk``, ``pi``, ``exit``
-and ``kernel``, and ``halfspace`` restricted to ``tail_ujs``.  The two
-n = 1024 lattices hold most of the chain sweep's time, and ``tail_ujs``
-reads their ``stable_like`` jump kernels, directly and through
-``fit_jpsi``; the ball-family checks run on the n = 1024 stable-like
-lattice as well, and ``kernel`` there reads symmetry in more than one
-tile; only ``halfspace`` has a random c field.  The
+and ``kernel``, and ``halfspace`` restricted to ``tail_ujs`` and ``pi``.
+The two n = 1024 lattices hold most of the chain sweep's time, and
+``tail_ujs`` reads their ``stable_like`` jump kernels, directly and
+through ``fit_jpsi``, and ``pi`` through ``jump_laplacian``; the
+ball-family checks run on the n = 1024 stable-like lattice as well, and
+``kernel`` there reads symmetry in more than one tile; only ``halfspace``
+has a random c field.  The
 test skips when numpy, scipy or the OpenBLAS build differ from the recorded
 environment, whose bits may differ.  The benchmark's files are read, never
 written.
@@ -53,12 +55,12 @@ sources = {name: name for name in sys.argv[1:]}
 sources["z1_all_512"] = {**z1_all(512), "checks": [
     "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
     "subordination", "meyer", "diag", "tail_probability", "chain_lower",
-    "jpsi_alt", "tail_ujs", "cs"]}
+    "jpsi_alt", "tail_ujs", "cs", "pi"]}
 sources["z2_alpha1"] = {**cli.load_config("z2_alpha1").raw,
                         "checks": ["chain", "tail_ujs", "gcap", "fk", "pi",
                                    "exit", "kernel"]}
 sources["halfspace"] = {**cli.load_config("halfspace").raw,
-                        "checks": ["tail_ujs"]}
+                        "checks": ["tail_ujs", "pi"]}
 digests = {}
 with tempfile.TemporaryDirectory() as tmp:
     for key, source in sources.items():
@@ -94,7 +96,7 @@ def test_fast_configs_reproduce_golden_digests():
     assert set(got["digests"]["z1_all_512"]) == {
         "pc_equivalence", "hk", "hk_minus", "uhk_weak", "dominance",
         "subordination", "meyer", "diag", "tail_probability", "chain_lower",
-        "jpsi_alt", "tail_ujs", "cs"}
+        "jpsi_alt", "tail_ujs", "cs", "pi"}
     assert set(got["digests"]["z2_alpha1"]) == {"chain", "tail_ujs", "gcap",
                                                 "fk", "pi", "exit", "kernel"}
-    assert set(got["digests"]["halfspace"]) == {"tail_ujs"}
+    assert set(got["digests"]["halfspace"]) == {"tail_ujs", "pi"}

@@ -20,12 +20,12 @@ from formlab.cli import (SuiteContext, _chk_cs, _chk_diag, _chk_kernel,
                          validate_config)
 from formlab.envelopes import fit_hk
 from formlab.form import (FormError, JumpKernel, _abs_max, _global_kernel,
-                          _symmetrise, assemble, heat_kernel, kernel_blocks,
-                          kernel_certificates, meyer_check)
+                          _symmetrise, assemble, build_jump, heat_kernel,
+                          kernel_blocks, kernel_certificates, meyer_check)
 from formlab.harnack import CylinderSpec, check_phi, check_regularity
 from formlab.scales import ScaleFunction, ScaleTriple
 from formlab.space import _row_asymmetry, build_space
-from conftest import traced_peak
+from conftest import traced, traced_peak, whole_jump
 from test_energy_oracles import context
 
 
@@ -199,6 +199,62 @@ def test_packed_accessors_equal_slices_of_the_full_kernel(name):
             assert P is ctx.form._kept[t] and not P.flags.writeable
 
 
+def test_table_accessors_take_single_entries():
+    # a 0-d row and column broadcast to one entry, as numpy's indexing
+    # gives it: the numpy scalar of that slice of the whole kernel
+    ctx = context("z1_mini")
+    table, n = ctx.table, ctx.space.n
+    for i, t in enumerate(table.times):
+        K = _global_kernel(ctx.form, t)
+        for got, want in ((table.block(2, 0)(i), K[2, 0]),
+                          (table.block(0, 2)(i), K[0, 2]),
+                          (table.diag(1)(i), K[1, 1]),
+                          (table.block(n - 1, [0, n - 1])(i),
+                           K[n - 1, [0, n - 1]])):
+            assert type(got) is type(want)
+            assert same_bytes(np.asarray(got), np.asarray(want))
+
+
+@pytest.mark.parametrize("name", ["z1_mini", "halfspace_11",
+                                  "weighted_z1_mini", "explicit"])
+def test_jump_accessors_equal_slices_of_the_whole_matrix(name):
+    # blocks, rows, scattered pairs and single entries read through the
+    # kernel equal the slices of the whole J bit for bit: a power law, a
+    # stable-like kernel with a random c field, a power law on a
+    # non-uniform mu, and a whole matrix packed by the constructor
+    if name == "halfspace_11":
+        sp = build_space("halfspace_lattice", side=11)
+        kern = JumpKernel.stable_like(sp, ScaleFunction.single_power(1.5),
+                                      coeff=1.3, cmin=0.5, cmax=2.5)
+    elif name == "explicit":
+        J = np.random.RandomState(11).uniform(0.0, 2.0, size=(90, 90))
+        kern = JumpKernel(J + J.T)
+    else:
+        kern = context(name).jump
+    n = kern.n
+    J = whole_jump(kern)
+    rng = np.random.RandomState(7)
+    mixed, other = rng.permutation(n)[:40], rng.permutation(n)[:25]
+    xs, ys = rng.randint(0, n, 300), rng.randint(0, n, 300)
+    reads = [
+        (kern.block(*np.ix_(mixed, other)), J[np.ix_(mixed, other)]),
+        (kern.block(*np.ix_([9, 3, 9], [n - 1, 0])),
+         J[np.ix_([9, 3, 9], [n - 1, 0])]),
+        (kern.rows(mixed), J[mixed]),
+        (kern.rows(np.arange(n)), J),
+        (kern.rows([]), J[[]]),
+        (kern.rows(5), J[5]),
+        (kern.block(xs, ys), J[xs, ys]),
+        (kern.block(xs[0], ys[:7]), J[xs[0], ys[:7]]),
+    ]
+    for got, want in reads:
+        assert same_bytes(got, want)
+    for x, y in ((2, 0), (0, 2), (n - 1, n - 1), (xs[1], ys[1])):
+        got = kern.block(x, y)
+        assert type(got) is type(J[x, y])
+        assert got.hex() == J[x, y].hex()
+
+
 def test_kept_table_holds_packed_triangles_only():
     # at n = 256 with 8 table times the kept arrays are 8 upper triangles
     n = 256
@@ -229,7 +285,7 @@ def test_stable_like_constant_field_equals_full_field():
     want = np.zeros((n, n))
     want[off] = (1.7 * np.full((n, n), 0.3)[off]
                  / (np.sqrt(V[off] * V.T[off]) * psid[off]))
-    assert np.array_equal(got.matrix, 0.5 * (want + want.T))
+    assert np.array_equal(whole_jump(got), 0.5 * (want + want.T))
 
 
 def old_stable_like(space, psi, coeff, cmin, cmax, seed=0x5EED):
@@ -281,10 +337,10 @@ def test_setup_constructors_equal_whole_matrix_formulas(side, cmax):
     psi = ScaleFunction.single_power(1.5)
     kern = JumpKernel.stable_like(sp, psi, coeff=1.3, cmin=0.5, cmax=cmax)
     J = old_stable_like(sp, psi, 1.3, 0.5, cmax)
-    assert np.array_equal(kern.matrix, old_jump_matrix(J))
+    assert np.array_equal(whole_jump(kern), old_jump_matrix(J))
     form = assemble(sp, 0.7, kern)
     A, sym_err = old_energy_matrix(sp, np.full(len(sp.edges), 0.7),
-                                   kern.matrix)
+                                   whole_jump(kern))
     assert np.array_equal(form.A, A)
     # the defect the form's mu-symmetry check reads
     assert float(_row_asymmetry(form.A).max()) == sym_err
@@ -306,7 +362,7 @@ def test_stable_like_equals_whole_matrix_formula(kind, params, cmax):
     psi = ScaleFunction([(0.0, 1.0, 1.5), (4.0, 4.0, 0.5)])
     kern = JumpKernel.stable_like(sp, psi, coeff=1.3, cmin=0.5, cmax=cmax)
     J = old_stable_like(sp, psi, 1.3, 0.5, cmax)
-    assert np.array_equal(kern.matrix, old_jump_matrix(J))
+    assert np.array_equal(whole_jump(kern), old_jump_matrix(J))
 
 
 def old_power_law(space, alpha, coeff):
@@ -339,27 +395,27 @@ def test_power_laws_equal_whole_matrix_formulas(kind, params):
     # pow over every pair
     sp = build_space(kind, **params)
     for alpha, coeff in ((1.0, 1.0), (0.5, 2.5)):
-        got = JumpKernel.power_law(sp, alpha, coeff).matrix
+        got = whole_jump(JumpKernel.power_law(sp, alpha, coeff))
         assert np.array_equal(got, old_power_law(sp, alpha, coeff))
     for brk in (1.0, 2.5, 4.0):
-        got = JumpKernel.two_regime(sp, 0.5, 1.5, brk, 1.3).matrix
+        got = whole_jump(JumpKernel.two_regime(sp, 0.5, 1.5, brk, 1.3))
         assert np.array_equal(got, old_two_regime(sp, 0.5, 1.5, brk, 1.3))
 
 
 def test_jump_kernel_symmetrises_only_an_asymmetric_input():
-    # an exactly symmetric J comes back as an equal copy; one within the
-    # tolerance is symmetrised
+    # an exactly symmetric J is packed as it is, in an array of its own;
+    # one within the tolerance is symmetrised
     rng = np.random.RandomState(5)
     J = rng.uniform(0.5, 1.0, size=(150, 150))
     J = 0.5 * (J + J.T)
     np.fill_diagonal(J, 0.0)
     kern = JumpKernel(J)
-    assert np.array_equal(kern.matrix, J)
-    assert not np.shares_memory(kern.matrix, J)
+    assert np.array_equal(whole_jump(kern), J)
+    assert not np.shares_memory(kern.packed, J)
     J[3, 140] *= 1.0 + 1e-14
     kern = JumpKernel(J)
-    assert np.array_equal(kern.matrix, old_jump_matrix(J))
-    assert kern.matrix[3, 140] == kern.matrix[140, 3] != J[3, 140]
+    assert np.array_equal(whole_jump(kern), old_jump_matrix(J))
+    assert whole_jump(kern)[3, 140] == whole_jump(kern)[140, 3] != J[3, 140]
 
 
 def test_asymmetric_jump_names_the_first_worst_pair():
@@ -378,6 +434,38 @@ def test_asymmetric_jump_names_the_first_worst_pair():
     neg[39, 38] = neg[38, 39] = -1.0
     with pytest.raises(FormError, match="nonnegative"):
         JumpKernel(neg)
+    # a negative entry below the diagonal, within the symmetry tolerance
+    # of its mirror, is refused before the mean of the two would hide it
+    neg = np.ones((40, 40))
+    neg[38, 39], neg[39, 38] = 1e-300, -1e-300
+    with pytest.raises(FormError, match="nonnegative"):
+        JumpKernel(neg)
+    # a builder's packed entries are checked as well
+    sp = build_space("lattice_box", dim=1, side=20, margin=0)
+    for build in (lambda: JumpKernel.power_law(sp, 1.0, coeff=-1.0),
+                  lambda: JumpKernel.two_regime(sp, 0.5, 1.5, 4.0, -1.0),
+                  lambda: JumpKernel.stable_like(
+                      sp, ScaleFunction.single_power(1.0), coeff=-1.0)):
+        with pytest.raises(FormError, match="nonnegative"):
+            build()
+
+
+def test_jump_kernels_hold_their_packed_triangle_only():
+    # every builder and the constructor keep one read-only array of
+    # exactly n(n+1)/2 doubles that owns its data, and nothing else
+    sp = build_space("lattice_box", dim=1, side=100, margin=0)
+    n = sp.n
+    psi = ScaleFunction.single_power(1.0)
+    power = JumpKernel.power_law(sp, 1.0)
+    for kern in (JumpKernel.stable_like(sp, psi, cmin=0.5, cmax=2.0), power,
+                 JumpKernel.two_regime(sp, 0.5, 1.5, 4.0),
+                 JumpKernel(whole_jump(power))):
+        P = kern.packed
+        assert sorted(vars(kern)) == ["n", "packed"] and kern.n == n
+        assert P.dtype == np.float64 and P.shape == (n * (n + 1) // 2,)
+        assert P.nbytes == n * (n + 1) // 2 * 8 and P.base is None
+        with pytest.raises(ValueError):
+            P[0] = 1.0
 
 
 # -- traced memory -------------------------------------------------------------
@@ -580,9 +668,12 @@ def test_setup_constructors_hold_no_whole_matrix_temporaries():
     # 3.2 (spectrum) and 5.0 (truncation).  A truncated form reassembled
     # from a cut copy of J measures 2.39; the truncated generator cut in
     # place from one copy of A, beside the cut mask, 1.13.  stable_like
-    # holds the ball table (1.0 on this 1-d lattice), its J and the
-    # kernel's copy: 3.04, and 4.15 with its n x n volume and psi(d)
-    # temporaries.  A 2-d lattice space holds its metric: 1.42, and 4.0
+    # holds the ball table and writes its packed J: 1.26 (1.39 with a c
+    # field); a whole J and the kernel's copy of it measured 3.04, and
+    # 4.15 with its n x n volume and psi(d) temporaries.  The constructor
+    # packs an exactly symmetric J (0.53) or a symmetrised copy of it
+    # (1.76); the form fills A from the packed rows and mirrors it by
+    # tiles (1.56).  A 2-d lattice space holds its metric: 1.42, and 4.0
     # with the n x n x dim integer differences.
     n = 256
     sp = build_space("lattice_box", dim=1, side=n, margin=16)
@@ -592,12 +683,25 @@ def test_setup_constructors_hold_no_whole_matrix_temporaries():
                                            side=16)) <= 1.75 * unit
     assert traced_peak(lambda: JumpKernel.stable_like(sp, psi)) <= 3.25 * unit
     kern = JumpKernel.stable_like(sp, psi)
-    J = kern.matrix.copy()
+    J = whole_jump(kern)
     assert traced_peak(lambda: JumpKernel(J)) <= 2.0 * unit
     assert traced_peak(lambda: assemble(sp, 1.0, kern)) <= 2.0 * unit
     form = assemble(sp, 1.0, kern)
     assert traced_peak(form.spectral) <= 2.5 * unit
     assert traced_peak(lambda: form.truncated(8.0)) <= 1.5 * unit
+
+
+def test_assembled_form_keeps_no_whole_jump():
+    # z1_alpha1 (n = 256): the kernel and the form it is assembled into
+    # keep A (n^2 doubles) and the packed J (n(n+1)/2), 1.50 n^2 with the
+    # edge and mass vectors; a whole J beside A is 2.0
+    ctx = SuiteContext(load_config("z1_alpha1"))
+    sp, cfg, n = ctx.space, ctx.cfg, ctx.space.n
+    form, kept, _ = traced(lambda: assemble(
+        sp, cfg.local_weight,
+        build_jump(cfg.jump, sp, ctx.scales.phi_j, cfg.seed)))
+    assert form.jump.packed.nbytes == n * (n + 1) // 2 * 8
+    assert kept <= 1.55 * n * n * 8
 
 
 def test_meyer_check_holds_one_transient_kernel():

@@ -47,7 +47,7 @@ from formlab.scales import (_GOLDEN, ScaleFunction, ScaleTriple,
                             _legendre_closed_form, _log_grid, legendre_sup)
 from formlab.space import (MetricMeasureSpace, _min_max_steps, _ranks,
                            build_space, chain_check)
-from conftest import whole
+from conftest import whole, whole_jump
 from test_energy_oracles import context, truncated_form
 
 MODES = ("HK", "HK_minus", "UHK", "UHK_weak", "HK_local")
@@ -361,7 +361,7 @@ def old_fit_jpsi(form, psi):
     space = form.space
     D = space.metric
     interior = space.interior(space.interior_margin)
-    J = form.jump.matrix
+    J = whole_jump(form)
     per_d = {}
     c1, c2 = math.inf, 0.0
     for x in interior:
@@ -389,7 +389,7 @@ def float_fit_jpsi(form, psi):
     mask = d > 0.0
     V = space.volumes(interior[:, None], d + 1e-9)[mask]
     dists = d[mask]
-    ratios = form.jump.matrix[block][mask] * V * psi(dists)
+    ratios = whole_jump(form)[block][mask] * V * psi(dists)
     c1 = float(np.fmin.reduce(ratios, initial=math.inf))
     c2 = float(np.fmax.reduce(ratios, initial=0.0))
     uq, inv = np.unique(dists, return_inverse=True)

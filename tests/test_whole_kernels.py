@@ -6,8 +6,10 @@ a second path to the same entries at n(n+1)/2 per time.  Every whole global
 kernel comes from one engine site, ``form._global_kernel``, which
 ``kernel_blocks`` reaches only at the times the form keeps, through the
 packing of ``_packed_kernel``.  Outside ``form.py`` a global table is read
-through its accessors alone, never by subscripting its packed kernels.
-Read with ``ast``, and the engine's reach by counting calls."""
+through its accessors alone, never by subscripting its packed kernels, and
+so is the jump kernel J: no other module reads its packed triangle or
+unpacks it.  Read with ``ast``, and the engine's reach by counting
+calls."""
 
 import ast
 from pathlib import Path
@@ -172,3 +174,38 @@ def test_global_tables_are_read_through_their_accessors():
         "form": "def g(table):\n    return table.kernels[0]\n",
     }
     assert direct_kernel_reads(sources) == [("a", 2), ("a", 3)]
+
+
+def packed_jump_reads(sources):
+    """Sorted (module, line) of each read of an attribute ``packed`` (the
+    jump kernel's packed triangle) and each name, attribute or import of
+    ``_unpack`` outside ``form``: a read of J past its accessors."""
+    found = set()
+    for mod, src in sources.items():
+        if mod == "form":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("packed", "_unpack")
+                    or isinstance(node, ast.Name) and node.id == "_unpack"
+                    or isinstance(node, ast.alias)
+                    and node.name == "_unpack"):
+                found.add((mod, node.lineno))
+    return sorted(found)
+
+
+def test_jump_kernels_are_read_through_their_accessors():
+    assert packed_jump_reads({p.stem: p.read_text()
+                              for p in SOURCES}) == []
+    sources = {
+        "a": ("from .form import _unpack\n"
+              "import formlab.form as fm\n"
+              "def f(form, B):\n"
+              "    P = form.jump.packed\n"
+              "    J = fm._unpack(P)\n"
+              "    K = _unpack(P)\n"
+              "    return form.jump.block(B, B), form.jump.rows(B)\n"),
+        "form": "def g(jump):\n    return _unpack(jump.packed)\n",
+    }
+    assert packed_jump_reads(sources) == [("a", 1), ("a", 4), ("a", 5),
+                                          ("a", 6)]
